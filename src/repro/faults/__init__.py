@@ -30,7 +30,7 @@ from .outcomes import (
     soc_reduction_percent,
 )
 from .campaign import Campaign, CampaignResult, OutputVerifier, TrialRecord
-from .mpi_campaign import MpiCampaign, MpiCampaignResult, MpiTrialRecord
+from .mpi_campaign import MpiCampaign, RankSite
 from .sanitizer import (
     CoverageViolation,
     module_is_protected,
@@ -43,6 +43,7 @@ from .parallel import (
     CheckpointError,
     CheckpointMismatchError,
     CheckpointWarning,
+    TrialPlan,
     campaign_fingerprint,
     entry_matches_site,
     fork_available,
@@ -78,10 +79,10 @@ __all__ = [
     "Outcome", "OutcomeCounts", "margin_of_error", "parse_outcome",
     "soc_reduction_percent",
     "Campaign", "CampaignResult", "OutputVerifier", "TrialRecord",
-    "MpiCampaign", "MpiCampaignResult", "MpiTrialRecord",
+    "MpiCampaign", "RankSite",
     "CoverageViolation", "module_is_protected", "sanitize_records",
     "sanitizer_enabled",
-    "CampaignCheckpoint", "CampaignStats", "campaign_fingerprint",
+    "CampaignCheckpoint", "CampaignStats", "TrialPlan", "campaign_fingerprint",
     "CheckpointError", "CheckpointMismatchError", "CheckpointWarning",
     "entry_matches_site", "record_from_entry", "trial_entry",
     "fork_available", "resolve_jobs", "run_campaign", "verify_checkpoint",

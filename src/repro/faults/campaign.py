@@ -232,7 +232,8 @@ class Campaign:
         #: execute trials from golden-run ladder rungs (prefix memoization);
         #: outcome records are bit-identical to cold-start at any n_jobs.
         self.warm_start = warm_start
-        #: cycles between ladder rungs (None = golden_cycles / 24)
+        #: cycles between ladder rungs
+        #: (None = golden_cycles / DEFAULT_LADDER_RUNGS)
         self.snapshot_stride = snapshot_stride
         self._golden_cycles: Optional[int] = None
         self._golden_capture = None
@@ -336,7 +337,17 @@ class Campaign:
         inst, count = self._sites[index]
         occurrence = rng.randint(1, count)
         bit = rng.randrange(result_bits(inst))
+        return self._site_at(index, inst, occurrence, bit)
+
+    def _site_at(self, index: int, inst, occurrence: int, bit: int) -> FaultSite:
+        """The site object for a draw from population entry ``index``."""
         return FaultSite(inst, occurrence, bit)
+
+    def population_indexes(self, sites: Sequence[FaultSite]) -> List[int]:
+        """Each site's index into the dynamic fault population ``_sites``
+        (the ``site_index`` of its checkpoint entry)."""
+        index_of = {id(inst): k for k, (inst, _count) in enumerate(self._sites)}
+        return [index_of[id(site.instruction)] for site in sites]
 
     def fingerprint(self, n_trials: int, seed: int = 0) -> str:
         """Stable identity of this campaign's trial plan — the checkpoint

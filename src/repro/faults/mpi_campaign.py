@@ -10,24 +10,25 @@ crash aborts the whole job (§4.4.1), so symptoms and detections propagate.
 Site sampling is exact per rank: a profiled job run records every rank's
 block-execution counts, so (rank, instruction, occurrence, bit) is sampled
 uniformly over the union of all ranks' dynamic injectable executions.
+
+:class:`MpiCampaign` is a :class:`~repro.faults.campaign.Campaign` whose
+fault population is flattened over ranks and whose trials run the whole
+job, so ``run`` is the one campaign engine
+(:func:`repro.faults.parallel.run_campaign`): worker pools, supervision,
+checkpoint/resume, progress and observability all apply unchanged.
 """
 
 from __future__ import annotations
 
-import bisect
-import random
-import time
 import warnings
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Sequence
 
-from ..interp.interpreter import Interpreter
 from ..parallel.mpi import JobResult, MpiJob
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
-from .campaign import OutputVerifier
-from .model import FaultSite, injectable_instructions, result_bits
+from .campaign import Campaign, OutputVerifier, TrialRecord
+from .model import FaultSite, injectable_instructions
 from .models import get_fault_model
-from .outcomes import Outcome, OutcomeCounts
-from .sanitizer import sanitize_records
+from .outcomes import Outcome
 
 
 def _aggregate_recovery(result: JobResult) -> Optional[RecoveryTelemetry]:
@@ -50,47 +51,28 @@ def _aggregate_recovery(result: JobResult) -> Optional[RecoveryTelemetry]:
     return total
 
 
-class MpiTrialRecord:
-    """One parallel fault-injection run.
+class RankSite(FaultSite):
+    """A fault site in one rank of a multi-rank job."""
 
-    ``recovery`` aggregates every rank's rollback telemetry when the job
-    ran under the recovery runtime, else ``None``.
-    """
+    __slots__ = ("rank",)
 
-    __slots__ = ("site", "rank", "outcome", "job_status", "recovery")
-
-    def __init__(
-        self,
-        site: FaultSite,
-        rank: int,
-        outcome: Outcome,
-        job_status: str,
-        recovery: Optional[RecoveryTelemetry] = None,
-    ):
-        self.site = site
+    def __init__(self, instruction, occurrence: int, bit: int, rank: int):
+        super().__init__(instruction, occurrence, bit)
         self.rank = rank
-        self.outcome = outcome
-        self.job_status = job_status
-        self.recovery = recovery
 
     def __repr__(self) -> str:
-        return f"<MpiTrialRecord {self.outcome.value} rank={self.rank}>"
+        return f"{super().__repr__()[:-1]} rank={self.rank}>"
 
 
-class MpiCampaignResult:
-    def __init__(self, records: List[MpiTrialRecord], counts: OutcomeCounts, golden_cycles: int):
-        self.records = records
-        self.counts = counts
-        self.golden_cycles = golden_cycles
-        #: CampaignStats when run through the supervised pool, else None
-        self.stats = None
+class MpiCampaign(Campaign):
+    """Fault injection against one MpiJob (module + input + rank count).
 
-    def __len__(self) -> int:
-        return len(self.records)
-
-
-class MpiCampaign:
-    """Fault injection against one MpiJob (module + input + rank count)."""
+    Trials yield plain :class:`TrialRecord` objects whose ``site`` is a
+    :class:`RankSite`; ``status`` is the job status and ``cycles`` the job
+    cycles (the maximum over ranks).  ``recovery`` arms per-rank rollback
+    re-execution; snapshots are pinned at every collective, so rollback
+    never replays an exchange (see :meth:`repro.parallel.mpi.RankMpi._exchange`).
+    """
 
     def __init__(
         self,
@@ -104,15 +86,14 @@ class MpiCampaign:
     ):
         model = get_fault_model(fault_model)
         if model.name != "transient-1bit":
-            # The MPI sampler replicates the single-process RNG order
-            # inline; non-default models would need their planning threaded
-            # through the rank dimension too.  Refuse rather than silently
-            # running the wrong corruption.
+            # Non-default models rebuild each sampled site as a
+            # PlannedFault, which would drop its rank; their planning needs
+            # threading through the rank dimension first.  Refuse rather
+            # than silently running the wrong corruption.
             raise NotImplementedError(
                 f"MpiCampaign only supports the default transient-1bit "
                 f"fault model, got {model.spec()!r}"
             )
-        self.fault_model = model
         if warm_start:
             # A multi-rank job has no consistent cross-rank snapshot: rank
             # threads rendezvous inside collectives, so a cycle-stride ladder
@@ -124,30 +105,28 @@ class MpiCampaign:
                 RuntimeWarning,
                 stacklevel=2,
             )
-        self.warm_start = False
+        # Rank 0's interpreter holds the outputs the verifier checks (all
+        # ranks agree in the zero-and-allreduce workload pattern; corrupted
+        # ranks diverge and the divergence lands in the assembled outputs).
+        super().__init__(
+            job.interpreters[0],
+            verifier=verifier,
+            entry=entry,
+            budget_factor=budget_factor,
+            recovery=recovery,
+            fault_model=model,
+        )
         self.job = job
-        self.verifier = verifier or OutputVerifier()
-        self.entry = entry
-        self.budget_factor = budget_factor
-        #: RecoveryPolicy arming per-rank rollback re-execution; snapshots
-        #: are pinned at every collective, so rollback never replays an
-        #: exchange (see :meth:`repro.parallel.mpi.RankMpi._exchange`).
-        self.recovery = recovery
-        self._golden_cycles: Optional[int] = None
-        self._golden_capture = None
-        # flattened dynamic population: (rank, instruction, count)
-        self._sites: List[Tuple[int, object, int]] = []
-        self._cumulative: List[int] = []
-        self._total_weight = 0
+        #: the rank of each population entry in ``_sites``
+        self._ranks: List[int] = []
 
     def prepare(self) -> None:
+        """Profile a golden job run and flatten every rank's fault space."""
         if self._golden_cycles is not None:
             return
         result = self.job.run(self.entry, profile=True, recovery=self.recovery)
         if result.status != "ok":
             raise RuntimeError(f"golden parallel run failed: {result.status}")
-        self._golden_cycles = result.job_cycles
-        self._golden_capture = self.verifier.capture(self.job.interpreters[0])
         cm = self.job.cm
         eligible = injectable_instructions(cm.module)
         total = 0
@@ -160,44 +139,41 @@ class MpiCampaign:
                     continue
                 count = profile[gid]
                 if count > 0:
-                    self._sites.append((rank, inst, count))
+                    self._sites.append((inst, count))
+                    self._ranks.append(rank)
                     total += count
                     self._cumulative.append(total)
         if not self._sites:
             raise RuntimeError("no injectable dynamic instructions in any rank")
         self._total_weight = total
+        self._golden_capture = self.verifier.capture(self.interp)
+        self._golden_cycles = result.job_cycles
 
-    @property
-    def golden_cycles(self) -> int:
-        self.prepare()
-        assert self._golden_cycles is not None
-        return self._golden_cycles
+    def _site_at(self, index: int, inst, occurrence: int, bit: int) -> RankSite:
+        return RankSite(inst, occurrence, bit, self._ranks[index])
 
-    @property
-    def cycle_budget(self) -> int:
-        return int(self.budget_factor * self.golden_cycles) + 10_000
+    def population_indexes(self, sites: Sequence[RankSite]) -> List[int]:
+        index_of = {
+            (rank, id(inst)): k
+            for k, (rank, (inst, _count)) in enumerate(zip(self._ranks, self._sites))
+        }
+        return [index_of[site.rank, id(site.instruction)] for site in sites]
 
-    def sample(self, rng: random.Random) -> Tuple[FaultSite, int]:
-        """A (site, rank) pair uniform over all ranks' dynamic executions."""
-        self.prepare()
-        pick = rng.randrange(self._total_weight)
-        index = bisect.bisect_right(self._cumulative, pick)
-        rank, inst, count = self._sites[index]
-        occurrence = rng.randint(1, count)
-        bit = rng.randrange(result_bits(inst))
-        return FaultSite(inst, occurrence, bit), rank
-
-    def run_site(self, site: FaultSite, rank: int) -> MpiTrialRecord:
+    def run_site(self, site: RankSite) -> TrialRecord:
+        """Run the whole job with ``site`` armed in its rank; classify it."""
         self.prepare()
         result = self.job.run(
             self.entry,
-            injection=(site.as_injection(), rank),
+            injection=(site.as_injection(), site.rank),
             cycle_budget=self.cycle_budget,
             recovery=self.recovery,
         )
-        outcome = self.classify(result)
-        return MpiTrialRecord(
-            site, rank, outcome, result.status, recovery=_aggregate_recovery(result)
+        return TrialRecord(
+            site,
+            self.classify(result),
+            result.status,
+            result.job_cycles,
+            recovery=_aggregate_recovery(result),
         )
 
     def classify(self, result: JobResult) -> Outcome:
@@ -207,133 +183,9 @@ class MpiCampaign:
             return Outcome.CRASH
         if result.status == "hang":
             return Outcome.HANG
-        # Job completed: verify rank 0's outputs (all ranks agree in the
-        # zero-and-allreduce workload pattern; corrupted ranks diverge and
-        # the divergence lands in the assembled outputs).
-        if self.verifier.check(self.job.interpreters[0], self._golden_capture):
+        if self.verifier.check(self.interp, self._golden_capture):
             recovery = _aggregate_recovery(result)
             if recovery is not None and recovery.rollbacks:
                 return Outcome.CORRECTED
             return Outcome.MASKED
         return Outcome.SOC
-
-    def sample_trials(
-        self, n_trials: int, seed: int = 0
-    ) -> List[Tuple[FaultSite, int]]:
-        """The full (site, rank) plan, pre-sampled serially from the seed."""
-        self.prepare()
-        rng = random.Random(seed)
-        return [self.sample(rng) for _ in range(n_trials)]
-
-    def run(
-        self,
-        n_trials: int,
-        seed: int = 0,
-        n_jobs: Optional[int] = None,
-        trial_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        on_worker_failure: Optional[str] = None,
-        supervision=None,
-        chaos=None,
-        obs=None,
-    ) -> MpiCampaignResult:
-        from .parallel import CampaignStats, fork_available, resolve_jobs
-        from .supervisor import (
-            PoolCollapse,
-            SupervisorPolicy,
-            TrialFailure,
-            run_supervised,
-        )
-
-        self.prepare()
-        trials = self.sample_trials(n_trials, seed)
-        n_jobs = resolve_jobs(n_jobs)
-        policy = SupervisorPolicy.resolve(
-            supervision,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            on_worker_failure=on_worker_failure,
-        )
-        # obs (repro.obs.Observation) shares its metrics registry with the
-        # stats and receives per-trial trace spans, exactly like the
-        # single-process engine.
-        tracer = obs.open_trace() if obs is not None else None
-        stats = CampaignStats(
-            n_trials, n_jobs,
-            registry=obs.registry if obs is not None else None,
-        )
-
-        def run_one(i):
-            site, rank = trials[i]
-            record = self.run_site(site, rank)
-            # Only plain values cross the process boundary; the parent
-            # rebuilds records against its own pre-sampled (site, rank) plan.
-            rec_wire = (
-                record.recovery.as_wire() if record.recovery is not None else None
-            )
-            return record.outcome.value, record.job_status, rec_wire
-
-        records: List[Optional[MpiTrialRecord]] = [None] * n_trials
-        counts = OutcomeCounts()
-
-        def deliver(i, result, seconds, wid=0):
-            site, rank = trials[i]
-            if isinstance(result, TrialFailure):
-                record = MpiTrialRecord(site, rank, Outcome.TRIAL_FAILURE, "harness")
-            else:
-                outcome_value, job_status, rec_wire = result
-                recovery = (
-                    RecoveryTelemetry.from_wire(rec_wire)
-                    if rec_wire is not None
-                    else None
-                )
-                record = MpiTrialRecord(
-                    site, rank, Outcome(outcome_value), job_status, recovery=recovery
-                )
-            records[i] = record
-            counts.record(record.outcome)
-            stats.record(record.outcome, seconds, record.recovery)
-            if tracer is not None:
-                tracer.trial(
-                    i, wid, seconds, record.outcome.value,
-                    args={
-                        "trial": i,
-                        "rank": rank,
-                        "status": record.job_status,
-                        "bit": site.bit,
-                    },
-                )
-
-        perf = time.perf_counter
-        pending = list(range(n_trials))
-        try:
-            if n_jobs <= 1 or n_trials <= 1 or not fork_available():
-                for i in pending:
-                    t0 = perf()
-                    deliver(i, run_one(i), perf() - t0)
-            else:
-                try:
-                    run_supervised(
-                        run_one,
-                        [(i, i) for i in pending],
-                        n_jobs,
-                        deliver,
-                        policy=policy,
-                        stats=stats,
-                        chaos=chaos,
-                    )
-                except PoolCollapse as collapse:
-                    stats.serial_fallback = True
-                    for i, payload in collapse.remaining:
-                        t0 = perf()
-                        deliver(i, run_one(payload), perf() - t0)
-        finally:
-            stats.finish()
-            if obs is not None:
-                obs.close()
-        # Same parent-side consistency sweep as the serial/parallel engine:
-        # an SOC at a statically covered site is a harness bug, not data.
-        sanitize_records(records, self.job.cm.module)
-        result = MpiCampaignResult(records, counts, self.golden_cycles)
-        result.stats = stats
-        return result

@@ -11,7 +11,9 @@ must not recompile the module per trial).  This engine keeps both:
   sampled faults — and therefore every per-trial outcome — are bit-identical
   for any worker count, including ``n_jobs=1`` falling back to the plain
   in-process loop.  Trials are only *executed* out of order; results are
-  reassembled by trial index.
+  reassembled by trial index.  The plan and its bookkeeping live in one
+  :class:`TrialPlan`, which the campaign service shares; single-process
+  and MPI campaigns both run through :func:`run_campaign`.
 
 * **Persistent, supervised workers.**  Workers are forked from the prepared
   parent (``fork`` start method), so they inherit the compiled module, the
@@ -53,7 +55,8 @@ import sys
 import time
 import warnings
 import zlib
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.registry import LATENCY_BUCKETS_MS, MetricsRegistry
 from ..recover.runtime import RecoveryTelemetry
@@ -915,6 +918,92 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
     return h.hexdigest()[:16]
 
 
+class TrialPlan:
+    """One campaign's pre-sampled trials and everything keyed by them.
+
+    Built once per ``(campaign, n_trials, seed)``: the sampled sites, each
+    site's index into the campaign's dynamic fault population, the
+    fingerprint, the ``trial_entry`` round trip, checkpoint resume, and the
+    sanitize sweep.  :func:`run_campaign`, the service coordinator and the
+    service worker each hold one, so an entry means the same trial on
+    every path.  Population indexes (not instruction identity) name a
+    site, because an MPI population lists each instruction once per rank.
+    """
+
+    def __init__(self, campaign, n_trials: int, seed: int):
+        self.campaign = campaign
+        self.n_trials = n_trials
+        self.seed = seed
+        self.sites = campaign.sample_trials(n_trials, seed)
+        self.site_index = campaign.population_indexes(self.sites)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        return campaign_fingerprint(self.campaign, self.n_trials, self.seed)
+
+    def entry(self, index: int, record) -> Dict:
+        """The canonical :func:`trial_entry` of trial ``index``."""
+        return trial_entry(index, self.sites[index], self.site_index[index], record)
+
+    def run_entry(self, index: int) -> Dict:
+        """Execute trial ``index`` in-process and return its entry."""
+        return self.entry(index, self.campaign.run_site(self.sites[index]))
+
+    def adopt(self, records: List, entries: Iterable[Dict], context: str) -> List[int]:
+        """Fill empty ``records`` slots from persisted or wire entries.
+
+        An entry is adopted only when its index is in range, its slot is
+        still empty, and its identity fields match the planned site;
+        anything else is skipped (a duplicate is already held, a mismatch
+        re-runs).  Returns the filled indexes.
+        """
+        filled = []
+        for entry in entries:
+            i = entry.get("i")
+            if not isinstance(i, int) or not 0 <= i < self.n_trials:
+                continue
+            site = self.sites[i]
+            if records[i] is None and entry_matches_site(entry, site, self.site_index[i]):
+                records[i] = record_from_entry(entry, site, context)
+                filled.append(i)
+        return filled
+
+    def resume(
+        self, path: str, records: List, stats: Optional[CampaignStats] = None,
+        strict: bool = False,
+    ) -> CampaignCheckpoint:
+        """Open this plan's checkpoint at ``path`` for append, first
+        restoring every entry that matches its plan slot into ``records``.
+
+        With ``stats``, the previous run's persisted metrics are absorbed
+        (cumulative telemetry), restored trials count as ``resumed``, and
+        every flush persists the stats into the header.
+        """
+        checkpoint = CampaignCheckpoint(
+            path, self.fingerprint, self.n_trials, self.seed,
+            model=self.campaign.fault_model.spec(),
+        )
+        completed = checkpoint.load(strict=strict)
+        if stats is not None and checkpoint.prior_stats is not None:
+            stats.absorb(checkpoint.prior_stats)
+        restored = self.adopt(records, completed.values(), f"checkpoint {path}")
+        if stats is not None:
+            stats.resumed += len(restored)
+            checkpoint.stats = stats
+        checkpoint.open_for_append(fresh=not completed)
+        return checkpoint
+
+    def sanitize(self, records: List) -> None:
+        """The static-vs-dynamic consistency sweep over assembled records.
+
+        Parent-side by design: a worker exception would be quarantined as
+        TRIAL_FAILURE, so the impossible-SOC check must run after assembly,
+        where it can actually abort the run.
+        """
+        campaign = self.campaign
+        sanitize_records(records, campaign.interp.module, model=campaign.fault_model)
+
+
 # -- the engine ---------------------------------------------------------------
 
 
@@ -976,52 +1065,25 @@ def run_campaign(
     with phase("prepare"):
         campaign.prepare()
     ladder = None
-    if getattr(campaign, "warm_start", False):
+    if campaign.warm_start:
         # Build the ladder in the parent: forked workers inherit the rungs
         # copy-on-write, so one golden capture serves every worker count —
         # and the rungs (hence every trial) are bit-identical at any n_jobs.
         with phase("ladder-capture"):
             ladder = campaign.ensure_ladder()
     with phase("sample-trials", n_trials=n_trials, seed=seed):
-        sites = campaign.sample_trials(n_trials, seed)
+        plan = TrialPlan(campaign, n_trials, seed)
+    sites, site_index = plan.sites, plan.site_index
     stats = CampaignStats(
         n_trials, n_jobs,
         registry=obs.registry if obs is not None else None,
     )
     records: List[Optional[TrialRecord]] = [None] * n_trials
-    site_index_of = {
-        id(inst): k for k, (inst, _count) in enumerate(campaign._sites)
-    }
 
     checkpoint = None
     if checkpoint_path:
         with phase("checkpoint-resume"):
-            fingerprint = campaign_fingerprint(campaign, n_trials, seed)
-            model = getattr(campaign, "fault_model", None)
-            checkpoint = CampaignCheckpoint(
-                checkpoint_path, fingerprint, n_trials, seed,
-                model=model.spec() if model is not None else "transient-1bit",
-            )
-            completed = checkpoint.load(strict=strict_resume)
-            if checkpoint.prior_stats is not None:
-                # The header carries the previous run's metrics: absorb them
-                # so the resumed campaign reports cumulative telemetry
-                # (outcome tallies, latency, recovery and harness events).
-                stats.absorb(checkpoint.prior_stats)
-            for i, entry in completed.items():
-                if records[i] is not None:
-                    continue
-                site = sites[i]
-                if not entry_matches_site(
-                    entry, site, site_index_of[id(site.instruction)]
-                ):
-                    continue  # does not match the deterministic plan; re-run
-                records[i] = record_from_entry(
-                    entry, site, f"checkpoint {checkpoint_path}"
-                )
-                stats.resumed += 1
-            checkpoint.stats = stats
-            checkpoint.open_for_append(fresh=not completed)
+            checkpoint = plan.resume(checkpoint_path, records, stats, strict_resume)
 
     pending = [i for i in range(n_trials) if records[i] is None]
     if ladder is not None and len(pending) > 1:
@@ -1035,29 +1097,26 @@ def run_campaign(
             for i in pending
         }
         pending.sort(key=lambda i: (bucket[i], i))
-    trial_site_index = {i: site_index_of[id(sites[i].instruction)] for i in pending}
     last_progress = [stats.started]
 
     def trace_trial(index: int, record: TrialRecord, seconds: float, wid: int) -> None:
         site = sites[index]
         inst = site.instruction
         fn = inst.function
-        tracer.trial(
-            index,
-            wid,
-            seconds,
-            record.outcome.value,
-            args={
-                "trial": index,
-                "site": f"{fn.name if fn else '?'}:"
-                        f"{inst.parent.name if inst.parent else '?'}",
-                "opcode": inst.opcode,
-                "occurrence": site.occurrence,
-                "bit": site.bit,
-                "status": record.status,
-                "cycles": record.cycles,
-            },
-        )
+        args = {
+            "trial": index,
+            "site": f"{fn.name if fn else '?'}:"
+                    f"{inst.parent.name if inst.parent else '?'}",
+            "opcode": inst.opcode,
+            "occurrence": site.occurrence,
+            "bit": site.bit,
+            "status": record.status,
+            "cycles": record.cycles,
+        }
+        rank = getattr(site, "rank", None)  # MPI sites name their rank
+        if rank is not None:
+            args["rank"] = rank
+        tracer.trial(index, wid, seconds, record.outcome.value, args=args)
         recovery = record.recovery
         if recovery is not None and recovery.rollbacks:
             tracer.event(
@@ -1081,7 +1140,7 @@ def run_campaign(
         if tracer is not None:
             trace_trial(index, record, seconds, wid)
         if checkpoint is not None:
-            checkpoint.append(index, sites[index], trial_site_index[index], record)
+            checkpoint.append(index, sites[index], site_index[index], record)
         if on_trial is not None:
             on_trial(index, record)
         if progress:
@@ -1166,15 +1225,8 @@ def run_campaign(
             if checkpoint is not None:
                 checkpoint.close()
 
-        # Static-vs-dynamic consistency sweep, parent-side: a worker exception
-        # would be quarantined as TRIAL_FAILURE, so the impossible-SOC check
-        # must run here, after assembly, where it can actually abort the run.
         with phase("sanitize"):
-            sanitize_records(
-                records,
-                campaign.interp.module,
-                model=getattr(campaign, "fault_model", None),
-            )
+            plan.sanitize(records)
     finally:
         if obs is not None:
             # Seal the trace and dump the metrics registry even when the
@@ -1188,37 +1240,3 @@ def run_campaign(
     result = CampaignResult(records, counts, campaign.golden_cycles, seed)
     result.stats = stats
     return result
-
-
-# -- generic fork-mapping (legacy helper; the MPI campaign is supervised) ------
-
-_WORKER_FN = None
-
-
-def _fn_chunk(chunk) -> List:
-    return [_WORKER_FN(item) for item in chunk]
-
-
-def fork_map(fn: Callable, items: Sequence, n_jobs: int, chunk_size: int = DEFAULT_CHUNK):
-    """Map ``fn`` over ``items`` with forked workers, yielding results in
-    completion order.  ``fn`` and ``items`` are inherited by fork, so ``fn``
-    may close over arbitrary unpicklable state; each *result* must pickle.
-    Falls back to a plain serial map when fork is unavailable or
-    ``n_jobs <= 1``.  No supervision: a worker failure propagates — use
-    :func:`repro.faults.supervisor.run_supervised` for recovery.
-    """
-    if n_jobs <= 1 or len(items) <= 1 or not fork_available():
-        for item in items:
-            yield fn(item)
-        return
-    global _WORKER_FN
-    chunks = [items[k : k + chunk_size] for k in range(0, len(items), chunk_size)]
-    ctx = multiprocessing.get_context("fork")
-    _WORKER_FN = fn
-    try:
-        with ctx.Pool(processes=min(n_jobs, len(chunks))) as pool:
-            for shard in pool.imap_unordered(_fn_chunk, chunks):
-                for result in shard:
-                    yield result
-    finally:
-        _WORKER_FN = None

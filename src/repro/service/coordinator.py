@@ -41,13 +41,7 @@ import json
 import time
 from typing import Dict, List, Optional, Tuple
 
-from ..faults.parallel import (
-    CampaignCheckpoint,
-    entry_matches_site,
-    record_from_entry,
-    trial_entry,
-)
-from ..faults.sanitizer import sanitize_records
+from ..faults.parallel import CampaignCheckpoint, TrialPlan
 from ..faults.supervisor import backoff_delay
 from ..obs.registry import MetricsRegistry
 from . import protocol
@@ -103,9 +97,7 @@ class Job:
         "spec",
         "n_trials",
         "seed",
-        "campaign",
-        "sites",
-        "site_index",
+        "plan",
         "checkpoint",
         "records",
         "done_count",
@@ -122,9 +114,8 @@ class Job:
         self.spec = spec
         self.n_trials = n_trials
         self.seed = seed
-        self.campaign = None
-        self.sites = None
-        self.site_index: List[int] = []
+        #: the job's TrialPlan; None for a job served from its cached results
+        self.plan: Optional[TrialPlan] = None
         self.checkpoint: Optional[CampaignCheckpoint] = None
         self.records: Optional[List] = None
         self.done_count = 0
@@ -277,34 +268,14 @@ class CoordinatorServer:
 
     def _build_job(self, spec: Dict) -> Job:
         """Executor-thread body: golden run, plan, checkpoint resume."""
-        campaign = build_campaign(spec)
-        campaign.prepare()
         n_trials = spec["trials"]
         seed = spec.get("seed", 0)
-        job_id = campaign.fingerprint(n_trials, seed)
-        sites = campaign.sample_trials(n_trials, seed)
-        index_of = {
-            id(inst): k for k, (inst, _count) in enumerate(campaign._sites)
-        }
-        job = Job(job_id, spec, n_trials, seed)
-        job.campaign = campaign
-        job.sites = sites
-        job.site_index = [index_of[id(s.instruction)] for s in sites]
+        plan = TrialPlan(build_campaign(spec), n_trials, seed)
+        job = Job(plan.fingerprint, spec, n_trials, seed)
+        job.plan = plan
         job.records = [None] * n_trials
-        checkpoint = CampaignCheckpoint(
-            self.journal.job_path(job_id), job_id, n_trials, seed
-        )
-        completed = checkpoint.load()
-        for i, entry in completed.items():
-            if not entry_matches_site(entry, sites[i], job.site_index[i]):
-                continue
-            job.records[i] = record_from_entry(
-                entry, sites[i], f"checkpoint {checkpoint.path}"
-            )
-            job.done_count += 1
-            job.resumed += 1
-        checkpoint.open_for_append(fresh=not completed)
-        job.checkpoint = checkpoint
+        job.checkpoint = plan.resume(self.journal.job_path(job.id), job.records)
+        job.resumed = job.done_count = n_trials - job.records.count(None)
         remaining = [i for i in range(n_trials) if job.records[i] is None]
         job.pending = [
             _Chunk(remaining[k : k + self.chunk_size])
@@ -366,32 +337,24 @@ class CoordinatorServer:
         """Serve a journal-done job from its checkpoint, no rebuild.
 
         Returns ``False`` (caller falls back to a full rebuild) when the
-        checkpoint does not actually hold every trial.
+        checkpoint does not actually hold every trial, or its header does
+        not match the job.
         """
-        from ..faults.parallel import checked_line
-
-        n_trials = spec.get("trials")
-        try:
-            with open(self.journal.job_path(job_id)) as fh:
-                lines = fh.read().splitlines()
-        except OSError:
+        n_trials = spec["trials"]
+        seed = spec.get("seed", 0)
+        by_index = CampaignCheckpoint(
+            self.journal.job_path(job_id), job_id, n_trials, seed
+        ).load()
+        if len(by_index) != n_trials:
             return False
-        by_index: Dict[int, Dict] = {}
-        for raw in lines[1:]:  # line 0 is the checkpoint header
-            entry, _error = checked_line(raw)
-            if entry is None:
-                continue
-            i = entry.get("i")
-            if isinstance(i, int) and 0 <= i < (n_trials or 0):
-                entry.pop("crc", None)
-                by_index[i] = entry
-        if not isinstance(n_trials, int) or len(by_index) != n_trials:
-            return False
-        job = Job(job_id, spec, n_trials, spec.get("seed", 0))
+        job = Job(job_id, spec, n_trials, seed)
         job.state = "done"
         job.done_count = n_trials
         job.resumed = n_trials
-        job.result_entries = [by_index[i] for i in range(n_trials)]
+        job.result_entries = [
+            {k: v for k, v in by_index[i].items() if k != "crc"}
+            for i in range(n_trials)
+        ]
         self.jobs[job_id] = job
         self._spec_to_job[canonical_spec(spec)] = job_id
         return True
@@ -450,11 +413,7 @@ class CoordinatorServer:
 
     def _run_chunk(self, job: Job, indexes: List[int]) -> List[Dict]:
         """Executor-thread body of the solo path: the in-process engine."""
-        entries = []
-        for i in indexes:
-            record = job.campaign.run_site(job.sites[i])
-            entries.append(trial_entry(i, job.sites[i], job.site_index[i], record))
-        return entries
+        return [job.plan.run_entry(i) for i in indexes]
 
     async def _solo_loop(self) -> None:
         announced = False
@@ -491,21 +450,12 @@ class CoordinatorServer:
         plan mismatches are skipped silently (the duplicate is already
         durable, the mismatch will re-run).
         """
-        fresh = 0
-        for entry in entries:
-            i = entry.get("i")
-            if not isinstance(i, int) or not 0 <= i < job.n_trials:
-                continue
-            if job.records[i] is not None:
-                continue
-            site = job.sites[i]
-            if not entry_matches_site(entry, site, job.site_index[i]):
-                continue
-            record = record_from_entry(entry, site, f"service job {job.id}")
-            job.records[i] = record
-            job.checkpoint.append(i, site, job.site_index[i], record)
-            job.done_count += 1
-            fresh += 1
+        plan = job.plan
+        committed = plan.adopt(job.records, entries, f"service job {job.id}")
+        for i in committed:
+            job.checkpoint.append(i, plan.sites[i], plan.site_index[i], job.records[i])
+        fresh = len(committed)
+        job.done_count += fresh
         if not fresh:
             return 0
         self._counter("ipas_service_trials_committed_total").inc(fresh)
@@ -531,23 +481,18 @@ class CoordinatorServer:
         return fresh
 
     async def _finalize(self, job: Job) -> None:
-        if job.campaign is not None:
-            try:
-                # Same static-vs-dynamic consistency sweep the in-process
-                # engine runs after assembly.
-                await asyncio.get_running_loop().run_in_executor(
-                    None,
-                    sanitize_records,
-                    job.records,
-                    job.campaign.interp.module,
-                )
-            except Exception as exc:
-                self._fail_job(job, f"sanitize: {type(exc).__name__}: {exc}")
-                return
+        try:
+            # Same static-vs-dynamic consistency sweep the in-process
+            # engine runs after assembly.
+            await asyncio.get_running_loop().run_in_executor(
+                None, job.plan.sanitize, job.records
+            )
+        except Exception as exc:
+            self._fail_job(job, f"sanitize: {type(exc).__name__}: {exc}")
+            return
         job.checkpoint.close()
         job.result_entries = [
-            trial_entry(i, job.sites[i], job.site_index[i], job.records[i])
-            for i in range(job.n_trials)
+            job.plan.entry(i, record) for i, record in enumerate(job.records)
         ]
         job.state = "done"
         self.journal.record_done(job.id)

@@ -23,33 +23,20 @@ import socket
 import time
 from typing import Dict, Optional
 
-from ..faults.parallel import trial_entry
+from ..faults.parallel import TrialPlan
 from .jobs import build_campaign
 from .protocol import Channel, ProtocolError
 
 
-class _JobContext:
-    """Per-job state a worker caches across leases."""
-
-    __slots__ = ("campaign", "sites", "site_index")
-
-    def __init__(self, spec: Dict, job_id: str):
-        self.campaign = build_campaign(spec)
-        self.campaign.prepare()
-        n_trials = spec["trials"]
-        seed = spec.get("seed", 0)
-        fingerprint = self.campaign.fingerprint(n_trials, seed)
-        if fingerprint != job_id:
-            raise RuntimeError(
-                f"worker built fingerprint {fingerprint} for job {job_id}: "
-                f"coordinator/worker version skew"
-            )
-        self.sites = self.campaign.sample_trials(n_trials, seed)
-        index_of = {
-            id(inst): k
-            for k, (inst, _count) in enumerate(self.campaign._sites)
-        }
-        self.site_index = [index_of[id(s.instruction)] for s in self.sites]
+def _job_plan(spec: Dict, job_id: str) -> TrialPlan:
+    """The job's trial plan, which a worker caches across leases."""
+    plan = TrialPlan(build_campaign(spec), spec["trials"], spec.get("seed", 0))
+    if plan.fingerprint != job_id:
+        raise RuntimeError(
+            f"worker built fingerprint {plan.fingerprint} for job {job_id}: "
+            f"coordinator/worker version skew"
+        )
+    return plan
 
 
 def run_worker(
@@ -68,7 +55,7 @@ def run_worker(
     makes a worker with nothing to lease exit 0, for drain-and-stop
     deployments; ``None`` idles forever.
     """
-    contexts: Dict[str, _JobContext] = {}
+    plans: Dict[str, TrialPlan] = {}
     pending_ack: Optional[Dict] = None
     failures = 0
     idle_since: Optional[float] = None
@@ -139,25 +126,16 @@ def run_worker(
                     continue
                 idle_since = None
                 job_id = grant["job"]
-                context = contexts.get(job_id)
-                if context is None:
-                    context = _JobContext(grant["spec"], job_id)
-                    contexts[job_id] = context
+                plan = plans.get(job_id)
+                if plan is None:
+                    plan = plans[job_id] = _job_plan(grant["spec"], job_id)
                 heartbeat_every = max(grant.get("timeout", 15.0) / 3.0, 0.05)
                 last_beat = time.monotonic()
                 records = []
                 error: Optional[str] = None
                 try:
                     for i in grant["indexes"]:
-                        record = context.campaign.run_site(context.sites[i])
-                        records.append(
-                            trial_entry(
-                                i,
-                                context.sites[i],
-                                context.site_index[i],
-                                record,
-                            )
-                        )
+                        records.append(plan.run_entry(i))
                         now = time.monotonic()
                         if now - last_beat >= heartbeat_every:
                             last_beat = now

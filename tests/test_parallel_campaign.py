@@ -18,11 +18,9 @@ from repro.faults import (
     Outcome,
     TrialRecord,
     campaign_fingerprint,
-    fork_available,
     injectable_instructions,
     resolve_jobs,
 )
-from repro.faults.parallel import fork_map
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -223,17 +221,6 @@ class TestStats:
         assert snapshot["outcomes"] == {"masked": 4, "soc": 1}
         assert sum(snapshot["latency_histograms"]["masked"]) == 4
         assert "trials/s" in stats.progress_line()
-
-
-class TestForkMap:
-    def test_serial_fallback_preserves_order(self):
-        out = list(fork_map(lambda x: x * x, [1, 2, 3, 4], n_jobs=1))
-        assert out == [1, 4, 9, 16]
-
-    @pytest.mark.skipif(not fork_available(), reason="needs fork")
-    def test_parallel_same_results(self):
-        out = list(fork_map(lambda x: x * x, list(range(20)), n_jobs=3, chunk_size=4))
-        assert sorted(out) == [x * x for x in range(20)]
 
 
 class TestCacheKeys:
