@@ -6,30 +6,14 @@ fails (exit 1) if the measured rate drops below a fraction of the
 baseline.  CI machines are slower and noisier than the box that produced
 the baseline, so the default tolerance band is generous — the guard
 exists to catch order-of-magnitude engine regressions (an accidentally
-quadratic loop, a lost fast path), not single-digit drift.
-
-A second, machine-independent guard covers the observability layer:
-disabled-mode throughput is compared against the committed
-``BENCH_warmstart.json`` baseline through the *warm/cold speedup ratio*.
-Raw trials/s vary with the machine, but the ratio of warm to cold rate —
-both measured back to back on the same box — cancels machine speed, so a
-tight band is meaningful: added per-trial fixed cost (the failure mode a
-telemetry layer would introduce) shortens warm trials proportionally
-more and drags the ratio down.  The band is ``IPAS_WARM_BENCH_TOLERANCE``
-(default 0.02: the layer must cost < 2%), with headroom granted when the
-measured ratio *exceeds* baseline.
+quadratic loop, a lost fast path), not single-digit drift.  Finer
+comparisons, warm and cold alike, are the job of ``benchmarks/perf``.
 
 Knobs (environment):
 
 * ``IPAS_BENCH_MIN_RATIO``       — minimum measured/baseline ratio per
   workload (default 0.25).
 * ``IPAS_BENCH_TRIALS``          — trials per measurement (default 100).
-* ``IPAS_WARM_BENCH_TOLERANCE``  — allowed relative drop of the warm/cold
-  speedup ratio vs the warm baseline (default 0.02).
-* ``IPAS_WARM_BENCH_TRIALS``     — trials per warm-guard measurement
-  (default 100).
-* ``IPAS_WARM_BENCH_WORKLOADS`` — comma-separated warm-baseline entries
-  to check (default ``fft``; ``all`` = every baseline entry).
 
 Run standalone::
 
@@ -43,17 +27,13 @@ import os
 import sys
 from pathlib import Path
 
-from bench_campaign_throughput import WARM_REPEATS, measure, measure_warm_pair
+from bench_campaign_throughput import measure
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BASELINE = REPO_ROOT / "BENCH_campaign.json"
-WARM_BASELINE = REPO_ROOT / "BENCH_warmstart.json"
 
 MIN_RATIO = float(os.environ.get("IPAS_BENCH_MIN_RATIO", "0.25"))
 TRIALS = int(os.environ.get("IPAS_BENCH_TRIALS", "100"))
-WARM_TOLERANCE = float(os.environ.get("IPAS_WARM_BENCH_TOLERANCE", "0.02"))
-WARM_TRIALS = int(os.environ.get("IPAS_WARM_BENCH_TRIALS", "100"))
-WARM_WORKLOADS = os.environ.get("IPAS_WARM_BENCH_WORKLOADS", "fft")
 
 
 def check_serial_baseline() -> list:
@@ -80,44 +60,8 @@ def check_serial_baseline() -> list:
     return failures
 
 
-def check_warm_baseline() -> list:
-    """Speedup-ratio guard: disabled-mode overhead < WARM_TOLERANCE."""
-    if not WARM_BASELINE.exists():
-        print(f"no baseline at {WARM_BASELINE}; skipping warm guard")
-        return []
-    baseline = json.loads(WARM_BASELINE.read_text())
-    if WARM_WORKLOADS.strip().lower() == "all":
-        selected = list(baseline["workloads"])
-    else:
-        selected = [w.strip() for w in WARM_WORKLOADS.split(",") if w.strip()]
-    failures = []
-    for name in selected:
-        entry = baseline["workloads"].get(name)
-        if entry is None or entry.get("speedup", 0) <= 0:
-            continue
-        current = measure_warm_pair(
-            name,
-            entry["input_id"],
-            entry["ladder_rungs"],
-            WARM_TRIALS,
-            WARM_REPEATS,
-        )
-        ratio = current["speedup"] / entry["speedup"]
-        floor = 1.0 - WARM_TOLERANCE
-        status = "ok" if ratio >= floor else "REGRESSED"
-        print(
-            f"{name:>8}: warm/cold speedup {current['speedup']:.2f}x vs "
-            f"baseline {entry['speedup']:.2f}x "
-            f"(ratio {ratio:.3f}, floor {floor:.3f}) {status}"
-        )
-        if ratio < floor:
-            failures.append(f"{name} (warm ratio)")
-    return failures
-
-
 def main() -> int:
     failures = check_serial_baseline()
-    failures += check_warm_baseline()
     if failures:
         print(
             f"throughput regression on: {', '.join(failures)}",

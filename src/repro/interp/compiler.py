@@ -6,6 +6,24 @@ runs), so the interpreter *compiles* each basic block to one Python function
 (``exec``-generated source).  The interpreter then just drives a
 block-dispatch loop; everything inside a block runs as straight-line Python.
 
+Small loop nests get a second, faster form.  Each outermost natural loop of
+at most :data:`MAX_REGION_BLOCKS` blocks also compiles to one *region*
+function that dispatches among its member blocks in a local ``while`` loop
+and keeps the SSA values it touches in Python locals (``r12`` instead of
+``f[12]``).  It loads the values it needs from the frame list at entry and
+writes back the ones that code outside the region reads just before each
+exiting ``return``.  A function therefore has two dispatch tables:
+
+* ``block_fns`` — one function per block, the frame list coherent at every
+  block boundary.  Used by the tracked dispatch loop (recovery snapshots,
+  ladder capture, golden resync, warm resume) and the block profiler.
+* ``region_fns`` — ``block_fns`` with each region header's entry replaced by
+  its region function.  Used by the lean dispatch loop of every other run.
+
+Both forms charge cycles, test the budget, bump the profile and check traps
+per block in the same order, so a run's observable results are identical
+whichever table executes it.
+
 Semantics implemented exactly:
 
 * two's-complement wrap-around for ``iN`` arithmetic,
@@ -20,15 +38,17 @@ Semantics implemented exactly:
   chosen instruction (the FlipIt substitute's engine room).
 
 Fault injection works by swapping in an alternative compiled version of the
-*target block only*; every other block runs at full speed.
+*target block only* (or of the region holding it); every other block runs
+at full speed.
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..analysis.loops import LoopInfo
 from ..ir.block import BasicBlock
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -93,6 +113,11 @@ EXEC_GLOBALS.update(
 )
 
 
+#: largest natural loop (in blocks) compiled into one region function;
+#: bigger loops run block by block, their small inner loops as regions
+MAX_REGION_BLOCKS = 16
+
+
 class CompiledBlock:
     """One block: its compiled function and metadata for injection."""
 
@@ -108,9 +133,12 @@ class CompiledBlock:
 
 
 class CompiledFunction:
-    """One function: frame size plus compiled blocks."""
+    """One function: frame size, compiled blocks and both dispatch tables."""
 
-    __slots__ = ("index", "name", "fn", "nslots", "nargs", "blocks", "block_fns")
+    __slots__ = (
+        "index", "name", "fn", "nslots", "nargs", "blocks", "block_fns",
+        "region_fns", "region_of",
+    )
 
     def __init__(self, index: int, fn: Function):
         self.index = index
@@ -120,6 +148,28 @@ class CompiledFunction:
         self.nargs = len(fn.args)
         self.blocks: List[CompiledBlock] = []
         self.block_fns: List[Callable] = []
+        #: ``block_fns`` with every region header's entry replaced by its
+        #: region function (the lean dispatch loop's table)
+        self.region_fns: List[Callable] = []
+        #: member block index -> header block index of its region
+        self.region_of: Dict[int, int] = {}
+
+
+class Region:
+    """One loop region: its member blocks in dispatch order (innermost
+    first), the slots loaded into locals at entry and, per exit target,
+    the slots written back to the frame list before returning."""
+
+    __slots__ = ("header", "order", "loads", "exit_stores")
+
+    def __init__(
+        self, header: int, order: List[int], loads: List[int],
+        exit_stores: Dict[int, List[int]],
+    ):
+        self.header = header
+        self.order = order
+        self.loads = loads
+        self.exit_stores = exit_stores
 
 
 class InstructionRecord:
@@ -146,7 +196,7 @@ class CompiledModule:
         self.records: Dict[int, InstructionRecord] = {}  # id(inst) -> record
         self.block_gids: Dict[int, int] = {}  # id(block) -> gid
         self.total_blocks = 0
-        #: detection context per compiled check call, indexed by the site id
+        #: detection context per static check call, indexed by the site id
         #: baked into the generated ``state.check_failed(<site>)``:
         #: (function name, block name, intrinsic name, checked value name)
         self.check_sites: List[Tuple[str, str, str, str]] = []
@@ -209,6 +259,22 @@ class CompiledModule:
         )
         return record.cfi, record.block_index, fn
 
+    def injected_region_fn(
+        self, inst: Instruction, mode: str = "1bit"
+    ) -> Tuple[int, int, Callable]:
+        """The ``region_fns`` counterpart of :meth:`injected_block_fn`.
+
+        Returns (cfi, table_index, fn): the injection variant of the region
+        holding ``inst`` at its header's index, or the injected block when
+        ``inst`` lies outside every region.
+        """
+        record = self.record_for(inst)
+        cf = self.cfuncs[record.cfi]
+        header = cf.region_of.get(record.block_index)
+        if header is None:
+            return self.injected_block_fn(inst, mode)
+        return record.cfi, header, self._compiler.compile_region(cf, header, inst, mode)
+
     def resume_block_fn(
         self,
         cfi: int,
@@ -234,14 +300,32 @@ class CompiledModule:
         )
 
 
+def _exec(source: str, filename: str, name: str) -> Callable:
+    namespace: Dict[str, object] = {}
+    exec(compile(source, filename, "exec"), EXEC_GLOBALS, namespace)
+    return namespace[name]  # type: ignore[return-value]
+
+
+def _needs_cells(insts) -> bool:
+    return any(isinstance(i, (LoadInst, StoreInst, AtomicRMWInst)) for i in insts)
+
+
 class _Compiler:
-    """Generates and ``exec``-compiles Python source for basic blocks."""
+    """Generates and ``exec``-compiles Python source for blocks and regions."""
 
     def __init__(self, cm: CompiledModule):
         self.cm = cm
         self._slot_of: Dict[int, Dict[int, int]] = {}  # cfi -> id(value) -> slot
+        #: cfi -> id(value) -> frame-list operand (``f[12]``)
+        self._frame_regs: Dict[int, Dict[int, str]] = {}
+        #: cfi -> id(value) -> Python local (``r12``), for region bodies
+        self._local_regs: Dict[int, Dict[int, str]] = {}
+        self._block_index: Dict[int, Dict[int, int]] = {}  # cfi -> id(block) -> index
+        self._regions: Dict[Tuple[int, int], Region] = {}  # (cfi, header) -> region
         self._inject_cache: Dict[Tuple[int, int, str], Callable] = {}
+        self._region_cache: Dict[Tuple[int, int, int, str], Callable] = {}
         self._resume_cache: Dict[Tuple[int, int, int, int, str], Callable] = {}
+        self._check_site: Dict[int, int] = {}  # id(check call) -> site id
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -261,10 +345,10 @@ class _Compiler:
 
     # -- expression rendering -------------------------------------------------------
 
-    def _expr(self, value: Value, slots: Dict[int, int]) -> str:
-        slot = slots.get(id(value))
-        if slot is not None:
-            return f"f[{slot}]"
+    def _expr(self, value: Value, regs: Dict[int, str]) -> str:
+        reg = regs.get(id(value))
+        if reg is not None:
+            return reg
         if isinstance(value, Constant):
             if value.type.is_float():
                 v = value.value
@@ -289,7 +373,9 @@ class _Compiler:
     def compile_function(self, cf: CompiledFunction) -> None:
         slots = self._assign_slots(cf)
         self._slot_of[cf.index] = slots
-        block_index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
+        self._frame_regs[cf.index] = {k: f"f[{s}]" for k, s in slots.items()}
+        self._local_regs[cf.index] = {k: f"r{s}" for k, s in slots.items()}
+        self._block_index[cf.index] = {id(b): i for i, b in enumerate(cf.fn.blocks)}
         for i, block in enumerate(cf.fn.blocks):
             gid = self.cm.total_blocks
             self.cm.total_blocks += 1
@@ -300,7 +386,7 @@ class _Compiler:
                         inst, cf.index, i, gid, slots[id(inst)]
                     )
         for i, block in enumerate(cf.fn.blocks):
-            source, fn = self._gen_block(cf, i, slots, block_index, None)
+            source, fn = self._gen_block(cf, i, None)
             cb = CompiledBlock(
                 i,
                 self.cm.block_gids[id(block)],
@@ -311,6 +397,12 @@ class _Compiler:
             )
             cf.blocks.append(cb)
             cf.block_fns.append(fn)
+        cf.region_fns = list(cf.block_fns)
+        for region in self._find_regions(cf):
+            self._regions[(cf.index, region.header)] = region
+            for bi in region.order:
+                cf.region_of[bi] = region.header
+            cf.region_fns[region.header] = self.compile_region(cf, region.header)
 
     def compile_block(
         self,
@@ -321,15 +413,28 @@ class _Compiler:
     ) -> Callable:
         key = (cf.index, id(inject_after), mode)
         cached = self._inject_cache.get(key)
-        if cached is not None:
-            return cached
-        slots = self._slot_of[cf.index]
-        block_index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
-        _, fn = self._gen_block(
-            cf, block_index_local, slots, block_index, inject_after, mode
-        )
-        self._inject_cache[key] = fn
-        return fn
+        if cached is None:
+            _, cached = self._gen_block(cf, block_index_local, inject_after, mode)
+            self._inject_cache[key] = cached
+        return cached
+
+    def compile_region(
+        self,
+        cf: CompiledFunction,
+        header: int,
+        inject_after: Optional[Instruction] = None,
+        mode: str = "1bit",
+    ) -> Callable:
+        """The region function headed by block ``header``, optionally with
+        the injection epilogue after ``inject_after`` (a member's
+        instruction)."""
+        key = (cf.index, header, id(inject_after) if inject_after is not None else 0, mode)
+        cached = self._region_cache.get(key)
+        if cached is None:
+            region = self._regions[(cf.index, header)]
+            cached = self._gen_region(cf, region, inject_after, mode)
+            self._region_cache[key] = cached
+        return cached
 
     def compile_resume(
         self,
@@ -356,8 +461,7 @@ class _Compiler:
         cached = self._resume_cache.get(key)
         if cached is not None:
             return cached
-        slots = self._slot_of[cf.index]
-        block_index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
+        regs = self._frame_regs[cf.index]
         block = cf.fn.blocks[bi]
         insts = [i for i in block.instructions if not isinstance(i, PhiNode)]
         seen = 0
@@ -377,89 +481,258 @@ class _Compiler:
         lines: List[str] = []
         emit = lines.append
         emit("def _block(f, state):")
-        if any(
-            isinstance(i, (LoadInst, StoreInst, AtomicRMWInst)) for i in remainder
-        ):
+        if _needs_cells(remainder):
             emit("    cells = state.cells")
-        d = slots.get(id(pending))
+        d = regs.get(id(pending))
         if d is not None:
-            emit(f"    f[{d}] = state.resume_call()")
+            emit(f"    {d} = state.resume_call()")
         else:
             emit("    state.resume_call()")
         if pending is inject_after:
-            self._gen_injection(pending, slots, emit, mode)
+            self._gen_injection(pending, regs, emit, mode)
         for inst in remainder:
             if inst.is_terminator():
-                self._gen_terminator(inst, cf, slots, block_index, emit)
+                self._gen_terminator(inst, regs, emit, self._returner(cf))
             else:
-                self._gen_instruction(inst, slots, emit)
+                self._gen_instruction(inst, regs, emit)
                 if inst is inject_after:
-                    self._gen_injection(inst, slots, emit, mode)
-        source = "\n".join(lines) + "\n"
-        namespace: Dict[str, object] = {}
-        code = compile(
-            source, f"<resume {cf.name}.{block.name}+{call_k}>", "exec"
+                    self._gen_injection(inst, regs, emit, mode)
+        fn = _exec(
+            "\n".join(lines) + "\n",
+            f"<resume {cf.name}.{block.name}+{call_k}>",
+            "_block",
         )
-        exec(code, EXEC_GLOBALS, namespace)
-        fn = namespace["_block"]
         self._resume_cache[key] = fn
         return fn
 
     # -- block codegen --------------------------------------------------------------------
 
+    def _returner(self, cf: CompiledFunction) -> Callable[[BasicBlock], str]:
+        index = self._block_index[cf.index]
+        return lambda target: f"return {index[id(target)]}"
+
     def _gen_block(
         self,
         cf: CompiledFunction,
         bi: int,
-        slots: Dict[int, int],
-        block_index: Dict[int, int],
         inject_after: Optional[Instruction],
         mode: str = "1bit",
     ) -> Tuple[str, Callable]:
         block = cf.fn.blocks[bi]
-        gid = self.cm.block_gids[id(block)]
-        cost = self.cm.cost_model.block_cost(block)
-        lines: List[str] = []
+        lines: List[str] = ["def _block(f, state):"]
         emit = lines.append
-
-        emit(f"def _block(f, state):")
-        emit(f"    state.cycles = _c = state.cycles + {cost}")
-        emit(f"    if _c > state.budget: state.hang()")
-        emit(f"    _p = state.prof")
-        emit(f"    if _p is not None: _p[{gid}] += 1")
-        needs_cells = any(
-            isinstance(i, (LoadInst, StoreInst, AtomicRMWInst)) for i in block.instructions
-        )
-        if needs_cells:
+        emit(f"    state.cycles = _c = state.cycles + {self.cm.cost_model.block_cost(block)}")
+        emit("    if _c > state.budget: state.hang()")
+        emit("    _p = state.prof")
+        emit(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+        if _needs_cells(block.instructions):
             emit("    cells = state.cells")
+        self._gen_body(
+            block, self._frame_regs[cf.index], emit, self._returner(cf),
+            inject_after, mode,
+        )
+        source = "\n".join(lines) + "\n"
+        return source, _exec(source, f"<block {cf.name}.{block.name}>", "_block")
 
+    def _gen_body(
+        self,
+        block: BasicBlock,
+        regs: Dict[int, str],
+        emit,
+        leave: Callable[[BasicBlock], str],
+        inject_after: Optional[Instruction],
+        mode: str,
+    ) -> None:
+        """A block's instructions and terminator (phis are materialised as
+        edge copies in the predecessors)."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
-                continue  # materialised as edge copies in predecessors
+                continue
             if inst.is_terminator():
-                self._gen_terminator(inst, cf, slots, block_index, emit)
+                self._gen_terminator(inst, regs, emit, leave)
             else:
-                self._gen_instruction(inst, slots, emit)
+                self._gen_instruction(inst, regs, emit)
                 if inst is inject_after:
-                    self._gen_injection(inst, slots, emit, mode)
-        source = "\n".join(lines) + "\n"
-        namespace: Dict[str, object] = {}
-        code = compile(source, f"<block {cf.name}.{block.name}>", "exec")
-        exec(code, EXEC_GLOBALS, namespace)
-        return source, namespace["_block"]
+                    self._gen_injection(inst, regs, emit, mode)
+
+    # -- region codegen -------------------------------------------------------------------
+
+    def _find_regions(self, cf: CompiledFunction) -> List[Region]:
+        """Plan one region per outermost natural loop of at most
+        :data:`MAX_REGION_BLOCKS` blocks."""
+        loops = LoopInfo(cf.fn)
+        index = self._block_index[cf.index]
+        claimed: Set[BasicBlock] = set()
+        regions = []
+        for loop in sorted(loops.loops, key=lambda lp: -len(lp.blocks)):
+            if len(loop.blocks) > MAX_REGION_BLOCKS or claimed & loop.blocks:
+                continue
+            claimed |= loop.blocks
+            order = sorted(
+                loop.blocks,
+                key=lambda b: (-loops.loop_nest_depth(b), index[id(b)]),
+            )
+            regions.append(self._plan_region(cf, loop.header, order))
+        return regions
+
+    def _plan_region(
+        self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock]
+    ) -> Region:
+        """Which slots a region loads at entry and stores at each exit.
+
+        A slot is loaded when some read in the region may execute before
+        the region assigns it (a must-assigned analysis over the region's
+        CFG; the header's phis are written by the entry edge into the frame
+        list, so they always load).  A slot the region assigns is stored at
+        an exit when code outside the region reads it, or when the region
+        loads it and no entry edge rewrites it first (a later entry must
+        see the latest value); a slot stored there that is not definitely
+        assigned on the way to that exit is loaded too, so every store
+        reads a bound local.  Together this leaves the frame list exactly
+        as block-by-block execution would, for every slot anything may
+        read later.
+        """
+        slots = self._slot_of[cf.index]
+        index = self._block_index[cf.index]
+        inside: FrozenSet[BasicBlock] = frozenset(order)
+
+        def slot_set(values) -> Set[int]:
+            return {slots[id(v)] for v in values if id(v) in slots}
+
+        def phis(block: BasicBlock) -> Set[int]:
+            return slot_set(block.phis())
+
+        def edge_reads(pred: BasicBlock, succ: BasicBlock) -> Set[int]:
+            return slot_set(phi.incoming_for_block(pred) for phi in succ.phis())
+
+        outside_reads: Set[int] = set()
+        for block in cf.fn.blocks:
+            if block in inside:
+                continue
+            for inst in block.instructions:
+                if not isinstance(inst, PhiNode):
+                    outside_reads |= slot_set(inst.operands)
+            for succ in block.successors():
+                outside_reads |= edge_reads(block, succ)
+
+        defs = {
+            b: slot_set(i for i in b.instructions if not isinstance(i, PhiNode))
+            for b in order
+        }
+        preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in order}
+        for b in order:
+            for succ in b.successors():
+                if succ in inside:
+                    preds[succ].append(b)
+        # must-assigned locals at block entry, iterated down from "all"
+        every = set().union(*defs.values(), *(phis(b) for b in order))
+        assigned_in = {b: set() if b is header else set(every) for b in order}
+        changed = True
+        while changed:
+            changed = False
+            for b in order:
+                if b is header:
+                    continue
+                new = set(every)
+                for p in preds[b]:
+                    new &= assigned_in[p] | defs[p]
+                new |= phis(b)
+                if new != assigned_in[b]:
+                    assigned_in[b] = new
+                    changed = True
+
+        loads: Set[int] = set()
+        for b in order:
+            have = set(assigned_in[b])
+            for inst in b.instructions:
+                if isinstance(inst, PhiNode):
+                    continue
+                loads |= slot_set(inst.operands) - have
+                if id(inst) in slots:
+                    have.add(slots[id(inst)])
+            for succ in b.successors():
+                loads |= edge_reads(b, succ) - have
+        exits = [
+            (b, succ) for b in order for succ in b.successors() if succ not in inside
+        ]
+        entry_written = phis(header)
+        while True:
+            stores = every & (outside_reads | (loads - entry_written))
+            unbound = set()
+            for b, _ in exits:
+                unbound |= stores - assigned_in[b] - defs[b] - loads
+            if not unbound:
+                break
+            loads |= unbound
+        exit_stores = {
+            index[id(succ)]: sorted(stores | (phis(succ) & (outside_reads | loads)))
+            for _, succ in exits
+        }
+        return Region(
+            index[id(header)], [index[id(b)] for b in order], sorted(loads), exit_stores
+        )
+
+    def _gen_region(
+        self,
+        cf: CompiledFunction,
+        region: Region,
+        inject_after: Optional[Instruction],
+        mode: str,
+    ) -> Callable:
+        blocks = cf.fn.blocks
+        index = self._block_index[cf.index]
+        regs = self._local_regs[cf.index]
+        members = set(region.order)
+        lines: List[str] = ["def _region(f, state):"]
+        emit = lines.append
+        # Nothing a region's callees do replaces the budget, the profile
+        # list or the cell arena, so they load once per entry.
+        emit("    _bud = state.budget")
+        emit("    _p = state.prof")
+        if _needs_cells(i for bi in region.order for i in blocks[bi].instructions):
+            emit("    cells = state.cells")
+        for s in region.loads:
+            emit(f"    r{s} = f[{s}]")
+        emit(f"    bi = {region.header}")
+        emit("    while True:")
+
+        def leave(target: BasicBlock) -> str:
+            k = index[id(target)]
+            if k in members:
+                return f"bi = {k}; continue"
+            stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
+            return f"{stores}return {k}"
+
+        last = region.order[-1]
+        for bi in region.order:
+            block = blocks[bi]
+            if bi != last:
+                emit(f"        if bi == {bi}:")
+                pad = "        "
+            else:
+                pad = "    "
+            body = lambda line, _pad=pad: lines.append(_pad + line)
+            body(f"    state.cycles = _c = state.cycles + {self.cm.cost_model.block_cost(block)}")
+            body("    if _c > _bud: state.hang()")
+            body(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+            self._gen_body(block, regs, body, leave, inject_after, mode)
+        header = blocks[region.header]
+        return _exec(
+            "\n".join(lines) + "\n", f"<region {cf.name}.{header.name}>", "_region"
+        )
 
     # -- injection epilogue -----------------------------------------------------------------
 
     def _gen_injection(
-        self, inst: Instruction, slots: Dict[int, int], emit, mode: str = "1bit"
+        self, inst: Instruction, regs: Dict[int, str], emit, mode: str = "1bit"
     ) -> None:
-        slot = slots[id(inst)]
+        reg = regs[id(inst)]
         emit("    state.inj_seen = _k = state.inj_seen + 1")
         if mode == "multi":
             # Multi-shot arming (intermittent/persistent models): a
             # model-supplied predicate decides per execution.
             emit("    if state.inj_fire(_k):")
-            emit(f"        f[{slot}] = state.inj_corrupt(f[{slot}])")
+            emit(f"        {reg} = state.inj_corrupt({reg})")
             emit("        state.inj_hit = True")
             return
         if mode == "once":
@@ -467,61 +740,61 @@ class _Compiler:
             # pattern models); the occurrence disarm (inj_occ = 0) works
             # exactly as for the legacy epilogue.
             emit("    if _k == state.inj_occ:")
-            emit(f"        f[{slot}] = state.inj_corrupt(f[{slot}])")
+            emit(f"        {reg} = state.inj_corrupt({reg})")
             emit("        state.inj_hit = True")
             return
         emit("    if _k == state.inj_occ:")
         t = inst.type
         if t.is_float():
-            emit(f"        f[{slot}] = _flip_f64(f[{slot}], state.inj_bit)")
+            emit(f"        {reg} = _flip_f64({reg}, state.inj_bit)")
         elif t.is_pointer():
-            emit(f"        f[{slot}] = _flip_int(f[{slot}], state.inj_bit, 64)")
+            emit(f"        {reg} = _flip_int({reg}, state.inj_bit, 64)")
         elif t.is_integer() and t.bits == 1:  # type: ignore[attr-defined]
-            emit(f"        f[{slot}] = _flip_bool(f[{slot}], state.inj_bit)")
+            emit(f"        {reg} = _flip_bool({reg}, state.inj_bit)")
         else:
             emit(
-                f"        f[{slot}] = _flip_int(f[{slot}], state.inj_bit, {t.bits})"  # type: ignore[attr-defined]
+                f"        {reg} = _flip_int({reg}, state.inj_bit, {t.bits})"  # type: ignore[attr-defined]
             )
         emit("        state.inj_hit = True")
 
     # -- per-instruction codegen ---------------------------------------------------------------
 
-    def _gen_instruction(self, inst: Instruction, slots: Dict[int, int], emit) -> None:
-        e = lambda v: self._expr(v, slots)
+    def _gen_instruction(self, inst: Instruction, regs: Dict[int, str], emit) -> None:
+        e = lambda v: self._expr(v, regs)
         if isinstance(inst, BinaryOperator):
-            self._gen_binop(inst, slots, emit)
+            self._gen_binop(inst, regs, emit)
             return
-        d = slots.get(id(inst))
+        d = regs.get(id(inst))
         if isinstance(inst, ICmpInst):
             op = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}[
                 inst.predicate
             ]
-            emit(f"    f[{d}] = {e(inst.operands[0])} {op} {e(inst.operands[1])}")
+            emit(f"    {d} = {e(inst.operands[0])} {op} {e(inst.operands[1])}")
             return
         if isinstance(inst, FCmpInst):
             a, b = e(inst.operands[0]), e(inst.operands[1])
             if inst.predicate == "one":
                 # ordered != : false when either side is NaN
                 emit(f"    _a = {a}; _b = {b}")
-                emit(f"    f[{d}] = _a == _a and _b == _b and _a != _b")
+                emit(f"    {d} = _a == _a and _b == _b and _a != _b")
             else:
                 op = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}[
                     inst.predicate
                 ]
-                emit(f"    f[{d}] = {a} {op} {b}")
+                emit(f"    {d} = {a} {op} {b}")
             return
         if isinstance(inst, SelectInst):
             c, t, f_ = (e(o) for o in inst.operands)
-            emit(f"    f[{d}] = {t} if {c} else {f_}")
+            emit(f"    {d} = {t} if {c} else {f_}")
             return
         if isinstance(inst, CastInst):
-            self._gen_cast(inst, slots, emit)
+            self._gen_cast(inst, regs, emit)
             return
         if isinstance(inst, GEPInst):
-            emit(f"    f[{d}] = {e(inst.base)} + {e(inst.index)}")
+            emit(f"    {d} = {e(inst.base)} + {e(inst.index)}")
             return
         if isinstance(inst, AllocaInst):
-            emit(f"    f[{d}] = state.alloc({inst.cell_count})")
+            emit(f"    {d} = state.alloc({inst.cell_count})")
             return
         if isinstance(inst, LoadInst):
             a = e(inst.pointer)
@@ -530,7 +803,7 @@ class _Compiler:
             emit("    try: _v = cells[_a]")
             emit("    except IndexError: state.trap_mem(_a)")
             emit("    if _v is None: state.trap_mem(_a)")
-            emit(f"    f[{d}] = _v")
+            emit(f"    {d} = _v")
             return
         if isinstance(inst, StoreInst):
             emit(f"    _a = {e(inst.pointer)}")
@@ -547,32 +820,32 @@ class _Compiler:
             emit("    except IndexError: state.trap_mem(_a)")
             emit("    if _old is None: state.trap_mem(_a)")
             emit(f"    cells[_a] = _old + {e(inst.value)}")
-            emit(f"    f[{d}] = _old")
+            emit(f"    {d} = _old")
             return
         if isinstance(inst, CallInst):
-            self._gen_call(inst, slots, emit)
+            self._gen_call(inst, regs, emit)
             return
         raise InterpreterBug(f"no codegen for {inst!r}")
 
-    def _gen_binop(self, inst: BinaryOperator, slots: Dict[int, int], emit) -> None:
-        e = lambda v: self._expr(v, slots)
-        d = slots[id(inst)]
+    def _gen_binop(self, inst: BinaryOperator, regs: Dict[int, str], emit) -> None:
+        e = lambda v: self._expr(v, regs)
+        d = regs[id(inst)]
         a, b = e(inst.lhs), e(inst.rhs)
         op = inst.opcode
         if op in ("fadd", "fsub", "fmul"):
             sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
-            emit(f"    f[{d}] = {a} {sym} {b}")
+            emit(f"    {d} = {a} {sym} {b}")
             return
         if op == "fdiv":
             emit(f"    _b = {b}")
-            emit(f"    if _b != 0.0: f[{d}] = {a} / _b")
+            emit(f"    if _b != 0.0: {d} = {a} / _b")
             emit(f"    else:")
             emit(f"        _a = {a}")
-            emit(f"        f[{d}] = _INF if _a > 0 else (-_INF if _a < 0 else _NAN)")
+            emit(f"        {d} = _INF if _a > 0 else (-_INF if _a < 0 else _NAN)")
             return
         if op == "frem":
             emit(f"    _b = {b}")
-            emit(f"    f[{d}] = _fmod({a}, _b) if _b != 0.0 else _NAN")
+            emit(f"    {d} = _fmod({a}, _b) if _b != 0.0 else _NAN")
             return
         bits = inst.type.bits  # type: ignore[attr-defined]
         lo = -(1 << (bits - 1))
@@ -582,7 +855,7 @@ class _Compiler:
             sym = {"add": "+", "sub": "-", "mul": "*"}[op]
             emit(f"    _r = {a} {sym} {b}")
             emit(f"    if _r > {hi} or _r < {lo}: _r = ((_r - {lo}) % {span}) + {lo}")
-            emit(f"    f[{d}] = _r")
+            emit(f"    {d} = _r")
             return
         if op in ("sdiv", "srem"):
             emit(f"    _a = {a}; _b = {b}")
@@ -591,36 +864,36 @@ class _Compiler:
             emit("    if (_a < 0) != (_b < 0): _q = -_q")
             if op == "sdiv":
                 emit(f"    if _q > {hi} or _q < {lo}: _q = ((_q - {lo}) % {span}) + {lo}")
-                emit(f"    f[{d}] = _q")
+                emit(f"    {d} = _q")
             else:
-                emit(f"    f[{d}] = _a - _q * _b")
+                emit(f"    {d} = _a - _q * _b")
             return
         if op in ("and", "or", "xor"):
             sym = {"and": "&", "or": "|", "xor": "^"}[op]
-            emit(f"    f[{d}] = {a} {sym} {b}")
+            emit(f"    {d} = {a} {sym} {b}")
             return
         if op == "shl":
             emit(f"    _r = {a} << ({b} & {bits - 1})")
             emit(f"    if _r > {hi} or _r < {lo}: _r = ((_r - {lo}) % {span}) + {lo}")
-            emit(f"    f[{d}] = _r")
+            emit(f"    {d} = _r")
             return
         if op == "lshr":
             emit(f"    _r = ({a} & {span - 1}) >> ({b} & {bits - 1})")
             emit(f"    if _r > {hi}: _r -= {span}")
-            emit(f"    f[{d}] = _r")
+            emit(f"    {d} = _r")
             return
         if op == "ashr":
-            emit(f"    f[{d}] = {a} >> ({b} & {bits - 1})")
+            emit(f"    {d} = {a} >> ({b} & {bits - 1})")
             return
         raise InterpreterBug(f"no codegen for binop {op}")
 
-    def _gen_cast(self, inst: CastInst, slots: Dict[int, int], emit) -> None:
-        e = lambda v: self._expr(v, slots)
-        d = slots[id(inst)]
+    def _gen_cast(self, inst: CastInst, regs: Dict[int, str], emit) -> None:
+        e = lambda v: self._expr(v, regs)
+        d = regs[id(inst)]
         a = e(inst.value)
         op = inst.opcode
         if op == "sitofp":
-            emit(f"    f[{d}] = float({a})")
+            emit(f"    {d} = float({a})")
             return
         if op == "fptosi":
             bits = inst.type.bits  # type: ignore[attr-defined]
@@ -628,69 +901,73 @@ class _Compiler:
             hi = (1 << (bits - 1)) - 1
             emit(f"    _a = {a}")
             emit(f"    if _a != _a or _a > {float(hi)} or _a < {float(lo)}: state.trap_fptosi()")
-            emit(f"    f[{d}] = int(_a)")
+            emit(f"    {d} = int(_a)")
             return
         src_bits = inst.value.type.bits  # type: ignore[attr-defined]
         if op == "zext":
             if src_bits == 1:
-                emit(f"    f[{d}] = 1 if {a} else 0")
+                emit(f"    {d} = 1 if {a} else 0")
             else:
-                emit(f"    f[{d}] = {a} & {(1 << src_bits) - 1}")
+                emit(f"    {d} = {a} & {(1 << src_bits) - 1}")
             return
         if op == "sext":
             if src_bits == 1:
-                emit(f"    f[{d}] = -1 if {a} else 0")
+                emit(f"    {d} = -1 if {a} else 0")
             else:
-                emit(f"    f[{d}] = {a}")
+                emit(f"    {d} = {a}")
             return
         if op == "trunc":
             dst_bits = inst.type.bits  # type: ignore[attr-defined]
             if dst_bits == 1:
-                emit(f"    f[{d}] = bool({a} & 1)")
+                emit(f"    {d} = bool({a} & 1)")
             else:
                 lo = -(1 << (dst_bits - 1))
                 span = 1 << dst_bits
                 emit(f"    _r = {a} & {span - 1}")
                 emit(f"    if _r > {-lo - 1}: _r -= {span}")
-                emit(f"    f[{d}] = _r")
+                emit(f"    {d} = _r")
             return
         if op == "bitcast":
             if inst.type.is_float() and inst.value.type.is_integer():
-                emit(f"    f[{d}] = _i2f({a})")
+                emit(f"    {d} = _i2f({a})")
             elif inst.type.is_integer() and inst.value.type.is_float():
-                emit(f"    f[{d}] = _f2i({a})")
+                emit(f"    {d} = _f2i({a})")
             else:
-                emit(f"    f[{d}] = {a}")
+                emit(f"    {d} = {a}")
             return
         raise InterpreterBug(f"no codegen for cast {op}")
 
-    def _gen_call(self, inst: CallInst, slots: Dict[int, int], emit) -> None:
-        e = lambda v: self._expr(v, slots)
-        d = slots.get(id(inst))
+    def _gen_call(self, inst: CallInst, regs: Dict[int, str], emit) -> None:
+        e = lambda v: self._expr(v, regs)
+        d = regs.get(id(inst))
         callee = inst.callee
         args = [e(a) for a in inst.operands]
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
             arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
             if d is not None:
-                emit(f"    f[{d}] = state.call({cfi}, {arg_tuple})")
+                emit(f"    {d} = state.call({cfi}, {arg_tuple})")
             else:
                 emit(f"    state.call({cfi}, {arg_tuple})")
             return
         name = callee.name
         if name.startswith("ipas.check"):
-            site = len(self.cm.check_sites)
-            fn = inst.function
-            block = inst.parent
-            checked = inst.operands[0]
-            self.cm.check_sites.append(
-                (
-                    fn.name if fn is not None else "?",
-                    block.name if block is not None else "?",
-                    name,
-                    getattr(checked, "name", "") or "<unnamed>",
+            # One site id per check instruction, however many variants
+            # (injected, region, resume) compile it again.
+            site = self._check_site.get(id(inst))
+            if site is None:
+                site = self._check_site[id(inst)] = len(self.cm.check_sites)
+                fn = inst.function
+                block = inst.parent
+                checked = inst.operands[0]
+                self.cm.check_sites.append(
+                    (
+                        fn.name if fn is not None else "?",
+                        block.name if block is not None else "?",
+                        name,
+                        getattr(checked, "name", "") or "<unnamed>",
+                    )
                 )
-            )
             emit(f"    _x = {args[0]}; _y = {args[1]}")
             emit(
                 "    if _x != _y and not (_x != _x and _y != _y): "
@@ -699,7 +976,7 @@ class _Compiler:
             return
         math_fn = _MATH_INTRINSICS.get(name)
         if math_fn is not None:
-            emit(f"    f[{d}] = {math_fn}({', '.join(args)})")
+            emit(f"    {d} = {math_fn}({', '.join(args)})")
             return
         if name == "print_f64" or name == "print_i64":
             emit(f"    state.io_print({args[0]})")
@@ -707,7 +984,7 @@ class _Compiler:
         if name.startswith("mpi_"):
             call = f"state.{name}({', '.join(args)})"
             if d is not None:
-                emit(f"    f[{d}] = {call}")
+                emit(f"    {d} = {call}")
             else:
                 emit(f"    {call}")
             return
@@ -718,12 +995,14 @@ class _Compiler:
     def _gen_terminator(
         self,
         inst: Instruction,
-        cf: CompiledFunction,
-        slots: Dict[int, int],
-        block_index: Dict[int, int],
+        regs: Dict[int, str],
         emit,
+        leave: Callable[[BasicBlock], str],
     ) -> None:
-        e = lambda v: self._expr(v, slots)
+        """``leave(target)`` renders the transfer to a successor block:
+        ``return k`` from a block function, ``bi = k; continue`` inside a
+        region function."""
+        e = lambda v: self._expr(v, regs)
         block = inst.parent
         if isinstance(inst, RetInst):
             if inst.return_value is not None:
@@ -739,40 +1018,32 @@ class _Compiler:
         if isinstance(inst, BranchInst):
             if not inst.is_conditional:
                 target = inst.targets[0]
-                self._gen_edge_copies(block, target, slots, emit, indent="    ")
-                emit(f"    return {block_index[id(target)]}")
+                self._gen_edge_copies(block, target, regs, emit, indent="    ")
+                emit(f"    {leave(target)}")
                 return
             cond = inst.condition
             assert cond is not None
             then_b, else_b = inst.targets
             emit(f"    if {e(cond)}:")
-            self._gen_edge_copies(block, then_b, slots, emit, indent="        ")
-            emit(f"        return {block_index[id(then_b)]}")
-            self._gen_edge_copies(block, else_b, slots, emit, indent="    ")
-            emit(f"    return {block_index[id(else_b)]}")
+            self._gen_edge_copies(block, then_b, regs, emit, indent="        ")
+            emit(f"        {leave(then_b)}")
+            self._gen_edge_copies(block, else_b, regs, emit, indent="    ")
+            emit(f"    {leave(else_b)}")
             return
         raise InterpreterBug(f"no codegen for terminator {inst!r}")
 
     def _gen_edge_copies(
-        self, pred: BasicBlock, succ: BasicBlock, slots: Dict[int, int], emit, indent: str
+        self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit, indent: str
     ) -> None:
-        """Parallel phi copies on the edge pred -> succ."""
-        copies: List[Tuple[int, str]] = []
-        for phi in succ.phis():
-            value = phi.incoming_for_block(pred)
-            copies.append((slots[id(phi)], self._expr(value, slots)))
-        if not copies:
-            return
-        if len(copies) == 1:
-            dst, src = copies[0]
-            emit(f"{indent}f[{dst}] = {src}")
-            return
-        # Read all sources before writing any destination (parallel copy).
-        temps = ", ".join(f"_t{i}" for i in range(len(copies)))
-        sources = ", ".join(src for _, src in copies)
-        emit(f"{indent}{temps} = {sources}")
-        for i, (dst, _) in enumerate(copies):
-            emit(f"{indent}f[{dst}] = _t{i}")
+        """Parallel phi copies on the edge pred -> succ (one tuple
+        assignment: Python evaluates every source before the first store)."""
+        phis = succ.phis()
+        if phis:
+            dsts = ", ".join(regs[id(phi)] for phi in phis)
+            srcs = ", ".join(
+                self._expr(phi.incoming_for_block(pred), regs) for phi in phis
+            )
+            emit(f"{indent}{dsts} = {srcs}")
 
 
 #: intrinsic name -> name of the guarded runtime helper in EXEC_GLOBALS

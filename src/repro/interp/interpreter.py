@@ -134,7 +134,8 @@ class Interpreter:
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
         "global_overrides", "_cells_template", "_reset_image", "cells", "sp",
         "cycles", "budget", "ret", "depth", "prof", "output_log", "inj_cfi",
-        "inj_fns", "inj_seen", "inj_occ", "inj_bit", "inj_hit", "inj_inst",
+        "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
+        "inj_hit", "inj_inst",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
         "_resume_next",
@@ -182,7 +183,10 @@ class Interpreter:
         self.prof: Optional[List[int]] = None
         self.output_log: List = []
         self.inj_cfi = -1
+        #: the injected function's region_fns table, and its block_fns
+        #: table (built on first use: only tracked runs dispatch by block)
         self.inj_fns: Optional[List[Callable]] = None
+        self.inj_block_fns: Optional[List[Callable]] = None
         self.inj_seen = 0
         self.inj_occ = 0
         self.inj_bit = 0
@@ -251,6 +255,7 @@ class Interpreter:
         self.output_log = []
         self.inj_cfi = -1
         self.inj_fns = None
+        self.inj_block_fns = None
         self.inj_seen = 0
         self.inj_occ = 0
         self.inj_bit = 0
@@ -316,7 +321,7 @@ class Interpreter:
                 inst, occurrence, bit = injection
                 if occurrence < 1:
                     raise ValueError("occurrence is 1-based")
-                cfi, bi, fn = self.cm.injected_block_fn(inst)
+                cfi, ti, fn = self.cm.injected_region_fn(inst)
                 self.inj_occ = occurrence
                 self.inj_bit = bit
             else:
@@ -326,19 +331,19 @@ class Interpreter:
                 inst = injection.instruction
                 if injection.occurrence < 1:
                     raise ValueError("occurrence is 1-based")
-                cfi, bi, fn = self.cm.injected_block_fn(
+                cfi, ti, fn = self.cm.injected_region_fn(
                     inst, mode=injection.mode
                 )
                 self.inj_occ = injection.occurrence
                 self.inj_mode = injection.mode
                 self.inj_corrupt = injection.corrupt
                 self.inj_fire = injection.fire
-            fns = list(self.cfuncs[cfi].block_fns)
-            fns[bi] = fn
+            fns = list(self.cfuncs[cfi].region_fns)
+            fns[ti] = fn
             self.inj_cfi = cfi
             self.inj_fns = fns
             self.inj_inst = inst
-            self.inj_bi = bi
+            self.inj_bi = self.cm.records[id(inst)].block_index
         if recovery is not None:
             plan = self._rec_plans.get(entry)
             if plan is None:
@@ -425,9 +430,10 @@ class Interpreter:
 
         This is the block-dispatch hot loop: attribute lookups are hoisted
         into locals and the loop body is a single indexed call per block.
-        With recovery and tracking disabled (``self.rec is None and
-        self.trk is None``, the default) the loop is byte-identical to the
-        historical one bar the single delegation test below.
+        It dispatches through ``region_fns``, so entering a small loop nest
+        runs the whole nest in one region function.  With recovery or
+        tracking armed (``self.rec`` / ``self.trk`` set) it delegates to
+        :meth:`_call_tracked`, which needs the per-block table.
         """
         if self.rec is not None or self.trk is not None:
             return self._call_tracked(cfi, args)
@@ -440,7 +446,7 @@ class Interpreter:
         frame: List = [None] * cf.nslots
         if args:
             frame[: len(args)] = args
-        fns = cf.block_fns if cfi != self.inj_cfi else self.inj_fns
+        fns = cf.region_fns if cfi != self.inj_cfi else self.inj_fns
         bi = fns[0](frame, self)
         while bi >= 0:
             bi = fns[bi](frame, self)
@@ -536,7 +542,9 @@ class Interpreter:
                     else None,
                     mode=self.inj_mode,
                 )
-        fns = cf.block_fns if cfi != self.inj_cfi else self.inj_fns
+        # Per-block table: every hook below needs a coherent frame list at
+        # each block boundary.
+        fns = cf.block_fns if cfi != self.inj_cfi else self._injected_block_fns()
         record = None
         if trk is not None:
             if trk.frames and _resume is None:
@@ -684,6 +692,17 @@ class Interpreter:
         self.depth = depth - 1
         self.sp = sp0
         return self.ret
+
+    def _injected_block_fns(self) -> List[Callable]:
+        """The injected function's ``block_fns`` table, compiled on first
+        use: untracked trials never need it."""
+        fns = self.inj_block_fns
+        if fns is None:
+            _, bi, fn = self.cm.injected_block_fn(self.inj_inst, mode=self.inj_mode)
+            fns = list(self.cfuncs[self.inj_cfi].block_fns)
+            fns[bi] = fn
+            self.inj_block_fns = fns
+        return fns
 
     # -- warm-start execution (snapshot-ladder trials) -----------------------------
 

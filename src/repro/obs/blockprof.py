@@ -4,13 +4,13 @@ The interpreter already attributes *cycles* per block for free: a
 profiled run counts executions per global block id (``RunResult.profile``)
 and every compiled block carries its static cycle cost.  Wall time is the
 missing half — Python-level block closures have wildly different real
-costs per simulated cycle — and it is what the ROADMAP's superblock-fusion
-item needs to pick fusion candidates.
+costs per simulated cycle.
 
 Like fault injection, profiling works by *swapping compiled block
-functions*: :class:`BlockProfiler` replaces every ``CompiledFunction``'s
-``block_fns`` table with timing wrappers while active and restores the
-originals on exit.  The dispatch hot loop is untouched — with the
+functions*: :class:`BlockProfiler` replaces both of every
+``CompiledFunction``'s dispatch tables, ``block_fns`` and the loop-region
+table ``region_fns``, with per-block timing wrappers while active and
+restores the originals on exit.  The dispatch hot loop is untouched — with the
 profiler disarmed the interpreter executes the exact same closures as
 before, so disabled-mode overhead is zero by construction (the same
 property the injection trap points have).
@@ -23,7 +23,7 @@ and outcomes are bit-identical with the profiler armed.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 __all__ = ["BlockProfiler", "hot_block_report", "render_block_report"]
 
@@ -45,7 +45,7 @@ class BlockProfiler:
         self.cm = cm
         self.wall: List[float] = [0.0] * cm.total_blocks
         self.hits: List[int] = [0] * cm.total_blocks
-        self._saved: Optional[List[List]] = None
+        self._saved: Optional[List[Tuple[List, List]]] = None
 
     def _wrap(self, fn, gid: int):
         wall = self.wall
@@ -69,8 +69,10 @@ class BlockProfiler:
             raise RuntimeError("another BlockProfiler is armed on this module")
         self._saved = []
         for cf in self.cm.cfuncs:
-            self._saved.append(cf.block_fns)
-            cf.block_fns = [
+            self._saved.append((cf.block_fns, cf.region_fns))
+            # Both tables get the wrapped per-block functions: a region
+            # function would run a whole loop nest past the wrappers.
+            cf.block_fns = cf.region_fns = [
                 self._wrap(fn, block.gid)
                 for fn, block in zip(cf.block_fns, cf.blocks)
             ]
@@ -79,8 +81,9 @@ class BlockProfiler:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._saved is not None
-        for cf, fns in zip(self.cm.cfuncs, self._saved):
-            cf.block_fns = fns
+        for cf, (block_fns, region_fns) in zip(self.cm.cfuncs, self._saved):
+            cf.block_fns = block_fns
+            cf.region_fns = region_fns
         self._saved = None
         self.cm._block_profiler_armed = False
 

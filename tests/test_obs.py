@@ -276,14 +276,24 @@ class TestBlockProfiler:
 
     def test_block_fns_restored_and_rearm_guard(self):
         interp = Interpreter(compile_source(KERNEL, name="kernel"))
-        originals = [list(cf.block_fns) for cf in interp.cm.cfuncs]
+        originals = [
+            (list(cf.block_fns), list(cf.region_fns)) for cf in interp.cm.cfuncs
+        ]
+        assert any(
+            block_fns != region_fns for block_fns, region_fns in originals
+        )  # the kernel's loops run as region functions
         profiler = BlockProfiler(interp.cm)
         with profiler:
+            for cf, (block_fns, region_fns) in zip(interp.cm.cfuncs, originals):
+                # Armed, both tables hold the timed per-block wrappers.
+                assert cf.region_fns == cf.block_fns
+                assert not set(cf.block_fns) & set(block_fns + region_fns)
             with pytest.raises(RuntimeError):
                 with BlockProfiler(interp.cm):
                     pass
-        for cf, fns in zip(interp.cm.cfuncs, originals):
-            assert cf.block_fns == fns
+        for cf, (block_fns, region_fns) in zip(interp.cm.cfuncs, originals):
+            assert cf.block_fns == block_fns
+            assert cf.region_fns == region_fns
 
     def test_report_from_run_profile(self):
         interp = Interpreter(compile_source(KERNEL, name="kernel"))

@@ -1,0 +1,267 @@
+"""Loop-region dispatch: region functions against the per-block table.
+
+The lean dispatch loop runs each small loop nest as one region function
+(``CompiledFunction.region_fns``) with its SSA values in Python locals.
+The per-block table (``block_fns``) is the reference: every observable of
+a run — status, cycles, profile, memory, output log, detection messages
+and campaign records — must be identical whichever table executes it.
+No production option selects the per-block table for the lean loop, so
+these tests swap it in themselves.
+"""
+
+import hashlib
+from contextlib import contextmanager
+
+import pytest
+
+from repro import compile_source
+from repro.faults import Campaign, MpiCampaign, TrialPlan
+from repro.faults.parallel import run_campaign
+from repro.faults.models import FAULT_MODELS
+from repro.interp import Interpreter
+from repro.interp.compiler import MAX_REGION_BLOCKS
+from repro.protect import FullDuplicationSelector, duplicate_instructions
+from repro.workloads import get_workload
+
+WORKLOADS = ("comd", "hpccg", "amg", "fft", "is", "particles")
+
+
+@contextmanager
+def per_block_dispatch(cm):
+    """Make the lean loop dispatch block by block, injected trials too."""
+    saved = [(cf.region_fns, cf.region_of) for cf in cm.cfuncs]
+    for cf in cm.cfuncs:
+        cf.region_fns = list(cf.block_fns)
+        cf.region_of = {}
+    try:
+        yield
+    finally:
+        for cf, (fns, region_of) in zip(cm.cfuncs, saved):
+            cf.region_fns = fns
+            cf.region_of = region_of
+
+
+def digest(values):
+    """NaN-safe fingerprint of a long list (compared as text)."""
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+def observe(interp, result):
+    """Everything a run leaves behind."""
+    return {
+        "status": result.status,
+        "error": result.error,
+        "cycles": result.cycles,
+        "value": repr(result.value),
+        "injection_hit": result.injection_hit,
+        "profile": digest(result.profile),
+        "cells": digest(interp.cells),
+        "output_log": digest(interp.output_log),
+    }
+
+
+def both_ways(interp, **run_kwargs):
+    """(region dispatch, per-block dispatch) observations of one run.
+
+    The default budget turns a region that loops forever into a hang."""
+    run_kwargs.setdefault("cycle_budget", 20_000_000)
+    fast = observe(interp, interp.run(**run_kwargs))
+    with per_block_dispatch(interp.cm):
+        reference = observe(interp, interp.run(**run_kwargs))
+    return fast, reference
+
+
+def campaign_entries(campaign, n_trials, seed):
+    result = run_campaign(campaign, n_trials, seed=seed, n_jobs=1)
+    plan = TrialPlan(campaign, n_trials, seed)
+    return [plan.entry(i, record) for i, record in enumerate(result.records)]
+
+
+class TestRegionPlan:
+    def test_workloads_have_regions_within_the_size_limit(self):
+        for name in WORKLOADS:
+            cm = Interpreter(get_workload(name).compile()).cm
+            headers = [h for cf in cm.cfuncs for h in set(cf.region_of.values())]
+            assert headers, name
+            for cf in cm.cfuncs:
+                for header in set(cf.region_of.values()):
+                    members = [b for b, h in cf.region_of.items() if h == header]
+                    assert header in members
+                    assert len(members) <= MAX_REGION_BLOCKS
+                    assert cf.region_fns[header] is not cf.block_fns[header]
+                for bi, fn in enumerate(cf.region_fns):
+                    if bi not in cf.region_of.values():
+                        assert fn is cf.block_fns[bi]
+
+    def test_exits_write_back_only_values_read_outside(self):
+        source = """
+        output double result[2];
+        int n = 5;
+        void main() {
+            double s = 0.0;
+            double t = 0.0;
+            for (int i = 0; i < n; i = i + 1) {
+                t = (double)(i * i);
+                s = s + t;
+            }
+            result[0] = s;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        regions = interp.cm._compiler._regions
+        assert len(regions) == 1
+        (region,) = regions.values()
+        (stores,) = set(map(tuple, region.exit_stores.values()))
+        # Only the sum leaves the loop: the counter and the square stay in
+        # locals, and the header phis are rewritten by every entry edge.
+        assert len(stores) == 1
+
+
+class TestGoldenEquivalence:
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_golden_run(self, name):
+        interp = get_workload(name).make_interpreter(1)
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    def test_hang_with_tiny_budget(self):
+        interp = get_workload("hpccg").make_interpreter(1)
+        for budget in (50, 5_000, 50_000):
+            fast, reference = both_ways(interp, profile=True, cycle_budget=budget)
+            assert fast["status"] == "hang"
+            assert fast == reference
+
+    def test_trap_inside_a_loop(self):
+        source = """
+        output double result[2];
+        double data[4];
+        int n = 64;
+        void main() {
+            double s = 0.0;
+            for (int i = 0; i < n; i = i + 1) { s = s + data[i] + 1.0; }
+            result[0] = s;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "trap"
+        assert fast == reference
+
+    def test_recursive_and_nested_loop_kernel(self):
+        source = """
+        output double result[3];
+        int n = 7;
+        int fib(int k) {
+            if (k < 2) { return k; }
+            return fib(k - 1) + fib(k - 2);
+        }
+        double tri(int m) {
+            double s = 0.0;
+            for (int i = 0; i < m; i = i + 1) {
+                for (int j = 0; j < i; j = j + 1) {
+                    for (int k = 0; k <= j; k = k + 1) {
+                        s = s + (double)(i * j - k);
+                    }
+                }
+            }
+            return s;
+        }
+        void main() {
+            double acc = 0.0;
+            int last = 0;
+            for (int i = 0; i < n; i = i + 1) {
+                last = fib(i);
+                acc = acc + (double)last + tri(i);
+                print(acc);
+            }
+            result[0] = acc;
+            result[1] = (double)last;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        assert any(cf.region_of for cf in interp.cm.cfuncs)
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+
+class TestCampaignEquivalence:
+    @pytest.mark.parametrize("model", list(FAULT_MODELS))
+    def test_cold_fft_trials(self, model):
+        w = get_workload("fft")
+        campaign = Campaign(
+            w.make_interpreter(1),
+            verifier=w.verifier(),
+            entry=w.entry,
+            budget_factor=w.budget_factor,
+            fault_model=model,
+        )
+        fast = campaign_entries(campaign, 20, seed=11)
+        cm = campaign.interp.cm
+        sites = TrialPlan(campaign, 20, 11).sites
+        in_region = [
+            site
+            for site in sites
+            if cm.record_for(site.instruction).block_index
+            in cm.cfuncs[cm.record_for(site.instruction).cfi].region_of
+        ]
+        assert in_region  # the injected region variants are exercised
+        with per_block_dispatch(cm):
+            reference = campaign_entries(campaign, 20, seed=11)
+        assert fast == reference
+
+    def test_mpi_is_two_ranks(self):
+        w = get_workload("is")
+        campaign = MpiCampaign(
+            w.make_job(2, 1), verifier=w.verifier(), budget_factor=w.budget_factor
+        )
+        fast = campaign_entries(campaign, 16, seed=4)
+        with per_block_dispatch(campaign.job.cm):
+            reference = campaign_entries(campaign, 16, seed=4)
+        assert fast == reference
+
+
+class TestCheckSites:
+    def test_one_site_per_static_check_after_warm_campaign(self):
+        w = get_workload("hpccg")
+        module = w.compile()
+        duplicate_instructions(module, FullDuplicationSelector().select(module))
+        static = sum(
+            1
+            for fn in module.defined_functions()
+            for block in fn.blocks
+            for inst in block.instructions
+            if getattr(getattr(inst, "callee", None), "name", "").startswith(
+                "ipas.check"
+            )
+        )
+        campaign = Campaign(
+            w.make_interpreter(1, module=module),
+            verifier=w.verifier(),
+            entry=w.entry,
+            budget_factor=w.budget_factor,
+            warm_start=True,
+        )
+        cm = campaign.interp.cm
+        assert len(cm.check_sites) == static
+        result = run_campaign(campaign, 40, seed=2, n_jobs=1)
+        assert len(cm.check_sites) == static
+
+        # Detection messages name the failing check, whichever table and
+        # whichever start (warm restore or cold) ran the trial.
+        detected = [r.site for r in result.records if r.status == "detected"]
+        assert detected
+        interp = campaign.interp
+        model = campaign.fault_model
+        for site in detected[:6]:
+            kwargs = dict(
+                injection=model.injection_for(site),
+                cycle_budget=campaign.cycle_budget,
+            )
+            fast = interp.run(w.entry, **kwargs).error
+            with per_block_dispatch(cm):
+                reference = interp.run(w.entry, **kwargs).error
+            assert fast == reference
+            assert fast.startswith("ipas.check")
+        assert len(cm.check_sites) == static
