@@ -9,8 +9,8 @@ block-dispatch loop; everything inside a block runs as straight-line Python.
 Small loop nests get a second, faster form.  Each outermost natural loop of
 at most :data:`MAX_REGION_BLOCKS` blocks also compiles to one *region*
 function that dispatches among its member blocks in a local ``while`` loop
-and keeps the SSA values it touches in Python locals (``r12`` instead of
-``f[12]``).  It loads the values it needs from the frame list at entry and
+and keeps the SSA values it touches, and its cycle count, in Python locals
+(``r12`` instead of ``f[12]``).  It loads the values it needs from the frame list at entry and
 writes back the ones that code outside the region reads just before each
 exiting ``return``.  A function therefore has two dispatch tables:
 
@@ -507,9 +507,9 @@ class _Compiler:
 
     # -- block codegen --------------------------------------------------------------------
 
-    def _returner(self, cf: CompiledFunction) -> Callable[[BasicBlock], str]:
+    def _returner(self, cf: CompiledFunction) -> Callable[[BasicBlock, Callable], None]:
         index = self._block_index[cf.index]
-        return lambda target: f"return {index[id(target)]}"
+        return lambda target, emit: emit(f"    return {index[id(target)]}")
 
     def _gen_block(
         self,
@@ -539,19 +539,21 @@ class _Compiler:
         block: BasicBlock,
         regs: Dict[int, str],
         emit,
-        leave: Callable[[BasicBlock], str],
+        leave: Callable[[BasicBlock, Callable], None],
         inject_after: Optional[Instruction],
         mode: str,
+        local: bool = False,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
-        edge copies in the predecessors)."""
+        edge copies in the predecessors).  ``local`` selects region code:
+        see :meth:`_gen_instruction`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
             if inst.is_terminator():
                 self._gen_terminator(inst, regs, emit, leave)
             else:
-                self._gen_instruction(inst, regs, emit)
+                self._gen_instruction(inst, regs, emit, local)
                 if inst is inject_after:
                     self._gen_injection(inst, regs, emit, mode)
 
@@ -679,10 +681,28 @@ class _Compiler:
         inject_after: Optional[Instruction],
         mode: str,
     ) -> Callable:
+        """Generate one region function.
+
+        Dispatch targets are the header and every member entered by more
+        than one in-region edge; a member with exactly one is emitted inside
+        the branch arm of that edge, so reaching it costs no ``bi`` test.
+        The cycle count lives in the local ``_c``: it is written back to
+        ``state.cycles`` before every exit, around calls, and by the handler
+        when an exception (trap, hang, failed check, host-level error)
+        leaves the region, so ``state.cycles`` is exact wherever anything
+        outside can read it.
+        """
         blocks = cf.fn.blocks
         index = self._block_index[cf.index]
         regs = self._local_regs[cf.index]
         members = set(region.order)
+        edges_in = dict.fromkeys(region.order, 0)
+        for bi in region.order:
+            for succ in blocks[bi].successors():
+                k = index[id(succ)]
+                if k in edges_in:
+                    edges_in[k] += 1
+        inlined = {bi for bi, n in edges_in.items() if n == 1 and bi != region.header}
         lines: List[str] = ["def _region(f, state):"]
         emit = lines.append
         # Nothing a region's callees do replaces the budget, the profile
@@ -691,31 +711,42 @@ class _Compiler:
         emit("    _p = state.prof")
         if _needs_cells(i for bi in region.order for i in blocks[bi].instructions):
             emit("    cells = state.cells")
+        emit("    _c = state.cycles")
         for s in region.loads:
             emit(f"    r{s} = f[{s}]")
         emit(f"    bi = {region.header}")
-        emit("    while True:")
+        emit("    try:")
+        emit("        while True:")
 
-        def leave(target: BasicBlock) -> str:
-            k = index[id(target)]
-            if k in members:
-                return f"bi = {k}; continue"
-            stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
-            return f"{stores}return {k}"
-
-        last = region.order[-1]
-        for bi in region.order:
+        def gen_member(bi: int, out) -> None:
             block = blocks[bi]
-            if bi != last:
-                emit(f"        if bi == {bi}:")
-                pad = "        "
+            out(f"    _c += {self.cm.cost_model.block_cost(block)}")
+            out("    if _c > _bud: state.hang()")
+            out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+            self._gen_body(block, regs, out, leave, inject_after, mode, local=True)
+
+        def leave(target: BasicBlock, out) -> None:
+            k = index[id(target)]
+            if k in inlined:
+                gen_member(k, out)
+            elif k in members:
+                out(f"    bi = {k}; continue")
             else:
-                pad = "    "
-            body = lambda line, _pad=pad: lines.append(_pad + line)
-            body(f"    state.cycles = _c = state.cycles + {self.cm.cost_model.block_cost(block)}")
-            body("    if _c > _bud: state.hang()")
-            body(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
-            self._gen_body(block, regs, body, leave, inject_after, mode)
+                stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
+                out(f"    state.cycles = _c; {stores}return {k}")
+
+        targets = [bi for bi in region.order if bi not in inlined]
+        for bi in targets:
+            if bi != targets[-1]:
+                emit(f"            if bi == {bi}:")
+                pad = "            "
+            else:
+                pad = "        "
+            gen_member(bi, lambda line, _pad=pad: emit(_pad + line))
+        # ``_c`` is None while a callee runs: the callee's count stands.
+        emit("    except:")
+        emit("        if _c is not None: state.cycles = _c")
+        emit("        raise")
         header = blocks[region.header]
         return _exec(
             "\n".join(lines) + "\n", f"<region {cf.name}.{header.name}>", "_region"
@@ -759,10 +790,20 @@ class _Compiler:
 
     # -- per-instruction codegen ---------------------------------------------------------------
 
-    def _gen_instruction(self, inst: Instruction, regs: Dict[int, str], emit) -> None:
+    def _gen_instruction(
+        self, inst: Instruction, regs: Dict[int, str], emit, local: bool = False
+    ) -> None:
+        """One instruction.  ``local`` marks region code, where operands are
+        Python locals: memory accesses index ``cells`` by the address
+        register and a load and an integer wrap work on the destination
+        itself.  Block functions read each operand from the frame list
+        once into a temporary (``_a``, ``_v``, ``_r``), because a second
+        ``f[k]`` read costs more than the temporary.  Region code also
+        writes the cycle counter back around calls (see
+        :meth:`_gen_counted_call`)."""
         e = lambda v: self._expr(v, regs)
         if isinstance(inst, BinaryOperator):
-            self._gen_binop(inst, regs, emit)
+            self._gen_binop(inst, regs, emit, local)
             return
         d = regs.get(id(inst))
         if isinstance(inst, ICmpInst):
@@ -788,7 +829,7 @@ class _Compiler:
             emit(f"    {d} = {t} if {c} else {f_}")
             return
         if isinstance(inst, CastInst):
-            self._gen_cast(inst, regs, emit)
+            self._gen_cast(inst, regs, emit, local)
             return
         if isinstance(inst, GEPInst):
             emit(f"    {d} = {e(inst.base)} + {e(inst.index)}")
@@ -796,42 +837,45 @@ class _Compiler:
         if isinstance(inst, AllocaInst):
             emit(f"    {d} = state.alloc({inst.cell_count})")
             return
+        if isinstance(inst, (LoadInst, StoreInst, AtomicRMWInst)):
+            if local:
+                a = e(inst.pointer)
+            else:
+                a = "_a"
+                emit(f"    _a = {e(inst.pointer)}")
+            emit(f"    if {a} < 0: state.trap_mem({a})")
         if isinstance(inst, LoadInst):
-            a = e(inst.pointer)
-            emit(f"    _a = {a}")
-            emit("    if _a < 0: state.trap_mem(_a)")
-            emit("    try: _v = cells[_a]")
-            emit("    except IndexError: state.trap_mem(_a)")
-            emit("    if _v is None: state.trap_mem(_a)")
-            emit(f"    {d} = _v")
+            v = d if local else "_v"
+            emit(f"    try: {v} = cells[{a}]")
+            emit(f"    except IndexError: state.trap_mem({a})")
+            emit(f"    if {v} is None: state.trap_mem({a})")
+            if not local:
+                emit(f"    {d} = _v")
             return
-        if isinstance(inst, StoreInst):
-            emit(f"    _a = {e(inst.pointer)}")
-            emit("    if _a < 0: state.trap_mem(_a)")
-            emit("    try: _old = cells[_a]")
-            emit("    except IndexError: state.trap_mem(_a)")
-            emit("    if _old is None: state.trap_mem(_a)")
-            emit(f"    cells[_a] = {e(inst.value)}")
-            return
-        if isinstance(inst, AtomicRMWInst):
-            emit(f"    _a = {e(inst.pointer)}")
-            emit("    if _a < 0: state.trap_mem(_a)")
-            emit("    try: _old = cells[_a]")
-            emit("    except IndexError: state.trap_mem(_a)")
-            emit("    if _old is None: state.trap_mem(_a)")
-            emit(f"    cells[_a] = _old + {e(inst.value)}")
-            emit(f"    {d} = _old")
+        if isinstance(inst, (StoreInst, AtomicRMWInst)):
+            emit(f"    try: _old = cells[{a}]")
+            emit(f"    except IndexError: state.trap_mem({a})")
+            emit(f"    if _old is None: state.trap_mem({a})")
+            if isinstance(inst, StoreInst):
+                emit(f"    cells[{a}] = {e(inst.value)}")
+            else:
+                emit(f"    cells[{a}] = _old + {e(inst.value)}")
+                emit(f"    {d} = _old")
             return
         if isinstance(inst, CallInst):
-            self._gen_call(inst, regs, emit)
+            self._gen_call(inst, regs, emit, local)
             return
         raise InterpreterBug(f"no codegen for {inst!r}")
 
-    def _gen_binop(self, inst: BinaryOperator, regs: Dict[int, str], emit) -> None:
+    def _gen_binop(
+        self, inst: BinaryOperator, regs: Dict[int, str], emit, local: bool
+    ) -> None:
         e = lambda v: self._expr(v, regs)
         d = regs[id(inst)]
         a, b = e(inst.lhs), e(inst.rhs)
         op = inst.opcode
+        # integer wraps work on the destination itself in region code
+        r = d if local else "_r"
         if op in ("fadd", "fsub", "fmul"):
             sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
             emit(f"    {d} = {a} {sym} {b}")
@@ -853,9 +897,10 @@ class _Compiler:
         span = 1 << bits
         if op in ("add", "sub", "mul"):
             sym = {"add": "+", "sub": "-", "mul": "*"}[op]
-            emit(f"    _r = {a} {sym} {b}")
-            emit(f"    if _r > {hi} or _r < {lo}: _r = ((_r - {lo}) % {span}) + {lo}")
-            emit(f"    {d} = _r")
+            emit(f"    {r} = {a} {sym} {b}")
+            emit(f"    if {r} > {hi} or {r} < {lo}: {r} = (({r} - {lo}) % {span}) + {lo}")
+            if not local:
+                emit(f"    {d} = _r")
             return
         if op in ("sdiv", "srem"):
             emit(f"    _a = {a}; _b = {b}")
@@ -873,21 +918,25 @@ class _Compiler:
             emit(f"    {d} = {a} {sym} {b}")
             return
         if op == "shl":
-            emit(f"    _r = {a} << ({b} & {bits - 1})")
-            emit(f"    if _r > {hi} or _r < {lo}: _r = ((_r - {lo}) % {span}) + {lo}")
-            emit(f"    {d} = _r")
+            emit(f"    {r} = {a} << ({b} & {bits - 1})")
+            emit(f"    if {r} > {hi} or {r} < {lo}: {r} = (({r} - {lo}) % {span}) + {lo}")
+            if not local:
+                emit(f"    {d} = _r")
             return
         if op == "lshr":
-            emit(f"    _r = ({a} & {span - 1}) >> ({b} & {bits - 1})")
-            emit(f"    if _r > {hi}: _r -= {span}")
-            emit(f"    {d} = _r")
+            emit(f"    {r} = ({a} & {span - 1}) >> ({b} & {bits - 1})")
+            emit(f"    if {r} > {hi}: {r} -= {span}")
+            if not local:
+                emit(f"    {d} = _r")
             return
         if op == "ashr":
             emit(f"    {d} = {a} >> ({b} & {bits - 1})")
             return
         raise InterpreterBug(f"no codegen for binop {op}")
 
-    def _gen_cast(self, inst: CastInst, regs: Dict[int, str], emit) -> None:
+    def _gen_cast(
+        self, inst: CastInst, regs: Dict[int, str], emit, local: bool
+    ) -> None:
         e = lambda v: self._expr(v, regs)
         d = regs[id(inst)]
         a = e(inst.value)
@@ -923,9 +972,11 @@ class _Compiler:
             else:
                 lo = -(1 << (dst_bits - 1))
                 span = 1 << dst_bits
-                emit(f"    _r = {a} & {span - 1}")
-                emit(f"    if _r > {-lo - 1}: _r -= {span}")
-                emit(f"    {d} = _r")
+                r = d if local else "_r"
+                emit(f"    {r} = {a} & {span - 1}")
+                emit(f"    if {r} > {-lo - 1}: {r} -= {span}")
+                if not local:
+                    emit(f"    {d} = _r")
             return
         if op == "bitcast":
             if inst.type.is_float() and inst.value.type.is_integer():
@@ -937,7 +988,9 @@ class _Compiler:
             return
         raise InterpreterBug(f"no codegen for cast {op}")
 
-    def _gen_call(self, inst: CallInst, regs: Dict[int, str], emit) -> None:
+    def _gen_call(
+        self, inst: CallInst, regs: Dict[int, str], emit, local: bool
+    ) -> None:
         e = lambda v: self._expr(v, regs)
         d = regs.get(id(inst))
         callee = inst.callee
@@ -945,10 +998,9 @@ class _Compiler:
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
             arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-            if d is not None:
-                emit(f"    {d} = state.call({cfi}, {arg_tuple})")
-            else:
-                emit(f"    state.call({cfi}, {arg_tuple})")
+            self._gen_counted_call(
+                f"state.call({cfi}, {arg_tuple})", d, emit, local
+            )
             return
         name = callee.name
         if name.startswith("ipas.check"):
@@ -982,13 +1034,24 @@ class _Compiler:
             emit(f"    state.io_print({args[0]})")
             return
         if name.startswith("mpi_"):
-            call = f"state.{name}({', '.join(args)})"
-            if d is not None:
-                emit(f"    {d} = {call}")
-            else:
-                emit(f"    {call}")
+            self._gen_counted_call(
+                f"state.{name}({', '.join(args)})", d, emit, local
+            )
             return
         raise InterpreterBug(f"no runtime binding for intrinsic {name}")
+
+    @staticmethod
+    def _gen_counted_call(call: str, d: Optional[str], emit, local: bool) -> None:
+        """A call that may run other compiled code or read the run state.
+        Region code keeps its cycle count in the local ``_c``, so it writes
+        the count back first and re-reads it after; ``_c`` is ``None``
+        meanwhile, so an exception out of the callee keeps the callee's
+        count (see :meth:`_gen_region`)."""
+        if local:
+            emit("    state.cycles = _c; _c = None")
+        emit(f"    {d} = {call}" if d is not None else f"    {call}")
+        if local:
+            emit("    _c = state.cycles")
 
     # -- terminators --------------------------------------------------------------------------
 
@@ -997,11 +1060,12 @@ class _Compiler:
         inst: Instruction,
         regs: Dict[int, str],
         emit,
-        leave: Callable[[BasicBlock], str],
+        leave: Callable[[BasicBlock, Callable], None],
     ) -> None:
-        """``leave(target)`` renders the transfer to a successor block:
-        ``return k`` from a block function, ``bi = k; continue`` inside a
-        region function."""
+        """``leave(target, emit)`` emits the transfer to a successor block
+        through ``emit`` (which carries the arm's indentation): ``return k``
+        from a block function; inside a region function ``bi = k;
+        continue``, an exit, or the inlined successor itself."""
         e = lambda v: self._expr(v, regs)
         block = inst.parent
         if isinstance(inst, RetInst):
@@ -1018,22 +1082,23 @@ class _Compiler:
         if isinstance(inst, BranchInst):
             if not inst.is_conditional:
                 target = inst.targets[0]
-                self._gen_edge_copies(block, target, regs, emit, indent="    ")
-                emit(f"    {leave(target)}")
+                self._gen_edge_copies(block, target, regs, emit)
+                leave(target, emit)
                 return
             cond = inst.condition
             assert cond is not None
             then_b, else_b = inst.targets
             emit(f"    if {e(cond)}:")
-            self._gen_edge_copies(block, then_b, regs, emit, indent="        ")
-            emit(f"        {leave(then_b)}")
-            self._gen_edge_copies(block, else_b, regs, emit, indent="    ")
-            emit(f"    {leave(else_b)}")
+            arm = lambda line: emit("    " + line)
+            self._gen_edge_copies(block, then_b, regs, arm)
+            leave(then_b, arm)
+            self._gen_edge_copies(block, else_b, regs, emit)
+            leave(else_b, emit)
             return
         raise InterpreterBug(f"no codegen for terminator {inst!r}")
 
     def _gen_edge_copies(
-        self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit, indent: str
+        self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit
     ) -> None:
         """Parallel phi copies on the edge pred -> succ (one tuple
         assignment: Python evaluates every source before the first store)."""
@@ -1043,7 +1108,7 @@ class _Compiler:
             srcs = ", ".join(
                 self._expr(phi.incoming_for_block(pred), regs) for phi in phis
             )
-            emit(f"{indent}{dsts} = {srcs}")
+            emit(f"    {dsts} = {srcs}")
 
 
 #: intrinsic name -> name of the guarded runtime helper in EXEC_GLOBALS

@@ -13,13 +13,17 @@ import hashlib
 from contextlib import contextmanager
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
 from repro.faults import Campaign, MpiCampaign, TrialPlan
-from repro.faults.parallel import run_campaign
+from repro.faults.campaign import TrialRecord
+from repro.faults.model import FaultSite, result_bits
+from repro.faults.parallel import run_campaign, trial_entry
 from repro.faults.models import FAULT_MODELS
 from repro.interp import Interpreter
 from repro.interp.compiler import MAX_REGION_BLOCKS
+from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.workloads import get_workload
 
@@ -183,6 +187,134 @@ class TestGoldenEquivalence:
         assert any(cf.region_of for cf in interp.cm.cfuncs)
         fast, reference = both_ways(interp, profile=True)
         assert fast["status"] == "ok"
+        assert fast == reference
+
+    # Exits by exception, by an early return and through a callee: the
+    # region's cycle count must be exact wherever a run can stop.
+    EXIT_BUDGETS = (None, 97, 1234)
+
+    @pytest.mark.parametrize("budget", EXIT_BUDGETS)
+    def test_host_error_inside_a_loop(self, budget):
+        # x overflows to inf and fmod(inf, 7) raises ValueError, which the
+        # interpreter records as a host-level trap.  Scil rejects % on
+        # doubles, so the frem comes from rewriting the printed IR.
+        source = """
+        output double result[2];
+        int n = 40;
+        void main() {
+            double x = 3.0;
+            double s = 0.0;
+            for (int i = 0; i < n; i = i + 1) {
+                x = x * 1.0e300;
+                s = s + x / 7.0;
+            }
+            result[0] = s;
+        }
+        """
+        text = print_module(compile_source(source))
+        assert "fdiv" in text
+        interp = Interpreter(parse_module(text.replace("fdiv", "frem")))
+        fast, reference = both_ways(interp, profile=True, cycle_budget=budget)
+        assert fast["status"] == "trap"
+        assert "ValueError" in fast["error"]
+        assert fast == reference
+
+    @pytest.mark.parametrize("budget", EXIT_BUDGETS)
+    def test_trap_in_a_callee_called_from_a_loop(self, budget):
+        source = """
+        output double result[2];
+        double data[4];
+        int n = 64;
+        double get(int i) {
+            double v = data[i];
+            return v + 1.0;
+        }
+        void main() {
+            double s = 0.0;
+            for (int i = 0; i < n; i = i + 1) { s = s + get(i); }
+            result[0] = s;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        fast, reference = both_ways(interp, profile=True, cycle_budget=budget)
+        assert fast["status"] == ("hang" if budget == 97 else "trap")
+        assert fast == reference
+
+    @pytest.mark.parametrize("budget", EXIT_BUDGETS)
+    def test_early_return_from_a_loop(self, budget):
+        source = """
+        output double result[2];
+        int n = 50;
+        int first_square_above(int k) {
+            for (int i = 0; i < n; i = i + 1) {
+                if (i * i > k) { return i; }
+            }
+            return -1;
+        }
+        void main() {
+            int acc = 0;
+            for (int j = 0; j < 30; j = j + 1) {
+                acc = acc + first_square_above(j * 7);
+            }
+            result[0] = (double)acc;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        fast, reference = both_ways(interp, profile=True, cycle_budget=budget)
+        assert fast["status"] == ("ok" if budget is None else "hang")
+        assert fast == reference
+
+
+@pytest.fixture(scope="module")
+def prepared_campaigns():
+    """Prepared cold fft and hpccg campaigns, shared by every example."""
+    campaigns = {}
+    for name in ("fft", "hpccg"):
+        w = get_workload(name)
+        campaigns[name] = Campaign(
+            w.make_interpreter(1),
+            verifier=w.verifier(),
+            entry=w.entry,
+            budget_factor=w.budget_factor,
+        )
+        campaigns[name].prepare()
+    return campaigns
+
+
+def trial(campaign, site, site_index, budget):
+    """One injected run: its checkpoint entry and everything it leaves."""
+    interp = campaign.interp
+    result = interp.run(
+        campaign.entry,
+        injection=campaign.fault_model.injection_for(site),
+        cycle_budget=budget,
+    )
+    record = TrialRecord(site, campaign.classify(result), result.status, result.cycles)
+    return trial_entry(0, site, site_index, record), observe(interp, result)
+
+
+class TestRandomTrials:
+    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_region_and_block_tables_agree(self, prepared_campaigns, data):
+        """A site drawn from the fft or hpccg fault population, under a
+        random cycle budget or none drawn.  With none drawn the trial
+        runs under the campaign's own budget, which bounds a fault that
+        makes a loop run away."""
+        campaign = prepared_campaigns[data.draw(st.sampled_from(["fft", "hpccg"]))]
+        index = data.draw(st.integers(0, len(campaign._sites) - 1))
+        inst, count = campaign._sites[index]
+        site = FaultSite(
+            inst,
+            data.draw(st.integers(1, count)),
+            data.draw(st.integers(0, result_bits(inst) - 1)),
+        )
+        budget = data.draw(st.none() | st.integers(1, 2 * campaign.golden_cycles))
+        if budget is None:
+            budget = campaign.cycle_budget
+        fast = trial(campaign, site, index, budget)
+        with per_block_dispatch(campaign.interp.cm):
+            reference = trial(campaign, site, index, budget)
         assert fast == reference
 
 
