@@ -224,13 +224,22 @@ class CompiledModule:
     # -- compilation ------------------------------------------------------------
 
     def _compile_all(self) -> None:
+        """Compile in two phases: every function's slots, instruction
+        records, block gids and leaf verdict first, then code, so a call
+        site can inline a leaf defined below it.  Every function's block
+        functions compile before any region, which numbers check sites in
+        block order whichever region inlines a leaf's check first."""
         defined = self.module.defined_functions()
         for i, fn in enumerate(defined):
             cf = CompiledFunction(i, fn)
             self.cfuncs.append(cf)
             self.func_index[fn.name] = i
         for cf in self.cfuncs:
-            self._compiler.compile_function(cf)
+            self._compiler.prepare_function(cf)
+        for cf in self.cfuncs:
+            self._compiler.compile_blocks(cf)
+        for cf in self.cfuncs:
+            self._compiler.compile_regions(cf)
 
     def get_function_index(self, name: str) -> int:
         try:
@@ -310,6 +319,23 @@ def _needs_cells(insts) -> bool:
     return any(isinstance(i, (LoadInst, StoreInst, AtomicRMWInst)) for i in insts)
 
 
+def _is_leaf(fn: Function) -> bool:
+    """Whether region code may inline calls to ``fn``: at most
+    :data:`MAX_REGION_BLOCKS` blocks, no call to a defined function, no
+    MPI binding and no ``alloca`` (so it never touches ``sp``)."""
+    if len(fn.blocks) > MAX_REGION_BLOCKS:
+        return False
+    for block in fn.blocks:
+        for inst in block.instructions:
+            if isinstance(inst, AllocaInst):
+                return False
+            if isinstance(inst, CallInst) and (
+                not inst.callee.is_declaration or inst.callee.name.startswith("mpi_")
+            ):
+                return False
+    return True
+
+
 class _Compiler:
     """Generates and ``exec``-compiles Python source for blocks and regions."""
 
@@ -326,6 +352,9 @@ class _Compiler:
         self._region_cache: Dict[Tuple[int, int, int, str], Callable] = {}
         self._resume_cache: Dict[Tuple[int, int, int, int, str], Callable] = {}
         self._check_site: Dict[int, int] = {}  # id(check call) -> site id
+        #: leaf cfi -> id(value) -> the Python local a call site inlining
+        #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
+        self._leaf_regs: Dict[int, Dict[int, str]] = {}
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -370,7 +399,9 @@ class _Compiler:
 
     # -- function compilation ----------------------------------------------------------
 
-    def compile_function(self, cf: CompiledFunction) -> None:
+    def prepare_function(self, cf: CompiledFunction) -> None:
+        """Phase one: slots, block gids, instruction records and the leaf
+        verdict, everything a call site in another function may need."""
         slots = self._assign_slots(cf)
         self._slot_of[cf.index] = slots
         self._frame_regs[cf.index] = {k: f"f[{s}]" for k, s in slots.items()}
@@ -385,6 +416,13 @@ class _Compiler:
                     self.cm.records[id(inst)] = InstructionRecord(
                         inst, cf.index, i, gid, slots[id(inst)]
                     )
+        if _is_leaf(cf.fn):
+            self._leaf_regs[cf.index] = {
+                k: f"q{cf.index}_{s}" for k, s in slots.items()
+            }
+
+    def compile_blocks(self, cf: CompiledFunction) -> None:
+        """Phase two: one block function per block."""
         for i, block in enumerate(cf.fn.blocks):
             source, fn = self._gen_block(cf, i, None)
             cb = CompiledBlock(
@@ -397,6 +435,10 @@ class _Compiler:
             )
             cf.blocks.append(cb)
             cf.block_fns.append(fn)
+
+    def compile_regions(self, cf: CompiledFunction) -> None:
+        """Phase three: plan and compile the regions, building
+        ``region_fns``."""
         cf.region_fns = list(cf.block_fns)
         for region in self._find_regions(cf):
             self._regions[(cf.index, region.header)] = region
@@ -543,15 +585,16 @@ class _Compiler:
         inject_after: Optional[Instruction],
         mode: str,
         local: bool = False,
+        ret: Optional[Callable[[Optional[str], Callable], None]] = None,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
         edge copies in the predecessors).  ``local`` selects region code:
-        see :meth:`_gen_instruction`."""
+        see :meth:`_gen_instruction`; ``ret`` see :meth:`_gen_terminator`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
             if inst.is_terminator():
-                self._gen_terminator(inst, regs, emit, leave)
+                self._gen_terminator(inst, regs, emit, leave, ret)
             else:
                 self._gen_instruction(inst, regs, emit, local)
                 if inst is inject_after:
@@ -683,66 +726,47 @@ class _Compiler:
     ) -> Callable:
         """Generate one region function.
 
-        Dispatch targets are the header and every member entered by more
-        than one in-region edge; a member with exactly one is emitted inside
-        the branch arm of that edge, so reaching it costs no ``bi`` test.
         The cycle count lives in the local ``_c``: it is written back to
         ``state.cycles`` before every exit, around calls, and by the handler
         when an exception (trap, hang, failed check, host-level error)
         leaves the region, so ``state.cycles`` is exact wherever anything
-        outside can read it.
+        outside can read it.  A region that calls a leaf loads the injected
+        function's index and the depth test once at entry for the guard of
+        :meth:`_gen_inlined_call`.
         """
         blocks = cf.fn.blocks
-        index = self._block_index[cf.index]
-        regs = self._local_regs[cf.index]
-        members = set(region.order)
-        edges_in = dict.fromkeys(region.order, 0)
-        for bi in region.order:
-            for succ in blocks[bi].successors():
-                k = index[id(succ)]
-                if k in edges_in:
-                    edges_in[k] += 1
-        inlined = {bi for bi, n in edges_in.items() if n == 1 and bi != region.header}
+        insts = [i for bi in region.order for i in blocks[bi].instructions]
+        leaves = {cfi for cfi in map(self._leaf_callee, insts) if cfi is not None}
+        leaf_insts = [
+            i for cfi in leaves for b in self.cm.cfuncs[cfi].fn.blocks
+            for i in b.instructions
+        ]
         lines: List[str] = ["def _region(f, state):"]
         emit = lines.append
         # Nothing a region's callees do replaces the budget, the profile
         # list or the cell arena, so they load once per entry.
         emit("    _bud = state.budget")
         emit("    _p = state.prof")
-        if _needs_cells(i for bi in region.order for i in blocks[bi].instructions):
+        if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
+        if leaves:
+            emit("    _ij = state.inj_cfi")
+            emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
         for s in region.loads:
             emit(f"    r{s} = f[{s}]")
         emit(f"    bi = {region.header}")
         emit("    try:")
-        emit("        while True:")
 
-        def gen_member(bi: int, out) -> None:
-            block = blocks[bi]
-            out(f"    _c += {self.cm.cost_model.block_cost(block)}")
-            out("    if _c > _bud: state.hang()")
-            out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
-            self._gen_body(block, regs, out, leave, inject_after, mode, local=True)
+        def leave_region(k: int, out) -> None:
+            stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
+            out(f"    state.cycles = _c; {stores}return {k}")
 
-        def leave(target: BasicBlock, out) -> None:
-            k = index[id(target)]
-            if k in inlined:
-                gen_member(k, out)
-            elif k in members:
-                out(f"    bi = {k}; continue")
-            else:
-                stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
-                out(f"    state.cycles = _c; {stores}return {k}")
-
-        targets = [bi for bi in region.order if bi not in inlined]
-        for bi in targets:
-            if bi != targets[-1]:
-                emit(f"            if bi == {bi}:")
-                pad = "            "
-            else:
-                pad = "        "
-            gen_member(bi, lambda line, _pad=pad: emit(_pad + line))
+        self._gen_dispatch(
+            cf, region.order, region.header, self._local_regs[cf.index],
+            lambda line: emit("    " + line), "bi", leave_region, None,
+            inject_after, mode,
+        )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
         emit("        if _c is not None: state.cycles = _c")
@@ -751,6 +775,148 @@ class _Compiler:
         return _exec(
             "\n".join(lines) + "\n", f"<region {cf.name}.{header.name}>", "_region"
         )
+
+    def _gen_dispatch(
+        self,
+        cf: CompiledFunction,
+        order: List[int],
+        head: int,
+        regs: Dict[int, str],
+        out,
+        bvar: str,
+        exit_: Optional[Callable[[int, Callable], None]],
+        ret: Optional[Callable[[Optional[str], Callable], None]],
+        inject_after: Optional[Instruction],
+        mode: str,
+    ) -> None:
+        """A ``while True`` loop (at ``out``'s indentation) dispatching on
+        the local ``bvar`` among the blocks ``order`` of ``cf``.
+
+        Dispatch targets are ``head`` and every block entered by more than
+        one edge from ``order``; a block with exactly one is emitted inside
+        the branch arm of that edge, so reaching it costs no ``bvar`` test.
+        Every block is emitted once.  ``exit_(k, out)`` emits the edge to a
+        block ``k`` outside ``order``, and ``ret(value, out)`` a ``ret``
+        (see :meth:`_gen_terminator`).
+        """
+        blocks = cf.fn.blocks
+        index = self._block_index[cf.index]
+        edges_in = dict.fromkeys(order, 0)
+        for bi in order:
+            for succ in blocks[bi].successors():
+                k = index[id(succ)]
+                if k in edges_in:
+                    edges_in[k] += 1
+        inlined = {bi for bi, n in edges_in.items() if n == 1 and bi != head}
+
+        def leave(target: BasicBlock, o) -> None:
+            k = index[id(target)]
+            if k in inlined:
+                gen_member(k, o)
+            elif k in edges_in:
+                o(f"    {bvar} = {k}; continue")
+            else:
+                exit_(k, o)
+
+        def gen_member(bi: int, o) -> None:
+            self._gen_member(cf, bi, regs, o, leave, ret, inject_after, mode)
+
+        out("    while True:")
+        targets = [bi for bi in order if bi not in inlined]
+        for bi in targets:
+            if bi != targets[-1]:
+                out(f"        if {bvar} == {bi}:")
+                pad = "        "
+            else:
+                pad = "    "
+            gen_member(bi, lambda line, _pad=pad: out(_pad + line))
+
+    def _gen_member(
+        self,
+        cf: CompiledFunction,
+        bi: int,
+        regs: Dict[int, str],
+        out,
+        leave,
+        ret,
+        inject_after: Optional[Instruction],
+        mode: str,
+    ) -> None:
+        """One block in region code: charge ``_c``, test the budget, bump
+        the profile with the block's own gid, then its body."""
+        block = cf.fn.blocks[bi]
+        out(f"    _c += {self.cm.cost_model.block_cost(block)}")
+        out("    if _c > _bud: state.hang()")
+        out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+        self._gen_body(
+            block, regs, out, leave, inject_after, mode, local=True, ret=ret
+        )
+
+    def _leaf_callee(self, inst: Instruction) -> Optional[int]:
+        """The index of the leaf ``inst`` calls, or None when ``inst`` is
+        not a call to a leaf."""
+        if isinstance(inst, CallInst) and not inst.callee.is_declaration:
+            cfi = self.cm.func_index[inst.callee.name]
+            if cfi in self._leaf_regs:
+                return cfi
+        return None
+
+    def _gen_inlined_call(
+        self, inst: CallInst, cfi: int, regs: Dict[int, str], emit
+    ) -> None:
+        """A call to the leaf ``cfi`` from region code, run in the caller's
+        locals behind a guard::
+
+            if _dok and _ij != cfi: <the leaf's blocks>
+            else: <the counted state.call>
+
+        The real call runs when the injected instruction lies in the leaf
+        (its injected table fires as before) and when the call would exceed
+        ``Interpreter.DEFAULT_MAX_DEPTH`` (it raises ``StackOverflow``).
+        Each inlined block charges ``_c``, tests the budget and bumps the
+        profile with the leaf's own gid, as the call would, so a trap, hang
+        or failed check leaves through the region's handler with the exact
+        count.  The leaf's values live in fresh locals (``q{cfi}_{slot}``),
+        its arguments read the caller's operand expressions, and its
+        ``ret`` assigns the call's own local.  A one-block leaf is
+        straight-line code; a larger one dispatches in a nested ``while``
+        on ``q{cfi}_bi`` and its ``ret`` breaks out.
+
+        The inline path never writes ``state.ret`` and never moves ``sp``
+        (a leaf has no ``alloca``), and nothing can tell: ``call`` and
+        ``_call_tracked`` read ``state.ret`` only right after the callee's
+        own ``ret`` wrote it, a rollback resets it, and region code never
+        runs while a run is tracked or recovering (both dispatch through
+        ``block_fns``, whose calls are never inlined).
+        """
+        d = regs.get(id(inst))
+        args = [self._expr(a, regs) for a in inst.operands]
+        leaf = self.cm.cfuncs[cfi]
+        lregs = dict(self._leaf_regs[cfi])
+        lregs.update((id(p), a) for p, a in zip(leaf.fn.args, args))
+        blocks = leaf.fn.blocks
+        arm = lambda line: emit("    " + line)
+        emit(f"    if _dok and _ij != {cfi}:")
+        if len(blocks) == 1 and isinstance(
+            blocks[0].terminator, (RetInst, UnreachableInst)
+        ):
+            def ret(value: Optional[str], out) -> None:
+                if d is not None:
+                    out(f"    {d} = {value}")
+
+            self._gen_member(leaf, 0, lregs, arm, None, ret, None, "1bit")
+        else:
+            def ret(value: Optional[str], out) -> None:
+                out(f"    {d} = {value}; break" if d is not None else "    break")
+
+            arm(f"    q{cfi}_bi = 0")
+            self._gen_dispatch(
+                leaf, list(range(len(blocks))), 0, lregs, arm, f"q{cfi}_bi",
+                None, ret, None, "1bit",
+            )
+        emit("    else:")
+        arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
+        self._gen_counted_call(f"state.call({cfi}, {arg_tuple})", d, arm, True)
 
     # -- injection epilogue -----------------------------------------------------------------
 
@@ -997,6 +1163,9 @@ class _Compiler:
         args = [e(a) for a in inst.operands]
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
+            if local and cfi in self._leaf_regs:
+                self._gen_inlined_call(inst, cfi, regs, emit)
+                return
             arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
             self._gen_counted_call(
                 f"state.call({cfi}, {arg_tuple})", d, emit, local
@@ -1061,23 +1230,29 @@ class _Compiler:
         regs: Dict[int, str],
         emit,
         leave: Callable[[BasicBlock, Callable], None],
+        ret: Optional[Callable[[Optional[str], Callable], None]] = None,
     ) -> None:
         """``leave(target, emit)`` emits the transfer to a successor block
         through ``emit`` (which carries the arm's indentation): ``return k``
         from a block function; inside a region function ``bi = k;
-        continue``, an exit, or the inlined successor itself."""
+        continue``, an exit, or the inlined successor itself.  ``ret(value,
+        emit)``, when given, emits a ``ret`` of the rendered ``value``
+        (None for ``ret void``) for an inlined leaf; otherwise a ``ret``
+        sets ``state.ret`` and returns -1."""
         e = lambda v: self._expr(v, regs)
         block = inst.parent
         if isinstance(inst, RetInst):
-            if inst.return_value is not None:
-                emit(f"    state.ret = {e(inst.return_value)}")
-            else:
-                emit("    state.ret = None")
+            value = None if inst.return_value is None else e(inst.return_value)
+            if ret is not None:
+                ret(value, emit)
+                return
+            emit(f"    state.ret = {value}")
             emit("    return -1")
             return
         if isinstance(inst, UnreachableInst):
             emit("    state.trap_unreachable()")
-            emit("    return -1")
+            if ret is None:
+                emit("    return -1")
             return
         if isinstance(inst, BranchInst):
             if not inst.is_conditional:

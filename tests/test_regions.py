@@ -7,9 +7,18 @@ a run — status, cycles, profile, memory, output log, detection messages
 and campaign records — must be identical whichever table executes it.
 No production option selects the per-block table for the lean loop, so
 these tests swap it in themselves.
+
+Region code also inlines calls to leaf functions behind a guard that falls
+back to ``Interpreter.call``; ``TestInlinedLeaves`` checks that the inline
+path fires, that the fallback is taken when it must be, and that both agree
+with the per-block table.
 """
 
 import hashlib
+import random
+import re
+import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -22,7 +31,9 @@ from repro.faults.model import FaultSite, result_bits
 from repro.faults.parallel import run_campaign, trial_entry
 from repro.faults.models import FAULT_MODELS
 from repro.interp import Interpreter
+from repro.interp import compiler
 from repro.interp.compiler import MAX_REGION_BLOCKS
+from repro.ir.instructions import CallInst
 from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.workloads import get_workload
@@ -73,6 +84,16 @@ def both_ways(interp, **run_kwargs):
     with per_block_dispatch(interp.cm):
         reference = observe(interp, interp.run(**run_kwargs))
     return fast, reference
+
+
+def static_check_count(module):
+    return sum(
+        1
+        for fn in module.defined_functions()
+        for block in fn.blocks
+        for inst in block.instructions
+        if getattr(getattr(inst, "callee", None), "name", "").startswith("ipas.check")
+    )
 
 
 def campaign_entries(campaign, n_trials, seed):
@@ -359,15 +380,7 @@ class TestCheckSites:
         w = get_workload("hpccg")
         module = w.compile()
         duplicate_instructions(module, FullDuplicationSelector().select(module))
-        static = sum(
-            1
-            for fn in module.defined_functions()
-            for block in fn.blocks
-            for inst in block.instructions
-            if getattr(getattr(inst, "callee", None), "name", "").startswith(
-                "ipas.check"
-            )
-        )
+        static = static_check_count(module)
         campaign = Campaign(
             w.make_interpreter(1, module=module),
             verifier=w.verifier(),
@@ -397,3 +410,229 @@ class TestCheckSites:
             assert fast == reference
             assert fast.startswith("ipas.check")
         assert len(cm.check_sites) == static
+
+
+@contextmanager
+def call_counts():
+    """Count ``Interpreter.call`` per callee name while active."""
+    counts = Counter()
+    real = Interpreter.call
+
+    def call(self, cfi, args):
+        counts[self.cfuncs[cfi].name] += 1
+        return real(self, cfi, args)
+
+    Interpreter.call = call
+    try:
+        yield counts
+    finally:
+        Interpreter.call = real
+
+
+class _FixedSite:
+    """A stand-in campaign whose sampler always returns one site, so a
+    fault model's own ``sample_site`` adds its per-trial detail to it."""
+
+    def __init__(self, site):
+        self.site = site
+
+    def sample_site(self, rng):
+        return self.site
+
+
+def leaf_sites(name, leaf):
+    """(interpreter, golden cycles, [(instruction, last occurrence)]) for
+    every value-producing instruction of ``leaf`` in workload ``name``."""
+    w = get_workload(name)
+    interp = w.make_interpreter(1)
+    golden = interp.run(w.entry, profile=True)
+    cm = interp.cm
+    sites = []
+    for record in cm.records.values():
+        if cm.cfuncs[record.cfi].name == leaf:
+            sites.append((record.inst, golden.profile[record.block_gid]))
+    assert sites
+    return interp, golden.cycles, sites
+
+
+class TestInlinedLeaves:
+    def test_golden_runs_make_no_leaf_calls(self):
+        for name, leaf in (("hpccg", "idx3"), ("fft", "bit_reverse")):
+            w = get_workload(name)
+            interp = w.make_interpreter(1)
+            with call_counts() as counts:
+                assert interp.run(w.entry).status == "ok"
+            assert counts[leaf] == 0, name
+            with per_block_dispatch(interp.cm), call_counts() as counts:
+                interp.run(w.entry)
+            assert counts[leaf] > 0, name
+
+    def test_injected_leaf_is_called(self):
+        interp, cycles, sites = leaf_sites("hpccg", "idx3")
+        kwargs = dict(injection=(sites[0][0], 1, 0), cycle_budget=3 * cycles)
+        with call_counts() as counts:
+            assert interp.run("main", **kwargs).injection_hit
+        with per_block_dispatch(interp.cm), call_counts() as reference:
+            interp.run("main", **kwargs)
+        # The fallback runs every idx3 call of the trial, not just the
+        # one that fires.
+        assert counts["idx3"] == reference["idx3"] > 0
+
+    def test_block_and_resume_code_is_never_inlined(self, monkeypatch):
+        sources = {}
+        real = compiler._exec
+
+        def record(source, filename, name):
+            sources[filename] = source
+            return real(source, filename, name)
+
+        monkeypatch.setattr(compiler, "_exec", record)
+        for name in ("hpccg", "fft"):
+            cm = get_workload(name).make_interpreter(1).cm
+            for cf in cm.cfuncs:
+                for bi, block in enumerate(cf.fn.blocks):
+                    calls = [
+                        i
+                        for i in block.instructions
+                        if isinstance(i, CallInst) and not i.callee.is_declaration
+                    ]
+                    for k in range(len(calls)):
+                        cm.resume_block_fn(cf.index, bi, k)
+                    for inst in block.instructions:
+                        if id(inst) in cm.records:
+                            cm.injected_block_fn(inst)
+        inlined = re.compile(r"\b(_ij|_dok|q\d+_\w+)\b")
+        kinds = Counter(filename.split()[0] for filename in sources)
+        assert kinds["<block"] and kinds["<resume"] and kinds["<region"]
+        for filename, source in sources.items():
+            if not filename.startswith("<region"):
+                assert not inlined.search(source), filename
+        assert any(inlined.search(s) for s in sources.values())
+
+    def test_leaf_defined_after_its_caller(self):
+        source = """
+        output double result[2];
+        int n = 9;
+        void main() {
+            int acc = 0;
+            for (int i = 0; i < n; i = i + 1) { acc = acc + sq(i); }
+            result[0] = (double)acc;
+        }
+        int sq(int x) { return x * x; }
+        """
+        interp = Interpreter(compile_source(source))
+        with call_counts() as counts:
+            fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert counts["sq"] == 9  # all from the per-block reference run
+        assert fast == reference
+
+    @pytest.mark.parametrize("model", list(FAULT_MODELS))
+    @pytest.mark.parametrize(
+        "name, leaf", [("hpccg", "idx3"), ("fft", "bit_reverse")]
+    )
+    def test_injection_into_a_leaf(self, name, leaf, model):
+        """Every value-producing instruction of the leaf, at its first and
+        last occurrence: the fallback runs the leaf's injected table."""
+        interp, cycles, sites = leaf_sites(name, leaf)
+        fault_model = FAULT_MODELS[model]()
+        entry = get_workload(name).entry
+        for inst, count in sites:
+            for occurrence in sorted({1, count}):
+                site = FaultSite(inst, occurrence, 2 % result_bits(inst))
+                site = fault_model.sample_site(_FixedSite(site), random.Random(7))
+                fast, reference = both_ways(
+                    interp,
+                    entry=entry,
+                    injection=fault_model.injection_for(site),
+                    profile=True,
+                    cycle_budget=3 * cycles,
+                )
+                assert fast == reference, (inst, occurrence)
+
+    @pytest.mark.parametrize("budget", TestGoldenEquivalence.EXIT_BUDGETS)
+    def test_hang_inside_an_inlined_leaf_loop(self, budget):
+        # fft's bit_reverse over 40 bits: the leaf's loop takes nearly all
+        # the cycles, so both budgets run out inside an inlined call.
+        source = """
+        output double result[2];
+        int n = 16;
+        int bit_reverse(int k, int logn) {
+            int r = 0;
+            for (int b = 0; b < logn; b = b + 1) {
+                r = (r << 1) | (k & 1);
+                k = k >> 1;
+            }
+            return r;
+        }
+        void main() {
+            int acc = 0;
+            for (int i = 0; i < n; i = i + 1) { acc = acc + bit_reverse(i, 40); }
+            result[0] = (double)acc;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        with call_counts() as counts:
+            fast = observe(interp, interp.run(profile=True, cycle_budget=budget))
+        assert counts["bit_reverse"] == 0
+        with per_block_dispatch(interp.cm):
+            reference = observe(interp, interp.run(profile=True, cycle_budget=budget))
+        assert fast["status"] == ("ok" if budget is None else "hang")
+        assert fast == reference
+
+    def test_failed_check_inside_an_inlined_leaf(self):
+        """Protected hpccg whose idx3 duplicate computes ``iz * iz`` for
+        ``iz * n``: the first call with ``iz`` = 0 passes, a later inlined
+        call fails its check."""
+        w = get_workload("hpccg")
+        module = w.compile()
+        duplicate_instructions(module, FullDuplicationSelector().select(module))
+        static = static_check_count(module)
+        text = print_module(module)
+        start = text.index("define i64 @idx3(")
+        end = text.index("\n}\n", start)
+        leaf = text[start:end]
+        wrong = leaf.replace("%.dup.2 = mul i64 %iz, %n", "%.dup.2 = mul i64 %iz, %iz")
+        assert wrong != leaf
+        interp = w.make_interpreter(
+            1, module=parse_module(text[:start] + wrong + text[end:])
+        )
+        cm = interp.cm
+        assert len(cm.check_sites) == static
+        with call_counts() as counts:
+            fast, reference = both_ways(interp, entry=w.entry, profile=True)
+        assert counts["idx3"] > 0  # the per-block reference run
+        assert fast["status"] == "detected"
+        assert fast["error"].startswith("ipas.check.i64 failed")
+        assert "at idx3:entry" in fast["error"]
+        assert fast == reference
+        assert len(cm.check_sites) == static
+
+    def test_call_depth_limit_at_an_inlined_call(self):
+        """At the deepest frame the leaf call would exceed
+        ``DEFAULT_MAX_DEPTH``: the guard falls back to the real call, which
+        raises ``StackOverflow`` where the per-block table does."""
+        source = """
+        output double result[2];
+        int sq(int x) { return x * x; }
+        int deep(int d) {
+            int s = 0;
+            for (int i = 0; i < 3; i = i + 1) { s = s + sq(i + d); }
+            return s + deep(d + 1);
+        }
+        void main() { result[0] = (double)deep(0); }
+        """
+        interp = Interpreter(compile_source(source))
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(max(limit, 8 * Interpreter.DEFAULT_MAX_DEPTH))
+        try:
+            with call_counts() as counts:
+                fast = observe(interp, interp.run(profile=True))
+            assert counts["sq"] == 1  # the fallback at the deepest frame
+            with per_block_dispatch(interp.cm):
+                reference = observe(interp, interp.run(profile=True))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert fast["status"] == "trap"
+        assert fast["error"] == "StackOverflow: call depth limit exceeded"
+        assert fast == reference
