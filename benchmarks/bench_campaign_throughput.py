@@ -145,12 +145,9 @@ def measure_warm_pair(
     cold_campaign = build()
     stride = max(cold_campaign.golden_cycles // rungs, 1)
     warm_campaign = build(warm_start=True, snapshot_stride=stride)
-    # Ladder capture and rung signatures are one-time golden-run costs
-    # shared by every trial; build them outside the timed region like
-    # prepare().
+    # Ladder capture is a one-time golden-run cost shared by every trial;
+    # build it outside the timed region like prepare().
     warm_campaign.ensure_ladder()
-    for snap in warm_campaign._ladder.snapshots:
-        snap.state_signature()
 
     cold, c_rate = _best_of(cold_campaign, trials, repeats)
     warm, w_rate = _best_of(warm_campaign, trials, repeats)

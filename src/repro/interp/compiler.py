@@ -12,15 +12,22 @@ function that dispatches among its member blocks in a local ``while`` loop
 and keeps the SSA values it touches, and its cycle count, in Python locals
 (``r12`` instead of ``f[12]``).  It loads the values it needs from the frame list at entry and
 writes back the ones that code outside the region reads just before each
-exiting ``return``.  A function therefore has two dispatch tables:
+exiting ``return``.  A function therefore has three dispatch tables:
 
 * ``block_fns`` — one function per block, the frame list coherent at every
   block boundary.  Used by the tracked dispatch loop (recovery snapshots,
-  ladder capture, golden resync, warm resume) and the block profiler.
+  ladder capture, warm resume, and golden resync at its events) and the
+  block profiler.
 * ``region_fns`` — ``block_fns`` with each region header's entry replaced by
   its region function.  Used by the lean dispatch loop of every other run.
+* ``tracked_fns`` — ``block_fns`` with each region header's entry replaced by
+  its *tracked* region function, built on first use
+  (:meth:`CompiledModule.tracked_region_fns`).  Used by the dispatch loop
+  of resync-armed warm trials between resync events; a tracked region
+  keeps the frame list coherent and leaves through a *deopt exit* before
+  the next event (see :meth:`_Compiler._gen_region`).
 
-Both forms charge cycles, test the budget, bump the profile and check traps
+All forms charge cycles, test the budget, bump the profile and check traps
 per block in the same order, so a run's observable results are identical
 whichever table executes it.
 
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import math
 import struct
+from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..analysis.loops import LoopInfo
@@ -137,7 +145,7 @@ class CompiledFunction:
 
     __slots__ = (
         "index", "name", "fn", "nslots", "nargs", "blocks", "block_fns",
-        "region_fns", "region_of",
+        "region_fns", "region_of", "tracked_fns", "costs",
     )
 
     def __init__(self, index: int, fn: Function):
@@ -153,6 +161,10 @@ class CompiledFunction:
         self.region_fns: List[Callable] = []
         #: member block index -> header block index of its region
         self.region_of: Dict[int, int] = {}
+        #: the tracked dispatch table, None until a tracked run needs it
+        self.tracked_fns: Optional[List[Callable]] = None
+        #: per-block cycle cost, indexed like ``block_fns``
+        self.costs: List[int] = []
 
 
 class Region:
@@ -284,6 +296,22 @@ class CompiledModule:
             return self.injected_block_fn(inst, mode)
         return record.cfi, header, self._compiler.compile_region(cf, header, inst, mode)
 
+    def tracked_region_fns(self, cfi: int) -> List[Callable]:
+        """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
+        only resync-armed warm trials dispatch through it.  Every block a
+        region dispatches on enters the tracked region there (see
+        :meth:`_Compiler.tracked_entries`); other blocks are block
+        functions."""
+        cf = self.cfuncs[cfi]
+        fns = cf.tracked_fns
+        if fns is None:
+            fns = list(cf.block_fns)
+            for header in sorted(set(cf.region_of.values())):
+                for bi, fn in self._compiler.tracked_entries(cf, header).items():
+                    fns[bi] = fn
+            cf.tracked_fns = fns
+        return fns
+
     def resume_block_fn(
         self,
         cfi: int,
@@ -355,6 +383,8 @@ class _Compiler:
         #: leaf cfi -> id(value) -> the Python local a call site inlining
         #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
+        #: the function whose tracked region is being generated, else None
+        self._tracked: Optional[CompiledFunction] = None
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -435,6 +465,7 @@ class _Compiler:
             )
             cf.blocks.append(cb)
             cf.block_fns.append(fn)
+            cf.costs.append(cb.cost)
 
     def compile_regions(self, cf: CompiledFunction) -> None:
         """Phase three: plan and compile the regions, building
@@ -466,15 +497,19 @@ class _Compiler:
         header: int,
         inject_after: Optional[Instruction] = None,
         mode: str = "1bit",
+        tracked: bool = False,
     ) -> Callable:
         """The region function headed by block ``header``, optionally with
         the injection epilogue after ``inject_after`` (a member's
-        instruction)."""
-        key = (cf.index, header, id(inject_after) if inject_after is not None else 0, mode)
+        instruction), or its tracked variant."""
+        key = (
+            cf.index, header, id(inject_after) if inject_after is not None else 0,
+            mode, tracked,
+        )
         cached = self._region_cache.get(key)
         if cached is None:
             region = self._regions[(cf.index, header)]
-            cached = self._gen_region(cf, region, inject_after, mode)
+            cached = self._gen_region(cf, region, inject_after, mode, tracked)
             self._region_cache[key] = cached
         return cached
 
@@ -723,6 +758,7 @@ class _Compiler:
         region: Region,
         inject_after: Optional[Instruction],
         mode: str,
+        tracked: bool = False,
     ) -> Callable:
         """Generate one region function.
 
@@ -733,6 +769,26 @@ class _Compiler:
         outside can read it.  A region that calls a leaf loads the injected
         function's index and the depth test once at entry for the guard of
         :meth:`_gen_inlined_call`.
+
+        The *tracked* variant runs a resync-armed warm trial between
+        events.  It keeps SSA values in the frame list, as block functions
+        do, so the frame is coherent at every call and exit.  Its budget is
+        ``state.rbudget``, at most the hang budget: when a member's charge
+        passes it below the hang budget, the region leaves through a
+        *deopt exit*, ``return k`` for that member ``k`` with
+        ``state.cycles`` as the per-block loop holds it at the top of
+        ``k`` (the block not yet charged); only past ``state.budget`` does
+        it hang.  An inlined leaf block never exits: it hangs past the hang
+        budget or runs on, and the caller's next member test (which trips
+        again, the count only grows) exits.  A call to a defined function
+        first sets this frame's tracking record (``_rec``) to the block and
+        call index the per-block loop would hold, and re-reads
+        ``state.rbudget`` and the probe window after, since the callee may
+        have moved them.  Once the flip has fired, each member's top also
+        returns, with the count unchanged, when an offset-probe rung
+        stands at that block with this frame's registers (``_pq``, this
+        function's part of ``trk.probe_at``).  It starts at any block it
+        dispatches on, passed as ``bi`` (see :meth:`tracked_entries`).
         """
         blocks = cf.fn.blocks
         insts = [i for bi in region.order for i in blocks[bi].instructions]
@@ -741,11 +797,21 @@ class _Compiler:
             i for cfi in leaves for b in self.cm.cfuncs[cfi].fn.blocks
             for i in b.instructions
         ]
-        lines: List[str] = ["def _region(f, state):"]
+        if tracked:
+            lines = [f"def _region(f, state, bi={region.header}):"]
+        else:
+            lines = ["def _region(f, state):"]
         emit = lines.append
-        # Nothing a region's callees do replaces the budget, the profile
-        # list or the cell arena, so they load once per entry.
-        emit("    _bud = state.budget")
+        # Nothing a region's callees do replaces the hang budget, the
+        # profile list or the cell arena, so they load once per entry (a
+        # tracked region re-reads its budget after each call).
+        if tracked:
+            emit("    _bud = state.rbudget")
+            emit("    _trk = state.trk")
+            emit("    _rec = _trk.frames[-1]")
+            emit(f"    _pq = _trk.probe_at.get({cf.index}) if state.inj_hit else None")
+        else:
+            emit("    _bud = state.budget")
         emit("    _p = state.prof")
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
@@ -753,27 +819,39 @@ class _Compiler:
         if leaves:
             emit("    _ij = state.inj_cfi")
             emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
-        for s in region.loads:
-            emit(f"    r{s} = f[{s}]")
-        emit(f"    bi = {region.header}")
+        if tracked:
+            regs = self._frame_regs[cf.index]
+        else:
+            regs = self._local_regs[cf.index]
+            for s in region.loads:
+                emit(f"    r{s} = f[{s}]")
+            emit(f"    bi = {region.header}")
         emit("    try:")
 
         def leave_region(k: int, out) -> None:
+            if tracked:
+                out(f"    state.cycles = _c; return {k}")
+                return
             stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
             out(f"    state.cycles = _c; {stores}return {k}")
 
-        self._gen_dispatch(
-            cf, region.order, region.header, self._local_regs[cf.index],
-            lambda line: emit("    " + line), "bi", leave_region, None,
-            inject_after, mode,
-        )
+        self._tracked = cf if tracked else None
+        try:
+            self._gen_dispatch(
+                cf, region.order, region.header, regs,
+                lambda line: emit("    " + line), "bi", leave_region, None,
+                inject_after, mode,
+            )
+        finally:
+            self._tracked = None
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
         emit("        if _c is not None: state.cycles = _c")
         emit("        raise")
         header = blocks[region.header]
+        kind = "tracked region" if tracked else "region"
         return _exec(
-            "\n".join(lines) + "\n", f"<region {cf.name}.{header.name}>", "_region"
+            "\n".join(lines) + "\n", f"<{kind} {cf.name}.{header.name}>", "_region"
         )
 
     def _gen_dispatch(
@@ -799,21 +877,15 @@ class _Compiler:
         block ``k`` outside ``order``, and ``ret(value, out)`` a ``ret``
         (see :meth:`_gen_terminator`).
         """
-        blocks = cf.fn.blocks
         index = self._block_index[cf.index]
-        edges_in = dict.fromkeys(order, 0)
-        for bi in order:
-            for succ in blocks[bi].successors():
-                k = index[id(succ)]
-                if k in edges_in:
-                    edges_in[k] += 1
-        inlined = {bi for bi, n in edges_in.items() if n == 1 and bi != head}
+        targets = self._dispatch_targets(cf, order, head)
+        inlined = set(order).difference(targets)
 
         def leave(target: BasicBlock, o) -> None:
             k = index[id(target)]
             if k in inlined:
                 gen_member(k, o)
-            elif k in edges_in:
+            elif k in targets:
                 o(f"    {bvar} = {k}; continue")
             else:
                 exit_(k, o)
@@ -822,7 +894,6 @@ class _Compiler:
             self._gen_member(cf, bi, regs, o, leave, ret, inject_after, mode)
 
         out("    while True:")
-        targets = [bi for bi in order if bi not in inlined]
         for bi in targets:
             if bi != targets[-1]:
                 out(f"        if {bvar} == {bi}:")
@@ -830,6 +901,21 @@ class _Compiler:
             else:
                 pad = "    "
             gen_member(bi, lambda line, _pad=pad: out(_pad + line))
+
+    def _dispatch_targets(
+        self, cf: CompiledFunction, order: List[int], head: int
+    ) -> List[int]:
+        """The blocks of ``order`` that :meth:`_gen_dispatch` dispatches
+        on, in order: ``head`` and every block entered by more than one
+        edge from ``order``."""
+        index = self._block_index[cf.index]
+        edges_in = dict.fromkeys(order, 0)
+        for bi in order:
+            for succ in cf.fn.blocks[bi].successors():
+                k = index[id(succ)]
+                if k in edges_in:
+                    edges_in[k] += 1
+        return [bi for bi in order if bi == head or edges_in[bi] != 1]
 
     def _gen_member(
         self,
@@ -843,14 +929,41 @@ class _Compiler:
         mode: str,
     ) -> None:
         """One block in region code: charge ``_c``, test the budget, bump
-        the profile with the block's own gid, then its body."""
+        the profile with the block's own gid, then its body.  In a tracked
+        region (see :meth:`_gen_region`) the region's own blocks test for
+        a deopt exit and use block-function bodies on the frame list."""
         block = cf.fn.blocks[bi]
-        out(f"    _c += {self.cm.cost_model.block_cost(block)}")
-        out("    if _c > _bud: state.hang()")
+        cost = self.cm.cost_model.block_cost(block)
+        if self._tracked is cf:
+            out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
+            out(f"        state.cycles = _c; return {bi}")
+        out(f"    _c += {cost}")
+        if self._tracked is None:
+            out("    if _c > _bud: state.hang()")
+        elif self._tracked is cf:
+            out("    if _c > _bud:")
+            out("        if _c > state.budget: state.hang()")
+            out(f"        state.cycles = _c - {cost}; return {bi}")
+        else:
+            out("    if _c > _bud and _c > state.budget: state.hang()")
         out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
         self._gen_body(
-            block, regs, out, leave, inject_after, mode, local=True, ret=ret
+            block, regs, out, leave, inject_after, mode,
+            local=self._tracked is not cf, ret=ret,
         )
+
+    def tracked_entries(self, cf: CompiledFunction, header: int) -> Dict[int, Callable]:
+        """Entries into the tracked region headed by ``header``: block index
+        -> a callable ``(f, state)`` that runs the region from that block,
+        for every block the region dispatches on.  A member emitted inside
+        its predecessor's branch arm has no entry; it runs as a block
+        function until control reaches one."""
+        fn = self.compile_region(cf, header, tracked=True)
+        region = self._regions[(cf.index, header)]
+        return {
+            bi: fn if bi == header else partial(fn, bi=bi)
+            for bi in self._dispatch_targets(cf, region.order, header)
+        }
 
     def _leaf_callee(self, inst: Instruction) -> Optional[int]:
         """The index of the leaf ``inst`` calls, or None when ``inst`` is
@@ -886,8 +999,10 @@ class _Compiler:
         (a leaf has no ``alloca``), and nothing can tell: ``call`` and
         ``_call_tracked`` read ``state.ret`` only right after the callee's
         own ``ret`` wrote it, a rollback resets it, and region code never
-        runs while a run is tracked or recovering (both dispatch through
-        ``block_fns``, whose calls are never inlined).
+        runs while a run recovers or captures a ladder (both dispatch
+        through ``block_fns``, whose calls are never inlined).  A tracked
+        region inlines too; the resync compare does not read
+        ``state.ret``.
         """
         d = regs.get(id(inst))
         args = [self._expr(a, regs) for a in inst.operands]
@@ -915,8 +1030,7 @@ class _Compiler:
                 None, ret, None, "1bit",
             )
         emit("    else:")
-        arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-        self._gen_counted_call(f"state.call({cfi}, {arg_tuple})", d, arm, True)
+        self._gen_defined_call(inst, cfi, d, args, arm, True)
 
     # -- injection epilogue -----------------------------------------------------------------
 
@@ -1161,15 +1275,15 @@ class _Compiler:
         d = regs.get(id(inst))
         callee = inst.callee
         args = [e(a) for a in inst.operands]
+        # A tracked region's bodies use the frame list (``local`` is False)
+        # but count cycles in ``_c`` and inline leaves like any region.
+        region = local or self._tracked is not None
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
-            if local and cfi in self._leaf_regs:
+            if region and cfi in self._leaf_regs:
                 self._gen_inlined_call(inst, cfi, regs, emit)
                 return
-            arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-            self._gen_counted_call(
-                f"state.call({cfi}, {arg_tuple})", d, emit, local
-            )
+            self._gen_defined_call(inst, cfi, d, args, emit, region)
             return
         name = callee.name
         if name.startswith("ipas.check"):
@@ -1204,10 +1318,37 @@ class _Compiler:
             return
         if name.startswith("mpi_"):
             self._gen_counted_call(
-                f"state.{name}({', '.join(args)})", d, emit, local
+                f"state.{name}({', '.join(args)})", d, emit, region
             )
             return
         raise InterpreterBug(f"no runtime binding for intrinsic {name}")
+
+    def _gen_defined_call(
+        self, inst: CallInst, cfi: int, d: Optional[str], args: List[str],
+        emit, local: bool,
+    ) -> None:
+        """The counted ``state.call`` of the defined function ``cfi``.  In
+        a tracked region it first sets the frame's tracking record to
+        ``(block, calls made before this one)``, as the per-block loop has
+        it when the callee bumps the count, and re-reads the region budget
+        and the probe window after."""
+        arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
+        tracked = self._tracked is not None
+        if tracked:
+            block = inst.parent
+            k = [
+                id(i) for i in block.instructions
+                if isinstance(i, CallInst) and not i.callee.is_declaration
+            ].index(id(inst))
+            bi = self._block_index[self._tracked.index][id(block)]
+            emit(f"    _rec[1] = {bi}; _rec[2] = {k}")
+        self._gen_counted_call(f"state.call({cfi}, {arg_tuple})", d, emit, local)
+        if tracked:
+            emit("    _bud = state.rbudget")
+            emit(
+                f"    _pq = _trk.probe_at.get({self._tracked.index}) "
+                "if state.inj_hit else None"
+            )
 
     @staticmethod
     def _gen_counted_call(call: str, d: Optional[str], emit, local: bool) -> None:

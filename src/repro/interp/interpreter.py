@@ -13,7 +13,6 @@ campaigns.
 
 from __future__ import annotations
 
-from math import copysign as _copysign
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.instructions import Instruction
@@ -133,8 +132,8 @@ class Interpreter:
     __slots__ = (
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
         "global_overrides", "_cells_template", "_reset_image", "cells", "sp",
-        "cycles", "budget", "ret", "depth", "prof", "output_log", "inj_cfi",
-        "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
+        "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
+        "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
         "inj_hit", "inj_inst",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
@@ -178,13 +177,17 @@ class Interpreter:
         self.sp = 0
         self.cycles = 0
         self.budget = self.NO_BUDGET
+        #: the budget of tracked region functions: the hang budget, or
+        #: just below the next resync rung once a resync-armed trial's
+        #: flip has fired (see _try_resync)
+        self.rbudget = self.NO_BUDGET
         self.ret = None
         self.depth = 0
         self.prof: Optional[List[int]] = None
         self.output_log: List = []
         self.inj_cfi = -1
-        #: the injected function's region_fns table, and its block_fns
-        #: table (built on first use: only tracked runs dispatch by block)
+        #: the injected function's region_fns and block_fns tables, each
+        #: built on first use (a warm trial may finish before needing one)
         self.inj_fns: Optional[List[Callable]] = None
         self.inj_block_fns: Optional[List[Callable]] = None
         self.inj_seen = 0
@@ -312,6 +315,7 @@ class Interpreter:
         # (a full-arena memcpy) would be dead work on that path.
         self.reset(cells=warm is None or warm.snapshot is None)
         self.budget = cycle_budget if cycle_budget is not None else self.NO_BUDGET
+        self.rbudget = self.budget
         if profile:
             self.prof = [0] * self.cm.total_blocks
         if injection is not None:
@@ -321,7 +325,6 @@ class Interpreter:
                 inst, occurrence, bit = injection
                 if occurrence < 1:
                     raise ValueError("occurrence is 1-based")
-                cfi, ti, fn = self.cm.injected_region_fn(inst)
                 self.inj_occ = occurrence
                 self.inj_bit = bit
             else:
@@ -331,19 +334,14 @@ class Interpreter:
                 inst = injection.instruction
                 if injection.occurrence < 1:
                     raise ValueError("occurrence is 1-based")
-                cfi, ti, fn = self.cm.injected_region_fn(
-                    inst, mode=injection.mode
-                )
                 self.inj_occ = injection.occurrence
                 self.inj_mode = injection.mode
                 self.inj_corrupt = injection.corrupt
                 self.inj_fire = injection.fire
-            fns = list(self.cfuncs[cfi].region_fns)
-            fns[ti] = fn
-            self.inj_cfi = cfi
-            self.inj_fns = fns
+            record = self.cm.record_for(inst)
+            self.inj_cfi = record.cfi
             self.inj_inst = inst
-            self.inj_bi = self.cm.records[id(inst)].block_index
+            self.inj_bi = record.block_index
         if recovery is not None:
             plan = self._rec_plans.get(entry)
             if plan is None:
@@ -433,7 +431,8 @@ class Interpreter:
         It dispatches through ``region_fns``, so entering a small loop nest
         runs the whole nest in one region function.  With recovery or
         tracking armed (``self.rec`` / ``self.trk`` set) it delegates to
-        :meth:`_call_tracked`, which needs the per-block table.
+        :meth:`_call_tracked`, which keeps the frame list coherent for its
+        snapshots, rungs and compares.
         """
         if self.rec is not None or self.trk is not None:
             return self._call_tracked(cfi, args)
@@ -446,7 +445,10 @@ class Interpreter:
         frame: List = [None] * cf.nslots
         if args:
             frame[: len(args)] = args
-        fns = cf.region_fns if cfi != self.inj_cfi else self.inj_fns
+        if cfi != self.inj_cfi:
+            fns = cf.region_fns
+        else:
+            fns = self.inj_fns or self._injected_region_fns()
         bi = fns[0](frame, self)
         while bi >= 0:
             bi = fns[bi](frame, self)
@@ -478,7 +480,10 @@ class Interpreter:
           the call stack and, once the injected flip has fired, compare
           against upcoming golden rungs — a bit-exact match raises
           :class:`GoldenResync` (the run's remaining execution provably
-          equals the golden suffix).
+          equals the golden suffix).  Between those events it runs tracked
+          region functions (``tracked_fns``), which keep the frame list
+          and this frame's tracking record coherent and return at a deopt
+          exit before the next event.
 
         ``_resume`` (a :class:`~repro.recover.warm.WarmFrame`) re-enters a
         suspended frame mid-block: a compiled *resume block* skips the
@@ -556,6 +561,20 @@ class Interpreter:
             # RollbackSignal can reach this frame, so the loop needs no
             # try/except and no snapshot logic — it runs the entire trial
             # suffix, so every avoided per-block instruction matters.
+            # Between events it dispatches tracked regions (see
+            # _gen_region), which leave through a deopt exit before the
+            # block whose charge reaches self.rbudget: the loop then steps
+            # block by block onto the event.  The injected function steps
+            # block by block until the flip fires, so the first check comes
+            # at the next block top as before.  After it, the tracked
+            # regions run it without the injection epilogue: a single-shot
+            # flip never fires again (resync is off for multi-shot models)
+            # and inj_seen only counts executions toward that firing.
+            tfns = cf.tracked_fns
+            if tfns is None:
+                tfns = self.cm.tracked_region_fns(cfi)
+            costs = cf.costs
+            injected = cfi == self.inj_cfi
             try:
                 if resume_fn is not None:
                     bi = resume_fn(frame, self)
@@ -563,20 +582,34 @@ class Interpreter:
                     if self.trk is None:
                         # Resync gave up (or ran out of rungs) somewhere
                         # below this frame: finish at full lean-loop speed.
+                        # Entering region_fns at any block is legal: only
+                        # a region's header holds a region function.
+                        if injected:
+                            lean = self.inj_fns or self._injected_region_fns()
+                        else:
+                            lean = cf.region_fns
                         while bi >= 0:
-                            bi = fns[bi](frame, self)
+                            bi = lean[bi](frame, self)
                         break
                     record[1] = bi
                     record[2] = 0
                     if self.inj_hit:
                         if self.cycles >= trk.next_resync:
                             self._try_resync(trk)  # may raise GoldenResync
+                            if self.trk is None:
+                                continue
                         else:
                             for snap, cregs in trk.cand:
                                 if frame == cregs:
                                     self._try_probe(trk, snap)
                                     break
-                    bi = fns[bi](frame, self)
+                    elif injected:
+                        bi = fns[bi](frame, self)
+                        continue
+                    if self.cycles + costs[bi] <= self.rbudget:
+                        bi = tfns[bi](frame, self)
+                    else:
+                        bi = fns[bi](frame, self)
             finally:
                 trk.frames.pop()
             self.depth = depth - 1
@@ -692,6 +725,15 @@ class Interpreter:
         self.depth = depth - 1
         self.sp = sp0
         return self.ret
+
+    def _injected_region_fns(self) -> List[Callable]:
+        """The injected function's ``region_fns`` table, compiled on first
+        use."""
+        cfi, ti, fn = self.cm.injected_region_fn(self.inj_inst, mode=self.inj_mode)
+        fns = list(self.cfuncs[cfi].region_fns)
+        fns[ti] = fn
+        self.inj_fns = fns
+        return fns
 
     def _injected_block_fns(self) -> List[Callable]:
         """The injected function's ``block_fns`` table, compiled on first
@@ -816,13 +858,18 @@ class Interpreter:
             # let every dispatch loop finish at lean speed.
             trk.next_resync = self.NO_BUDGET
             self.trk = None
+            self.rbudget = self.budget
             return
         trk.next_resync = pts[i].cycles
+        # A tracked region exits before the block whose charge reaches the
+        # rung, so the dispatch loop steps onto the rung's cycle count.
+        self.rbudget = min(self.budget, trk.next_resync - 1)
         if fail:
             trk.fails += 1
             if trk.fails >= trk.max_fails:
                 trk.next_resync = self.NO_BUDGET
                 self.trk = None
+                self.rbudget = self.budget
 
     def _try_probe(self, trk: _TrackState, snap) -> None:
         """Full-state compare against one offset-probe candidate rung.
@@ -848,10 +895,10 @@ class Interpreter:
         """Bit-exact state comparison against one golden rung.
 
         Ordered cheapest-first: frame shapes, register files, output log,
-        then the full cells image — a C-speed ``==`` reject followed by a
-        type/sign-exact verification against the rung's precomputed
-        signature (``==`` alone would equate ``1``/``1.0``/``True`` and
-        ``0.0``/``-0.0``, which diverge downstream).
+        then the full cells image, each through :func:`exact_state_eq`
+        (a C-speed ``==`` reject, then a ``marshal`` image compare that
+        tells ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` apart, which
+        ``==`` would equate and which diverge downstream).
         """
         frames = trk.frames
         sframes = snap.frames
@@ -863,21 +910,9 @@ class Interpreter:
                 return False
             if not exact_state_eq(r[3], wf.regs):
                 return False
-        if not exact_state_eq(self.output_log, snap.out_log):
-            return False
-        cells = self.cells
-        if cells != snap.cells:
-            return False
-        suspects, types, zeros, signs = snap.state_signature()
-        if suspects is None:
-            if list(map(type, cells)) != types:
-                return False
-        elif [type(cells[i]) for i in suspects] != types:
-            return False
-        for idx, sign in zip(zeros, signs):
-            if _copysign(1.0, cells[idx]) != sign:
-                return False
-        return True
+        return exact_state_eq(self.output_log, snap.out_log) and exact_state_eq(
+            self.cells, snap.cells
+        )
 
     # -- memory helpers (runtime-internal accesses use the same trap rules) -------
 

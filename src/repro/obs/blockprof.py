@@ -69,10 +69,10 @@ class BlockProfiler:
             raise RuntimeError("another BlockProfiler is armed on this module")
         self._saved = []
         for cf in self.cm.cfuncs:
-            self._saved.append((cf.block_fns, cf.region_fns))
-            # Both tables get the wrapped per-block functions: a region
+            self._saved.append((cf.block_fns, cf.region_fns, cf.tracked_fns))
+            # Every table gets the wrapped per-block functions: a region
             # function would run a whole loop nest past the wrappers.
-            cf.block_fns = cf.region_fns = [
+            cf.block_fns = cf.region_fns = cf.tracked_fns = [
                 self._wrap(fn, block.gid)
                 for fn, block in zip(cf.block_fns, cf.blocks)
             ]
@@ -81,9 +81,12 @@ class BlockProfiler:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._saved is not None
-        for cf, (block_fns, region_fns) in zip(self.cm.cfuncs, self._saved):
+        for cf, (block_fns, region_fns, tracked_fns) in zip(
+            self.cm.cfuncs, self._saved
+        ):
             cf.block_fns = block_fns
             cf.region_fns = region_fns
+            cf.tracked_fns = tracked_fns
         self._saved = None
         self.cm._block_profiler_armed = False
 

@@ -35,6 +35,7 @@ shared copy-on-write across forked campaign workers.
 from __future__ import annotations
 
 from bisect import bisect_left
+from marshal import dumps as _marshal_dumps
 from math import copysign
 from typing import Dict, List, Optional, Tuple
 
@@ -66,13 +67,27 @@ def exact_state_eq(a, b) -> bool:
 
     ``==`` alone would equate ``1`` with ``1.0`` and ``True`` (a wild store
     can legally leave either in a cell, and the suffix may then diverge —
-    e.g. ``&`` on a float raises), and ``0.0`` with ``-0.0`` (which differ
-    through the ``bitcast`` intrinsic).  NaN never compares equal, so a
-    NaN-bearing state conservatively rejects — resync is an optimization,
-    never a requirement.
+    e.g. ``&`` on a float raises), ``2**70`` with ``float(2**70)``, and
+    ``0.0`` with ``-0.0`` (which differ through the ``bitcast``
+    intrinsic).  The C-speed ``==`` rejects almost every mismatch first;
+    a pass is then confirmed by comparing ``marshal`` format 2 images,
+    which write floats as raw IEEE bits, tag ``bool``, ``int`` and
+    ``float`` apart and hold no object-identity references.
+
+    NaN: list ``==`` tests identity before ``__eq__``, so a NaN object
+    both lists hold (one carried over from the golden run and never
+    rewritten since) compares equal, which is sound because it is the
+    same bits; two distinct NaN objects never do, so such a
+    state conservatively rejects — resync is an optimization, never a
+    requirement.  A value ``marshal`` refuses falls back to a
+    per-element type and zero-sign check.
     """
     if a != b:
         return False
+    try:
+        return _marshal_dumps(a, 2) == _marshal_dumps(b, 2)
+    except ValueError:
+        pass
     for x, y in zip(a, b):
         if type(x) is not type(y):
             return False
@@ -125,7 +140,7 @@ class WarmSnapshot:
 
     __slots__ = (
         "index", "cycles", "cells", "sp", "frames", "out_log", "profile",
-        "rec_snapshots", "rec_last_cycles", "_sig",
+        "rec_snapshots", "rec_last_cycles",
     )
 
     def __init__(
@@ -154,47 +169,6 @@ class WarmSnapshot:
         #: policy snapshot too, and the counts must replay exactly)
         self.rec_snapshots = rec_snapshots
         self.rec_last_cycles = rec_last_cycles
-        self._sig = None
-
-    def state_signature(self):
-        """Lazy type/sign digest of ``cells`` for strict resync matching.
-
-        After the C-speed ``==`` compare passes, the only ways a trial
-        cell can still differ from the golden cell are a type confusion
-        between ``==``-equal values (``1`` / ``1.0`` / ``True``) or a zero
-        sign (``0.0`` vs ``-0.0``).  A *non-integral* float has no
-        ``==``-equal partner of another type, so only "suspect" positions
-        — ints, bools, integral floats, and anything exotic — need a type
-        check at all.  The digest is ``(suspects, types, zeros, signs)``:
-
-        * ``suspects`` — indices needing a type check, or ``None`` when
-          suspects are so dense (int-heavy workloads) that a full
-          C-speed ``map(type, ...)`` compare beats indexed access;
-        * ``types`` — the expected types (full list when ``suspects`` is
-          ``None``, else aligned with ``suspects``);
-        * ``zeros`` / ``signs`` — float-zero positions and their signs.
-        """
-        sig = self._sig
-        if sig is None:
-            cells = self.cells
-            suspects = []
-            zeros = []
-            for i, v in enumerate(cells):
-                if type(v) is float:
-                    if v == 0.0:
-                        zeros.append(i)
-                        suspects.append(i)
-                    elif v.is_integer():
-                        suspects.append(i)
-                else:
-                    suspects.append(i)
-            signs = [copysign(1.0, cells[i]) for i in zeros]
-            if len(suspects) * 4 > len(cells):
-                sig = (None, list(map(type, cells)), zeros, signs)
-            else:
-                sig = (suspects, [type(cells[i]) for i in suspects], zeros, signs)
-            self._sig = sig
-        return sig
 
     def __repr__(self) -> str:
         return (
@@ -378,7 +352,7 @@ class _TrackState:
     __slots__ = (
         "frames", "capturing", "plan", "stride", "region_spacing",
         "next_capture", "last_capture", "ladder", "resync_pts", "ri",
-        "next_resync", "primed", "fails", "max_fails", "cand",
+        "next_resync", "primed", "fails", "max_fails", "cand", "probe_at",
         "probe_dead", "probe_fails", "golden_cycles",
     )
 
@@ -392,7 +366,8 @@ class _TrackState:
     #: correctness (the suffix still executes to its cold-identical end).
     #: Four misses is the measured sweet spot on the fig8 workloads: the
     #: resync catch count saturates there while every extra tolerated miss
-    #: keeps the per-block tracking loop (and its compares) alive longer.
+    #: keeps the tracking loop (and its compares) alive longer; with the
+    #: tracking loop in region code, 8 and 16 misses were no faster.
     MAX_RESYNC_FAILS = 4
 
     #: Rungs around the cycle cursor probed for *offset* rendezvous (state
@@ -425,12 +400,16 @@ class _TrackState:
         self.max_fails = self.MAX_RESYNC_FAILS
         #: offset-rendezvous probe window: ((rung, innermost regs), ...)
         self.cand: tuple = ()
+        #: the probe window by innermost frame: cfi -> bi -> [regs, ...],
+        #: read by tracked region code (see repro.interp.compiler)
+        self.probe_at: Dict[int, Dict[int, List]] = {}
         self.probe_dead: set = set()
         self.probe_fails = 0
         self.golden_cycles = 0
 
     def rebuild_cand(self) -> None:
         """Refresh the offset-probe window around the cycle cursor ``ri``."""
+        self.probe_at = {}
         if self.probe_fails >= self.MAX_PROBE_FAILS:
             self.cand = ()
             return
@@ -442,6 +421,9 @@ class _TrackState:
             for snap in pts[lo:hi]
             if snap.index not in self.probe_dead and snap.frames
         )
+        for snap, regs in self.cand:
+            wf = snap.frames[-1]
+            self.probe_at.setdefault(wf.cfi, {}).setdefault(wf.bi, []).append(regs)
 
     def capture(self, interp) -> None:
         """Record one rung from the live interpreter state."""

@@ -19,7 +19,7 @@ import random
 import re
 import sys
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,13 +29,15 @@ from repro.faults import Campaign, MpiCampaign, TrialPlan
 from repro.faults.campaign import TrialRecord
 from repro.faults.model import FaultSite, result_bits
 from repro.faults.parallel import run_campaign, trial_entry
-from repro.faults.models import FAULT_MODELS
+from repro.faults.models import FAULT_MODELS, InjectionSpec
 from repro.interp import Interpreter
 from repro.interp import compiler
 from repro.interp.compiler import MAX_REGION_BLOCKS
-from repro.ir.instructions import CallInst
+from repro.ir.instructions import CallInst, PhiNode
 from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
+from repro.recover import SnapshotLadder, WarmStart
+from repro.recover.warm import _TrackState
 from repro.workloads import get_workload
 
 WORKLOADS = ("comd", "hpccg", "amg", "fft", "is", "particles")
@@ -43,17 +45,20 @@ WORKLOADS = ("comd", "hpccg", "amg", "fft", "is", "particles")
 
 @contextmanager
 def per_block_dispatch(cm):
-    """Make the lean loop dispatch block by block, injected trials too."""
-    saved = [(cf.region_fns, cf.region_of) for cf in cm.cfuncs]
+    """Make the lean and the tracked loop dispatch block by block,
+    injected trials too."""
+    saved = [(cf.region_fns, cf.region_of, cf.tracked_fns) for cf in cm.cfuncs]
     for cf in cm.cfuncs:
         cf.region_fns = list(cf.block_fns)
         cf.region_of = {}
+        cf.tracked_fns = list(cf.block_fns)
     try:
         yield
     finally:
-        for cf, (fns, region_of) in zip(cm.cfuncs, saved):
+        for cf, (fns, region_of, tracked_fns) in zip(cm.cfuncs, saved):
             cf.region_fns = fns
             cf.region_of = region_of
+            cf.tracked_fns = tracked_fns
 
 
 def digest(values):
@@ -636,3 +641,465 @@ class TestInlinedLeaves:
         assert fast["status"] == "trap"
         assert fast["error"] == "StackOverflow: call depth limit exceeded"
         assert fast == reference
+
+
+# -- deopt exits: tracked region code between resync events -------------------
+
+
+class _Stop(Exception):
+    """Ends a run at a chosen block top."""
+
+
+def region_entry(interp, entry, cf, header):
+    """The run state at the first top of ``header`` in ``cf`` in a golden
+    run, or None when the run never gets there."""
+    state = []
+
+    def stop(f, s):
+        state.append(
+            (list(f), list(s.cells), s.cycles, s.sp, s.depth, list(s.output_log))
+        )
+        raise _Stop
+
+    with per_block_dispatch(interp.cm):
+        cf.region_fns[header] = stop
+        try:
+            interp.run(entry)
+        except _Stop:
+            pass
+    return state[0] if state else None
+
+
+def restore(interp, start):
+    """Put ``interp`` back at a ``region_entry`` state; returns the frame."""
+    frame, cells, cycles, sp, depth, output_log = start
+    interp.reset(cells=False)
+    interp.cells = list(cells)
+    interp.cycles = cycles
+    interp.sp = sp
+    interp.depth = depth
+    interp.output_log = list(output_log)
+    interp.budget = interp.rbudget = interp.NO_BUDGET
+    return list(frame)
+
+
+def arm_tracking(interp, cf, bi, frame):
+    """Track the call stack as a resync-armed run does, with ``frame``
+    the outermost frame standing at block ``bi``."""
+    trk = _TrackState()
+    trk.resync_pts = []
+    trk.frames = [[cf.index, bi, 0, frame, interp.sp, None]]
+    interp.trk = trk
+
+
+def top_state(interp, frame):
+    return (interp.cycles, digest(frame), digest(interp.cells), interp.sp)
+
+
+def block_tops(interp, cf, start, header, members, wanted=()):
+    """Step block by block from a ``region_entry`` state to the function's
+    return.  Returns the (block, cycles) tops of the first stay in the
+    region plus the first top after it, the state at the tops whose
+    positions are in ``wanted``, and the function's result."""
+    frame = restore(interp, start)
+    tops, states = [], {}
+    bi = header
+    with per_block_dispatch(interp.cm):
+        while bi >= 0:
+            if tops is not None:
+                if len(tops) in wanted:
+                    states[len(tops)] = top_state(interp, frame)
+                tops.append((bi, interp.cycles))
+                if bi not in members:
+                    stay, tops = tops, None
+            bi = cf.block_fns[bi](frame, interp)
+    if tops is not None:
+        stay = tops
+    return stay, states, (interp.ret, interp.cycles, digest(interp.cells))
+
+
+def finish(interp, cf, frame, bi):
+    """Run a frame from block ``bi`` to its return on the lean table."""
+    interp.trk = None
+    while bi >= 0:
+        bi = cf.region_fns[bi](frame, interp)
+    return interp.ret, interp.cycles, digest(interp.cells)
+
+
+def deopt(interp, cf, start, header, rbudget):
+    """Run the tracked region from a ``region_entry`` state under the
+    region budget ``rbudget``: (returned block, state, function result)."""
+    frame = restore(interp, start)
+    interp.rbudget = rbudget
+    arm_tracking(interp, cf, header, frame)
+    bi = interp.cm.tracked_region_fns(cf.index)[header](frame, interp)
+    return bi, top_state(interp, frame), finish(interp, cf, frame, bi)
+
+
+class _Rung:
+    """A stand-in ladder rung: a cycle count and no frames, so it never
+    matches and never joins the offset-probe window."""
+
+    __slots__ = ("index", "cycles", "frames")
+
+    def __init__(self, index, cycles):
+        self.index = index
+        self.cycles = cycles
+        self.frames = ()
+
+
+def every_block_top(interp, entry, budget):
+    """The cycle count at every block top of a per-block run."""
+    cycles = []
+    with per_block_dispatch(interp.cm):
+        for cf in interp.cm.cfuncs:
+            cf.region_fns = [
+                lambda f, s, _fn=fn: cycles.append(s.cycles) or _fn(f, s)
+                for fn in cf.region_fns
+            ]
+        interp.run(entry, cycle_budget=budget)
+    return cycles
+
+
+@contextmanager
+def rendezvous_log(monkeypatch):
+    """Make every resync compare fail and never give up; yields the list
+    of (rung, cycles, tracked frames) compares made."""
+    log = []
+
+    def match(self, snap, trk):
+        frames = tuple((r[0], r[1], r[2], digest(r[3])) for r in trk.frames)
+        log.append((snap.index, self.cycles, frames))
+        return False
+
+    monkeypatch.setattr(Interpreter, "_resync_match", match)
+    monkeypatch.setattr(_TrackState, "MAX_RESYNC_FAILS", 1 << 30)
+    yield log
+
+
+def armed_run(interp, entry, budget, rung_cycles, flip_in=None):
+    """A resync-armed run whose flip changes nothing (the first value
+    ``flip_in``, default ``entry``, computes, corrupted to itself) and
+    whose rungs sit at ``rung_cycles``.  Returns what the run leaves
+    behind."""
+    cm = interp.cm
+    fn = cm.cfuncs[cm.get_function_index(flip_in or entry)].fn
+    inst = next(
+        i for b in fn.blocks for i in b.instructions
+        if id(i) in cm.records and not isinstance(i, PhiNode)
+    )
+    spec = InjectionSpec(inst, 1, "once", corrupt=lambda v: v)
+    rungs = [_Rung(i, c) for i, c in enumerate(sorted(set(rung_cycles)))]
+    ladder = SnapshotLadder(rungs, 1, 0, None, entry)
+    result = interp.run(
+        entry, injection=spec, cycle_budget=budget, profile=True,
+        warm=WarmStart(ladder, None, resync=True),
+    )
+    assert result.injection_hit
+    return observe(interp, result)
+
+
+def storm(interp, entry, budget, rung_cycles, monkeypatch):
+    """An ``armed_run`` in which every rung is a failed compare: each is a
+    deopt exit.  Returns what the run leaves behind and its compares."""
+    with rendezvous_log(monkeypatch) as log:
+        return armed_run(interp, entry, budget, rung_cycles), log
+
+
+def assert_same_compares(cm, fast_log, log):
+    """The region run made the per-block run's compares, in order, except
+    some whose innermost frame is a leaf called from a region member: the
+    region inlines that call unless it steps the block after a deopt exit,
+    and a rung inside an inlined call is overshot."""
+    made = set(fast_log)
+    assert [entry for entry in log if entry in made] == fast_log
+    leaves = {cf.index for cf in cm.cfuncs if compiler._is_leaf(cf.fn)}
+    for entry in log:
+        if entry not in made:
+            (caller, bi, _, _), (callee, _, _, _) = entry[2][-2:]
+            assert callee in leaves and bi in cm.cfuncs[caller].region_of, entry
+
+
+def regions_of(cf):
+    for header in sorted(set(cf.region_of.values())):
+        yield header, {bi for bi, h in cf.region_of.items() if h == header}
+
+
+class TestDeoptExits:
+    """Tracked region functions (``tracked_fns``) against the per-block
+    table: a deopt exit leaves the frame, ``cycles``, ``sp`` and cells as
+    the per-block loop holds them at the top of the exit block."""
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_exit_at_every_member(self, name):
+        """For every region reached by the golden run, a region budget
+        equal to a member's entry cycle exits at that member's first top
+        with the per-block state, and the function then returns what the
+        per-block run returns."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        exits = 0
+        for cf in interp.cm.cfuncs:
+            for header, members in regions_of(cf):
+                start = region_entry(interp, w.entry, cf, header)
+                if start is None:
+                    continue
+                stay, _, _ = block_tops(interp, cf, start, header, members)
+                first = {}
+                for k, (bi, _) in enumerate(stay):
+                    if bi in members:
+                        first.setdefault(bi, k)
+                _, states, result = block_tops(
+                    interp, cf, start, header, members, set(first.values())
+                )
+                for bi, k in first.items():
+                    cycles = stay[k][1]
+                    got = deopt(interp, cf, start, header, cycles)
+                    assert got == (bi, states[k], result), (cf.name, header, bi)
+                    exits += 1
+        assert exits >= 10
+
+    @pytest.mark.parametrize("name", ["fft", "hpccg"])
+    def test_probe_exit_at_every_member(self, name):
+        """Once the flip has fired, an offset-probe rung whose innermost
+        frame stands at a member with this frame's registers makes the
+        tracked region exit at that member's top, as the per-block loop
+        would stop there to probe it."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        exits = 0
+        for cf in interp.cm.cfuncs:
+            for header, members in regions_of(cf):
+                start = region_entry(interp, w.entry, cf, header)
+                if start is None:
+                    continue
+                frame = restore(interp, start)
+                first = {}
+                bi = header
+                with per_block_dispatch(interp.cm):
+                    while bi in members:
+                        first.setdefault(bi, (interp.cycles, list(frame)))
+                        bi = cf.block_fns[bi](frame, interp)
+                tracked = interp.cm.tracked_region_fns(cf.index)[header]
+                for bi, (cycles, regs) in first.items():
+                    frame = restore(interp, start)
+                    arm_tracking(interp, cf, header, frame)
+                    interp.inj_hit = True
+                    interp.trk.probe_at = {cf.index: {bi: [regs]}}
+                    assert tracked(frame, interp) == bi
+                    assert (interp.cycles, frame) == (cycles, regs)
+                    exits += 1
+        assert exits >= 10
+
+    @pytest.mark.parametrize("name, leaf", [("hpccg", "idx3"), ("fft", "bit_reverse")])
+    def test_trip_inside_an_inlined_leaf(self, name, leaf):
+        """A region budget that runs out inside an inlined leaf call exits
+        at the caller's next block top, not inside the leaf."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        leaf_cfi = cm.get_function_index(leaf)
+        trips = 0
+        for cf in cm.cfuncs:
+            calling = {
+                bi for bi, block in enumerate(cf.fn.blocks)
+                for inst in block.instructions
+                if isinstance(inst, CallInst) and inst.callee.name == leaf
+            }
+            for header, members in regions_of(cf):
+                if not calling & members:
+                    continue
+                start = region_entry(interp, w.entry, cf, header)
+                if start is None:
+                    continue
+                stay, _, _ = block_tops(interp, cf, start, header, members)
+                k = next(k for k, (bi, _) in enumerate(stay[:-1]) if bi in calling)
+                _, states, result = block_tops(
+                    interp, cf, start, header, members, {k + 1}
+                )
+                bi, cycles = stay[k]
+                # the calling block's own charge fits; the leaf's first
+                # block's charge, inside the inlined call, does not
+                inside = cycles + cf.costs[bi]
+                assert inside + cm.cfuncs[leaf_cfi].costs[0] <= stay[k + 1][1]
+                got = deopt(interp, cf, start, header, inside)
+                assert got == (stay[k + 1][0], states[k + 1], result)
+                trips += 1
+        assert trips
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_rendezvous_at_every_rung(self, name, monkeypatch):
+        """A resync-armed golden run with a rung at every seventh block
+        top: the region run compares at exactly the per-block run's rungs,
+        states and tracked frames, except rungs inside inlined leaves,
+        and ends identically."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        rungs = every_block_top(interp, w.entry, None)[3::7]
+        fast, fast_log = storm(interp, w.entry, None, rungs, monkeypatch)
+        with per_block_dispatch(interp.cm):
+            reference, log = storm(interp, w.entry, None, rungs, monkeypatch)
+        assert fast == reference
+        assert fast["status"] == "ok"
+        assert len(log) == len({c for c in rungs if c >= log[0][1]})
+        assert_same_compares(interp.cm, fast_log, log)
+
+    @pytest.mark.parametrize("budget", TestGoldenEquivalence.EXIT_BUDGETS)
+    def test_hang_at_exit_budgets(self, budget, monkeypatch):
+        """Rungs at every block top, and a hang budget: the hang is raised
+        at the per-block run's cycle count, inside a call from a loop and
+        inside an inlined leaf's loop alike."""
+        source = """
+        output double result[2];
+        int n = 12;
+        int bit_reverse(int k, int logn) {
+            int r = 0;
+            for (int b = 0; b < logn; b = b + 1) {
+                r = (r << 1) | (k & 1);
+                k = k >> 1;
+            }
+            return r;
+        }
+        double row(int m) {
+            double s = 0.0;
+            for (int i = 0; i < m; i = i + 1) { s = s + (double)bit_reverse(i, 6); }
+            return s;
+        }
+        void main() {
+            double acc = 0.0;
+            for (int j = 0; j < n; j = j + 1) { acc = acc + row(j); }
+            result[0] = acc;
+        }
+        """
+        interp = Interpreter(compile_source(source))
+        rungs = every_block_top(interp, "main", budget)
+        fast, fast_log = storm(interp, "main", budget, rungs, monkeypatch)
+        with per_block_dispatch(interp.cm):
+            reference, log = storm(interp, "main", budget, rungs, monkeypatch)
+        assert fast["status"] == ("ok" if budget is None else "hang")
+        assert fast == reference
+        assert len(log) == len({c for c in rungs if c >= log[0][1]})
+        assert_same_compares(interp.cm, fast_log, log)
+
+    def test_resync_inside_a_call_from_region_code(self, monkeypatch):
+        """fft's main calls fft_row from region code.  A warm trial restored
+        at the last rung of one fft_row call, whose flip right there
+        changes nothing, resyncs at the first rung of the next call, made
+        from main's tracked region: main's tracking record must read the
+        calling block and its call count, as the per-block loop's does."""
+        w = get_workload("fft")
+        campaign = Campaign(
+            w.make_interpreter(1), verifier=w.verifier(), entry=w.entry,
+            budget_factor=w.budget_factor, warm_start=True,
+        )
+        ladder = campaign.ensure_ladder()
+        interp = campaign.interp
+        cm = interp.cm
+        main = cm.cfuncs[cm.get_function_index(w.entry)]
+        row = cm.cfuncs[cm.get_function_index("fft_row")]
+        sites = {
+            bi for bi in main.region_of
+            if any(
+                isinstance(i, CallInst) and i.callee.name == "fft_row"
+                for i in main.fn.blocks[bi].instructions
+            )
+        }
+        assert sites
+
+        def value(wf):
+            return next(
+                (i for i in row.fn.blocks[wf.bi].instructions
+                 if id(i) in cm.records and not isinstance(i, PhiNode)),
+                None,
+            )
+
+        def in_call(snap):
+            return (
+                [wf.cfi for wf in snap.frames] == [main.index, row.index]
+                and snap.frames[0].bi in sites
+            )
+
+        def calls(snap):
+            return snap.profile[cm.block_gids[id(main.fn.blocks[snap.frames[0].bi])]]
+
+        pairs = [
+            (prev, rung)
+            for prev, rung in zip(ladder.snapshots, ladder.snapshots[1:])
+            if in_call(prev) and in_call(rung) and calls(prev) < calls(rung)
+            and value(prev.frames[-1]) is not None
+        ]
+        assert pairs
+        matched = []
+        real = Interpreter._resync_match
+
+        def match(self, snap, trk):
+            ok = real(self, snap, trk)
+            matched.append((snap.index, ok))
+            return ok
+
+        monkeypatch.setattr(Interpreter, "_resync_match", match)
+        for prev, rung in pairs[:3]:
+            inst = value(prev.frames[-1])
+            seen = prev.profile[cm.records[id(inst)].block_gid]
+            assert ladder.plan_site(cm, FaultSite(inst, seen + 1, 0)) == (prev, seen)
+            spec = InjectionSpec(inst, seen + 1, "once", corrupt=lambda v: v)
+            for table in (nullcontext(), per_block_dispatch(cm)):
+                matched.clear()
+                with table:
+                    result = interp.run(
+                        w.entry, injection=spec, cycle_budget=campaign.cycle_budget,
+                        warm=WarmStart(ladder, prev, seen, resync=True),
+                    )
+                assert result.resynced
+                assert matched[-1] == (rung.index, True)
+
+
+class TestTrackedFastPaths:
+    def test_detached_frames_finish_on_region_fns(self, monkeypatch):
+        """Once resync gives up, the tracked loops still on the stack (here
+        fft's main) finish through ``region_fns``."""
+        w = get_workload("fft")
+        interp = w.make_interpreter(1)
+        main = interp.cm.cfuncs[interp.cm.get_function_index(w.entry)]
+        rungs = every_block_top(interp, w.entry, None)[1000::997]
+        entries = Counter()
+        fns = list(main.region_fns)
+        for header in set(main.region_of.values()):
+            fns[header] = lambda f, s, _fn=fns[header], _h=header: (
+                entries.update([_h]) or _fn(f, s)
+            )
+        monkeypatch.setattr(main, "region_fns", fns)
+        monkeypatch.setattr(Interpreter, "_resync_match", lambda self, snap, trk: False)
+        monkeypatch.setattr(_TrackState, "MAX_RESYNC_FAILS", 1)
+        fast = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+        assert sum(entries.values()) > 0
+        with per_block_dispatch(interp.cm):
+            reference = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+        assert fast == reference
+
+    def test_tracked_runs_call_few_block_functions(self, monkeypatch):
+        """A resync-armed fft run that stays armed to its last rung calls
+        block functions at least five times less often than per-block
+        tracked dispatch, the loop such a run used before tracked regions."""
+        w = get_workload("fft")
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        rungs = every_block_top(interp, w.entry, None)[::211]
+        calls = Counter()
+        wrapped = {}
+        for cf in cm.cfuncs:
+            for fn in cf.block_fns:
+                wrapped[id(fn)] = lambda f, s, _fn=fn: calls.update("b") or _fn(f, s)
+            for table in ("block_fns", "region_fns"):
+                monkeypatch.setattr(
+                    cf, table, [wrapped.get(id(fn), fn) for fn in getattr(cf, table)]
+                )
+        with rendezvous_log(monkeypatch) as log:
+            fast = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+            fast_calls = calls["b"]
+            calls.clear()
+            with per_block_dispatch(cm):
+                reference = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+        assert fast == reference
+        assert len(log) > 100
+        assert calls["b"] >= 5 * fast_calls, (calls["b"], fast_calls)

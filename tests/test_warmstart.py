@@ -9,6 +9,8 @@ runtime's rollback telemetry and the harness paths (chaos kills,
 quarantine, checkpoint resume).
 """
 
+import marshal
+
 import pytest
 
 from repro import compile_source
@@ -24,7 +26,14 @@ from repro.faults import (
 from repro.faults.chaos import ChaosMonkey, parse_chaos_spec
 from repro.faults.outcomes import OutcomeCounts
 from repro.interp import Interpreter
-from repro.recover import RecoveryPolicy, SnapshotLadder, WarmSnapshot, WarmStart
+from repro.recover import (
+    RecoveryPolicy,
+    SnapshotLadder,
+    WarmSnapshot,
+    WarmStart,
+    exact_state_eq,
+)
+from repro.recover.warm import _TrackState
 from repro.workloads import WORKLOAD_NAMES, get_workload
 
 KERNEL = """
@@ -178,6 +187,20 @@ class TestAllWorkloads:
         assert warm.stats.warm_restores > 0
 
 
+@pytest.mark.parametrize("name", ["fft", "hpccg"])
+def test_warm_equals_cold_with_resyncs(name):
+    """Warm trials run tracked region code between resync events and
+    finish on the lean table: records stay those of the cold campaign,
+    and trials still finish by golden resync."""
+    trials, resyncs = 40, 0
+    for seed in (0, 1, 2):
+        cold = make_workload_campaign(name).run(trials, seed=seed)
+        warm = make_workload_campaign(name, warm_start=True).run(trials, seed=seed)
+        assert keys(warm) == keys(cold)
+        resyncs += warm.stats.golden_resyncs
+    assert resyncs > 0
+
+
 class TestRecoveryPath:
     """Warm-start under the rollback runtime: CORRECTED trials and their
     telemetry must replay bit-identically (resync is disabled there)."""
@@ -299,3 +322,104 @@ class TestSlots:
             stats.not_a_field = 1
         with pytest.raises(AttributeError):
             counts.not_a_field = 1
+
+
+class TestExactStateEq:
+    """The resync compare: ``==`` first, then the ``marshal`` image."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(0.0, -0.0), (1, 1.0), (1, True), (0, False), (2**70, float(2**70))],
+    )
+    def test_rejects_equal_values_of_another_type_or_sign(self, a, b):
+        assert [a] == [b]
+        assert not exact_state_eq([7, a, 2.5], [7, b, 2.5])
+        assert not exact_state_eq([b, 7], [a, 7])
+        assert exact_state_eq([7, a, 2.5], [7, a, 2.5])
+
+    def test_nan_passes_only_as_the_same_object(self):
+        nan = float("nan")
+        assert not exact_state_eq([1.0, float("nan")], [1.0, float("nan")])
+        assert exact_state_eq([1.0, nan], [1.0, nan])
+
+    def test_values_marshal_refuses_take_the_loop(self):
+        box = object()
+        with pytest.raises(ValueError):
+            marshal.dumps([box], 2)
+        assert exact_state_eq([box, 1, 0.0], [box, 1, 0.0])
+        assert not exact_state_eq([box, 1], [box, 1.0])
+        assert not exact_state_eq([box, 1], [box, True])
+        assert not exact_state_eq([box, 0.0], [box, -0.0])
+
+
+class TestResyncMatch:
+    """``_resync_match`` against a real fft rung covers the whole arena."""
+
+    @pytest.fixture(scope="class")
+    def rung(self):
+        campaign = make_workload_campaign("fft", warm_start=True)
+        ladder = campaign.ensure_ladder()
+        return campaign.interp, ladder.snapshots[len(ladder) // 2]
+
+    @staticmethod
+    def matches(interp, snap, cells):
+        """Whether a trial standing exactly at ``snap`` with ``cells``
+        would resync there."""
+        trk = _TrackState()
+        trk.frames = [
+            [wf.cfi, wf.bi, 0 if wf.call_k is None else wf.call_k + 1,
+             list(wf.regs), wf.sp0, None]
+            for wf in snap.frames
+        ]
+        interp.cells = cells
+        interp.sp = snap.sp
+        interp.output_log = list(snap.out_log)
+        return interp._resync_match(snap, trk)
+
+    @staticmethod
+    def copy_with(snap, cells):
+        return WarmSnapshot(
+            snap.index, snap.cycles, cells, snap.sp, snap.frames,
+            snap.out_log, snap.profile,
+        )
+
+    def test_identical_state_matches(self, rung):
+        interp, snap = rung
+        assert self.matches(interp, snap, list(snap.cells))
+
+    def test_one_cell_of_another_type_rejects(self, rung):
+        interp, snap = rung
+        below = next(
+            i for i, v in enumerate(snap.cells[: snap.sp]) if type(v) is int
+        )
+        above = next(
+            i for i in range(snap.sp, len(snap.cells)) if type(snap.cells[i]) is int
+        )
+        for i in (below, above):
+            value = snap.cells[i]
+            others = [float(value)] + ([bool(value)] if value in (0, 1) else [])
+            for other in others:
+                cells = list(snap.cells)
+                cells[i] = other
+                assert cells == snap.cells
+                assert not self.matches(interp, snap, cells), (i, other)
+
+    def test_one_zero_of_the_other_sign_rejects(self, rung):
+        interp, snap = rung
+        below = next(
+            i for i, v in enumerate(snap.cells[: snap.sp])
+            if type(v) is float and v == 0.0
+        )
+        cells = list(snap.cells)
+        cells[below] = -cells[below]
+        assert cells == snap.cells
+        assert not self.matches(interp, snap, cells)
+        # fft leaves only integer zeros above sp: give a copy of the rung a
+        # float zero there, and the trial the other sign
+        above = len(snap.cells) - 1
+        golden = list(snap.cells)
+        golden[above] = 0.0
+        cells = list(golden)
+        cells[above] = -0.0
+        assert self.matches(interp, self.copy_with(snap, golden), list(golden))
+        assert not self.matches(interp, self.copy_with(snap, golden), cells)
