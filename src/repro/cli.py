@@ -40,6 +40,87 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _checked(validator: str):
+    """An argparse type running ``repro.faults.<validator>`` on the text at
+    parse time, so a bad spec is a usage error naming the offending token
+    instead of a failure mid-campaign."""
+
+    def check(text: str) -> str:
+        from . import faults
+
+        try:
+            getattr(faults, validator)(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+        return text
+
+    return check
+
+
+def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
+    """The campaign flags ``inject`` and ``submit`` share; each is a
+    ``repro.faults.CampaignSpec`` field, and ``main`` parses them into
+    ``args.spec`` before the command runs."""
+    parser.add_argument("workload")
+    parser.add_argument("--input", type=int, default=1, choices=[1, 2, 3, 4])
+    parser.add_argument("--trials", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--protect",
+        choices=["none", "full"],
+        default="none",
+        help="inject into the clean module (default) or one protected by "
+        "full duplication (whose checks can fire)",
+    )
+    parser.add_argument(
+        "--recover",
+        action="store_true",
+        help="arm the rollback runtime: a fired check re-executes from the "
+        "last region snapshot instead of fail-stopping (needs --protect full)",
+    )
+    parser.add_argument(
+        "--max-rollbacks",
+        type=int,
+        default=8,
+        metavar="N",
+        help="total rollbacks allowed per run before a detection escalates "
+        "to fail-stop (default: 8)",
+    )
+    parser.add_argument(
+        "--snapshot-period",
+        type=int,
+        default=0,
+        metavar="CYCLES",
+        help="minimum cycles between region snapshots; 0 snapshots at every "
+        "region boundary (default: 0)",
+    )
+    parser.add_argument(
+        "--warm-start",
+        action="store_true",
+        help="capture a snapshot ladder during the golden run and start each "
+        "trial from the rung just before its injection point, executing only "
+        "the suffix (bit-identical outcomes, same at any --jobs)",
+    )
+    parser.add_argument(
+        "--snapshot-stride",
+        type=int,
+        default=0,
+        metavar="CYCLES",
+        help="cycles between warm-start ladder rungs; 0 picks an automatic "
+        "stride of about golden_cycles/128 (default: 0)",
+    )
+    parser.add_argument(
+        "--fault-model",
+        metavar="SPEC",
+        default=None,
+        type=_checked("validate_fault_model_spec"),
+        help="corruption model: NAME[:key=value,...] — transient-1bit "
+        "(default), transient-multibit:k=K,adjacent=BOOL, pattern:kind=KIND, "
+        "intermittent:p=P,window=W, persistent; a malformed spec is "
+        "rejected before the campaign starts",
+    )
+
+
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trial-timeout",
@@ -184,42 +265,25 @@ def cmd_run(args) -> int:
     return 0 if result.status == "ok" else 1
 
 
+def _say_outcome_mix(out, spec, counts) -> None:
+    """The outcome table ``inject`` and ``submit`` both print; ``counts``
+    maps outcome values to trial counts."""
+    from .faults import Outcome
+
+    model = "single-bit" if spec.fault_model == "transient-1bit" else spec.fault_model
+    _say(out, f"{spec.trials} {model} faults injected into {spec.workload}:")
+    for outcome in Outcome:
+        count = counts.get(outcome.value, 0)
+        if outcome is Outcome.TRIAL_FAILURE and count == 0:
+            continue  # harness-only outcome; hide it for undisturbed runs
+        _say(out, f"  {outcome.value:>9}: {count:5d}  ({100*count/spec.trials:5.1f}%)")
+
+
 def cmd_inject(args) -> int:
-    from .faults import Campaign, Outcome
-    from .workloads import get_workload
+    from .faults import Outcome
 
-    workload = get_workload(args.workload)
-    module = None
-    if args.protect == "full":
-        from .protect import FullDuplicationSelector, duplicate_instructions
-
-        module = workload.compile()
-        duplicate_instructions(module, FullDuplicationSelector().select(module))
-    recovery = None
-    if args.recover:
-        if args.protect == "none":
-            print(
-                "error: --recover needs duplication checks to fire; "
-                "combine it with --protect full",
-                file=sys.stderr,
-            )
-            return 2
-        from .recover import RecoveryPolicy
-
-        recovery = RecoveryPolicy(
-            max_rollbacks=args.max_rollbacks,
-            snapshot_period=args.snapshot_period,
-        )
-    interp = workload.make_interpreter(args.input, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        budget_factor=workload.budget_factor,
-        recovery=recovery,
-        warm_start=args.warm_start,
-        snapshot_stride=args.snapshot_stride or None,
-        fault_model=args.fault_model,
-    )
+    spec = args.spec
+    campaign = spec.build()
 
     if args.verify_checkpoint:
         return _verify_checkpoint_report(args, campaign)
@@ -238,28 +302,17 @@ def cmd_inject(args) -> int:
             metrics_path=args.metrics_out if args.metrics_out != "-" else None,
         )
     result = campaign.run(
-        args.trials,
-        seed=args.seed,
+        spec.trials,
+        seed=spec.seed,
         n_jobs=args.jobs,
         checkpoint_path=args.checkpoint,
         progress=args.progress,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        on_worker_failure=args.on_worker_failure,
+        supervision=_resolve_supervision(args),
         chaos=chaos,
         obs=obs,
     )
     out = _status_stream(args)
-    model = campaign.fault_model
-    if model.name == "transient-1bit":
-        _say(out, f"{args.trials} single-bit faults injected into {workload.name}:")
-    else:
-        _say(out, f"{args.trials} {model.spec()} faults injected into {workload.name}:")
-    for outcome in Outcome:
-        count = result.counts.counts[outcome]
-        if outcome is Outcome.TRIAL_FAILURE and count == 0:
-            continue  # harness-only outcome; hide it for undisturbed runs
-        _say(out, f"  {outcome.value:>9}: {count:5d}  ({100*count/args.trials:5.1f}%)")
+    _say_outcome_mix(out, spec, {o.value: n for o, n in result.counts.counts.items()})
     stats = result.stats
     if stats is not None and stats.completed:
         _say(
@@ -279,7 +332,7 @@ def cmd_inject(args) -> int:
             f"{stats.retries} retries, {stats.quarantined} quarantined"
             + (", serial fallback" if stats.serial_fallback else "")
         )
-    if args.warm_start and stats is not None:
+    if spec.warm_start and stats is not None:
         _say(
             out,
             f"  warm-start: {stats.warm_restores} trials restored from the "
@@ -287,7 +340,7 @@ def cmd_inject(args) -> int:
             f"{stats.golden_resyncs} golden resyncs, "
             f"{stats.warm_cycles_saved} prefix cycles skipped"
         )
-    if recovery is not None and stats is not None:
+    if spec.recover and stats is not None:
         corrected = result.counts.counts[Outcome.CORRECTED]
         fired = corrected + result.counts.counts[Outcome.DETECTED]
         _say(
@@ -656,41 +709,6 @@ def cmd_report(args) -> int:
 # -- campaign service ---------------------------------------------------------
 
 
-def _chaos_spec(text: str) -> str:
-    """argparse type for ``inject --chaos``: reject a bad spec at parse
-    time, naming the offending token, instead of mid-campaign."""
-    from .faults.chaos import validate_chaos_spec
-
-    try:
-        validate_chaos_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
-def _fault_model_spec(text: str) -> str:
-    """argparse type for ``inject --fault-model``: validate the
-    ``NAME[:key=value,...]`` grammar eagerly, naming the bad token."""
-    from .faults.models import validate_fault_model_spec
-
-    try:
-        validate_fault_model_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
-def _service_chaos_spec(text: str) -> str:
-    """argparse type for ``serve --chaos`` (the service-chaos grammar)."""
-    from .faults.chaos import validate_service_chaos_spec
-
-    try:
-        validate_service_chaos_spec(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
-    return text
-
-
 def _add_connect_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--connect",
@@ -860,20 +878,9 @@ def cmd_worker(args) -> int:
 def cmd_submit(args) -> int:
     """Submit a campaign to a coordinator; by default wait and print the
     same outcome mix ``inject`` would."""
-    from .faults import Outcome
     from .service.client import ServiceError
 
-    spec = {
-        "workload": args.workload,
-        "input": args.input,
-        "trials": args.trials,
-        "seed": args.seed,
-        "protect": args.protect,
-    }
-    if args.recover:
-        spec["recover"] = True
-        spec["max_rollbacks"] = args.max_rollbacks
-        spec["snapshot_period"] = args.snapshot_period
+    spec = args.spec
     out = _status_stream(args)
     try:
         client = _service_client(args)
@@ -882,7 +889,7 @@ def cmd_submit(args) -> int:
         return 2
     with client:
         try:
-            reply = client.submit(spec)
+            reply = client.submit(spec.to_json())
             job = reply["job"]
             _say(
                 out,
@@ -909,19 +916,10 @@ def cmd_submit(args) -> int:
                     file=sys.stderr,
                 )
                 return 1
-            entries = client.results(job)
         except (ServiceError, OSError, TimeoutError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-    counts = {}
-    for entry in entries:
-        counts[entry["outcome"]] = counts.get(entry["outcome"], 0) + 1
-    _say(out, f"{len(entries)} single-bit faults injected into {args.workload}:")
-    for outcome in Outcome:
-        count = counts.get(outcome.value, 0)
-        if outcome is Outcome.TRIAL_FAILURE and count == 0:
-            continue
-        _say(out, f"  {outcome.value:>9}: {count:5d}  ({100*count/len(entries):5.1f}%)")
+    _say_outcome_mix(out, spec, status.get("counts") or {})
     return 0
 
 
@@ -1005,54 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_inject = sub.add_parser("inject", help="statistical fault injection")
-    p_inject.add_argument("workload")
-    p_inject.add_argument("--input", type=int, default=1, choices=[1, 2, 3, 4])
-    p_inject.add_argument("--trials", type=int, default=100)
-    p_inject.add_argument("--seed", type=int, default=0)
-    p_inject.add_argument(
-        "--protect",
-        choices=["none", "full"],
-        default="none",
-        help="inject into the clean module (default) or one protected by "
-        "full duplication (whose checks can fire)",
-    )
-    p_inject.add_argument(
-        "--recover",
-        action="store_true",
-        help="arm the rollback runtime: a fired check re-executes from the "
-        "last region snapshot instead of fail-stopping (needs --protect full)",
-    )
-    p_inject.add_argument(
-        "--max-rollbacks",
-        type=int,
-        default=8,
-        metavar="N",
-        help="total rollbacks allowed per run before a detection escalates "
-        "to fail-stop (default: 8)",
-    )
-    p_inject.add_argument(
-        "--snapshot-period",
-        type=int,
-        default=0,
-        metavar="CYCLES",
-        help="minimum cycles between region snapshots; 0 snapshots at every "
-        "region boundary (default: 0)",
-    )
-    p_inject.add_argument(
-        "--warm-start",
-        action="store_true",
-        help="capture a snapshot ladder during the golden run and start each "
-        "trial from the rung just before its injection point, executing only "
-        "the suffix (bit-identical outcomes, same at any --jobs)",
-    )
-    p_inject.add_argument(
-        "--snapshot-stride",
-        type=int,
-        default=0,
-        metavar="CYCLES",
-        help="cycles between warm-start ladder rungs; 0 picks an automatic "
-        "stride of about golden_cycles/128 (default: 0)",
-    )
+    _add_campaign_args(p_inject)
     _add_jobs_arg(p_inject)
     p_inject.add_argument(
         "--progress",
@@ -1073,20 +1024,10 @@ def build_parser() -> argparse.ArgumentParser:
         "recoverable vs. lost trials, and exit without injecting",
     )
     p_inject.add_argument(
-        "--fault-model",
-        metavar="SPEC",
-        default=None,
-        type=_fault_model_spec,
-        help="corruption model: NAME[:key=value,...] — transient-1bit "
-        "(default), transient-multibit:k=K,adjacent=BOOL, pattern:kind=KIND, "
-        "intermittent:p=P,window=W, persistent; a malformed spec is "
-        "rejected before the campaign starts",
-    )
-    p_inject.add_argument(
         "--chaos",
         metavar="SPEC",
         default=None,
-        type=_chaos_spec,
+        type=_checked("validate_chaos_spec"),
         help="failure-injection drill for the harness itself: "
         "kill@IDX[!] and hang@IDX:SECONDS events, comma-separated "
         "(e.g. 'kill@7,hang@12:3'); results must stay identical; "
@@ -1246,7 +1187,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--chaos",
         metavar="SPEC",
         default=None,
-        type=_service_chaos_spec,
+        type=_checked("validate_service_chaos_spec"),
         help="coordinator/network chaos drill: kill@N, drop-ack@N, "
         "delay@N:SECONDS, reset@N events, comma-separated; fire-once "
         "state persists in the journal so a restart does not re-fire",
@@ -1284,14 +1225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_submit = sub.add_parser(
         "submit", help="submit a campaign to a coordinator and wait"
     )
-    p_submit.add_argument("workload")
-    p_submit.add_argument("--input", type=int, default=1, choices=[1, 2, 3, 4])
-    p_submit.add_argument("--trials", type=int, default=100)
-    p_submit.add_argument("--seed", type=int, default=0)
-    p_submit.add_argument("--protect", choices=["none", "full"], default="none")
-    p_submit.add_argument("--recover", action="store_true")
-    p_submit.add_argument("--max-rollbacks", type=int, default=8, metavar="N")
-    p_submit.add_argument("--snapshot-period", type=int, default=0, metavar="CYCLES")
+    _add_campaign_args(p_submit)
     _add_connect_args(p_submit)
     p_submit.add_argument(
         "--no-wait",
@@ -1335,6 +1269,14 @@ COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if args.command in ("inject", "submit"):
+        from .faults import CampaignSpec
+
+        try:
+            args.spec = CampaignSpec.from_args(args)
+        except ValueError as exc:  # names the bad key
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     try:
         return COMMANDS[args.command](args)
     except BrokenPipeError:

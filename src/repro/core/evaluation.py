@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from ..faults.campaign import Campaign
 from ..faults.outcomes import OutcomeCounts, soc_reduction_percent
-from ..interp.interpreter import Interpreter
+from ..faults.spec import CampaignSpec
 from ..ir.module import Module
 from ..recover.runtime import RecoveryPolicy, summarize_telemetry
 from ..workloads.base import Workload
@@ -99,14 +98,9 @@ def evaluate_variant(
     fail-stop DETECTED.  ``obs`` (a ``repro.obs.Observation``) attaches
     tracing and a shared metrics registry to the campaign.
     """
-    interp = workload.make_interpreter(input_id=input_id, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        entry=workload.entry,
-        budget_factor=workload.budget_factor,
-        recovery=recovery,
-    )
+    campaign = CampaignSpec(
+        workload=workload, input=input_id, trials=trials, seed=seed
+    ).build(module, recovery=recovery)
     result = campaign.run(
         trials, seed=seed, n_jobs=n_jobs, supervision=supervision, obs=obs
     )
@@ -143,14 +137,9 @@ def evaluate_unprotected(
     obs=None,
 ) -> TechniqueEvaluation:
     """The reference campaign on the clean module."""
-    module = workload.compile()
-    interp = workload.make_interpreter(input_id=input_id, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        entry=workload.entry,
-        budget_factor=workload.budget_factor,
-    )
+    campaign = CampaignSpec(
+        workload=workload, input=input_id, trials=trials, seed=seed
+    ).build()
     result = campaign.run(
         trials, seed=seed, n_jobs=n_jobs, supervision=supervision, obs=obs
     )

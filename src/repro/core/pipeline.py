@@ -22,8 +22,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..faults.campaign import Campaign, CampaignResult
+from ..faults.campaign import CampaignResult
 from ..faults.outcomes import Outcome
+from ..faults.spec import CampaignSpec
 from ..features.extract import FeatureExtractor
 from ..interp.interpreter import Interpreter
 from ..ir.module import Module
@@ -71,15 +72,10 @@ def collect_data(
     the clean training module carries no checks, so enabling it only
     matters when collecting from an already protected module.
     """
-    module = workload.compile()
-    interp = workload.make_interpreter(input_id=1, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        entry=workload.entry,
-        budget_factor=workload.budget_factor,
-        recovery=recovery,
+    campaign = CampaignSpec(workload=workload, trials=n_samples, seed=seed).build(
+        recovery=recovery
     )
+    module = campaign.interp.module
     result = campaign.run(n_samples, seed=seed, n_jobs=n_jobs, supervision=supervision)
     extractor = FeatureExtractor(module)
     X = extractor.extract_many([r.instruction for r in result.records])

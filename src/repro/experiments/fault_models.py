@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from ..faults.campaign import Campaign
 from ..faults.models import FAULT_MODELS, get_fault_model
 from ..faults.outcomes import Outcome
 from ..faults.parallel import run_campaign
-from ..protect.duplication import duplicate_instructions
-from ..protect.selectors import FullDuplicationSelector
+from ..faults.spec import CampaignSpec
+from ..protect import FullDuplicationSelector, duplicate_instructions
 from ..workloads.registry import get_workload
 from .reporting import banner, format_table, outcome_row, percent
 
@@ -45,15 +44,11 @@ def _site_key(inst) -> str:
     )
 
 
-def _run(workload, module, model, trials, seed, n_jobs):
-    interp = workload.make_interpreter(1, module=module)
-    campaign = Campaign(
-        interp,
-        verifier=workload.verifier(),
-        budget_factor=workload.budget_factor,
-        fault_model=model,
+def _run(workload_name, module, model, trials, seed, n_jobs):
+    spec = CampaignSpec(
+        workload=workload_name, trials=trials, seed=seed, fault_model=model
     )
-    return run_campaign(campaign, trials, seed=seed, n_jobs=n_jobs)
+    return run_campaign(spec.build(module), trials, seed=seed, n_jobs=n_jobs)
 
 
 def run_fault_model_evaluation(
@@ -72,8 +67,7 @@ def run_fault_model_evaluation(
     the default ``transient-1bit`` model.
     """
     specs = list(model_specs) if model_specs is not None else list(FAULT_MODELS)
-    workload = get_workload(workload_name)
-    protected_module = workload.compile()
+    protected_module = get_workload(workload_name).compile()
     duplicate_instructions(
         protected_module, FullDuplicationSelector().select(protected_module)
     )
@@ -81,10 +75,8 @@ def run_fault_model_evaluation(
     entries: List[Dict] = []
     for spec in specs:
         model = get_fault_model(spec)
-        unprotected = _run(workload, None, model, trials, seed, n_jobs)
-        protected = _run(
-            workload, protected_module, get_fault_model(spec), trials, seed, n_jobs
-        )
+        unprotected = _run(workload_name, None, spec, trials, seed, n_jobs)
+        protected = _run(workload_name, protected_module, spec, trials, seed, n_jobs)
         soc_sites = sorted(
             {
                 _site_key(r.site.instruction)

@@ -30,6 +30,7 @@ from .outcomes import (
     soc_reduction_percent,
 )
 from .campaign import Campaign, CampaignResult, OutputVerifier, TrialRecord
+from .spec import CampaignSpec
 from .mpi_campaign import MpiCampaign, RankSite
 from .sanitizer import (
     CoverageViolation,
@@ -78,7 +79,7 @@ __all__ = [
     "make_corrupter", "parse_fault_model_spec", "validate_fault_model_spec",
     "Outcome", "OutcomeCounts", "margin_of_error", "parse_outcome",
     "soc_reduction_percent",
-    "Campaign", "CampaignResult", "OutputVerifier", "TrialRecord",
+    "Campaign", "CampaignResult", "CampaignSpec", "OutputVerifier", "TrialRecord",
     "MpiCampaign", "RankSite",
     "CoverageViolation", "module_is_protected", "sanitize_records",
     "sanitizer_enabled",

@@ -20,7 +20,6 @@ checkpoint/resume, progress and observability all apply unchanged.
 
 from __future__ import annotations
 
-import warnings
 from typing import List, Optional, Sequence
 
 from ..parallel.mpi import JobResult, MpiJob
@@ -97,13 +96,11 @@ class MpiCampaign(Campaign):
         if warm_start:
             # A multi-rank job has no consistent cross-rank snapshot: rank
             # threads rendezvous inside collectives, so a cycle-stride ladder
-            # captured on one rank is meaningless to the others.  Degrade
-            # loudly rather than silently changing semantics.
-            warnings.warn(
+            # captured on one rank is meaningless to the others.  Refuse
+            # rather than silently running the trials cold.
+            raise NotImplementedError(
                 "warm-start snapshot ladders are single-process only; "
-                "MpiCampaign runs trials cold",
-                RuntimeWarning,
-                stacklevel=2,
+                "MpiCampaign cannot run warm_start=True"
             )
         # Rank 0's interpreter holds the outputs the verifier checks (all
         # ranks agree in the zero-and-allreduce workload pattern; corrupted

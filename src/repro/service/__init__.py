@@ -20,7 +20,6 @@ dropped acks, delayed replies, and worker connection resets
 
 from .client import ServiceClient, ServiceError
 from .coordinator import CoordinatorServer
-from .jobs import build_campaign, canonical_spec, validate_spec
 from .journal import JobJournal
 from .worker import run_worker
 
@@ -29,8 +28,5 @@ __all__ = [
     "JobJournal",
     "ServiceClient",
     "ServiceError",
-    "build_campaign",
-    "canonical_spec",
     "run_worker",
-    "validate_spec",
 ]

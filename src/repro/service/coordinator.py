@@ -3,7 +3,8 @@
 One coordinator process owns the journal directory and the truth about
 every job.  The control flow per job:
 
-1. **Submit.**  A spec is canonicalized and deduped; the campaign is
+1. **Submit.**  A spec is parsed, validated and canonicalized by
+   :class:`~repro.faults.spec.CampaignSpec` and deduped; the campaign is
    built (golden run + trial plan) in an executor thread; the job id is
    the campaign fingerprint.  The spec is write-ahead journaled before
    the submit is acknowledged, and the job's trial checkpoint is loaded
@@ -37,15 +38,14 @@ the chaos suite (``tests/test_service.py``) asserts exactly that.
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.parallel import CampaignCheckpoint, TrialPlan
+from ..faults.spec import CampaignSpec
 from ..faults.supervisor import backoff_delay
 from ..obs.registry import MetricsRegistry
 from . import protocol
-from .jobs import build_campaign, canonical_spec
 from .journal import JobJournal
 
 #: trials per lease; smaller than the fork engine's chunk so lease churn
@@ -109,7 +109,7 @@ class Job:
         "result_entries",
     )
 
-    def __init__(self, job_id: str, spec: Dict, n_trials: int, seed: int):
+    def __init__(self, job_id: str, spec, n_trials: int, seed: int):
         self.id = job_id
         self.spec = spec
         self.n_trials = n_trials
@@ -209,11 +209,19 @@ class CoordinatorServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         for job_id, info in recovered.items():
-            if info["done"] and self._load_cached_job(job_id, info["spec"]):
+            try:
+                spec = CampaignSpec.from_json(info["spec"])
+            except ValueError as exc:
+                # Journaled by an older coordinator that admitted a spec
+                # this one refuses: report it failed, never run it.
+                job = self.jobs[job_id] = Job(job_id, None, 0, 0)
+                job.state, job.error = "failed", f"journaled spec refused: {exc}"
+                continue
+            if info["done"] and self._load_cached_job(job_id, spec):
                 continue
             # An in-flight job: rebuild from its journaled spec, resume
             # from its checkpoint, and put the remainder back on the queue.
-            job, created = await self._get_or_create_job(info["spec"])
+            job, created = await self._get_or_create_job(spec)
             if created:
                 self._counter("ipas_service_jobs_recovered_total").inc()
                 self._service_event(
@@ -266,12 +274,11 @@ class CoordinatorServer:
 
     # -- job construction --------------------------------------------------
 
-    def _build_job(self, spec: Dict) -> Job:
+    def _build_job(self, spec: CampaignSpec) -> Job:
         """Executor-thread body: golden run, plan, checkpoint resume."""
-        n_trials = spec["trials"]
-        seed = spec.get("seed", 0)
-        plan = TrialPlan(build_campaign(spec), n_trials, seed)
-        job = Job(plan.fingerprint, spec, n_trials, seed)
+        n_trials = spec.trials
+        plan = TrialPlan(spec.build(), n_trials, spec.seed)
+        job = Job(plan.fingerprint, spec, n_trials, spec.seed)
         job.plan = plan
         job.records = [None] * n_trials
         job.checkpoint = plan.resume(self.journal.job_path(job.id), job.records)
@@ -283,11 +290,10 @@ class CoordinatorServer:
         ]
         return job
 
-    async def _get_or_create_job(self, spec: Dict) -> Tuple[Job, bool]:
+    async def _get_or_create_job(self, spec: CampaignSpec) -> Tuple[Job, bool]:
         """Idempotent submission core: one build per canonical spec, one
         job per fingerprint, no matter how many submitters race."""
-        key = canonical_spec(spec)
-        filled = json.loads(key)
+        key = spec.canonical()
         job_id = self._spec_to_job.get(key)
         if job_id is not None:
             return self.jobs[job_id], False
@@ -298,7 +304,7 @@ class CoordinatorServer:
         future: asyncio.Future = loop.create_future()
         self._builds[key] = future
         try:
-            built = await loop.run_in_executor(None, self._build_job, filled)
+            built = await loop.run_in_executor(None, self._build_job, spec)
             existing = self.jobs.get(built.id)
             if existing is not None:
                 # A different spec string reached the same fingerprint;
@@ -311,7 +317,7 @@ class CoordinatorServer:
                 if job.id not in self._journaled:
                     # WAL before acknowledging: a crash after this line
                     # resumes the job; a crash before it never admitted one.
-                    self.journal.record_job(job.id, job.spec)
+                    self.journal.record_job(job.id, job.spec.to_json())
                     self._journaled.add(job.id)
                 if job.resumed:
                     self._counter("ipas_service_trials_resumed_total").inc(
@@ -333,15 +339,14 @@ class CoordinatorServer:
         finally:
             del self._builds[key]
 
-    def _load_cached_job(self, job_id: str, spec: Dict) -> bool:
+    def _load_cached_job(self, job_id: str, spec: CampaignSpec) -> bool:
         """Serve a journal-done job from its checkpoint, no rebuild.
 
         Returns ``False`` (caller falls back to a full rebuild) when the
         checkpoint does not actually hold every trial, or its header does
         not match the job.
         """
-        n_trials = spec["trials"]
-        seed = spec.get("seed", 0)
+        n_trials, seed = spec.trials, spec.seed
         by_index = CampaignCheckpoint(
             self.journal.job_path(job_id), job_id, n_trials, seed
         ).load()
@@ -356,7 +361,7 @@ class CoordinatorServer:
             for i in range(n_trials)
         ]
         self.jobs[job_id] = job
-        self._spec_to_job[canonical_spec(spec)] = job_id
+        self._spec_to_job[spec.canonical()] = job_id
         return True
 
     # -- scheduling --------------------------------------------------------
@@ -650,7 +655,7 @@ class CoordinatorServer:
                 "op": "lease",
                 "lease": lease.id,
                 "job": job.id,
-                "spec": job.spec,
+                "spec": job.spec.to_json(),
                 "indexes": chunk.indexes,
                 "timeout": self.lease_timeout,
             }
@@ -685,9 +690,8 @@ class CoordinatorServer:
             return {"ok": True, "op": "ack-ok", "committed": committed}
 
         if op == "submit":
-            spec = message.get("spec")
             try:
-                canonical_spec(spec)  # eager validation → clear error
+                spec = CampaignSpec.from_json(message.get("spec"))
             except ValueError as exc:
                 return {"ok": False, "error": str(exc)}
             try:

@@ -24,13 +24,14 @@ import time
 from typing import Dict, Optional
 
 from ..faults.parallel import TrialPlan
-from .jobs import build_campaign
+from ..faults.spec import CampaignSpec
 from .protocol import Channel, ProtocolError
 
 
 def _job_plan(spec: Dict, job_id: str) -> TrialPlan:
     """The job's trial plan, which a worker caches across leases."""
-    plan = TrialPlan(build_campaign(spec), spec["trials"], spec.get("seed", 0))
+    parsed = CampaignSpec.from_json(spec)
+    plan = TrialPlan(parsed.build(), parsed.trials, parsed.seed)
     if plan.fingerprint != job_id:
         raise RuntimeError(
             f"worker built fingerprint {plan.fingerprint} for job {job_id}: "

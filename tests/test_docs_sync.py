@@ -132,3 +132,28 @@ class TestFaultModelTableSync:
 
     def test_table_parse_found_models(self):
         assert len(documented_fault_models()) >= 5
+
+
+def documented_spec_keys():
+    """Keys of the campaign-spec table in robustness.md's service section."""
+    text = ROBUSTNESS_DOC.read_text()
+    start = text.index("### The campaign spec")
+    end = text.index("\n#", start + 1)
+    return re.findall(r"^\|\s*`([a-z_]+)`\s*\|", text[start:end], re.MULTILINE)
+
+
+class TestCampaignSpecTableSync:
+    """docs/robustness.md's spec-key table must list exactly the fields
+    of ``CampaignSpec``."""
+
+    def test_table_lists_exactly_the_spec_fields(self):
+        from dataclasses import fields
+
+        from repro.faults import CampaignSpec
+
+        documented = documented_spec_keys()
+        assert len(documented) == len(set(documented)), documented
+        assert set(documented) == {f.name for f in fields(CampaignSpec)}
+
+    def test_table_parse_found_keys(self):
+        assert len(documented_spec_keys()) >= 15

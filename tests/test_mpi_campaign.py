@@ -159,3 +159,16 @@ class TestMpiEngine:
         three = campaign.fingerprint(TRIALS, 5)
         assert make_campaign(workload, 3).fingerprint(TRIALS, 5) == three
         assert make_campaign(workload, 2).fingerprint(TRIALS, 5) != three
+
+
+class TestMpiRefusals:
+    """Knobs a multi-rank campaign cannot honour are refused at
+    construction, never run as a silent subset."""
+
+    def test_warm_start_refused(self, workload):
+        with pytest.raises(NotImplementedError, match="warm-start"):
+            MpiCampaign(workload.make_job(2, 1), warm_start=True)
+
+    def test_non_default_fault_model_refused(self, workload):
+        with pytest.raises(NotImplementedError, match="transient-1bit"):
+            MpiCampaign(workload.make_job(2, 1), fault_model="persistent")

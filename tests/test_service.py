@@ -21,18 +21,18 @@ import pytest
 
 import repro
 from repro import compile_source
-from repro.faults import Campaign
+from repro.faults import Campaign, CampaignSpec, TrialPlan, run_campaign
 from repro.faults.chaos import (
     CHAOS_EXIT_CODE,
     ServiceChaos,
     parse_service_chaos_spec,
     validate_service_chaos_spec,
 )
+from repro.faults.models import validate_fault_model_spec
 from repro.faults.parallel import trial_entry
 from repro.interp import Interpreter
 from repro.service import CoordinatorServer, JobJournal, ServiceClient, ServiceError
 from repro.service.client import parse_connect, read_port_file
-from repro.service.jobs import build_campaign, canonical_spec, validate_spec
 from repro.service.protocol import ProtocolError
 from repro.service.worker import run_worker
 
@@ -64,6 +64,27 @@ def make_spec(**overrides):
     spec = {"source": KERNEL, "name": "kernel", "trials": N_TRIALS, "seed": SEED}
     spec.update(overrides)
     return spec
+
+
+def inprocess_entries(spec):
+    """In-process ``run_campaign`` on the same spec, as wire entries."""
+    parsed = CampaignSpec.from_json(spec)
+    campaign = parsed.build()
+    result = run_campaign(campaign, parsed.trials, seed=parsed.seed)
+    plan = TrialPlan(campaign, parsed.trials, parsed.seed)
+    return [plan.entry(i, record) for i, record in enumerate(result.records)]
+
+
+def wire_bytes(entries):
+    return json.dumps(entries, sort_keys=True).encode()
+
+
+#: warm-start and non-default fault-model jobs: each must serve the
+#: in-process campaign's entries byte for byte
+IDENTITY_SPECS = [
+    make_spec(warm_start=True),
+    make_spec(fault_model="transient-multibit:k=2"),
+]
 
 
 @pytest.fixture(scope="module")
@@ -188,9 +209,15 @@ class TestSoloExecution:
             status = client.wait(job)
             assert status["state"] == "done"
             assert client.results(job) == baseline_entries
+            for spec in IDENTITY_SPECS:
+                job = client.submit(spec)["job"]
+                assert client.wait(job)["state"] == "done"
+                assert wire_bytes(client.results(job)) == wire_bytes(
+                    inprocess_entries(spec)
+                )
             metrics = client.metrics()
         solo = metrics["ipas_service_solo_trials_total"]["samples"][0]["value"]
-        assert solo == N_TRIALS
+        assert solo == N_TRIALS * (1 + len(IDENTITY_SPECS))
 
     def test_resubmit_is_cached_and_identical(self, serve, baseline_entries):
         st = serve()
@@ -240,16 +267,53 @@ class TestSoloExecution:
             with pytest.raises(ServiceError, match="workload"):
                 client.submit({"trials": 5})
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            ({"trials": True}, "trials"),
+            ({"seed": False}, "seed"),
+            ({"protect": "full", "recover": "no"}, "recover"),
+            ({"recover": True}, "recover"),  # protect 'none': no checks
+            ({"source": None, "workload": "fft", "input": 9}, "input"),
+            ({"budget_factor": "2"}, "budget_factor"),
+            ({"budget_factor": 0}, "budget_factor"),
+            ({"budget_factor": -1.5}, "budget_factor"),
+        ],
+    )
+    def test_shown_spec_defects_refused_naming_the_key(self, serve, overrides, key):
+        spec = {k: v for k, v in make_spec(**overrides).items() if v is not None}
+        st = serve()
+        with ServiceClient(port=st.server.port) as client:
+            with pytest.raises(ServiceError, match=f"'{key}'"):
+                client.submit(spec)
+            assert client.status()["jobs"] == []  # nothing was built
+
+    @pytest.mark.parametrize("bad", ["chaos", "transient-multibit:boom=1"])
+    def test_malformed_fault_model_refused_like_inject(self, serve, bad):
+        with pytest.raises(ValueError) as inject_error:
+            validate_fault_model_spec(bad)  # what inject --fault-model prints
+        st = serve()
+        with ServiceClient(port=st.server.port) as client:
+            with pytest.raises(ServiceError, match="'fault_model'") as excinfo:
+                client.submit(make_spec(fault_model=bad))
+        assert str(inject_error.value) in str(excinfo.value)
+
 
 class TestWorkerExecution:
     def test_worker_run_bit_identical(self, serve, baseline_entries):
         st = serve(solo=False)
-        worker = start_worker(st.server.port, idle_exit=0.4)
         with ServiceClient(port=st.server.port) as client:
-            job = client.submit(make_spec())["job"]
-            status = client.wait(job)
-            assert status["state"] == "done"
-            assert client.results(job) == baseline_entries
+            # Every job exists before the worker starts, so it cannot idle
+            # out between them.
+            jobs = [client.submit(spec)["job"] for spec in [make_spec()] + IDENTITY_SPECS]
+            worker = start_worker(st.server.port, idle_exit=0.4)
+            for job in jobs:
+                assert client.wait(job)["state"] == "done"
+            assert client.results(jobs[0]) == baseline_entries
+            for job, spec in zip(jobs[1:], IDENTITY_SPECS):
+                assert wire_bytes(client.results(job)) == wire_bytes(
+                    inprocess_entries(spec)
+                )
             metrics = client.metrics()
         assert metrics["ipas_service_worker_connects_total"]["samples"][0]["value"] >= 1
         assert metrics["ipas_service_leases_granted_total"]["samples"][0]["value"] >= 3
@@ -433,25 +497,95 @@ class TestJobJournal:
 
 class TestSpecs:
     def test_canonical_spec_fills_defaults_and_sorts(self):
-        a = canonical_spec({"source": KERNEL, "trials": 5})
-        b = canonical_spec({"trials": 5, "source": KERNEL, "seed": 0})
+        a = CampaignSpec.from_json({"source": KERNEL, "trials": 5}).canonical()
+        b = CampaignSpec.from_json(
+            {"trials": 5, "source": KERNEL, "seed": 0}
+        ).canonical()
         assert a == b
         assert json.loads(a)["protect"] == "none"
 
     def test_validate_rejects_bad_specs(self):
         with pytest.raises(ValueError, match="workload"):
-            validate_spec({"trials": 5})
+            CampaignSpec.from_json({"trials": 5})
         with pytest.raises(ValueError, match="trials"):
-            validate_spec({"source": KERNEL, "trials": -1})
+            CampaignSpec.from_json({"source": KERNEL, "trials": -1})
         with pytest.raises(ValueError, match="protect"):
-            validate_spec({"source": KERNEL, "trials": 5, "protect": "most"})
+            CampaignSpec.from_json({"source": KERNEL, "trials": 5, "protect": "most"})
         with pytest.raises(ValueError):
-            validate_spec({"source": KERNEL, "workload": "fft", "trials": 5})
+            CampaignSpec.from_json({"source": KERNEL, "workload": "fft", "trials": 5})
 
     def test_build_campaign_source_form(self):
-        campaign = build_campaign({"source": KERNEL, "trials": 4})
+        campaign = CampaignSpec.from_json({"source": KERNEL, "trials": 4}).build()
         campaign.prepare()
         assert campaign.sample_trials(4, 0)
+
+
+class TestParentJournalReplay:
+    """A journal and job checkpoints written in the previous coordinator's
+    spec format — its defaults filled in, no ``warm_start``,
+    ``snapshot_stride`` or ``fault_model`` keys — replay unchanged."""
+
+    @staticmethod
+    def parent_spec(seed):
+        return {
+            "input": 1, "max_rollbacks": 8, "name": "kernel", "protect": "none",
+            "recover": False, "seed": seed, "snapshot_period": 0,
+            "source": KERNEL, "trials": N_TRIALS,
+        }
+
+    def test_done_job_cached_and_inflight_job_resumed(
+        self, serve, tmp_path, baseline_entries
+    ):
+        journal = JobJournal(str(tmp_path / "journal"))
+        journal.open()
+        kept = {SEED: N_TRIALS, SEED + 1: 10}  # done job, in-flight job
+        job_of = {}
+        for seed, keep in kept.items():
+            campaign = Campaign(Interpreter(compile_source(KERNEL, name="kernel")))
+            job = job_of[seed] = campaign.fingerprint(N_TRIALS, seed)
+            path = journal.job_path(job)
+            campaign.run(N_TRIALS, seed=seed, checkpoint_path=path)
+            with open(path) as fh:
+                lines = fh.read().splitlines()
+            with open(path, "w") as fh:
+                fh.write("\n".join(lines[: 1 + keep]) + "\n")
+            journal.record_job(job, self.parent_spec(seed))
+            if keep == N_TRIALS:
+                journal.record_done(job)
+        journal.close()
+
+        st = serve()  # replays the journal at start
+        with ServiceClient(port=st.server.port) as client:
+            done = client.submit(self.parent_spec(SEED))
+            assert done["disposition"] == "cached"
+            assert done["job"] == job_of[SEED]
+            assert client.results(done["job"]) == baseline_entries
+            inflight = job_of[SEED + 1]
+            status = client.wait(inflight)
+            assert status["state"] == "done"
+            assert status["resumed"] == kept[SEED + 1]
+            assert client.results(inflight) == inprocess_entries(
+                self.parent_spec(SEED + 1)
+            )
+            metrics = client.metrics()
+        assert (
+            metrics["ipas_service_trials_committed_total"]["samples"][0]["value"]
+            == N_TRIALS - kept[SEED + 1]
+        )
+
+    def test_refused_journaled_spec_fails_its_job_only(self, serve, tmp_path):
+        journal = JobJournal(str(tmp_path / "journal"))
+        journal.open()
+        # admitted by the previous coordinator: "no" is truthy
+        journal.record_job("0123456789abcdef", make_spec(recover="no"))
+        journal.close()
+        st = serve()
+        with ServiceClient(port=st.server.port) as client:
+            status = client.status("0123456789abcdef")
+            assert status["state"] == "failed"
+            assert "'recover'" in status["error"]
+            job = client.submit(make_spec())["job"]
+            assert client.wait(job)["state"] == "done"
 
 
 class TestServiceChaosSpec:
