@@ -1127,14 +1127,14 @@ class _Compiler:
         if isinstance(inst, LoadInst):
             v = d if local else "_v"
             emit(f"    try: {v} = cells[{a}]")
-            emit(f"    except IndexError: state.trap_mem({a})")
+            emit(f"    except IndexError: {v} = state.load_past({a})")
             emit(f"    if {v} is None: state.trap_mem({a})")
             if not local:
                 emit(f"    {d} = _v")
             return
         if isinstance(inst, (StoreInst, AtomicRMWInst)):
             emit(f"    try: _old = cells[{a}]")
-            emit(f"    except IndexError: state.trap_mem({a})")
+            emit(f"    except IndexError: _old = state.store_past({a})")
             emit(f"    if _old is None: state.trap_mem({a})")
             if isinstance(inst, StoreInst):
                 emit(f"    cells[{a}] = {e(inst.value)}")

@@ -131,7 +131,7 @@ class Interpreter:
     # into fixed-offset loads instead of instance-dict lookups.
     __slots__ = (
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
-        "global_overrides", "_cells_template", "_reset_image", "cells", "sp",
+        "global_overrides", "cells_end", "_reset_image", "cells", "sp",
         "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
         "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
         "inj_hit", "inj_inst",
@@ -162,14 +162,14 @@ class Interpreter:
         self.mpi = mpi if mpi is not None else SerialMpi()
         self.collect_output = collect_output
         self.global_overrides: Dict[str, Sequence] = {}
-        # Globals + zeroed stack, built once: reset() is one list copy
-        # instead of a fresh 64k-cell extend per run (campaigns reset
-        # thousands of times per second).
-        self._cells_template: List = list(self.cm.global_template)
-        self._cells_template.extend([0] * stack_cells)
-        # Template with global_overrides already applied, rebuilt lazily on
-        # the first reset() after an override change: per-trial reset is one
-        # flat list copy instead of copy + per-override writes.
+        #: end of the logical arena: globals and guards, then
+        #: ``stack_cells`` zero cells.  ``cells`` physically holds only the
+        #: globals and the stack prefix a run has allocated or stored to;
+        #: every cell from ``len(cells)`` up to here is an implicit int 0.
+        self.cells_end = self.cm.stack_base + stack_cells
+        # The globals image with global_overrides applied, rebuilt lazily
+        # on the first reset() after an override change: per-trial reset
+        # is one flat copy of the globals, not of the stack.
         self._reset_image: Optional[List] = None
 
         # mutable run state (initialised by reset)
@@ -240,7 +240,7 @@ class Interpreter:
             # Bake overrides into the template once; campaigns reset
             # thousands of times per second and the overrides never change
             # mid-campaign.
-            image = self._cells_template.copy()
+            image = list(self.cm.global_template)
             for name, value in self.global_overrides.items():
                 base = self.cm.global_addr[name]
                 if isinstance(value, (list, tuple)):
@@ -311,8 +311,8 @@ class Interpreter:
         re-converges with the golden run.  The result is bit-identical to
         the cold run in every observable field.
         """
-        # A warm restore replaces the whole arena, so the reset image copy
-        # (a full-arena memcpy) would be dead work on that path.
+        # A warm restore replaces the whole cells list, so the reset image
+        # copy would be dead work on that path.
         self.reset(cells=warm is None or warm.snapshot is None)
         self.budget = cycle_budget if cycle_budget is not None else self.NO_BUDGET
         self.rbudget = self.budget
@@ -650,8 +650,8 @@ class Interpreter:
                         # Only cells[:sp] are defined program state: cells
                         # past sp are dead residue of returned frames, and
                         # any live pointer is below sp — copying the prefix
-                        # keeps snapshots proportional to the live stack,
-                        # not the 64k-cell arena.
+                        # keeps snapshots proportional to the live stack.
+                        # alloc() keeps the list at least sp cells long.
                         snap = Snapshot(
                             cfi,
                             bi,
@@ -895,10 +895,12 @@ class Interpreter:
         """Bit-exact state comparison against one golden rung.
 
         Ordered cheapest-first: frame shapes, register files, output log,
-        then the full cells image, each through :func:`exact_state_eq`
+        then the logical cells arena, each through :func:`exact_state_eq`
         (a C-speed ``==`` reject, then a ``marshal`` image compare that
         tells ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` apart, which
-        ``==`` would equate and which diverge downstream).
+        ``==`` would equate and which diverge downstream).  The physical
+        lists may differ in length: past the shorter one's end the logical
+        arena is int ``0``, so the longer one's tail must be exactly that.
         """
         frames = trk.frames
         sframes = snap.frames
@@ -910,8 +912,15 @@ class Interpreter:
                 return False
             if not exact_state_eq(r[3], wf.regs):
                 return False
-        return exact_state_eq(self.output_log, snap.out_log) and exact_state_eq(
-            self.cells, snap.cells
+        if not exact_state_eq(self.output_log, snap.out_log):
+            return False
+        if len(self.cells) == len(snap.cells):
+            return exact_state_eq(self.cells, snap.cells)
+        short, long = sorted((self.cells, snap.cells), key=len)
+        n = len(short)
+        tail = long[n:]
+        return exact_state_eq(tail, [0] * len(tail)) and exact_state_eq(
+            long[:n], short
         )
 
     # -- memory helpers (runtime-internal accesses use the same trap rules) -------
@@ -919,10 +928,33 @@ class Interpreter:
     def alloc(self, count: int) -> int:
         addr = self.sp
         new_sp = addr + count
-        if new_sp > len(self.cells):
+        if new_sp > self.cells_end:
             raise StackOverflow(f"stack exhausted allocating {count} cells")
+        cells = self.cells
+        if new_sp > len(cells):
+            # Grow in place: running code holds this list in a local.
+            cells.extend([0] * (new_sp - len(cells)))
         self.sp = new_sp
         return addr
+
+    def load_past(self, addr: int):
+        """A load at or past the physical end of ``cells`` (called from the
+        ``IndexError`` arm of generated loads): an implicit int 0 below
+        ``cells_end``, a memory fault from there on."""
+        if addr >= self.cells_end:
+            self.trap_mem(addr)
+        return 0
+
+    def store_past(self, addr: int):
+        """A store at or past the physical end of ``cells`` (called from the
+        ``IndexError`` arm of generated stores): below ``cells_end`` the
+        list grows in place through ``addr`` and the cell's old value, an
+        implicit int 0, is returned; from there on, a memory fault."""
+        if addr >= self.cells_end:
+            self.trap_mem(addr)
+        cells = self.cells
+        cells.extend([0] * (addr + 1 - len(cells)))
+        return 0
 
     def checked_load(self, addr: int):
         if addr < 0:
@@ -930,7 +962,7 @@ class Interpreter:
         try:
             v = self.cells[addr]
         except IndexError:
-            self.trap_mem(addr)
+            v = self.load_past(addr)
         if v is None:
             self.trap_mem(addr)
         return v
@@ -941,7 +973,7 @@ class Interpreter:
         try:
             old = self.cells[addr]
         except IndexError:
-            self.trap_mem(addr)
+            old = self.store_past(addr)
         if old is None:
             self.trap_mem(addr)
         self.cells[addr] = value

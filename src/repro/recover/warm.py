@@ -8,7 +8,7 @@ containers for the warm-start engine in
 :mod:`repro.interp.interpreter`:
 
 * During the (already mandatory) golden profiled run the interpreter
-  captures a **ladder** of :class:`WarmSnapshot` rungs — the *full* cells
+  captures a **ladder** of :class:`WarmSnapshot` rungs — the cells
   image, stack pointer, the entire frame stack (generalizing the
   single-frame recovery :class:`~repro.recover.runtime.Snapshot`), the
   output log, the block-execution profile, and recovery telemetry counters
@@ -26,10 +26,15 @@ containers for the warm-start engine in
   suffix, so the run finishes immediately with the golden result
   (:class:`GoldenResync`) — the masked-trial fast path.
 
-Cells snapshots are **full** images (not ``cells[:sp]``): dead residue
-beyond ``sp`` must match the cold run bit-for-bit, because a wild pointer
-produced by a flip may read it.  Rungs are immutable once captured and are
-shared copy-on-write across forked campaign workers.
+Cells snapshots copy the interpreter's **physical** list (not
+``cells[:sp]``): dead residue beyond ``sp`` must match the cold run
+bit-for-bit, because a wild pointer produced by a flip may read it.  The
+list ends past the highest stack cell the golden run had allocated or
+stored to by the capture; the rest of the logical arena, up to
+``Interpreter.cells_end``, is an implicit int ``0`` tail, so a rung of a
+run that never touches its stack holds only the globals.  Restores copy the physical list back, and resync compares
+logical arenas (see ``Interpreter._resync_match``).  Rungs are immutable
+once captured and are shared copy-on-write across forked campaign workers.
 """
 
 from __future__ import annotations

@@ -392,17 +392,13 @@ class TestResyncMatch:
         below = next(
             i for i, v in enumerate(snap.cells[: snap.sp]) if type(v) is int
         )
-        above = next(
-            i for i in range(snap.sp, len(snap.cells)) if type(snap.cells[i]) is int
-        )
-        for i in (below, above):
-            value = snap.cells[i]
-            others = [float(value)] + ([bool(value)] if value in (0, 1) else [])
-            for other in others:
-                cells = list(snap.cells)
-                cells[i] = other
-                assert cells == snap.cells
-                assert not self.matches(interp, snap, cells), (i, other)
+        value = snap.cells[below]
+        others = [float(value)] + ([bool(value)] if value in (0, 1) else [])
+        for other in others:
+            cells = list(snap.cells)
+            cells[below] = other
+            assert cells == snap.cells
+            assert not self.matches(interp, snap, cells), (below, other)
 
     def test_one_zero_of_the_other_sign_rejects(self, rung):
         interp, snap = rung
@@ -414,12 +410,37 @@ class TestResyncMatch:
         cells[below] = -cells[below]
         assert cells == snap.cells
         assert not self.matches(interp, snap, cells)
-        # fft leaves only integer zeros above sp: give a copy of the rung a
-        # float zero there, and the trial the other sign
-        above = len(snap.cells) - 1
-        golden = list(snap.cells)
-        golden[above] = 0.0
-        cells = list(golden)
-        cells[above] = -0.0
-        assert self.matches(interp, self.copy_with(snap, golden), list(golden))
-        assert not self.matches(interp, self.copy_with(snap, golden), cells)
+
+    # Above sp.  fft never touches its stack, so the rung's physical list
+    # ends at sp; past the end of either list the logical arena is int 0.
+    # A longer list's tail is therefore compared against int zeros: an
+    # equal-valued 0.0, -0.0 or False there is a different state.
+    TAILS = (
+        ([0, 0, 0], True),
+        ([0, 0, 0.0], False),
+        ([-0.0, 0, 0], False),
+        ([0, False, 0], False),
+        ([0, 0, 1], False),
+    )
+
+    def test_a_rung_of_fft_ends_at_sp(self, rung):
+        interp, snap = rung
+        assert len(snap.cells) == snap.sp == interp.cm.stack_base
+
+    @pytest.mark.parametrize("tail,match", TAILS)
+    def test_a_trial_list_longer_than_the_rung(self, rung, tail, match):
+        interp, snap = rung
+        cells = list(snap.cells) + tail
+        assert self.matches(interp, snap, cells) is match
+
+    @pytest.mark.parametrize("tail,match", TAILS)
+    def test_a_rung_list_longer_than_the_trial(self, rung, tail, match):
+        interp, snap = rung
+        longer = self.copy_with(snap, list(snap.cells) + tail)
+        assert self.matches(interp, longer, list(snap.cells)) is match
+
+    @pytest.mark.parametrize("tail,match", TAILS)
+    def test_lists_of_equal_length_above_sp(self, rung, tail, match):
+        interp, snap = rung
+        golden = self.copy_with(snap, list(snap.cells) + [0] * len(tail))
+        assert self.matches(interp, golden, list(snap.cells) + tail) is match
