@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
+from ..analysis.callgraph import CallGraph
 from ..interp.interpreter import Interpreter, RunResult
+from ..ir.instructions import CallInst
 from ..ir.module import Module
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
 from ..recover.warm import WarmStart
@@ -241,6 +243,12 @@ class Campaign:
         self._sites: List = []  # (instruction, dynamic_count)
         self._cumulative: List[int] = []
         self._total_weight = 0
+        #: per block gid, the golden run's post-charge cycle count of each
+        #: entry (RunResult.entries); None when no trial trips
+        self._entries: Optional[List] = None
+        #: id(instruction) -> whether its trials trip (see _fire_cycle)
+        self._trips: Dict[int, bool] = {}
+        self._recursive: Optional[Set[str]] = None  # functions on a call cycle
 
     # -- golden run --------------------------------------------------------------
 
@@ -255,6 +263,8 @@ class Campaign:
             )
         self._golden_cycles = result.cycles
         self._golden_capture = self.verifier.capture(self.interp)
+        if self.recovery is None and not self.fault_model.multi_shot:
+            self._entries = result.entries
         assert result.profile is not None
         cm = self.interp.cm
         cumulative: List[int] = []
@@ -371,39 +381,74 @@ class Campaign:
 
     # -- execution ---------------------------------------------------------------------
 
-    def run_site(self, site: FaultSite) -> TrialRecord:
-        """Execute one injection run and classify its outcome."""
-        self.prepare()
-        model = self.fault_model
-        warm = None
-        if self.warm_start:
-            ladder = self.ensure_ladder()
+    def _fire_cycle(self, site: FaultSite) -> Optional[int]:
+        """The golden cycle at which ``site``'s trial trips, or None when
+        it counts the instruction's executions instead.
+
+        A trial trips (see ``Interpreter.run``'s ``fire``) when the
+        campaign kept the golden run's block entries, i.e. for single-shot
+        models without recovery (``MpiCampaign`` keeps none), unless the
+        site is *reentrant* — a call to a defined function sits at or
+        before it in its block and its function is on a call-graph cycle,
+        so the block's entries and the site's executions may come in
+        different orders — or its block charges no cycle, so no charge
+        tells its top from the block's before it."""
+        entries = self._entries
+        if entries is None:
+            return None
+        inst = site.instruction
+        record = self.interp.cm.record_for(inst)
+        trips = self._trips.get(id(inst))
+        if trips is None:
+            if self._recursive is None:
+                graph = CallGraph(self.interp.module)
+                self._recursive = {
+                    fn.name for fn in self.interp.module.defined_functions()
+                    if graph.is_recursive(fn)
+                }
+            block = inst.parent.instructions
+            reentrant = inst.function.name in self._recursive and any(
+                isinstance(i, CallInst) and not i.callee.is_declaration
+                for i in block[: block.index(inst) + 1]
+            )
+            cost = self.interp.cfuncs[record.cfi].costs[record.block_index]
+            trips = self._trips[id(inst)] = cost > 0 and not reentrant
+        if not trips:
+            return None
+        return entries[record.block_gid][site.occurrence - 1]
+
+    def _warm_plan(self, site: FaultSite, fire: Optional[int]) -> WarmStart:
+        """How ``site``'s warm trial starts: the rung it restores and
+        whether it resyncs (``fire`` from :meth:`_fire_cycle`)."""
+        ladder = self.ensure_ladder()
+        plan_at = site
+        if fire is None:
             # Multi-shot models may fire before the planned occurrence:
             # plan the rung against the *first* possible firing so the
             # restored prefix never skips a corruption.
-            first = model.first_occurrence(site)
-            plan_at = (
-                site
-                if first == site.occurrence
-                else FaultSite(site.instruction, first, site.bit)
-            )
-            snap, inj_seen = ladder.plan_site(self.interp.cm, plan_at)
-            warm = WarmStart(
-                ladder,
-                snap,
-                inj_seen=inj_seen,
-                # Resync must not shortcut recovery trials: their rollback
-                # telemetry has to replay in full to stay bit-identical.
-                # Multi-shot faults keep corrupting after the first firing,
-                # so their tails can never rendezvous with the golden run.
-                resync=self.recovery is None and not model.multi_shot,
-            )
+            first = self.fault_model.first_occurrence(site)
+            if first != site.occurrence:
+                plan_at = FaultSite(site.instruction, first, site.bit)
+        snap, inj_seen = ladder.plan_site(self.interp.cm, plan_at, fire)
+        # Only tripping trials resync.  Recovery trials must replay their
+        # rollback telemetry in full to stay bit-identical, multi-shot
+        # faults keep corrupting after the first firing (so their tails
+        # never rendezvous with the golden run), and the tracked dispatch
+        # of a resync-armed trial has no counting tables.
+        return WarmStart(ladder, snap, inj_seen=inj_seen, resync=fire is not None)
+
+    def run_site(self, site: FaultSite) -> TrialRecord:
+        """Execute one injection run and classify its outcome."""
+        self.prepare()
+        fire = self._fire_cycle(site)
+        warm = self._warm_plan(site, fire) if self.warm_start else None
         result = self.interp.run(
             self.entry,
-            injection=model.injection_for(site),
+            injection=self.fault_model.injection_for(site),
             cycle_budget=self.cycle_budget,
             recovery=self.recovery,
             warm=warm,
+            fire=fire,
         )
         outcome = self.classify(result)
         warm_info = None

@@ -1090,12 +1090,11 @@ def run_campaign(
         # Bucket trials by their restore rung so consecutive chunks hit the
         # same rung (warm caches stay hot in each worker).  Results are
         # reassembled by index, so execution order never affects output.
-        bucket = {
-            i: (lambda s: s.index if s is not None else -1)(
-                ladder.plan_site(campaign.interp.cm, sites[i])[0]
-            )
-            for i in pending
-        }
+        bucket = {}
+        for i in pending:
+            site = sites[i]
+            snap = campaign._warm_plan(site, campaign._fire_cycle(site)).snapshot
+            bucket[i] = snap.index if snap is not None else -1
         pending.sort(key=lambda i: (bucket[i], i))
     last_progress = [stats.started]
 

@@ -44,9 +44,19 @@ Semantics implemented exactly:
 * optional single-bit fault injection after a chosen dynamic occurrence of a
   chosen instruction (the FlipIt substitute's engine room).
 
-Fault injection works by swapping in an alternative compiled version of the
-*target block only* (or of the region holding it); every other block runs
-at full speed.
+Fault injection has two routes, both through *injectable variants*: a block
+or region compiled once per injection mode with an epilogue after every
+value-producing instruction, each behind a guard ``if _s == <slot>:`` on
+``state.inj_slot``, so every site in the block or region shares one
+variant (a multi-shot model's variant holds its one site's epilogue).  A
+single-shot campaign trial *trips*: until its flip the trial is the golden
+run, so the plain tables run up to the flip's golden cycle
+(``state.rbudget``), a lean region member leaves through a deopt exit at
+the flip block's top, and ``Interpreter.trip`` runs that one block instance
+in its injectable variant before the plain tables take over again.  Every
+other injected run *counts*: the injected function dispatches through a
+table holding the variant of the block or region with the site, which
+counts the site's executions in ``state.inj_seen``.
 """
 
 from __future__ import annotations
@@ -111,12 +121,28 @@ def flip_bool(value, bit: int):
     return not value
 
 
+def sync_frame(frame: List, region_locals: Dict[str, object]) -> None:
+    """Write the registers a lean region has bound (``r12`` holds slot 12)
+    back to its frame list, at a deopt exit (see
+    :meth:`_Compiler._gen_region`).
+
+    A bound register always holds what block-by-block execution would
+    have left in its slot, and a slot whose register is unbound is one
+    the region's activation has not assigned yet; block-by-block
+    execution from the exit assigns it before any read, so the frame
+    list then serves the per-block table exactly."""
+    for name, value in region_locals.items():
+        if name[0] == "r" and name[1:].isdigit():
+            frame[int(name[1:])] = value
+
+
 EXEC_GLOBALS = dict(EXEC_GLOBALS)
 EXEC_GLOBALS.update(
     {
         "_flip_int": flip_int,
         "_flip_f64": flip_f64,
         "_flip_bool": flip_bool,
+        "_locals": locals,
     }
 )
 
@@ -268,16 +294,17 @@ class CompiledModule:
     def injected_block_fn(
         self, inst: Instruction, mode: str = "1bit"
     ) -> Tuple[int, int, Callable]:
-        """Compile (or fetch) the injection variant of the block holding
-        ``inst``.  Returns (cfi, block_index, block_fn).  ``mode`` picks
-        the injection epilogue: ``"1bit"`` (the legacy inline flip),
-        ``"once"`` (one firing through ``state.inj_corrupt``), or
-        ``"multi"`` (multi-shot arming via ``state.inj_fire``)."""
+        """Compile (or fetch) the injectable variant of the block holding
+        ``inst``, shared by every site in that block (the epilogue of the
+        site ``state.inj_slot`` names fires; see :func:`_inject`).
+        Returns (cfi, block_index, block_fn).  ``mode`` picks the injection epilogue: ``"1bit"`` (the
+        legacy inline flip), ``"once"`` (one firing through
+        ``state.inj_corrupt``), or ``"multi"`` (multi-shot arming via
+        ``state.inj_fire``)."""
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
-        fn = self._compiler.compile_block(
-            cf, record.block_index, inject_after=inst, mode=mode
-        )
+        inject = _inject(record, mode)
+        fn = self._compiler.compile_block(cf, record.block_index, inject)
         return record.cfi, record.block_index, fn
 
     def injected_region_fn(
@@ -285,16 +312,17 @@ class CompiledModule:
     ) -> Tuple[int, int, Callable]:
         """The ``region_fns`` counterpart of :meth:`injected_block_fn`.
 
-        Returns (cfi, table_index, fn): the injection variant of the region
-        holding ``inst`` at its header's index, or the injected block when
-        ``inst`` lies outside every region.
+        Returns (cfi, table_index, fn): the injectable variant of the
+        region holding ``inst`` at its header's index, or the injectable
+        block when ``inst`` lies outside every region.
         """
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
         header = cf.region_of.get(record.block_index)
         if header is None:
             return self.injected_block_fn(inst, mode)
-        return record.cfi, header, self._compiler.compile_region(cf, header, inst, mode)
+        fn = self._compiler.compile_region(cf, header, _inject(record, mode))
+        return record.cfi, header, fn
 
     def tracked_region_fns(self, cfi: int) -> List[Callable]:
         """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
@@ -328,13 +356,30 @@ class CompiledModule:
         instruction), re-issues that call via ``state.resume_call()``, and
         runs the remainder normally.  No cycles are charged and no profile
         is bumped — the suspended block already paid at entry, before the
-        ladder rung was captured.  ``inject_after`` re-arms the injection
-        epilogue for instructions in the executed remainder (including the
-        resumed call itself).
+        ladder rung was captured.  ``inject_after`` (an instruction of the
+        block) arms the injection epilogues of the executed remainder, the
+        resumed call included, as :meth:`injected_block_fn` does.
         """
-        return self._compiler.compile_resume(
-            self.cfuncs[cfi], bi, call_k, inject_after, mode
-        )
+        inject = None
+        if inject_after is not None:
+            inject = _inject(self.record_for(inject_after), mode)
+        return self._compiler.compile_resume(self.cfuncs[cfi], bi, call_k, inject)
+
+
+#: what an injectable variant injects: (mode, None) for every value
+#: behind its slot guard, (mode, slot) for that one slot's value only
+Inject = Tuple[str, Optional[int]]
+
+
+def _inject(record: InstructionRecord, mode: str) -> Inject:
+    """The epilogues of the injectable variant for ``record``'s site.
+    Variants are shared by every site of a block or region, except for
+    multi-shot models: those count every execution of the injected
+    region, and the guards on its other values cost them more than the
+    compiles sharing saves (cold fft trials under
+    ``intermittent:p=0.5,window=4`` ran 5.5% slower with shared variants
+    in all 10 alternating rounds; see docs/performance.md)."""
+    return mode, record.slot if mode == "multi" else None
 
 
 def _exec(source: str, filename: str, name: str) -> Callable:
@@ -376,15 +421,20 @@ class _Compiler:
         self._local_regs: Dict[int, Dict[int, str]] = {}
         self._block_index: Dict[int, Dict[int, int]] = {}  # cfi -> id(block) -> index
         self._regions: Dict[Tuple[int, int], Region] = {}  # (cfi, header) -> region
-        self._inject_cache: Dict[Tuple[int, int, str], Callable] = {}
-        self._region_cache: Dict[Tuple[int, int, int, str], Callable] = {}
-        self._resume_cache: Dict[Tuple[int, int, int, int, str], Callable] = {}
+        #: (cfi, block, inject) -> injectable block variant
+        self._block_cache: Dict[Tuple[int, int, Inject], Callable] = {}
+        #: (cfi, header, inject or None, tracked) -> region function
+        self._region_cache: Dict[Tuple[int, int, Optional[Inject], bool], Callable] = {}
+        #: (cfi, block, call index, inject or None) -> resume variant
+        self._resume_cache: Dict[Tuple[int, int, int, Optional[Inject]], Callable] = {}
         self._check_site: Dict[int, int] = {}  # id(check call) -> site id
         #: leaf cfi -> id(value) -> the Python local a call site inlining
         #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
         #: the function whose tracked region is being generated, else None
         self._tracked: Optional[CompiledFunction] = None
+        #: the function whose lean region is being generated, else None
+        self._lean: Optional[CompiledFunction] = None
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -477,49 +527,34 @@ class _Compiler:
                 cf.region_of[bi] = region.header
             cf.region_fns[region.header] = self.compile_region(cf, region.header)
 
-    def compile_block(
-        self,
-        cf: CompiledFunction,
-        block_index_local: int,
-        inject_after: Instruction,
-        mode: str = "1bit",
-    ) -> Callable:
-        key = (cf.index, id(inject_after), mode)
-        cached = self._inject_cache.get(key)
+    def compile_block(self, cf: CompiledFunction, bi: int, inject: Inject) -> Callable:
+        """The injectable variant of block ``bi`` (see :func:`_inject`)."""
+        key = (cf.index, bi, inject)
+        cached = self._block_cache.get(key)
         if cached is None:
-            _, cached = self._gen_block(cf, block_index_local, inject_after, mode)
-            self._inject_cache[key] = cached
+            _, cached = self._gen_block(cf, bi, inject)
+            self._block_cache[key] = cached
         return cached
 
     def compile_region(
         self,
         cf: CompiledFunction,
         header: int,
-        inject_after: Optional[Instruction] = None,
-        mode: str = "1bit",
+        inject: Optional[Inject] = None,
         tracked: bool = False,
     ) -> Callable:
-        """The region function headed by block ``header``, optionally with
-        the injection epilogue after ``inject_after`` (a member's
-        instruction), or its tracked variant."""
-        key = (
-            cf.index, header, id(inject_after) if inject_after is not None else 0,
-            mode, tracked,
-        )
+        """The region function headed by block ``header``: with
+        ``inject``, its injectable variant, or its tracked variant."""
+        key = (cf.index, header, inject, tracked)
         cached = self._region_cache.get(key)
         if cached is None:
             region = self._regions[(cf.index, header)]
-            cached = self._gen_region(cf, region, inject_after, mode, tracked)
+            cached = self._gen_region(cf, region, inject, tracked)
             self._region_cache[key] = cached
         return cached
 
     def compile_resume(
-        self,
-        cf: CompiledFunction,
-        bi: int,
-        call_k: int,
-        inject_after: Optional[Instruction],
-        mode: str = "1bit",
+        self, cf: CompiledFunction, bi: int, call_k: int, inject: Optional[Inject]
     ) -> Callable:
         """Generate the warm-start resume variant of one block.
 
@@ -528,13 +563,7 @@ class _Compiler:
         suspended block instance was charged and profiled at its original
         entry, before the ladder rung was captured.
         """
-        key = (
-            cf.index,
-            bi,
-            call_k,
-            id(inject_after) if inject_after is not None else 0,
-            mode,
-        )
+        key = (cf.index, bi, call_k, inject)
         cached = self._resume_cache.get(key)
         if cached is not None:
             return cached
@@ -560,20 +589,19 @@ class _Compiler:
         emit("def _block(f, state):")
         if _needs_cells(remainder):
             emit("    cells = state.cells")
+        self._gen_slot_load(inject, emit)
         d = regs.get(id(pending))
         if d is not None:
             emit(f"    {d} = state.resume_call()")
         else:
             emit("    state.resume_call()")
-        if pending is inject_after:
-            self._gen_injection(pending, regs, emit, mode)
+        self._gen_guarded_injection(pending, regs, emit, inject)
         for inst in remainder:
             if inst.is_terminator():
                 self._gen_terminator(inst, regs, emit, self._returner(cf))
             else:
                 self._gen_instruction(inst, regs, emit)
-                if inst is inject_after:
-                    self._gen_injection(inst, regs, emit, mode)
+                self._gen_guarded_injection(inst, regs, emit, inject)
         fn = _exec(
             "\n".join(lines) + "\n",
             f"<resume {cf.name}.{block.name}+{call_k}>",
@@ -589,24 +617,22 @@ class _Compiler:
         return lambda target, emit: emit(f"    return {index[id(target)]}")
 
     def _gen_block(
-        self,
-        cf: CompiledFunction,
-        bi: int,
-        inject_after: Optional[Instruction],
-        mode: str = "1bit",
+        self, cf: CompiledFunction, bi: int, inject: Optional[Inject] = None
     ) -> Tuple[str, Callable]:
+        """Block ``bi``'s function, or with ``inject`` its injectable
+        variant."""
         block = cf.fn.blocks[bi]
         lines: List[str] = ["def _block(f, state):"]
         emit = lines.append
         emit(f"    state.cycles = _c = state.cycles + {self.cm.cost_model.block_cost(block)}")
         emit("    if _c > state.budget: state.hang()")
         emit("    _p = state.prof")
-        emit(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+        emit(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}].append(_c)")
         if _needs_cells(block.instructions):
             emit("    cells = state.cells")
+        self._gen_slot_load(inject, emit)
         self._gen_body(
-            block, self._frame_regs[cf.index], emit, self._returner(cf),
-            inject_after, mode,
+            block, self._frame_regs[cf.index], emit, self._returner(cf), inject
         )
         source = "\n".join(lines) + "\n"
         return source, _exec(source, f"<block {cf.name}.{block.name}>", "_block")
@@ -617,14 +643,14 @@ class _Compiler:
         regs: Dict[int, str],
         emit,
         leave: Callable[[BasicBlock, Callable], None],
-        inject_after: Optional[Instruction],
-        mode: str,
+        inject: Optional[Inject],
         local: bool = False,
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
-        edge copies in the predecessors).  ``local`` selects region code:
-        see :meth:`_gen_instruction`; ``ret`` see :meth:`_gen_terminator`."""
+        edge copies in the predecessors), with ``inject`` the injection
+        epilogues too.  ``local`` selects region code: see
+        :meth:`_gen_instruction`; ``ret`` see :meth:`_gen_terminator`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
@@ -632,8 +658,7 @@ class _Compiler:
                 self._gen_terminator(inst, regs, emit, leave, ret)
             else:
                 self._gen_instruction(inst, regs, emit, local)
-                if inst is inject_after:
-                    self._gen_injection(inst, regs, emit, mode)
+                self._gen_guarded_injection(inst, regs, emit, inject)
 
     # -- region codegen -------------------------------------------------------------------
 
@@ -756,11 +781,11 @@ class _Compiler:
         self,
         cf: CompiledFunction,
         region: Region,
-        inject_after: Optional[Instruction],
-        mode: str,
+        inject: Optional[Inject],
         tracked: bool = False,
     ) -> Callable:
-        """Generate one region function.
+        """Generate one region function (with ``inject``, its injectable
+        variant).
 
         The cycle count lives in the local ``_c``: it is written back to
         ``state.cycles`` before every exit, around calls, and by the handler
@@ -769,6 +794,19 @@ class _Compiler:
         outside can read it.  A region that calls a leaf loads the injected
         function's index and the depth test once at entry for the guard of
         :meth:`_gen_inlined_call`.
+
+        A region's budget ``_bud`` is ``state.rbudget``: the hang budget,
+        or just below a tripping trial's golden flip cycle until the trip.
+        When a member's charge passes it, the slow path re-reads it (a
+        trip in a callee restores the hang budget, leaving this copy
+        stale) and otherwise leaves through a *deopt exit* at the member's
+        top: ``state.deopt`` hangs past ``state.budget``, or puts
+        ``state.cycles`` back to the top and writes the bound registers
+        back to the frame list (:func:`sync_frame`), and the region
+        returns ``state.trip(f)``, the block the flip block's injectable
+        variant leaves to.  An inlined leaf block never trips (a call into
+        the injected function is a real call), so it only hangs past the
+        hang budget.
 
         The *tracked* variant runs a resync-armed warm trial between
         events.  It keeps SSA values in the frame list, as block functions
@@ -802,16 +840,15 @@ class _Compiler:
         else:
             lines = ["def _region(f, state):"]
         emit = lines.append
-        # Nothing a region's callees do replaces the hang budget, the
-        # profile list or the cell arena, so they load once per entry (a
-        # tracked region re-reads its budget after each call).
+        # Nothing a region's callees do replaces the profile list or the
+        # cell arena, so they load once per entry; a callee may move the
+        # region budget, which a tracked region re-reads after each call
+        # and a lean one in its slow path.
+        emit("    _bud = state.rbudget")
         if tracked:
-            emit("    _bud = state.rbudget")
             emit("    _trk = state.trk")
             emit("    _rec = _trk.frames[-1]")
             emit(f"    _pq = _trk.probe_at.get({cf.index}) if state.inj_hit else None")
-        else:
-            emit("    _bud = state.budget")
         emit("    _p = state.prof")
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
@@ -819,6 +856,7 @@ class _Compiler:
         if leaves:
             emit("    _ij = state.inj_cfi")
             emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
+        self._gen_slot_load(inject, emit)
         if tracked:
             regs = self._frame_regs[cf.index]
         else:
@@ -836,14 +874,14 @@ class _Compiler:
             out(f"    state.cycles = _c; {stores}return {k}")
 
         self._tracked = cf if tracked else None
+        self._lean = None if tracked else cf
         try:
             self._gen_dispatch(
                 cf, region.order, region.header, regs,
-                lambda line: emit("    " + line), "bi", leave_region, None,
-                inject_after, mode,
+                lambda line: emit("    " + line), "bi", leave_region, None, inject,
             )
         finally:
-            self._tracked = None
+            self._tracked = self._lean = None
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
         emit("        if _c is not None: state.cycles = _c")
@@ -864,8 +902,7 @@ class _Compiler:
         bvar: str,
         exit_: Optional[Callable[[int, Callable], None]],
         ret: Optional[Callable[[Optional[str], Callable], None]],
-        inject_after: Optional[Instruction],
-        mode: str,
+        inject: Optional[Inject],
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``.
@@ -891,7 +928,7 @@ class _Compiler:
                 exit_(k, o)
 
         def gen_member(bi: int, o) -> None:
-            self._gen_member(cf, bi, regs, o, leave, ret, inject_after, mode)
+            self._gen_member(cf, bi, regs, o, leave, ret, inject)
 
         out("    while True:")
         for bi in targets:
@@ -925,31 +962,33 @@ class _Compiler:
         out,
         leave,
         ret,
-        inject_after: Optional[Instruction],
-        mode: str,
+        inject: Optional[Inject],
     ) -> None:
         """One block in region code: charge ``_c``, test the budget, bump
-        the profile with the block's own gid, then its body.  In a tracked
-        region (see :meth:`_gen_region`) the region's own blocks test for
-        a deopt exit and use block-function bodies on the frame list."""
+        the profile with the block's own gid, then its body.  The region's
+        own blocks leave through a deopt exit (see :meth:`_gen_region`)
+        once the charge passes ``_bud`` below the hang budget: a tracked
+        region returns the block, with block-function bodies on the frame
+        list; a lean one writes its locals back and trips."""
         block = cf.fn.blocks[bi]
         cost = self.cm.cost_model.block_cost(block)
         if self._tracked is cf:
             out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
             out(f"        state.cycles = _c; return {bi}")
         out(f"    _c += {cost}")
-        if self._tracked is None:
-            out("    if _c > _bud: state.hang()")
-        elif self._tracked is cf:
+        if self._tracked is cf:
             out("    if _c > _bud:")
             out("        if _c > state.budget: state.hang()")
             out(f"        state.cycles = _c - {cost}; return {bi}")
+        elif self._lean is cf:
+            out("    if _c > _bud:")
+            out("        _bud = state.rbudget")
+            out(f"        if _c > _bud: _c = state.deopt(f, _locals(), _c, {cost}); return state.trip(f)")
         else:
             out("    if _c > _bud and _c > state.budget: state.hang()")
-        out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}] += 1")
+        out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}].append(_c)")
         self._gen_body(
-            block, regs, out, leave, inject_after, mode,
-            local=self._tracked is not cf, ret=ret,
+            block, regs, out, leave, inject, local=self._tracked is not cf, ret=ret
         )
 
     def tracked_entries(self, cf: CompiledFunction, header: int) -> Dict[int, Callable]:
@@ -984,7 +1023,7 @@ class _Compiler:
             else: <the counted state.call>
 
         The real call runs when the injected instruction lies in the leaf
-        (its injected table fires as before) and when the call would exceed
+        (it trips or counts there) and when the call would exceed
         ``Interpreter.DEFAULT_MAX_DEPTH`` (it raises ``StackOverflow``).
         Each inlined block charges ``_c``, tests the budget and bumps the
         profile with the leaf's own gid, as the call would, so a trap, hang
@@ -1019,7 +1058,7 @@ class _Compiler:
                 if d is not None:
                     out(f"    {d} = {value}")
 
-            self._gen_member(leaf, 0, lregs, arm, None, ret, None, "1bit")
+            self._gen_member(leaf, 0, lregs, arm, None, ret, None)
         else:
             def ret(value: Optional[str], out) -> None:
                 out(f"    {d} = {value}; break" if d is not None else "    break")
@@ -1027,15 +1066,37 @@ class _Compiler:
             arm(f"    q{cfi}_bi = 0")
             self._gen_dispatch(
                 leaf, list(range(len(blocks))), 0, lregs, arm, f"q{cfi}_bi",
-                None, ret, None, "1bit",
+                None, ret, None,
             )
         emit("    else:")
         self._gen_defined_call(inst, cfi, d, args, arm, True)
 
     # -- injection epilogue -----------------------------------------------------------------
 
+    @staticmethod
+    def _gen_slot_load(inject: Optional[Inject], emit) -> None:
+        """The guards' copy of the injected slot, in a shared variant."""
+        if inject is not None and inject[1] is None:
+            emit("    _s = state.inj_slot")
+
+    def _gen_guarded_injection(
+        self, inst: Instruction, regs: Dict[int, str], emit, inject: Optional[Inject]
+    ) -> None:
+        """``inst``'s injection epilogue, if ``inject`` has one for it: in
+        a shared variant behind the guard that selects it as the site
+        (``_s``, the injected slot)."""
+        record = self.cm.records.get(id(inst))
+        if inject is None or record is None:
+            return
+        mode, slot = inject
+        if slot is None:
+            emit(f"    if _s == {record.slot}:")
+            self._gen_injection(inst, regs, lambda line: emit("    " + line), mode)
+        elif slot == record.slot:
+            self._gen_injection(inst, regs, emit, mode)
+
     def _gen_injection(
-        self, inst: Instruction, regs: Dict[int, str], emit, mode: str = "1bit"
+        self, inst: Instruction, regs: Dict[int, str], emit, mode: str
     ) -> None:
         reg = regs[id(inst)]
         emit("    state.inj_seen = _k = state.inj_seen + 1")

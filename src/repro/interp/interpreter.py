@@ -13,6 +13,7 @@ campaigns.
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..ir.instructions import Instruction
@@ -32,7 +33,7 @@ from ..recover.warm import (
     _TrackState,
     exact_state_eq,
 )
-from .compiler import CompiledModule
+from .compiler import CompiledModule, sync_frame
 from .costmodel import CostModel
 from .errors import (
     ArithmeticFault,
@@ -86,7 +87,7 @@ class RunResult:
 
     __slots__ = (
         "status", "cycles", "value", "error", "injection_hit", "profile",
-        "recovery", "resynced", "warm_index",
+        "recovery", "resynced", "warm_index", "entries",
     )
 
     def __init__(
@@ -100,6 +101,7 @@ class RunResult:
         recovery: Optional[RecoveryTelemetry] = None,
         resynced: bool = False,
         warm_index: int = -1,
+        entries: Optional[List[array]] = None,
     ):
         #: 'ok' | 'trap' | 'hang' | 'detected' | 'abort'
         self.status = status
@@ -114,6 +116,9 @@ class RunResult:
         self.resynced = resynced
         #: ladder rung the run warm-started from (-1 = cold start)
         self.warm_index = warm_index
+        #: per block gid, the cycle count just after each entry's charge
+        #: (profiled runs; ``profile`` holds their lengths)
+        self.entries = entries
 
     @property
     def completed(self) -> bool:
@@ -134,7 +139,7 @@ class Interpreter:
         "global_overrides", "cells_end", "_reset_image", "cells", "sp",
         "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
         "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
-        "inj_hit", "inj_inst",
+        "inj_hit", "inj_inst", "inj_slot", "inj_trip",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
         "_resume_next",
@@ -177,13 +182,16 @@ class Interpreter:
         self.sp = 0
         self.cycles = 0
         self.budget = self.NO_BUDGET
-        #: the budget of tracked region functions: the hang budget, or
+        #: the budget of region functions: the hang budget, just below the
+        #: golden flip cycle until a tripping trial trips (see trip), or
         #: just below the next resync rung once a resync-armed trial's
         #: flip has fired (see _try_resync)
         self.rbudget = self.NO_BUDGET
         self.ret = None
         self.depth = 0
-        self.prof: Optional[List[int]] = None
+        #: per block gid, each entry's post-charge cycle count (profiled
+        #: runs), appended to by the generated code
+        self.prof: Optional[List[array]] = None
         self.output_log: List = []
         self.inj_cfi = -1
         #: the injected function's region_fns and block_fns tables, each
@@ -195,6 +203,12 @@ class Interpreter:
         self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
+        #: the injected instruction's frame slot (the guard of the shared
+        #: injectable variants)
+        self.inj_slot = -1
+        #: the run trips at its flip's golden cycle instead of counting
+        #: the injected instruction's executions
+        self.inj_trip = False
         self.inj_bi = -1
         self.inj_mode = "1bit"
         self.inj_fire: Optional[Callable] = None
@@ -264,6 +278,8 @@ class Interpreter:
         self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
+        self.inj_slot = -1
+        self.inj_trip = False
         self.inj_bi = -1
         self.inj_mode = "1bit"
         self.inj_fire = None
@@ -284,6 +300,7 @@ class Interpreter:
         cycle_budget: Optional[int] = None,
         recovery: Optional[RecoveryPolicy] = None,
         warm: Optional[WarmStart] = None,
+        fire: Optional[int] = None,
     ) -> RunResult:
         """Execute ``entry`` from a fresh state.
 
@@ -293,6 +310,20 @@ class Interpreter:
         fault models pass a ``repro.faults.models.InjectionSpec``
         instead, carrying the epilogue mode and the model's corruption
         and firing closures.
+
+        ``profile`` records, per block gid, the cycle count just after
+        each entry's charge (``RunResult.entries``; ``RunResult.profile``
+        counts them).  ``fire`` is a single-shot injection's entry from a
+        golden run's recording, the golden cycle of the flip block
+        instance: the run is the golden run up to there, so it runs the
+        plain tables until that block's top and :meth:`trip` runs that
+        one instance in its injectable variant, instead of counting the
+        instruction's executions.  It is only sound when the block's
+        entries and the instruction's executions come in the same order
+        (no call before the site in its block can re-enter the site's
+        function) and the block charges at least one cycle;
+        ``Campaign.run_site`` decides that.  A resync-armed warm trial
+        with an injection needs it.
 
         ``cycle_budget`` bounds execution (hang detection); ``None`` means
         effectively unlimited.
@@ -317,11 +348,10 @@ class Interpreter:
         self.budget = cycle_budget if cycle_budget is not None else self.NO_BUDGET
         self.rbudget = self.budget
         if profile:
-            self.prof = [0] * self.cm.total_blocks
+            self.prof = [array("q") for _ in range(self.cm.total_blocks)]
         if injection is not None:
             if type(injection) is tuple:
-                # The legacy transient-1bit triple: the historical fast
-                # path, byte-identical codegen and arming.
+                # The legacy transient-1bit triple: arms inj_occ/inj_bit.
                 inst, occurrence, bit = injection
                 if occurrence < 1:
                     raise ValueError("occurrence is 1-based")
@@ -341,7 +371,13 @@ class Interpreter:
             record = self.cm.record_for(inst)
             self.inj_cfi = record.cfi
             self.inj_inst = inst
+            self.inj_slot = record.slot
             self.inj_bi = record.block_index
+        if fire is not None:
+            if injection is None or recovery is not None or self.inj_mode == "multi":
+                raise ValueError("only single-shot injections without recovery trip")
+            self.inj_trip = True
+            self.rbudget = min(self.budget, fire - 1)
         if recovery is not None:
             plan = self._rec_plans.get(entry)
             if plan is None:
@@ -362,6 +398,8 @@ class Interpreter:
                 and warm.ladder is not None
                 and warm.ladder.snapshots
             ):
+                if injection is not None and fire is None:
+                    raise ValueError("a resync-armed injected run needs its fire cycle")
                 trk = _TrackState()
                 trk.resync_pts = warm.ladder.snapshots
                 trk.golden_cycles = warm.ladder.golden_cycles
@@ -372,6 +410,8 @@ class Interpreter:
                     trk.ri = warm.snapshot.index + 1
                 trk.rebuild_cand()
                 self.trk = trk
+            elif fire is not None and warm.snapshot is not None:
+                raise ValueError("a tripping warm trial must be resync-armed")
 
         entry_index = self.cm.get_function_index(entry)
         status, error, value = "ok", "", None
@@ -411,16 +451,18 @@ class Interpreter:
             status, error = "trap", f"host-level {type(exc).__name__}: {exc}"
         self.trk = None
         self._resume_frames = None
+        prof = self.prof
         return RunResult(
             status,
             self.cycles,
             value=value,
             error=error,
             injection_hit=self.inj_hit,
-            profile=self.prof,
+            profile=list(map(len, prof)) if prof is not None else None,
             recovery=self.rec.telemetry if self.rec is not None else None,
             resynced=resynced,
             warm_index=warm_index,
+            entries=prof,
         )
 
     def call(self, cfi: int, args: Tuple) -> object:
@@ -433,6 +475,12 @@ class Interpreter:
         tracking armed (``self.rec`` / ``self.trk`` set) it delegates to
         :meth:`_call_tracked`, which keeps the frame list coherent for its
         snapshots, rungs and compares.
+
+        The injected function of a counting run dispatches through its
+        injectable table.  In a tripping run it keeps ``region_fns`` and,
+        while the trip is ahead (``rbudget`` below the hang budget), tests
+        each block's charge against it: the flip block trips at its top,
+        here or, inside a region, at the member's deopt exit.
         """
         if self.rec is not None or self.trk is not None:
             return self._call_tracked(cfi, args)
@@ -447,9 +495,19 @@ class Interpreter:
             frame[: len(args)] = args
         if cfi != self.inj_cfi:
             fns = cf.region_fns
+            bi = fns[0](frame, self)
+        elif self.inj_trip:
+            fns = cf.region_fns
+            costs = cf.costs
+            bi = 0
+            while bi >= 0 and self.rbudget < self.budget:
+                if self.cycles + costs[bi] > self.rbudget:
+                    bi = self.trip(frame)
+                else:
+                    bi = fns[bi](frame, self)
         else:
             fns = self.inj_fns or self._injected_region_fns()
-        bi = fns[0](frame, self)
+            bi = fns[0](frame, self)
         while bi >= 0:
             bi = fns[bi](frame, self)
         self.depth = depth - 1
@@ -483,7 +541,7 @@ class Interpreter:
           equals the golden suffix).  Between those events it runs tracked
           region functions (``tracked_fns``), which keep the frame list
           and this frame's tracking record coherent and return at a deopt
-          exit before the next event.
+          exit before the next event, the trip included.
 
         ``_resume`` (a :class:`~repro.recover.warm.WarmFrame`) re-enters a
         suspended frame mid-block: a compiled *resume block* skips the
@@ -538,18 +596,21 @@ class Interpreter:
                 call_k = 0  # innermost frame: re-enter the loop at bi
             else:
                 call_k = wf.call_k + 1  # the pending call counts as made
+                # A tripping trial's rung precedes its flip block instance,
+                # so only a counting one resumes into an armed epilogue.
+                armed = (
+                    cfi == self.inj_cfi and bi == self.inj_bi and not self.inj_trip
+                )
                 resume_fn = self.cm.resume_block_fn(
-                    cfi,
-                    bi,
-                    wf.call_k,
-                    self.inj_inst
-                    if cfi == self.inj_cfi and bi == self.inj_bi
-                    else None,
-                    mode=self.inj_mode,
+                    cfi, bi, wf.call_k, self.inj_inst if armed else None,
+                    self.inj_mode,
                 )
         # Per-block table: every hook below needs a coherent frame list at
         # each block boundary.
-        fns = cf.block_fns if cfi != self.inj_cfi else self._injected_block_fns()
+        if cfi != self.inj_cfi or self.inj_trip:
+            fns = cf.block_fns
+        else:
+            fns = self._injected_block_fns()
         record = None
         if trk is not None:
             if trk.frames and _resume is None:
@@ -563,18 +624,16 @@ class Interpreter:
             # suffix, so every avoided per-block instruction matters.
             # Between events it dispatches tracked regions (see
             # _gen_region), which leave through a deopt exit before the
-            # block whose charge reaches self.rbudget: the loop then steps
-            # block by block onto the event.  The injected function steps
-            # block by block until the flip fires, so the first check comes
-            # at the next block top as before.  After it, the tracked
-            # regions run it without the injection epilogue: a single-shot
-            # flip never fires again (resync is off for multi-shot models)
-            # and inj_seen only counts executions toward that firing.
+            # block whose charge passes self.rbudget: the loop then steps
+            # block by block onto the event.  Before the flip the event is
+            # the trip (a resync-armed trial trips, see run), and the
+            # first resync check comes at the next block top.  After it,
+            # every table is plain: a single-shot flip never fires again
+            # (resync is off for multi-shot models).
             tfns = cf.tracked_fns
             if tfns is None:
                 tfns = self.cm.tracked_region_fns(cfi)
             costs = cf.costs
-            injected = cfi == self.inj_cfi
             try:
                 if resume_fn is not None:
                     bi = resume_fn(frame, self)
@@ -584,10 +643,7 @@ class Interpreter:
                         # below this frame: finish at full lean-loop speed.
                         # Entering region_fns at any block is legal: only
                         # a region's header holds a region function.
-                        if injected:
-                            lean = self.inj_fns or self._injected_region_fns()
-                        else:
-                            lean = cf.region_fns
+                        lean = cf.region_fns
                         while bi >= 0:
                             bi = lean[bi](frame, self)
                         break
@@ -603,13 +659,12 @@ class Interpreter:
                                 if frame == cregs:
                                     self._try_probe(trk, snap)
                                     break
-                    elif injected:
-                        bi = fns[bi](frame, self)
-                        continue
                     if self.cycles + costs[bi] <= self.rbudget:
                         bi = tfns[bi](frame, self)
+                    elif self.inj_hit or self.rbudget == self.budget:
+                        bi = fns[bi](frame, self)  # a resync event, or a hang
                     else:
-                        bi = fns[bi](frame, self)
+                        bi = self.trip(frame)
             finally:
                 trk.frames.pop()
             self.depth = depth - 1
@@ -746,6 +801,35 @@ class Interpreter:
             self.inj_block_fns = fns
         return fns
 
+    def deopt(self, frame: List, region_locals: Dict, cycles: int, cost: int) -> None:
+        """A lean region's deopt exit, called with its frame, its locals,
+        the member's charged count ``cycles`` and its ``cost``: hang past
+        the hang budget, else put ``self.cycles`` back to the member's top
+        and write the region's bound registers back to ``frame``.  Returns
+        None, the region's count while :meth:`trip` runs."""
+        if cycles > self.budget:
+            self.hang()
+        self.cycles = cycles - cost
+        sync_frame(frame, region_locals)
+
+    def trip(self, frame: List) -> int:
+        """Run the flip block instance (called at its top, uncharged, with
+        ``frame`` coherent) in its injectable variant, and return the
+        block it leaves to.
+
+        A tripping run (``run(fire=...)``) reaches here exactly once: its
+        pre-flip execution is the golden run's, so the first block whose
+        charge passes ``rbudget`` (the golden flip cycle less one) is the
+        flip block's ``occurrence``-th entry, and no count of earlier
+        executions is needed: ``inj_seen`` starts one short of the
+        occurrence.  ``rbudget`` goes back to the hang budget first, so
+        a callee of the flip block (a call before the site) runs on.
+        """
+        self.rbudget = self.budget
+        self.inj_seen = self.inj_occ - 1
+        _, _, fn = self.cm.injected_block_fn(self.inj_inst, self.inj_mode)
+        return fn(frame, self)
+
     # -- warm-start execution (snapshot-ladder trials) -----------------------------
 
     def resume_call(self) -> object:
@@ -796,8 +880,8 @@ class Interpreter:
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.reset()
-        self.budget = self.NO_BUDGET
-        self.prof = [0] * self.cm.total_blocks
+        self.budget = self.rbudget = self.NO_BUDGET
+        self.prof = [array("q") for _ in range(self.cm.total_blocks)]
         plan = self._rec_plans.get(entry)
         if plan is None:
             plan = build_plan(self.cm, entry)

@@ -81,7 +81,7 @@ class OmpRuntime:
     def start(self) -> None:
         """Initialise shared memory (globals); call before the first region."""
         self.interp.reset()
-        self.interp.budget = Interpreter.NO_BUDGET
+        self.interp.budget = self.interp.rbudget = Interpreter.NO_BUDGET
         self._started = True
 
     def run_serial(self, entry: str, args: Tuple = ()) -> object:

@@ -17,8 +17,10 @@ containers for the warm-start engine in
 
 * Each trial restores the latest rung whose state precedes its injection
   point (:meth:`SnapshotLadder.plan_site`) and executes only the suffix.
-  The injector's occurrence counter is re-derived from the rung's profile,
-  so the flip lands on exactly the same dynamic instance as a cold run.
+  A tripping trial picks the rung by the flip's golden cycle; a counting
+  one re-derives the injector's occurrence counter from the rung's
+  profile.  Either way the flip lands on exactly the same dynamic
+  instance as a cold run.
 
 * When no recovery policy is armed, trials additionally *resync* against
   later rungs: once the flip has fired, reaching a rung's cycle count with
@@ -236,6 +238,7 @@ class SnapshotLadder:
         # per-trial plan in run_site becomes a dict hit.
         self._profile_col: Dict[int, List[int]] = {}
         self._max_depth = max((len(s.frames) for s in snapshots), default=0)
+        self._cycles = [s.cycles for s in snapshots]
         self._plan_memo: Dict[Tuple[int, int], Tuple[Optional[WarmSnapshot], int]] = {}
 
     def __len__(self) -> int:
@@ -271,12 +274,21 @@ class SnapshotLadder:
             self._call_pos[key] = positions
         return positions
 
-    def plan_site(self, cm, site) -> Tuple[Optional[WarmSnapshot], int]:
+    def plan_site(
+        self, cm, site, fire: Optional[int] = None
+    ) -> Tuple[Optional[WarmSnapshot], int]:
         """The latest rung strictly before ``site``'s injection point.
 
         Returns ``(snapshot, inj_seen)`` where ``inj_seen`` is how many
         dynamic executions of the site's instruction precede the rung, or
         ``(None, 0)`` when the injection fires before the first rung.
+
+        With ``fire``, the golden cycle of a tripping trial's flip block
+        instance (see ``Interpreter.run``), the rung is the latest one
+        captured before that cycle.  Such a rung never holds the flip
+        instance suspended (it was charged before the rung, so at or
+        before the rung's count), and the trip re-derives the occurrence
+        count, so ``inj_seen`` is 0.
 
         Occurrence accounting: a rung's ``profile[gid]`` counts *entered*
         block instances, which over-counts executions of the target
@@ -286,6 +298,9 @@ class SnapshotLadder:
         call).  The innermost frame's about-to-run block is *not* yet
         profiled, so it needs no correction.
         """
+        if fire is not None:
+            j = bisect_left(self._cycles, fire)
+            return (self.snapshots[j - 1] if j else None), 0
         inst = site.instruction
         occurrence = site.occurrence
         memo_key = (id(inst), occurrence)
@@ -459,7 +474,7 @@ class _TrackState:
             sp=interp.sp,
             frames=tuple(wframes),
             out_log=list(interp.output_log),
-            profile=list(interp.prof),
+            profile=list(map(len, interp.prof)),
             rec_snapshots=rec.telemetry.snapshots if rec is not None else 0,
             rec_last_cycles=rec.last_snapshot_cycles if rec is not None else None,
         )

@@ -21,11 +21,10 @@ from repro.ir import (
     const_int,
     verify_module,
 )
-from repro.ir.instructions import PhiNode
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import RecoveryPolicy, SnapshotLadder, WarmStart, exact_state_eq
 from repro.recover.runtime import RecoveryState
-from tests.test_regions import _Rung, per_block_dispatch
+from tests.test_regions import _Rung, first_value, golden_fire, per_block_dispatch
 
 
 class TestGlobalOverrides:
@@ -162,16 +161,12 @@ def run_on(interp, table):
             return interp.run()
     if table == "region":
         return interp.run()
-    cm = interp.cm
-    fn = cm.cfuncs[cm.get_function_index("main")].fn
-    inst = next(
-        i for b in fn.blocks for i in b.instructions
-        if id(i) in cm.records and not isinstance(i, PhiNode)
-    )
+    inst = first_value(interp.cm, "main")
     ladder = SnapshotLadder([_Rung(0, 1 << 40)], 1, 0, None, "main")
     result = interp.run(
         injection=InjectionSpec(inst, 1, "once", corrupt=lambda v: v),
         warm=WarmStart(ladder, None, resync=True),
+        fire=golden_fire(interp, "main", inst),
     )
     assert result.injection_hit
     return result

@@ -719,8 +719,11 @@ def block_tops(interp, cf, start, header, members, wanted=()):
 
 
 def finish(interp, cf, frame, bi):
-    """Run a frame from block ``bi`` to its return on the lean table."""
+    """Run a frame from block ``bi`` to its return on the lean table,
+    with the hang budget as the region budget (lean regions read
+    ``rbudget`` too, and a tracked test leaves it armed)."""
     interp.trk = None
+    interp.rbudget = interp.budget
     while bi >= 0:
         bi = cf.region_fns[bi](frame, interp)
     return interp.ret, interp.cycles, digest(interp.cells)
@@ -777,23 +780,36 @@ def rendezvous_log(monkeypatch):
     yield log
 
 
-def armed_run(interp, entry, budget, rung_cycles, flip_in=None):
-    """A resync-armed run whose flip changes nothing (the first value
-    ``flip_in``, default ``entry``, computes, corrupted to itself) and
-    whose rungs sit at ``rung_cycles``.  Returns what the run leaves
-    behind."""
-    cm = interp.cm
-    fn = cm.cfuncs[cm.get_function_index(flip_in or entry)].fn
-    inst = next(
+def first_value(cm, name):
+    """The first value function ``name`` computes."""
+    fn = cm.cfuncs[cm.get_function_index(name)].fn
+    return next(
         i for b in fn.blocks for i in b.instructions
         if id(i) in cm.records and not isinstance(i, PhiNode)
     )
+
+
+def golden_fire(interp, entry, inst, occurrence=1):
+    """The golden cycle of the block entry in which ``inst`` executes for
+    the ``occurrence``-th time: a tripping run's ``fire``."""
+    entries = interp.run(entry, profile=True).entries
+    return entries[interp.cm.record_for(inst).block_gid][occurrence - 1]
+
+
+def armed_run(interp, entry, budget, rung_cycles, flip_in=None, fire=None):
+    """A resync-armed run whose flip changes nothing (the first value
+    ``flip_in``, default ``entry``, computes, corrupted to itself) and
+    whose rungs sit at ``rung_cycles``.  It trips at ``fire``, by default
+    the flip's golden cycle.  Returns what the run leaves behind."""
+    inst = first_value(interp.cm, flip_in or entry)
+    if fire is None:
+        fire = golden_fire(interp, entry, inst)
     spec = InjectionSpec(inst, 1, "once", corrupt=lambda v: v)
     rungs = [_Rung(i, c) for i, c in enumerate(sorted(set(rung_cycles)))]
     ladder = SnapshotLadder(rungs, 1, 0, None, entry)
     result = interp.run(
         entry, injection=spec, cycle_budget=budget, profile=True,
-        warm=WarmStart(ladder, None, resync=True),
+        warm=WarmStart(ladder, None, resync=True), fire=fire,
     )
     assert result.injection_hit
     return observe(interp, result)
@@ -858,6 +874,74 @@ class TestDeoptExits:
                     assert got == (bi, states[k], result), (cf.name, header, bi)
                     exits += 1
         assert exits >= 10
+
+    @pytest.mark.parametrize("name", WORKLOADS)
+    def test_lean_exit_at_every_member(self, name, monkeypatch):
+        """The lean twin of ``test_exit_at_every_member``: from the first
+        region entry of each function the golden run reaches, a region
+        budget equal to the entry cycle of a member in its region's first
+        or second activation makes lean dispatch trip at that member's
+        first top there with the per-block cycles, cells and ``sp``.  Its
+        frame may differ from the per-block frame only in slots nothing
+        reads before writing them (a slot the first activation assigned
+        stays stale in the second until it assigns it again): with those
+        slots poisoned the function still returns what the per-block run
+        returns."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+
+        def trip(self, frame):
+            raise _Stop
+
+        monkeypatch.setattr(Interpreter, "trip", trip)
+        exits = stale_slots = 0
+        for cf in interp.cm.cfuncs:
+            starts = [
+                (start[2], header, start)
+                for header, _ in regions_of(cf)
+                for start in [region_entry(interp, w.entry, cf, header)]
+                if start is not None
+            ]
+            if not starts:
+                continue
+            _, header, start = min(starts, key=lambda s: s[0])
+            _, _, result = block_tops(interp, cf, start, header, set())
+            frame = restore(interp, start)
+            tops, activations = {}, Counter()
+            bi, prev, region_of = header, None, dict(cf.region_of)
+            with per_block_dispatch(interp.cm):
+                while bi >= 0:
+                    h = region_of.get(bi)
+                    if h is not None:
+                        activations[h] += region_of.get(prev) != h
+                        key = (activations[h], bi)
+                        if activations[h] <= 2 and key not in tops:
+                            tops[key] = (
+                                interp.cycles, list(frame),
+                                digest(interp.cells), interp.sp,
+                            )
+                    prev, bi = bi, cf.block_fns[bi](frame, interp)
+            for (_, bi), (cycles, regs, cells, sp) in tops.items():
+                frame = restore(interp, start)
+                interp.rbudget = cycles
+                with pytest.raises(_Stop):
+                    top = header
+                    while top >= 0:
+                        top = cf.region_fns[top](frame, interp)
+                got = (interp.cycles, digest(interp.cells), interp.sp)
+                assert got == (cycles, cells, sp), (cf.name, bi)
+                stale = [
+                    slot for slot, value in enumerate(regs)
+                    if repr(frame[slot]) != repr(value)
+                ]
+                if stale:
+                    for slot in stale:
+                        frame[slot] = None
+                    assert finish(interp, cf, frame, bi) == result, (cf.name, bi)
+                stale_slots += len(stale)
+                exits += 1
+        assert exits >= 10
+        assert stale_slots
 
     @pytest.mark.parametrize("name", ["fft", "hpccg"])
     def test_probe_exit_at_every_member(self, name):
@@ -1041,14 +1125,17 @@ class TestDeoptExits:
         for prev, rung in pairs[:3]:
             inst = value(prev.frames[-1])
             seen = prev.profile[cm.records[id(inst)].block_gid]
-            assert ladder.plan_site(cm, FaultSite(inst, seen + 1, 0)) == (prev, seen)
+            site = FaultSite(inst, seen + 1, 0)
+            assert ladder.plan_site(cm, site) == (prev, seen)
+            fire = campaign._fire_cycle(site)
+            assert ladder.plan_site(cm, site, fire) == (prev, 0)
             spec = InjectionSpec(inst, seen + 1, "once", corrupt=lambda v: v)
             for table in (nullcontext(), per_block_dispatch(cm)):
                 matched.clear()
                 with table:
                     result = interp.run(
                         w.entry, injection=spec, cycle_budget=campaign.cycle_budget,
-                        warm=WarmStart(ladder, prev, seen, resync=True),
+                        warm=WarmStart(ladder, prev, resync=True), fire=fire,
                     )
                 assert result.resynced
                 assert matched[-1] == (rung.index, True)
@@ -1085,6 +1172,7 @@ class TestTrackedFastPaths:
         interp = w.make_interpreter(1)
         cm = interp.cm
         rungs = every_block_top(interp, w.entry, None)[::211]
+        fire = golden_fire(interp, w.entry, first_value(cm, "fft_row"))
         calls = Counter()
         wrapped = {}
         for cf in cm.cfuncs:
@@ -1095,11 +1183,11 @@ class TestTrackedFastPaths:
                     cf, table, [wrapped.get(id(fn), fn) for fn in getattr(cf, table)]
                 )
         with rendezvous_log(monkeypatch) as log:
-            fast = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+            fast = armed_run(interp, w.entry, None, rungs, "fft_row", fire)
             fast_calls = calls["b"]
             calls.clear()
             with per_block_dispatch(cm):
-                reference = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
+                reference = armed_run(interp, w.entry, None, rungs, "fft_row", fire)
         assert fast == reference
         assert len(log) > 100
         assert calls["b"] >= 5 * fast_calls, (calls["b"], fast_calls)
