@@ -6,13 +6,17 @@ runs), so the interpreter *compiles* each basic block to one Python function
 (``exec``-generated source).  The interpreter then just drives a
 block-dispatch loop; everything inside a block runs as straight-line Python.
 
-Small loop nests get a second, faster form.  Each outermost natural loop of
-at most :data:`MAX_REGION_BLOCKS` blocks also compiles to one *region*
-function that dispatches among its member blocks in a local ``while`` loop
-and keeps the SSA values it touches, and its cycle count, in Python locals
-(``r12`` instead of ``f[12]``).  It loads the values it needs from the frame list at entry and
-writes back the ones that code outside the region reads just before each
-exiting ``return``.  A function therefore has three dispatch tables:
+Loop nests get a second, faster form.  Each outermost natural loop also
+compiles to one *region* function that runs its member blocks in a local
+``while`` loop and keeps the SSA values it touches, and its cycle count, in
+Python locals (``r12`` instead of ``f[12]``).  Each member is emitted at its
+immediate dominator: inside the branch arm that enters it, or, for an
+if/else merge, right after that ``if``/``else``, which its arms fall into.
+Only loop headers cost a dispatch test on the local block index (see
+:meth:`_Compiler._gen_dispatch`).  It loads the values it needs from the
+frame list at entry and writes back the ones that code outside the region
+reads just before each exiting ``return``.  A function therefore has three
+dispatch tables:
 
 * ``block_fns`` — one function per block, the frame list coherent at every
   block boundary.  Used by the tracked dispatch loop (recovery snapshots,
@@ -66,6 +70,7 @@ import struct
 from functools import partial
 from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
 
+from ..analysis.dominators import DominatorTree
 from ..analysis.loops import LoopInfo
 from ..ir.block import BasicBlock
 from ..ir.function import Function
@@ -145,11 +150,6 @@ EXEC_GLOBALS.update(
         "_locals": locals,
     }
 )
-
-
-#: largest natural loop (in blocks) compiled into one region function;
-#: bigger loops run block by block, their small inner loops as regions
-MAX_REGION_BLOCKS = 16
 
 
 class CompiledBlock:
@@ -393,11 +393,9 @@ def _needs_cells(insts) -> bool:
 
 
 def _is_leaf(fn: Function) -> bool:
-    """Whether region code may inline calls to ``fn``: at most
-    :data:`MAX_REGION_BLOCKS` blocks, no call to a defined function, no
-    MPI binding and no ``alloca`` (so it never touches ``sp``)."""
-    if len(fn.blocks) > MAX_REGION_BLOCKS:
-        return False
+    """Whether region code may inline calls to ``fn``: no call to a
+    defined function, no MPI binding and no ``alloca`` (so it never
+    touches ``sp``)."""
     for block in fn.blocks:
         for inst in block.instructions:
             if isinstance(inst, AllocaInst):
@@ -646,16 +644,18 @@ class _Compiler:
         inject: Optional[Inject],
         local: bool = False,
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
+        fall: bool = False,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
         edge copies in the predecessors), with ``inject`` the injection
         epilogues too.  ``local`` selects region code: see
-        :meth:`_gen_instruction`; ``ret`` see :meth:`_gen_terminator`."""
+        :meth:`_gen_instruction`; ``ret`` and ``fall`` see
+        :meth:`_gen_terminator`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
             if inst.is_terminator():
-                self._gen_terminator(inst, regs, emit, leave, ret)
+                self._gen_terminator(inst, regs, emit, leave, ret, fall)
             else:
                 self._gen_instruction(inst, regs, emit, local)
                 self._gen_guarded_injection(inst, regs, emit, inject)
@@ -663,14 +663,13 @@ class _Compiler:
     # -- region codegen -------------------------------------------------------------------
 
     def _find_regions(self, cf: CompiledFunction) -> List[Region]:
-        """Plan one region per outermost natural loop of at most
-        :data:`MAX_REGION_BLOCKS` blocks."""
+        """Plan one region per outermost natural loop."""
         loops = LoopInfo(cf.fn)
         index = self._block_index[cf.index]
         claimed: Set[BasicBlock] = set()
         regions = []
         for loop in sorted(loops.loops, key=lambda lp: -len(lp.blocks)):
-            if len(loop.blocks) > MAX_REGION_BLOCKS or claimed & loop.blocks:
+            if claimed & loop.blocks:
                 continue
             claimed |= loop.blocks
             order = sorted(
@@ -907,28 +906,44 @@ class _Compiler:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``.
 
-        Dispatch targets are ``head`` and every block entered by more than
-        one edge from ``order``; a block with exactly one is emitted inside
-        the branch arm of that edge, so reaching it costs no ``bvar`` test.
-        Every block is emitted once.  ``exit_(k, out)`` emits the edge to a
-        block ``k`` outside ``order``, and ``ret(value, out)`` a ``ret``
-        (see :meth:`_gen_terminator`).
+        Each block is emitted once, at its immediate dominator (see
+        :meth:`_dispatch_targets`): a block entered by exactly one edge
+        inside the branch arm of that edge, a *join* right after the
+        ``if``/``else`` of the block it joins, where the arms that reach
+        it do their phi copies and fall through.  Only the dispatch
+        targets (``head``, the loop headers and any block neither rule
+        places) cost a ``bvar`` test; an edge to one sets ``bvar`` and
+        continues.  ``exit_(k, out)`` emits the edge to a block ``k``
+        outside ``order``, and ``ret(value, out)`` a ``ret`` (see
+        :meth:`_gen_terminator`).
         """
         index = self._block_index[cf.index]
-        targets = self._dispatch_targets(cf, order, head)
-        inlined = set(order).difference(targets)
+        targets, joins = self._dispatch_targets(cf, order, head)
+        dispatched = set(targets)
+        members = set(order)
 
-        def leave(target: BasicBlock, o) -> None:
+        def gen_member(bi: int, o, follow: Optional[int]) -> None:
+            # ``follow`` is the join control falls into off the end of
+            # ``o``; inside this block's arms it is the block's own join.
+            join = joins.get(bi)
+            inner = follow if join is None else join
+            self._gen_member(
+                cf, bi, regs, o, lambda target, oo: leave(target, oo, inner),
+                ret, inject, fall=inner is not None,
+            )
+            if join is not None:
+                gen_member(join, o, follow)
+
+        def leave(target: BasicBlock, o, follow: Optional[int]) -> None:
             k = index[id(target)]
-            if k in inlined:
-                gen_member(k, o)
-            elif k in targets:
+            if k == follow:
+                return
+            if k in dispatched:
                 o(f"    {bvar} = {k}; continue")
+            elif k in members:
+                gen_member(k, o, follow)
             else:
                 exit_(k, o)
-
-        def gen_member(bi: int, o) -> None:
-            self._gen_member(cf, bi, regs, o, leave, ret, inject)
 
         out("    while True:")
         for bi in targets:
@@ -937,22 +952,94 @@ class _Compiler:
                 pad = "        "
             else:
                 pad = "    "
-            gen_member(bi, lambda line, _pad=pad: out(_pad + line))
+            gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
 
     def _dispatch_targets(
         self, cf: CompiledFunction, order: List[int], head: int
-    ) -> List[int]:
-        """The blocks of ``order`` that :meth:`_gen_dispatch` dispatches
-        on, in order: ``head`` and every block entered by more than one
-        edge from ``order``."""
+    ) -> Tuple[List[int], Dict[int, int]]:
+        """Where :meth:`_gen_dispatch` places the blocks of ``order``:
+        (the dispatch targets, in order; block -> the join placed right
+        after its ``if``/``else``).
+
+        On the forward CFG of ``order`` from ``head`` (back edges and
+        exits leave it), a block J entered by more than one edge is the
+        join of block B when B is J's immediate dominator, B ends in a
+        conditional branch and J is B's immediate post-dominator (blocks
+        with no forward successor feed a virtual exit).  The targets are
+        ``head``, every block a back edge enters, and every other block
+        entered by more than one edge that is no join.  A join that some
+        edge would enter other than by falling into it (an unstructured
+        shape) becomes a target too, until every edge is placed.  A block
+        entered by exactly one edge is neither: it sits in that edge's
+        arm.
+        """
         index = self._block_index[cf.index]
+        blocks = cf.fn.blocks
+        members = set(order)
+        dom = DominatorTree(cf.fn)
+        succs = {
+            bi: [index[id(s)] for s in blocks[bi].successors() if index[id(s)] in members]
+            for bi in order
+        }
+        targets = {head}
         edges_in = dict.fromkeys(order, 0)
+        forward: Dict[int, List[int]] = {bi: [] for bi in order}
         for bi in order:
-            for succ in cf.fn.blocks[bi].successors():
-                k = index[id(succ)]
-                if k in edges_in:
-                    edges_in[k] += 1
-        return [bi for bi in order if bi == head or edges_in[bi] != 1]
+            for k in succs[bi]:
+                edges_in[k] += 1
+                if dom.dominates(blocks[k], blocks[bi]):
+                    targets.add(k)  # a back edge
+                else:
+                    forward[bi].append(k)
+        # Post-dominator sets, successors first: reverse postorder of the
+        # function orders its forward edges.
+        pdom: Dict[int, Set[int]] = {}
+        for block in reversed(dom.reachable_blocks):
+            bi = index[id(block)]
+            if bi in members:
+                after = [pdom[k] for k in forward[bi]]
+                pdom[bi] = {bi}.union(set.intersection(*after) if after else ())
+        joins: Dict[int, int] = {}
+        for bi in order:
+            if bi in targets or edges_in[bi] == 1:
+                continue
+            idom = dom.immediate_dominator(blocks[bi])
+            term = idom.terminator if idom is not None else None
+            if isinstance(term, BranchInst) and term.is_conditional:
+                b = index[id(idom)]
+                rest = pdom[b] - {b}
+                # the immediate post-dominator: the closest, with most of its own
+                if rest and max(rest, key=lambda k: len(pdom[k])) == bi:
+                    joins[b] = bi
+                    continue
+            targets.add(bi)
+
+        def misplaced() -> Optional[int]:
+            """Walk the placement; the first join some edge enters other
+            than by falling into it, else None."""
+            placed = set(joins.values())
+            work: List[Tuple[int, Optional[int]]] = [(t, None) for t in targets]
+            while work:
+                bi, follow = work.pop()
+                join = joins.get(bi)
+                inner = follow if join is None else join
+                if join is not None:
+                    work.append((join, follow))
+                for k in succs[bi]:
+                    if k == inner or k in targets:
+                        continue
+                    if k in placed:
+                        return k
+                    work.append((k, inner))
+            return None
+
+        while True:
+            bad = misplaced()
+            if bad is None:
+                break
+            targets.add(bad)
+            del joins[next(b for b, j in joins.items() if j == bad)]
+        return [bi for bi in order if bi in targets], joins
 
     def _gen_member(
         self,
@@ -963,9 +1050,11 @@ class _Compiler:
         leave,
         ret,
         inject: Optional[Inject],
+        fall: bool = False,
     ) -> None:
         """One block in region code: charge ``_c``, test the budget, bump
-        the profile with the block's own gid, then its body.  The region's
+        the profile with the block's own gid, then its body (``fall`` see
+        :meth:`_gen_terminator`).  The region's
         own blocks leave through a deopt exit (see :meth:`_gen_region`)
         once the charge passes ``_bud`` below the hang budget: a tracked
         region returns the block, with block-function bodies on the frame
@@ -988,21 +1077,21 @@ class _Compiler:
             out("    if _c > _bud and _c > state.budget: state.hang()")
         out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}].append(_c)")
         self._gen_body(
-            block, regs, out, leave, inject, local=self._tracked is not cf, ret=ret
+            block, regs, out, leave, inject, local=self._tracked is not cf, ret=ret,
+            fall=fall,
         )
 
     def tracked_entries(self, cf: CompiledFunction, header: int) -> Dict[int, Callable]:
         """Entries into the tracked region headed by ``header``: block index
         -> a callable ``(f, state)`` that runs the region from that block,
-        for every block the region dispatches on.  A member emitted inside
-        its predecessor's branch arm has no entry; it runs as a block
+        for every block the region dispatches on (its loop headers; see
+        :meth:`_dispatch_targets`).  A member emitted inside a branch arm
+        or after an ``if``/``else`` has no entry; it runs as a block
         function until control reaches one."""
         fn = self.compile_region(cf, header, tracked=True)
         region = self._regions[(cf.index, header)]
-        return {
-            bi: fn if bi == header else partial(fn, bi=bi)
-            for bi in self._dispatch_targets(cf, region.order, header)
-        }
+        targets, _ = self._dispatch_targets(cf, region.order, header)
+        return {bi: fn if bi == header else partial(fn, bi=bi) for bi in targets}
 
     def _leaf_callee(self, inst: Instruction) -> Optional[int]:
         """The index of the leaf ``inst`` calls, or None when ``inst`` is
@@ -1433,14 +1522,18 @@ class _Compiler:
         emit,
         leave: Callable[[BasicBlock, Callable], None],
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
+        fall: bool = False,
     ) -> None:
         """``leave(target, emit)`` emits the transfer to a successor block
         through ``emit`` (which carries the arm's indentation): ``return k``
         from a block function; inside a region function ``bi = k;
-        continue``, an exit, or the inlined successor itself.  ``ret(value,
-        emit)``, when given, emits a ``ret`` of the rendered ``value``
-        (None for ``ret void``) for an inlined leaf; otherwise a ``ret``
-        sets ``state.ret`` and returns -1."""
+        continue``, an exit, the inlined successor itself, or nothing, for
+        the join control falls into.  ``fall`` says that an arm may fall
+        through: a conditional branch then puts its else arm under
+        ``else:`` (an empty then arm is ``pass``, an empty else arm left
+        out).  ``ret(value, emit)``, when given, emits a ``ret`` of the
+        rendered ``value`` (None for ``ret void``) for an inlined leaf;
+        otherwise a ``ret`` sets ``state.ret`` and returns -1."""
         e = lambda v: self._expr(v, regs)
         block = inst.parent
         if isinstance(inst, RetInst):
@@ -1467,10 +1560,24 @@ class _Compiler:
             then_b, else_b = inst.targets
             emit(f"    if {e(cond)}:")
             arm = lambda line: emit("    " + line)
-            self._gen_edge_copies(block, then_b, regs, arm)
-            leave(then_b, arm)
-            self._gen_edge_copies(block, else_b, regs, emit)
-            leave(else_b, emit)
+            if not fall:
+                self._gen_edge_copies(block, then_b, regs, arm)
+                leave(then_b, arm)
+                self._gen_edge_copies(block, else_b, regs, emit)
+                leave(else_b, emit)
+                return
+            then_lines: List[str] = []
+            self._gen_edge_copies(block, then_b, regs, then_lines.append)
+            leave(then_b, then_lines.append)
+            for line in then_lines or ["    pass"]:
+                arm(line)
+            else_lines: List[str] = []
+            self._gen_edge_copies(block, else_b, regs, else_lines.append)
+            leave(else_b, else_lines.append)
+            if else_lines:
+                emit("    else:")
+                for line in else_lines:
+                    arm(line)
             return
         raise InterpreterBug(f"no codegen for terminator {inst!r}")
 

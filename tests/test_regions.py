@@ -12,6 +12,9 @@ Region code also inlines calls to leaf functions behind a guard that falls
 back to ``Interpreter.call``; ``TestInlinedLeaves`` checks that the inline
 path fires, that the fallback is taken when it must be, and that both agree
 with the per-block table.
+
+Besides the six workloads, the suites run ``JoinShapes``, a kernel of the
+branch shapes whose joins region code falls into rather than dispatches on.
 """
 
 import hashlib
@@ -25,6 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
+from repro.analysis.loops import LoopInfo
 from repro.faults import Campaign, MpiCampaign, TrialPlan
 from repro.faults.campaign import TrialRecord
 from repro.faults.model import FaultSite, result_bits
@@ -32,15 +36,84 @@ from repro.faults.parallel import run_campaign, trial_entry
 from repro.faults.models import FAULT_MODELS, InjectionSpec
 from repro.interp import Interpreter
 from repro.interp import compiler
-from repro.interp.compiler import MAX_REGION_BLOCKS
 from repro.ir.instructions import CallInst, PhiNode
 from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import SnapshotLadder, WarmStart
 from repro.recover.warm import _TrackState
 from repro.workloads import get_workload
+from repro.workloads.base import Workload
 
 WORKLOADS = ("comd", "hpccg", "amg", "fft", "is", "particles")
+
+
+class JoinShapes(Workload):
+    """Branch shapes in one loop: if-then, if-then-else, nested diamonds,
+    ``&&``/``||`` in the loop and ``if`` conditions, a join whose phi
+    takes a different value on each edge, a ``break`` and an early
+    ``return`` from inside an arm, and, per input, a trap (input 2) or a
+    long-running loop (input 3) inside an arm.  ``main`` fills ``data``
+    first, in a loop of its own, so its second region starts with slots
+    the first one left stale."""
+
+    name = "joins"
+    source = """
+    output double result[2];
+    double data[16];
+    int n = 24;
+    int trap_at = -1;
+    int spin_at = -1;
+
+    int shapes(int k) {
+        int acc = 0;
+        int j = 0;
+        while (j < n && acc < 100000) {
+            int t = 0;
+            if (j % 3 == 0 || k % 5 == 1) {
+                t = j * 2;
+            } else if (j % 3 == 1) {
+                if (k > j) { t = k - j; } else { t = j - k; }
+            } else {
+                t = 7;
+            }
+            if (t > 40) { t = t - 40; }
+            if (j == trap_at) { acc = acc + (int)data[j - 1000000]; }
+            if (j == spin_at) {
+                int w = 0;
+                while (w < 5000) { w = w + 1; }
+                acc = acc + w;
+            }
+            if (j % 4 == 2) {
+                if (acc > 300 && k % 4 == 3) { break; }
+                acc = acc + 1;
+            }
+            if (j % 5 == 4) {
+                if (j * k == 44) { return acc + 1; }
+                acc = acc - 1;
+            }
+            acc = acc + t;
+            j = j + 1;
+        }
+        return acc;
+    }
+
+    void main() {
+        for (int i = 0; i < 16; i = i + 1) { data[i] = (double)(i * 3); }
+        int total = 0;
+        for (int k = 0; k < 12; k = k + 1) {
+            int s = shapes(k);
+            if (s % 2 == 0) { total = total + s; } else { total = total - s; }
+            print(s);
+        }
+        result[0] = (double)total;
+    }
+    """
+    inputs = {1: {}, 2: {"trap_at": 5}, 3: {"spin_at": 0}}
+
+
+def subject(name):
+    """A registered workload by name, or ``JoinShapes`` for ``"joins"``."""
+    return JoinShapes() if name == JoinShapes.name else get_workload(name)
 
 
 @contextmanager
@@ -107,21 +180,161 @@ def campaign_entries(campaign, n_trials, seed):
     return [plan.entry(i, record) for i, record in enumerate(result.records)]
 
 
+def compiled_sources(monkeypatch):
+    """filename -> source of everything compiled from here on."""
+    sources = {}
+    real = compiler._exec
+
+    def record(source, filename, name):
+        sources[filename] = source
+        return real(source, filename, name)
+
+    monkeypatch.setattr(compiler, "_exec", record)
+    return sources
+
+
+def dispatch_tests(source):
+    """The block indices a region source tests ``bi`` against."""
+    return re.findall(r"\bbi == (\d+):", source)
+
+
 class TestRegionPlan:
-    def test_workloads_have_regions_within_the_size_limit(self):
+    #: joins the placement rule leaves to dispatch: each follows an inner
+    #: loop (``if (parallel) { for ... }`` and ``if (j < row0 || j >= row1)
+    #: { for ... }``), whose exit edge leaves that loop header's dispatch arm
+    UNPLACED_JOINS = {("amg", "smooth"): {"if.end30", "if.end38"}}
+
+    def test_regions_are_outermost_loops_dispatching_on_their_headers(
+        self, monkeypatch
+    ):
+        """Plain and fully duplicated, each function's regions are exactly
+        its outermost natural loops, and each lean region tests ``bi``
+        against exactly the loop headers inside it, once each, but the
+        last in dispatch order, which the ``while`` body falls into."""
+        sources = compiled_sources(monkeypatch)
         for name in WORKLOADS:
-            cm = Interpreter(get_workload(name).compile()).cm
-            headers = [h for cf in cm.cfuncs for h in set(cf.region_of.values())]
-            assert headers, name
-            for cf in cm.cfuncs:
-                for header in set(cf.region_of.values()):
-                    members = [b for b, h in cf.region_of.items() if h == header]
-                    assert header in members
-                    assert len(members) <= MAX_REGION_BLOCKS
-                    assert cf.region_fns[header] is not cf.block_fns[header]
-                for bi, fn in enumerate(cf.region_fns):
-                    if bi not in cf.region_of.values():
-                        assert fn is cf.block_fns[bi]
+            for protect in ("none", "full"):
+                module = get_workload(name).compile()
+                if protect == "full":
+                    duplicate_instructions(
+                        module, FullDuplicationSelector().select(module)
+                    )
+                sources.clear()
+                cm = Interpreter(module).cm
+                assert any(cf.region_of for cf in cm.cfuncs), name
+                for cf in cm.cfuncs:
+                    blocks = cf.fn.blocks
+                    index = {id(b): i for i, b in enumerate(blocks)}
+                    loops = LoopInfo(cf.fn).loops
+                    outermost = {
+                        index[id(lp.header)]: {index[id(b)] for b in lp.blocks}
+                        for lp in loops
+                        if not any(lp.blocks < other.blocks for other in loops)
+                    }
+                    assert dict(regions_of(cf)) == outermost, (name, cf.name)
+                    unplaced = self.UNPLACED_JOINS.get((name, cf.name), set())
+                    for header, members in outermost.items():
+                        assert cf.region_fns[header] is not cf.block_fns[header]
+                        heads = {
+                            index[id(lp.header)] for lp in loops
+                            if index[id(lp.header)] in members
+                        } | {i for i in members if blocks[i].name in unplaced}
+                        source = sources[f"<region {cf.name}.{blocks[header].name}>"]
+                        tested = [int(k) for k in dispatch_tests(source)]
+                        assert len(tested) == len(set(tested)) == len(heads) - 1
+                        assert set(tested) < heads, (name, cf.name)
+                    for bi, fn in enumerate(cf.region_fns):
+                        if bi not in cf.region_of.values():
+                            assert fn is cf.block_fns[bi]
+
+    def test_an_unstructured_join_stays_a_dispatch_target(self):
+        """``y`` joins arms of two different ``if``s, and ``join`` is
+        entered from ``y`` as well as from those arms: neither sits after
+        one ``if``/``else``, so the region dispatches on both, emits every
+        block once, and runs as the per-block table does."""
+        text = """
+        @result = global [2 x f64] output
+
+        define void @main() {
+        entry:
+          br label %head
+        head:
+          %i = phi i64 [ 0, %entry ], [ %next, %join ]
+          %acc = phi i64 [ 0, %entry ], [ %sum, %join ]
+          %c = icmp slt i64 %i, 12
+          br i1 %c, label %x, label %done
+        x:
+          %r = srem i64 %i, 3
+          %a = icmp eq i64 %r, 0
+          br i1 %a, label %left, label %right
+        left:
+          %b = icmp slt i64 %i, 6
+          br i1 %b, label %y, label %join
+        right:
+          %d = icmp eq i64 %r, 1
+          br i1 %d, label %y, label %join
+        y:
+          %u = add i64 %acc, 100
+          br label %join
+        join:
+          %v = phi i64 [ %u, %y ], [ 1, %left ], [ 2, %right ]
+          %sum = add i64 %acc, %v
+          %next = add i64 %i, 1
+          br label %head
+        done:
+          %f = sitofp i64 %acc to f64
+          %p = gep f64* @result, i64 0
+          store f64 %f, f64* %p
+          ret void
+        }
+        """
+        interp = Interpreter(parse_module(text))
+        (cf,) = interp.cm.cfuncs
+        ((header, _),) = regions_of(cf)
+        compiled = interp.cm._compiler
+        targets, joins = compiled._dispatch_targets(
+            cf, compiled._regions[(cf.index, header)].order, header
+        )
+        names = sorted(cf.fn.blocks[bi].name for bi in targets)
+        assert names == ["head", "join", "y"]
+        assert joins == {}
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    def test_spmv_slab_runs_in_regions(self, monkeypatch):
+        """hpccg input 1: the golden run calls the block functions of
+        ``spmv_slab`` only for the blocks outside its loops (entry, between
+        the loops, return), once per call; its loop nest is one region
+        that tests ``bi`` once for each inner loop header."""
+        sources = compiled_sources(monkeypatch)
+        w = get_workload("hpccg")
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        cf = cm.cfuncs[cm.get_function_index("spmv_slab")]
+        (nest,) = [h for h, members in regions_of(cf) if len(members) > 2]
+        index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
+        heads = {
+            index[id(lp.header)] for lp in LoopInfo(cf.fn).loops
+            if cf.region_of.get(index[id(lp.header)]) == nest
+        }
+        assert len(heads) == 3  # the iz, iy and ix loops
+        source = sources[f"<region spmv_slab.{cf.fn.blocks[nest].name}>"]
+        assert sorted(map(int, dispatch_tests(source))) == sorted(heads - {nest})
+
+        calls = Counter()
+        wrapped = {
+            id(fn): lambda f, s, _fn=fn, _bi=bi: calls.update([_bi]) or _fn(f, s)
+            for bi, fn in enumerate(cf.block_fns)
+        }
+        for table in ("block_fns", "region_fns"):
+            monkeypatch.setattr(
+                cf, table, [wrapped.get(id(fn), fn) for fn in getattr(cf, table)]
+            )
+        with call_counts() as spmv:
+            assert interp.run(w.entry).status == "ok"
+        outside = set(range(len(cf.fn.blocks))) - set(cf.region_of)
+        assert calls == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
 
     def test_exits_write_back_only_values_read_outside(self):
         source = """
@@ -290,13 +503,27 @@ class TestGoldenEquivalence:
         assert fast["status"] == ("ok" if budget is None else "hang")
         assert fast == reference
 
+    @pytest.mark.parametrize("budget", EXIT_BUDGETS)
+    @pytest.mark.parametrize("input_id", [1, 2, 3])
+    def test_join_shapes(self, input_id, budget):
+        """``JoinShapes`` plain (input 1), trapping inside an arm (input
+        2) and running a 5,000-iteration loop inside an arm (input 3),
+        which both budgets run out in."""
+        interp = JoinShapes().make_interpreter(input_id)
+        fast, reference = both_ways(interp, profile=True, cycle_budget=budget)
+        expected = {1: ("ok", "hang", "hang"), 2: ("trap", "hang", "trap"),
+                    3: ("ok", "hang", "hang")}[input_id]
+        assert fast["status"] == expected[self.EXIT_BUDGETS.index(budget)]
+        assert fast == reference
+
 
 @pytest.fixture(scope="module")
 def prepared_campaigns():
-    """Prepared cold fft and hpccg campaigns, shared by every example."""
+    """Prepared cold fft, hpccg and join-shape campaigns, shared by every
+    example."""
     campaigns = {}
-    for name in ("fft", "hpccg"):
-        w = get_workload(name)
+    for name in ("fft", "hpccg", JoinShapes.name):
+        w = subject(name)
         campaigns[name] = Campaign(
             w.make_interpreter(1),
             verifier=w.verifier(),
@@ -320,14 +547,15 @@ def trial(campaign, site, site_index, budget):
 
 
 class TestRandomTrials:
-    @settings(derandomize=True, database=None, max_examples=25, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=36, deadline=None)
     @given(data=st.data())
     def test_region_and_block_tables_agree(self, prepared_campaigns, data):
-        """A site drawn from the fft or hpccg fault population, under a
-        random cycle budget or none drawn.  With none drawn the trial
-        runs under the campaign's own budget, which bounds a fault that
-        makes a loop run away."""
-        campaign = prepared_campaigns[data.draw(st.sampled_from(["fft", "hpccg"]))]
+        """A site drawn from the fft, hpccg or join-shape fault population,
+        under a random cycle budget or none drawn.  With none drawn the
+        trial runs under the campaign's own budget, which bounds a fault
+        that makes a loop run away."""
+        name = data.draw(st.sampled_from(sorted(prepared_campaigns)))
+        campaign = prepared_campaigns[name]
         index = data.draw(st.integers(0, len(campaign._sites) - 1))
         inst, count = campaign._sites[index]
         site = FaultSite(
@@ -484,14 +712,7 @@ class TestInlinedLeaves:
         assert counts["idx3"] == reference["idx3"] > 0
 
     def test_block_and_resume_code_is_never_inlined(self, monkeypatch):
-        sources = {}
-        real = compiler._exec
-
-        def record(source, filename, name):
-            sources[filename] = source
-            return real(source, filename, name)
-
-        monkeypatch.setattr(compiler, "_exec", record)
+        sources = compiled_sources(monkeypatch)
         for name in ("hpccg", "fft"):
             cm = get_workload(name).make_interpreter(1).cm
             for cf in cm.cfuncs:
@@ -846,13 +1067,13 @@ class TestDeoptExits:
     table: a deopt exit leaves the frame, ``cycles``, ``sp`` and cells as
     the per-block loop holds them at the top of the exit block."""
 
-    @pytest.mark.parametrize("name", WORKLOADS)
+    @pytest.mark.parametrize("name", WORKLOADS + (JoinShapes.name,))
     def test_exit_at_every_member(self, name):
         """For every region reached by the golden run, a region budget
         equal to a member's entry cycle exits at that member's first top
         with the per-block state, and the function then returns what the
         per-block run returns."""
-        w = get_workload(name)
+        w = subject(name)
         interp = w.make_interpreter(1)
         exits = 0
         for cf in interp.cm.cfuncs:
@@ -875,7 +1096,7 @@ class TestDeoptExits:
                     exits += 1
         assert exits >= 10
 
-    @pytest.mark.parametrize("name", WORKLOADS)
+    @pytest.mark.parametrize("name", WORKLOADS + (JoinShapes.name,))
     def test_lean_exit_at_every_member(self, name, monkeypatch):
         """The lean twin of ``test_exit_at_every_member``: from the first
         region entry of each function the golden run reaches, a region
@@ -887,7 +1108,7 @@ class TestDeoptExits:
         stays stale in the second until it assigns it again): with those
         slots poisoned the function still returns what the per-block run
         returns."""
-        w = get_workload(name)
+        w = subject(name)
         interp = w.make_interpreter(1)
 
         def trip(self, frame):
@@ -943,13 +1164,13 @@ class TestDeoptExits:
         assert exits >= 10
         assert stale_slots
 
-    @pytest.mark.parametrize("name", ["fft", "hpccg"])
+    @pytest.mark.parametrize("name", ["fft", "hpccg", JoinShapes.name])
     def test_probe_exit_at_every_member(self, name):
         """Once the flip has fired, an offset-probe rung whose innermost
         frame stands at a member with this frame's registers makes the
         tracked region exit at that member's top, as the per-block loop
         would stop there to probe it."""
-        w = get_workload(name)
+        w = subject(name)
         interp = w.make_interpreter(1)
         exits = 0
         for cf in interp.cm.cfuncs:
