@@ -25,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..analysis.callgraph import CallGraph
 from ..interp.interpreter import Interpreter, RunResult
-from ..ir.instructions import CallInst
+from ..ir.instructions import CallInst, Instruction
 from ..ir.module import Module
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
 from ..recover.warm import WarmStart
@@ -173,6 +173,30 @@ class TrialRecord:
 
     def __repr__(self) -> str:
         return f"<TrialRecord {self.outcome.value} at {self.site!r}>"
+
+
+def call_cycle(
+    interp: Interpreter, entries: Sequence[Sequence[int]], inst: Instruction,
+    fire: int,
+) -> int:
+    """The golden cycle at which the call instance holding a tripping
+    run's flip is made: ``Interpreter.run``'s ``call_at`` for the flip of
+    ``inst`` at golden cycle ``fire``, from the golden run's block
+    ``entries`` (``RunResult.entries``).
+
+    Before its flip a tripping run is the golden run.  The flip block
+    charges at least one cycle and ends at ``fire``, so the call holding
+    it starts at or before ``fire - 1`` and every later call of the
+    function starts at or after ``fire``: it is the last call that starts
+    by ``fire - 1``, whose entry block was entered, charge included, by
+    ``fire - 1`` plus that charge.  Region code inlines every other call
+    to the function when it is a leaf; a leaf calls no defined function,
+    so its calls never nest.  Only a call that charges nothing at all can
+    share its start with the next one; making it real too is harmless."""
+    cf = interp.cfuncs[interp.cm.record_for(inst).cfi]
+    cost = cf.costs[0]
+    entered = entries[cf.blocks[0].gid]
+    return entered[bisect.bisect_right(entered, fire - 1 + cost) - 1] - cost
 
 
 class CampaignResult:
@@ -417,6 +441,14 @@ class Campaign:
             return None
         return entries[record.block_gid][site.occurrence - 1]
 
+    def _call_at(self, site: FaultSite, fire: Optional[int]) -> Optional[int]:
+        """The golden cycle at which the call instance holding a tripping
+        trial's flip is made (see :func:`call_cycle`), or None when the
+        trial counts (``fire`` is None)."""
+        if fire is None:
+            return None
+        return call_cycle(self.interp, self._entries, site.instruction, fire)
+
     def _warm_plan(self, site: FaultSite, fire: Optional[int]) -> WarmStart:
         """How ``site``'s warm trial starts: the rung it restores and
         whether it resyncs (``fire`` from :meth:`_fire_cycle`)."""
@@ -449,6 +481,7 @@ class Campaign:
             recovery=self.recovery,
             warm=warm,
             fire=fire,
+            call_at=self._call_at(site, fire),
         )
         outcome = self.classify(result)
         warm_info = None

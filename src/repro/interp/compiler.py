@@ -22,10 +22,12 @@ dispatch tables:
   block boundary.  Used by the tracked dispatch loop (recovery snapshots,
   ladder capture, warm resume, and golden resync at its events) and the
   block profiler.
-* ``region_fns`` — ``block_fns`` with each region header's entry replaced by
-  its region function.  Used by the lean dispatch loop of every other run.
-* ``tracked_fns`` — ``block_fns`` with each region header's entry replaced by
-  its *tracked* region function, built on first use
+* ``region_fns`` — ``block_fns`` with the entry of each block a region
+  dispatches on (its loop headers, see :meth:`_Compiler._dispatch_targets`)
+  replaced by the region function started there.  Used by the lean
+  dispatch loop of every other run.
+* ``tracked_fns`` — the same with the *tracked* region functions, built on
+  first use
   (:meth:`CompiledModule.tracked_region_fns`).  Used by the dispatch loop
   of resync-armed warm trials between resync events; a tracked region
   keeps the frame list coherent and leaves through a *deopt exit* before
@@ -182,8 +184,9 @@ class CompiledFunction:
         self.nargs = len(fn.args)
         self.blocks: List[CompiledBlock] = []
         self.block_fns: List[Callable] = []
-        #: ``block_fns`` with every region header's entry replaced by its
-        #: region function (the lean dispatch loop's table)
+        #: ``block_fns`` with the entry of every block a region dispatches
+        #: on replaced by the region function started there (the lean
+        #: dispatch loop's table)
         self.region_fns: List[Callable] = []
         #: member block index -> header block index of its region
         self.region_of: Dict[int, int] = {}
@@ -195,17 +198,23 @@ class CompiledFunction:
 
 class Region:
     """One loop region: its member blocks in dispatch order (innermost
-    first), the slots loaded into locals at entry and, per exit target,
-    the slots written back to the frame list before returning."""
+    first), where its code places them (the blocks it is entered at, i.e.
+    the dispatch targets, header included, and the joins; see
+    :meth:`_Compiler._dispatch_targets`), the slots loaded into locals at
+    entry and, per exit target, the slots written back to the frame list
+    before returning."""
 
-    __slots__ = ("header", "order", "loads", "exit_stores")
+    __slots__ = ("header", "order", "entries", "joins", "loads", "exit_stores")
 
     def __init__(
-        self, header: int, order: List[int], loads: List[int],
+        self, header: int, order: List[int], entries: List[int],
+        joins: Dict[int, int], loads: List[int],
         exit_stores: Dict[int, List[int]],
     ):
         self.header = header
         self.order = order
+        self.entries = entries
+        self.joins = joins
         self.loads = loads
         self.exit_stores = exit_stores
 
@@ -307,35 +316,38 @@ class CompiledModule:
         fn = self._compiler.compile_block(cf, record.block_index, inject)
         return record.cfi, record.block_index, fn
 
-    def injected_region_fn(
+    def injected_region_entries(
         self, inst: Instruction, mode: str = "1bit"
-    ) -> Tuple[int, int, Callable]:
+    ) -> Tuple[int, Dict[int, Callable]]:
         """The ``region_fns`` counterpart of :meth:`injected_block_fn`.
 
-        Returns (cfi, table_index, fn): the injectable variant of the
-        region holding ``inst`` at its header's index, or the injectable
-        block when ``inst`` lies outside every region.
+        Returns (cfi, table index -> fn): the injectable variant of the
+        region holding ``inst`` at every block the region is entered at
+        (see :meth:`_Compiler.region_entries`), or the injectable block at
+        its own index when ``inst`` lies outside every region.
         """
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
         header = cf.region_of.get(record.block_index)
         if header is None:
-            return self.injected_block_fn(inst, mode)
-        fn = self._compiler.compile_region(cf, header, _inject(record, mode))
-        return record.cfi, header, fn
+            _, bi, fn = self.injected_block_fn(inst, mode)
+            return record.cfi, {bi: fn}
+        entries = self._compiler.region_entries(cf, header, _inject(record, mode))
+        return record.cfi, entries
 
     def tracked_region_fns(self, cfi: int) -> List[Callable]:
         """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
         only resync-armed warm trials dispatch through it.  Every block a
         region dispatches on enters the tracked region there (see
-        :meth:`_Compiler.tracked_entries`); other blocks are block
+        :meth:`_Compiler.region_entries`); other blocks are block
         functions."""
         cf = self.cfuncs[cfi]
         fns = cf.tracked_fns
         if fns is None:
             fns = list(cf.block_fns)
             for header in sorted(set(cf.region_of.values())):
-                for bi, fn in self._compiler.tracked_entries(cf, header).items():
+                entries = self._compiler.region_entries(cf, header, tracked=True)
+                for bi, fn in entries.items():
                     fns[bi] = fn
             cf.tracked_fns = fns
         return fns
@@ -523,7 +535,8 @@ class _Compiler:
             self._regions[(cf.index, region.header)] = region
             for bi in region.order:
                 cf.region_of[bi] = region.header
-            cf.region_fns[region.header] = self.compile_region(cf, region.header)
+            for bi, fn in self.region_entries(cf, region.header).items():
+                cf.region_fns[bi] = fn
 
     def compile_block(self, cf: CompiledFunction, bi: int, inject: Inject) -> Callable:
         """The injectable variant of block ``bi`` (see :func:`_inject`)."""
@@ -682,22 +695,31 @@ class _Compiler:
     def _plan_region(
         self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock]
     ) -> Region:
-        """Which slots a region loads at entry and stores at each exit.
+        """Where a region is entered, which slots it loads at entry and
+        which it stores at each exit.
 
-        A slot is loaded when some read in the region may execute before
-        the region assigns it (a must-assigned analysis over the region's
-        CFG; the header's phis are written by the entry edge into the frame
-        list, so they always load).  A slot the region assigns is stored at
-        an exit when code outside the region reads it, or when the region
+        A region is entered at every block it dispatches on (see
+        :meth:`_dispatch_targets`): at its header from the code before the
+        loop, at an inner loop header when the dispatch loop steps onto it
+        block by block (after a trip, or once a tracked run detaches).  A
+        slot is loaded when, from some entry, a read in the region may
+        execute before the region assigns it (a must-assigned analysis
+        over the region's CFG from each entry; the entry block's phis were
+        written by the edge into it, so they always load); one prologue
+        loads the union.  A slot the region assigns is stored at an exit
+        when code outside the region reads it, or when the header entry
         loads it and no entry edge rewrites it first (a later entry must
-        see the latest value); a slot stored there that is not definitely
-        assigned on the way to that exit is loaded too, so every store
-        reads a bound local.  Together this leaves the frame list exactly
-        as block-by-block execution would, for every slot anything may
-        read later.
+        see the latest value).  A slot only an inner entry loads needs no
+        store: its definition dominates that entry, so every activation
+        that reaches the entry has assigned it on the way.  A slot stored
+        at an exit that some entry may reach without assigning it is
+        loaded too, so every store reads a bound local.  Together this
+        leaves the frame list exactly as block-by-block execution would,
+        for every slot anything may read later.
         """
         slots = self._slot_of[cf.index]
         index = self._block_index[cf.index]
+        blocks = cf.fn.blocks
         inside: FrozenSet[BasicBlock] = frozenset(order)
 
         def slot_set(values) -> Set[int]:
@@ -728,52 +750,62 @@ class _Compiler:
             for succ in b.successors():
                 if succ in inside:
                     preds[succ].append(b)
-        # must-assigned locals at block entry, iterated down from "all"
         every = set().union(*defs.values(), *(phis(b) for b in order))
-        assigned_in = {b: set() if b is header else set(every) for b in order}
-        changed = True
-        while changed:
-            changed = False
-            for b in order:
-                if b is header:
-                    continue
-                new = set(every)
-                for p in preds[b]:
-                    new &= assigned_in[p] | defs[p]
-                new |= phis(b)
-                if new != assigned_in[b]:
-                    assigned_in[b] = new
-                    changed = True
 
-        loads: Set[int] = set()
-        for b in order:
-            have = set(assigned_in[b])
-            for inst in b.instructions:
-                if isinstance(inst, PhiNode):
-                    continue
-                loads |= slot_set(inst.operands) - have
-                if id(inst) in slots:
-                    have.add(slots[id(inst)])
-            for succ in b.successors():
-                loads |= edge_reads(b, succ) - have
+        def must_assigned(entry: BasicBlock) -> Dict[BasicBlock, Set[int]]:
+            """Locals assigned on every path from ``entry`` to each block's
+            entry, iterated down from "all"."""
+            assigned_in = {b: set() if b is entry else set(every) for b in order}
+            changed = True
+            while changed:
+                changed = False
+                for b in order:
+                    if b is entry:
+                        continue
+                    new = set(every)
+                    for p in preds[b]:
+                        new &= assigned_in[p] | defs[p]
+                    new |= phis(b)
+                    if new != assigned_in[b]:
+                        assigned_in[b] = new
+                        changed = True
+            return assigned_in
+
+        def read_first(assigned_in: Dict[BasicBlock, Set[int]]) -> Set[int]:
+            """Slots some read may see before the region assigns them."""
+            loads: Set[int] = set()
+            for b in order:
+                have = set(assigned_in[b])
+                for inst in b.instructions:
+                    if isinstance(inst, PhiNode):
+                        continue
+                    loads |= slot_set(inst.operands) - have
+                    if id(inst) in slots:
+                        have.add(slots[id(inst)])
+                for succ in b.successors():
+                    loads |= edge_reads(b, succ) - have
+            return loads
+
+        entries, joins = self._dispatch_targets(
+            cf, [index[id(b)] for b in order], index[id(header)]
+        )
+        assigned = {bi: must_assigned(blocks[bi]) for bi in entries}
+        header_loads = read_first(assigned[index[id(header)]])
+        loads = header_loads.union(*(read_first(a) for a in assigned.values()))
         exits = [
             (b, succ) for b in order for succ in b.successors() if succ not in inside
         ]
-        entry_written = phis(header)
-        while True:
-            stores = every & (outside_reads | (loads - entry_written))
-            unbound = set()
+        stores = every & (outside_reads | (header_loads - phis(header)))
+        for assigned_in in assigned.values():
             for b, _ in exits:
-                unbound |= stores - assigned_in[b] - defs[b] - loads
-            if not unbound:
-                break
-            loads |= unbound
+                loads |= stores - assigned_in[b] - defs[b]
         exit_stores = {
             index[id(succ)]: sorted(stores | (phis(succ) & (outside_reads | loads)))
             for _, succ in exits
         }
         return Region(
-            index[id(header)], [index[id(b)] for b in order], sorted(loads), exit_stores
+            index[id(header)], [index[id(b)] for b in order], entries, joins,
+            sorted(loads), exit_stores,
         )
 
     def _gen_region(
@@ -790,9 +822,11 @@ class _Compiler:
         ``state.cycles`` before every exit, around calls, and by the handler
         when an exception (trap, hang, failed check, host-level error)
         leaves the region, so ``state.cycles`` is exact wherever anything
-        outside can read it.  A region that calls a leaf loads the injected
-        function's index and the depth test once at entry for the guard of
-        :meth:`_gen_inlined_call`.
+        outside can read it.  A region that calls a leaf loads the guard
+        of :meth:`_gen_inlined_call` (a counting run's injected function,
+        a tripping run's golden cycle of the one real call, and the depth
+        test) once at entry.  Every form starts at any block it dispatches
+        on, passed as ``bi`` (see :meth:`region_entries`).
 
         A region's budget ``_bud`` is ``state.rbudget``: the hang budget,
         or just below a tripping trial's golden flip cycle until the trip.
@@ -803,9 +837,9 @@ class _Compiler:
         ``state.cycles`` back to the top and writes the bound registers
         back to the frame list (:func:`sync_frame`), and the region
         returns ``state.trip(f)``, the block the flip block's injectable
-        variant leaves to.  An inlined leaf block never trips (a call into
-        the injected function is a real call), so it only hangs past the
-        hang budget.
+        variant leaves to.  An inlined leaf block never trips (the one
+        call that holds the flip is a real call), so it only hangs past
+        the hang budget.
 
         The *tracked* variant runs a resync-armed warm trial between
         events.  It keeps SSA values in the frame list, as block functions
@@ -824,8 +858,7 @@ class _Compiler:
         have moved them.  Once the flip has fired, each member's top also
         returns, with the count unchanged, when an offset-probe rung
         stands at that block with this frame's registers (``_pq``, this
-        function's part of ``trk.probe_at``).  It starts at any block it
-        dispatches on, passed as ``bi`` (see :meth:`tracked_entries`).
+        function's part of ``trk.probe_at``).
         """
         blocks = cf.fn.blocks
         insts = [i for bi in region.order for i in blocks[bi].instructions]
@@ -834,10 +867,7 @@ class _Compiler:
             i for cfi in leaves for b in self.cm.cfuncs[cfi].fn.blocks
             for i in b.instructions
         ]
-        if tracked:
-            lines = [f"def _region(f, state, bi={region.header}):"]
-        else:
-            lines = ["def _region(f, state):"]
+        lines = [f"def _region(f, state, bi={region.header}):"]
         emit = lines.append
         # Nothing a region's callees do replaces the profile list or the
         # cell arena, so they load once per entry; a callee may move the
@@ -853,7 +883,8 @@ class _Compiler:
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
         if leaves:
-            emit("    _ij = state.inj_cfi")
+            emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
+            emit("    _ca = state.inj_call_at")
             emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
         self._gen_slot_load(inject, emit)
         if tracked:
@@ -862,7 +893,6 @@ class _Compiler:
             regs = self._local_regs[cf.index]
             for s in region.loads:
                 emit(f"    r{s} = f[{s}]")
-            emit(f"    bi = {region.header}")
         emit("    try:")
 
         def leave_region(k: int, out) -> None:
@@ -876,7 +906,7 @@ class _Compiler:
         self._lean = None if tracked else cf
         try:
             self._gen_dispatch(
-                cf, region.order, region.header, regs,
+                cf, region.order, (region.entries, region.joins), regs,
                 lambda line: emit("    " + line), "bi", leave_region, None, inject,
             )
         finally:
@@ -895,7 +925,7 @@ class _Compiler:
         self,
         cf: CompiledFunction,
         order: List[int],
-        head: int,
+        placement: Tuple[List[int], Dict[int, int]],
         regs: Dict[int, str],
         out,
         bvar: str,
@@ -904,21 +934,21 @@ class _Compiler:
         inject: Optional[Inject],
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
-        the local ``bvar`` among the blocks ``order`` of ``cf``.
+        the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
+        ``placement`` (their :meth:`_dispatch_targets`) says.
 
-        Each block is emitted once, at its immediate dominator (see
-        :meth:`_dispatch_targets`): a block entered by exactly one edge
-        inside the branch arm of that edge, a *join* right after the
-        ``if``/``else`` of the block it joins, where the arms that reach
-        it do their phi copies and fall through.  Only the dispatch
-        targets (``head``, the loop headers and any block neither rule
-        places) cost a ``bvar`` test; an edge to one sets ``bvar`` and
-        continues.  ``exit_(k, out)`` emits the edge to a block ``k``
-        outside ``order``, and ``ret(value, out)`` a ``ret`` (see
-        :meth:`_gen_terminator`).
+        Each block is emitted once, at its immediate dominator: a block
+        entered by exactly one edge inside the branch arm of that edge, a
+        *join* right after the ``if``/``else`` of the block it joins, where
+        the arms that reach it do their phi copies and fall through.  Only
+        the dispatch targets (the head, the loop headers and any block
+        neither rule places) cost a ``bvar`` test; an edge to one sets
+        ``bvar`` and continues.  ``exit_(k, out)`` emits the edge to a
+        block ``k`` outside ``order``, and ``ret(value, out)`` a ``ret``
+        (see :meth:`_gen_terminator`).
         """
         index = self._block_index[cf.index]
-        targets, joins = self._dispatch_targets(cf, order, head)
+        targets, joins = placement
         dispatched = set(targets)
         members = set(order)
 
@@ -1081,17 +1111,23 @@ class _Compiler:
             fall=fall,
         )
 
-    def tracked_entries(self, cf: CompiledFunction, header: int) -> Dict[int, Callable]:
-        """Entries into the tracked region headed by ``header``: block index
-        -> a callable ``(f, state)`` that runs the region from that block,
-        for every block the region dispatches on (its loop headers; see
+    def region_entries(
+        self,
+        cf: CompiledFunction,
+        header: int,
+        inject: Optional[Inject] = None,
+        tracked: bool = False,
+    ) -> Dict[int, Callable]:
+        """Entries into the region headed by ``header`` (lean, injectable
+        with ``inject``, or tracked): block index -> a callable ``(f,
+        state)`` that runs the region from that block, for every block the
+        region dispatches on (``Region.entries``: its loop headers; see
         :meth:`_dispatch_targets`).  A member emitted inside a branch arm
         or after an ``if``/``else`` has no entry; it runs as a block
         function until control reaches one."""
-        fn = self.compile_region(cf, header, tracked=True)
+        fn = self.compile_region(cf, header, inject, tracked)
         region = self._regions[(cf.index, header)]
-        targets, _ = self._dispatch_targets(cf, region.order, header)
-        return {bi: fn if bi == header else partial(fn, bi=bi) for bi in targets}
+        return {bi: fn if bi == header else partial(fn, bi=bi) for bi in region.entries}
 
     def _leaf_callee(self, inst: Instruction) -> Optional[int]:
         """The index of the leaf ``inst`` calls, or None when ``inst`` is
@@ -1108,12 +1144,17 @@ class _Compiler:
         """A call to the leaf ``cfi`` from region code, run in the caller's
         locals behind a guard::
 
-            if _dok and _ij != cfi: <the leaf's blocks>
+            if _dok and _ij != cfi and _c != _ca: <the leaf's blocks>
             else: <the counted state.call>
 
-        The real call runs when the injected instruction lies in the leaf
-        (it trips or counts there) and when the call would exceed
-        ``Interpreter.DEFAULT_MAX_DEPTH`` (it raises ``StackOverflow``).
+        The real call runs for the one call that holds a tripping run's
+        flip, the call made at the golden cycle ``_ca``
+        (``state.inj_call_at``; the trip happens inside it, and every
+        later call starts past that cycle and inlines again), for every
+        call to the injected function ``_ij`` of a counting run
+        (``state.inj_cfi``, -1 in a tripping run; it counts there), and
+        when the call would exceed ``Interpreter.DEFAULT_MAX_DEPTH`` (it
+        raises ``StackOverflow``).
         Each inlined block charges ``_c``, tests the budget and bumps the
         profile with the leaf's own gid, as the call would, so a trap, hang
         or failed check leaves through the region's handler with the exact
@@ -1139,7 +1180,7 @@ class _Compiler:
         lregs.update((id(p), a) for p, a in zip(leaf.fn.args, args))
         blocks = leaf.fn.blocks
         arm = lambda line: emit("    " + line)
-        emit(f"    if _dok and _ij != {cfi}:")
+        emit(f"    if _dok and _ij != {cfi} and _c != _ca:")
         if len(blocks) == 1 and isinstance(
             blocks[0].terminator, (RetInst, UnreachableInst)
         ):
@@ -1153,9 +1194,10 @@ class _Compiler:
                 out(f"    {d} = {value}; break" if d is not None else "    break")
 
             arm(f"    q{cfi}_bi = 0")
+            order = list(range(len(blocks)))
             self._gen_dispatch(
-                leaf, list(range(len(blocks))), 0, lregs, arm, f"q{cfi}_bi",
-                None, ret, None,
+                leaf, order, self._dispatch_targets(leaf, order, 0), lregs, arm,
+                f"q{cfi}_bi", None, ret, None,
             )
         emit("    else:")
         self._gen_defined_call(inst, cfi, d, args, arm, True)

@@ -139,7 +139,7 @@ class Interpreter:
         "global_overrides", "cells_end", "_reset_image", "cells", "sp",
         "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
         "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
-        "inj_hit", "inj_inst", "inj_slot", "inj_trip",
+        "inj_hit", "inj_inst", "inj_slot", "inj_trip", "inj_call_at",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
         "_resume_next",
@@ -209,6 +209,9 @@ class Interpreter:
         #: the run trips at its flip's golden cycle instead of counting
         #: the injected instruction's executions
         self.inj_trip = False
+        #: the golden cycle of the call that holds a tripping run's flip,
+        #: the one leaf call region code then makes real (-1: none)
+        self.inj_call_at = -1
         self.inj_bi = -1
         self.inj_mode = "1bit"
         self.inj_fire: Optional[Callable] = None
@@ -280,6 +283,7 @@ class Interpreter:
         self.inj_inst = None
         self.inj_slot = -1
         self.inj_trip = False
+        self.inj_call_at = -1
         self.inj_bi = -1
         self.inj_mode = "1bit"
         self.inj_fire = None
@@ -301,6 +305,7 @@ class Interpreter:
         recovery: Optional[RecoveryPolicy] = None,
         warm: Optional[WarmStart] = None,
         fire: Optional[int] = None,
+        call_at: Optional[int] = None,
     ) -> RunResult:
         """Execute ``entry`` from a fresh state.
 
@@ -323,7 +328,10 @@ class Interpreter:
         (no call before the site in its block can re-enter the site's
         function) and the block charges at least one cycle;
         ``Campaign.run_site`` decides that.  A resync-armed warm trial
-        with an injection needs it.
+        with an injection needs it.  ``call_at`` comes with ``fire``: the
+        golden cycle at which the call instance holding the flip is made
+        (``repro.faults.campaign.call_cycle``).  Region code inlines every
+        other call to the injected function when it is a leaf.
 
         ``cycle_budget`` bounds execution (hang detection); ``None`` means
         effectively unlimited.
@@ -376,8 +384,13 @@ class Interpreter:
         if fire is not None:
             if injection is None or recovery is not None or self.inj_mode == "multi":
                 raise ValueError("only single-shot injections without recovery trip")
+            if call_at is None:
+                raise ValueError("a fire cycle needs a call cycle")
             self.inj_trip = True
             self.rbudget = min(self.budget, fire - 1)
+            self.inj_call_at = call_at
+        elif call_at is not None:
+            raise ValueError("a call cycle needs a fire cycle")
         if recovery is not None:
             plan = self._rec_plans.get(entry)
             if plan is None:
@@ -470,17 +483,21 @@ class Interpreter:
 
         This is the block-dispatch hot loop: attribute lookups are hoisted
         into locals and the loop body is a single indexed call per block.
-        It dispatches through ``region_fns``, so entering a small loop nest
-        runs the whole nest in one region function.  With recovery or
+        It dispatches through ``region_fns``, so entering a loop nest runs
+        the whole nest in one region function, whichever of its loop
+        headers the loop enters it at.  With recovery or
         tracking armed (``self.rec`` / ``self.trk`` set) it delegates to
         :meth:`_call_tracked`, which keeps the frame list coherent for its
         snapshots, rungs and compares.
 
         The injected function of a counting run dispatches through its
-        injectable table.  In a tripping run it keeps ``region_fns`` and,
-        while the trip is ahead (``rbudget`` below the hang budget), tests
-        each block's charge against it: the flip block trips at its top,
-        here or, inside a region, at the member's deopt exit.
+        injectable table, and region code makes every call to it a real
+        call when it is a leaf.  In a tripping run it keeps ``region_fns``
+        and, while the trip is ahead (``rbudget`` below the hang budget),
+        tests each block's charge against it: the flip block trips at its
+        top, here or, inside a region, at the member's deopt exit.  Region
+        code inlines every call to a leaf but the one that holds the flip
+        (see ``run``'s ``call_at``).
         """
         if self.rec is not None or self.trk is not None:
             return self._call_tracked(cfi, args)
@@ -641,8 +658,9 @@ class Interpreter:
                     if self.trk is None:
                         # Resync gave up (or ran out of rungs) somewhere
                         # below this frame: finish at full lean-loop speed.
-                        # Entering region_fns at any block is legal: only
-                        # a region's header holds a region function.
+                        # Entering region_fns at any block is legal: a
+                        # region entry at one of its loop headers loads
+                        # what it reads from the coherent frame list.
                         lean = cf.region_fns
                         while bi >= 0:
                             bi = lean[bi](frame, self)
@@ -783,10 +801,13 @@ class Interpreter:
 
     def _injected_region_fns(self) -> List[Callable]:
         """The injected function's ``region_fns`` table, compiled on first
-        use."""
-        cfi, ti, fn = self.cm.injected_region_fn(self.inj_inst, mode=self.inj_mode)
+        use: the injectable variant at every entry of the region (or at
+        the block) holding the site, so a run that enters it at an inner
+        loop header counts there too."""
+        cfi, entries = self.cm.injected_region_entries(self.inj_inst, mode=self.inj_mode)
         fns = list(self.cfuncs[cfi].region_fns)
-        fns[ti] = fn
+        for bi, fn in entries.items():
+            fns[bi] = fn
         self.inj_fns = fns
         return fns
 

@@ -7,10 +7,11 @@ missing half — Python-level block closures have wildly different real
 costs per simulated cycle.
 
 Like fault injection, profiling works by *swapping compiled block
-functions*: :class:`BlockProfiler` replaces both of every
-``CompiledFunction``'s dispatch tables, ``block_fns`` and the loop-region
-table ``region_fns``, with per-block timing wrappers while active and
-restores the originals on exit.  The dispatch hot loop is untouched — with the
+functions*: :class:`BlockProfiler` replaces all three of every
+``CompiledFunction``'s dispatch tables, ``block_fns``, the loop-region
+table ``region_fns`` and the tracked table ``tracked_fns`` (built or not),
+with per-block timing wrappers while active and restores the originals on
+exit.  The dispatch hot loop is untouched — with the
 profiler disarmed the interpreter executes the exact same closures as
 before, so disabled-mode overhead is zero by construction (the same
 property the injection trap points have).

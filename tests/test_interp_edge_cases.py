@@ -24,7 +24,7 @@ from repro.ir import (
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import RecoveryPolicy, SnapshotLadder, WarmStart, exact_state_eq
 from repro.recover.runtime import RecoveryState
-from tests.test_regions import _Rung, first_value, golden_fire, per_block_dispatch
+from tests.test_regions import _Rung, first_value, golden_trip, per_block_dispatch
 
 
 class TestGlobalOverrides:
@@ -166,7 +166,7 @@ def run_on(interp, table):
     result = interp.run(
         injection=InjectionSpec(inst, 1, "once", corrupt=lambda v: v),
         warm=WarmStart(ladder, None, resync=True),
-        fire=golden_fire(interp, "main", inst),
+        **golden_trip(interp, "main", inst),
     )
     assert result.injection_hit
     return result

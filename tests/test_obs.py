@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro import compile_source
+from repro.analysis.loops import LoopInfo
 from repro.faults import Campaign, MpiCampaign, campaign_fingerprint
 from repro.interp import Interpreter
 from repro.obs import (
@@ -43,6 +44,20 @@ void main() {
     for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
     result[0] = work(x, n);
     result[1] = (double)n;
+}
+"""
+
+
+NESTED_KERNEL = """
+int n = 6;
+output double result[4];
+
+void main() {
+    double s = 0.0;
+    for (int i = 0; i < n; i = i + 1) {
+        for (int j = 0; j < n; j = j + 1) { s = s + (double)(i * j); }
+    }
+    result[0] = s;
 }
 """
 
@@ -275,25 +290,48 @@ class TestBlockProfiler:
         )
 
     def test_block_fns_restored_and_rearm_guard(self):
-        interp = Interpreter(compile_source(KERNEL, name="kernel"))
-        originals = [
-            (list(cf.block_fns), list(cf.region_fns)) for cf in interp.cm.cfuncs
-        ]
-        assert any(
-            block_fns != region_fns for block_fns, region_fns in originals
-        )  # the kernel's loops run as region functions
-        profiler = BlockProfiler(interp.cm)
-        with profiler:
-            for cf, (block_fns, region_fns) in zip(interp.cm.cfuncs, originals):
-                # Armed, both tables hold the timed per-block wrappers.
-                assert cf.region_fns == cf.block_fns
-                assert not set(cf.block_fns) & set(block_fns + region_fns)
-            with pytest.raises(RuntimeError):
-                with BlockProfiler(interp.cm):
-                    pass
-        for cf, (block_fns, region_fns) in zip(interp.cm.cfuncs, originals):
-            assert cf.block_fns == block_fns
-            assert cf.region_fns == region_fns
+        """Armed, all three dispatch tables hold the timed per-block
+        wrappers, so no region runs past them, not even one entered at an
+        inner loop header; disarmed, each table is back, ``tracked_fns``
+        included, whether it was built or still ``None``."""
+        for build_tracked in (False, True):
+            interp = Interpreter(compile_source(NESTED_KERNEL, name="nested"))
+            cm = interp.cm
+            if build_tracked:
+                for cf in cm.cfuncs:
+                    cm.tracked_region_fns(cf.index)
+            originals = [
+                (list(cf.block_fns), list(cf.region_fns), cf.tracked_fns)
+                for cf in cm.cfuncs
+            ]
+            inner = {}
+            for cf in cm.cfuncs:
+                loops = LoopInfo(cf.fn).loops
+                inner[cf.index] = [
+                    cf.fn.blocks.index(lp.header) for lp in loops
+                    if any(lp.blocks < other.blocks for other in loops)
+                ]
+            # main's nest runs as one region, entered at both loop headers
+            (main,) = [cf for cf in cm.cfuncs if cf.name == "main"]
+            assert inner[main.index]
+            for bi in inner[main.index]:
+                assert main.region_fns[bi] is not main.block_fns[bi]
+            profiler = BlockProfiler(cm)
+            with profiler:
+                for cf, (block_fns, region_fns, _) in zip(cm.cfuncs, originals):
+                    assert cf.region_fns == cf.block_fns
+                    assert cf.tracked_fns == cf.block_fns
+                    assert not set(cf.block_fns) & set(block_fns + region_fns)
+                    for bi in inner[cf.index]:
+                        assert cf.region_fns[bi] not in region_fns
+                with pytest.raises(RuntimeError):
+                    with BlockProfiler(cm):
+                        pass
+            for cf, (block_fns, region_fns, tracked_fns) in zip(cm.cfuncs, originals):
+                assert cf.block_fns == block_fns
+                assert cf.region_fns == region_fns
+                assert cf.tracked_fns is tracked_fns
+                assert (tracked_fns is None) != build_tracked
 
     def test_report_from_run_profile(self):
         interp = Interpreter(compile_source(KERNEL, name="kernel"))

@@ -18,6 +18,7 @@ branch shapes whose joins region code falls into rather than dispatches on.
 """
 
 import hashlib
+import itertools
 import random
 import re
 import sys
@@ -29,13 +30,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
 from repro.analysis.loops import LoopInfo
-from repro.faults import Campaign, MpiCampaign, TrialPlan
-from repro.faults.campaign import TrialRecord
+from repro.faults import Campaign, CampaignSpec, MpiCampaign, TrialPlan
+from repro.faults.campaign import TrialRecord, call_cycle
 from repro.faults.model import FaultSite, result_bits
 from repro.faults.parallel import run_campaign, trial_entry
 from repro.faults.models import FAULT_MODELS, InjectionSpec
 from repro.interp import Interpreter
 from repro.interp import compiler
+from repro.interp.costmodel import CostModel
 from repro.ir.instructions import CallInst, PhiNode
 from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
@@ -210,7 +212,9 @@ class TestRegionPlan:
         """Plain and fully duplicated, each function's regions are exactly
         its outermost natural loops, and each lean region tests ``bi``
         against exactly the loop headers inside it, once each, but the
-        last in dispatch order, which the ``while`` body falls into."""
+        last in dispatch order, which the ``while`` body falls into.
+        ``region_fns`` enters the region at each of those headers and
+        holds block functions everywhere else."""
         sources = compiled_sources(monkeypatch)
         for name in WORKLOADS:
             for protect in ("none", "full"):
@@ -233,8 +237,10 @@ class TestRegionPlan:
                     }
                     assert dict(regions_of(cf)) == outermost, (name, cf.name)
                     unplaced = self.UNPLACED_JOINS.get((name, cf.name), set())
+                    entered = set()
                     for header, members in outermost.items():
-                        assert cf.region_fns[header] is not cf.block_fns[header]
+                        fn = cf.region_fns[header]
+                        assert fn is not cf.block_fns[header]
                         heads = {
                             index[id(lp.header)] for lp in loops
                             if index[id(lp.header)] in members
@@ -243,8 +249,13 @@ class TestRegionPlan:
                         tested = [int(k) for k in dispatch_tests(source)]
                         assert len(tested) == len(set(tested)) == len(heads) - 1
                         assert set(tested) < heads, (name, cf.name)
+                        for bi in heads - {header}:
+                            entry = cf.region_fns[bi]
+                            assert (entry.func, entry.args) == (fn, ())
+                            assert entry.keywords == {"bi": bi}
+                        entered |= heads
                     for bi, fn in enumerate(cf.region_fns):
-                        if bi not in cf.region_of.values():
+                        if bi not in entered:
                             assert fn is cf.block_fns[bi]
 
     def test_an_unstructured_join_stays_a_dispatch_target(self):
@@ -306,7 +317,11 @@ class TestRegionPlan:
         """hpccg input 1: the golden run calls the block functions of
         ``spmv_slab`` only for the blocks outside its loops (entry, between
         the loops, return), once per call; its loop nest is one region
-        that tests ``bi`` once for each inner loop header."""
+        that tests ``bi`` once for each inner loop header.  A tripping
+        trial whose flip lies in the nest steps block functions of the
+        nest only from the flip block to the next loop header, where it
+        enters the region again; its other block-function calls are the
+        three outside blocks, at most once per call."""
         sources = compiled_sources(monkeypatch)
         w = get_workload("hpccg")
         interp = w.make_interpreter(1)
@@ -322,9 +337,9 @@ class TestRegionPlan:
         source = sources[f"<region spmv_slab.{cf.fn.blocks[nest].name}>"]
         assert sorted(map(int, dispatch_tests(source))) == sorted(heads - {nest})
 
-        calls = Counter()
+        log = []
         wrapped = {
-            id(fn): lambda f, s, _fn=fn, _bi=bi: calls.update([_bi]) or _fn(f, s)
+            id(fn): lambda f, s, _fn=fn, _bi=bi: log.append(_bi) or _fn(f, s)
             for bi, fn in enumerate(cf.block_fns)
         }
         for table in ("block_fns", "region_fns"):
@@ -334,7 +349,140 @@ class TestRegionPlan:
         with call_counts() as spmv:
             assert interp.run(w.entry).status == "ok"
         outside = set(range(len(cf.fn.blocks))) - set(cf.region_of)
-        assert calls == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
+        assert Counter(log) == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
+
+        campaign = Campaign(
+            interp, verifier=w.verifier(), entry=w.entry,
+            budget_factor=w.budget_factor,
+        )
+        campaign.prepare()
+        real_trip = Interpreter.trip
+        monkeypatch.setattr(
+            Interpreter, "trip",
+            lambda self, frame: log.append("trip") or real_trip(self, frame),
+        )
+        members = {bi for bi, h in cf.region_of.items() if h == nest}
+        trials = 0
+        for inst, count in campaign._sites:
+            record = cm.record_for(inst)
+            if record.cfi != cf.index or record.block_index not in members:
+                continue
+            log.clear()
+            with call_counts() as spmv:
+                campaign.run_site(FaultSite(inst, (count + 1) // 2, 0))
+            k = log.index("trip")
+            stepped = list(itertools.takewhile(members.__contains__, log[k + 1 :]))
+            assert not heads & set(stepped), (inst, stepped)
+            rest = log[:k] + log[k + 1 + len(stepped) :]
+            assert set(rest) <= outside, inst
+            assert max(Counter(rest).values()) <= spmv["spmv_slab"], inst
+            trials += 1
+        assert trials >= 10
+
+    def test_a_counting_table_counts_from_every_region_entry(self):
+        """hpccg's ``spmv_slab`` nest, started at each of its inner loop
+        headers: the injected function's counting table counts a site of
+        the innermost loop, and ends the call, as the injectable block
+        functions do."""
+        w = get_workload("hpccg")
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        cf = cm.cfuncs[cm.get_function_index("spmv_slab")]
+        (nest,) = [h for h, members in regions_of(cf) if len(members) > 2]
+        region = cm._compiler._regions[(cf.index, nest)]
+        inner = [bi for bi in region.entries if bi != nest]
+        assert len(inner) == 2  # the iy and ix loops
+        inst = first_value_in(cm, cf, region.order[0])
+        record = cm.record_for(inst)
+        for entry in inner:
+            start = region_entry(interp, w.entry, cf, entry)
+            ends = []
+            for table in (interp._injected_region_fns, interp._injected_block_fns):
+                frame = restore(interp, start)
+                # inj_occ stays 0: the site counts and never fires
+                interp.inj_cfi, interp.inj_inst = record.cfi, inst
+                interp.inj_slot, interp.inj_bi = record.slot, record.block_index
+                fns = table()
+                bi = entry
+                while bi >= 0:
+                    bi = fns[bi](frame, interp)
+                ends.append((interp.inj_seen, interp.ret, interp.cycles,
+                             digest(interp.cells)))
+            assert ends[0] == ends[1], cf.fn.blocks[entry].name
+            assert ends[0][0] > 0
+
+    def test_an_inner_entry_binds_every_slot_stored_at_an_exit(self):
+        """``%s`` is computed at the top of the outer loop, before the
+        inner one, and read only after the nest: every path from the
+        header to the exit assigns it, no path from the inner header does.
+        The prologue loads it, so a tripping trial that re-enters the
+        region at the inner header and leaves through the exit stores it,
+        and ends as the per-block table does."""
+        text = """
+        @result = global [2 x f64] output
+
+        define void @main() {
+        entry:
+          br label %outer
+        outer:
+          %i = phi i64 [ 0, %entry ], [ %inext, %latch ]
+          %acc = phi i64 [ 0, %entry ], [ %a2, %latch ]
+          %s = mul i64 %i, 3
+          br label %inner
+        inner:
+          %j = phi i64 [ 0, %outer ], [ %jnext, %inner ]
+          %a = phi i64 [ %acc, %outer ], [ %a2, %inner ]
+          %t = add i64 %a, %j
+          %a2 = add i64 %t, 1
+          %jnext = add i64 %j, 1
+          %cj = icmp slt i64 %jnext, 5
+          br i1 %cj, label %inner, label %latch
+        latch:
+          %inext = add i64 %i, 1
+          %ci = icmp slt i64 %inext, 8
+          br i1 %ci, label %outer, label %done
+        done:
+          %r = add i64 %a2, %s
+          %f = sitofp i64 %r to f64
+          %p = gep f64* @result, i64 0
+          store f64 %f, f64* %p
+          ret void
+        }
+        """
+        interp = Interpreter(parse_module(text))
+        cm = interp.cm
+        (cf,) = cm.cfuncs
+        ((header, _),) = regions_of(cf)
+        region = cm._compiler._regions[(cf.index, header)]
+        names = {b.name: bi for bi, b in enumerate(cf.fn.blocks)}
+        assert region.entries == [names["inner"], names["outer"]]
+        s = first_value_in(cm, cf, names["outer"])
+        slot = cm.record_for(s).slot
+        assert slot in region.loads
+        assert all(slot in stores for stores in region.exit_stores.values())
+        entered = []
+        fns = list(cf.region_fns)
+        fns[names["inner"]] = lambda f, st, _fn=fns[names["inner"]]: (
+            entered.append(1) or _fn(f, st)
+        )
+        cf.region_fns = fns
+        campaign = Campaign(interp, budget_factor=3.0)
+        campaign.prepare()
+        trials = 0
+        for inst, count in campaign._sites:
+            if cm.record_for(inst).block_index != names["inner"]:
+                continue
+            for occurrence in sorted({1, (count + 1) // 2, count - 1}):
+                site = FaultSite(inst, occurrence, 0)
+                assert campaign._fire_cycle(site) is not None
+                record = campaign.run_site(site)
+                with per_block_dispatch(cm):
+                    expected = campaign.run_site(site)
+                assert trial_entry(0, site, 0, record) == trial_entry(
+                    0, site, 0, expected
+                ), (inst, occurrence)
+                trials += 1
+        assert trials >= 9 and entered
 
     def test_exits_write_back_only_values_read_outside(self):
         source = """
@@ -711,6 +859,143 @@ class TestInlinedLeaves:
         # one that fires.
         assert counts["idx3"] == reference["idx3"] > 0
 
+    @pytest.mark.parametrize(
+        "name, leaf", [("hpccg", "idx3"), ("fft", "bit_reverse")]
+    )
+    def test_a_tripping_trial_calls_the_leaf_once(self, name, leaf, monkeypatch):
+        """A tripping cold trial whose site lies in an inlined leaf makes
+        one real call into it, the call holding the flip (the golden run
+        makes none), at the site's first, middle and last occurrence, and
+        ends as the counting route does."""
+        w = get_workload(name)
+        campaign = Campaign(
+            w.make_interpreter(1), verifier=w.verifier(), entry=w.entry,
+            budget_factor=w.budget_factor,
+        )
+        campaign.prepare()
+        cm = campaign.interp.cm
+        trips = []
+        real_trip = Interpreter.trip
+        monkeypatch.setattr(
+            Interpreter, "trip",
+            lambda self, frame: trips.append(1) or real_trip(self, frame),
+        )
+        checked = 0
+        for inst, count in campaign._sites:
+            if cm.cfuncs[cm.record_for(inst).cfi].name != leaf:
+                continue
+            for occurrence in sorted({1, (count + 1) // 2, count}):
+                site = FaultSite(inst, occurrence, result_bits(inst) - 1)
+                assert campaign._call_at(site, campaign._fire_cycle(site)) is not None
+                trips.clear()
+                with call_counts() as counts:
+                    record = campaign.run_site(site)
+                assert (trips, counts[leaf]) == ([1], 1), (inst, occurrence)
+                with monkeypatch.context() as counting:
+                    counting.setattr(Campaign, "_fire_cycle", lambda self, site: None)
+                    counted = campaign.run_site(site)
+                assert trial_entry(0, site, 0, record) == trial_entry(0, site, 0, counted)
+                checked += 1
+        assert checked >= 9
+
+    @pytest.mark.parametrize("knobs", [
+        {"fault_model": "intermittent:p=0.5,window=4"},
+        {"protect": "full", "recover": True},
+    ])
+    def test_counting_trials_call_the_leaf_every_time(self, knobs):
+        """Counting trials, under a multi-shot model or with recovery,
+        make every call to the injected leaf a real call, as the per-block
+        table does."""
+        campaign = CampaignSpec(workload="hpccg", trials=1, **knobs).build()
+        campaign.prepare()
+        cm = campaign.interp.cm
+        model = campaign.fault_model
+        sites = [
+            (inst, count) for inst, count in campaign._sites
+            if cm.cfuncs[cm.record_for(inst).cfi].name == "idx3"
+        ]
+        for inst, count in sites[:2]:
+            for occurrence in (1, count):
+                site = model.sample_site(
+                    _FixedSite(FaultSite(inst, occurrence, 3)), random.Random(5)
+                )
+                assert campaign._fire_cycle(site) is None
+                with call_counts() as counts:
+                    record = campaign.run_site(site)
+                with per_block_dispatch(cm), call_counts() as reference:
+                    expected = campaign.run_site(site)
+                assert counts["idx3"] == reference["idx3"] > 1
+                assert trial_entry(0, site, 0, record) == trial_entry(0, site, 0, expected)
+
+    def test_a_leaf_entered_free_calls_only_the_call_holding_the_flip(self):
+        """With free branches the leaf's entry block, a lone ``br``,
+        charges nothing, so a call's entry cycle is its start.  ``main``
+        makes two calls back to back, so a flip in the leaf's last block
+        ends at the cycle the next call starts: the call that holds it is
+        still the one real call, and the records match the per-block
+        table's."""
+        text = """
+        @result = global [2 x f64] output
+
+        define i64 @leaf(i64 %k) {
+        entry:
+          br label %loop
+        loop:
+          %i = phi i64 [ 0, %entry ], [ %next, %loop ]
+          %acc = phi i64 [ %k, %entry ], [ %sum, %loop ]
+          %sum = add i64 %acc, %i
+          %next = add i64 %i, 1
+          %c = icmp slt i64 %next, 4
+          br i1 %c, label %loop, label %done
+        done:
+          %r = mul i64 %sum, 3
+          ret i64 %r
+        }
+
+        define void @main() {
+        entry:
+          br label %head
+        head:
+          %j = phi i64 [ 0, %entry ], [ %jn, %head ]
+          %t = phi i64 [ 0, %entry ], [ %tn, %head ]
+          %v = call i64 @leaf(i64 %j)
+          %w = call i64 @leaf(i64 %v)
+          %tn = add i64 %t, %w
+          %jn = add i64 %j, 1
+          %cj = icmp slt i64 %jn, 10
+          br i1 %cj, label %head, label %out
+        out:
+          %f = sitofp i64 %tn to f64
+          %p = gep f64* @result, i64 0
+          store f64 %f, f64* %p
+          ret void
+        }
+        """
+        interp = Interpreter(parse_module(text), cost_model=CostModel({"br": 0}))
+        cm = interp.cm
+        leaf = cm.cfuncs[cm.get_function_index("leaf")]
+        assert leaf.costs[0] == 0
+        with call_counts() as counts:
+            assert interp.run().status == "ok"
+        assert counts["leaf"] == 0
+        campaign = Campaign(interp, budget_factor=3.0)
+        campaign.prepare()
+        checked = 0
+        for inst, count in campaign._sites:
+            if cm.record_for(inst).cfi != leaf.index:
+                continue
+            for occurrence in (1, count // 2, count // 2 + 1, count):
+                site = FaultSite(inst, occurrence, 0)
+                assert campaign._fire_cycle(site) is not None
+                with call_counts() as counts:
+                    record = campaign.run_site(site)
+                assert counts["leaf"] == 1, (inst, occurrence)
+                with per_block_dispatch(cm):
+                    expected = campaign.run_site(site)
+                assert trial_entry(0, site, 0, record) == trial_entry(0, site, 0, expected)
+                checked += 1
+        assert checked == 16
+
     def test_block_and_resume_code_is_never_inlined(self, monkeypatch):
         sources = compiled_sources(monkeypatch)
         for name in ("hpccg", "fft"):
@@ -1001,6 +1286,14 @@ def rendezvous_log(monkeypatch):
     yield log
 
 
+def first_value_in(cm, cf, bi):
+    """The first value block ``bi`` of ``cf`` computes."""
+    return next(
+        i for i in cf.fn.blocks[bi].instructions
+        if id(i) in cm.records and not isinstance(i, PhiNode)
+    )
+
+
 def first_value(cm, name):
     """The first value function ``name`` computes."""
     fn = cm.cfuncs[cm.get_function_index(name)].fn
@@ -1010,27 +1303,30 @@ def first_value(cm, name):
     )
 
 
-def golden_fire(interp, entry, inst, occurrence=1):
-    """The golden cycle of the block entry in which ``inst`` executes for
-    the ``occurrence``-th time: a tripping run's ``fire``."""
+def golden_trip(interp, entry, inst, occurrence=1):
+    """A tripping run's ``fire`` and ``call_at`` keywords for the block
+    entry in which ``inst`` executes for the ``occurrence``-th time, from
+    a golden run's recording."""
     entries = interp.run(entry, profile=True).entries
-    return entries[interp.cm.record_for(inst).block_gid][occurrence - 1]
+    fire = entries[interp.cm.record_for(inst).block_gid][occurrence - 1]
+    return {"fire": fire, "call_at": call_cycle(interp, entries, inst, fire)}
 
 
-def armed_run(interp, entry, budget, rung_cycles, flip_in=None, fire=None):
+def armed_run(interp, entry, budget, rung_cycles, flip_in=None, trip=None):
     """A resync-armed run whose flip changes nothing (the first value
     ``flip_in``, default ``entry``, computes, corrupted to itself) and
-    whose rungs sit at ``rung_cycles``.  It trips at ``fire``, by default
-    the flip's golden cycle.  Returns what the run leaves behind."""
+    whose rungs sit at ``rung_cycles``.  It trips as ``trip`` says, by
+    default at the flip's golden cycle (:func:`golden_trip`).  Returns
+    what the run leaves behind."""
     inst = first_value(interp.cm, flip_in or entry)
-    if fire is None:
-        fire = golden_fire(interp, entry, inst)
+    if trip is None:
+        trip = golden_trip(interp, entry, inst)
     spec = InjectionSpec(inst, 1, "once", corrupt=lambda v: v)
     rungs = [_Rung(i, c) for i, c in enumerate(sorted(set(rung_cycles)))]
     ladder = SnapshotLadder(rungs, 1, 0, None, entry)
     result = interp.run(
         entry, injection=spec, cycle_budget=budget, profile=True,
-        warm=WarmStart(ladder, None, resync=True), fire=fire,
+        warm=WarmStart(ladder, None, resync=True), **trip,
     )
     assert result.injection_hit
     return observe(interp, result)
@@ -1357,6 +1653,7 @@ class TestDeoptExits:
                     result = interp.run(
                         w.entry, injection=spec, cycle_budget=campaign.cycle_budget,
                         warm=WarmStart(ladder, prev, resync=True), fire=fire,
+                        call_at=campaign._call_at(site, fire),
                     )
                 assert result.resynced
                 assert matched[-1] == (rung.index, True)
@@ -1393,7 +1690,7 @@ class TestTrackedFastPaths:
         interp = w.make_interpreter(1)
         cm = interp.cm
         rungs = every_block_top(interp, w.entry, None)[::211]
-        fire = golden_fire(interp, w.entry, first_value(cm, "fft_row"))
+        trip = golden_trip(interp, w.entry, first_value(cm, "fft_row"))
         calls = Counter()
         wrapped = {}
         for cf in cm.cfuncs:
@@ -1404,11 +1701,11 @@ class TestTrackedFastPaths:
                     cf, table, [wrapped.get(id(fn), fn) for fn in getattr(cf, table)]
                 )
         with rendezvous_log(monkeypatch) as log:
-            fast = armed_run(interp, w.entry, None, rungs, "fft_row", fire)
+            fast = armed_run(interp, w.entry, None, rungs, "fft_row", trip)
             fast_calls = calls["b"]
             calls.clear()
             with per_block_dispatch(cm):
-                reference = armed_run(interp, w.entry, None, rungs, "fft_row", fire)
+                reference = armed_run(interp, w.entry, None, rungs, "fft_row", trip)
         assert fast == reference
         assert len(log) > 100
         assert calls["b"] >= 5 * fast_calls, (calls["b"], fast_calls)

@@ -217,8 +217,9 @@ class TestRouting:
         assert campaign._entries is None
 
     def test_runs_that_cannot_trip_refuse_a_fire_cycle(self):
-        """A fire cycle needs a single-shot injection without recovery,
-        and a resync-armed injected run needs one."""
+        """A fire cycle needs a single-shot injection without recovery and
+        comes with a call cycle, and a resync-armed injected run needs
+        one."""
         campaign = stack_campaign(warm_start=True)
         ladder = campaign.ensure_ladder()
         interp = campaign.interp
@@ -226,19 +227,24 @@ class TestRouting:
         site = FaultSite(inst, count, 0)
         fire = campaign._fire_cycle(site)
         assert fire is not None
+        trip = {"fire": fire, "call_at": campaign._call_at(site, fire)}
         with pytest.raises(ValueError):
-            interp.run(fire=fire)
+            interp.run(**trip)
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(), fire=fire,
-                       recovery=RecoveryPolicy())
+            interp.run(injection=site.as_injection(), fire=fire)
+        with pytest.raises(ValueError):
+            interp.run(injection=site.as_injection(), call_at=trip["call_at"])
+        with pytest.raises(ValueError):
+            interp.run(injection=site.as_injection(), recovery=RecoveryPolicy(),
+                       **trip)
         with pytest.raises(ValueError):
             interp.run(injection=site.as_injection(),
                        warm=WarmStart(ladder, None, resync=True))
         snap = ladder.plan_site(interp.cm, site, fire)[0]
         assert snap is not None
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(), fire=fire,
-                       warm=WarmStart(ladder, snap, resync=False))
+            interp.run(injection=site.as_injection(),
+                       warm=WarmStart(ladder, snap, resync=False), **trip)
 
     def test_single_shot_trials_trip_without_a_compile_per_site(self, monkeypatch):
         """A cold fft campaign trips every trial and compiles one
