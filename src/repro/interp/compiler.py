@@ -33,9 +33,15 @@ dispatch tables:
   keeps the frame list coherent and leaves through a *deopt exit* before
   the next event (see :meth:`_Compiler._gen_region`).
 
-All forms charge cycles, test the budget, bump the profile and check traps
-per block in the same order, so a run's observable results are identical
-whichever table executes it.
+A run's observable results (status, cycle count, profile, memory, output,
+the cycle at which it trips, traps or hangs) are identical whichever table
+executes it.  Every form charges each block's cycles at its top, in block
+order, and block functions test the budget and bump the profile at every
+block.  Region code tests the budget only where a static bound says a
+budget could run out (see :meth:`_Compiler._plan_region`) and, near one,
+steps that stretch on the per-block table; lean region code bumps no
+profile, and profiled runs dispatch through a *profiled* table of the same
+code plus the bumps (:meth:`CompiledModule.profiled_tables`).
 
 Semantics implemented exactly:
 
@@ -57,9 +63,10 @@ value-producing instruction, each behind a guard ``if _s == <slot>:`` on
 variant (a multi-shot model's variant holds its one site's epilogue).  A
 single-shot campaign trial *trips*: until its flip the trial is the golden
 run, so the plain tables run up to the flip's golden cycle
-(``state.rbudget``), a lean region member leaves through a deopt exit at
-the flip block's top, and ``Interpreter.trip`` runs that one block instance
-in its injectable variant before the plain tables take over again.  Every
+(``state.rbudget``), lean region code leaves through a deopt exit at the
+last test point before the flip and steps block by block to the flip
+block, and ``Interpreter.trip`` runs that one block instance in its
+injectable variant before the plain tables take over again.  Every
 other injected run *counts*: the injected function dispatches through a
 table holding the variant of the block or region with the site, which
 counts the site's executions in ``state.inj_seen``.
@@ -70,7 +77,7 @@ from __future__ import annotations
 import math
 import struct
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import LoopInfo
@@ -201,15 +208,18 @@ class Region:
     first), where its code places them (the blocks it is entered at, i.e.
     the dispatch targets, header included, and the joins; see
     :meth:`_Compiler._dispatch_targets`), the slots loaded into locals at
-    entry and, per exit target, the slots written back to the frame list
-    before returning."""
+    entry, per exit target the slots written back to the frame list
+    before returning, and its test points with their bounds (see
+    :meth:`_Compiler._plan_region`)."""
 
-    __slots__ = ("header", "order", "entries", "joins", "loads", "exit_stores")
+    __slots__ = (
+        "header", "order", "entries", "joins", "loads", "exit_stores", "bounds",
+    )
 
     def __init__(
         self, header: int, order: List[int], entries: List[int],
         joins: Dict[int, int], loads: List[int],
-        exit_stores: Dict[int, List[int]],
+        exit_stores: Dict[int, List[int]], bounds: Dict[int, int],
     ):
         self.header = header
         self.order = order
@@ -217,6 +227,9 @@ class Region:
         self.joins = joins
         self.loads = loads
         self.exit_stores = exit_stores
+        #: test point -> the largest charge region code can add after the
+        #: point's own charge before the next test point, back edge or exit
+        self.bounds = bounds
 
 
 class InstructionRecord:
@@ -251,6 +264,8 @@ class CompiledModule:
         self.global_addr: Dict[str, int] = {}
         self.global_template: List = []  # initial cells incl. guards (None = guard)
         self.stack_base = 0
+        #: lean region entry -> its profiled twin, built on first use
+        self._profiled_twins: Optional[Dict[Callable, Callable]] = None
         self._compiler = _Compiler(self)
         self._layout_globals()
         self._compile_all()
@@ -323,16 +338,21 @@ class CompiledModule:
 
         Returns (cfi, table index -> fn): the injectable variant of the
         region holding ``inst`` at every block the region is entered at
-        (see :meth:`_Compiler.region_entries`), or the injectable block at
-        its own index when ``inst`` lies outside every region.
+        (see :meth:`_Compiler.region_entries`), and the injectable block
+        at its own index unless the region is entered there: a region's
+        deopt exit steps block by block (see :meth:`_Compiler._gen_member`)
+        through this table until the next region entry, so the site
+        counts there too.
         """
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
+        entries: Dict[int, Callable] = {}
         header = cf.region_of.get(record.block_index)
-        if header is None:
-            _, bi, fn = self.injected_block_fn(inst, mode)
-            return record.cfi, {bi: fn}
-        entries = self._compiler.region_entries(cf, header, _inject(record, mode))
+        if header is not None:
+            variant = Variant(LEAN.name, inject=_inject(record, mode))
+            entries.update(self._compiler.region_entries(cf, header, variant))
+        if record.block_index not in entries:
+            entries[record.block_index] = self.injected_block_fn(inst, mode)[2]
         return record.cfi, entries
 
     def tracked_region_fns(self, cfi: int) -> List[Callable]:
@@ -346,11 +366,31 @@ class CompiledModule:
         if fns is None:
             fns = list(cf.block_fns)
             for header in sorted(set(cf.region_of.values())):
-                entries = self._compiler.region_entries(cf, header, tracked=True)
+                entries = self._compiler.region_entries(cf, header, TRACKED)
                 for bi, fn in entries.items():
                     fns[bi] = fn
             cf.tracked_fns = fns
         return fns
+
+    def profiled_tables(self) -> List[List[Callable]]:
+        """Every function's region table for a profiled run: its
+        ``region_fns`` with each lean region entry replaced by the same
+        entry of the profiled variant, compiled on first use (golden runs
+        profile, trials do not).  Everything else a table holds stays: a
+        block function bumps the profile itself, and a table something
+        has swapped in (the :class:`~repro.obs.blockprof.BlockProfiler`'s
+        wrappers, a per-block table) keeps its own functions."""
+        twins = self._profiled_twins
+        if twins is None:
+            twins = {}
+            for cfi, header in list(self._compiler._regions):
+                cf = self.cfuncs[cfi]
+                lean = self._compiler.region_entries(cf, header)
+                profiled = self._compiler.region_entries(cf, header, PROFILED)
+                for bi, fn in lean.items():
+                    twins[fn] = profiled[bi]
+            self._profiled_twins = twins
+        return [[twins.get(fn, fn) for fn in cf.region_fns] for cf in self.cfuncs]
 
     def resume_block_fn(
         self,
@@ -383,6 +423,37 @@ class CompiledModule:
 Inject = Tuple[str, Optional[int]]
 
 
+class Variant(NamedTuple):
+    """One compiled form of a region: what it adds to the lean code.
+
+    ``name`` starts its functions' filenames; a ``tracked`` region keeps
+    SSA values in the frame list and tests the budget at every member
+    (see :meth:`_Compiler._gen_region`); ``bump`` is the line, formatted
+    with a block's gid, that bumps the profile after each block's charge
+    (None: no profile); ``inject`` makes it injectable (see
+    :func:`_inject`)."""
+
+    name: str
+    tracked: bool = False
+    bump: Optional[str] = None
+    inject: Optional[Inject] = None
+
+
+#: campaign trials' region code
+LEAN = Variant("region")
+#: the lean code plus a profile bump per block, for ``run(profile=True)``
+PROFILED = Variant("profiled region", bump="    _p[{}].append(_c)")
+#: resync-armed warm trials' region code, profiled when the run is
+TRACKED = Variant(
+    "tracked region", tracked=True, bump="    if _p is not None: _p[{}].append(_c)"
+)
+
+
+#: the budget test of an inlined leaf block that tests the hang budget
+#: (see :meth:`_Compiler._gen_member`)
+_HANG = -1
+
+
 def _inject(record: InstructionRecord, mode: str) -> Inject:
     """The epilogues of the injectable variant for ``record``'s site.
     Variants are shared by every site of a block or region, except for
@@ -404,17 +475,23 @@ def _needs_cells(insts) -> bool:
     return any(isinstance(i, (LoadInst, StoreInst, AtomicRMWInst)) for i in insts)
 
 
+def _real_call(inst: Instruction) -> bool:
+    """Whether ``inst`` calls a defined function or an MPI binding: a call
+    region code may make through a counted ``state.call`` or
+    ``state.mpi_*``, after which its cycle count is unknown (see
+    :meth:`_Compiler._gen_counted_call`)."""
+    return isinstance(inst, CallInst) and (
+        not inst.callee.is_declaration or inst.callee.name.startswith("mpi_")
+    )
+
+
 def _is_leaf(fn: Function) -> bool:
     """Whether region code may inline calls to ``fn``: no call to a
     defined function, no MPI binding and no ``alloca`` (so it never
     touches ``sp``)."""
     for block in fn.blocks:
         for inst in block.instructions:
-            if isinstance(inst, AllocaInst):
-                return False
-            if isinstance(inst, CallInst) and (
-                not inst.callee.is_declaration or inst.callee.name.startswith("mpi_")
-            ):
+            if isinstance(inst, AllocaInst) or _real_call(inst):
                 return False
     return True
 
@@ -433,18 +510,14 @@ class _Compiler:
         self._regions: Dict[Tuple[int, int], Region] = {}  # (cfi, header) -> region
         #: (cfi, block, inject) -> injectable block variant
         self._block_cache: Dict[Tuple[int, int, Inject], Callable] = {}
-        #: (cfi, header, inject or None, tracked) -> region function
-        self._region_cache: Dict[Tuple[int, int, Optional[Inject], bool], Callable] = {}
+        #: (cfi, header, variant) -> its entries (see :meth:`region_entries`)
+        self._region_cache: Dict[Tuple[int, int, Variant], Dict[int, Callable]] = {}
         #: (cfi, block, call index, inject or None) -> resume variant
         self._resume_cache: Dict[Tuple[int, int, int, Optional[Inject]], Callable] = {}
         self._check_site: Dict[int, int] = {}  # id(check call) -> site id
         #: leaf cfi -> id(value) -> the Python local a call site inlining
         #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
-        #: the function whose tracked region is being generated, else None
-        self._tracked: Optional[CompiledFunction] = None
-        #: the function whose lean region is being generated, else None
-        self._lean: Optional[CompiledFunction] = None
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -547,23 +620,6 @@ class _Compiler:
             self._block_cache[key] = cached
         return cached
 
-    def compile_region(
-        self,
-        cf: CompiledFunction,
-        header: int,
-        inject: Optional[Inject] = None,
-        tracked: bool = False,
-    ) -> Callable:
-        """The region function headed by block ``header``: with
-        ``inject``, its injectable variant, or its tracked variant."""
-        key = (cf.index, header, inject, tracked)
-        cached = self._region_cache.get(key)
-        if cached is None:
-            region = self._regions[(cf.index, header)]
-            cached = self._gen_region(cf, region, inject, tracked)
-            self._region_cache[key] = cached
-        return cached
-
     def compile_resume(
         self, cf: CompiledFunction, bi: int, call_k: int, inject: Optional[Inject]
     ) -> Callable:
@@ -658,19 +714,20 @@ class _Compiler:
         local: bool = False,
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
         fall: bool = False,
+        variant: Optional[Variant] = None,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
         edge copies in the predecessors), with ``inject`` the injection
-        epilogues too.  ``local`` selects region code: see
-        :meth:`_gen_instruction`; ``ret`` and ``fall`` see
-        :meth:`_gen_terminator`."""
+        epilogues too.  ``local`` and ``variant`` (region code's form,
+        None in a block function) see :meth:`_gen_instruction`; ``ret``
+        and ``fall`` see :meth:`_gen_terminator`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
             if inst.is_terminator():
                 self._gen_terminator(inst, regs, emit, leave, ret, fall)
             else:
-                self._gen_instruction(inst, regs, emit, local)
+                self._gen_instruction(inst, regs, emit, local, variant)
                 self._gen_guarded_injection(inst, regs, emit, inject)
 
     # -- region codegen -------------------------------------------------------------------
@@ -695,8 +752,8 @@ class _Compiler:
     def _plan_region(
         self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock]
     ) -> Region:
-        """Where a region is entered, which slots it loads at entry and
-        which it stores at each exit.
+        """Where a region is entered, which slots it loads at entry, which
+        it stores at each exit, and where its lean code tests the budget.
 
         A region is entered at every block it dispatches on (see
         :meth:`_dispatch_targets`): at its header from the code before the
@@ -716,6 +773,19 @@ class _Compiler:
         loaded too, so every store reads a bound local.  Together this
         leaves the frame list exactly as block-by-block execution would,
         for every slot anything may read later.
+
+        Lean region code (every variant but the tracked one) charges every
+        member but tests the budget only at *test points*: the entries,
+        and every member that follows one holding a call that can be real
+        (:func:`_real_call`; after it ``_c`` has grown by an unknown
+        amount).  A test point tests ``_c + R`` against the budget, where
+        ``R``, its *bound*, is the largest charge any path can add after
+        the point's own before it reaches the next test point, a back edge
+        or an exit: the members' costs.  While the test passes, no member
+        charge up to the next test can pass the budget, so nothing in
+        between trips or hangs.  An inlined leaf's blocks test the hang
+        budget themselves (:meth:`_gen_inlined_call`), and a leaf call is a
+        call that can be real, so its member's successors test again.
         """
         slots = self._slot_of[cf.index]
         index = self._block_index[cf.index]
@@ -803,20 +873,35 @@ class _Compiler:
             index[id(succ)]: sorted(stores | (phis(succ) & (outside_reads | loads)))
             for _, succ in exits
         }
+        members = [index[id(b)] for b in order]
+        points = set(entries)
+        for bi in members:
+            if any(map(_real_call, blocks[bi].instructions)):
+                points.update(
+                    index[id(s)] for s in blocks[bi].successors() if s in inside
+                )
+        after: Dict[int, int] = {}
+
+        def bound(bi: int) -> int:
+            """The largest charge from ``bi``'s own on to the next test
+            point, back edge or exit: every edge to a block that is not a
+            test point is a forward edge, since back edges enter loop
+            headers, which are entries."""
+            if bi not in after:
+                succs = [index[id(s)] for s in blocks[bi].successors() if s in inside]
+                rest = [cf.costs[k] + bound(k) for k in succs if k not in points]
+                after[bi] = max(rest, default=0)
+            return after[bi]
+
         return Region(
-            index[id(header)], [index[id(b)] for b in order], entries, joins,
-            sorted(loads), exit_stores,
+            index[id(header)], members, entries, joins, sorted(loads), exit_stores,
+            {bi: bound(bi) for bi in sorted(points)},
         )
 
     def _gen_region(
-        self,
-        cf: CompiledFunction,
-        region: Region,
-        inject: Optional[Inject],
-        tracked: bool = False,
+        self, cf: CompiledFunction, region: Region, variant: Variant
     ) -> Callable:
-        """Generate one region function (with ``inject``, its injectable
-        variant).
+        """Generate one region function in ``variant``'s form.
 
         The cycle count lives in the local ``_c``: it is written back to
         ``state.cycles`` before every exit, around calls, and by the handler
@@ -830,24 +915,32 @@ class _Compiler:
 
         A region's budget ``_bud`` is ``state.rbudget``: the hang budget,
         or just below a tripping trial's golden flip cycle until the trip.
-        When a member's charge passes it, the slow path re-reads it (a
-        trip in a callee restores the hang budget, leaving this copy
-        stale) and otherwise leaves through a *deopt exit* at the member's
-        top: ``state.deopt`` hangs past ``state.budget``, or puts
-        ``state.cycles`` back to the top and writes the bound registers
-        back to the frame list (:func:`sync_frame`), and the region
-        returns ``state.trip(f)``, the block the flip block's injectable
-        variant leaves to.  An inlined leaf block never trips (the one
-        call that holds the flip is a real call), so it only hangs past
-        the hang budget.
+        Lean code tests it only at the region's test points (see
+        :meth:`_plan_region`) and never reads ``state.prof`` (the profiled
+        and tracked forms add ``variant.bump``).  When a test point's
+        charge plus its bound
+        passes the budget, the slow path re-reads it (a trip in a callee
+        restores the hang budget, leaving this copy stale) and otherwise
+        leaves through a *deopt exit* at the test point's top:
+        ``state.deopt`` hangs when the point's own charge passes
+        ``state.budget``, or puts ``state.cycles`` back to the top and
+        writes the bound registers back to the frame list
+        (:func:`sync_frame`), and the region returns ``state.step(f, cfi,
+        k)``: the point ``k`` runs on the per-block table (tripping when
+        its charge passes the region budget), and the blocks after it run
+        on the dispatch loop's table, block by block, until a region entry
+        tests again.  So a trip, trap or hang lands on the block and cycle
+        at which the per-block table has it.  An inlined leaf block never
+        trips (the one call that holds the flip is a real call); it tests
+        the hang budget (see :meth:`_gen_inlined_call`).
 
         The *tracked* variant runs a resync-armed warm trial between
         events.  It keeps SSA values in the frame list, as block functions
         do, so the frame is coherent at every call and exit.  Its budget is
-        ``state.rbudget``, at most the hang budget: when a member's charge
-        passes it below the hang budget, the region leaves through a
-        *deopt exit*, ``return k`` for that member ``k`` with
-        ``state.cycles`` as the per-block loop holds it at the top of
+        ``state.rbudget``, at most the hang budget, tested at every member:
+        when a member's charge passes it below the hang budget, the region
+        leaves through a *deopt exit*, ``return k`` for that member ``k``
+        with ``state.cycles`` as the per-block loop holds it at the top of
         ``k`` (the block not yet charged); only past ``state.budget`` does
         it hang.  An inlined leaf block never exits: it hangs past the hang
         budget or runs on, and the caller's next member test (which trips
@@ -861,6 +954,7 @@ class _Compiler:
         function's part of ``trk.probe_at``).
         """
         blocks = cf.fn.blocks
+        tracked = variant.tracked
         insts = [i for bi in region.order for i in blocks[bi].instructions]
         leaves = {cfi for cfi in map(self._leaf_callee, insts) if cfi is not None}
         leaf_insts = [
@@ -878,7 +972,8 @@ class _Compiler:
             emit("    _trk = state.trk")
             emit("    _rec = _trk.frames[-1]")
             emit(f"    _pq = _trk.probe_at.get({cf.index}) if state.inj_hit else None")
-        emit("    _p = state.prof")
+        if variant.bump is not None:
+            emit("    _p = state.prof")
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
@@ -886,11 +981,13 @@ class _Compiler:
             emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
             emit("    _ca = state.inj_call_at")
             emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
-        self._gen_slot_load(inject, emit)
+        self._gen_slot_load(variant.inject, emit)
         if tracked:
             regs = self._frame_regs[cf.index]
+            tests = dict.fromkeys(region.order, 0)
         else:
             regs = self._local_regs[cf.index]
+            tests = region.bounds
             for s in region.loads:
                 emit(f"    r{s} = f[{s}]")
         emit("    try:")
@@ -902,23 +999,18 @@ class _Compiler:
             stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
             out(f"    state.cycles = _c; {stores}return {k}")
 
-        self._tracked = cf if tracked else None
-        self._lean = None if tracked else cf
-        try:
-            self._gen_dispatch(
-                cf, region.order, (region.entries, region.joins), regs,
-                lambda line: emit("    " + line), "bi", leave_region, None, inject,
-            )
-        finally:
-            self._tracked = self._lean = None
+        self._gen_dispatch(
+            cf, region.order, (region.entries, region.joins), regs,
+            lambda line: emit("    " + line), "bi", leave_region, None, variant, tests,
+        )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
         emit("        if _c is not None: state.cycles = _c")
         emit("        raise")
         header = blocks[region.header]
-        kind = "tracked region" if tracked else "region"
         return _exec(
-            "\n".join(lines) + "\n", f"<{kind} {cf.name}.{header.name}>", "_region"
+            "\n".join(lines) + "\n", f"<{variant.name} {cf.name}.{header.name}>",
+            "_region",
         )
 
     def _gen_dispatch(
@@ -931,11 +1023,14 @@ class _Compiler:
         bvar: str,
         exit_: Optional[Callable[[int, Callable], None]],
         ret: Optional[Callable[[Optional[str], Callable], None]],
-        inject: Optional[Inject],
+        variant: Variant,
+        tests: Dict[int, int],
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
-        ``placement`` (their :meth:`_dispatch_targets`) says.
+        ``placement`` (their :meth:`_dispatch_targets`) says, each block in
+        ``variant``'s form with the budget test ``tests`` holds for it
+        (see :meth:`_gen_member`; none where it holds none).
 
         Each block is emitted once, at its immediate dominator: a block
         entered by exactly one edge inside the branch arm of that edge, a
@@ -959,7 +1054,7 @@ class _Compiler:
             inner = follow if join is None else join
             self._gen_member(
                 cf, bi, regs, o, lambda target, oo: leave(target, oo, inner),
-                ret, inject, fall=inner is not None,
+                ret, variant, tests.get(bi), fall=inner is not None,
             )
             if join is not None:
                 gen_member(join, o, follow)
@@ -1079,55 +1174,71 @@ class _Compiler:
         out,
         leave,
         ret,
-        inject: Optional[Inject],
+        variant: Variant,
+        test: Optional[int],
         fall: bool = False,
     ) -> None:
-        """One block in region code: charge ``_c``, test the budget, bump
-        the profile with the block's own gid, then its body (``fall`` see
-        :meth:`_gen_terminator`).  The region's
-        own blocks leave through a deopt exit (see :meth:`_gen_region`)
-        once the charge passes ``_bud`` below the hang budget: a tracked
-        region returns the block, with block-function bodies on the frame
-        list; a lean one writes its locals back and trips."""
+        """One block in region code: charge ``_c``, make the budget test
+        ``test``, bump the profile with the block's own gid when
+        ``variant`` bumps it, then its body (``fall`` see
+        :meth:`_gen_terminator`).
+
+        ``test`` is None for no test, :data:`_HANG` for a hang test (an
+        inlined leaf block: see :meth:`_gen_inlined_call`), and otherwise
+        a region member's deopt test, whose bound it is (always 0 in a
+        tracked region, which tests every member).  The deopt exit (see
+        :meth:`_gen_region`) returns the block itself in a tracked region,
+        with block-function bodies on the frame list; lean code writes its
+        locals back and steps the block on the per-block table."""
         block = cf.fn.blocks[bi]
         cost = self.cm.cost_model.block_cost(block)
-        if self._tracked is cf:
+        own = test is not None and test != _HANG
+        if variant.tracked and own:
             out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
             out(f"        state.cycles = _c; return {bi}")
         out(f"    _c += {cost}")
-        if self._tracked is cf:
+        if test == _HANG:
+            out("    if _c > _bud and _c > state.budget: state.hang()")
+        elif variant.tracked and own:
             out("    if _c > _bud:")
             out("        if _c > state.budget: state.hang()")
             out(f"        state.cycles = _c - {cost}; return {bi}")
-        elif self._lean is cf:
-            out("    if _c > _bud:")
+        elif own:
+            at = f"_c + {test}" if test else "_c"
+            out(f"    if {at} > _bud:")
             out("        _bud = state.rbudget")
-            out(f"        if _c > _bud: _c = state.deopt(f, _locals(), _c, {cost}); return state.trip(f)")
-        else:
-            out("    if _c > _bud and _c > state.budget: state.hang()")
-        out(f"    if _p is not None: _p[{self.cm.block_gids[id(block)]}].append(_c)")
+            out(
+                f"        if {at} > _bud: _c = state.deopt(f, _locals(), _c, {cost}); "
+                f"return state.step(f, {cf.index}, {bi})"
+            )
+        if variant.bump is not None:
+            out(variant.bump.format(self.cm.block_gids[id(block)]))
         self._gen_body(
-            block, regs, out, leave, inject, local=self._tracked is not cf, ret=ret,
-            fall=fall,
+            block, regs, out, leave, variant.inject,
+            local=not (variant.tracked and own), ret=ret, fall=fall, variant=variant,
         )
 
     def region_entries(
-        self,
-        cf: CompiledFunction,
-        header: int,
-        inject: Optional[Inject] = None,
-        tracked: bool = False,
+        self, cf: CompiledFunction, header: int, variant: Variant = LEAN
     ) -> Dict[int, Callable]:
-        """Entries into the region headed by ``header`` (lean, injectable
-        with ``inject``, or tracked): block index -> a callable ``(f,
-        state)`` that runs the region from that block, for every block the
-        region dispatches on (``Region.entries``: its loop headers; see
+        """Entries into the region headed by ``header`` in ``variant``'s
+        form: block index -> a callable ``(f, state)`` that runs the region
+        from that block, for every block the region dispatches on
+        (``Region.entries``: its loop headers; see
         :meth:`_dispatch_targets`).  A member emitted inside a branch arm
         or after an ``if``/``else`` has no entry; it runs as a block
-        function until control reaches one."""
-        fn = self.compile_region(cf, header, inject, tracked)
-        region = self._regions[(cf.index, header)]
-        return {bi: fn if bi == header else partial(fn, bi=bi) for bi in region.entries}
+        function until control reaches one.  Compiled on first use; every
+        later call returns the same callables."""
+        key = (cf.index, header, variant)
+        entries = self._region_cache.get(key)
+        if entries is None:
+            region = self._regions[(cf.index, header)]
+            fn = self._gen_region(cf, region, variant)
+            entries = {
+                bi: fn if bi == header else partial(fn, bi=bi) for bi in region.entries
+            }
+            self._region_cache[key] = entries
+        return entries
 
     def _leaf_callee(self, inst: Instruction) -> Optional[int]:
         """The index of the leaf ``inst`` calls, or None when ``inst`` is
@@ -1139,7 +1250,7 @@ class _Compiler:
         return None
 
     def _gen_inlined_call(
-        self, inst: CallInst, cfi: int, regs: Dict[int, str], emit
+        self, inst: CallInst, cfi: int, regs: Dict[int, str], emit, variant: Variant
     ) -> None:
         """A call to the leaf ``cfi`` from region code, run in the caller's
         locals behind a guard::
@@ -1155,14 +1266,14 @@ class _Compiler:
         (``state.inj_cfi``, -1 in a tripping run; it counts there), and
         when the call would exceed ``Interpreter.DEFAULT_MAX_DEPTH`` (it
         raises ``StackOverflow``).
-        Each inlined block charges ``_c``, tests the budget and bumps the
-        profile with the leaf's own gid, as the call would, so a trap, hang
-        or failed check leaves through the region's handler with the exact
-        count.  The leaf's values live in fresh locals (``q{cfi}_{slot}``),
-        its arguments read the caller's operand expressions, and its
-        ``ret`` assigns the call's own local.  A one-block leaf is
-        straight-line code; a larger one dispatches in a nested ``while``
-        on ``q{cfi}_bi`` and its ``ret`` breaks out.
+        Each inlined block charges ``_c`` and, in ``variant``'s form, bumps
+        the profile with the leaf's own gid, as the call would, and tests
+        the hang budget, so a trap, hang or failed check leaves through the
+        region's handler with the exact count.  The leaf's values live in
+        fresh locals (``q{cfi}_{slot}``), its arguments read the caller's
+        operand expressions, and its ``ret`` assigns the call's own local.
+        A one-block leaf is straight-line code; a larger one dispatches in
+        a nested ``while`` on ``q{cfi}_bi`` and its ``ret`` breaks out.
 
         The inline path never writes ``state.ret`` and never moves ``sp``
         (a leaf has no ``alloca``), and nothing can tell: ``call`` and
@@ -1180,6 +1291,7 @@ class _Compiler:
         lregs.update((id(p), a) for p, a in zip(leaf.fn.args, args))
         blocks = leaf.fn.blocks
         arm = lambda line: emit("    " + line)
+        inline = variant._replace(inject=None)
         emit(f"    if _dok and _ij != {cfi} and _c != _ca:")
         if len(blocks) == 1 and isinstance(
             blocks[0].terminator, (RetInst, UnreachableInst)
@@ -1188,7 +1300,7 @@ class _Compiler:
                 if d is not None:
                     out(f"    {d} = {value}")
 
-            self._gen_member(leaf, 0, lregs, arm, None, ret, None)
+            self._gen_member(leaf, 0, lregs, arm, None, ret, inline, _HANG)
         else:
             def ret(value: Optional[str], out) -> None:
                 out(f"    {d} = {value}; break" if d is not None else "    break")
@@ -1197,10 +1309,10 @@ class _Compiler:
             order = list(range(len(blocks)))
             self._gen_dispatch(
                 leaf, order, self._dispatch_targets(leaf, order, 0), lregs, arm,
-                f"q{cfi}_bi", None, ret, None,
+                f"q{cfi}_bi", None, ret, inline, dict.fromkeys(order, _HANG),
             )
         emit("    else:")
-        self._gen_defined_call(inst, cfi, d, args, arm, True)
+        self._gen_defined_call(inst, cfi, d, args, arm, variant)
 
     # -- injection epilogue -----------------------------------------------------------------
 
@@ -1263,16 +1375,22 @@ class _Compiler:
     # -- per-instruction codegen ---------------------------------------------------------------
 
     def _gen_instruction(
-        self, inst: Instruction, regs: Dict[int, str], emit, local: bool = False
+        self,
+        inst: Instruction,
+        regs: Dict[int, str],
+        emit,
+        local: bool = False,
+        variant: Optional[Variant] = None,
     ) -> None:
-        """One instruction.  ``local`` marks region code, where operands are
-        Python locals: memory accesses index ``cells`` by the address
-        register and a load and an integer wrap work on the destination
-        itself.  Block functions read each operand from the frame list
-        once into a temporary (``_a``, ``_v``, ``_r``), because a second
-        ``f[k]`` read costs more than the temporary.  Region code also
+        """One instruction.  ``local`` marks operands that are Python
+        locals (region code but a tracked region's own blocks): memory
+        accesses index ``cells`` by the address register and a load and
+        an integer wrap work on the destination itself.  Block functions
+        read each operand from the frame list once into a temporary
+        (``_a``, ``_v``, ``_r``), because a second ``f[k]`` read costs more
+        than the temporary.  Region code (``variant``, its form) also
         writes the cycle counter back around calls (see
-        :meth:`_gen_counted_call`)."""
+        :meth:`_gen_counted_call`) and inlines leaf calls."""
         e = lambda v: self._expr(v, regs)
         if isinstance(inst, BinaryOperator):
             self._gen_binop(inst, regs, emit, local)
@@ -1335,7 +1453,7 @@ class _Compiler:
                 emit(f"    {d} = _old")
             return
         if isinstance(inst, CallInst):
-            self._gen_call(inst, regs, emit, local)
+            self._gen_call(inst, regs, emit, variant)
             return
         raise InterpreterBug(f"no codegen for {inst!r}")
 
@@ -1461,21 +1579,21 @@ class _Compiler:
         raise InterpreterBug(f"no codegen for cast {op}")
 
     def _gen_call(
-        self, inst: CallInst, regs: Dict[int, str], emit, local: bool
+        self, inst: CallInst, regs: Dict[int, str], emit, variant: Optional[Variant]
     ) -> None:
         e = lambda v: self._expr(v, regs)
         d = regs.get(id(inst))
         callee = inst.callee
         args = [e(a) for a in inst.operands]
-        # A tracked region's bodies use the frame list (``local`` is False)
-        # but count cycles in ``_c`` and inline leaves like any region.
-        region = local or self._tracked is not None
+        # Region code, a tracked region's frame-list bodies included,
+        # counts cycles in ``_c`` and inlines leaves.
+        region = variant is not None
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
             if region and cfi in self._leaf_regs:
-                self._gen_inlined_call(inst, cfi, regs, emit)
+                self._gen_inlined_call(inst, cfi, regs, emit, variant)
                 return
-            self._gen_defined_call(inst, cfi, d, args, emit, region)
+            self._gen_defined_call(inst, cfi, d, args, emit, variant)
             return
         name = callee.name
         if name.startswith("ipas.check"):
@@ -1517,30 +1635,31 @@ class _Compiler:
 
     def _gen_defined_call(
         self, inst: CallInst, cfi: int, d: Optional[str], args: List[str],
-        emit, local: bool,
+        emit, variant: Optional[Variant],
     ) -> None:
-        """The counted ``state.call`` of the defined function ``cfi``.  In
+        """The counted ``state.call`` of the defined function ``cfi``, in
+        region code of ``variant``'s form or (None) a block function.  In
         a tracked region it first sets the frame's tracking record to
         ``(block, calls made before this one)``, as the per-block loop has
         it when the callee bumps the count, and re-reads the region budget
         and the probe window after."""
         arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-        tracked = self._tracked is not None
+        tracked = variant is not None and variant.tracked
         if tracked:
             block = inst.parent
+            caller = self.cm.func_index[block.parent.name]
             k = [
                 id(i) for i in block.instructions
                 if isinstance(i, CallInst) and not i.callee.is_declaration
             ].index(id(inst))
-            bi = self._block_index[self._tracked.index][id(block)]
+            bi = self._block_index[caller][id(block)]
             emit(f"    _rec[1] = {bi}; _rec[2] = {k}")
-        self._gen_counted_call(f"state.call({cfi}, {arg_tuple})", d, emit, local)
+        self._gen_counted_call(
+            f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None
+        )
         if tracked:
             emit("    _bud = state.rbudget")
-            emit(
-                f"    _pq = _trk.probe_at.get({self._tracked.index}) "
-                "if state.inj_hit else None"
-            )
+            emit(f"    _pq = _trk.probe_at.get({caller}) if state.inj_hit else None")
 
     @staticmethod
     def _gen_counted_call(call: str, d: Optional[str], emit, local: bool) -> None:

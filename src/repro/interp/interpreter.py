@@ -136,8 +136,8 @@ class Interpreter:
     # into fixed-offset loads instead of instance-dict lookups.
     __slots__ = (
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
-        "global_overrides", "cells_end", "_reset_image", "cells", "sp",
-        "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
+        "global_overrides", "cells_end", "_reset_image", "region_tables", "cells",
+        "sp", "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
         "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
         "inj_hit", "inj_inst", "inj_slot", "inj_trip", "inj_call_at",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
@@ -178,6 +178,10 @@ class Interpreter:
         self._reset_image: Optional[List] = None
 
         # mutable run state (initialised by reset)
+        #: per function index, the region table the lean dispatch loop
+        #: runs: each function's ``region_fns``, or in a profiled run the
+        #: profiled tables (see ``CompiledModule.profiled_tables``)
+        self.region_tables: List[List[Callable]] = []
         self.cells: List = []
         self.sp = 0
         self.cycles = 0
@@ -267,6 +271,7 @@ class Interpreter:
             self._reset_image = image
         if cells:
             self.cells = image.copy()
+        self.region_tables = [cf.region_fns for cf in self.cfuncs]
         self.sp = self.cm.stack_base
         self.cycles = 0
         self.ret = None
@@ -318,12 +323,13 @@ class Interpreter:
 
         ``profile`` records, per block gid, the cycle count just after
         each entry's charge (``RunResult.entries``; ``RunResult.profile``
-        counts them).  ``fire`` is a single-shot injection's entry from a
-        golden run's recording, the golden cycle of the flip block
-        instance: the run is the golden run up to there, so it runs the
-        plain tables until that block's top and :meth:`trip` runs that
-        one instance in its injectable variant, instead of counting the
-        instruction's executions.  It is only sound when the block's
+        counts them): the run dispatches through the profiled region
+        tables, lean region code plus the bumps.  ``fire`` is a
+        single-shot injection's entry from a golden run's recording, the
+        golden cycle of the flip block instance: the run is the golden run
+        up to there, so it runs the plain tables until that block's top
+        and :meth:`trip` runs that one instance in its injectable variant,
+        instead of counting the instruction's executions.  It is only sound when the block's
         entries and the instruction's executions come in the same order
         (no call before the site in its block can re-enter the site's
         function) and the block charges at least one cycle;
@@ -357,6 +363,7 @@ class Interpreter:
         self.rbudget = self.budget
         if profile:
             self.prof = [array("q") for _ in range(self.cm.total_blocks)]
+            self.region_tables = self.cm.profiled_tables()
         if injection is not None:
             if type(injection) is tuple:
                 # The legacy transient-1bit triple: arms inj_occ/inj_bit.
@@ -483,7 +490,8 @@ class Interpreter:
 
         This is the block-dispatch hot loop: attribute lookups are hoisted
         into locals and the loop body is a single indexed call per block.
-        It dispatches through ``region_fns``, so entering a loop nest runs
+        It dispatches through ``region_tables`` (``region_fns``, or the
+        profiled tables in a profiled run), so entering a loop nest runs
         the whole nest in one region function, whichever of its loop
         headers the loop enters it at.  With recovery or
         tracking armed (``self.rec`` / ``self.trk`` set) it delegates to
@@ -495,7 +503,8 @@ class Interpreter:
         call when it is a leaf.  In a tripping run it keeps ``region_fns``
         and, while the trip is ahead (``rbudget`` below the hang budget),
         tests each block's charge against it: the flip block trips at its
-        top, here or, inside a region, at the member's deopt exit.  Region
+        top, here or, inside a region, in :meth:`step` after the deopt exit
+        at the region's last test point before it.  Region
         code inlines every call to a leaf but the one that holds the flip
         (see ``run``'s ``call_at``).
         """
@@ -511,10 +520,10 @@ class Interpreter:
         if args:
             frame[: len(args)] = args
         if cfi != self.inj_cfi:
-            fns = cf.region_fns
+            fns = self.region_tables[cfi]
             bi = fns[0](frame, self)
         elif self.inj_trip:
-            fns = cf.region_fns
+            fns = self.region_tables[cfi]
             costs = cf.costs
             bi = 0
             while bi >= 0 and self.rbudget < self.budget:
@@ -661,7 +670,7 @@ class Interpreter:
                         # Entering region_fns at any block is legal: a
                         # region entry at one of its loop headers loads
                         # what it reads from the coherent frame list.
-                        lean = cf.region_fns
+                        lean = self.region_tables[cfi]
                         while bi >= 0:
                             bi = lean[bi](frame, self)
                         break
@@ -801,13 +810,21 @@ class Interpreter:
 
     def _injected_region_fns(self) -> List[Callable]:
         """The injected function's ``region_fns`` table, compiled on first
-        use: the injectable variant at every entry of the region (or at
-        the block) holding the site, so a run that enters it at an inner
-        loop header counts there too."""
-        cfi, entries = self.cm.injected_region_entries(self.inj_inst, mode=self.inj_mode)
-        fns = list(self.cfuncs[cfi].region_fns)
-        for bi, fn in entries.items():
-            fns[bi] = fn
+        use: the injectable variant at every entry of the region holding
+        the site, so a run that enters it at an inner loop header counts
+        there too, and the injectable block at the site's block (see
+        ``CompiledModule.injected_region_entries``).  A profiled run
+        dispatches through the injected ``block_fns`` table instead: no
+        injectable region bumps the profile."""
+        if self.prof is not None:
+            fns = self._injected_block_fns()
+        else:
+            cfi, entries = self.cm.injected_region_entries(
+                self.inj_inst, mode=self.inj_mode
+            )
+            fns = list(self.region_tables[cfi])
+            for bi, fn in entries.items():
+                fns[bi] = fn
         self.inj_fns = fns
         return fns
 
@@ -823,15 +840,32 @@ class Interpreter:
         return fns
 
     def deopt(self, frame: List, region_locals: Dict, cycles: int, cost: int) -> None:
-        """A lean region's deopt exit, called with its frame, its locals,
-        the member's charged count ``cycles`` and its ``cost``: hang past
-        the hang budget, else put ``self.cycles`` back to the member's top
-        and write the region's bound registers back to ``frame``.  Returns
-        None, the region's count while :meth:`trip` runs."""
+        """A lean region's deopt exit at a test point, called with its
+        frame, its locals, the point's charged count ``cycles`` and its
+        ``cost``: hang past the hang budget, else put ``self.cycles`` back
+        to the point's top and write the region's bound registers back to
+        ``frame``.  Returns None, the region's count while :meth:`step`
+        runs."""
         if cycles > self.budget:
             self.hang()
         self.cycles = cycles - cost
         sync_frame(frame, region_locals)
+
+    def step(self, frame: List, cfi: int, bi: int) -> int:
+        """Run block ``bi`` of function ``cfi`` from its top (called after
+        a lean region's :meth:`deopt`, ``frame`` coherent) on the per-block
+        table and return the block it leaves to; the dispatch loop runs on
+        from there, block by block until a region entry.  The block trips
+        (:meth:`trip`) when its charge passes the region budget below the
+        hang budget: it is the flip block.  In a counting run's injected
+        function it runs on the injected ``block_fns`` table, where the
+        site counts."""
+        cf = self.cfuncs[cfi]
+        if self.rbudget < self.budget and self.cycles + cf.costs[bi] > self.rbudget:
+            return self.trip(frame)
+        if cfi == self.inj_cfi and not self.inj_trip:
+            return self._injected_block_fns()[bi](frame, self)
+        return cf.block_fns[bi](frame, self)
 
     def trip(self, frame: List) -> int:
         """Run the flip block instance (called at its top, uncharged, with

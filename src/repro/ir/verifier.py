@@ -20,60 +20,44 @@ class VerificationError(Exception):
     """Raised when a module violates an IR invariant."""
 
 
-def _check(condition: bool, message: str, errors: List[str]) -> None:
-    if not condition:
-        errors.append(message)
-
-
 def verify_function(fn: Function, errors: List[str]) -> None:
     name = fn.name
     if fn.is_declaration:
         return
     blocks: Set[BasicBlock] = set(fn.blocks)
-    _check(bool(fn.blocks), f"{name}: function body has no blocks", errors)
+    if not fn.blocks:
+        errors.append(f"{name}: function body has no blocks")
 
     # Structural checks per block.
     defined: Set[int] = {id(a) for a in fn.args}
     all_insts: Set[int] = set()
     for block in fn.blocks:
-        _check(
-            block.parent is fn,
-            f"{name}/{block.name}: block parent link is wrong",
-            errors,
-        )
-        _check(
-            block.is_terminated(),
-            f"{name}/{block.name}: block lacks a terminator",
-            errors,
-        )
+        if block.parent is not fn:
+            errors.append(f"{name}/{block.name}: block parent link is wrong")
+        if not block.is_terminated():
+            errors.append(f"{name}/{block.name}: block lacks a terminator")
         seen_non_phi = False
         for i, inst in enumerate(block.instructions):
             all_insts.add(id(inst))
-            _check(
-                inst.parent is block,
-                f"{name}/{block.name}: instruction parent link is wrong",
-                errors,
-            )
-            if isinstance(inst, PhiNode):
-                _check(
-                    not seen_non_phi,
-                    f"{name}/{block.name}: phi after non-phi instruction",
-                    errors,
+            if inst.parent is not block:
+                errors.append(
+                    f"{name}/{block.name}: instruction parent link is wrong"
                 )
+            if isinstance(inst, PhiNode):
+                if seen_non_phi:
+                    errors.append(f"{name}/{block.name}: phi after non-phi instruction")
             else:
                 seen_non_phi = True
             if inst.is_terminator():
-                _check(
-                    i == len(block.instructions) - 1,
-                    f"{name}/{block.name}: terminator not at end of block",
-                    errors,
-                )
-                for succ in block.successors():
-                    _check(
-                        succ in blocks,
-                        f"{name}/{block.name}: branch to foreign block {succ.name}",
-                        errors,
+                if i != len(block.instructions) - 1:
+                    errors.append(
+                        f"{name}/{block.name}: terminator not at end of block"
                     )
+                for succ in block.successors():
+                    if succ not in blocks:
+                        errors.append(
+                            f"{name}/{block.name}: branch to foreign block {succ.name}"
+                        )
             if inst.produces_value():
                 defined.add(id(inst))
 
@@ -83,72 +67,64 @@ def verify_function(fn: Function, errors: List[str]) -> None:
     for block in fn.blocks:
         preds = block.predecessors()
         for phi in block.phis():
-            _check(
-                len(phi.operands) == len(phi.incoming_blocks),
-                f"{name}/{block.name}: phi has {len(phi.operands)} values for "
-                f"{len(phi.incoming_blocks)} incoming blocks",
-                errors,
-            )
-            _check(
-                len(phi.incoming_blocks) == len(set(map(id, phi.incoming_blocks))),
-                f"{name}/{block.name}: phi has duplicate incoming blocks",
-                errors,
-            )
-            for incoming in phi.incoming_blocks:
-                _check(
-                    incoming in blocks,
-                    f"{name}/{block.name}: phi incoming block "
-                    f"{incoming.name} belongs to another function",
-                    errors,
+            if len(phi.operands) != len(phi.incoming_blocks):
+                errors.append(
+                    f"{name}/{block.name}: phi has {len(phi.operands)} values for "
+                    f"{len(phi.incoming_blocks)} incoming blocks"
                 )
+            if len(phi.incoming_blocks) != len(set(map(id, phi.incoming_blocks))):
+                errors.append(
+                    f"{name}/{block.name}: phi has duplicate incoming blocks"
+                )
+            for incoming in phi.incoming_blocks:
+                if incoming not in blocks:
+                    errors.append(
+                        f"{name}/{block.name}: phi incoming block "
+                        f"{incoming.name} belongs to another function"
+                    )
             incoming_ids = {id(b) for b in phi.incoming_blocks}
             pred_ids = {id(p) for p in preds}
             missing = [p.name for p in preds if id(p) not in incoming_ids]
             extra = [
                 b.name for b in phi.incoming_blocks if id(b) not in pred_ids
             ]
-            _check(
-                not missing,
-                f"{name}/{block.name}: phi incoming values missing for "
-                f"predecessor(s) {missing}",
-                errors,
-            )
-            _check(
-                not extra,
-                f"{name}/{block.name}: phi incoming values from "
-                f"non-predecessor block(s) {extra}",
-                errors,
-            )
+            if missing:
+                errors.append(
+                    f"{name}/{block.name}: phi incoming values missing for "
+                    f"predecessor(s) {missing}"
+                )
+            if extra:
+                errors.append(
+                    f"{name}/{block.name}: phi incoming values from "
+                    f"non-predecessor block(s) {extra}"
+                )
 
     # Operand sanity and use-list symmetry.
     for block in fn.blocks:
         for inst in block.instructions:
             for idx, op in enumerate(inst.operands):
-                _check(
-                    (inst, idx) in op.uses,
-                    f"{name}/{block.name}: use-list of {op!r} is missing "
-                    f"({inst!r}, {idx})",
-                    errors,
-                )
+                if (inst, idx) not in op.uses:
+                    errors.append(
+                        f"{name}/{block.name}: use-list of {op!r} is missing "
+                        f"({inst!r}, {idx})"
+                    )
                 if isinstance(op, Instruction):
-                    _check(
-                        id(op) in all_insts,
-                        f"{name}/{block.name}: operand {op!r} of {inst!r} is not "
-                        f"in this function",
-                        errors,
-                    )
+                    if id(op) not in all_insts:
+                        errors.append(
+                            f"{name}/{block.name}: operand {op!r} of {inst!r} is not "
+                            f"in this function"
+                        )
                 elif isinstance(op, Argument):
-                    _check(
-                        op.parent is fn,
-                        f"{name}/{block.name}: argument operand from another function",
-                        errors,
-                    )
+                    if op.parent is not fn:
+                        errors.append(
+                            f"{name}/{block.name}: argument operand from another "
+                            "function"
+                        )
                 else:
-                    _check(
-                        isinstance(op, (Constant, UndefValue, GlobalVariable)),
-                        f"{name}/{block.name}: unexpected operand kind {op!r}",
-                        errors,
-                    )
+                    if not isinstance(op, (Constant, UndefValue, GlobalVariable)):
+                        errors.append(
+                            f"{name}/{block.name}: unexpected operand kind {op!r}"
+                        )
 
     # SSA dominance: defs must dominate uses.
     if not errors:
@@ -178,14 +154,12 @@ def _verify_dominance(fn: Function, errors: List[str]) -> None:
                     if isinstance(value, Instruction):
                         vb = value.parent
                         if vb in reachable and pred in reachable:
-                            ok = dom.dominates(vb, pred)
-                            _check(
-                                ok,
-                                f"{fn.name}/{block.name}: phi incoming "
-                                f"{value!r} does not dominate edge from "
-                                f"{pred.name}",
-                                errors,
-                            )
+                            if not dom.dominates(vb, pred):
+                                errors.append(
+                                    f"{fn.name}/{block.name}: phi incoming "
+                                    f"{value!r} does not dominate edge from "
+                                    f"{pred.name}"
+                                )
                 continue
             for op in inst.operands:
                 if not isinstance(op, Instruction):
@@ -194,29 +168,24 @@ def _verify_dominance(fn: Function, errors: List[str]) -> None:
                 if ob is None or ob not in reachable:
                     continue
                 if ob is block:
-                    _check(
-                        order[id(op)] < order[id(inst)],
-                        f"{fn.name}/{block.name}: {op!r} used before defined",
-                        errors,
-                    )
+                    if order[id(op)] >= order[id(inst)]:
+                        errors.append(
+                            f"{fn.name}/{block.name}: {op!r} used before defined"
+                        )
                 else:
-                    _check(
-                        dom.dominates(ob, block),
-                        f"{fn.name}/{block.name}: def of {op!r} in {ob.name} "
-                        f"does not dominate use in {block.name}",
-                        errors,
-                    )
+                    if not dom.dominates(ob, block):
+                        errors.append(
+                            f"{fn.name}/{block.name}: def of {op!r} in {ob.name} "
+                            f"does not dominate use in {block.name}"
+                        )
 
 
 def verify_module(module: Module) -> None:
     """Raise :class:`VerificationError` if the module is malformed."""
     errors: List[str] = []
     for fn in module.functions.values():
-        _check(
-            fn.parent is module,
-            f"{fn.name}: function parent link is wrong",
-            errors,
-        )
+        if fn.parent is not module:
+            errors.append(f"{fn.name}: function parent link is wrong")
         verify_function(fn, errors)
     if errors:
         preview = "\n  ".join(errors[:20])

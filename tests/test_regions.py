@@ -38,6 +38,7 @@ from repro.faults.models import FAULT_MODELS, InjectionSpec
 from repro.interp import Interpreter
 from repro.interp import compiler
 from repro.interp.costmodel import CostModel
+from repro.interp.errors import MemoryFault
 from repro.ir.instructions import CallInst, PhiNode
 from repro.ir import parse_module, print_module
 from repro.protect import FullDuplicationSelector, duplicate_instructions
@@ -158,9 +159,15 @@ def observe(interp, result):
 def both_ways(interp, **run_kwargs):
     """(region dispatch, per-block dispatch) observations of one run.
 
-    The default budget turns a region that loops forever into a hang."""
+    A profiled run dispatches through the profiled region code, so the
+    run is made again without the profile, on the lean code, which must
+    leave everything else the same.  The default budget turns a region
+    that loops forever into a hang."""
     run_kwargs.setdefault("cycle_budget", 20_000_000)
     fast = observe(interp, interp.run(**run_kwargs))
+    if run_kwargs.get("profile"):
+        lean = observe(interp, interp.run(**dict(run_kwargs, profile=False)))
+        assert lean == dict(fast, profile=digest(None))
     with per_block_dispatch(interp.cm):
         reference = observe(interp, interp.run(**run_kwargs))
     return fast, reference
@@ -319,15 +326,18 @@ class TestRegionPlan:
         the loops, return), once per call; its loop nest is one region
         that tests ``bi`` once for each inner loop header.  A tripping
         trial whose flip lies in the nest steps block functions of the
-        nest only from the flip block to the next loop header, where it
-        enters the region again; its other block-function calls are the
-        three outside blocks, at most once per call."""
+        nest only in stretches that start at a test point, where a region
+        budget test failed, and end at the next loop header, where the
+        dispatch loop enters the region again (or at the nest's exit);
+        the trip lies in one of them.  Its other block-function calls are
+        the three outside blocks, at most once per call."""
         sources = compiled_sources(monkeypatch)
         w = get_workload("hpccg")
         interp = w.make_interpreter(1)
         cm = interp.cm
         cf = cm.cfuncs[cm.get_function_index("spmv_slab")]
         (nest,) = [h for h, members in regions_of(cf) if len(members) > 2]
+        region = cm._compiler._regions[(cf.index, nest)]
         index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
         heads = {
             index[id(lp.header)] for lp in LoopInfo(cf.fn).loops
@@ -336,32 +346,42 @@ class TestRegionPlan:
         assert len(heads) == 3  # the iz, iy and ix loops
         source = sources[f"<region spmv_slab.{cf.fn.blocks[nest].name}>"]
         assert sorted(map(int, dispatch_tests(source))) == sorted(heads - {nest})
+        campaign = Campaign(
+            interp, verifier=w.verifier(), entry=w.entry,
+            budget_factor=w.budget_factor,
+        )
+        campaign.prepare()
 
         log = []
         wrapped = {
             id(fn): lambda f, s, _fn=fn, _bi=bi: log.append(_bi) or _fn(f, s)
             for bi, fn in enumerate(cf.block_fns)
         }
-        for table in ("block_fns", "region_fns"):
-            monkeypatch.setattr(
-                cf, table, [wrapped.get(id(fn), fn) for fn in getattr(cf, table)]
+        entries = {
+            bi: lambda f, s, _fn=cf.region_fns[bi], _bi=bi: (
+                log.append(("enter", _bi)) or _fn(f, s)
             )
+            for bi in heads
+        }
+        monkeypatch.setattr(cf, "block_fns", [wrapped[id(fn)] for fn in cf.block_fns])
+        monkeypatch.setattr(cf, "region_fns", [
+            entries.get(bi) or wrapped.get(id(fn), fn)
+            for bi, fn in enumerate(cf.region_fns)
+        ])
         with call_counts() as spmv:
             assert interp.run(w.entry).status == "ok"
         outside = set(range(len(cf.fn.blocks))) - set(cf.region_of)
-        assert Counter(log) == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
+        calls = Counter(bi for bi in log if type(bi) is int)
+        assert calls == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
 
-        campaign = Campaign(
-            interp, verifier=w.verifier(), entry=w.entry,
-            budget_factor=w.budget_factor,
-        )
-        campaign.prepare()
         real_trip = Interpreter.trip
         monkeypatch.setattr(
             Interpreter, "trip",
             lambda self, frame: log.append("trip") or real_trip(self, frame),
         )
-        members = {bi for bi, h in cf.region_of.items() if h == nest}
+        members = members_of(cf, nest)
+        stepping = members | {"trip"}
+        ends = {("enter", h) for h in heads} | outside
         trials = 0
         for inst, count in campaign._sites:
             record = cm.record_for(inst)
@@ -370,12 +390,21 @@ class TestRegionPlan:
             log.clear()
             with call_counts() as spmv:
                 campaign.run_site(FaultSite(inst, (count + 1) // 2, 0))
-            k = log.index("trip")
-            stepped = list(itertools.takewhile(members.__contains__, log[k + 1 :]))
-            assert not heads & set(stepped), (inst, stepped)
-            rest = log[:k] + log[k + 1 + len(stepped) :]
-            assert set(rest) <= outside, inst
-            assert max(Counter(rest).values()) <= spmv["spmv_slab"], inst
+            assert log.count("trip") == 1, inst
+            rest, k = [], 0
+            while k < len(log):
+                if log[k] not in stepping:
+                    rest.append(log[k])
+                    k += 1
+                    continue
+                stretch = list(itertools.takewhile(stepping.__contains__, log[k:]))
+                k += len(stretch)
+                assert stretch[0] in region.bounds or stretch[0] == "trip", stretch
+                assert not heads & set(stretch[1:]), (inst, stretch)
+                assert k == len(log) or log[k] in ends, (inst, stretch, log[k])
+            assert set(rest) <= outside | {("enter", h) for h in heads}, inst
+            calls = Counter(bi for bi in rest if bi in outside)
+            assert max(calls.values()) <= spmv["spmv_slab"], inst
             trials += 1
         assert trials >= 10
 
@@ -410,6 +439,61 @@ class TestRegionPlan:
                              digest(interp.cells)))
             assert ends[0] == ends[1], cf.fn.blocks[entry].name
             assert ends[0][0] > 0
+
+    @pytest.mark.parametrize("knobs", [
+        {"fault_model": "intermittent:p=1,window=8"},
+        {"protect": "full", "recover": True},
+    ])
+    def test_counting_trials_at_every_top_of_an_iteration(self, knobs):
+        """A counting trial (a multi-shot model, or recovery) whose site is
+        in a member of hpccg's ``spmv_slab`` nest that is no region entry,
+        right after the test point with the largest bound, executing in
+        the costliest iteration of the innermost loop: at a hang budget
+        equal to each block top of that iteration its record and end state
+        equal the per-block table's.  A deopt exit at that test point
+        steps the site's block on the injected table, where it counts."""
+        campaign = CampaignSpec(workload="hpccg", trials=1, **knobs).build()
+        campaign.prepare()
+        interp = campaign.interp
+        cm = interp.cm
+        cf, region, iteration = inner_iteration(interp, campaign.entry, "spmv_slab")
+        point = max(region.bounds, key=region.bounds.get)
+        index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
+        ran = {bi: c for cfi, bi, c in iteration if cfi == cf.index}
+        block = min(
+            index[id(s)] for s in cf.fn.blocks[point].successors()
+            if index[id(s)] in ran and index[id(s)] not in region.bounds
+        )
+        top = ran[block]
+        inst = first_value_in(cm, cf, block)
+        entries = interp.run(
+            campaign.entry, profile=True, recovery=campaign.recovery
+        ).entries
+        post = top + cf.costs[block]
+        occurrence = list(entries[cm.record_for(inst).block_gid]).index(post) + 1
+        model = campaign.fault_model
+        site = model.sample_site(
+            _FixedSite(FaultSite(inst, occurrence, 3)), random.Random(5)
+        )
+        assert campaign._fire_cycle(site) is None
+
+        def counted(budget):
+            result = interp.run(
+                campaign.entry, injection=model.injection_for(site),
+                cycle_budget=budget, recovery=campaign.recovery,
+            )
+            record = TrialRecord(
+                site, campaign.classify(result), result.status, result.cycles
+            )
+            return trial_entry(0, site, 0, record), observe(interp, result)
+
+        hits = 0
+        for _, _, budget in iteration:
+            fast = counted(budget)
+            with per_block_dispatch(cm):
+                assert counted(budget) == fast, budget
+            hits += fast[1]["injection_hit"]
+        assert hits
 
     def test_an_inner_entry_binds_every_slot_stored_at_an_exit(self):
         """``%s`` is computed at the top of the outer loop, before the
@@ -506,6 +590,93 @@ class TestRegionPlan:
         # Only the sum leaves the loop: the counter and the square stay in
         # locals, and the header phis are rewritten by every entry edge.
         assert len(stores) == 1
+
+
+def workload_modules():
+    """(name, protect, module) for the six workloads, plain and fully
+    duplicated."""
+    for name in WORKLOADS:
+        for protect in ("none", "full"):
+            module = get_workload(name).compile()
+            if protect == "full":
+                duplicate_instructions(module, FullDuplicationSelector().select(module))
+            yield name, protect, module
+
+
+def all_sources(monkeypatch):
+    """[(filename, source)] of everything compiled from here on (variants
+    share filenames, so a list, not a dict)."""
+    sources = []
+    real = compiler._exec
+
+    def record(source, filename, name):
+        sources.append((filename, source))
+        return real(source, filename, name)
+
+    monkeypatch.setattr(compiler, "_exec", record)
+    return sources
+
+
+class TestRegionSources:
+    #: sha256 of the sorted (filename, source) pairs of every block, resume
+    #: and injected-block variant below: these forms are unchanged since
+    #: region code last changed how it tests the budget
+    BLOCK_SOURCES = (
+        5833, "a7963698d2a41ba95b5141b86e757b4b2e8975d573fbd692fe8177952720575b"
+    )
+    BUMP = re.compile(r"^ *(_p = state\.prof|_p\[\d+\]\.append\(_c\))\n", re.M)
+
+    def test_lean_code_reads_no_profile(self, monkeypatch):
+        """Plain and fully duplicated, every lean region source is its
+        profiled twin's source with the profile lines taken out, and no
+        lean or injectable region source reads the profile."""
+        sources = all_sources(monkeypatch)
+        injectable = 0
+        for name, protect, module in workload_modules():
+            sources.clear()
+            cm = Interpreter(module).cm
+            lean = {f: src for f, src in sources if f.startswith("<region ")}
+            sources.clear()
+            cm.profiled_tables()
+            profiled = {f.replace("profiled ", ""): src for f, src in sources}
+            assert lean.keys() == profiled.keys(), (name, protect)
+            for filename, source in lean.items():
+                assert self.BUMP.sub("", profiled[filename]) == source, filename
+                assert profiled[filename] != source
+            sources.clear()
+            for cf in cm.cfuncs:
+                for header, members in regions_of(cf):
+                    inst = first_value_in(cm, cf, min(members))
+                    for mode in ("1bit", "multi"):
+                        cm.injected_region_entries(inst, mode)
+            injected = [src for f, src in sources if f.startswith("<region ")]
+            for source in list(lean.values()) + injected:
+                assert not re.search(r"\b_p\b|state\.prof", source), name
+            injectable += len(injected)
+        assert injectable
+
+    def test_block_and_resume_sources_are_pinned(self, monkeypatch):
+        """Every block function, resume variant and injectable block
+        variant (each mode) of the six workloads, plain and fully
+        duplicated: region code's budget tests change none of them."""
+        sources = all_sources(monkeypatch)
+        for _, _, module in workload_modules():
+            cm = Interpreter(module).cm
+            for cf in cm.cfuncs:
+                for bi, block in enumerate(cf.fn.blocks):
+                    calls = [
+                        i for i in block.instructions
+                        if isinstance(i, CallInst) and not i.callee.is_declaration
+                    ]
+                    for k in range(len(calls)):
+                        cm.resume_block_fn(cf.index, bi, k)
+                    for inst in block.instructions:
+                        if id(inst) in cm.records:
+                            for mode in ("1bit", "once", "multi"):
+                                cm.injected_block_fn(inst, mode)
+        kept = sorted(s for s in sources if s[0].startswith(("<block", "<resume")))
+        got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
+        assert got == self.BLOCK_SOURCES
 
 
 class TestGoldenEquivalence:
@@ -1257,17 +1428,73 @@ class _Rung:
         self.frames = ()
 
 
-def every_block_top(interp, entry, budget):
-    """The cycle count at every block top of a per-block run."""
-    cycles = []
+def golden_tops(interp, entry, budget=None):
+    """(function index, block, cycles) at every block top of a per-block
+    run."""
+    tops = []
     with per_block_dispatch(interp.cm):
         for cf in interp.cm.cfuncs:
             cf.region_fns = [
-                lambda f, s, _fn=fn: cycles.append(s.cycles) or _fn(f, s)
-                for fn in cf.region_fns
+                lambda f, s, _fn=fn, _at=(cf.index, bi): (
+                    tops.append(_at + (s.cycles,)) or _fn(f, s)
+                )
+                for bi, fn in enumerate(cf.region_fns)
             ]
         interp.run(entry, cycle_budget=budget)
-    return cycles
+    return tops
+
+
+def every_block_top(interp, entry, budget):
+    """The cycle count at every block top of a per-block run."""
+    return [cycles for _, _, cycles in golden_tops(interp, entry, budget)]
+
+
+def inner_iteration(interp, entry, name, recovery=None):
+    """(function, its largest region, tops) for the costliest iteration of
+    that region's innermost loop in a golden run: the (function index,
+    block, cycles) tops from its header's top to the next one's, that
+    last top included, callees' blocks too."""
+    cm = interp.cm
+    cf = cm.cfuncs[cm.get_function_index(name)]
+    nest, members = max(regions_of(cf), key=lambda r: len(r[1]))
+    region = cm._compiler._regions[(cf.index, nest)]
+    index = {id(b): i for i, b in enumerate(cf.fn.blocks)}
+    loop = min(
+        (lp for lp in LoopInfo(cf.fn).loops if index[id(lp.header)] in members),
+        key=lambda lp: len(lp.blocks),
+    )
+    inner = index[id(loop.header)]
+    tops = golden_tops(interp, entry)
+    starts = [k for k, (cfi, bi, _) in enumerate(tops) if (cfi, bi) == (cf.index, inner)]
+    iterations = [
+        tops[a : b + 1] for a, b in zip(starts, starts[1:])
+        if all(bi == inner or cfi != cf.index or bi not in region.entries
+               for cfi, bi, _ in tops[a + 1 : b])
+    ]
+    return cf, region, max(iterations, key=lambda it: it[-1][2] - it[0][2])
+
+
+def stop_at_trip(monkeypatch, log):
+    """Make every trip log the state at its top and end the run."""
+
+    def trip(self, frame):
+        log.append((self.cycles, digest(self.cells), self.sp))
+        raise _Stop
+
+    monkeypatch.setattr(Interpreter, "trip", trip)
+
+
+def tripped(interp, entry, inst, fire, entries, log):
+    """The state at which a run tripping at golden cycle ``fire`` (with
+    ``stop_at_trip`` armed) trips."""
+    log.clear()
+    with pytest.raises(_Stop):
+        interp.run(
+            entry, injection=(inst, 1, 0), fire=fire,
+            call_at=call_cycle(interp, entries, inst, fire),
+        )
+    (state,) = log
+    return state
 
 
 @contextmanager
@@ -1355,7 +1582,11 @@ def assert_same_compares(cm, fast_log, log):
 
 def regions_of(cf):
     for header in sorted(set(cf.region_of.values())):
-        yield header, {bi for bi, h in cf.region_of.items() if h == header}
+        yield header, members_of(cf, header)
+
+
+def members_of(cf, header):
+    return {bi for bi, h in cf.region_of.items() if h == header}
 
 
 class TestDeoptExits:
@@ -1394,20 +1625,23 @@ class TestDeoptExits:
 
     @pytest.mark.parametrize("name", WORKLOADS + (JoinShapes.name,))
     def test_lean_exit_at_every_member(self, name, monkeypatch):
-        """The lean twin of ``test_exit_at_every_member``: from the first
-        region entry of each function the golden run reaches, a region
-        budget equal to the entry cycle of a member in its region's first
-        or second activation makes lean dispatch trip at that member's
-        first top there with the per-block cycles, cells and ``sp``.  Its
-        frame may differ from the per-block frame only in slots nothing
-        reads before writing them (a slot the first activation assigned
-        stays stale in the second until it assigns it again): with those
-        slots poisoned the function still returns what the per-block run
-        returns."""
+        """The lean twin of ``test_exit_at_every_member``, through
+        ``Interpreter.call``'s trip loop: from the first region entry of
+        each function the golden run reaches, a tripping run whose flip is
+        at the top of a member in its region's first or second activation
+        trips there with the per-block cycles, cells and ``sp``, whichever
+        test point before it left region code.  Its frame may differ from
+        the per-block frame only in slots nothing reads before writing
+        them (a slot the first activation assigned stays stale in the
+        second until it assigns it again): with those slots poisoned the
+        function still returns what the per-block run returns."""
         w = subject(name)
         interp = w.make_interpreter(1)
+        entries = interp.run(w.entry, profile=True).entries
+        at_trip = []
 
         def trip(self, frame):
+            at_trip.append((self.cycles, digest(self.cells), self.sp, frame))
             raise _Stop
 
         monkeypatch.setattr(Interpreter, "trip", trip)
@@ -1438,15 +1672,19 @@ class TestDeoptExits:
                                 digest(interp.cells), interp.sp,
                             )
                     prev, bi = bi, cf.block_fns[bi](frame, interp)
+            inst = first_value(interp.cm, cf.name)
             for (_, bi), (cycles, regs, cells, sp) in tops.items():
-                frame = restore(interp, start)
-                interp.rbudget = cycles
+                fire = cycles + cf.costs[bi]
+                at_trip.clear()
                 with pytest.raises(_Stop):
-                    top = header
-                    while top >= 0:
-                        top = cf.region_fns[top](frame, interp)
-                got = (interp.cycles, digest(interp.cells), interp.sp)
-                assert got == (cycles, cells, sp), (cf.name, bi)
+                    interp.run(
+                        w.entry, injection=(inst, 1, 0), fire=fire,
+                        call_at=call_cycle(interp, entries, inst, fire),
+                    )
+                ((got_cycles, got_cells, got_sp, frame),) = at_trip
+                assert (got_cycles, got_cells, got_sp) == (cycles, cells, sp), (
+                    cf.name, bi,
+                )
                 stale = [
                     slot for slot, value in enumerate(regs)
                     if repr(frame[slot]) != repr(value)
@@ -1459,6 +1697,82 @@ class TestDeoptExits:
                 exits += 1
         assert exits >= 10
         assert stale_slots
+
+    @pytest.mark.parametrize("name, function", [("hpccg", "spmv_slab"), ("fft", "fft_row")])
+    def test_budgets_run_out_at_every_bound(self, name, function, monkeypatch):
+        """One iteration of the innermost loop of ``function``'s nest, the
+        costliest: for each test point ``T`` in it, charged to ``p``, with
+        bound ``R``, the lean region steps ``T`` at a hang budget of ``p +
+        R - 1`` (a deopt exit) and runs on past it at ``p + R``, hangs at
+        those budgets and trips at golden cycles ``p + R`` and ``p + R + 1``,
+        exactly where the per-block table does.  At the iteration's last
+        member a hang, a trip and a trap (a corrupter that faults) land
+        where the per-block table has them too."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        cf, region, iteration = inner_iteration(interp, w.entry, function)
+        entries = interp.run(w.entry, profile=True).entries
+        inst = first_value(cm, function)
+        exits = []  # the top of each deopt exit's test point
+        real_deopt = Interpreter.deopt
+        monkeypatch.setattr(
+            Interpreter, "deopt",
+            lambda self, f, names, cycles, cost: (
+                exits.append(cycles - cost) or real_deopt(self, f, names, cycles, cost)
+            ),
+        )
+
+        def both(**kwargs):
+            fast = observe(interp, interp.run(w.entry, **kwargs))
+            with per_block_dispatch(cm):
+                reference = observe(interp, interp.run(w.entry, **kwargs))
+            assert fast == reference, kwargs
+            return fast
+
+        points = [
+            (bi, cycles) for cfi, bi, cycles in iteration[:-1]
+            if cfi == cf.index and bi in region.bounds
+        ]
+        assert points
+        full = 0
+        for bi, top in points:
+            p, bound = top + cf.costs[bi], region.bounds[bi]
+            exits.clear()
+            assert both(cycle_budget=p + bound - 1)["status"] == "hang"
+            assert top in exits, bi
+            exits.clear()
+            assert both(cycle_budget=p + bound)["status"] == "hang"
+            assert top not in exits, bi
+            full += any(c - p == bound for _, _, c in iteration if c > p)
+        assert full  # some bound is the charge of the path the iteration took
+
+        log = []
+        stop_at_trip(monkeypatch, log)
+        for bi, top in points:
+            p, bound = top + cf.costs[bi], region.bounds[bi]
+            for fire in (p + bound, p + bound + 1):
+                fast = tripped(interp, w.entry, inst, fire, entries, log)
+                with per_block_dispatch(cm):
+                    assert tripped(interp, w.entry, inst, fire, entries, log) == fast
+        monkeypatch.undo()
+
+        cfi, last, top = [t for t in iteration[:-1] if t[0] == cf.index][-1]
+        assert last in members_of(cf, region.header) and cfi == cf.index
+        p = top + cf.costs[last]
+        assert both(cycle_budget=p - 1)["status"] == "hang"
+        flip = first_value_in(cm, cf, last)
+        occurrence = list(entries[cm.record_for(flip).block_gid]).index(p) + 1
+        trip = dict(fire=p, call_at=call_cycle(interp, entries, flip, p))
+
+        def fault(value):
+            raise MemoryFault("the flip faults")
+
+        assert both(injection=(flip, occurrence, 0), **trip)["status"] == "ok"
+        trapped = both(
+            injection=InjectionSpec(flip, occurrence, "once", corrupt=fault), **trip
+        )
+        assert (trapped["status"], trapped["cycles"]) == ("trap", p)
 
     @pytest.mark.parametrize("name", ["fft", "hpccg", JoinShapes.name])
     def test_probe_exit_at_every_member(self, name):
@@ -1662,23 +1976,35 @@ class TestDeoptExits:
 class TestTrackedFastPaths:
     def test_detached_frames_finish_on_region_fns(self, monkeypatch):
         """Once resync gives up, the tracked loops still on the stack (here
-        fft's main) finish through ``region_fns``."""
+        fft's main) finish through the run's region table: here, a
+        profiled run, the profiled twins of ``region_fns``' entries."""
         w = get_workload("fft")
         interp = w.make_interpreter(1)
-        main = interp.cm.cfuncs[interp.cm.get_function_index(w.entry)]
+        cm = interp.cm
+        main = cm.cfuncs[cm.get_function_index(w.entry)]
         rungs = every_block_top(interp, w.entry, None)[1000::997]
+        headers = set(main.region_of.values())
         entries = Counter()
-        fns = list(main.region_fns)
-        for header in set(main.region_of.values()):
-            fns[header] = lambda f, s, _fn=fns[header], _h=header: (
-                entries.update([_h]) or _fn(f, s)
-            )
-        monkeypatch.setattr(main, "region_fns", fns)
+        profiled_tables = cm.profiled_tables
+
+        def counted_tables():
+            tables = profiled_tables()
+            fns = tables[main.index]
+            for header in headers:
+                fns[header] = lambda f, s, _fn=fns[header], _h=header: (
+                    entries.update([_h]) or _fn(f, s)
+                )
+            return tables
+
+        assert all(
+            profiled_tables()[main.index][h] is not main.region_fns[h] for h in headers
+        )
+        monkeypatch.setattr(cm, "profiled_tables", counted_tables)
         monkeypatch.setattr(Interpreter, "_resync_match", lambda self, snap, trk: False)
         monkeypatch.setattr(_TrackState, "MAX_RESYNC_FAILS", 1)
         fast = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
         assert sum(entries.values()) > 0
-        with per_block_dispatch(interp.cm):
+        with per_block_dispatch(cm):
             reference = armed_run(interp, w.entry, None, rungs, flip_in="fft_row")
         assert fast == reference
 

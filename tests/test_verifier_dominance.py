@@ -12,7 +12,7 @@ from repro.ir import (
     const_int,
     verify_module,
 )
-from repro.ir.verifier import VerificationError
+from repro.ir.verifier import VerificationError, verify_function
 
 
 def make_counting_loop():
@@ -153,3 +153,35 @@ class TestUnreachableDefs:
         IRBuilder(join).ret(only_left)
         with pytest.raises(VerificationError, match="does not dominate"):
             verify_module(m)
+
+
+class TestMessages:
+    """Messages are built only when a check fails; their text is fixed."""
+
+    def errors(self, fn):
+        errors = []
+        verify_function(fn, errors)
+        return errors
+
+    def test_phi_count_message(self):
+        m, fn, phi, next_i, header, latch, entry, exit_ = make_counting_loop()
+        phi.incoming_blocks.append(entry)
+        assert "main/header: phi has 2 values for 3 incoming blocks" in self.errors(fn)
+
+    def test_use_list_message(self):
+        m, fn, phi, next_i, header, latch, entry, exit_ = make_counting_loop()
+        cond = header.instructions[1]
+        phi.uses.remove((cond, 0))
+        assert self.errors(fn) == [
+            f"main/header: use-list of {phi!r} is missing ({cond!r}, 0)"
+        ]
+
+    def test_a_valid_function_formats_no_message(self, monkeypatch):
+        m, fn, *_ = make_counting_loop()
+        formatted = []
+        monkeypatch.setattr(
+            type(fn.blocks[1].instructions[0]), "__repr__",
+            lambda self: formatted.append(self) or "phi",
+        )
+        assert self.errors(fn) == []
+        assert formatted == []
