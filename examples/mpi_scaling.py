@@ -15,7 +15,7 @@ Run:  IPAS_SCALE=quick python examples/mpi_scaling.py
 import random
 
 from repro.core import ExperimentScale, IpasPipeline
-from repro.faults import Campaign
+from repro.faults import Campaign, FaultSite, Transient1Bit
 from repro.parallel import MpiJob
 from repro.workloads import get_workload
 
@@ -60,7 +60,8 @@ def main() -> None:
             for u in inst.users
         )
     )
-    result = protected_job.run(injection=((target, 2, 62), 1))
+    flip = Transient1Bit().injection_for(FaultSite(target, 2, 62))
+    result = protected_job.run(injection=(flip, 1))
     print(f"  job status: {result.status}")
     print(f"  per-rank:   {result.statuses}")
 

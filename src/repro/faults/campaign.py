@@ -21,17 +21,16 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..interp.interpreter import Interpreter, RunResult
 from ..ir.instructions import CallInst, Instruction
-from ..ir.module import Module
 from ..recover.runtime import RecoveryPolicy, RecoveryTelemetry
 from ..recover.warm import WarmStart
-from .model import FaultSite, injectable_instructions, is_injectable, result_bits
+from .model import FaultSite, injectable_instructions, result_bits
 from .models import get_fault_model
-from .outcomes import Outcome, OutcomeCounts, parse_outcome
+from .outcomes import Outcome, OutcomeCounts
 
 
 class OutputVerifier:
@@ -68,8 +67,9 @@ class TrialRecord:
     ``warm`` is transient execution metadata from warm-start campaigns —
     a ``(rung_index, resynced, prefix_cycles_saved)`` triple, or ``None``
     for cold trials.  It describes *how* the trial ran, not what happened,
-    so it is deliberately excluded from ``to_dict``/checkpoints: warm and
-    cold campaigns produce byte-identical records on disk.
+    so it is deliberately excluded from ``trial_entry`` (the one serialised
+    form of a trial, see :mod:`repro.faults.parallel`): warm and cold
+    campaigns produce byte-identical records on disk.
     """
 
     __slots__ = (
@@ -97,79 +97,6 @@ class TrialRecord:
     @property
     def instruction(self):
         return self.site.instruction
-
-    def to_dict(self, site_index: Optional[int] = None) -> Dict:
-        """JSON-compatible form (checkpoints, training-data export).
-
-        The fault site is identified by its index into the module's stable
-        ``injectable_instructions`` order; pass ``site_index`` when the
-        caller has it precomputed (per-record lookup scans the module).
-        """
-        inst = self.site.instruction
-        if site_index is None:
-            fn = inst.function
-            module = fn.parent if fn is not None else None
-            if module is None:
-                raise ValueError(f"{inst!r} is not attached to a module")
-            for i, candidate in enumerate(injectable_instructions(module)):
-                if candidate is inst:
-                    site_index = i
-                    break
-            else:
-                raise ValueError(f"{inst!r} is not an injectable instruction")
-        fn = inst.function
-        data = {
-            "site_index": site_index,
-            "opcode": inst.opcode,
-            "function": fn.name if fn else None,
-            "occurrence": self.site.occurrence,
-            "bit": self.site.bit,
-            "outcome": self.outcome.value,
-            "status": self.status,
-            "cycles": self.cycles,
-        }
-        if self.failure is not None:
-            data["failure"] = self.failure.as_dict()
-        if self.recovery is not None:
-            data["recovery"] = self.recovery.as_dict()
-        return data
-
-    @classmethod
-    def from_dict(
-        cls, data: Dict, module_or_sites: Union[Module, Sequence]
-    ) -> "TrialRecord":
-        """Rebuild a record against a module (or a precomputed
-        ``injectable_instructions`` list, for bulk restoration)."""
-        if isinstance(module_or_sites, Module):
-            eligible = injectable_instructions(module_or_sites)
-        else:
-            eligible = module_or_sites
-        inst = eligible[data["site_index"]]
-        if inst.opcode != data["opcode"]:
-            raise ValueError(
-                f"site {data['site_index']} is {inst.opcode!r}, "
-                f"record says {data['opcode']!r}: module mismatch"
-            )
-        site = FaultSite(inst, data["occurrence"], data["bit"])
-        failure = None
-        if data.get("failure"):
-            from .supervisor import TrialFailure
-
-            failure = TrialFailure.from_dict(data["failure"])
-        recovery = None
-        if data.get("recovery"):
-            recovery = RecoveryTelemetry.from_dict(data["recovery"])
-        outcome = parse_outcome(
-            data.get("outcome"), f"trial record for site {data['site_index']}"
-        )
-        return cls(
-            site,
-            outcome,
-            data["status"],
-            data["cycles"],
-            failure=failure,
-            recovery=recovery,
-        )
 
     def __repr__(self) -> str:
         return f"<TrialRecord {self.outcome.value} at {self.site!r}>"

@@ -86,10 +86,6 @@ class FaultSite:
         self.occurrence = occurrence
         self.bit = bit
 
-    def as_injection(self):
-        """The (instruction, occurrence, bit) triple the interpreter takes."""
-        return (self.instruction, self.occurrence, self.bit)
-
     def __repr__(self) -> str:
         fn = self.instruction.function
         return (

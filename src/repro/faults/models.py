@@ -40,19 +40,20 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple, Type
 
+from ..interp.compiler import flip_bool, flip_f64, flip_int
 from ..ir.instructions import Instruction
 from .model import FaultSite, result_bits
 
 _M64 = (1 << 64) - 1
 
 #: Injection mode names understood by the compiled-block injector
-#: epilogue (``repro.interp.compiler``): ``1bit`` is the legacy inline
-#: flip, ``once`` fires once at the sampled occurrence through a
-#: model-supplied corrupter, ``multi`` consults a model-supplied firing
-#: predicate on every execution (multi-shot arming).
-MODE_1BIT = "1bit"
+#: epilogue (``repro.interp.compiler``): ``once`` fires once at the
+#: sampled occurrence through a model-supplied corrupter, ``multi``
+#: consults a model-supplied firing predicate on every execution
+#: (multi-shot arming).
 MODE_ONCE = "once"
 MODE_MULTI = "multi"
 
@@ -80,9 +81,9 @@ class PlannedFault(FaultSite):
 
 
 class InjectionSpec:
-    """A non-default model's armed injection, consumed by
-    ``Interpreter.run``.  The legacy ``(instruction, occurrence, bit)``
-    triple remains the ``transient-1bit`` fast path."""
+    """A fault model's armed injection, the one form ``Interpreter.run``
+    takes: the site's instruction and occurrence, the epilogue mode, and
+    the model's corruption (and, for ``multi``, firing) closures."""
 
     __slots__ = ("instruction", "occurrence", "mode", "corrupt", "fire")
 
@@ -129,8 +130,8 @@ def make_corrupter(inst: Instruction, op: Callable[[int, int], int]) -> Callable
     ``op`` maps ``(unsigned_representation, width) -> new representation``
     and is applied to the IEEE-754 image for floats, the two's-complement
     image for integers (re-signed on the way out), and the raw 64-bit
-    image for pointers — the same representations the legacy flip helpers
-    in ``repro.interp.compiler`` use.
+    image for pointers — the same representations the single-bit flip
+    helpers in ``repro.interp.compiler`` use.
     """
     t = inst.type
     if t.is_float():
@@ -260,7 +261,15 @@ class Transient1Bit(FaultModel):
         return campaign.sample_site(rng)
 
     def injection_for(self, site: FaultSite):
-        return site.as_injection()  # the interpreter's legacy fast path
+        inst, bit = site.instruction, site.bit
+        t = inst.type
+        if t.is_float():
+            corrupt = partial(flip_f64, bit=bit)
+        elif t.is_integer() and t.bits == 1:
+            corrupt = partial(flip_bool, bit=bit)
+        else:  # integers, and pointers as 64-bit integers
+            corrupt = partial(flip_int, bit=bit, bits=result_bits(inst))
+        return InjectionSpec(inst, site.occurrence, MODE_ONCE, corrupt)
 
 
 class TransientMultiBit(FaultModel):

@@ -161,7 +161,7 @@ class MpiCampaign(Campaign):
         self.prepare()
         result = self.job.run(
             self.entry,
-            injection=(site.as_injection(), site.rank),
+            injection=(self.fault_model.injection_for(site), site.rank),
             cycle_budget=self.cycle_budget,
             recovery=self.recovery,
         )

@@ -19,8 +19,9 @@ must not recompile the module per trial).  This engine keeps both:
   parent (``fork`` start method), so they inherit the compiled module, the
   golden capture, and the indexed fault space — zero recompilation, one
   ``Interpreter`` per worker reused across its whole shard.  Trials travel
-  to workers as indexes and come back as ``(outcome, status, cycles,
-  recovery)`` — IR objects never cross the process boundary.  The pool is run by
+  to workers as indexes and come back as their :func:`trial_entry` (the
+  form checkpoints and the service carry) plus the run's warm-start
+  triple — IR objects never cross the process boundary.  The pool is run by
   :mod:`repro.faults.supervisor`: dead or hung workers are detected, their
   trials requeued, replacements respawned with capped backoff, poison
   trials quarantined, and a collapsed pool degrades to in-process serial
@@ -509,9 +510,10 @@ def trial_entry(index: int, site: FaultSite, site_index: int, record) -> Dict:
     """Canonical (unsealed) checkpoint entry for one completed trial.
 
     This is the single wire/disk schema for trial results: checkpoint
-    lines, service acks, and cached service results all carry exactly
-    this dict, so "bit-identical records" can be asserted by comparing
-    entries directly.
+    lines, fork-pool results, service acks, and cached service results
+    all carry exactly this dict (rebuilt into a record by
+    :func:`record_from_entry`), so "bit-identical records" can be
+    asserted by comparing entries directly.
     """
     entry = {
         "i": index,
@@ -618,29 +620,21 @@ class CampaignCheckpoint:
         self.prior_stats: Optional[Dict] = None
 
     def load(self, strict: bool = False) -> Dict[int, Dict]:
-        """Completed trial dicts by index; ``{}`` if absent or mismatched."""
+        """Completed trial dicts by index; ``{}`` if absent or mismatched.
+
+        Raises ``ValueError`` naming ``path:line`` for a trial line whose
+        outcome this engine does not know (a forward-compat guard: it must
+        fail loudly, not as a bare ``KeyError`` deep in resume)."""
         self.mismatch = None
-        self.corrupted_lines = 0
-        self.truncated_tail = False
         self.prior_stats = None
-        try:
-            with open(self.path) as fh:
-                text = fh.read()
-        except OSError:
+        scan = scan_checkpoint(self.path, self.n_trials)
+        self.corrupted_lines = scan.corrupted_lines
+        self.truncated_tail = scan.truncated_tail
+        if not scan.lines:
             return {}
-        lines = text.split("\n")
-        while lines and lines[-1] == "":
-            lines.pop()
-        if not lines:
-            return {}
-        header, error = _checked_loads(lines[0])
-        if header is None:
-            self.mismatch = f"unreadable header ({error})"
-        elif header.get("version") != CHECKPOINT_VERSION:
-            self.mismatch = (
-                f"unsupported checkpoint version {header.get('version')!r} "
-                f"(this engine writes v{CHECKPOINT_VERSION})"
-            )
+        header = scan.header
+        if scan.error is not None:
+            self.mismatch = scan.error
         elif header.get("model", "transient-1bit") != self.model:
             # Trial records from different corruption models must never be
             # merged — refuse outright rather than warn-and-discard, so the
@@ -671,49 +665,29 @@ class CampaignCheckpoint:
                 stacklevel=2,
             )
             return {}
+        for line, outcome in scan.unknown_outcomes[:1]:
+            parse_outcome(
+                outcome, f"checkpoint {self.path}:{line}, version {CHECKPOINT_VERSION}"
+            )
         prior_stats = header.get("stats")
         if isinstance(prior_stats, dict):
             self.prior_stats = prior_stats
-        completed: Dict[int, Dict] = {}
-        keep: List[str] = []
-        last = len(lines) - 1
-        for lineno, raw in enumerate(lines[1:], start=1):
-            entry, error = _checked_loads(raw)
-            if entry is None:
-                if lineno == last and error == "unparseable":
-                    self.truncated_tail = True
-                    warnings.warn(
-                        f"{self.path}: dropping torn final line (crash mid-write); "
-                        f"the trial will re-run",
-                        CheckpointWarning,
-                        stacklevel=2,
-                    )
-                else:
-                    self.corrupted_lines += 1
-                continue
-            i = entry.get("i")
-            if isinstance(i, int) and 0 <= i < self.n_trials:
-                # Forward-compat guard: an outcome string this engine does
-                # not know (e.g. "corrected" read by a pre-recovery build)
-                # must fail loudly, not as a bare KeyError deep in resume.
-                parse_outcome(
-                    entry.get("outcome"),
-                    f"checkpoint {self.path}:{lineno + 1}, "
-                    f"version {CHECKPOINT_VERSION}",
-                )
-                completed[i] = entry
-                keep.append(raw)
-            else:
-                self.corrupted_lines += 1
-        if self.corrupted_lines:
+        if scan.truncated_tail:
             warnings.warn(
-                f"{self.path}: skipped {self.corrupted_lines} corrupted "
+                f"{self.path}: dropping torn final line (crash mid-write); "
+                f"the trial will re-run",
+                CheckpointWarning,
+                stacklevel=2,
+            )
+        if scan.corrupted_lines:
+            warnings.warn(
+                f"{self.path}: skipped {scan.corrupted_lines} corrupted "
                 f"checkpoint line(s); the affected trials will re-run",
                 CheckpointWarning,
                 stacklevel=2,
             )
-        self._record_lines = keep
-        return completed
+        self._record_lines = [raw for raw, _entry in scan.records]
+        return {entry["i"]: entry for _raw, entry in scan.records}
 
     def open_for_append(self, fresh: bool) -> None:
         """Start writing; ``fresh`` drops any previously loaded records.
@@ -780,6 +754,90 @@ class CampaignCheckpoint:
             self._open = False
 
 
+class CheckpointScan:
+    """What one read of a checkpoint file found (:func:`scan_checkpoint`).
+
+    ``exists`` says whether the file could be read and ``lines`` counts
+    its lines; ``error`` says why the file or its header is unusable;
+    ``header`` is the parsed header line.  Under a usable header every
+    trial line lands in exactly one of: ``records`` (``(raw, entry)`` in
+    file order), ``unknown_outcomes`` (``(line, outcome)``: structurally
+    valid, but an outcome this engine does not know), ``corrupted_lines``
+    (CRC damage, a torn line before the last, an index out of range) or
+    ``truncated_tail`` (the torn final line of a crash mid-write)."""
+
+    __slots__ = (
+        "exists", "lines", "error", "header", "records", "unknown_outcomes",
+        "corrupted_lines", "truncated_tail",
+    )
+
+    def __init__(self):
+        self.exists = False
+        self.lines = 0
+        self.error: Optional[str] = None
+        self.header: Optional[Dict] = None
+        self.records: List[Tuple[str, Dict]] = []
+        self.unknown_outcomes: List[Tuple[int, object]] = []
+        self.corrupted_lines = 0
+        self.truncated_tail = False
+
+
+def scan_checkpoint(path: str, n_trials: Optional[int] = None) -> CheckpointScan:
+    """Read ``path`` and sort its lines (see :class:`CheckpointScan`): the
+    one reader under :meth:`CampaignCheckpoint.load` and
+    :func:`verify_checkpoint`.  A trial index is in range when it is in
+    ``range(n_trials)``, by default the header's ``n_trials`` (any int
+    index when the header has none)."""
+    scan = CheckpointScan()
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        scan.error = str(exc)
+        return scan
+    scan.exists = True
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    scan.lines = len(lines)
+    if not lines:
+        scan.error = "empty file"
+        return scan
+    header, error = _checked_loads(lines[0])
+    if header is None:
+        scan.error = f"unreadable header ({error})"
+        return scan
+    scan.header = header
+    if header.get("version") != CHECKPOINT_VERSION:
+        scan.error = (
+            f"unsupported checkpoint version {header.get('version')!r} "
+            f"(this engine reads v{CHECKPOINT_VERSION})"
+        )
+        return scan
+    if n_trials is None:
+        n_trials = header.get("n_trials")
+    bounded = isinstance(n_trials, int)
+    for line, raw in enumerate(lines[1:], start=2):
+        entry, error = _checked_loads(raw)
+        if entry is None:
+            if line == len(lines) and error == "unparseable":
+                scan.truncated_tail = True
+            else:
+                scan.corrupted_lines += 1
+            continue
+        i = entry.get("i")
+        if not isinstance(i, int) or (bounded and not 0 <= i < n_trials):
+            scan.corrupted_lines += 1
+        else:
+            try:
+                parse_outcome(entry.get("outcome"))
+            except ValueError:
+                scan.unknown_outcomes.append((line, entry.get("outcome")))
+                continue
+            scan.records.append((raw, entry))
+    return scan
+
+
 def verify_checkpoint(
     path: str,
     fingerprint: Optional[str] = None,
@@ -796,51 +854,30 @@ def verify_checkpoint(
     this engine does not know (each reported as ``{"line", "outcome"}``
     and excluded from ``recoverable``, since a resume would reject them).
     """
+    scan = scan_checkpoint(path, n_trials)
+    header = scan.header or {}
     report: Dict = {
         "path": path,
-        "exists": False,
-        "header_ok": False,
-        "version": None,
-        "fingerprint": None,
+        "exists": scan.exists,
+        "header_ok": scan.error is None,
+        "version": header.get("version"),
+        "fingerprint": header.get("fingerprint"),
         "fingerprint_ok": None,
-        "n_trials": None,
-        "seed": None,
-        "records": 0,
-        "recoverable": 0,
+        "n_trials": header.get("n_trials"),
+        "seed": header.get("seed"),
+        "records": len(scan.records) + len(scan.unknown_outcomes),
+        "recoverable": len({entry["i"] for _raw, entry in scan.records}),
         "lost": None,
-        "corrupted_lines": 0,
-        "truncated_tail": False,
-        "unknown_outcomes": [],
-        "error": None,
+        "corrupted_lines": scan.corrupted_lines,
+        "truncated_tail": scan.truncated_tail,
+        "unknown_outcomes": [
+            {"line": line, "outcome": outcome}
+            for line, outcome in scan.unknown_outcomes
+        ],
+        "error": scan.error,
     }
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        report["error"] = str(exc)
+    if scan.error is not None:
         return report
-    report["exists"] = True
-    lines = text.split("\n")
-    while lines and lines[-1] == "":
-        lines.pop()
-    if not lines:
-        report["error"] = "empty file"
-        return report
-    header, error = _checked_loads(lines[0])
-    if header is None:
-        report["error"] = f"unreadable header ({error})"
-        return report
-    report["version"] = header.get("version")
-    report["fingerprint"] = header.get("fingerprint")
-    report["n_trials"] = header.get("n_trials")
-    report["seed"] = header.get("seed")
-    if header.get("version") != CHECKPOINT_VERSION:
-        report["error"] = (
-            f"unsupported version {header.get('version')!r} "
-            f"(this engine reads v{CHECKPOINT_VERSION})"
-        )
-        return report
-    report["header_ok"] = True
     if fingerprint is not None:
         report["fingerprint_ok"] = (
             header.get("fingerprint") == fingerprint
@@ -848,34 +885,8 @@ def verify_checkpoint(
             and (seed is None or header.get("seed") == seed)
         )
     expected_trials = n_trials if n_trials is not None else header.get("n_trials")
-    indexes = set()
-    last = len(lines) - 1
-    for lineno, raw in enumerate(lines[1:], start=1):
-        entry, error = _checked_loads(raw)
-        if entry is None:
-            if lineno == last and error == "unparseable":
-                report["truncated_tail"] = True
-            else:
-                report["corrupted_lines"] += 1
-            continue
-        i = entry.get("i")
-        if isinstance(i, int) and (
-            not isinstance(expected_trials, int) or 0 <= i < expected_trials
-        ):
-            report["records"] += 1
-            try:
-                parse_outcome(entry.get("outcome"))
-            except ValueError:
-                report["unknown_outcomes"].append(
-                    {"line": lineno + 1, "outcome": entry.get("outcome")}
-                )
-                continue
-            indexes.add(i)
-        else:
-            report["corrupted_lines"] += 1
-    report["recoverable"] = len(indexes)
     if isinstance(expected_trials, int):
-        report["lost"] = max(expected_trials - len(indexes), 0)
+        report["lost"] = max(expected_trials - report["recoverable"], 0)
     return report
 
 
@@ -1148,38 +1159,22 @@ def run_campaign(
                 last_progress[0] = now
                 print(stats.progress_line(), file=sys.stderr)
 
-    def run_trial(index: int) -> Tuple[str, str, int, Optional[Tuple], Optional[Tuple]]:
+    def run_trial(index: int) -> Tuple[Dict, Optional[Tuple]]:
         # Runs in forked workers (which inherit the prepared campaign) and
-        # in the parent for the serial-fallback path; only plain values
-        # are returned, so results pickle across the pipe.
+        # in the parent for the serial-fallback path: the trial's entry,
+        # as a socket worker sends it, and its warm triple for the stats.
         record = campaign.run_site(sites[index])
-        rec_wire = record.recovery.as_wire() if record.recovery is not None else None
-        return (
-            record.outcome.value,
-            record.status,
-            record.cycles,
-            rec_wire,
-            getattr(record, "warm", None),
-        )
+        return plan.entry(index, record), record.warm
 
-    def deliver_wire(index: int, result, seconds: float, wid: int = 0) -> None:
+    def deliver_entry(index: int, result, seconds: float, wid: int = 0) -> None:
         if isinstance(result, TrialFailure):
             record = TrialRecord(
                 sites[index], Outcome.TRIAL_FAILURE, "harness", 0, failure=result
             )
         else:
-            outcome_value, status, cycles, rec_wire, warm = result
-            recovery = (
-                RecoveryTelemetry.from_wire(rec_wire) if rec_wire is not None else None
-            )
-            record = TrialRecord(
-                sites[index],
-                Outcome(outcome_value),
-                status,
-                cycles,
-                recovery=recovery,
-                warm=warm,
-            )
+            entry, warm = result
+            record = record_from_entry(entry, sites[index], "worker result")
+            record.warm = warm
         deliver(index, record, seconds, wid)
 
     try:
@@ -1200,7 +1195,7 @@ def run_campaign(
                             run_trial,
                             items,
                             n_jobs,
-                            deliver_wire,
+                            deliver_entry,
                             policy=policy,
                             stats=stats,
                             chaos=chaos,
@@ -1215,7 +1210,7 @@ def run_campaign(
                         perf = time.perf_counter
                         for index, payload in collapse.remaining:
                             t0 = perf()
-                            deliver_wire(index, run_trial(payload), perf() - t0)
+                            deliver_entry(index, run_trial(payload), perf() - t0)
         finally:
             # Runs on success, errors, and KeyboardInterrupt alike: buffered
             # records are flushed and the checkpoint sealed before anything

@@ -15,7 +15,7 @@ if/else merge, right after that ``if``/``else``, which its arms fall into.
 Only loop headers cost a dispatch test on the local block index (see
 :meth:`_Compiler._gen_dispatch`).  It loads the values it needs from the
 frame list at entry and writes back the ones that code outside the region
-reads just before each exiting ``return``.  A function therefore has three
+reads just before each exiting ``return``.  A function therefore has four
 dispatch tables:
 
 * ``block_fns`` — one function per block, the frame list coherent at every
@@ -32,6 +32,10 @@ dispatch tables:
   of resync-armed warm trials between resync events; a tracked region
   keeps the frame list coherent and leaves through a *deopt exit* before
   the next event (see :meth:`_Compiler._gen_region`).
+* ``profiled_fns`` — the same with the *profiled* region functions, the
+  lean code plus a profile bump per block, built on first use
+  (:meth:`CompiledModule.profiled_tables`).  Used by the lean dispatch
+  loop of profiled runs.
 
 A run's observable results (status, cycle count, profile, memory, output,
 the cycle at which it trips, traps or hangs) are identical whichever table
@@ -40,8 +44,7 @@ order, and block functions test the budget and bump the profile at every
 block.  Region code tests the budget only where a static bound says a
 budget could run out (see :meth:`_Compiler._plan_region`) and, near one,
 steps that stretch on the per-block table; lean region code bumps no
-profile, and profiled runs dispatch through a *profiled* table of the same
-code plus the bumps (:meth:`CompiledModule.profiled_tables`).
+profile, and profiled runs dispatch through ``profiled_fns``.
 
 Semantics implemented exactly:
 
@@ -53,21 +56,25 @@ Semantics implemented exactly:
   architecture-level symptoms of the paper's outcome taxonomy),
 * per-block cycle charging and a cycle budget (hang detection),
 * optional per-block execution profiling (used to pick dynamic fault sites),
-* optional single-bit fault injection after a chosen dynamic occurrence of a
-  chosen instruction (the FlipIt substitute's engine room).
+* optional fault injection into the result of a chosen dynamic occurrence
+  of a chosen instruction (the FlipIt substitute's engine room).
 
-Fault injection has two routes, both through *injectable variants*: a block
-or region compiled once per injection mode with an epilogue after every
-value-producing instruction, each behind a guard ``if _s == <slot>:`` on
-``state.inj_slot``, so every site in the block or region shares one
-variant (a multi-shot model's variant holds its one site's epilogue).  A
-single-shot campaign trial *trips*: until its flip the trial is the golden
-run, so the plain tables run up to the flip's golden cycle
-(``state.rbudget``), lean region code leaves through a deopt exit at the
-last test point before the flip and steps block by block to the flip
-block, and ``Interpreter.trip`` runs that one block instance in its
-injectable variant before the plain tables take over again.  Every
-other injected run *counts*: the injected function dispatches through a
+An injection is a fault model's ``InjectionSpec`` and takes one of two
+epilogues: ``once`` corrupts the sampled occurrence through the model's
+corrupter (single-shot models, the paper's single-bit flip among them),
+``multi`` asks the model's firing predicate at every execution
+(multi-shot models).  Fault injection has two routes, both through
+*injectable variants*: a block or region compiled once per epilogue with
+one after every value-producing instruction, each behind a guard
+``if _s == <slot>:`` on ``state.inj_slot``, so every site in the block or
+region shares one variant (a multi-shot model's variant holds its one
+site's epilogue).  A single-shot campaign trial *trips*: until its flip
+the trial is the golden run, so the plain tables run up to the flip's
+golden cycle (``state.rbudget``), lean region code leaves through a
+deopt exit at the last test point before the flip and steps block by
+block to the flip block, and ``Interpreter.trip`` runs that one block
+instance in its injectable variant before the plain tables take over
+again.  Every other injected run *counts*: the injected function dispatches through a
 table holding the variant of the block or region with the site, which
 counts the site's executions in ``state.inj_seen``.
 """
@@ -109,7 +116,7 @@ from .errors import InterpreterBug
 from .runtime import EXEC_GLOBALS
 
 
-# -- bit-flip helpers (exposed to generated code via EXEC_GLOBALS) -------------
+# -- bit-flip helpers (the transient-1bit model's corrupters) ------------------
 
 def flip_int(value: int, bit: int, bits: int) -> int:
     """Flip one bit of a two's-complement integer of the given width."""
@@ -150,15 +157,7 @@ def sync_frame(frame: List, region_locals: Dict[str, object]) -> None:
             frame[int(name[1:])] = value
 
 
-EXEC_GLOBALS = dict(EXEC_GLOBALS)
-EXEC_GLOBALS.update(
-    {
-        "_flip_int": flip_int,
-        "_flip_f64": flip_f64,
-        "_flip_bool": flip_bool,
-        "_locals": locals,
-    }
-)
+EXEC_GLOBALS = dict(EXEC_GLOBALS, _locals=locals)
 
 
 class CompiledBlock:
@@ -176,11 +175,11 @@ class CompiledBlock:
 
 
 class CompiledFunction:
-    """One function: frame size, compiled blocks and both dispatch tables."""
+    """One function: frame size, compiled blocks and its dispatch tables."""
 
     __slots__ = (
         "index", "name", "fn", "nslots", "nargs", "blocks", "block_fns",
-        "region_fns", "region_of", "tracked_fns", "costs",
+        "region_fns", "region_of", "tracked_fns", "profiled_fns", "costs",
     )
 
     def __init__(self, index: int, fn: Function):
@@ -199,6 +198,8 @@ class CompiledFunction:
         self.region_of: Dict[int, int] = {}
         #: the tracked dispatch table, None until a tracked run needs it
         self.tracked_fns: Optional[List[Callable]] = None
+        #: the profiled dispatch table, None until a profiled run needs it
+        self.profiled_fns: Optional[List[Callable]] = None
         #: per-block cycle cost, indexed like ``block_fns``
         self.costs: List[int] = []
 
@@ -264,8 +265,6 @@ class CompiledModule:
         self.global_addr: Dict[str, int] = {}
         self.global_template: List = []  # initial cells incl. guards (None = guard)
         self.stack_base = 0
-        #: lean region entry -> its profiled twin, built on first use
-        self._profiled_twins: Optional[Dict[Callable, Callable]] = None
         self._compiler = _Compiler(self)
         self._layout_globals()
         self._compile_all()
@@ -316,14 +315,14 @@ class CompiledModule:
             raise KeyError(f"{inst!r} is not a compiled value-producing instruction") from None
 
     def injected_block_fn(
-        self, inst: Instruction, mode: str = "1bit"
+        self, inst: Instruction, mode: str = "once"
     ) -> Tuple[int, int, Callable]:
         """Compile (or fetch) the injectable variant of the block holding
         ``inst``, shared by every site in that block (the epilogue of the
         site ``state.inj_slot`` names fires; see :func:`_inject`).
-        Returns (cfi, block_index, block_fn).  ``mode`` picks the injection epilogue: ``"1bit"`` (the
-        legacy inline flip), ``"once"`` (one firing through
-        ``state.inj_corrupt``), or ``"multi"`` (multi-shot arming via
+        Returns (cfi, block_index, block_fn).  ``mode`` picks the
+        injection epilogue: ``"once"`` (one firing through
+        ``state.inj_corrupt``) or ``"multi"`` (multi-shot arming via
         ``state.inj_fire``)."""
         record = self.record_for(inst)
         cf = self.cfuncs[record.cfi]
@@ -332,7 +331,7 @@ class CompiledModule:
         return record.cfi, record.block_index, fn
 
     def injected_region_entries(
-        self, inst: Instruction, mode: str = "1bit"
+        self, inst: Instruction, mode: str = "once"
     ) -> Tuple[int, Dict[int, Callable]]:
         """The ``region_fns`` counterpart of :meth:`injected_block_fn`.
 
@@ -355,42 +354,32 @@ class CompiledModule:
             entries[record.block_index] = self.injected_block_fn(inst, mode)[2]
         return record.cfi, entries
 
-    def tracked_region_fns(self, cfi: int) -> List[Callable]:
-        """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
-        only resync-armed warm trials dispatch through it.  Every block a
-        region dispatches on enters the tracked region there (see
-        :meth:`_Compiler.region_entries`); other blocks are block
-        functions."""
-        cf = self.cfuncs[cfi]
-        fns = cf.tracked_fns
-        if fns is None:
-            fns = list(cf.block_fns)
-            for header in sorted(set(cf.region_of.values())):
-                entries = self._compiler.region_entries(cf, header, TRACKED)
-                for bi, fn in entries.items():
-                    fns[bi] = fn
-            cf.tracked_fns = fns
+    def _variant_table(self, cf: CompiledFunction, variant: Variant) -> List[Callable]:
+        """``cf``'s ``block_fns`` with every block a region dispatches on
+        entering ``variant``'s form of the region there (see
+        :meth:`_Compiler.region_entries`)."""
+        fns = list(cf.block_fns)
+        for header in sorted(set(cf.region_of.values())):
+            for bi, fn in self._compiler.region_entries(cf, header, variant).items():
+                fns[bi] = fn
         return fns
 
+    def tracked_region_fns(self, cfi: int) -> List[Callable]:
+        """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
+        only resync-armed warm trials dispatch through it."""
+        cf = self.cfuncs[cfi]
+        if cf.tracked_fns is None:
+            cf.tracked_fns = self._variant_table(cf, TRACKED)
+        return cf.tracked_fns
+
     def profiled_tables(self) -> List[List[Callable]]:
-        """Every function's region table for a profiled run: its
-        ``region_fns`` with each lean region entry replaced by the same
-        entry of the profiled variant, compiled on first use (golden runs
-        profile, trials do not).  Everything else a table holds stays: a
-        block function bumps the profile itself, and a table something
-        has swapped in (the :class:`~repro.obs.blockprof.BlockProfiler`'s
-        wrappers, a per-block table) keeps its own functions."""
-        twins = self._profiled_twins
-        if twins is None:
-            twins = {}
-            for cfi, header in list(self._compiler._regions):
-                cf = self.cfuncs[cfi]
-                lean = self._compiler.region_entries(cf, header)
-                profiled = self._compiler.region_entries(cf, header, PROFILED)
-                for bi, fn in lean.items():
-                    twins[fn] = profiled[bi]
-            self._profiled_twins = twins
-        return [[twins.get(fn, fn) for fn in cf.region_fns] for cf in self.cfuncs]
+        """Every function's ``profiled_fns`` table, the region table of a
+        profiled run, each compiled on first use (golden runs profile,
+        trials do not)."""
+        for cf in self.cfuncs:
+            if cf.profiled_fns is None:
+                cf.profiled_fns = self._variant_table(cf, PROFILED)
+        return [cf.profiled_fns for cf in self.cfuncs]
 
     def resume_block_fn(
         self,
@@ -398,7 +387,7 @@ class CompiledModule:
         bi: int,
         call_k: int,
         inject_after: Optional[Instruction] = None,
-        mode: str = "1bit",
+        mode: str = "once",
     ) -> Callable:
         """Compile (or fetch) a warm-start *resume* variant of a block.
 
@@ -1347,29 +1336,11 @@ class _Compiler:
             # Multi-shot arming (intermittent/persistent models): a
             # model-supplied predicate decides per execution.
             emit("    if state.inj_fire(_k):")
-            emit(f"        {reg} = state.inj_corrupt({reg})")
-            emit("        state.inj_hit = True")
-            return
-        if mode == "once":
-            # One firing through a model-supplied corrupter (multi-bit /
-            # pattern models); the occurrence disarm (inj_occ = 0) works
-            # exactly as for the legacy epilogue.
-            emit("    if _k == state.inj_occ:")
-            emit(f"        {reg} = state.inj_corrupt({reg})")
-            emit("        state.inj_hit = True")
-            return
-        emit("    if _k == state.inj_occ:")
-        t = inst.type
-        if t.is_float():
-            emit(f"        {reg} = _flip_f64({reg}, state.inj_bit)")
-        elif t.is_pointer():
-            emit(f"        {reg} = _flip_int({reg}, state.inj_bit, 64)")
-        elif t.is_integer() and t.bits == 1:  # type: ignore[attr-defined]
-            emit(f"        {reg} = _flip_bool({reg}, state.inj_bit)")
         else:
-            emit(
-                f"        {reg} = _flip_int({reg}, state.inj_bit, {t.bits})"  # type: ignore[attr-defined]
-            )
+            # One firing at the sampled occurrence; a rollback disarms it
+            # by zeroing inj_occ.
+            emit("    if _k == state.inj_occ:")
+        emit(f"        {reg} = state.inj_corrupt({reg})")
         emit("        state.inj_hit = True")
 
     # -- per-instruction codegen ---------------------------------------------------------------

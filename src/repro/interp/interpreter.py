@@ -138,7 +138,7 @@ class Interpreter:
         "cm", "module", "cfuncs", "stack_cells", "mpi", "collect_output",
         "global_overrides", "cells_end", "_reset_image", "region_tables", "cells",
         "sp", "cycles", "budget", "rbudget", "ret", "depth", "prof", "output_log",
-        "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ", "inj_bit",
+        "inj_cfi", "inj_fns", "inj_block_fns", "inj_seen", "inj_occ",
         "inj_hit", "inj_inst", "inj_slot", "inj_trip", "inj_call_at",
         "inj_bi", "inj_mode", "inj_fire", "inj_corrupt",
         "rec", "_rec_plans", "trk", "_resume_frames",
@@ -204,7 +204,6 @@ class Interpreter:
         self.inj_block_fns: Optional[List[Callable]] = None
         self.inj_seen = 0
         self.inj_occ = 0
-        self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
         #: the injected instruction's frame slot (the guard of the shared
@@ -217,7 +216,7 @@ class Interpreter:
         #: the one leaf call region code then makes real (-1: none)
         self.inj_call_at = -1
         self.inj_bi = -1
-        self.inj_mode = "1bit"
+        self.inj_mode = "once"
         self.inj_fire: Optional[Callable] = None
         self.inj_corrupt: Optional[Callable] = None
         #: RecoveryState while a run executes under a RecoveryPolicy
@@ -283,14 +282,13 @@ class Interpreter:
         self.inj_block_fns = None
         self.inj_seen = 0
         self.inj_occ = 0
-        self.inj_bit = 0
         self.inj_hit = False
         self.inj_inst = None
         self.inj_slot = -1
         self.inj_trip = False
         self.inj_call_at = -1
         self.inj_bi = -1
-        self.inj_mode = "1bit"
+        self.inj_mode = "once"
         self.inj_fire = None
         self.inj_corrupt = None
         self.rec = None
@@ -314,12 +312,12 @@ class Interpreter:
     ) -> RunResult:
         """Execute ``entry`` from a fresh state.
 
-        ``injection`` is an optional ``(instruction, occurrence, bit)``
-        triple: after the ``occurrence``-th dynamic execution of
-        ``instruction``, flip ``bit`` in its result value.  Pluggable
-        fault models pass a ``repro.faults.models.InjectionSpec``
-        instead, carrying the epilogue mode and the model's corruption
-        and firing closures.
+        ``injection`` is an optional
+        :class:`repro.faults.models.InjectionSpec` (a fault model's
+        ``injection_for``): after the ``occurrence``-th dynamic execution
+        of ``instruction`` its epilogue (``mode``) corrupts the result
+        value through the model's corruption closure, or, for ``multi``,
+        on every execution its firing closure selects.
 
         ``profile`` records, per block gid, the cycle count just after
         each entry's charge (``RunResult.entries``; ``RunResult.profile``
@@ -365,24 +363,13 @@ class Interpreter:
             self.prof = [array("q") for _ in range(self.cm.total_blocks)]
             self.region_tables = self.cm.profiled_tables()
         if injection is not None:
-            if type(injection) is tuple:
-                # The legacy transient-1bit triple: arms inj_occ/inj_bit.
-                inst, occurrence, bit = injection
-                if occurrence < 1:
-                    raise ValueError("occurrence is 1-based")
-                self.inj_occ = occurrence
-                self.inj_bit = bit
-            else:
-                # An InjectionSpec from a pluggable fault model
-                # (repro.faults.models): the epilogue mode and the
-                # corruption/firing closures come from the model.
-                inst = injection.instruction
-                if injection.occurrence < 1:
-                    raise ValueError("occurrence is 1-based")
-                self.inj_occ = injection.occurrence
-                self.inj_mode = injection.mode
-                self.inj_corrupt = injection.corrupt
-                self.inj_fire = injection.fire
+            inst = injection.instruction
+            if injection.occurrence < 1:
+                raise ValueError("occurrence is 1-based")
+            self.inj_occ = injection.occurrence
+            self.inj_mode = injection.mode
+            self.inj_corrupt = injection.corrupt
+            self.inj_fire = injection.fire
             record = self.cm.record_for(inst)
             self.inj_cfi = record.cfi
             self.inj_inst = inst
@@ -793,7 +780,7 @@ class Interpreter:
                     # Single-shot fault models: the corruption already
                     # happened once; the re-execution must not replay it
                     # (inj_seen restarts below inj_occ, so zeroing the
-                    # occurrence disarms both the 1bit and once epilogues).
+                    # occurrence disarms the once epilogue).
                     # Multi-shot injectors never reach this path —
                     # check_failed fail-stops instead of signalling.
                     self.inj_occ = 0

@@ -7,12 +7,12 @@ missing half — Python-level block closures have wildly different real
 costs per simulated cycle.
 
 Like fault injection, profiling works by *swapping compiled block
-functions*: :class:`BlockProfiler` replaces all three of every
+functions*: :class:`BlockProfiler` replaces all four of every
 ``CompiledFunction``'s dispatch tables, ``block_fns``, the loop-region
-table ``region_fns`` and the tracked table ``tracked_fns`` (built or not),
-with per-block timing wrappers while active and restores the originals on
-exit.  The dispatch hot loop is untouched — with the
-profiler disarmed the interpreter executes the exact same closures as
+table ``region_fns``, the tracked table ``tracked_fns`` and the profiled
+table ``profiled_fns`` (built or not), with per-block timing wrappers
+while active and restores the originals on exit.  The dispatch hot loop
+is untouched — with the profiler disarmed the interpreter executes the exact same closures as
 before, so disabled-mode overhead is zero by construction (the same
 property the injection trap points have).
 
@@ -46,7 +46,7 @@ class BlockProfiler:
         self.cm = cm
         self.wall: List[float] = [0.0] * cm.total_blocks
         self.hits: List[int] = [0] * cm.total_blocks
-        self._saved: Optional[List[Tuple[List, List]]] = None
+        self._saved: Optional[List[Tuple]] = None
 
     def _wrap(self, fn, gid: int):
         wall = self.wall
@@ -70,24 +70,23 @@ class BlockProfiler:
             raise RuntimeError("another BlockProfiler is armed on this module")
         self._saved = []
         for cf in self.cm.cfuncs:
-            self._saved.append((cf.block_fns, cf.region_fns, cf.tracked_fns))
+            self._saved.append(
+                (cf.block_fns, cf.region_fns, cf.tracked_fns, cf.profiled_fns)
+            )
             # Every table gets the wrapped per-block functions: a region
             # function would run a whole loop nest past the wrappers.
-            cf.block_fns = cf.region_fns = cf.tracked_fns = [
+            wrapped = [
                 self._wrap(fn, block.gid)
                 for fn, block in zip(cf.block_fns, cf.blocks)
             ]
+            cf.block_fns = cf.region_fns = cf.tracked_fns = cf.profiled_fns = wrapped
         self.cm._block_profiler_armed = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._saved is not None
-        for cf, (block_fns, region_fns, tracked_fns) in zip(
-            self.cm.cfuncs, self._saved
-        ):
-            cf.block_fns = block_fns
-            cf.region_fns = region_fns
-            cf.tracked_fns = tracked_fns
+        for cf, saved in zip(self.cm.cfuncs, self._saved):
+            cf.block_fns, cf.region_fns, cf.tracked_fns, cf.profiled_fns = saved
         self._saved = None
         self.cm._block_profiler_armed = False
 

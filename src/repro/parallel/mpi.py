@@ -228,15 +228,16 @@ class MpiJob:
         self,
         entry: str = "main",
         cycle_budget: Optional[int] = None,
-        injection: Optional[Tuple[Tuple, int]] = None,
+        injection: Optional[Tuple[object, int]] = None,
         profile: bool = False,
         recovery=None,
     ) -> JobResult:
         """Run all ranks to completion.
 
-        ``injection`` is an optional ``((instruction, occurrence, bit),
-        rank)`` pair: the fault is injected into exactly one rank, as FlipIt
-        does when it picks a random MPI rank.  ``profile=True`` collects
+        ``injection`` is an optional ``(spec, rank)`` pair, ``spec`` a
+        :class:`repro.faults.models.InjectionSpec`: the fault is injected
+        into exactly one rank, as FlipIt does when it picks a random MPI
+        rank.  ``profile=True`` collects
         per-rank block-execution profiles (``JobResult.rank_results[r].profile``),
         which parallel fault campaigns use to enumerate each rank's dynamic
         fault population.  ``recovery`` (a

@@ -348,7 +348,8 @@ class CoordinatorServer:
         """
         n_trials, seed = spec.trials, spec.seed
         by_index = CampaignCheckpoint(
-            self.journal.job_path(job_id), job_id, n_trials, seed
+            self.journal.job_path(job_id), job_id, n_trials, seed,
+            model=spec.fault_model,
         ).load()
         if len(by_index) != n_trials:
             return False

@@ -26,6 +26,7 @@ from repro.faults import (
     verify_checkpoint,
 )
 from repro.faults.chaos import ChaosMonkey, corrupt_checkpoint, parse_chaos_spec
+from repro.faults.parallel import _seal
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -336,6 +337,65 @@ class TestVerifyCheckpoint:
         report = verify_checkpoint(str(tmp_path / "absent.jsonl"))
         assert not report["exists"]
         assert report["error"]
+
+    def test_report_agrees_with_load(self, tmp_path):
+        """One damaged checkpoint, a CRC-damaged line, an out-of-range
+        index, an unknown outcome and a torn tail: ``verify_checkpoint``
+        reports what ``load`` restores and counts, and ``load`` refuses
+        the unknown outcome naming ``path:line``."""
+        path = str(tmp_path / "ck.jsonl")
+        make_campaign().run(N_TRIALS, seed=SEED, checkpoint_path=path, n_jobs=1)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        entries = [json.loads(line) for line in lines[1:]]
+        assert [e["i"] for e in entries] == list(range(N_TRIALS))
+
+        def reseal(k, **fields):
+            entry = dict(entries[k - 1], **fields)
+            del entry["crc"]
+            lines[k] = json.dumps(_seal(entry))
+
+        known = lines[5]
+        reseal(3, i=N_TRIALS)  # trial 2's line, its index out of range
+        reseal(5, outcome="exotic")  # trial 4's line, an unknown outcome
+        unknown = lines[5]
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        corrupt_checkpoint(path, mode="garble", line=2)  # trial 1
+        corrupt_checkpoint(path, mode="truncate", line=-1)  # the last trial
+        fingerprint = campaign_fingerprint(make_campaign(), N_TRIALS, SEED)
+
+        def verify():
+            return verify_checkpoint(
+                path, fingerprint=fingerprint, n_trials=N_TRIALS, seed=SEED
+            )
+
+        report = verify()
+        assert (report["header_ok"], report["fingerprint_ok"]) == (True, True)
+        assert report["unknown_outcomes"] == [{"line": 6, "outcome": "exotic"}]
+        assert (report["corrupted_lines"], report["truncated_tail"]) == (2, True)
+        assert (report["records"], report["recoverable"]) == (
+            N_TRIALS - 3, N_TRIALS - 4
+        )
+        checkpoint = CampaignCheckpoint(path, fingerprint, N_TRIALS, SEED)
+        with pytest.raises(ValueError, match=r"'exotic' \(checkpoint .*ck\.jsonl:6, "):
+            checkpoint.load()
+
+        # Mend the unknown outcome: load restores exactly the trials
+        # verify counts as recoverable, and counts the same damage.
+        with open(path) as fh:
+            text = fh.read()
+        with open(path, "w") as fh:
+            fh.write(text.replace(unknown, known))
+        report = verify()
+        assert report["unknown_outcomes"] == []
+        with pytest.warns(CheckpointWarning):
+            completed = checkpoint.load()
+        assert sorted(completed) == sorted(set(range(N_TRIALS - 1)) - {1, 2})
+        assert len(completed) == report["recoverable"] == report["records"]
+        assert report["lost"] == N_TRIALS - len(completed)
+        assert checkpoint.corrupted_lines == report["corrupted_lines"] == 2
+        assert checkpoint.truncated_tail is report["truncated_tail"] is True
 
     def test_reports_unreadable_header(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")

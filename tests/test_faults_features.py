@@ -14,6 +14,7 @@ from repro.faults import (
     result_bits,
     soc_reduction_percent,
 )
+from repro.faults.models import Transient1Bit
 from repro.features import FEATURE_CATEGORIES, FEATURE_NAMES, NUM_FEATURES, FeatureExtractor
 from repro.interp import Interpreter
 from repro.ir import (
@@ -105,7 +106,9 @@ class TestFaultModel:
         with pytest.raises(ValueError):
             FaultSite(add, 1, 64)  # bit out of range
         site = FaultSite(add, 1, 63)
-        assert site.as_injection() == (add, 1, 63)
+        spec = Transient1Bit().injection_for(site)
+        assert (spec.instruction, spec.occurrence, spec.mode) == (add, 1, "once")
+        assert spec.corrupt(0) == -(1 << 63)  # bit 63 of an i64
 
 
 class TestOutcomes:

@@ -24,7 +24,8 @@ from repro.ir import (
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import RecoveryPolicy, SnapshotLadder, WarmStart, exact_state_eq
 from repro.recover.runtime import RecoveryState
-from tests.test_regions import _Rung, first_value, golden_trip, per_block_dispatch
+from repro.faults.model import result_bits
+from tests.test_regions import _Rung, first_value, flip, golden_trip, per_block_dispatch
 
 
 class TestGlobalOverrides:
@@ -281,7 +282,9 @@ class TestArenaSemantics:
                 continue
             grows.clear()
             rollbacks.clear()
-            result = interp.run(injection=(inst, 1, 7), recovery=RecoveryPolicy())
+            result = interp.run(
+                injection=flip(inst, 1, 7 % result_bits(inst)), recovery=RecoveryPolicy()
+            )
             if not result.recovery.rollbacks:
                 continue
             assert result.status == "ok"
@@ -446,7 +449,7 @@ class TestInjectionValidation:
         inst = next(i for i in module.instructions() if i.opcode == "add")
         interp = Interpreter(module)
         with pytest.raises(ValueError, match="1-based"):
-            interp.run(injection=(inst, 0, 3))
+            interp.run(injection=InjectionSpec(inst, 0, "once", corrupt=lambda v: v))
 
     def test_injection_into_uncompiled_instruction_rejected(self):
         from repro.ir import BinaryOperator
@@ -455,7 +458,7 @@ class TestInjectionValidation:
         interp = Interpreter(module)
         dangling = BinaryOperator("add", const_int(1), const_int(2))
         with pytest.raises(KeyError):
-            interp.run(injection=(dangling, 1, 0))
+            interp.run(injection=flip(dangling, 1, 0))
 
     def test_missing_entry_function(self):
         module = compile_source("int main() { return 1; }")

@@ -21,6 +21,7 @@ from repro.ir import (
     verify_module,
 )
 from repro.interp import CostModel, Interpreter, RunResult, run_module
+from tests.test_regions import flip
 
 
 def build_module(builder_fn, name="t"):
@@ -548,7 +549,7 @@ class TestFaultInjection:
         interp = Interpreter(m)
         clean = interp.run()
         assert clean.value == 123
-        faulty = interp.run(injection=(target, 1, 3))
+        faulty = interp.run(injection=flip(target, 1, 3))
         assert faulty.status == "ok"
         assert faulty.injection_hit
         assert faulty.value == 123 ^ 8
@@ -556,7 +557,7 @@ class TestFaultInjection:
     def test_injection_is_transient(self):
         m, target = self.add_module()
         interp = Interpreter(m)
-        interp.run(injection=(target, 1, 3))
+        interp.run(injection=flip(target, 1, 3))
         clean_again = interp.run()
         assert clean_again.value == 123
         assert not clean_again.injection_hit
@@ -590,14 +591,14 @@ class TestFaultInjection:
         assert interp.run().value == 4
         # Flip bit 4 (=16) of acc2 on its 2nd execution: acc becomes 2^16+2
         # then increments twice more.
-        faulty = interp.run(injection=(target, 2, 4))
+        faulty = interp.run(injection=flip(target, 2, 4))
         assert faulty.injection_hit
         assert faulty.value == 16 + 4
 
     def test_injection_missed_when_occurrence_never_reached(self):
         m, target = self.add_module()
         interp = Interpreter(m)
-        result = interp.run(injection=(target, 99, 0))
+        result = interp.run(injection=flip(target, 99, 0))
         assert result.status == "ok"
         assert not result.injection_hit
         assert result.value == 123
@@ -615,7 +616,7 @@ class TestFaultInjection:
         verify_module(m)
         interp = Interpreter(m)
         # Flip the top exponent bit of 1.0 -> huge change.
-        faulty = interp.run(injection=(s, 1, 62))
+        faulty = interp.run(injection=flip(s, 1, 62))
         assert faulty.injection_hit
         assert faulty.value != 1.0
 
@@ -631,5 +632,5 @@ class TestFaultInjection:
         verify_module(m)
         interp = Interpreter(m)
         # Flip a high bit of the computed address: wild store -> trap.
-        faulty = interp.run(injection=(p, 1, 50))
+        faulty = interp.run(injection=flip(p, 1, 50))
         assert faulty.status == "trap"

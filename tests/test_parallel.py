@@ -4,6 +4,7 @@ import pytest
 
 from repro import compile_source
 from repro.parallel import MpiJob
+from tests.test_regions import flip
 
 ALLREDUCE = """
 output double result[2];
@@ -156,7 +157,7 @@ class TestTimingAndFailure:
         job = MpiJob(module, 2, collective_timeout=5.0)
         clean = job.run()
         assert clean.status == "ok"
-        faulty = job.run(injection=((target, 1, 62), 1))
+        faulty = job.run(injection=(flip(target, 1, 62), 1))
         # The corrupted value feeds the allreduce; job completes with a
         # wrong answer or rank 1 dies -- either way rank 0's total differs
         # or the job aborted.

@@ -16,11 +16,11 @@ from repro.faults import (
     CampaignCheckpoint,
     CampaignStats,
     Outcome,
-    TrialRecord,
+    TrialPlan,
     campaign_fingerprint,
-    injectable_instructions,
     resolve_jobs,
 )
+from repro.faults.parallel import record_from_entry
 from repro.interp import Interpreter
 
 KERNEL = """
@@ -183,25 +183,29 @@ class TestTrialRecordSerialization:
     def test_round_trip(self):
         campaign = make_campaign()
         result = campaign.run(10, seed=1)
-        module = campaign.interp.module
-        eligible = injectable_instructions(module)
-        for record in result.records:
-            data = record.to_dict()
-            json.dumps(data)  # must be JSON-compatible
-            back = TrialRecord.from_dict(data, module)
+        plan = TrialPlan(campaign, 10, 1)
+        for i, record in enumerate(result.records):
+            entry = plan.entry(i, record)
+            assert json.loads(json.dumps(entry)) == entry  # JSON-compatible
+            back = record_from_entry(entry, plan.sites[i], "test")
             assert back.site.instruction is record.site.instruction
             assert record_key(back) == record_key(record)
-            # bulk form takes the precomputed site list
-            again = TrialRecord.from_dict(data, eligible)
-            assert again.site.instruction is record.site.instruction
+            assert plan.entry(i, back) == entry
 
-    def test_opcode_mismatch_rejected(self):
+    def test_mismatched_entry_not_adopted(self):
+        """An entry whose site disagrees with its plan slot is refused (the
+        trial re-runs); the matching ones are restored."""
         campaign = make_campaign()
         result = campaign.run(4, seed=1)
-        data = result.records[0].to_dict()
-        data["opcode"] = "definitely-not-an-opcode"
-        with pytest.raises(ValueError):
-            TrialRecord.from_dict(data, campaign.interp.module)
+        plan = TrialPlan(campaign, 4, 1)
+        entries = [plan.entry(i, r) for i, r in enumerate(result.records)]
+        foreign = dict(entries[0], site_index=entries[0]["site_index"] + 1)
+        records = [None] * 4
+        assert plan.adopt(records, [foreign] + entries[1:], "test") == [1, 2, 3]
+        assert records[0] is None
+        assert [record_key(r) for r in records[1:]] == [
+            record_key(r) for r in result.records[1:]
+        ]
 
 
 class TestStats:

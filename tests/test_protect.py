@@ -14,6 +14,7 @@ from repro.protect import (
     duplicate_instructions,
     is_duplicable,
 )
+from tests.test_regions import flip
 
 KERNEL = """
 int n = 12;
@@ -131,7 +132,7 @@ class TestFaultDetection:
             for i in norm.instructions()
             if i.opcode == "fmul" and not i.name.endswith(".dup")
         )
-        result = interp.run(injection=(target, 2, 60))
+        result = interp.run(injection=flip(target, 2, 60))
         assert result.status == "detected"
 
     def test_detection_close_to_occurrence(self):
@@ -145,7 +146,7 @@ class TestFaultDetection:
             if i.opcode == "fadd" and not i.name.endswith(".dup")
         )
         clean_cycles = interp.run().cycles
-        result = interp.run(injection=(target, 1, 55))
+        result = interp.run(injection=flip(target, 1, 55))
         assert result.status == "detected"
         assert result.cycles < clean_cycles  # aborted early
 

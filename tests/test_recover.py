@@ -15,8 +15,8 @@ import json
 import pytest
 
 from repro import compile_source
-from repro.faults import Campaign, Outcome, OutcomeCounts, TrialRecord, parse_outcome
-from repro.faults.parallel import _seal, verify_checkpoint
+from repro.faults import Campaign, Outcome, OutcomeCounts, TrialPlan, parse_outcome
+from repro.faults.parallel import _seal, record_from_entry, verify_checkpoint
 from repro.interp import Interpreter
 from repro.interp.errors import DetectedByDuplication
 from repro.ir.instructions import CallInst
@@ -73,7 +73,7 @@ def record_key(record):
         record.outcome,
         record.status,
         record.cycles,
-        rec.as_wire() if rec is not None else None,
+        rec.as_dict() if rec is not None else None,
     )
 
 
@@ -288,7 +288,8 @@ class TestDetectionContext:
             if campaign.run_site(s).outcome is Outcome.DETECTED
         )
         result = campaign.interp.run(
-            injection=site.as_injection(), cycle_budget=campaign.cycle_budget
+            injection=campaign.fault_model.injection_for(site),
+            cycle_budget=campaign.cycle_budget,
         )
         assert result.status == "detected"
         assert "ipas.check" in result.error
@@ -348,13 +349,14 @@ class TestSerialization:
     def test_trial_record_round_trips_recovery(self):
         campaign = make_campaign(recovery=RecoveryPolicy())
         campaign.prepare()
-        record = next(
-            campaign.run_site(s)
-            for s in campaign.sample_trials(30, seed=3)
+        plan = TrialPlan(campaign, 30, 3)
+        i, record = next(
+            (i, campaign.run_site(s))
+            for i, s in enumerate(plan.sites)
             if campaign.run_site(s).outcome is Outcome.CORRECTED
         )
-        data = record.to_dict()
-        restored = TrialRecord.from_dict(data, campaign.interp.module)
+        entry = json.loads(json.dumps(plan.entry(i, record)))
+        restored = record_from_entry(entry, plan.sites[i], "test")
         assert restored.outcome is Outcome.CORRECTED
         assert restored.recovery is not None
         assert restored.recovery.as_dict() == record.recovery.as_dict()
@@ -362,15 +364,18 @@ class TestSerialization:
     def test_trial_record_unknown_outcome_raises(self):
         campaign = make_campaign()
         campaign.prepare()
-        record = campaign.run_site(campaign.sample_trials(1, seed=3)[0])
-        data = record.to_dict()
-        data["outcome"] = "exotic"
+        plan = TrialPlan(campaign, 1, 3)
+        entry = plan.entry(0, campaign.run_site(plan.sites[0]))
+        entry["outcome"] = "exotic"
         with pytest.raises(ValueError, match="unknown outcome 'exotic'"):
-            TrialRecord.from_dict(data, campaign.interp.module)
+            record_from_entry(entry, plan.sites[0], "test")
 
-    def test_telemetry_wire_round_trip(self):
+    def test_telemetry_dict_round_trip(self):
         t = RecoveryTelemetry(3, 2, 500, 300, 1, "tainted")
-        assert RecoveryTelemetry.from_wire(t.as_wire()).as_dict() == t.as_dict()
+        back = RecoveryTelemetry.from_dict(json.loads(json.dumps(t.as_dict())))
+        assert [getattr(back, k) for k in t.__slots__] == [
+            getattr(t, k) for k in t.__slots__
+        ]
 
 
 class TestCheckpointForwardCompat:

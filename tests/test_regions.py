@@ -34,7 +34,7 @@ from repro.faults import Campaign, CampaignSpec, MpiCampaign, TrialPlan
 from repro.faults.campaign import TrialRecord, call_cycle
 from repro.faults.model import FaultSite, result_bits
 from repro.faults.parallel import run_campaign, trial_entry
-from repro.faults.models import FAULT_MODELS, InjectionSpec
+from repro.faults.models import FAULT_MODELS, InjectionSpec, Transient1Bit
 from repro.interp import Interpreter
 from repro.interp import compiler
 from repro.interp.costmodel import CostModel
@@ -119,22 +119,30 @@ def subject(name):
     return JoinShapes() if name == JoinShapes.name else get_workload(name)
 
 
+def flip(inst, occurrence, bit):
+    """The transient-1bit injection: flip ``bit`` of ``inst``'s result at
+    its ``occurrence``-th execution."""
+    return Transient1Bit().injection_for(FaultSite(inst, occurrence, bit))
+
+
 @contextmanager
 def per_block_dispatch(cm):
-    """Make the lean and the tracked loop dispatch block by block,
-    injected trials too."""
-    saved = [(cf.region_fns, cf.region_of, cf.tracked_fns) for cf in cm.cfuncs]
+    """Make the lean, the tracked and the profiled loop dispatch block by
+    block, injected trials too."""
+    saved = [
+        (cf.region_fns, cf.region_of, cf.tracked_fns, cf.profiled_fns)
+        for cf in cm.cfuncs
+    ]
     for cf in cm.cfuncs:
         cf.region_fns = list(cf.block_fns)
         cf.region_of = {}
         cf.tracked_fns = list(cf.block_fns)
+        cf.profiled_fns = list(cf.block_fns)
     try:
         yield
     finally:
-        for cf, (fns, region_of, tracked_fns) in zip(cm.cfuncs, saved):
-            cf.region_fns = fns
-            cf.region_of = region_of
-            cf.tracked_fns = tracked_fns
+        for cf, tables in zip(cm.cfuncs, saved):
+            cf.region_fns, cf.region_of, cf.tracked_fns, cf.profiled_fns = tables
 
 
 def digest(values):
@@ -619,10 +627,10 @@ def all_sources(monkeypatch):
 
 class TestRegionSources:
     #: sha256 of the sorted (filename, source) pairs of every block, resume
-    #: and injected-block variant below: these forms are unchanged since
-    #: region code last changed how it tests the budget
+    #: and injected-block variant (both epilogues) below: these forms are
+    #: unchanged since region code last changed how it tests the budget
     BLOCK_SOURCES = (
-        5833, "a7963698d2a41ba95b5141b86e757b4b2e8975d573fbd692fe8177952720575b"
+        5309, "145a5a64bedd81e581155f6f5284bac3bb8ed979d38c47950879cb3a29e19faa"
     )
     BUMP = re.compile(r"^ *(_p = state\.prof|_p\[\d+\]\.append\(_c\))\n", re.M)
 
@@ -647,7 +655,7 @@ class TestRegionSources:
             for cf in cm.cfuncs:
                 for header, members in regions_of(cf):
                     inst = first_value_in(cm, cf, min(members))
-                    for mode in ("1bit", "multi"):
+                    for mode in ("once", "multi"):
                         cm.injected_region_entries(inst, mode)
             injected = [src for f, src in sources if f.startswith("<region ")]
             for source in list(lean.values()) + injected:
@@ -657,7 +665,7 @@ class TestRegionSources:
 
     def test_block_and_resume_sources_are_pinned(self, monkeypatch):
         """Every block function, resume variant and injectable block
-        variant (each mode) of the six workloads, plain and fully
+        variant (each epilogue) of the six workloads, plain and fully
         duplicated: region code's budget tests change none of them."""
         sources = all_sources(monkeypatch)
         for _, _, module in workload_modules():
@@ -672,7 +680,7 @@ class TestRegionSources:
                         cm.resume_block_fn(cf.index, bi, k)
                     for inst in block.instructions:
                         if id(inst) in cm.records:
-                            for mode in ("1bit", "once", "multi"):
+                            for mode in ("once", "multi"):
                                 cm.injected_block_fn(inst, mode)
         kept = sorted(s for s in sources if s[0].startswith(("<block", "<resume")))
         got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
@@ -1021,7 +1029,7 @@ class TestInlinedLeaves:
 
     def test_injected_leaf_is_called(self):
         interp, cycles, sites = leaf_sites("hpccg", "idx3")
-        kwargs = dict(injection=(sites[0][0], 1, 0), cycle_budget=3 * cycles)
+        kwargs = dict(injection=flip(sites[0][0], 1, 0), cycle_budget=3 * cycles)
         with call_counts() as counts:
             assert interp.run("main", **kwargs).injection_hit
         with per_block_dispatch(interp.cm), call_counts() as reference:
@@ -1490,7 +1498,7 @@ def tripped(interp, entry, inst, fire, entries, log):
     log.clear()
     with pytest.raises(_Stop):
         interp.run(
-            entry, injection=(inst, 1, 0), fire=fire,
+            entry, injection=flip(inst, 1, 0), fire=fire,
             call_at=call_cycle(interp, entries, inst, fire),
         )
     (state,) = log
@@ -1678,7 +1686,7 @@ class TestDeoptExits:
                 at_trip.clear()
                 with pytest.raises(_Stop):
                     interp.run(
-                        w.entry, injection=(inst, 1, 0), fire=fire,
+                        w.entry, injection=flip(inst, 1, 0), fire=fire,
                         call_at=call_cycle(interp, entries, inst, fire),
                     )
                 ((got_cycles, got_cells, got_sp, frame),) = at_trip
@@ -1761,16 +1769,16 @@ class TestDeoptExits:
         assert last in members_of(cf, region.header) and cfi == cf.index
         p = top + cf.costs[last]
         assert both(cycle_budget=p - 1)["status"] == "hang"
-        flip = first_value_in(cm, cf, last)
-        occurrence = list(entries[cm.record_for(flip).block_gid]).index(p) + 1
-        trip = dict(fire=p, call_at=call_cycle(interp, entries, flip, p))
+        inst = first_value_in(cm, cf, last)
+        occurrence = list(entries[cm.record_for(inst).block_gid]).index(p) + 1
+        trip = dict(fire=p, call_at=call_cycle(interp, entries, inst, p))
 
         def fault(value):
             raise MemoryFault("the flip faults")
 
-        assert both(injection=(flip, occurrence, 0), **trip)["status"] == "ok"
+        assert both(injection=flip(inst, occurrence, 0), **trip)["status"] == "ok"
         trapped = both(
-            injection=InjectionSpec(flip, occurrence, "once", corrupt=fault), **trip
+            injection=InjectionSpec(inst, occurrence, "once", corrupt=fault), **trip
         )
         assert (trapped["status"], trapped["cycles"]) == ("trap", p)
 
@@ -1973,6 +1981,23 @@ class TestDeoptExits:
                 assert matched[-1] == (rung.index, True)
 
 
+class TestProfiledTable:
+    def test_wrapped_region_entries_leave_the_profile(self, monkeypatch):
+        """A profiled run dispatches through ``profiled_fns``, built by
+        block position: wrapping every ``region_fns`` entry (as a call
+        counter does) changes nothing a profiled run observes, its
+        profile included."""
+        interp = get_workload("fft").make_interpreter(1)
+        reference = observe(interp, interp.run(profile=True))
+        for cf in interp.cm.cfuncs:
+            monkeypatch.setattr(cf, "region_fns", [
+                lambda f, s, _fn=fn: _fn(f, s) for fn in cf.region_fns
+            ])
+        result = interp.run(profile=True)
+        assert sum(result.profile) > 30_000
+        assert observe(interp, result) == reference
+
+
 class TestTrackedFastPaths:
     def test_detached_frames_finish_on_region_fns(self, monkeypatch):
         """Once resync gives up, the tracked loops still on the stack (here
@@ -1988,8 +2013,8 @@ class TestTrackedFastPaths:
         profiled_tables = cm.profiled_tables
 
         def counted_tables():
-            tables = profiled_tables()
-            fns = tables[main.index]
+            tables = list(profiled_tables())
+            fns = tables[main.index] = list(tables[main.index])
             for header in headers:
                 fns[header] = lambda f, s, _fn=fns[header], _h=header: (
                     entries.update([_h]) or _fn(f, s)

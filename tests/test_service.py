@@ -455,6 +455,31 @@ class TestKillRestart:
                 proc.wait()
 
 
+class TestFinishedJobRestart:
+    @pytest.mark.parametrize(
+        "fault_model", ["transient-1bit", "transient-multibit:k=2"]
+    )
+    def test_restart_serves_finished_job_from_checkpoint(self, serve, fault_model):
+        """A coordinator restarted on the journal of a finished job, of
+        any fault model, starts and serves the job from its checkpoint
+        without re-executing a trial."""
+        spec = make_spec(trials=6, fault_model=fault_model)
+        st = serve()
+        with ServiceClient(port=st.server.port) as client:
+            job = client.submit(spec)["job"]
+            assert client.wait(job)["state"] == "done"
+            entries = client.results(job)
+        st.stop()
+        assert wire_bytes(entries) == wire_bytes(inprocess_entries(spec))
+        st = serve()  # replays the journal: the job is done
+        assert st.server.jobs[job].state == "done"
+        with ServiceClient(port=st.server.port) as client:
+            again = client.submit(spec)
+            assert (again["disposition"], again["job"]) == ("cached", job)
+            assert wire_bytes(client.results(job)) == wire_bytes(entries)
+        assert st.server.jobs[job].resumed == 6
+
+
 class TestJobJournal:
     def test_roundtrip_and_done_marker(self, tmp_path):
         journal = JobJournal(str(tmp_path))

@@ -228,22 +228,23 @@ class TestRouting:
         fire = campaign._fire_cycle(site)
         assert fire is not None
         trip = {"fire": fire, "call_at": campaign._call_at(site, fire)}
+        injection = campaign.fault_model.injection_for(site)
         with pytest.raises(ValueError):
             interp.run(**trip)
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(), fire=fire)
+            interp.run(injection=injection, fire=fire)
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(), call_at=trip["call_at"])
+            interp.run(injection=injection, call_at=trip["call_at"])
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(), recovery=RecoveryPolicy(),
+            interp.run(injection=injection, recovery=RecoveryPolicy(),
                        **trip)
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(),
+            interp.run(injection=injection,
                        warm=WarmStart(ladder, None, resync=True))
         snap = ladder.plan_site(interp.cm, site, fire)[0]
         assert snap is not None
         with pytest.raises(ValueError):
-            interp.run(injection=site.as_injection(),
+            interp.run(injection=injection,
                        warm=WarmStart(ladder, snap, resync=False), **trip)
 
     def test_single_shot_trials_trip_without_a_compile_per_site(self, monkeypatch):

@@ -88,7 +88,7 @@ def record_key(record):
         record.outcome,
         record.status,
         record.cycles,
-        record.recovery.as_wire() if record.recovery is not None else None,
+        record.recovery.as_dict() if record.recovery is not None else None,
     )
 
 
