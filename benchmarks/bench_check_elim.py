@@ -12,8 +12,7 @@ their dynamic cycle counts compared:
 
 Along the way the preservation contract is asserted: golden outputs of
 every variant are bit-identical to the unprotected module's.  The
-numbers are written to ``BENCH_checkelim.json`` at the repo root,
-alongside ``BENCH_campaign.json``.
+numbers are written to ``BENCH_checkelim.json`` at the repo root.
 
 The headline finding: tail placement is already near-optimal — strict
 subsumption finds (almost) nothing to remove from it, because path

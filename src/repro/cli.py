@@ -40,19 +40,21 @@ def _add_jobs_arg(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _checked(validator: str):
-    """An argparse type running ``repro.faults.<validator>`` on the text at
-    parse time, so a bad spec is a usage error naming the offending token
-    instead of a failure mid-campaign."""
+def _checked(validator: str, convert=str):
+    """An argparse type converting the text with ``convert`` and running
+    ``repro.faults.<validator>`` on the value at parse time, so a bad value
+    is a usage error naming the flag and the offending token instead of a
+    failure mid-campaign."""
 
-    def check(text: str) -> str:
+    def check(text: str):
         from . import faults
 
         try:
-            getattr(faults, validator)(text)
+            value = convert(text)
+            getattr(faults, validator)(value)
         except ValueError as exc:
             raise argparse.ArgumentTypeError(str(exc))
-        return text
+        return value
 
     return check
 
@@ -124,7 +126,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trial-timeout",
-        type=float,
+        type=_checked("validate_trial_timeout", float),
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per trial; a worker past its chunk deadline "
@@ -133,7 +135,7 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--max-retries",
-        type=int,
+        type=_checked("validate_max_retries", int),
         default=None,
         metavar="N",
         help="re-attempts for a trial whose worker died before it is "
@@ -150,20 +152,20 @@ def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _resolve_supervision(args):
-    """A SupervisorPolicy when any knob was given, else None (env defaults)."""
-    if (
-        args.trial_timeout is None
-        and args.max_retries is None
-        and args.on_worker_failure is None
-    ):
+    """A SupervisorPolicy when any knob was given, else None (env defaults);
+    a knob left unset keeps its env default."""
+    knobs = {
+        "trial_timeout": args.trial_timeout,
+        "max_retries": args.max_retries,
+        "on_worker_failure": args.on_worker_failure,
+    }
+    if all(value is None for value in knobs.values()):
         return None
     from .faults import SupervisorPolicy
 
-    return SupervisorPolicy.resolve(
-        None,
-        trial_timeout=args.trial_timeout,
-        max_retries=args.max_retries,
-        on_worker_failure=args.on_worker_failure,
+    env = SupervisorPolicy.from_env()
+    return SupervisorPolicy(
+        **{k: getattr(env, k) if v is None else v for k, v in knobs.items()}
     )
 
 

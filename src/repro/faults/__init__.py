@@ -61,6 +61,8 @@ from .supervisor import (
     WorkerFailureError,
     backoff_delay,
     run_supervised,
+    validate_max_retries,
+    validate_trial_timeout,
 )
 from .chaos import (
     ChaosMonkey,
@@ -89,6 +91,7 @@ __all__ = [
     "fork_available", "resolve_jobs", "run_campaign", "verify_checkpoint",
     "PoolCollapse", "SupervisorPolicy", "TrialFailure",
     "WorkerFailureError", "backoff_delay", "run_supervised",
+    "validate_max_retries", "validate_trial_timeout",
     "ChaosMonkey", "ServiceChaos", "parse_chaos_spec",
     "parse_service_chaos_spec", "validate_chaos_spec",
     "validate_service_chaos_spec",

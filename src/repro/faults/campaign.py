@@ -456,9 +456,6 @@ class Campaign:
         checkpoint_path: Optional[str] = None,
         progress: bool = False,
         on_trial: Optional[Callable] = None,
-        trial_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        on_worker_failure: Optional[str] = None,
         supervision=None,
         strict_resume: bool = False,
         chaos=None,
@@ -469,9 +466,9 @@ class Campaign:
         ``n_jobs`` shards trials over persistent worker processes (default:
         ``IPAS_JOBS`` env, else in-process); results are bit-identical for
         every worker count, including under worker failure — dead or hung
-        workers are requeued and respawned per the supervision policy
-        (``trial_timeout``/``max_retries``/``on_worker_failure``, or a full
-        ``supervision=SupervisorPolicy(...)``).  ``checkpoint_path``
+        workers are requeued and respawned per ``supervision`` (a
+        ``SupervisorPolicy``; default: ``SupervisorPolicy.from_env()``).
+        ``checkpoint_path``
         flushes completed trials to a resumable, CRC-protected JSONL file;
         ``progress`` prints live throughput to stderr;
         ``on_trial(index, record)`` fires per completed trial.
@@ -489,9 +486,6 @@ class Campaign:
             checkpoint_path=checkpoint_path,
             progress=progress,
             on_trial=on_trial,
-            trial_timeout=trial_timeout,
-            max_retries=max_retries,
-            on_worker_failure=on_worker_failure,
             supervision=supervision,
             strict_resume=strict_resume,
             chaos=chaos,

@@ -1027,9 +1027,6 @@ def run_campaign(
     progress: bool = False,
     on_trial: Optional[Callable[[int, object], None]] = None,
     chunk_size: Optional[int] = None,
-    trial_timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    on_worker_failure: Optional[str] = None,
     supervision: Optional[SupervisorPolicy] = None,
     strict_resume: bool = False,
     chaos=None,
@@ -1041,9 +1038,8 @@ def run_campaign(
     order) for every ``n_jobs``, with a :class:`CampaignStats` attached as
     ``result.stats`` — including under worker death and hangs, which the
     supervisor recovers by requeue + respawn (see
-    :mod:`repro.faults.supervisor`).  ``trial_timeout`` / ``max_retries`` /
-    ``on_worker_failure`` override the supervision policy (or pass a full
-    ``supervision=SupervisorPolicy(...)``).  ``on_trial(index, record)``
+    :mod:`repro.faults.supervisor`) per ``supervision`` (default:
+    :meth:`SupervisorPolicy.from_env`).  ``on_trial(index, record)``
     fires as each trial completes (completion order); an exception raised
     from it — including ``KeyboardInterrupt`` — aborts the campaign after
     flushing and closing the checkpoint, which is how interrupted runs stay
@@ -1062,12 +1058,7 @@ def run_campaign(
     from .campaign import CampaignResult, TrialRecord
 
     n_jobs = resolve_jobs(n_jobs)
-    policy = SupervisorPolicy.resolve(
-        supervision,
-        trial_timeout=trial_timeout,
-        max_retries=max_retries,
-        on_worker_failure=on_worker_failure,
-    )
+    policy = SupervisorPolicy.resolve(supervision)
     tracer = obs.open_trace() if obs is not None else None
 
     def phase(name: str, **args):

@@ -35,6 +35,7 @@ campaign and the MPI campaign both run on it.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import time
@@ -66,6 +67,27 @@ def backoff_delay(
     if consecutive_failures <= 0:
         return 0.0
     return min(base * (2 ** (consecutive_failures - 1)), cap)
+
+
+def validate_trial_timeout(value: Optional[float], name: str = "trial_timeout") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None`` (no
+    deadline) or a finite number of seconds > 0.  A NaN deadline never
+    passes, so accepting one would silently turn hang detection off."""
+    if value is not None and not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number of seconds > 0, got {value}")
+
+
+def validate_max_retries(value: int, name: str = "max_retries") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is >= 0."""
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
+def validate_on_worker_failure(value: str, name: str = "on_worker_failure") -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is one of
+    :data:`ON_FAILURE_CHOICES`."""
+    if value not in ON_FAILURE_CHOICES:
+        raise ValueError(f"{name} must be one of {ON_FAILURE_CHOICES}, got {value!r}")
 
 
 class WorkerFailureError(RuntimeError):
@@ -155,15 +177,9 @@ class SupervisorPolicy:
         backoff_base: float = DEFAULT_BACKOFF_BASE,
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
     ):
-        if on_worker_failure not in ON_FAILURE_CHOICES:
-            raise ValueError(
-                f"on_worker_failure must be one of {ON_FAILURE_CHOICES}, "
-                f"got {on_worker_failure!r}"
-            )
-        if trial_timeout is not None and trial_timeout <= 0:
-            raise ValueError(f"trial_timeout must be positive, got {trial_timeout}")
-        if max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {max_retries}")
+        validate_on_worker_failure(on_worker_failure)
+        validate_trial_timeout(trial_timeout)
+        validate_max_retries(max_retries)
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
         self.trial_timeout = trial_timeout
@@ -176,10 +192,11 @@ class SupervisorPolicy:
     @classmethod
     def from_env(cls) -> "SupervisorPolicy":
         """Defaults, overridable per process by ``IPAS_TRIAL_TIMEOUT``,
-        ``IPAS_MAX_RETRIES``, and ``IPAS_ON_WORKER_FAILURE``."""
+        ``IPAS_MAX_RETRIES``, and ``IPAS_ON_WORKER_FAILURE``; a bad value is
+        a ``ValueError`` naming its variable."""
         timeout_env = os.environ.get("IPAS_TRIAL_TIMEOUT")
         retries_env = os.environ.get("IPAS_MAX_RETRIES")
-        failure_env = os.environ.get("IPAS_ON_WORKER_FAILURE")
+        failure_env = os.environ.get("IPAS_ON_WORKER_FAILURE") or "respawn"
         try:
             trial_timeout = float(timeout_env) if timeout_env else None
         except ValueError:
@@ -190,38 +207,19 @@ class SupervisorPolicy:
             max_retries = int(retries_env) if retries_env else DEFAULT_MAX_RETRIES
         except ValueError:
             raise ValueError(f"IPAS_MAX_RETRIES must be an integer, got {retries_env!r}")
+        validate_trial_timeout(trial_timeout, "IPAS_TRIAL_TIMEOUT")
+        validate_max_retries(max_retries, "IPAS_MAX_RETRIES")
+        validate_on_worker_failure(failure_env, "IPAS_ON_WORKER_FAILURE")
         return cls(
             trial_timeout=trial_timeout,
             max_retries=max_retries,
-            on_worker_failure=failure_env or "respawn",
+            on_worker_failure=failure_env,
         )
 
     @classmethod
-    def resolve(
-        cls,
-        policy: Optional["SupervisorPolicy"] = None,
-        trial_timeout: Optional[float] = None,
-        max_retries: Optional[int] = None,
-        on_worker_failure: Optional[str] = None,
-    ) -> "SupervisorPolicy":
-        """The effective policy: explicit kwargs over ``policy`` over env."""
-        base = policy if policy is not None else cls.from_env()
-        if trial_timeout is None and max_retries is None and on_worker_failure is None:
-            return base
-        return cls(
-            trial_timeout=(
-                trial_timeout if trial_timeout is not None else base.trial_timeout
-            ),
-            max_retries=max_retries if max_retries is not None else base.max_retries,
-            on_worker_failure=(
-                on_worker_failure
-                if on_worker_failure is not None
-                else base.on_worker_failure
-            ),
-            max_respawns=base.max_respawns,
-            backoff_base=base.backoff_base,
-            backoff_cap=base.backoff_cap,
-        )
+    def resolve(cls, policy: Optional["SupervisorPolicy"] = None) -> "SupervisorPolicy":
+        """The effective policy: ``policy``, else :meth:`from_env`."""
+        return policy if policy is not None else cls.from_env()
 
     def __repr__(self) -> str:
         return (

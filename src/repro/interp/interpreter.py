@@ -688,7 +688,6 @@ class Interpreter:
         stack = rec.stack if rec is not None else None
         capturing = trk is not None and trk.capturing
         cap_boundaries = trk.plan.get(cfi) if capturing else None
-        resync = trk is not None and trk.resync_pts is not None
         while True:
             try:
                 if resume_fn is not None:
@@ -707,12 +706,6 @@ class Interpreter:
                             and c - trk.last_capture >= trk.region_spacing
                         ):
                             trk.capture(self)
-                    elif (
-                        resync
-                        and self.inj_hit
-                        and self.cycles >= trk.next_resync
-                    ):
-                        self._try_resync(trk)  # may raise GoldenResync
                     if boundaries is not None and bi in boundaries and (
                         rec.should_snapshot(self.cycles)
                     ):

@@ -122,7 +122,8 @@ class TestHungWorker:
             hang_at={6: 60.0}, state_dir=str(tmp_path / "chaos")
         )
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, trial_timeout=1.0, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(trial_timeout=1.0), chaos=chaos,
         )
         assert_identical(result, serial_baseline)
         stats = result.stats
@@ -138,7 +139,8 @@ class TestQuarantine:
             kill_at=[9], once=False, state_dir=str(tmp_path / "chaos")
         )
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=1, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=1), chaos=chaos,
         )
         poisoned = result.records[9]
         assert poisoned.outcome is Outcome.TRIAL_FAILURE
@@ -159,7 +161,8 @@ class TestQuarantine:
         )
         path = str(tmp_path / "ck.jsonl")
         first = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=0,
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=0),
             checkpoint_path=path, chaos=chaos,
         )
         assert first.records[3].outcome is Outcome.TRIAL_FAILURE
@@ -192,7 +195,8 @@ class TestPoolCollapse:
     ):
         chaos = ChaosMonkey(kill_at=[4], state_dir=str(tmp_path / "chaos"))
         result = make_campaign().run(
-            N_TRIALS, seed=SEED, n_jobs=2, on_worker_failure="serial", chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(on_worker_failure="serial"), chaos=chaos,
         )
         assert_identical(result, serial_baseline)
         assert result.stats.serial_fallback
@@ -207,7 +211,9 @@ class TestAbortPolicy:
         chaos = ChaosMonkey(kill_at=[5], state_dir=str(tmp_path / "chaos"))
         with pytest.raises(WorkerFailureError):
             make_campaign().run(
-                N_TRIALS, seed=SEED, n_jobs=2, on_worker_failure="abort", chaos=chaos
+                N_TRIALS, seed=SEED, n_jobs=2,
+                supervision=SupervisorPolicy(on_worker_failure="abort"),
+                chaos=chaos,
             )
 
 
@@ -459,3 +465,33 @@ class TestChaosSpec:
         clone = ChaosMonkey(hang_at={4: 0.0}, state_dir=str(tmp_path))
         clone.arm()
         assert not clone._fire_once("hang", 4)
+
+
+class TestSupervisorPolicyValidation:
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_rejects_timeout_not_finite_and_positive(self, timeout):
+        with pytest.raises(ValueError, match="trial_timeout"):
+            SupervisorPolicy(trial_timeout=timeout)
+
+    def test_rejects_negative_retries(self):
+        with pytest.raises(ValueError, match="max_retries"):
+            SupervisorPolicy(max_retries=-1)
+
+    def test_accepts_no_deadline(self):
+        assert SupervisorPolicy(trial_timeout=None).trial_timeout is None
+
+    @pytest.mark.parametrize(
+        "var, value",
+        [
+            ("IPAS_TRIAL_TIMEOUT", "nan"),
+            ("IPAS_TRIAL_TIMEOUT", "0"),
+            ("IPAS_TRIAL_TIMEOUT", "soon"),
+            ("IPAS_MAX_RETRIES", "-1"),
+            ("IPAS_MAX_RETRIES", "two"),
+            ("IPAS_ON_WORKER_FAILURE", "reboot"),
+        ],
+    )
+    def test_env_errors_name_the_variable(self, monkeypatch, var, value):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ValueError, match=var):
+            SupervisorPolicy.from_env()

@@ -280,6 +280,55 @@ class TestFaultModelSpecValidation:
         assert "10 single-bit faults injected into is" in capsys.readouterr().out
 
 
+class TestSupervisionFlagValidation:
+    """--trial-timeout and --max-retries are rejected at argparse time,
+    naming the flag, on every command that runs a campaign."""
+
+    @pytest.mark.parametrize("command", ["inject", "protect", "evaluate"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-retries", "-1"),
+            ("--trial-timeout", "0"),
+            ("--trial-timeout", "-2.5"),
+            ("--trial-timeout", "nan"),
+            ("--trial-timeout", "inf"),
+        ],
+    )
+    def test_rejects_bad_value_naming_flag(self, capsys, command, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args([command, "fft", flag, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert value in err
+
+    def test_inject_bad_max_retries_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["inject", "fft", "--trials", "2", "--max-retries", "-1"])
+        assert excinfo.value.code == 2
+        assert "--max-retries" in capsys.readouterr().err
+
+    def test_accepts_good_values(self):
+        args = build_parser().parse_args(
+            ["inject", "fft", "--trial-timeout", "2.5", "--max-retries", "0"]
+        )
+        assert args.trial_timeout == 2.5
+        assert args.max_retries == 0
+
+    def test_unset_flags_keep_env_defaults(self, monkeypatch):
+        from repro.cli import _resolve_supervision
+
+        monkeypatch.setenv("IPAS_MAX_RETRIES", "5")
+        args = build_parser().parse_args(["inject", "fft", "--trial-timeout", "3"])
+        policy = _resolve_supervision(args)
+        assert policy.trial_timeout == 3.0
+        assert policy.max_retries == 5
+        assert policy.on_worker_failure == "respawn"
+        args = build_parser().parse_args(["inject", "fft"])
+        assert _resolve_supervision(args) is None
+
+
 class TestServiceCommands:
     def test_submit_requires_address(self, capsys):
         assert main(["submit", "fft", "--trials", "4"]) == 2

@@ -157,3 +157,41 @@ class TestCampaignSpecTableSync:
 
     def test_table_parse_found_keys(self):
         assert len(documented_spec_keys()) >= 15
+
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def documented_paths():
+    """(doc, path) for every backquoted repo path in docs/*.md and
+    README.md: ``benchmarks/…``, ``src/…``, ``tests/…`` (a pytest node id
+    ``file::Name`` included) and root ``BENCH_*.json`` files."""
+    pattern = re.compile(r"`((?:benchmarks|src|tests)/[^`\s]*|BENCH_[^`\s]*\.json)`")
+    docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+    return [
+        (doc.relative_to(REPO), path)
+        for doc in docs
+        for path in pattern.findall(doc.read_text())
+    ]
+
+
+class TestDocumentedPathsExist:
+    """A doc that names a file must name one that exists: a deleted script
+    or results file otherwise lingers in the prose."""
+
+    def test_every_documented_path_exists(self):
+        missing = []
+        for doc, path in documented_paths():
+            file, *names = path.split("::")
+            target = REPO / file
+            if not target.exists():
+                missing.append(f"{doc}: {path}")
+                continue
+            source = target.read_text() if names else ""
+            for name in names:
+                if not re.search(rf"^\s*(?:def|class) {re.escape(name)}\b", source, re.M):
+                    missing.append(f"{doc}: {path}")
+        assert not missing, f"docs name paths that do not exist: {missing}"
+
+    def test_scan_found_paths(self):
+        assert len(documented_paths()) >= 20

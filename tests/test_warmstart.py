@@ -19,6 +19,7 @@ from repro.faults import (
     CampaignStats,
     CheckpointWarning,
     Outcome,
+    SupervisorPolicy,
     TrialRecord,
     campaign_fingerprint,
     fork_available,
@@ -238,7 +239,8 @@ class TestHarnessPaths:
     def test_poisoned_trial_quarantined_warm(self, tmp_path):
         chaos = ChaosMonkey(kill_at=[9], once=False, state_dir=str(tmp_path / "c"))
         result = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, n_jobs=2, max_retries=1, chaos=chaos
+            N_TRIALS, seed=SEED, n_jobs=2,
+            supervision=SupervisorPolicy(max_retries=1), chaos=chaos,
         )
         assert result.records[9].outcome is Outcome.TRIAL_FAILURE
         assert result.counts.counts[Outcome.TRIAL_FAILURE] == 1
