@@ -126,7 +126,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
 def _add_supervision_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--trial-timeout",
-        type=_checked("validate_trial_timeout", float),
+        type=_checked("validate_seconds", float),
         default=None,
         metavar="SECONDS",
         help="wall-clock budget per trial; a worker past its chunk deadline "
@@ -1166,7 +1166,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--lease-timeout",
-        type=float,
+        type=_checked("validate_seconds", float),
         default=15.0,
         metavar="SECONDS",
         help="heartbeat deadline before a lease's trials are requeued "
@@ -1174,7 +1174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument(
         "--solo-grace",
-        type=float,
+        type=_checked("validate_seconds", float),
         default=0.75,
         metavar="SECONDS",
         help="how long to wait for a worker before the coordinator runs "
@@ -1216,7 +1216,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_connect_args(p_worker)
     p_worker.add_argument(
         "--idle-exit",
-        type=float,
+        type=_checked("validate_seconds", float),
         default=None,
         metavar="SECONDS",
         help="exit 0 after this long with nothing to lease (default: "

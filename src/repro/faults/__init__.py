@@ -62,7 +62,7 @@ from .supervisor import (
     backoff_delay,
     run_supervised,
     validate_max_retries,
-    validate_trial_timeout,
+    validate_seconds,
 )
 from .chaos import (
     ChaosMonkey,
@@ -91,7 +91,7 @@ __all__ = [
     "fork_available", "resolve_jobs", "run_campaign", "verify_checkpoint",
     "PoolCollapse", "SupervisorPolicy", "TrialFailure",
     "WorkerFailureError", "backoff_delay", "run_supervised",
-    "validate_max_retries", "validate_trial_timeout",
+    "validate_max_retries", "validate_seconds",
     "ChaosMonkey", "ServiceChaos", "parse_chaos_spec",
     "parse_service_chaos_spec", "validate_chaos_spec",
     "validate_service_chaos_spec",

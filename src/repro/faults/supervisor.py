@@ -69,10 +69,11 @@ def backoff_delay(
     return min(base * (2 ** (consecutive_failures - 1)), cap)
 
 
-def validate_trial_timeout(value: Optional[float], name: str = "trial_timeout") -> None:
+def validate_seconds(value: Optional[float], name: str = "value") -> None:
     """Raise ``ValueError`` naming ``name`` unless ``value`` is ``None`` (no
     deadline) or a finite number of seconds > 0.  A NaN deadline never
-    passes, so accepting one would silently turn hang detection off."""
+    passes, so accepting one would silently turn off what it bounds: hang
+    detection for a trial timeout, requeueing for a service lease."""
     if value is not None and not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be a finite number of seconds > 0, got {value}")
 
@@ -178,7 +179,7 @@ class SupervisorPolicy:
         backoff_cap: float = DEFAULT_BACKOFF_CAP,
     ):
         validate_on_worker_failure(on_worker_failure)
-        validate_trial_timeout(trial_timeout)
+        validate_seconds(trial_timeout, "trial_timeout")
         validate_max_retries(max_retries)
         if max_respawns < 0:
             raise ValueError(f"max_respawns must be >= 0, got {max_respawns}")
@@ -207,7 +208,7 @@ class SupervisorPolicy:
             max_retries = int(retries_env) if retries_env else DEFAULT_MAX_RETRIES
         except ValueError:
             raise ValueError(f"IPAS_MAX_RETRIES must be an integer, got {retries_env!r}")
-        validate_trial_timeout(trial_timeout, "IPAS_TRIAL_TIMEOUT")
+        validate_seconds(trial_timeout, "IPAS_TRIAL_TIMEOUT")
         validate_max_retries(max_retries, "IPAS_MAX_RETRIES")
         validate_on_worker_failure(failure_env, "IPAS_ON_WORKER_FAILURE")
         return cls(

@@ -83,8 +83,12 @@ from __future__ import annotations
 
 import math
 import struct
+from collections import ChainMap
+from contextlib import contextmanager, nullcontext
 from functools import partial
-from typing import Callable, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from ..analysis.dominators import DominatorTree
 from ..analysis.loops import LoopInfo
@@ -485,6 +489,117 @@ def _is_leaf(fn: Function) -> bool:
     return True
 
 
+def _pure_shape(inst: Instruction) -> Optional[Tuple]:
+    """What besides its operands' values decides ``inst``'s result, or
+    None when ``inst`` is not pure (memory, ``alloca``, a call with
+    effects).  A pure instruction that traps does so the first time it
+    runs, so a second one with equal operands is never reached."""
+    if isinstance(inst, CallInst):
+        name = inst.callee.name
+        return ("call", name) if name in _MATH_INTRINSICS else None
+    if isinstance(inst, (BinaryOperator, CastInst, ICmpInst, FCmpInst, GEPInst, SelectInst)):
+        return (
+            inst.opcode, getattr(inst, "predicate", None), str(inst.type),
+            *(str(o.type) for o in inst.operands),
+        )
+    return None
+
+
+#: (icmp predicate, branch direction) -> the operand a branch arm knows
+#: to be below the other one
+_BELOW = {("slt", True): 0, ("sgt", True): 1, ("sge", False): 0, ("sle", False): 1}
+
+
+class _Numbering:
+    """Value numbers for the lean and profiled forms of one region (see
+    :meth:`_Compiler._gen_region`): which rendered operands hold the same
+    value, and what region code already knows about them and memory.
+
+    ``facts`` is a chain of scopes that follows emission nesting, which
+    is the dominator tree: :meth:`arm` opens a scope per branch arm and
+    inlined call, so what an arm learns ends with it, and :meth:`barrier`
+    starts an empty chain at every dispatch target, where the loop
+    carries new values in.  It maps
+
+    * a rendered operand (``r12``, ``q0_3``, ``1``) to its number, a
+      fresh one the first time the chain reads it;
+    * ``(shape, *operand numbers)`` of a pure instruction
+      (:func:`_pure_shape`) to (its number, the register computing it);
+    * ``("load", address number, stores)`` to (number, register);
+    * ``("addr", address number, calls)`` to True once an access to the
+      address passed its checks: the cell is in the arena and no guard,
+      which only a call can change;
+    * ``("cmp", number)`` of an ``icmp`` to (predicate, operand numbers,
+      operand type), and ``("below", number, type)`` to True in an arm
+      whose branch proves the value is below another one of its type.
+
+    ``stores`` (stores and calls) and ``calls`` count the kills so far;
+    they are not scoped, so one anywhere emitted in between, an earlier
+    arm included, hides the memory facts taken before it.
+    """
+
+    def __init__(self) -> None:
+        self.facts: ChainMap = ChainMap()
+        self.numbers = 0
+        self.stores = 0
+        self.calls = 0
+
+    def of(self, operand: str) -> int:
+        number = self.facts.get(operand)
+        return self.bind(operand) if number is None else number
+
+    def bind(self, reg: str, number: Optional[int] = None) -> int:
+        """``reg`` now holds ``number``, or a value nothing else holds."""
+        if number is None:
+            self.numbers += 1
+            number = self.numbers
+        self.facts[reg] = number
+        return number
+
+    def held(self, key: Tuple) -> Optional[str]:
+        """The register that computed ``key``'s value, if it still
+        holds it."""
+        hit = self.facts.get(key)
+        if hit is not None and self.facts.get(hit[1]) == hit[0]:
+            return hit[1]
+        return None
+
+    def define(self, key: Tuple, reg: str) -> int:
+        number = self.bind(reg)
+        self.facts[key] = (number, reg)
+        return number
+
+    def kill(self, call: bool) -> None:
+        self.stores += 1
+        self.calls += call
+
+    @contextmanager
+    def arm(self, cond: Optional[str] = None, truth: bool = True) -> Iterator[None]:
+        """A scope, for the arm of ``if cond:`` that ``truth`` takes when
+        ``cond`` is given."""
+        cmp = self.facts.get(("cmp", self.of(cond))) if cond is not None else None
+        self.facts = self.facts.new_child()
+        if cmp is not None and (cmp[0], truth) in _BELOW:
+            below = cmp[1 + _BELOW[(cmp[0], truth)]]
+            self.facts[("below", below, cmp[3])] = True
+        try:
+            yield
+        finally:
+            self.facts = self.facts.parents
+
+    @contextmanager
+    def barrier(self) -> Iterator[None]:
+        saved, self.facts = self.facts, ChainMap()
+        try:
+            yield
+        finally:
+            self.facts = saved
+
+
+def _arm(vn: Optional[_Numbering], cond: Optional[str] = None, truth: bool = True):
+    return nullcontext() if vn is None else vn.arm(cond, truth)
+
+
 class _Compiler:
     """Generates and ``exec``-compiles Python source for blocks and regions."""
 
@@ -704,19 +819,21 @@ class _Compiler:
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
         fall: bool = False,
         variant: Optional[Variant] = None,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
         edge copies in the predecessors), with ``inject`` the injection
-        epilogues too.  ``local`` and ``variant`` (region code's form,
-        None in a block function) see :meth:`_gen_instruction`; ``ret``
+        epilogues too.  ``local``, ``variant`` (region code's form, None
+        in a block function) and ``vn`` (its value numbering, None where
+        the form is not numbered) see :meth:`_gen_instruction`; ``ret``
         and ``fall`` see :meth:`_gen_terminator`."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
             if inst.is_terminator():
-                self._gen_terminator(inst, regs, emit, leave, ret, fall)
+                self._gen_terminator(inst, regs, emit, leave, ret, fall, vn)
             else:
-                self._gen_instruction(inst, regs, emit, local, variant)
+                self._gen_instruction(inst, regs, emit, local, variant, vn)
                 self._gen_guarded_injection(inst, regs, emit, inject)
 
     # -- region codegen -------------------------------------------------------------------
@@ -941,6 +1058,19 @@ class _Compiler:
         returns, with the count unchanged, when an offset-probe rung
         stands at that block with this frame's registers (``_pq``, this
         function's part of ``trk.probe_at``).
+
+        The lean and profiled forms number values (:class:`_Numbering`):
+        within the dominators of a member, a pure value or a load already
+        computed is a copy of the register holding it, a memory access to
+        an address accessed before drops its re-checks, ``x + 1`` under a
+        true ``x < y`` drops its wrap, and a duplication check whose two
+        operands have one number is left out.  Every register is still
+        assigned, so frames, deopt exits, loads, exit stores and charges
+        are those of the unnumbered code.  A fault enters these forms only
+        through the frame, memory or a call's result, written by an
+        injectable variant outside them, so every value it corrupts gets
+        a number of its own; the tracked and injectable forms, which
+        themselves hold a trial's fault, are not numbered.
         """
         blocks = cf.fn.blocks
         tracked = variant.tracked
@@ -988,9 +1118,11 @@ class _Compiler:
             stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
             out(f"    state.cycles = _c; {stores}return {k}")
 
+        numbered = variant.inject is None and not tracked
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
             lambda line: emit("    " + line), "bi", leave_region, None, variant, tests,
+            _Numbering() if numbered else None,
         )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
@@ -1014,12 +1146,14 @@ class _Compiler:
         ret: Optional[Callable[[Optional[str], Callable], None]],
         variant: Variant,
         tests: Dict[int, int],
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
         ``placement`` (their :meth:`_dispatch_targets`) says, each block in
         ``variant``'s form with the budget test ``tests`` holds for it
-        (see :meth:`_gen_member`; none where it holds none).
+        (see :meth:`_gen_member`; none where it holds none), numbered by
+        ``vn`` afresh from each dispatch target on.
 
         Each block is emitted once, at its immediate dominator: a block
         entered by exactly one edge inside the branch arm of that edge, a
@@ -1043,7 +1177,7 @@ class _Compiler:
             inner = follow if join is None else join
             self._gen_member(
                 cf, bi, regs, o, lambda target, oo: leave(target, oo, inner),
-                ret, variant, tests.get(bi), fall=inner is not None,
+                ret, variant, tests.get(bi), fall=inner is not None, vn=vn,
             )
             if join is not None:
                 gen_member(join, o, follow)
@@ -1066,7 +1200,8 @@ class _Compiler:
                 pad = "        "
             else:
                 pad = "    "
-            gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
+            with nullcontext() if vn is None else vn.barrier():
+                gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
 
     def _dispatch_targets(
         self, cf: CompiledFunction, order: List[int], head: int
@@ -1166,11 +1301,12 @@ class _Compiler:
         variant: Variant,
         test: Optional[int],
         fall: bool = False,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """One block in region code: charge ``_c``, make the budget test
         ``test``, bump the profile with the block's own gid when
         ``variant`` bumps it, then its body (``fall`` see
-        :meth:`_gen_terminator`).
+        :meth:`_gen_terminator`, ``vn`` :meth:`_gen_instruction`).
 
         ``test`` is None for no test, :data:`_HANG` for a hang test (an
         inlined leaf block: see :meth:`_gen_inlined_call`), and otherwise
@@ -1205,6 +1341,7 @@ class _Compiler:
         self._gen_body(
             block, regs, out, leave, variant.inject,
             local=not (variant.tracked and own), ret=ret, fall=fall, variant=variant,
+            vn=vn,
         )
 
     def region_entries(
@@ -1239,7 +1376,8 @@ class _Compiler:
         return None
 
     def _gen_inlined_call(
-        self, inst: CallInst, cfi: int, regs: Dict[int, str], emit, variant: Variant
+        self, inst: CallInst, cfi: int, regs: Dict[int, str], emit, variant: Variant,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """A call to the leaf ``cfi`` from region code, run in the caller's
         locals behind a guard::
@@ -1263,6 +1401,9 @@ class _Compiler:
         operand expressions, and its ``ret`` assigns the call's own local.
         A one-block leaf is straight-line code; a larger one dispatches in
         a nested ``while`` on ``q{cfi}_bi`` and its ``ret`` breaks out.
+        Numbered code (``vn``) numbers each arm in a scope of its own, so
+        the leaf's locals, which the next inlined call reuses, leave no
+        fact behind, and forgets every memory fact after the call.
 
         The inline path never writes ``state.ret`` and never moves ``sp``
         (a leaf has no ``alloca``), and nothing can tell: ``call`` and
@@ -1282,26 +1423,29 @@ class _Compiler:
         arm = lambda line: emit("    " + line)
         inline = variant._replace(inject=None)
         emit(f"    if _dok and _ij != {cfi} and _c != _ca:")
-        if len(blocks) == 1 and isinstance(
-            blocks[0].terminator, (RetInst, UnreachableInst)
-        ):
-            def ret(value: Optional[str], out) -> None:
-                if d is not None:
-                    out(f"    {d} = {value}")
+        with _arm(vn):
+            if len(blocks) == 1 and isinstance(
+                blocks[0].terminator, (RetInst, UnreachableInst)
+            ):
+                def ret(value: Optional[str], out) -> None:
+                    if d is not None:
+                        out(f"    {d} = {value}")
 
-            self._gen_member(leaf, 0, lregs, arm, None, ret, inline, _HANG)
-        else:
-            def ret(value: Optional[str], out) -> None:
-                out(f"    {d} = {value}; break" if d is not None else "    break")
+                self._gen_member(leaf, 0, lregs, arm, None, ret, inline, _HANG, vn=vn)
+            else:
+                def ret(value: Optional[str], out) -> None:
+                    out(f"    {d} = {value}; break" if d is not None else "    break")
 
-            arm(f"    q{cfi}_bi = 0")
-            order = list(range(len(blocks)))
-            self._gen_dispatch(
-                leaf, order, self._dispatch_targets(leaf, order, 0), lregs, arm,
-                f"q{cfi}_bi", None, ret, inline, dict.fromkeys(order, _HANG),
-            )
+                arm(f"    q{cfi}_bi = 0")
+                order = list(range(len(blocks)))
+                self._gen_dispatch(
+                    leaf, order, self._dispatch_targets(leaf, order, 0), lregs, arm,
+                    f"q{cfi}_bi", None, ret, inline, dict.fromkeys(order, _HANG), vn,
+                )
         emit("    else:")
         self._gen_defined_call(inst, cfi, d, args, arm, variant)
+        if vn is not None:
+            vn.kill(call=True)
 
     # -- injection epilogue -----------------------------------------------------------------
 
@@ -1352,6 +1496,7 @@ class _Compiler:
         emit,
         local: bool = False,
         variant: Optional[Variant] = None,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """One instruction.  ``local`` marks operands that are Python
         locals (region code but a tracked region's own blocks): memory
@@ -1361,7 +1506,10 @@ class _Compiler:
         (``_a``, ``_v``, ``_r``), because a second ``f[k]`` read costs more
         than the temporary.  Region code (``variant``, its form) also
         writes the cycle counter back around calls (see
-        :meth:`_gen_counted_call`) and inlines leaf calls."""
+        :meth:`_gen_counted_call`) and inlines leaf calls; numbered region
+        code (``vn``) emits what :meth:`_gen_numbered` makes of it."""
+        if vn is not None and self._gen_numbered(inst, regs, emit, vn):
+            return
         e = lambda v: self._expr(v, regs)
         if isinstance(inst, BinaryOperator):
             self._gen_binop(inst, regs, emit, local)
@@ -1424,9 +1572,69 @@ class _Compiler:
                 emit(f"    {d} = _old")
             return
         if isinstance(inst, CallInst):
-            self._gen_call(inst, regs, emit, variant)
+            self._gen_call(inst, regs, emit, variant, vn)
             return
         raise InterpreterBug(f"no codegen for {inst!r}")
+
+    def _gen_numbered(
+        self, inst: Instruction, regs: Dict[int, str], emit, vn: _Numbering
+    ) -> bool:
+        """``inst`` in numbered region code, where its value number
+        changes what it emits (see :class:`_Numbering`): a pure value or a
+        load a register already holds is a copy of that register, a
+        memory access to an address accessed before drops its ``< 0`` and
+        ``None`` re-checks, and ``x + 1`` under a true ``x < y`` drops its
+        wrap.  False when ``inst`` is left to :meth:`_gen_instruction`."""
+        e = lambda v: self._expr(v, regs)
+        d = regs.get(id(inst))
+        shape = _pure_shape(inst)
+        if shape is not None:
+            key = (*shape, *(vn.of(e(o)) for o in inst.operands))
+        elif isinstance(inst, (LoadInst, StoreInst, AtomicRMWInst)):
+            a = e(inst.pointer)
+            load = isinstance(inst, LoadInst)
+            key = ("load", vn.of(a), vn.stores) if load else None
+            accessed = ("addr", vn.of(a), vn.calls)
+        else:
+            return False
+        held = None if key is None else vn.held(key)
+        if held is not None:
+            emit(f"    {d} = {held}")
+            vn.bind(d, vn.of(held))
+            return True
+        if shape is not None:
+            # the induction increment: x + 1 where x < y cannot wrap
+            one = lambda v: isinstance(v, Constant) and v.value == 1
+            if inst.opcode == "add" and any(map(one, inst.operands)) and (
+                "below", key[-2] if one(inst.rhs) else key[-1], shape[2]
+            ) in vn.facts:
+                emit(f"    {d} = {e(inst.lhs)} + {e(inst.rhs)}")
+            else:
+                self._gen_instruction(inst, regs, emit, local=True)
+            number = vn.define(key, d)
+            if isinstance(inst, ICmpInst):
+                vn.facts[("cmp", number)] = (inst.predicate, *key[-2:], shape[3])
+            return True
+        if accessed not in vn.facts:
+            self._gen_instruction(inst, regs, emit, local=True)
+        elif load:
+            emit(f"    try: {d} = cells[{a}]")
+            emit(f"    except IndexError: {d} = state.load_past({a})")
+        elif isinstance(inst, StoreInst):
+            v = e(inst.value)
+            emit(f"    try: cells[{a}] = {v}")
+            emit(f"    except IndexError: state.store_past({a}); cells[{a}] = {v}")
+        else:
+            emit(f"    try: _old = cells[{a}]")
+            emit(f"    except IndexError: _old = state.store_past({a})")
+            emit(f"    cells[{a}] = _old + {e(inst.value)}")
+            emit(f"    {d} = _old")
+        if load:
+            vn.define(key, d)
+        else:
+            vn.kill(call=False)
+        vn.facts[accessed] = True
+        return True
 
     def _gen_binop(
         self, inst: BinaryOperator, regs: Dict[int, str], emit, local: bool
@@ -1550,7 +1758,8 @@ class _Compiler:
         raise InterpreterBug(f"no codegen for cast {op}")
 
     def _gen_call(
-        self, inst: CallInst, regs: Dict[int, str], emit, variant: Optional[Variant]
+        self, inst: CallInst, regs: Dict[int, str], emit, variant: Optional[Variant],
+        vn: Optional[_Numbering] = None,
     ) -> None:
         e = lambda v: self._expr(v, regs)
         d = regs.get(id(inst))
@@ -1562,9 +1771,11 @@ class _Compiler:
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
             if region and cfi in self._leaf_regs:
-                self._gen_inlined_call(inst, cfi, regs, emit, variant)
+                self._gen_inlined_call(inst, cfi, regs, emit, variant, vn)
                 return
             self._gen_defined_call(inst, cfi, d, args, emit, variant)
+            if vn is not None:
+                vn.kill(call=True)
             return
         name = callee.name
         if name.startswith("ipas.check"):
@@ -1584,6 +1795,8 @@ class _Compiler:
                         getattr(checked, "name", "") or "<unnamed>",
                     )
                 )
+            if vn is not None and vn.of(args[0]) == vn.of(args[1]):
+                return  # a value compared with itself: the check cannot fire
             emit(f"    _x = {args[0]}; _y = {args[1]}")
             emit(
                 "    if _x != _y and not (_x != _x and _y != _y): "
@@ -1601,6 +1814,8 @@ class _Compiler:
             self._gen_counted_call(
                 f"state.{name}({', '.join(args)})", d, emit, region
             )
+            if vn is not None:
+                vn.kill(call=True)
             return
         raise InterpreterBug(f"no runtime binding for intrinsic {name}")
 
@@ -1655,6 +1870,7 @@ class _Compiler:
         leave: Callable[[BasicBlock, Callable], None],
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
         fall: bool = False,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """``leave(target, emit)`` emits the transfer to a successor block
         through ``emit`` (which carries the arm's indentation): ``return k``
@@ -1665,7 +1881,9 @@ class _Compiler:
         ``else:`` (an empty then arm is ``pass``, an empty else arm left
         out).  ``ret(value, emit)``, when given, emits a ``ret`` of the
         rendered ``value`` (None for ``ret void``) for an inlined leaf;
-        otherwise a ``ret`` sets ``state.ret`` and returns -1."""
+        otherwise a ``ret`` sets ``state.ret`` and returns -1.  Numbered
+        code (``vn``) numbers each arm in a scope that knows which way the
+        branch went."""
         e = lambda v: self._expr(v, regs)
         block = inst.parent
         if isinstance(inst, RetInst):
@@ -1684,28 +1902,33 @@ class _Compiler:
         if isinstance(inst, BranchInst):
             if not inst.is_conditional:
                 target = inst.targets[0]
-                self._gen_edge_copies(block, target, regs, emit)
+                self._gen_edge_copies(block, target, regs, emit, vn)
                 leave(target, emit)
                 return
             cond = inst.condition
             assert cond is not None
             then_b, else_b = inst.targets
-            emit(f"    if {e(cond)}:")
+            c = e(cond)
+            emit(f"    if {c}:")
             arm = lambda line: emit("    " + line)
             if not fall:
-                self._gen_edge_copies(block, then_b, regs, arm)
-                leave(then_b, arm)
-                self._gen_edge_copies(block, else_b, regs, emit)
-                leave(else_b, emit)
+                with _arm(vn, c, True):
+                    self._gen_edge_copies(block, then_b, regs, arm, vn)
+                    leave(then_b, arm)
+                with _arm(vn, c, False):
+                    self._gen_edge_copies(block, else_b, regs, emit, vn)
+                    leave(else_b, emit)
                 return
             then_lines: List[str] = []
-            self._gen_edge_copies(block, then_b, regs, then_lines.append)
-            leave(then_b, then_lines.append)
+            with _arm(vn, c, True):
+                self._gen_edge_copies(block, then_b, regs, then_lines.append, vn)
+                leave(then_b, then_lines.append)
             for line in then_lines or ["    pass"]:
                 arm(line)
             else_lines: List[str] = []
-            self._gen_edge_copies(block, else_b, regs, else_lines.append)
-            leave(else_b, else_lines.append)
+            with _arm(vn, c, False):
+                self._gen_edge_copies(block, else_b, regs, else_lines.append, vn)
+                leave(else_b, else_lines.append)
             if else_lines:
                 emit("    else:")
                 for line in else_lines:
@@ -1714,10 +1937,12 @@ class _Compiler:
         raise InterpreterBug(f"no codegen for terminator {inst!r}")
 
     def _gen_edge_copies(
-        self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit
+        self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """Parallel phi copies on the edge pred -> succ (one tuple
-        assignment: Python evaluates every source before the first store)."""
+        assignment: Python evaluates every source before the first store).
+        Numbered code (``vn``) gives each phi a value of its own."""
         phis = succ.phis()
         if phis:
             dsts = ", ".join(regs[id(phi)] for phi in phis)
@@ -1725,6 +1950,8 @@ class _Compiler:
                 self._expr(phi.incoming_for_block(pred), regs) for phi in phis
             )
             emit(f"    {dsts} = {srcs}")
+            for phi in phis if vn is not None else ():
+                vn.bind(regs[id(phi)])
 
 
 #: intrinsic name -> name of the guarded runtime helper in EXEC_GLOBALS

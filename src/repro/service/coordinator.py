@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..faults.parallel import CampaignCheckpoint, TrialPlan
 from ..faults.spec import CampaignSpec
-from ..faults.supervisor import backoff_delay
+from ..faults.supervisor import backoff_delay, validate_seconds
 from ..obs.registry import MetricsRegistry
 from . import protocol
 from .journal import JobJournal
@@ -170,6 +170,10 @@ class CoordinatorServer:
         registry: Optional[MetricsRegistry] = None,
         tracer=None,
     ):
+        # A NaN lease deadline is never due, so a dead worker's chunk
+        # would never be requeued.
+        validate_seconds(lease_timeout, "lease_timeout")
+        validate_seconds(solo_grace, "solo_grace")
         self.journal = JobJournal(journal_dir)
         self.host = host
         self.port = port

@@ -329,6 +329,46 @@ class TestSupervisionFlagValidation:
         assert _resolve_supervision(args) is None
 
 
+class TestServiceTimingFlags:
+    """``serve --lease-timeout/--solo-grace`` and ``worker --idle-exit``
+    take a finite number of seconds > 0, checked at parse time: a NaN
+    lease deadline is never due, so a dead worker's chunk would never be
+    requeued."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1.5"])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["serve", "--journal", "j"], "--lease-timeout"),
+            (["serve", "--journal", "j"], "--solo-grace"),
+            (["worker"], "--idle-exit"),
+        ],
+    )
+    def test_rejects_bad_value_naming_flag(self, capsys, argv, flag, value):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv + [f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err
+        assert value in err
+
+    def test_accepts_good_values_and_an_unset_idle_exit(self):
+        args = build_parser().parse_args(
+            ["serve", "--journal", "j", "--lease-timeout", "2.5", "--solo-grace", "0.1"]
+        )
+        assert (args.lease_timeout, args.solo_grace) == (2.5, 0.1)
+        assert build_parser().parse_args(["worker", "--idle-exit", "3"]).idle_exit == 3.0
+        assert build_parser().parse_args(["worker"]).idle_exit is None
+
+    @pytest.mark.parametrize("knob", ["lease_timeout", "solo_grace"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_coordinator_refuses_the_same_values(self, tmp_path, knob, value):
+        from repro.service.coordinator import CoordinatorServer
+
+        with pytest.raises(ValueError, match=knob):
+            CoordinatorServer(str(tmp_path), **{knob: value})
+
+
 class TestServiceCommands:
     def test_submit_requires_address(self, capsys):
         assert main(["submit", "fft", "--trials", "4"]) == 2

@@ -163,16 +163,31 @@ REPO = Path(__file__).resolve().parent.parent
 
 
 def documented_paths():
-    """(doc, path) for every backquoted repo path in docs/*.md and
-    README.md: ``benchmarks/…``, ``src/…``, ``tests/…`` (a pytest node id
-    ``file::Name`` included) and root ``BENCH_*.json`` files."""
+    """(doc, path) for every backquoted repo path in docs/*.md, README.md,
+    DESIGN.md, EXPERIMENTS.md and the verify skill's SKILL.md:
+    ``benchmarks/…``, ``src/…``, ``tests/…`` (a pytest node id
+    ``file::Name`` or a glob such as ``tests/test_workloads*`` included)
+    and root ``BENCH_*.json`` files."""
     pattern = re.compile(r"`((?:benchmarks|src|tests)/[^`\s]*|BENCH_[^`\s]*\.json)`")
-    docs = sorted((REPO / "docs").glob("*.md")) + [REPO / "README.md"]
+    docs = sorted((REPO / "docs").glob("*.md")) + [
+        REPO / name
+        for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
+                     ".claude/skills/verify/SKILL.md")
+    ]
     return [
         (doc.relative_to(REPO), path)
         for doc in docs
         for path in pattern.findall(doc.read_text())
     ]
+
+
+def resolve(path):
+    """The files a documented path names: itself, or what its glob
+    matches."""
+    if any(c in path for c in "*?["):
+        return sorted(REPO.glob(path))
+    target = REPO / path
+    return [target] if target.exists() else []
 
 
 class TestDocumentedPathsExist:
@@ -183,11 +198,11 @@ class TestDocumentedPathsExist:
         missing = []
         for doc, path in documented_paths():
             file, *names = path.split("::")
-            target = REPO / file
-            if not target.exists():
+            targets = resolve(file)
+            if not targets:
                 missing.append(f"{doc}: {path}")
                 continue
-            source = target.read_text() if names else ""
+            source = "".join(t.read_text() for t in targets) if names else ""
             for name in names:
                 if not re.search(rf"^\s*(?:def|class) {re.escape(name)}\b", source, re.M):
                     missing.append(f"{doc}: {path}")
@@ -195,3 +210,9 @@ class TestDocumentedPathsExist:
 
     def test_scan_found_paths(self):
         assert len(documented_paths()) >= 20
+
+    def test_scan_covers_every_doc_and_resolves_globs(self):
+        scanned = {str(doc) for doc, _ in documented_paths()}
+        assert {"DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} <= scanned
+        assert resolve("tests/test_workloads*") == [REPO / "tests" / "test_workloads.py"]
+        assert resolve("tests/test_no_such_module*") == []

@@ -119,6 +119,15 @@ def subject(name):
     return JoinShapes() if name == JoinShapes.name else get_workload(name)
 
 
+def fully_duplicated(name):
+    """Input 1 of the registered workload ``name``, every eligible
+    instruction duplicated and checked."""
+    w = get_workload(name)
+    module = w.compile()
+    duplicate_instructions(module, FullDuplicationSelector().select(module))
+    return w.make_interpreter(1, module=module)
+
+
 def flip(inst, occurrence, bit):
     """The transient-1bit injection: flip ``bit`` of ``inst``'s result at
     its ``occurrence``-th execution."""
@@ -663,6 +672,54 @@ class TestRegionSources:
             injectable += len(injected)
         assert injectable
 
+    #: sha256 of the sorted (filename, source) pairs of the injectable
+    #: region variants (both epilogues) at the first value of every region
+    #: member below: lean and profiled code number values, these forms
+    #: do not
+    INJECTED_REGION_SOURCES = (
+        506, "1472ad538aff845f780b5253fa04f555ddb985733b1ef68688fc52161fc00f3c"
+    )
+
+    def test_injectable_region_sources_are_pinned(self, monkeypatch):
+        """Every injectable region variant of the six workloads, plain and
+        fully duplicated, at every member block that holds a site: value
+        numbering leaves them byte-identical."""
+        sources = all_sources(monkeypatch)
+        kept = []
+        for _, _, module in workload_modules():
+            cm = Interpreter(module).cm
+            sources.clear()
+            for cf in cm.cfuncs:
+                for bi in sorted(cf.region_of):
+                    insts = cf.fn.blocks[bi].instructions
+                    if any(id(i) in cm.records and not isinstance(i, PhiNode) for i in insts):
+                        for mode in ("once", "multi"):
+                            cm.injected_region_entries(first_value_in(cm, cf, bi), mode)
+            kept += [s for s in sources if s[0].startswith("<region ")]
+        kept.sort()
+        got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
+        assert got == self.INJECTED_REGION_SOURCES
+
+    def test_values_are_computed_once(self, monkeypatch):
+        """What value numbering saves, by count: the fft butterfly's second
+        loads of ``re[b]`` and ``im[b]`` and the re-checks of the four
+        cells it stores to, the ``n - 1`` that ``spmv_slab`` recomputes
+        for each neighbour test, and every check of a fully duplicated
+        ``waxpby``, whose shadow values its lean code computes from the
+        same operands as their originals."""
+        sources = compiled_sources(monkeypatch)
+        get_workload("fft").make_interpreter(1)
+        butterfly = sources["<region fft_row.for.cond7>"]
+        assert butterfly.count("state.load_past") == 4
+        assert butterfly.count("_old = cells[") == 0
+        assert butterfly.count("state.store_past") == 4
+        get_workload("hpccg").make_interpreter(1)
+        nest = sources["<region spmv_slab.for.cond5>"]
+        assert len(re.findall(r"= r2 - 1$", nest, re.M)) == 1
+        fully_duplicated("hpccg")
+        assert "check_failed" not in sources["<region waxpby.for.cond1>"]
+        assert "check_failed" in sources["<block waxpby.for.body2>"]
+
     def test_block_and_resume_sources_are_pinned(self, monkeypatch):
         """Every block function, resume variant and injectable block
         variant (each epilogue) of the six workloads, plain and fully
@@ -692,6 +749,86 @@ class TestGoldenEquivalence:
     def test_golden_run(self, name):
         interp = get_workload(name).make_interpreter(1)
         fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    @pytest.mark.parametrize("name", ["fft", "hpccg"])
+    def test_golden_run_fully_duplicated(self, name):
+        """Lean code leaves out the checks whose two operands it numbers
+        alike, which the per-block table still makes."""
+        fast, reference = both_ways(fully_duplicated(name), profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    @pytest.mark.parametrize("bit", [0, 3, 40])
+    def test_a_check_in_region_code_detects_a_value_from_outside(self, bit):
+        """``k`` is flipped in the entry block, where the product its check
+        guards masks it; ``k`` and its shadow then enter the loop's region
+        through the frame, so they are two values there, and the loop
+        body's check, in lean code, detects the fault."""
+        source = """
+        output double result[2];
+        int n = 40;
+        int m = 7;
+        void main() {
+            int k = m * 3;
+            int dead = k * 0;
+            double s = (double)dead;
+            for (int i = 0; i < n; i = i + 1) { s = s + (double)(k + i); }
+            result[0] = s;
+        }
+        """
+        module = compile_source(source)
+        duplicate_instructions(module, FullDuplicationSelector().select(module))
+        interp = Interpreter(module)
+        k = next(i for i in module.functions["main"].blocks[0].instructions
+                 if i.opcode == "mul")
+        fast, reference = both_ways(interp, injection=flip(k, 1, bit))
+        assert fast["status"] == "detected"
+        assert fast == reference
+
+    def test_values_are_numbered_afresh_at_each_loop_header(self):
+        """The inner loop's header computes ``i * 2`` every inner
+        iteration, and the outer body computes it again; the outer header,
+        a dispatch target emitted after the inner one, sees a new ``i``
+        and must compute its own product."""
+        source = """
+        output double result[2];
+        int n = 6;
+        void main() {
+            double acc = 0.0;
+            for (int i = 0; i < n; i = i + 1) {
+                int t = i * 2;
+                for (int j = 0; j < i * 2 + 1; j = j + 1) { acc = acc + (double)j; }
+                acc = acc + (double)t;
+            }
+            result[0] = acc;
+        }
+        """
+        fast, reference = both_ways(Interpreter(compile_source(source)), profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    def test_a_call_forgets_what_was_loaded(self):
+        """``outer`` calls a defined function, so it is no leaf and the loop
+        makes a real call between its two loads of ``a[k]``; the callee
+        stores to that cell, so the second load must read it again."""
+        source = """
+        output double result[2];
+        double a[4];
+        void inner(int i) { a[i] = a[i] + 1.0; }
+        void outer(int i) { inner(i); }
+        void main() {
+            double s = 0.0;
+            for (int k = 0; k < 4; k = k + 1) {
+                double x = a[k];
+                outer(k);
+                s = s + x * 10.0 + a[k];
+            }
+            result[0] = s;
+        }
+        """
+        fast, reference = both_ways(Interpreter(compile_source(source)), profile=True)
         assert fast["status"] == "ok"
         assert fast == reference
 
@@ -846,13 +983,14 @@ class TestGoldenEquivalence:
 
 @pytest.fixture(scope="module")
 def prepared_campaigns():
-    """Prepared cold fft, hpccg and join-shape campaigns, shared by every
+    """Prepared cold fft, hpccg and join-shape campaigns, and fully
+    duplicated fft and hpccg ones (``fft/full``), shared by every
     example."""
     campaigns = {}
-    for name in ("fft", "hpccg", JoinShapes.name):
-        w = subject(name)
+    for name in ("fft", "hpccg", JoinShapes.name, "fft/full", "hpccg/full"):
+        w = subject(name.split("/")[0])
         campaigns[name] = Campaign(
-            w.make_interpreter(1),
+            fully_duplicated(w.name) if name.endswith("/full") else w.make_interpreter(1),
             verifier=w.verifier(),
             entry=w.entry,
             budget_factor=w.budget_factor,
@@ -874,11 +1012,13 @@ def trial(campaign, site, site_index, budget):
 
 
 class TestRandomTrials:
-    @settings(derandomize=True, database=None, max_examples=36, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(data=st.data())
     def test_region_and_block_tables_agree(self, prepared_campaigns, data):
-        """A site drawn from the fft, hpccg or join-shape fault population,
-        under a random cycle budget or none drawn.  With none drawn the
+        """A site drawn from the fault population of fft, hpccg, the join
+        shapes, or fully duplicated fft or hpccg (whose checks detect the
+        fault in the per-block table, and must in region code too), under
+        a random cycle budget or none drawn.  With none drawn the
         trial runs under the campaign's own budget, which bounds a fault
         that makes a loop run away."""
         name = data.draw(st.sampled_from(sorted(prepared_campaigns)))
@@ -921,6 +1061,27 @@ class TestCampaignEquivalence:
         ]
         assert in_region  # the injected region variants are exercised
         with per_block_dispatch(cm):
+            reference = campaign_entries(campaign, 20, seed=11)
+        assert fast == reference
+
+    @pytest.mark.parametrize("model", list(FAULT_MODELS))
+    @pytest.mark.parametrize("name", ["fft", "hpccg"])
+    def test_cold_fully_duplicated_trials(self, name, model):
+        """Lean code numbers a shadow value like its original and drops
+        their check; a fault still reaches it through the frame or
+        memory, so outcomes (``DETECTED`` ones included) and cycles stay
+        those of the per-block table."""
+        w = get_workload(name)
+        campaign = Campaign(
+            fully_duplicated(name),
+            verifier=w.verifier(),
+            entry=w.entry,
+            budget_factor=w.budget_factor,
+            fault_model=model,
+        )
+        fast = campaign_entries(campaign, 20, seed=11)
+        assert any(entry["outcome"] == "detected" for entry in fast)
+        with per_block_dispatch(campaign.interp.cm):
             reference = campaign_entries(campaign, 20, seed=11)
         assert fast == reference
 
