@@ -44,7 +44,11 @@ order, and block functions test the budget and bump the profile at every
 block.  Region code tests the budget only where a static bound says a
 budget could run out (see :meth:`_Compiler._plan_region`) and, near one,
 steps that stretch on the per-block table; lean region code bumps no
-profile, and profiled runs dispatch through ``profiled_fns``.
+profile, and profiled runs dispatch through ``profiled_fns``.  Lean and
+profiled region code compute each value once: they number values within
+a member's dominators and compute each loop's invariants, those that
+cannot raise, once per entry into the loop instead of every iteration
+(see :meth:`_Compiler._gen_region`).
 
 Semantics implemented exactly:
 
@@ -86,6 +90,7 @@ import struct
 from collections import ChainMap
 from contextlib import contextmanager, nullcontext
 from functools import partial
+from itertools import count
 from typing import (
     Callable, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple,
 )
@@ -213,28 +218,37 @@ class Region:
     first), where its code places them (the blocks it is entered at, i.e.
     the dispatch targets, header included, and the joins; see
     :meth:`_Compiler._dispatch_targets`), the slots loaded into locals at
-    entry, per exit target the slots written back to the frame list
-    before returning, and its test points with their bounds (see
-    :meth:`_Compiler._plan_region`)."""
+    entry (all entries' and each entry's own), per exit target the slots
+    written back to the frame list before returning, its test points with
+    their bounds (see :meth:`_Compiler._plan_region`), and its natural
+    loops."""
 
     __slots__ = (
-        "header", "order", "entries", "joins", "loads", "exit_stores", "bounds",
+        "header", "order", "entries", "joins", "loads", "entry_loads",
+        "exit_stores", "bounds", "loops",
     )
 
     def __init__(
         self, header: int, order: List[int], entries: List[int],
-        joins: Dict[int, int], loads: List[int],
+        joins: Dict[int, int], entry_loads: Dict[int, List[int]],
         exit_stores: Dict[int, List[int]], bounds: Dict[int, int],
+        loops: List[Tuple[int, List[int]]],
     ):
         self.header = header
         self.order = order
         self.entries = entries
         self.joins = joins
-        self.loads = loads
+        #: entry -> the slots a read from that entry may see unassigned
+        self.entry_loads = entry_loads
+        #: every entry's slots, which a one-prologue form loads
+        self.loads = sorted(set().union(*entry_loads.values()))
         self.exit_stores = exit_stores
         #: test point -> the largest charge region code can add after the
         #: point's own charge before the next test point, back edge or exit
         self.bounds = bounds
+        #: (header, members in reverse postorder) of every natural loop in
+        #: the region, each after the loops that hold it
+        self.loops = loops
 
 
 class InstructionRecord:
@@ -505,6 +519,32 @@ def _pure_shape(inst: Instruction) -> Optional[Tuple]:
     return None
 
 
+#: the opcodes no value a register may hold makes raise: an int, a float
+#: or a bool, since a wild store puts any of them in any cell.  Shifts and
+#: bitwise ops raise on a float, ``sdiv``/``srem``/``fptosi`` trap, and so
+#: do masking casts, loads and calls.
+_HOISTABLE = frozenset(
+    {"add", "sub", "mul", "fadd", "fsub", "fmul", "icmp", "fcmp", "gep", "select"}
+)
+
+
+def _hoistable(inst: Instruction) -> bool:
+    """Whether region code may compute ``inst`` at a loop's entry, where
+    its block may never run (see :meth:`_Compiler._plan_hoists`)."""
+    return inst.opcode in _HOISTABLE
+
+
+class _Hoists(NamedTuple):
+    """The loop invariants of a region's numbered forms (see
+    :meth:`_Compiler._plan_hoists`)."""
+
+    #: loop header -> (the loop's members, the lines computing its
+    #: invariants), each loop after the loops that hold it
+    loops: Dict[int, Tuple[FrozenSet[int], List[str]]]
+    #: dispatch target -> the facts its numbering starts from
+    seeds: Dict[int, ChainMap]
+
+
 #: (icmp predicate, branch direction) -> the operand a branch arm knows
 #: to be below the other one
 _BELOW = {("slt", True): 0, ("sgt", True): 1, ("sge", False): 0, ("sle", False): 1}
@@ -518,8 +558,9 @@ class _Numbering:
     ``facts`` is a chain of scopes that follows emission nesting, which
     is the dominator tree: :meth:`arm` opens a scope per branch arm and
     inlined call, so what an arm learns ends with it, and :meth:`barrier`
-    starts an empty chain at every dispatch target, where the loop
-    carries new values in.  It maps
+    starts a chain at every dispatch target, where the loop carries new
+    values in, holding only the facts of the loop invariants hoisted for
+    it.  It maps
 
     * a rendered operand (``r12``, ``q0_3``, ``1``) to its number, a
       fresh one the first time the chain reads it;
@@ -540,6 +581,7 @@ class _Numbering:
 
     def __init__(self) -> None:
         self.facts: ChainMap = ChainMap()
+        self.seed: ChainMap = ChainMap()
         self.numbers = 0
         self.stores = 0
         self.calls = 0
@@ -588,12 +630,19 @@ class _Numbering:
             self.facts = self.facts.parents
 
     @contextmanager
-    def barrier(self) -> Iterator[None]:
-        saved, self.facts = self.facts, ChainMap()
+    def barrier(self, seed: Optional[ChainMap] = None) -> Iterator[None]:
+        """Forget every fact but ``seed``'s: a region passes the hoisted
+        facts of the loops that hold the dispatch target (see
+        :meth:`_Compiler._plan_hoists`), an inlined leaf's dispatch keeps
+        the facts its caller's target started with."""
+        saved = self.facts, self.seed
+        if seed is not None:
+            self.seed = seed
+        self.facts = self.seed.new_child()
         try:
             yield
         finally:
-            self.facts = saved
+            self.facts, self.seed = saved
 
 
 def _arm(vn: Optional[_Numbering], cond: Optional[str] = None, truth: bool = True):
@@ -840,11 +889,14 @@ class _Compiler:
 
     def _find_regions(self, cf: CompiledFunction) -> List[Region]:
         """Plan one region per outermost natural loop."""
-        loops = LoopInfo(cf.fn)
+        dom = DominatorTree(cf.fn)
+        loops = LoopInfo(cf.fn, dom)
         index = self._block_index[cf.index]
+        rpo = [index[id(b)] for b in dom.reachable_blocks]
         claimed: Set[BasicBlock] = set()
         regions = []
-        for loop in sorted(loops.loops, key=lambda lp: -len(lp.blocks)):
+        nests = sorted(loops.loops, key=lambda lp: -len(lp.blocks))
+        for loop in nests:
             if claimed & loop.blocks:
                 continue
             claimed |= loop.blocks
@@ -852,11 +904,16 @@ class _Compiler:
                 loop.blocks,
                 key=lambda b: (-loops.loop_nest_depth(b), index[id(b)]),
             )
-            regions.append(self._plan_region(cf, loop.header, order))
+            inner = [
+                (index[id(lp.header)], [bi for bi in rpo if cf.fn.blocks[bi] in lp.blocks])
+                for lp in nests if lp.blocks <= loop.blocks
+            ]
+            regions.append(self._plan_region(cf, loop.header, order, inner))
         return regions
 
     def _plan_region(
-        self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock]
+        self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock],
+        loops: List[Tuple[int, List[int]]],
     ) -> Region:
         """Where a region is entered, which slots it loads at entry, which
         it stores at each exit, and where its lean code tests the budget.
@@ -868,8 +925,10 @@ class _Compiler:
         slot is loaded when, from some entry, a read in the region may
         execute before the region assigns it (a must-assigned analysis
         over the region's CFG from each entry; the entry block's phis were
-        written by the edge into it, so they always load); one prologue
-        loads the union.  A slot the region assigns is stored at an exit
+        written by the edge into it, so they always load).  Numbered code
+        loads the header entry's set, and each other entry's extra slots
+        under ``if bi == K:``; the injectable forms' one prologue loads the
+        union.  A slot the region assigns is stored at an exit
         when code outside the region reads it, or when the header entry
         loads it and no entry edge rewrites it first (a later entry must
         see the latest value).  A slot only an inner entry loads needs no
@@ -966,15 +1025,16 @@ class _Compiler:
             cf, [index[id(b)] for b in order], index[id(header)]
         )
         assigned = {bi: must_assigned(blocks[bi]) for bi in entries}
-        header_loads = read_first(assigned[index[id(header)]])
-        loads = header_loads.union(*(read_first(a) for a in assigned.values()))
+        entry_loads = {bi: read_first(a) for bi, a in assigned.items()}
+        header_loads = entry_loads[index[id(header)]]
         exits = [
             (b, succ) for b in order for succ in b.successors() if succ not in inside
         ]
         stores = every & (outside_reads | (header_loads - phis(header)))
-        for assigned_in in assigned.values():
+        for bi, assigned_in in assigned.items():
             for b, _ in exits:
-                loads |= stores - assigned_in[b] - defs[b]
+                entry_loads[bi] |= stores - assigned_in[b] - defs[b]
+        loads = set().union(*entry_loads.values())
         exit_stores = {
             index[id(succ)]: sorted(stores | (phis(succ) & (outside_reads | loads)))
             for _, succ in exits
@@ -1000,8 +1060,9 @@ class _Compiler:
             return after[bi]
 
         return Region(
-            index[id(header)], members, entries, joins, sorted(loads), exit_stores,
-            {bi: bound(bi) for bi in sorted(points)},
+            index[id(header)], members, entries, joins,
+            {bi: sorted(s) for bi, s in entry_loads.items()}, exit_stores,
+            {bi: bound(bi) for bi in sorted(points)}, loops,
         )
 
     def _gen_region(
@@ -1064,13 +1125,22 @@ class _Compiler:
         computed is a copy of the register holding it, a memory access to
         an address accessed before drops its re-checks, ``x + 1`` under a
         true ``x < y`` drops its wrap, and a duplication check whose two
-        operands have one number is left out.  Every register is still
-        assigned, so frames, deopt exits, loads, exit stores and charges
-        are those of the unnumbered code.  A fault enters these forms only
-        through the frame, memory or a call's result, written by an
-        injectable variant outside them, so every value it corrupts gets
-        a number of its own; the tracked and injectable forms, which
-        themselves hold a trial's fault, are not numbered.
+        operands have one number is left out.  They also hoist each loop's
+        invariants (:meth:`_plan_hoists`): computed on every edge into the
+        loop's header from outside the loop and, in the prologue, for each
+        entry the loop holds, outermost loop first, they seed the
+        numbering at the loop's dispatch targets, so the loop copies them.
+        Their prologue loads only each entry's own slots (see
+        :meth:`_plan_region`) and computes the inline guard's invariant
+        part (see :meth:`_gen_inlined_call`).  Every register is still
+        assigned at its own block, so frames, deopt exits, exit stores and
+        charges are those of the unnumbered code.  A fault enters these
+        forms only through the frame, memory or a call's result, written
+        by an injectable variant outside them, so every value it corrupts
+        gets a number of its own, and a register defined outside a loop
+        keeps its value while control stays in the loop; the tracked and
+        injectable forms, which themselves hold a trial's fault, are not
+        numbered.
         """
         blocks = cf.fn.blocks
         tracked = variant.tracked
@@ -1096,14 +1166,44 @@ class _Compiler:
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
+        numbered = variant.inject is None and not tracked
         if leaves:
             emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
             emit("    _ca = state.inj_call_at")
             emit("    _dok = state.depth < state.DEFAULT_MAX_DEPTH")
+            for cfi in sorted(leaves) if numbered else ():
+                emit(f"    _in{cfi} = _dok and _ij != {cfi}")
         self._gen_slot_load(variant.inject, emit)
+        vn = hoists = None
         if tracked:
             regs = self._frame_regs[cf.index]
             tests = dict.fromkeys(region.order, 0)
+        elif numbered:
+            regs = self._local_regs[cf.index]
+            tests = region.bounds
+            vn = _Numbering()
+            hoists = self._plan_hoists(cf, region, vn)
+            # The header entry's slots and the outermost loop's invariants,
+            # then each other entry's extra slots and the invariants of the
+            # inner loops that hold it, outermost first.
+            own = region.entry_loads[region.header]
+            for s in own:
+                emit(f"    r{s} = f[{s}]")
+            for line in hoists.loops[region.header][1]:
+                emit(line)
+            test = "if"
+            for k in region.entries:
+                if k == region.header:
+                    continue
+                body = [f"    r{s} = f[{s}]" for s in region.entry_loads[k] if s not in own]
+                for h, (members, invariants) in hoists.loops.items():
+                    if h != region.header and k in members:
+                        body += invariants
+                if body:
+                    emit(f"    {test} bi == {k}:")
+                    test = "elif"
+                    for line in body:
+                        emit("    " + line)
         else:
             regs = self._local_regs[cf.index]
             tests = region.bounds
@@ -1118,11 +1218,10 @@ class _Compiler:
             stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
             out(f"    state.cycles = _c; {stores}return {k}")
 
-        numbered = variant.inject is None and not tracked
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
             lambda line: emit("    " + line), "bi", leave_region, None, variant, tests,
-            _Numbering() if numbered else None,
+            vn, hoists,
         )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
@@ -1133,6 +1232,89 @@ class _Compiler:
             "\n".join(lines) + "\n", f"<{variant.name} {cf.name}.{header.name}>",
             "_region",
         )
+
+    def _plan_hoists(
+        self, cf: CompiledFunction, region: Region, vn: _Numbering
+    ) -> _Hoists:
+        """The invariants of each loop of ``region``, numbered by ``vn``.
+
+        An instruction anywhere in a loop, an inlined leaf's included, is
+        hoisted when it is :func:`_hoistable` and each operand is a
+        constant, a value defined outside the loop or one hoisted already.
+        Each pure shape and operand numbers is computed once, into a local
+        ``_h{n}`` (no register: :func:`sync_frame` ignores it); an outer
+        loop's hoist serves its inner loops.  A loop's facts (the numbers
+        of its hoists and their operands) chain onto the facts of the loop
+        that holds it and seed the numbering at each dispatch target in
+        the loop, where a hoisted computation becomes a copy.  They hold
+        there: an operand defined outside the loop keeps its register's
+        value while control stays in the loop, and every way into the
+        loop computes the hoists afresh, from the registers it has.
+        """
+        blocks = cf.fn.blocks
+        index = self._block_index[cf.index]
+        regs = self._local_regs[cf.index]
+        loops: Dict[int, Tuple[FrozenSet[int], List[str]]] = {}
+        chains: Dict[int, ChainMap] = {}
+        fresh = (f"_h{n}" for n in count())
+
+        def innermost(bi: int) -> Optional[int]:
+            """The header of the innermost loop planned so far holding ``bi``."""
+            holders = [h for h, (members, _) in loops.items() if bi in members]
+            return min(holders, key=lambda h: len(loops[h][0]), default=None)
+
+        def hoist(inst: Instruction, render, into: Dict[int, str], lines: List[str]) -> None:
+            """Hoist ``inst`` into ``into`` when it is hoistable and ``render``
+            renders each operand (None: a value that varies in the loop)."""
+            if not _hoistable(inst):
+                return
+            values = {id(o): render(o) for o in inst.operands}
+            if None in values.values():
+                return
+            key = (*_pure_shape(inst), *(vn.of(values[id(o)]) for o in inst.operands))
+            local = vn.held(key)
+            if local is None:
+                local = values[id(inst)] = next(fresh)
+                self._gen_numbered(inst, values, lines.append, vn)
+            into[id(inst)] = local
+
+        for header, members in region.loops:
+            inside = frozenset(members)
+            holder = innermost(header)
+            vn.facts = ChainMap() if holder is None else chains[holder].new_child()
+            lines: List[str] = []
+            hoisted: Dict[int, str] = {}
+
+            def outer(value: Value) -> Optional[str]:
+                if id(value) in hoisted:
+                    return hoisted[id(value)]
+                if isinstance(value, Instruction) and index[id(value.parent)] in inside:
+                    return None
+                return self._expr(value, regs)
+
+            for bi in members:
+                for inst in blocks[bi].instructions:
+                    cfi = self._leaf_callee(inst)
+                    if cfi is None:
+                        hoist(inst, outer, hoisted, lines)
+                        continue
+                    # the leaf's own values vary unless hoisted; its
+                    # arguments are the call's operands
+                    leaf = self.cm.cfuncs[cfi].fn
+                    known = {id(p): outer(a) for p, a in zip(leaf.args, inst.operands)}
+
+                    def inner(value: Value) -> Optional[str]:
+                        if isinstance(value, (Instruction, Argument)):
+                            return known.get(id(value))
+                        return self._expr(value, {})
+
+                    for block in DominatorTree(leaf).reachable_blocks:
+                        for leaf_inst in block.instructions:
+                            hoist(leaf_inst, inner, known, lines)
+            loops[header] = (inside, lines)
+            chains[header] = vn.facts
+        vn.facts = ChainMap()
+        return _Hoists(loops, {k: chains[innermost(k)] for k in region.entries})
 
     def _gen_dispatch(
         self,
@@ -1147,13 +1329,17 @@ class _Compiler:
         variant: Variant,
         tests: Dict[int, int],
         vn: Optional[_Numbering] = None,
+        hoists: Optional[_Hoists] = None,
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
         ``placement`` (their :meth:`_dispatch_targets`) says, each block in
         ``variant``'s form with the budget test ``tests`` holds for it
         (see :meth:`_gen_member`; none where it holds none), numbered by
-        ``vn`` afresh from each dispatch target on.
+        ``vn`` afresh from each dispatch target on, from the facts
+        ``hoists`` seeds it with there (a leaf's targets keep its caller
+        target's), and with ``hoists``' lines for a loop on every edge into
+        its header from outside it.
 
         Each block is emitted once, at its immediate dominator: a block
         entered by exactly one edge inside the branch arm of that edge, a
@@ -1176,17 +1362,23 @@ class _Compiler:
             join = joins.get(bi)
             inner = follow if join is None else join
             self._gen_member(
-                cf, bi, regs, o, lambda target, oo: leave(target, oo, inner),
+                cf, bi, regs, o, lambda target, oo: leave(target, oo, inner, bi),
                 ret, variant, tests.get(bi), fall=inner is not None, vn=vn,
             )
             if join is not None:
                 gen_member(join, o, follow)
 
-        def leave(target: BasicBlock, o, follow: Optional[int]) -> None:
+        def leave(target: BasicBlock, o, follow: Optional[int], src: int) -> None:
             k = index[id(target)]
             if k == follow:
                 return
             if k in dispatched:
+                # an edge into a loop from outside it computes the loop's
+                # invariants
+                loop = hoists.loops.get(k) if hoists is not None else None
+                if loop is not None and src not in loop[0]:
+                    for line in loop[1]:
+                        o(line)
                 o(f"    {bvar} = {k}; continue")
             elif k in members:
                 gen_member(k, o, follow)
@@ -1200,7 +1392,8 @@ class _Compiler:
                 pad = "        "
             else:
                 pad = "    "
-            with nullcontext() if vn is None else vn.barrier():
+            seed = hoists.seeds[bi] if hoists is not None else None
+            with nullcontext() if vn is None else vn.barrier(seed):
                 gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
 
     def _dispatch_targets(
@@ -1392,7 +1585,8 @@ class _Compiler:
         call to the injected function ``_ij`` of a counting run
         (``state.inj_cfi``, -1 in a tripping run; it counts there), and
         when the call would exceed ``Interpreter.DEFAULT_MAX_DEPTH`` (it
-        raises ``StackOverflow``).
+        raises ``StackOverflow``).  Numbered code tests ``_in{cfi}``
+        instead of ``_dok and _ij != cfi``, which its prologue computes.
         Each inlined block charges ``_c`` and, in ``variant``'s form, bumps
         the profile with the leaf's own gid, as the call would, and tests
         the hang budget, so a trap, hang or failed check leaves through the
@@ -1422,7 +1616,8 @@ class _Compiler:
         blocks = leaf.fn.blocks
         arm = lambda line: emit("    " + line)
         inline = variant._replace(inject=None)
-        emit(f"    if _dok and _ij != {cfi} and _c != _ca:")
+        guard = f"_dok and _ij != {cfi}" if vn is None else f"_in{cfi}"
+        emit(f"    if {guard} and _c != _ca:")
         with _arm(vn):
             if len(blocks) == 1 and isinstance(
                 blocks[0].terminator, (RetInst, UnreachableInst)

@@ -39,8 +39,16 @@ from repro.interp import Interpreter
 from repro.interp import compiler
 from repro.interp.costmodel import CostModel
 from repro.interp.errors import MemoryFault
-from repro.ir.instructions import CallInst, PhiNode
-from repro.ir import parse_module, print_module
+from repro.ir.instructions import (
+    DEFAULT_OPCODE_COSTS, FP_ARITH_OPS, INT_ARITH_OPS, INT_LOGIC_OPS,
+    AllocaInst, AtomicRMWInst, BinaryOperator, BranchInst, CallInst, CastInst,
+    FCmpInst, GEPInst, ICmpInst, LoadInst, PhiNode, RetInst, SelectInst,
+    StoreInst, UnreachableInst,
+)
+from repro.ir import (
+    F64, I1, I64, Module, const_bool, const_float, const_int, parse_module,
+    print_module,
+)
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import SnapshotLadder, WarmStart
 from repro.recover.warm import _TrackState
@@ -220,8 +228,21 @@ def compiled_sources(monkeypatch):
 
 
 def dispatch_tests(source):
-    """The block indices a region source tests ``bi`` against."""
-    return re.findall(r"\bbi == (\d+):", source)
+    """The block indices a region source's dispatch loop tests ``bi``
+    against (a numbered prologue tests it too, once per inner entry)."""
+    return re.findall(r"\bbi == (\d+):", source[source.index("while True:"):])
+
+
+#: the tail of an int64 wrap check in generated code
+WRAP = "% 18446744073709551616"
+
+
+def loop_iteration(source, header):
+    """A region source from its dispatch loop's test of the loop header
+    ``header`` to that loop's back edge: one iteration of an innermost
+    loop."""
+    start = source.index(f"if bi == {header}:", source.index("while True:"))
+    return source[start : source.index(f"bi = {header}; continue", start)]
 
 
 class TestRegionPlan:
@@ -700,13 +721,38 @@ class TestRegionSources:
         got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
         assert got == self.INJECTED_REGION_SOURCES
 
+    #: sha256 of the sorted (filename, source) pairs of every tracked
+    #: region of the six workloads, plain and fully duplicated: tracked
+    #: code keeps its values in the frame list and hoists nothing
+    TRACKED_REGION_SOURCES = (
+        92, "1b7ccdbc52cfdf260f13b88b7755861ce2dbcd6f61faa527369b2ef0e3f9f1f2"
+    )
+
+    def test_tracked_region_sources_are_pinned(self, monkeypatch):
+        """Every function's tracked table compiles the tracked form of each
+        of its regions: loop-invariant hoisting leaves them byte-identical."""
+        sources = all_sources(monkeypatch)
+        kept = []
+        for _, _, module in workload_modules():
+            cm = Interpreter(module).cm
+            sources.clear()
+            for cf in cm.cfuncs:
+                cm.tracked_region_fns(cf.index)
+            kept += [s for s in sources if s[0].startswith("<tracked region ")]
+        kept.sort()
+        got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
+        assert got == self.TRACKED_REGION_SOURCES
+
     def test_values_are_computed_once(self, monkeypatch):
-        """What value numbering saves, by count: the fft butterfly's second
-        loads of ``re[b]`` and ``im[b]`` and the re-checks of the four
-        cells it stores to, the ``n - 1`` that ``spmv_slab`` recomputes
-        for each neighbour test, and every check of a fully duplicated
-        ``waxpby``, whose shadow values its lean code computes from the
-        same operands as their originals."""
+        """What value numbering and hoisting save, by count: the fft
+        butterfly's second loads of ``re[b]`` and ``im[b]`` and the
+        re-checks of the four cells it stores to; the invariants of
+        ``spmv_slab``'s inner iteration (``n * n``, ``n - 1`` and inlined
+        ``idx3``'s ``iy * n`` and ``iz * n * n``), computed at the loops'
+        entries, which leaves that iteration 8 of its 14 wrap checks; and
+        every check of a fully duplicated ``waxpby``, whose shadow values
+        its lean code computes from the same operands as their
+        originals."""
         sources = compiled_sources(monkeypatch)
         get_workload("fft").make_interpreter(1)
         butterfly = sources["<region fft_row.for.cond7>"]
@@ -715,7 +761,10 @@ class TestRegionSources:
         assert butterfly.count("state.store_past") == 4
         get_workload("hpccg").make_interpreter(1)
         nest = sources["<region spmv_slab.for.cond5>"]
-        assert len(re.findall(r"= r2 - 1$", nest, re.M)) == 1
+        inner = loop_iteration(nest, int(dispatch_tests(nest)[0]))
+        assert not re.search(r"\* r2\b", inner)
+        assert not re.search(r"\br2 - 1\b", inner)
+        assert inner.count(WRAP) <= 8
         fully_duplicated("hpccg")
         assert "check_failed" not in sources["<region waxpby.for.cond1>"]
         assert "check_failed" in sources["<block waxpby.for.body2>"]
@@ -1486,6 +1535,148 @@ class TestInlinedLeaves:
             sys.setrecursionlimit(limit)
         assert fast["status"] == "trap"
         assert fast["error"] == "StackOverflow: call depth limit exceeded"
+        assert fast == reference
+
+
+def hoists(source):
+    """(local, expression) of every loop invariant a region source
+    computes."""
+    return re.findall(r"^ *(_h\d+) = (.*)$", source, re.M)
+
+
+class TestLoopInvariants:
+    def test_hoistable_opcodes(self):
+        """One instruction of every opcode: exactly the integer and float
+        ``add``/``sub``/``mul``, the compares, ``gep`` and ``select`` may
+        be computed where their block may not run, since no int, float or
+        bool operand makes them raise."""
+        m = Module("t")
+        leaf = m.add_function("leaf", I64, [])
+        i, x, b = const_int(3), const_float(1.5), const_bool(True)
+        p = AllocaInst(I64)
+        insts = [
+            *(BinaryOperator(op, i, i) for op in INT_ARITH_OPS + INT_LOGIC_OPS),
+            *(BinaryOperator(op, x, x) for op in FP_ARITH_OPS),
+            ICmpInst("slt", i, i), FCmpInst("olt", x, x), SelectInst(b, i, i),
+            CastInst("sitofp", i, F64), CastInst("fptosi", x, I64),
+            CastInst("zext", b, I64), CastInst("sext", b, I64),
+            CastInst("trunc", i, I1), CastInst("bitcast", i, F64),
+            GEPInst(p, i), p, LoadInst(p), StoreInst(i, p),
+            AtomicRMWInst("add", p, i), PhiNode(I64), CallInst(leaf, []),
+            BranchInst(None, leaf.add_block("entry")), RetInst(i), UnreachableInst(),
+        ]
+        opcodes = {inst.opcode for inst in insts}
+        assert opcodes == set(DEFAULT_OPCODE_COSTS) - {"ipas.check"}
+        assert {inst.opcode for inst in insts if compiler._hoistable(inst)} == {
+            "add", "sub", "mul", "fadd", "fsub", "fmul", "icmp", "fcmp", "gep", "select",
+        }
+
+    def test_an_arm_never_taken_hoists_nothing_that_raises(self, monkeypatch):
+        """``%v`` reads a float from a neighbouring global, as a wild store
+        would leave it; ``%z`` reads an int 0.  The loop's arm, never taken,
+        shifts ``%v`` and divides by ``%z``: computed at the loop's entry,
+        either would raise.  The product and compare that decide the arm
+        are hoisted, the shift and the division are not."""
+        text = """
+        @gf = global [2 x f64]
+        @gi = global [2 x i64]
+        @result = global [2 x f64] output
+
+        define void @main() {
+        entry:
+          %p = gep i64* @gi, i64 -10
+          %v = load i64, i64* %p
+          %z = load i64, i64* @gi
+          br label %head
+        head:
+          %i = phi i64 [ 0, %entry ], [ %next, %latch ]
+          %c = icmp slt i64 %i, 10
+          br i1 %c, label %body, label %done
+        body:
+          %m = mul i64 %v, 3
+          %big = icmp sgt i64 %m, 100
+          br i1 %big, label %arm, label %latch
+        arm:
+          %s = shl i64 %v, 3
+          %q = sdiv i64 7, %z
+          br label %latch
+        latch:
+          %next = add i64 %i, 1
+          br label %head
+        done:
+          %f = sitofp i64 %i to f64
+          %o = gep f64* @result, i64 0
+          store f64 %f, f64* %o
+          ret void
+        }
+        """
+        sources = compiled_sources(monkeypatch)
+        interp = Interpreter(parse_module(text))
+        source = sources["<region main.head>"]
+        assert [rhs for _, rhs in hoists(source)] == ["r1 * 3", "_h0 > 100"]
+        assert source.count("<<") == source.count("state.trap_div()") == 1
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+
+    LEAF = """
+    output double result[2];
+    int n = 6;
+    int cell(int a, int b, int m) { return a + b * m * 3; }
+    void main() {
+        int k = n;
+        double acc = 0.0;
+        for (int i = 0; i < k; i = i + 1) {
+            for (int j = 0; j < k; j = j + 1) { acc = acc + (double)cell(j, i, k); }
+        }
+        result[0] = acc;
+    }
+    """
+
+    def leaf_kernel(self, monkeypatch):
+        """(interpreter, ``cell``'s product ``b * m``) of :attr:`LEAF`, whose
+        inner loop inlines ``cell`` and computes none of its products."""
+        sources = compiled_sources(monkeypatch)
+        interp = Interpreter(compile_source(self.LEAF))
+        (source,) = [s for f, s in sources.items() if f.startswith("<region main.")]
+        inner = loop_iteration(source, int(dispatch_tests(source)[0]))
+        assert re.search(r"_in\d+ and _c != _ca", inner) and " * " not in inner
+        cm = interp.cm
+        fn = cm.cfuncs[cm.get_function_index("cell")].fn
+        product = next(i for b in fn.blocks for i in b.instructions if i.opcode == "mul")
+        return interp, product
+
+    def test_an_invariant_product_inside_an_inlined_leaf(self, monkeypatch):
+        """The golden run, and a tripping flip of ``cell``'s ``b * m`` at
+        its first, middle and last call: the call holding the flip is real,
+        every other one uses the hoisted product, and each run ends as the
+        per-block table's."""
+        interp, product = self.leaf_kernel(monkeypatch)
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+        golden = fast
+        for occurrence in (1, 17, 36):
+            kwargs = golden_trip(interp, "main", product, occurrence)
+            fast, reference = both_ways(
+                interp, injection=flip(product, occurrence, 4), **kwargs
+            )
+            assert fast["injection_hit"] and fast["cells"] != golden["cells"]
+            assert fast == reference, occurrence
+
+    @pytest.mark.parametrize("model", ["intermittent", "persistent"])
+    def test_a_multi_shot_site_inside_an_inlined_leaf(self, model, monkeypatch):
+        """A multi-shot model whose site is ``cell``'s ``b * m`` counts
+        through the real calls, as the per-block table does."""
+        interp, product = self.leaf_kernel(monkeypatch)
+        fault_model = FAULT_MODELS[model]()
+        site = fault_model.sample_site(
+            _FixedSite(FaultSite(product, 5, 2)), random.Random(7)
+        )
+        fast, reference = both_ways(
+            interp, injection=fault_model.injection_for(site), profile=True
+        )
+        assert fast["injection_hit"]
         assert fast == reference
 
 
