@@ -39,16 +39,20 @@ dispatch tables:
 
 A run's observable results (status, cycle count, profile, memory, output,
 the cycle at which it trips, traps or hangs) are identical whichever table
-executes it.  Every form charges each block's cycles at its top, in block
-order, and block functions test the budget and bump the profile at every
-block.  Region code tests the budget only where a static bound says a
-budget could run out (see :meth:`_Compiler._plan_region`) and, near one,
-steps that stretch on the per-block table; lean region code bumps no
-profile, and profiled runs dispatch through ``profiled_fns``.  Lean and
-profiled region code compute each value once: they number values within
-a member's dominators and compute each loop's invariants, those that
-cannot raise, once per entry into the loop instead of every iteration
-(see :meth:`_Compiler._gen_region`).
+executes it.  Block functions, and the tracked and injectable region
+forms, charge each block's cycles at its top, in block order, and block
+functions test the budget and bump the profile at every block.  Region
+code tests the budget only where a static bound says a budget could run
+out (see :meth:`_Compiler._plan_region`) and, near one, steps that
+stretch on the per-block table; lean region code bumps no profile, and
+profiled runs dispatch through ``profiled_fns``.  Lean and profiled
+region code compute each value once: they number values within a
+member's dominators and compute each loop's invariants, those that cannot
+raise, once per entry into the loop instead of every iteration (see
+:meth:`_Compiler._gen_region`).  They also charge per stretch: a block
+whose instructions cannot raise adds its cycles to a static pending
+charge, which the code adds to the count only right before something
+that can see it (see :meth:`_Compiler._gen_member`).
 
 Semantics implemented exactly:
 
@@ -166,7 +170,29 @@ def sync_frame(frame: List, region_locals: Dict[str, object]) -> None:
             frame[int(name[1:])] = value
 
 
-EXEC_GLOBALS = dict(EXEC_GLOBALS, _locals=locals)
+def _crossed(cycles: int, offsets: Tuple[int, ...], budget: int) -> int:
+    """The count at the first of a stretch's deferred hang tests that
+    passes ``budget``: ``cycles`` plus the first of ``offsets`` (each
+    test's count less ``cycles``, in charge order) that does.  Called
+    from numbered region code once the last one has (see
+    :meth:`_Numbering.settle`)."""
+    return next(cycles + o for o in offsets if cycles + o > budget)
+
+
+def _unbump(prof: List, cycles: int, gids: Tuple[int, ...]) -> None:
+    """Take back the profile entries that the blocks ``gids`` of a
+    stretch bumped at or after ``cycles``, its hang count: their hang
+    tests ran after the bumps, where block functions test before.  Each
+    block bumps once in a stretch, every earlier entry of its gid is
+    below the stretch's and later blocks bump more, so an entry at or
+    above ``cycles`` is one the per-block table never makes."""
+    for gid in gids:
+        entries = prof[gid]
+        if entries and entries[-1] >= cycles:
+            entries.pop()
+
+
+EXEC_GLOBALS = dict(EXEC_GLOBALS, _locals=locals, _crossed=_crossed, _unbump=_unbump)
 
 
 class CompiledBlock:
@@ -436,8 +462,8 @@ class Variant(NamedTuple):
     ``name`` starts its functions' filenames; a ``tracked`` region keeps
     SSA values in the frame list and tests the budget at every member
     (see :meth:`_Compiler._gen_region`); ``bump`` is the line, formatted
-    with a block's gid, that bumps the profile after each block's charge
-    (None: no profile); ``inject`` makes it injectable (see
+    with a block's gid and the count after its charge, that bumps the
+    profile (None: no profile); ``inject`` makes it injectable (see
     :func:`_inject`)."""
 
     name: str
@@ -449,16 +475,20 @@ class Variant(NamedTuple):
 #: campaign trials' region code
 LEAN = Variant("region")
 #: the lean code plus a profile bump per block, for ``run(profile=True)``
-PROFILED = Variant("profiled region", bump="    _p[{}].append(_c)")
+PROFILED = Variant("profiled region", bump="    _p[{}].append({})")
 #: resync-armed warm trials' region code, profiled when the run is
 TRACKED = Variant(
-    "tracked region", tracked=True, bump="    if _p is not None: _p[{}].append(_c)"
+    "tracked region", tracked=True, bump="    if _p is not None: _p[{}].append({})"
 )
 
 
 #: the budget test of an inlined leaf block that tests the hang budget
 #: (see :meth:`_Compiler._gen_member`)
 _HANG = -1
+
+#: an inlined leaf's straight-line head that ends in its ``ret`` (see
+#: :meth:`_Compiler._leaf_prefix`)
+_RETURNS = -1
 
 
 def _inject(record: InstructionRecord, mode: str) -> Inject:
@@ -534,6 +564,51 @@ def _hoistable(inst: Instruction) -> bool:
     return inst.opcode in _HOISTABLE
 
 
+def _settles(inst: Instruction) -> bool:
+    """Whether numbered region code adds its pending charge to ``_c``
+    before ``inst``: ``inst`` may raise or read the count (it is not
+    :func:`_hoistable`), and it is no branch, ``ret`` or call that can be
+    real (such a call reads ``_c`` plus the pending charge itself; see
+    :meth:`_Compiler._gen_counted_call`)."""
+    return not (
+        _hoistable(inst) or _real_call(inst) or isinstance(inst, (BranchInst, RetInst))
+    )
+
+
+#: numbered region code's charge state (see :class:`_Numbering`): the
+#: pending charge and the hang tests it owes, each (offset, block gid)
+Charge = Tuple[int, Tuple[Tuple[int, int], ...]]
+
+
+def _charged(block: BasicBlock, cost: int, top: Charge, gid: Optional[int]) -> Charge:
+    """The charge state numbered code leaves ``block`` with, entered with
+    ``top``: its cost added, a hang test owed when it has a ``gid`` (an
+    inlined leaf block), everything settled at each instruction that
+    :func:`_settles` and after each call that can be real."""
+    pending, hangs = top
+    pending += cost
+    if gid is not None:
+        hangs += ((pending, gid),)
+    for inst in block.instructions:
+        if not isinstance(inst, PhiNode) and (_settles(inst) or _real_call(inst)):
+            pending, hangs = 0, ()
+    return pending, hangs
+
+
+def _merge(arms: List[Charge]) -> Charge:
+    """The charge state of a join: the arms' own when they agree, else the
+    least pending charge of any arm, with every hang test made."""
+    first = arms[0]
+    if all(arm == first for arm in arms):
+        return first
+    return min(pending for pending, _ in arms), ()
+
+
+def _plus(n: int) -> str:
+    """``_c`` plus the static amount ``n``, as generated code reads it."""
+    return "_c" if n == 0 else f"_c + {n}" if n > 0 else f"_c - {-n}"
+
+
 class _Hoists(NamedTuple):
     """The loop invariants of a region's numbered forms (see
     :meth:`_Compiler._plan_hoists`)."""
@@ -577,14 +652,60 @@ class _Numbering:
     ``stores`` (stores and calls) and ``calls`` count the kills so far;
     they are not scoped, so one anywhere emitted in between, an earlier
     arm included, hides the memory facts taken before it.
+
+    The same forms defer cycle charges (see :meth:`_Compiler._gen_member`).
+    ``pending`` is the charge the code emitted so far has not added to
+    ``_c`` (``_c + pending`` is the count) and ``hangs`` the hang tests of
+    inlined leaf blocks it has not made, each as its count less ``_c`` and
+    the block's gid.  Both follow the same scopes: an arm starts from the
+    state of its branch, a dispatch target from nothing pending.
+    ``profiled`` says the form bumps the profile.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, profiled: bool = False) -> None:
+        self.profiled = profiled
         self.facts: ChainMap = ChainMap()
         self.seed: ChainMap = ChainMap()
         self.numbers = 0
         self.stores = 0
         self.calls = 0
+        self.pending = 0
+        self.hangs: Tuple[Tuple[int, int], ...] = ()
+
+    @property
+    def charge(self) -> Charge:
+        return self.pending, self.hangs
+
+    def settle(self, out, to: Charge = (0, ())) -> None:
+        """Bring the charge state to ``to`` through ``out``: add the
+        difference to ``_c`` and, unless ``to`` keeps them, make the owed
+        hang tests.  A hang reports the first owed test that the count
+        passes (:func:`_crossed`), the block the per-block table hangs at,
+        and a profiled form takes back the entries from there on
+        (:func:`_unbump`)."""
+        pending, hangs = to
+        add = self.pending - pending
+        if add < 0 or (hangs and hangs != self.hangs):
+            raise InterpreterBug(f"cannot settle {self.charge} to {to}")
+        if add:
+            out(f"    _c += {add}")
+        if self.hangs != hangs:
+            offsets = tuple(h - add for h, _ in self.hangs)
+            at = _plus(offsets[-1])
+            out(f"    if {at} > _bud and {at} > state.budget:")
+            if offsets != (0,):
+                out(f"        _c = _crossed(_c, {offsets}, state.budget)")
+            if self.profiled:
+                gids = tuple(gid for _, gid in self.hangs)
+                out(f"        _unbump(_p, _c, {gids})")
+            out("        state.hang()")
+        self.pending, self.hangs = to
+
+    def called(self) -> None:
+        """After a call that can be real: it killed every memory fact, and
+        ``_c`` holds the count its callee left."""
+        self.kill(call=True)
+        self.pending, self.hangs = 0, ()
 
     def of(self, operand: str) -> int:
         number = self.facts.get(operand)
@@ -620,6 +741,7 @@ class _Numbering:
         """A scope, for the arm of ``if cond:`` that ``truth`` takes when
         ``cond`` is given."""
         cmp = self.facts.get(("cmp", self.of(cond))) if cond is not None else None
+        charge = self.charge
         self.facts = self.facts.new_child()
         if cmp is not None and (cmp[0], truth) in _BELOW:
             below = cmp[1 + _BELOW[(cmp[0], truth)]]
@@ -628,21 +750,23 @@ class _Numbering:
             yield
         finally:
             self.facts = self.facts.parents
+            self.pending, self.hangs = charge
 
     @contextmanager
     def barrier(self, seed: Optional[ChainMap] = None) -> Iterator[None]:
-        """Forget every fact but ``seed``'s: a region passes the hoisted
-        facts of the loops that hold the dispatch target (see
-        :meth:`_Compiler._plan_hoists`), an inlined leaf's dispatch keeps
-        the facts its caller's target started with."""
-        saved = self.facts, self.seed
+        """Forget every fact but ``seed``'s, with nothing pending: a region
+        passes the hoisted facts of the loops that hold the dispatch
+        target (see :meth:`_Compiler._plan_hoists`), an inlined leaf's
+        dispatch keeps the facts its caller's target started with."""
+        saved = self.facts, self.seed, self.charge
         if seed is not None:
             self.seed = seed
         self.facts = self.seed.new_child()
+        self.pending, self.hangs = 0, ()
         try:
             yield
         finally:
-            self.facts, self.seed = saved
+            self.facts, self.seed, (self.pending, self.hangs) = saved
 
 
 def _arm(vn: Optional[_Numbering], cond: Optional[str] = None, truth: bool = True):
@@ -671,6 +795,13 @@ class _Compiler:
         #: leaf cfi -> id(value) -> the Python local a call site inlining
         #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
+        self._doms: Dict[int, DominatorTree] = {}  # cfi -> its dominator tree
+
+    def _dom(self, cf: CompiledFunction) -> DominatorTree:
+        dom = self._doms.get(cf.index)
+        if dom is None:
+            dom = self._doms[cf.index] = DominatorTree(cf.fn)
+        return dom
 
     # -- slot assignment ---------------------------------------------------------
 
@@ -875,10 +1006,14 @@ class _Compiler:
         epilogues too.  ``local``, ``variant`` (region code's form, None
         in a block function) and ``vn`` (its value numbering, None where
         the form is not numbered) see :meth:`_gen_instruction`; ``ret``
-        and ``fall`` see :meth:`_gen_terminator`."""
+        and ``fall`` see :meth:`_gen_terminator`.  Numbered code settles
+        its pending charge before each instruction that :func:`_settles`
+        (see :meth:`_gen_member`) but a check it leaves out."""
         for inst in block.instructions:
             if isinstance(inst, PhiNode):
                 continue
+            if vn is not None and _settles(inst) and not self._dropped(inst, regs, vn):
+                vn.settle(emit)
             if inst.is_terminator():
                 self._gen_terminator(inst, regs, emit, leave, ret, fall, vn)
             else:
@@ -889,7 +1024,7 @@ class _Compiler:
 
     def _find_regions(self, cf: CompiledFunction) -> List[Region]:
         """Plan one region per outermost natural loop."""
-        dom = DominatorTree(cf.fn)
+        dom = self._dom(cf)
         loops = LoopInfo(cf.fn, dom)
         index = self._block_index[cf.index]
         rpo = [index[id(b)] for b in dom.reachable_blocks]
@@ -1089,12 +1224,12 @@ class _Compiler:
         passes the budget, the slow path re-reads it (a trip in a callee
         restores the hang budget, leaving this copy stale) and otherwise
         leaves through a *deopt exit* at the test point's top:
-        ``state.deopt`` hangs when the point's own charge passes
-        ``state.budget``, or puts ``state.cycles`` back to the top and
-        writes the bound registers back to the frame list
-        (:func:`sync_frame`), and the region returns ``state.step(f, cfi,
-        k)``: the point ``k`` runs on the per-block table (tripping when
-        its charge passes the region budget), and the blocks after it run
+        ``state.deopt`` puts ``state.cycles`` back to the top and writes
+        the bound registers back to the frame list (:func:`sync_frame`),
+        and the region returns ``state.step(f, cfi, k)``: the point ``k``
+        runs on the per-block table (hanging when its charge passes
+        ``state.budget``, tripping when it passes the region budget), and
+        the blocks after it run
         on the dispatch loop's table, block by block, until a region entry
         tests again.  So a trip, trap or hang lands on the block and cycle
         at which the per-block table has it.  An inlined leaf block never
@@ -1140,7 +1275,10 @@ class _Compiler:
         gets a number of its own, and a register defined outside a loop
         keeps its value while control stays in the loop; the tracked and
         injectable forms, which themselves hold a trial's fault, are not
-        numbered.
+        numbered.  They also charge cycles per stretch rather than per
+        block (see :meth:`_gen_member`), so a deopt exit, an exit, a
+        counted call and the inline guard add the charge still pending to
+        ``_c``, which is exact wherever anything can raise.
         """
         blocks = cf.fn.blocks
         tracked = variant.tracked
@@ -1181,7 +1319,7 @@ class _Compiler:
         elif numbered:
             regs = self._local_regs[cf.index]
             tests = region.bounds
-            vn = _Numbering()
+            vn = _Numbering(profiled=variant.bump is not None)
             hoists = self._plan_hoists(cf, region, vn)
             # The header entry's slots and the outermost loop's invariants,
             # then each other entry's extra slots and the invariants of the
@@ -1216,7 +1354,8 @@ class _Compiler:
                 out(f"    state.cycles = _c; return {k}")
                 return
             stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
-            out(f"    state.cycles = _c; {stores}return {k}")
+            count = "_c" if vn is None else _plus(vn.pending)
+            out(f"    state.cycles = {count}; {stores}return {k}")
 
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
@@ -1308,7 +1447,7 @@ class _Compiler:
                             return known.get(id(value))
                         return self._expr(value, {})
 
-                    for block in DominatorTree(leaf).reachable_blocks:
+                    for block in self._dom(self.cm.cfuncs[cfi]).reachable_blocks:
                         for leaf_inst in block.instructions:
                             hoist(leaf_inst, inner, known, lines)
             loops[header] = (inside, lines)
@@ -1330,6 +1469,7 @@ class _Compiler:
         tests: Dict[int, int],
         vn: Optional[_Numbering] = None,
         hoists: Optional[_Hoists] = None,
+        straight: Optional[int] = None,
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
@@ -1350,17 +1490,39 @@ class _Compiler:
         ``bvar`` and continues.  ``exit_(k, out)`` emits the edge to a
         block ``k`` outside ``order``, and ``ret(value, out)`` a ``ret``
         (see :meth:`_gen_terminator`).
+
+        ``straight`` (an inlined leaf's, see :meth:`_leaf_prefix`) emits
+        the head, ``order[0]``, and the blocks it places straight-line
+        before the loop, in the caller's numbering scope: they fall into
+        the loop at the dispatch target ``straight``, or, when it is
+        :data:`_RETURNS`, end in the leaf's ``ret`` and there is no loop.
+        A loop left with one target tests and sets no ``bvar``.
+
+        Numbered code (``vn``) charges as :meth:`_gen_member` says: it
+        settles everything at an edge to a dispatch target, the arms that
+        fall into a join settle to its state in the plan of
+        :meth:`_plan_charges`, and an exit writes ``_c`` plus the pending
+        charge back.
         """
         index = self._block_index[cf.index]
         targets, joins = placement
         dispatched = set(targets)
         members = set(order)
+        head = order[0]
+        loop_targets = targets if straight is None else [t for t in targets if t != head]
+        tested = straight is None or len(loop_targets) > 1
+        plan: Dict[int, Charge] = {}
+        if vn is not None:
+            start = vn.charge if straight is not None else None
+            plan = self._plan_charges(cf, order, placement, tests, start)
 
         def gen_member(bi: int, o, follow: Optional[int]) -> None:
             # ``follow`` is the join control falls into off the end of
             # ``o``; inside this block's arms it is the block's own join.
             join = joins.get(bi)
             inner = follow if join is None else join
+            if vn is not None and bi in plan:
+                vn.pending, vn.hangs = plan[bi]
             self._gen_member(
                 cf, bi, regs, o, lambda target, oo: leave(target, oo, inner, bi),
                 ret, variant, tests.get(bi), fall=inner is not None, vn=vn,
@@ -1371,23 +1533,33 @@ class _Compiler:
         def leave(target: BasicBlock, o, follow: Optional[int], src: int) -> None:
             k = index[id(target)]
             if k == follow:
+                if vn is not None:
+                    vn.settle(o, plan.get(k, (0, ())))
                 return
             if k in dispatched:
+                if vn is not None:
+                    vn.settle(o)
                 # an edge into a loop from outside it computes the loop's
                 # invariants
                 loop = hoists.loops.get(k) if hoists is not None else None
                 if loop is not None and src not in loop[0]:
                     for line in loop[1]:
                         o(line)
-                o(f"    {bvar} = {k}; continue")
+                o(f"    {bvar} = {k}; continue" if tested else "    continue")
             elif k in members:
                 gen_member(k, o, follow)
             else:
                 exit_(k, o)
 
+        if straight is not None:
+            gen_member(head, out, None if straight == _RETURNS else straight)
+            if not loop_targets:
+                return
+            if tested:
+                out(f"    {bvar} = {straight}")
         out("    while True:")
-        for bi in targets:
-            if bi != targets[-1]:
+        for bi in loop_targets:
+            if bi != loop_targets[-1]:
                 out(f"        if {bvar} == {bi}:")
                 pad = "        "
             else:
@@ -1395,6 +1567,46 @@ class _Compiler:
             seed = hoists.seeds[bi] if hoists is not None else None
             with nullcontext() if vn is None else vn.barrier(seed):
                 gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
+
+    def _plan_charges(
+        self, cf: CompiledFunction, order: List[int],
+        placement: Tuple[List[int], Dict[int, int]], tests: Dict[int, int],
+        start: Optional[Charge],
+    ) -> Dict[int, Charge]:
+        """The charge state numbered code enters each join of
+        ``placement`` with (see :meth:`_gen_dispatch`): the merge
+        (:func:`_merge`) of the states on the edges that fall into it.
+        Dispatch targets start from nothing pending, and ``order[0]``
+        from ``start`` when given (a straight-line head); every block
+        takes its state on through :func:`_charged` (owing a hang test
+        where ``tests`` holds :data:`_HANG`).  Reverse postorder reaches a join after every edge
+        into it, since edges into dispatch targets are the only back
+        edges.  The plan settles at every check, numbered code not at one
+        it leaves out (:meth:`_dropped`), so an arm reaches a join with at
+        least the planned pending charge, which it can settle down to."""
+        index = self._block_index[cf.index]
+        targets, joins = placement
+        joined = set(joins.values())
+        members = set(order)
+        tops: Dict[int, Charge] = dict.fromkeys(targets, (0, ()))
+        if start is not None:
+            tops[order[0]] = start
+        arms: Dict[int, List[Charge]] = {bi: [] for bi in order}
+        for block in self._dom(cf).reachable_blocks:
+            bi = index[id(block)]
+            if bi not in members:
+                continue
+            if bi in joined:
+                tops[bi] = _merge(arms[bi])
+            elif bi not in tops:
+                (tops[bi],) = arms[bi]
+            gid = self.cm.block_gids[id(block)] if tests.get(bi) == _HANG else None
+            out = _charged(block, cf.costs[bi], tops[bi], gid)
+            for succ in block.successors():
+                k = index[id(succ)]
+                if k in members and k not in targets:
+                    arms[k].append(out)
+        return {bi: tops[bi] for bi in joined}
 
     def _dispatch_targets(
         self, cf: CompiledFunction, order: List[int], head: int
@@ -1418,7 +1630,7 @@ class _Compiler:
         index = self._block_index[cf.index]
         blocks = cf.fn.blocks
         members = set(order)
-        dom = DominatorTree(cf.fn)
+        dom = self._dom(cf)
         succs = {
             bi: [index[id(s)] for s in blocks[bi].successors() if index[id(s)] in members]
             for bi in order
@@ -1507,30 +1719,49 @@ class _Compiler:
         tracked region, which tests every member).  The deopt exit (see
         :meth:`_gen_region`) returns the block itself in a tracked region,
         with block-function bodies on the frame list; lean code writes its
-        locals back and steps the block on the per-block table."""
+        locals back and steps the block on the per-block table.
+
+        Numbered code (``vn``, the lean and profiled forms) charges per
+        stretch, not per block: it adds the block's cost to the pending
+        charge ``vn.pending`` and owes its hang test, and adds the pending
+        charge to ``_c`` (settles it, see :meth:`_Numbering.settle`) only
+        right before something that can see the count: an instruction
+        that :func:`_settles`, an edge to a dispatch target, or the join
+        its arms settle to (see :meth:`_gen_dispatch`).  So a stretch of
+        blocks that cannot raise makes one charge.  What reads the count
+        without settling adds the pending charge: a deopt test (``_c + P
+        + R > _bud``) and its exit, a profile bump, an exit, the inline
+        guard and a counted call (see :meth:`_gen_inlined_call`)."""
         block = cf.fn.blocks[bi]
         cost = self.cm.cost_model.block_cost(block)
         own = test is not None and test != _HANG
         if variant.tracked and own:
             out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
             out(f"        state.cycles = _c; return {bi}")
-        out(f"    _c += {cost}")
-        if test == _HANG:
-            out("    if _c > _bud and _c > state.budget: state.hang()")
-        elif variant.tracked and own:
+        if vn is None:
+            pending = 0
+            out(f"    _c += {cost}")
+            if test == _HANG:
+                out("    if _c > _bud and _c > state.budget: state.hang()")
+        else:
+            vn.pending += cost
+            pending = vn.pending
+            if test == _HANG:
+                vn.hangs += ((pending, self.cm.block_gids[id(block)]),)
+        if variant.tracked and own:
             out("    if _c > _bud:")
             out("        if _c > state.budget: state.hang()")
             out(f"        state.cycles = _c - {cost}; return {bi}")
         elif own:
-            at = f"_c + {test}" if test else "_c"
+            at = _plus(pending + test)
             out(f"    if {at} > _bud:")
             out("        _bud = state.rbudget")
             out(
-                f"        if {at} > _bud: _c = state.deopt(f, _locals(), _c, {cost}); "
-                f"return state.step(f, {cf.index}, {bi})"
+                f"        if {at} > _bud: _c = state.deopt(f, _locals(), {_plus(pending)}, "
+                f"{cost}); return state.step(f, {cf.index}, {bi})"
             )
         if variant.bump is not None:
-            out(variant.bump.format(self.cm.block_gids[id(block)]))
+            out(variant.bump.format(self.cm.block_gids[id(block)], _plus(pending)))
         self._gen_body(
             block, regs, out, leave, variant.inject,
             local=not (variant.tracked and own), ret=ret, fall=fall, variant=variant,
@@ -1593,11 +1824,21 @@ class _Compiler:
         region's handler with the exact count.  The leaf's values live in
         fresh locals (``q{cfi}_{slot}``), its arguments read the caller's
         operand expressions, and its ``ret`` assigns the call's own local.
-        A one-block leaf is straight-line code; a larger one dispatches in
-        a nested ``while`` on ``q{cfi}_bi`` and its ``ret`` breaks out.
+        The tracked and injectable forms emit a one-block leaf as
+        straight-line code and dispatch a larger one from its entry in a
+        nested ``while`` on ``q{cfi}_bi``, which its ``ret`` breaks out of.
         Numbered code (``vn``) numbers each arm in a scope of its own, so
         the leaf's locals, which the next inlined call reuses, leave no
-        fact behind, and forgets every memory fact after the call.
+        fact behind, and forgets every memory fact after the call.  It
+        emits the leaf's blocks before its first loop header straight-line
+        (see :meth:`_leaf_prefix`), so a leaf without a loop has no
+        ``while`` and one with a single loop tests no ``q{cfi}_bi``.  It
+        also defers the leaf's charges and hang tests with its own (see
+        :meth:`_gen_member`): the guard tests ``_c + P != _ca`` for the
+        caller's pending charge ``P``, the counted call writes ``_c + P``
+        back, and the leaf settles everything before its ``ret``.  A
+        loop header's charge and hang test thus fold into its arms' own:
+        one charge and one hang test per iteration.
 
         The inline path never writes ``state.ret`` and never moves ``sp``
         (a leaf has no ``alloca``), and nothing can tell: ``call`` and
@@ -1617,30 +1858,82 @@ class _Compiler:
         arm = lambda line: emit("    " + line)
         inline = variant._replace(inject=None)
         guard = f"_dok and _ij != {cfi}" if vn is None else f"_in{cfi}"
-        emit(f"    if {guard} and _c != _ca:")
+        pending = 0 if vn is None else vn.pending
+        emit(f"    if {guard} and {_plus(pending)} != _ca:")
+        order = list(range(len(blocks)))
+        placement = self._dispatch_targets(leaf, order, 0)
+        # the tracked and injectable forms emit only a one-block leaf
+        # straight-line
+        straight = (
+            self._leaf_prefix(leaf, placement) if vn is not None or len(blocks) == 1
+            else None
+        )
+
+        def ret(value: Optional[str], out) -> None:
+            if vn is not None:
+                vn.settle(out)
+            line = f"    {d} = {value}" if d is not None else ""
+            if straight != _RETURNS:
+                line = f"{line}; break" if line else "    break"
+            if line:
+                out(line)
+
         with _arm(vn):
-            if len(blocks) == 1 and isinstance(
-                blocks[0].terminator, (RetInst, UnreachableInst)
-            ):
-                def ret(value: Optional[str], out) -> None:
-                    if d is not None:
-                        out(f"    {d} = {value}")
-
-                self._gen_member(leaf, 0, lregs, arm, None, ret, inline, _HANG, vn=vn)
-            else:
-                def ret(value: Optional[str], out) -> None:
-                    out(f"    {d} = {value}; break" if d is not None else "    break")
-
+            if straight is None:
+                if vn is not None:
+                    vn.settle(arm)
                 arm(f"    q{cfi}_bi = 0")
-                order = list(range(len(blocks)))
-                self._gen_dispatch(
-                    leaf, order, self._dispatch_targets(leaf, order, 0), lregs, arm,
-                    f"q{cfi}_bi", None, ret, inline, dict.fromkeys(order, _HANG), vn,
-                )
+            self._gen_dispatch(
+                leaf, order, placement, lregs, arm, f"q{cfi}_bi", None, ret, inline,
+                dict.fromkeys(order, _HANG), vn, straight=straight,
+            )
         emit("    else:")
-        self._gen_defined_call(inst, cfi, d, args, arm, variant)
+        self._gen_defined_call(inst, cfi, d, args, arm, variant, pending)
         if vn is not None:
-            vn.kill(call=True)
+            vn.called()
+
+    def _leaf_prefix(
+        self, leaf: CompiledFunction, placement: Tuple[List[int], Dict[int, int]]
+    ) -> Optional[int]:
+        """Whether an inlined leaf's blocks before its first loop header
+        can run straight-line, and where they end (the ``straight`` of
+        :meth:`_gen_dispatch`): the loop header they fall into,
+        :data:`_RETURNS` when the leaf has no loop and its one ``ret`` ends
+        the chain of joins after its entry, or None when a ``ret`` or an
+        edge to a dispatch target sits inside a branch arm of those
+        blocks, and the leaf dispatches from its entry."""
+        index = self._block_index[leaf.index]
+        blocks = leaf.fn.blocks
+        targets, joins = placement
+        if any(blocks[0] in b.successors() for b in blocks):
+            return None  # the entry heads a loop
+        if targets == [0]:
+            chain = [0]
+            while chain[-1] in joins:
+                chain.append(joins[chain[-1]])
+            rets = {bi for bi, b in enumerate(blocks) if isinstance(b.terminator, RetInst)}
+            return _RETURNS if rets <= {chain[-1]} else None
+        entered = set()
+        work: List[Tuple[int, Optional[int]]] = [(0, None)]
+        while work:
+            bi, follow = work.pop()
+            if isinstance(blocks[bi].terminator, RetInst):
+                return None
+            join = joins.get(bi)
+            inner = follow if join is None else join
+            if join is not None:
+                work.append((join, follow))
+            for succ in blocks[bi].successors():
+                k = index[id(succ)]
+                if k in targets:
+                    entered.add((k, inner))
+                elif k != inner:
+                    work.append((k, inner))
+        if len(entered) == 1:
+            ((k, inner),) = entered
+            if inner is None:
+                return k
+        return None
 
     # -- injection epilogue -----------------------------------------------------------------
 
@@ -1692,12 +1985,15 @@ class _Compiler:
         local: bool = False,
         variant: Optional[Variant] = None,
         vn: Optional[_Numbering] = None,
+        nonneg: bool = False,
     ) -> None:
         """One instruction.  ``local`` marks operands that are Python
         locals (region code but a tracked region's own blocks): memory
         accesses index ``cells`` by the address register and a load and
-        an integer wrap work on the destination itself.  Block functions
-        read each operand from the frame list once into a temporary
+        an integer wrap work on the destination itself.  ``nonneg`` says
+        a memory access's address is a constant at or above 0, which needs
+        no ``< 0`` test.  Block functions read each operand from the frame
+        list once into a temporary
         (``_a``, ``_v``, ``_r``), because a second ``f[k]`` read costs more
         than the temporary.  Region code (``variant``, its form) also
         writes the cycle counter back around calls (see
@@ -1747,7 +2043,8 @@ class _Compiler:
             else:
                 a = "_a"
                 emit(f"    _a = {e(inst.pointer)}")
-            emit(f"    if {a} < 0: state.trap_mem({a})")
+            if not nonneg:
+                emit(f"    if {a} < 0: state.trap_mem({a})")
         if isinstance(inst, LoadInst):
             v = d if local else "_v"
             emit(f"    try: {v} = cells[{a}]")
@@ -1779,7 +2076,9 @@ class _Compiler:
         load a register already holds is a copy of that register, a
         memory access to an address accessed before drops its ``< 0`` and
         ``None`` re-checks, and ``x + 1`` under a true ``x < y`` drops its
-        wrap.  False when ``inst`` is left to :meth:`_gen_instruction`."""
+        wrap, and an access to a constant address at or above 0 drops its
+        ``< 0`` test.  False when ``inst`` is left to
+        :meth:`_gen_instruction`."""
         e = lambda v: self._expr(v, regs)
         d = regs.get(id(inst))
         shape = _pure_shape(inst)
@@ -1811,7 +2110,8 @@ class _Compiler:
                 vn.facts[("cmp", number)] = (inst.predicate, *key[-2:], shape[3])
             return True
         if accessed not in vn.facts:
-            self._gen_instruction(inst, regs, emit, local=True)
+            # a global's constant address is checked here, not every run
+            self._gen_instruction(inst, regs, emit, local=True, nonneg=a.isdigit())
         elif load:
             emit(f"    try: {d} = cells[{a}]")
             emit(f"    except IndexError: {d} = state.load_past({a})")
@@ -1963,14 +2263,15 @@ class _Compiler:
         # Region code, a tracked region's frame-list bodies included,
         # counts cycles in ``_c`` and inlines leaves.
         region = variant is not None
+        pending = 0 if vn is None else vn.pending
         if not callee.is_declaration:
             cfi = self.cm.get_function_index(callee.name)
             if region and cfi in self._leaf_regs:
                 self._gen_inlined_call(inst, cfi, regs, emit, variant, vn)
                 return
-            self._gen_defined_call(inst, cfi, d, args, emit, variant)
+            self._gen_defined_call(inst, cfi, d, args, emit, variant, pending)
             if vn is not None:
-                vn.kill(call=True)
+                vn.called()
             return
         name = callee.name
         if name.startswith("ipas.check"):
@@ -1990,7 +2291,7 @@ class _Compiler:
                         getattr(checked, "name", "") or "<unnamed>",
                     )
                 )
-            if vn is not None and vn.of(args[0]) == vn.of(args[1]):
+            if self._dropped(inst, regs, vn):
                 return  # a value compared with itself: the check cannot fire
             emit(f"    _x = {args[0]}; _y = {args[1]}")
             emit(
@@ -2007,19 +2308,32 @@ class _Compiler:
             return
         if name.startswith("mpi_"):
             self._gen_counted_call(
-                f"state.{name}({', '.join(args)})", d, emit, region
+                f"state.{name}({', '.join(args)})", d, emit, region, pending
             )
             if vn is not None:
-                vn.kill(call=True)
+                vn.called()
             return
         raise InterpreterBug(f"no runtime binding for intrinsic {name}")
 
+    def _dropped(
+        self, inst: Instruction, regs: Dict[int, str], vn: Optional[_Numbering]
+    ) -> bool:
+        """Whether numbered code (``vn``) leaves out ``inst``: a duplication
+        check whose two operands have one number cannot fire."""
+        if vn is None or not isinstance(inst, CallInst):
+            return False
+        if not inst.callee.name.startswith("ipas.check"):
+            return False
+        a, b = (self._expr(o, regs) for o in inst.operands[:2])
+        return vn.of(a) == vn.of(b)
+
     def _gen_defined_call(
         self, inst: CallInst, cfi: int, d: Optional[str], args: List[str],
-        emit, variant: Optional[Variant],
+        emit, variant: Optional[Variant], pending: int = 0,
     ) -> None:
         """The counted ``state.call`` of the defined function ``cfi``, in
-        region code of ``variant``'s form or (None) a block function.  In
+        region code of ``variant``'s form or (None) a block function,
+        ``pending`` numbered code's pending charge.  In
         a tracked region it first sets the frame's tracking record to
         ``(block, calls made before this one)``, as the per-block loop has
         it when the callee bumps the count, and re-reads the region budget
@@ -2036,21 +2350,24 @@ class _Compiler:
             bi = self._block_index[caller][id(block)]
             emit(f"    _rec[1] = {bi}; _rec[2] = {k}")
         self._gen_counted_call(
-            f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None
+            f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None, pending
         )
         if tracked:
             emit("    _bud = state.rbudget")
             emit(f"    _pq = _trk.probe_at.get({caller}) if state.inj_hit else None")
 
     @staticmethod
-    def _gen_counted_call(call: str, d: Optional[str], emit, local: bool) -> None:
+    def _gen_counted_call(
+        call: str, d: Optional[str], emit, local: bool, pending: int = 0
+    ) -> None:
         """A call that may run other compiled code or read the run state.
         Region code keeps its cycle count in the local ``_c``, so it writes
-        the count back first and re-reads it after; ``_c`` is ``None``
-        meanwhile, so an exception out of the callee keeps the callee's
-        count (see :meth:`_gen_region`)."""
+        the count back first (``_c`` plus numbered code's ``pending``
+        charge) and re-reads it after; ``_c`` is ``None`` meanwhile, so an
+        exception out of the callee keeps the callee's count (see
+        :meth:`_gen_region`)."""
         if local:
-            emit("    state.cycles = _c; _c = None")
+            emit(f"    state.cycles = {_plus(pending)}; _c = None")
         emit(f"    {d} = {call}" if d is not None else f"    {call}")
         if local:
             emit("    _c = state.cycles")

@@ -822,12 +822,13 @@ class Interpreter:
     def deopt(self, frame: List, region_locals: Dict, cycles: int, cost: int) -> None:
         """A lean region's deopt exit at a test point, called with its
         frame, its locals, the point's charged count ``cycles`` and its
-        ``cost``: hang past the hang budget, else put ``self.cycles`` back
-        to the point's top and write the region's bound registers back to
-        ``frame``.  Returns None, the region's count while :meth:`step`
-        runs."""
-        if cycles > self.budget:
-            self.hang()
+        ``cost``: put ``self.cycles`` back to the point's top and write the
+        region's bound registers back to ``frame``.  Returns None, the
+        region's count while :meth:`step` runs.  A point whose charge
+        passes the hang budget hangs there, in the block :meth:`step`
+        runs: numbered region code passes ``cycles`` without adding its
+        pending charge to ``_c``, so a hang raised here would leave the
+        region's handler a stale count."""
         self.cycles = cycles - cost
         sync_frame(frame, region_locals)
 

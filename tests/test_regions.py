@@ -245,6 +245,39 @@ def loop_iteration(source, header):
     return source[start : source.index(f"bi = {header}; continue", start)]
 
 
+def every_arm(source):
+    """``source`` without its ``else:`` arms: the code a pass that takes
+    every ``if`` runs (an inlined call's inline arm, not its real call)."""
+    kept, skip = [], None
+    for line in source.splitlines():
+        indent = len(line) - len(line.lstrip())
+        if skip is not None and (not line.strip() or indent > skip):
+            continue
+        skip = None
+        if line.strip() == "else:":
+            skip = indent
+            continue
+        kept.append(line)
+    return "\n".join(kept)
+
+
+#: a charge in generated code
+CHARGE = re.compile(r"^ *_c \+= \d+$", re.M)
+
+
+def leaf_loops(source):
+    """One iteration of each inlined leaf loop in a region source: from
+    the loop's ``while True:`` to its first ``continue``, its back edge."""
+    loops = []
+    at = source.index("while True:") + 1  # past the region's own loop
+    while True:
+        at = source.find("while True:", at)
+        if at < 0:
+            return loops
+        loops.append(source[at : source.index("continue", at)])
+        at += 1
+
+
 class TestRegionPlan:
     #: joins the placement rule leaves to dispatch: each follows an inner
     #: loop (``if (parallel) { for ... }`` and ``if (j < row0 || j >= row1)
@@ -662,7 +695,11 @@ class TestRegionSources:
     BLOCK_SOURCES = (
         5309, "145a5a64bedd81e581155f6f5284bac3bb8ed979d38c47950879cb3a29e19faa"
     )
-    BUMP = re.compile(r"^ *(_p = state\.prof|_p\[\d+\]\.append\(_c\))\n", re.M)
+    BUMP = re.compile(
+        r"^ *(_p = state\.prof|_p\[\d+\]\.append\(_c( \+ \d+)?\)"
+        r"|_unbump\(_p, _c, \([\d, ]+\)\))\n",
+        re.M,
+    )
 
     def test_lean_code_reads_no_profile(self, monkeypatch):
         """Plain and fully duplicated, every lean region source is its
@@ -768,6 +805,34 @@ class TestRegionSources:
         fully_duplicated("hpccg")
         assert "check_failed" not in sources["<region waxpby.for.cond1>"]
         assert "check_failed" in sources["<block waxpby.for.body2>"]
+
+    def test_charges_are_deferred(self, monkeypatch):
+        """What charging per stretch saves, by count: the path through
+        every arm of ``spmv_slab``'s inner iteration makes at most 8
+        charges (15 when each block charged at its top); each inlined leaf
+        loop of hpccg ``main`` (two ``dot_range``, three ``waxpby``) and of
+        ``fft_row`` (``bit_reverse``) tests no ``q{cfi}_bi`` and makes one
+        charge and one hang test per iteration; and no lean region tests a
+        constant address against 0."""
+        sources = all_sources(monkeypatch)
+        for name in WORKLOADS:
+            get_workload(name).make_interpreter(1)
+        lean = {f: src for f, src in sources if f.startswith("<region ")}
+        nest = lean["<region spmv_slab.for.cond5>"]
+        inner = loop_iteration(nest, int(dispatch_tests(nest)[0]))
+        assert len(CHARGE.findall(every_arm(inner))) <= 8
+        main = [src for f, src in lean.items() if f.startswith("<region main.")]
+        row = [src for f, src in lean.items() if f.startswith("<region fft_row.")]
+        for sources_, count in ((main, 5), (row, 1)):
+            loops = [loop for src in sources_ for loop in leaf_loops(src)]
+            assert len(loops) == count
+            for src in sources_:
+                assert not re.search(r"\bq\d+_bi\b", src)
+            for loop in loops:
+                assert len(CHARGE.findall(loop)) == 1
+                assert loop.count("> state.budget") == 1
+        for filename, src in lean.items():
+            assert not re.search(r"if \d+ < 0:", src), filename
 
     def test_block_and_resume_sources_are_pinned(self, monkeypatch):
         """Every block function, resume variant and injectable block
@@ -1640,7 +1705,7 @@ class TestLoopInvariants:
         interp = Interpreter(compile_source(self.LEAF))
         (source,) = [s for f, s in sources.items() if f.startswith("<region main.")]
         inner = loop_iteration(source, int(dispatch_tests(source)[0]))
-        assert re.search(r"_in\d+ and _c != _ca", inner) and " * " not in inner
+        assert re.search(r"_in\d+ and _c( \+ \d+)? != _ca", inner) and " * " not in inner
         cm = interp.cm
         fn = cm.cfuncs[cm.get_function_index("cell")].fn
         product = next(i for b in fn.blocks for i in b.instructions if i.opcode == "mul")
@@ -2331,6 +2396,150 @@ class TestDeoptExits:
                     )
                 assert result.resynced
                 assert matched[-1] == (rung.index, True)
+
+
+def inlined_iteration(interp, entry, leaf):
+    """(the leaf's compiled function, tops) for the first iteration of the
+    loop of ``leaf`` inside a call that the lean golden run inlines: the
+    (function index, block, cycles) tops of a per-block run from the loop
+    header's top to its next one, that last top included."""
+    cm = interp.cm
+    cf = cm.cfuncs[cm.get_function_index(leaf)]
+    ((header, _),) = regions_of(cf)
+    real = set()  # the counts at which the lean run calls the leaf
+    original = Interpreter.call
+
+    def call(self, cfi, args):
+        if cfi == cf.index:
+            real.add(self.cycles)
+        return original(self, cfi, args)
+
+    Interpreter.call = call
+    try:
+        interp.run(entry)
+    finally:
+        Interpreter.call = original
+    tops = golden_tops(interp, entry)
+    k = next(
+        k for k, (cfi, bi, cycles) in enumerate(tops)
+        if (cfi, bi) == (cf.index, 0) and cycles not in real
+    )
+    heads = [j for j in range(k, len(tops)) if tops[j][:2] == (cf.index, header)]
+    return cf, tops[heads[0] : heads[1] + 1]
+
+
+class TestDeferredCharges:
+    """Lean and profiled region code charge cycles per stretch (see
+    ``_Compiler._gen_member``): a block that cannot raise adds its cost to
+    a pending charge that the next point able to see the count settles.
+    One iteration of each loop below, the deferred stretches inside
+    inlined leaf loops included, against the per-block table."""
+
+    #: (workload, function, leaf): one all-arms ``spmv_slab`` iteration and
+    #: one fft butterfly (the costliest of the function's innermost loop),
+    #: and one iteration of each inlined leaf loop
+    CASES = [
+        ("hpccg", "spmv_slab", False), ("fft", "fft_row", False),
+        ("hpccg", "dot_range", True), ("hpccg", "waxpby", True),
+        ("fft", "bit_reverse", True),
+    ]
+
+    @staticmethod
+    def iteration(interp, entry, function, leaf):
+        if leaf:
+            return inlined_iteration(interp, entry, function)[1]
+        return inner_iteration(interp, entry, function)[2]
+
+    @pytest.mark.parametrize("name, function, leaf", CASES)
+    def test_a_hang_at_every_cycle(self, name, function, leaf):
+        """A hang budget at every cycle of the iteration: the lean and the
+        profiled run hang at the per-block table's block and cycle, with
+        its profile, so a hang test deferred across blocks reports the
+        first block whose charge crossed the budget."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        iteration = self.iteration(interp, w.entry, function, leaf)
+        first, last = iteration[0][2], iteration[-1][2]
+        assert len(iteration) >= 3
+        for budget in range(first, last + 1):
+            fast, reference = both_ways(
+                interp, entry=w.entry, profile=True, cycle_budget=budget
+            )
+            assert fast["status"] == "hang"
+            assert fast == reference, budget
+
+    @pytest.mark.parametrize("name, function, leaf", CASES)
+    def test_a_trap_at_every_block(self, name, function, leaf):
+        """A tripping fault whose corrupter raises, at the first value of
+        every block of the iteration that has one: the run traps at the
+        block's charged cycle, as on the per-block table, so the deopt
+        exit before the flip and the inline guard read the exact count."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        iteration = self.iteration(interp, w.entry, function, leaf)
+        entries = interp.run(w.entry, profile=True).entries
+
+        def fault(value):
+            raise MemoryFault("the flip faults")
+
+        trapped = 0
+        for cfi, bi, top in iteration[:-1]:
+            cf = cm.cfuncs[cfi]
+            values = [
+                i for i in cf.fn.blocks[bi].instructions
+                if id(i) in cm.records and not isinstance(i, PhiNode)
+            ]
+            if not values:
+                continue
+            p = top + cf.costs[bi]
+            inst = values[0]
+            occurrence = list(entries[cm.record_for(inst).block_gid]).index(p) + 1
+            fast, reference = both_ways(
+                interp, entry=w.entry, fire=p,
+                call_at=call_cycle(interp, entries, inst, p),
+                injection=InjectionSpec(inst, occurrence, "once", corrupt=fault),
+            )
+            assert fast["status"] == "trap"
+            # a call's value is corrupted when the call returns
+            assert fast["cycles"] == p or isinstance(inst, CallInst)
+            assert fast == reference, (cf.name, bi)
+            trapped += 1
+        assert trapped >= 2
+
+    def test_a_failed_check_inside_a_stretch(self, monkeypatch):
+        """Fully duplicated hpccg whose ``dot_range`` duplicate squares
+        the first factor: the check fails in the first iteration of an
+        inlined ``dot_range`` loop, after the header's deferred charge,
+        where the per-block table fails it."""
+        w = get_workload("hpccg")
+        module = w.compile()
+        duplicate_instructions(module, FullDuplicationSelector().select(module))
+        text = print_module(module)
+        start = text.index("define f64 @dot_range(")
+        end = text.index("\n}\n", start)
+        leaf = text[start:end]
+        product = re.search(r"(%\.dup\.\d+) = fmul f64 (%\S+), (%\S+)\n", leaf)
+        wrong = leaf.replace(
+            product.group(0),
+            f"{product.group(1)} = fmul f64 {product.group(2)}, {product.group(2)}\n",
+        )
+        sources = compiled_sources(monkeypatch)
+        interp = w.make_interpreter(
+            1, module=parse_module(text[:start] + wrong + text[end:])
+        )
+        with call_counts() as counts:
+            fast = observe(interp, interp.run(w.entry, profile=True))
+        assert counts["dot_range"] == 1  # the call from block code
+        with per_block_dispatch(interp.cm):
+            reference = observe(interp, interp.run(w.entry, profile=True))
+        assert fast["status"] == "detected"
+        assert "at dot_range:for.body2" in fast["error"]
+        assert fast == reference
+        # the inlined loop charges once, before its first check
+        loop = leaf_loops(sources["<region main.while.cond13>"])[0]
+        assert loop.count("_c += ") == 1
+        assert loop.index("_c += ") < loop.index("check_failed")
 
 
 class TestProfiledTable:
