@@ -9,9 +9,11 @@ block-dispatch loop; everything inside a block runs as straight-line Python.
 Loop nests get a second, faster form.  Each outermost natural loop also
 compiles to one *region* function that runs its member blocks in a local
 ``while`` loop and keeps the SSA values it touches, and its cycle count, in
-Python locals (``r12`` instead of ``f[12]``).  Each member is emitted at its
-immediate dominator: inside the branch arm that enters it, or, for an
-if/else merge, right after that ``if``/``else``, which its arms fall into.
+Python locals (``r12`` instead of ``f[12]``; lean code lets a phi share
+one local with the values that feed it, see :class:`~repro.interp.regalloc.Locals`).  Each
+member is emitted at its immediate dominator: inside the branch arm that
+enters it, or, for an if/else merge, right after that ``if``/``else``,
+which its arms fall into.
 Only loop headers cost a dispatch test on the local block index (see
 :meth:`_Compiler._gen_dispatch`).  It loads the values it needs from the
 frame list at entry and writes back the ones that code outside the region
@@ -52,7 +54,12 @@ raise, once per entry into the loop instead of every iteration (see
 :meth:`_Compiler._gen_region`).  They also charge per stretch: a block
 whose instructions cannot raise adds its cycles to a static pending
 charge, which the code adds to the count only right before something
-that can see it (see :meth:`_Compiler._gen_member`).
+that can see it (see :meth:`_Compiler._gen_member`).  And they leave SSA
+without the moves they do not need: copies read their source, pure
+values read once are folded into their reader, coalesced phis move
+nothing and the moves left are single assignments, so their exits and
+deopt exits write back only the slots the code after them may read (see
+:class:`~repro.interp.regalloc.Locals`).
 
 Semantics implemented exactly:
 
@@ -93,6 +100,7 @@ import math
 import struct
 from collections import ChainMap
 from contextlib import contextmanager, nullcontext
+from copy import copy
 from functools import partial
 from itertools import count
 from typing import (
@@ -126,6 +134,7 @@ from ..ir.types import Type
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .costmodel import CostModel
 from .errors import InterpreterBug
+from .regalloc import Live, Locals, liveness
 from .runtime import EXEC_GLOBALS
 
 
@@ -156,9 +165,10 @@ def flip_bool(value, bit: int):
 
 
 def sync_frame(frame: List, region_locals: Dict[str, object]) -> None:
-    """Write the registers a lean region has bound (``r12`` holds slot 12)
-    back to its frame list, at a deopt exit (see
-    :meth:`_Compiler._gen_region`).
+    """Write the registers an injectable region variant has bound (``r12``
+    holds slot 12) back to its frame list, at a deopt exit (see
+    :meth:`_Compiler._gen_region`; numbered region code, whose locals are
+    coalesced, writes the slots its target may read itself).
 
     A bound register always holds what block-by-block execution would
     have left in its slot, and a slot whose register is unbound is one
@@ -662,8 +672,17 @@ class _Numbering:
     ``profiled`` says the form bumps the profile.
     """
 
-    def __init__(self, profiled: bool = False) -> None:
+    def __init__(self, profiled: bool = False, locals: Optional["Locals"] = None) -> None:
         self.profiled = profiled
+        #: where the form keeps each value (see :class:`~repro.interp.regalloc.Locals`)
+        self.locals = locals
+        #: members emitted so far (see :meth:`_Compiler._gen_terminator`)
+        self.emitted = 0
+        #: the next instruction is a counted call too, so the one being
+        #: emitted leaves ``_c`` None (see :meth:`_Compiler._gen_counted_call`)
+        self.chained = False
+        #: ``_c`` is None, ``state.cycles`` holds the count
+        self.uncounted = False
         self.facts: ChainMap = ChainMap()
         self.seed: ChainMap = ChainMap()
         self.numbers = 0
@@ -796,6 +815,17 @@ class _Compiler:
         #: the leaf uses (``q3_12``); see :meth:`_gen_inlined_call`
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
         self._doms: Dict[int, DominatorTree] = {}  # cfi -> its dominator tree
+        self._lives: Dict[int, Live] = {}  # cfi -> its slot liveness
+        #: (cfi, header) -> the plan of the region's numbered forms
+        self._plans: Dict[Tuple[int, int], Locals] = {}
+
+    def _live(self, cf: CompiledFunction) -> Live:
+        live = self._lives.get(cf.index)
+        if live is None:
+            live = self._lives[cf.index] = liveness(
+                cf.fn, self._slot_of[cf.index], self._block_index[cf.index]
+            )
+        return live
 
     def _dom(self, cf: CompiledFunction) -> DominatorTree:
         dom = self._doms.get(cf.index)
@@ -1009,9 +1039,10 @@ class _Compiler:
         and ``fall`` see :meth:`_gen_terminator`.  Numbered code settles
         its pending charge before each instruction that :func:`_settles`
         (see :meth:`_gen_member`) but a check it leaves out."""
-        for inst in block.instructions:
-            if isinstance(inst, PhiNode):
-                continue
+        insts = [i for i in block.instructions if not isinstance(i, PhiNode)]
+        for k, inst in enumerate(insts):
+            if vn is not None:
+                vn.chained = self._counted(inst) and self._counted(insts[k + 1])
             if vn is not None and _settles(inst) and not self._dropped(inst, regs, vn):
                 vn.settle(emit)
             if inst.is_terminator():
@@ -1060,10 +1091,10 @@ class _Compiler:
         slot is loaded when, from some entry, a read in the region may
         execute before the region assigns it (a must-assigned analysis
         over the region's CFG from each entry; the entry block's phis were
-        written by the edge into it, so they always load).  Numbered code
-        loads the header entry's set, and each other entry's extra slots
-        under ``if bi == K:``; the injectable forms' one prologue loads the
-        union.  A slot the region assigns is stored at an exit
+        written by the edge into it, so they always load).  The injectable
+        forms' one prologue loads the union (numbered code plans its own
+        loads and stores from liveness, see :class:`~repro.interp.regalloc.Locals`).  A slot the
+        region assigns is stored at an exit
         when code outside the region reads it, or when the header entry
         loads it and no entry edge rewrites it first (a later entry must
         see the latest value).  A slot only an inner entry loads needs no
@@ -1223,10 +1254,13 @@ class _Compiler:
         charge plus its bound
         passes the budget, the slow path re-reads it (a trip in a callee
         restores the hang budget, leaving this copy stale) and otherwise
-        leaves through a *deopt exit* at the test point's top:
-        ``state.deopt`` puts ``state.cycles`` back to the top and writes
-        the bound registers back to the frame list (:func:`sync_frame`),
-        and the region returns ``state.step(f, cfi, k)``: the point ``k``
+        leaves through a *deopt exit* at the test point's top: it puts
+        ``state.cycles`` back to the top and the frame list in the state
+        block-by-block execution reads from there (numbered code writes
+        the slots ``k`` may read from the locals holding them, see
+        :class:`~repro.interp.regalloc.Locals`; the injectable forms call ``state.deopt``, which
+        writes every bound register back, :func:`sync_frame`), and the
+        region returns ``state.step(f, cfi, k)``: the point ``k``
         runs on the per-block table (hanging when its charge passes
         ``state.budget``, tripping when it passes the region budget), and
         the blocks after it run
@@ -1267,9 +1301,16 @@ class _Compiler:
         numbering at the loop's dispatch targets, so the loop copies them.
         Their prologue loads only each entry's own slots (see
         :meth:`_plan_region`) and computes the inline guard's invariant
-        part (see :meth:`_gen_inlined_call`).  Every register is still
-        assigned at its own block, so frames, deopt exits, exit stores and
-        charges are those of the unnumbered code.  A fault enters these
+        part (see :meth:`_gen_inlined_call`).  Their values no longer sit
+        one per register (:class:`~repro.interp.regalloc.Locals`): a copy reads its source, a
+        pure value read once later in its member is folded into its
+        reader, a phi shares a local with the values that feed it where
+        their live ranges do not interfere, dead phis move nothing, and
+        the moves left are single assignments.  So a local holds a value
+        only where that value is live, and each exit and deopt exit writes
+        to the frame exactly the slots block-by-block execution may read
+        from its target, each from the local, hoist or expression holding
+        it; the prologue loads what each entry may read.  A fault enters these
         forms only through the frame, memory or a call's result, written
         by an injectable variant outside them, so every value it corrupts
         gets a number of its own, and a register defined outside a loop
@@ -1280,6 +1321,35 @@ class _Compiler:
         counted call and the inline guard add the charge still pending to
         ``_c``, which is exact wherever anything can raise.
         """
+        plan = None
+        if variant.inject is None and not variant.tracked:
+            # The lean form and its profiled twin differ only in profile
+            # lines, so the twin, compiled later, copies the lean form's
+            # plan (rank threads may compile twins at once).
+            key = (cf.index, region.header)
+            shared = self._plans.get(key)
+            plan = Locals(self, cf, region) if shared is None else copy(shared)
+            plan.begin()
+        lines = self._region_lines(cf, region, variant, plan)
+        if plan is None:
+            source = "\n".join(lines) + "\n"
+        else:
+            if not plan.solved:
+                plan.solve(lines)
+                self._plans[key] = plan
+            source = plan.finish(lines)
+            if variant.bump is not None:  # both forms are compiled
+                self._plans.pop(key, None)
+        header = cf.fn.blocks[region.header]
+        return _exec(source, f"<{variant.name} {cf.name}.{header.name}>", "_region")
+
+    def _region_lines(
+        self, cf: CompiledFunction, region: Region, variant: Variant,
+        plan: Optional[Locals],
+    ) -> List[str]:
+        """The lines of :meth:`_gen_region`'s function, numbered and
+        marked for ``plan`` when given (see
+        :class:`~repro.interp.regalloc.Locals`)."""
         blocks = cf.fn.blocks
         tracked = variant.tracked
         insts = [i for bi in region.order for i in blocks[bi].instructions]
@@ -1304,7 +1374,7 @@ class _Compiler:
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
-        numbered = variant.inject is None and not tracked
+        numbered = plan is not None
         if leaves:
             emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
             emit("    _ca = state.inj_call_at")
@@ -1319,29 +1389,11 @@ class _Compiler:
         elif numbered:
             regs = self._local_regs[cf.index]
             tests = region.bounds
-            vn = _Numbering(profiled=variant.bump is not None)
-            hoists = self._plan_hoists(cf, region, vn)
-            # The header entry's slots and the outermost loop's invariants,
-            # then each other entry's extra slots and the invariants of the
-            # inner loops that hold it, outermost first.
-            own = region.entry_loads[region.header]
-            for s in own:
-                emit(f"    r{s} = f[{s}]")
-            for line in hoists.loops[region.header][1]:
-                emit(line)
-            test = "if"
-            for k in region.entries:
-                if k == region.header:
-                    continue
-                body = [f"    r{s} = f[{s}]" for s in region.entry_loads[k] if s not in own]
-                for h, (members, invariants) in hoists.loops.items():
-                    if h != region.header and k in members:
-                        body += invariants
-                if body:
-                    emit(f"    {test} bi == {k}:")
-                    test = "elif"
-                    for line in body:
-                        emit("    " + line)
+            vn = _Numbering(profiled=variant.bump is not None, locals=plan)
+            if plan.hoists is None:
+                plan.hoists = self._plan_hoists(cf, region, vn), vn.numbers
+            hoists, vn.numbers = plan.hoists
+            emit("\x04")  # the prologue, once the plan knows what to load
         else:
             regs = self._local_regs[cf.index]
             tests = region.bounds
@@ -1353,8 +1405,12 @@ class _Compiler:
             if tracked:
                 out(f"    state.cycles = _c; return {k}")
                 return
-            stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
-            count = "_c" if vn is None else _plus(vn.pending)
+            if plan is None:
+                stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
+                count = "_c"
+            else:
+                stores = plan.frame_writes(plan.exit_writes(k))
+                count = _plus(vn.pending)
             out(f"    state.cycles = {count}; {stores}return {k}")
 
         self._gen_dispatch(
@@ -1366,11 +1422,7 @@ class _Compiler:
         emit("    except:")
         emit("        if _c is not None: state.cycles = _c")
         emit("        raise")
-        header = blocks[region.header]
-        return _exec(
-            "\n".join(lines) + "\n", f"<{variant.name} {cf.name}.{header.name}>",
-            "_region",
-        )
+        return lines
 
     def _plan_hoists(
         self, cf: CompiledFunction, region: Region, vn: _Numbering
@@ -1381,7 +1433,7 @@ class _Compiler:
         hoisted when it is :func:`_hoistable` and each operand is a
         constant, a value defined outside the loop or one hoisted already.
         Each pure shape and operand numbers is computed once, into a local
-        ``_h{n}`` (no register: :func:`sync_frame` ignores it); an outer
+        ``_h{n}`` (no register of the function); an outer
         loop's hoist serves its inner loops.  A loop's facts (the numbers
         of its hoists and their operands) chain onto the facts of the loop
         that holds it and seed the numbering at each dispatch target in
@@ -1735,6 +1787,9 @@ class _Compiler:
         block = cf.fn.blocks[bi]
         cost = self.cm.cost_model.block_cost(block)
         own = test is not None and test != _HANG
+        if vn is not None:
+            vn.emitted += 1
+            out = vn.locals.tagged(out, cf.index, bi)
         if variant.tracked and own:
             out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
             out(f"        state.cycles = _c; return {bi}")
@@ -1756,10 +1811,14 @@ class _Compiler:
             at = _plus(pending + test)
             out(f"    if {at} > _bud:")
             out("        _bud = state.rbudget")
-            out(
-                f"        if {at} > _bud: _c = state.deopt(f, _locals(), {_plus(pending)}, "
-                f"{cost}); return state.step(f, {cf.index}, {bi})"
-            )
+            if vn is None:
+                deopt = (
+                    f"_c = state.deopt(f, _locals(), {_plus(pending)}, {cost}); "
+                )
+            else:
+                writes = vn.locals.frame_writes(vn.locals.deopt_writes(bi))
+                deopt = f"{writes}state.cycles = {_plus(pending - cost)}; _c = None; "
+            out(f"        if {at} > _bud: {deopt}return state.step(f, {cf.index}, {bi})")
         if variant.bump is not None:
             out(variant.bump.format(self.cm.block_gids[id(block)], _plus(pending)))
         self._gen_body(
@@ -1789,6 +1848,11 @@ class _Compiler:
             }
             self._region_cache[key] = entries
         return entries
+
+    def _counted(self, inst: Instruction) -> bool:
+        """Whether region code makes ``inst`` as a counted call (see
+        :meth:`_gen_counted_call`) and inlines no part of it."""
+        return _real_call(inst) and self._leaf_callee(inst) is None
 
     def _leaf_callee(self, inst: Instruction) -> Optional[int]:
         """The index of the leaf ``inst`` calls, or None when ``inst`` is
@@ -1849,6 +1913,8 @@ class _Compiler:
         region inlines too; the resync compare does not read
         ``state.ret``.
         """
+        if vn is not None:
+            emit = vn.locals.inlined(inst, emit)
         d = regs.get(id(inst))
         args = [self._expr(a, regs) for a in inst.operands]
         leaf = self.cm.cfuncs[cfi]
@@ -2007,9 +2073,7 @@ class _Compiler:
             return
         d = regs.get(id(inst))
         if isinstance(inst, ICmpInst):
-            op = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}[
-                inst.predicate
-            ]
+            op = _ICMP[inst.predicate]
             emit(f"    {d} = {e(inst.operands[0])} {op} {e(inst.operands[1])}")
             return
         if isinstance(inst, FCmpInst):
@@ -2019,9 +2083,7 @@ class _Compiler:
                 emit(f"    _a = {a}; _b = {b}")
                 emit(f"    {d} = _a == _a and _b == _b and _a != _b")
             else:
-                op = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}[
-                    inst.predicate
-                ]
+                op = _FCMP[inst.predicate]
                 emit(f"    {d} = {a} {op} {b}")
             return
         if isinstance(inst, SelectInst):
@@ -2093,16 +2155,18 @@ class _Compiler:
             return False
         held = None if key is None else vn.held(key)
         if held is not None:
-            emit(f"    {d} = {held}")
+            vn.locals.copy(d, held, emit)
             vn.bind(d, vn.of(held))
             return True
         if shape is not None:
             # the induction increment: x + 1 where x < y cannot wrap
             one = lambda v: isinstance(v, Constant) and v.value == 1
-            if inst.opcode == "add" and any(map(one, inst.operands)) and (
+            wrapless = inst.opcode == "add" and any(map(one, inst.operands)) and (
                 "below", key[-2] if one(inst.rhs) else key[-1], shape[2]
-            ) in vn.facts:
-                emit(f"    {d} = {e(inst.lhs)} + {e(inst.rhs)}")
+            ) in vn.facts
+            expr = self._pure_expr(inst, regs, wrapless)
+            if expr is not None:
+                vn.locals.define(d, expr, emit)
             else:
                 self._gen_instruction(inst, regs, emit, local=True)
             number = vn.define(key, d)
@@ -2131,6 +2195,30 @@ class _Compiler:
         vn.facts[accessed] = True
         return True
 
+    def _pure_expr(
+        self, inst: Instruction, regs: Dict[int, str], wrapless: bool
+    ) -> Optional[str]:
+        """The one expression numbered code assigns a pure value that
+        cannot raise, which it may fold into the value's reader (see
+        :class:`~repro.interp.regalloc.Locals`): a float
+        ``fadd``/``fsub``/``fmul``, a compare but ``fcmp one``,
+        ``select``, ``gep``, and an integer ``add`` whose wrap numbering
+        drops (``wrapless``).  None for any other instruction."""
+        e = lambda v: self._expr(v, regs)
+        if isinstance(inst, BinaryOperator):
+            sym = _FLOAT_OPS.get(inst.opcode, "+" if wrapless else None)
+            return None if sym is None else f"{e(inst.lhs)} {sym} {e(inst.rhs)}"
+        if isinstance(inst, ICmpInst):
+            return f"{e(inst.operands[0])} {_ICMP[inst.predicate]} {e(inst.operands[1])}"
+        if isinstance(inst, FCmpInst) and inst.predicate != "one":
+            return f"{e(inst.operands[0])} {_FCMP[inst.predicate]} {e(inst.operands[1])}"
+        if isinstance(inst, SelectInst):
+            c, t, f_ = (e(o) for o in inst.operands)
+            return f"{t} if {c} else {f_}"
+        if isinstance(inst, GEPInst):
+            return f"{e(inst.base)} + {e(inst.index)}"
+        return None
+
     def _gen_binop(
         self, inst: BinaryOperator, regs: Dict[int, str], emit, local: bool
     ) -> None:
@@ -2140,8 +2228,8 @@ class _Compiler:
         op = inst.opcode
         # integer wraps work on the destination itself in region code
         r = d if local else "_r"
-        if op in ("fadd", "fsub", "fmul"):
-            sym = {"fadd": "+", "fsub": "-", "fmul": "*"}[op]
+        if op in _FLOAT_OPS:
+            sym = _FLOAT_OPS[op]
             emit(f"    {d} = {a} {sym} {b}")
             return
         if op == "fdiv":
@@ -2269,7 +2357,7 @@ class _Compiler:
             if region and cfi in self._leaf_regs:
                 self._gen_inlined_call(inst, cfi, regs, emit, variant, vn)
                 return
-            self._gen_defined_call(inst, cfi, d, args, emit, variant, pending)
+            self._gen_defined_call(inst, cfi, d, args, emit, variant, pending, vn)
             if vn is not None:
                 vn.called()
             return
@@ -2308,7 +2396,7 @@ class _Compiler:
             return
         if name.startswith("mpi_"):
             self._gen_counted_call(
-                f"state.{name}({', '.join(args)})", d, emit, region, pending
+                f"state.{name}({', '.join(args)})", d, emit, region, pending, vn
             )
             if vn is not None:
                 vn.called()
@@ -2330,10 +2418,13 @@ class _Compiler:
     def _gen_defined_call(
         self, inst: CallInst, cfi: int, d: Optional[str], args: List[str],
         emit, variant: Optional[Variant], pending: int = 0,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """The counted ``state.call`` of the defined function ``cfi``, in
         region code of ``variant``'s form or (None) a block function,
-        ``pending`` numbered code's pending charge.  In
+        ``pending`` numbered code's pending charge and ``vn`` its
+        numbering where the call may chain (see :meth:`_gen_counted_call`).
+        In
         a tracked region it first sets the frame's tracking record to
         ``(block, calls made before this one)``, as the per-block loop has
         it when the callee bumps the count, and re-reads the region budget
@@ -2350,7 +2441,7 @@ class _Compiler:
             bi = self._block_index[caller][id(block)]
             emit(f"    _rec[1] = {bi}; _rec[2] = {k}")
         self._gen_counted_call(
-            f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None, pending
+            f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None, pending, vn
         )
         if tracked:
             emit("    _bud = state.rbudget")
@@ -2358,17 +2449,24 @@ class _Compiler:
 
     @staticmethod
     def _gen_counted_call(
-        call: str, d: Optional[str], emit, local: bool, pending: int = 0
+        call: str, d: Optional[str], emit, local: bool, pending: int = 0,
+        vn: Optional[_Numbering] = None,
     ) -> None:
         """A call that may run other compiled code or read the run state.
         Region code keeps its cycle count in the local ``_c``, so it writes
         the count back first (``_c`` plus numbered code's ``pending``
         charge) and re-reads it after; ``_c`` is ``None`` meanwhile, so an
         exception out of the callee keeps the callee's count (see
-        :meth:`_gen_region`)."""
-        if local:
+        :meth:`_gen_region`).  In numbered code (``vn``) a counted call
+        followed by another one in its block leaves ``_c`` None, and the
+        next one finds the count where the first left it."""
+        if local and not (vn is not None and vn.uncounted):
             emit(f"    state.cycles = {_plus(pending)}; _c = None")
         emit(f"    {d} = {call}" if d is not None else f"    {call}")
+        if vn is not None:
+            vn.uncounted = vn.chained
+            if vn.uncounted:
+                return
         if local:
             emit("    _c = state.cycles")
 
@@ -2437,10 +2535,16 @@ class _Compiler:
                 leave(then_b, then_lines.append)
             for line in then_lines or ["    pass"]:
                 arm(line)
+            # a numbered arm that emits a member keeps its ``else:`` even
+            # when only the profiled twin's profile lines fill it (see
+            # :func:`~repro.interp.regalloc.fill_empty_suites`)
+            emitted = 0 if vn is None else vn.emitted
             else_lines: List[str] = []
             with _arm(vn, c, False):
                 self._gen_edge_copies(block, else_b, regs, else_lines.append, vn)
                 leave(else_b, else_lines.append)
+            if vn is not None and vn.emitted > emitted and not else_lines:
+                else_lines.append("    pass")
             if else_lines:
                 emit("    else:")
                 for line in else_lines:
@@ -2454,17 +2558,26 @@ class _Compiler:
     ) -> None:
         """Parallel phi copies on the edge pred -> succ (one tuple
         assignment: Python evaluates every source before the first store).
-        Numbered code (``vn``) gives each phi a value of its own."""
+        Numbered code (``vn``) gives each phi a value of its own and moves
+        as :meth:`~repro.interp.regalloc.Locals.edge` says."""
         phis = succ.phis()
-        if phis:
-            dsts = ", ".join(regs[id(phi)] for phi in phis)
-            srcs = ", ".join(
-                self._expr(phi.incoming_for_block(pred), regs) for phi in phis
-            )
-            emit(f"    {dsts} = {srcs}")
-            for phi in phis if vn is not None else ():
-                vn.bind(regs[id(phi)])
+        if not phis:
+            return
+        srcs = [self._expr(phi.incoming_for_block(pred), regs) for phi in phis]
+        if vn is None:
+            emit(f"    {', '.join(regs[id(phi)] for phi in phis)} = {', '.join(srcs)}")
+            return
+        vn.locals.edge(
+            pred, succ, [(phi, regs[id(phi)], src) for phi, src in zip(phis, srcs)], emit
+        )
+        for phi in phis:
+            vn.bind(regs[id(phi)])
 
+
+#: generated Python operators of the float ops and compares that have one
+_FLOAT_OPS = {"fadd": "+", "fsub": "-", "fmul": "*"}
+_ICMP = {"eq": "==", "ne": "!=", "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
+_FCMP = {"oeq": "==", "olt": "<", "ole": "<=", "ogt": ">", "oge": ">="}
 
 #: intrinsic name -> name of the guarded runtime helper in EXEC_GLOBALS
 _MATH_INTRINSICS = {

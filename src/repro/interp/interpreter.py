@@ -820,21 +820,21 @@ class Interpreter:
         return fns
 
     def deopt(self, frame: List, region_locals: Dict, cycles: int, cost: int) -> None:
-        """A lean region's deopt exit at a test point, called with its
-        frame, its locals, the point's charged count ``cycles`` and its
-        ``cost``: put ``self.cycles`` back to the point's top and write the
-        region's bound registers back to ``frame``.  Returns None, the
-        region's count while :meth:`step` runs.  A point whose charge
-        passes the hang budget hangs there, in the block :meth:`step`
-        runs: numbered region code passes ``cycles`` without adding its
-        pending charge to ``_c``, so a hang raised here would leave the
-        region's handler a stale count."""
+        """An injectable region variant's deopt exit at a test point,
+        called with its frame, its locals, the point's charged count
+        ``cycles`` and its ``cost``: put ``self.cycles`` back to the point's
+        top and write the region's bound registers back to ``frame``.
+        Returns None, the region's count while :meth:`step` runs.  A point
+        whose charge passes the hang budget hangs there, in the block
+        :meth:`step` runs.  (Lean and profiled region code write the slots
+        the point may read and the count themselves.)"""
         self.cycles = cycles - cost
         sync_frame(frame, region_locals)
 
     def step(self, frame: List, cfi: int, bi: int) -> int:
-        """Run block ``bi`` of function ``cfi`` from its top (called after
-        a lean region's :meth:`deopt`, ``frame`` coherent) on the per-block
+        """Run block ``bi`` of function ``cfi`` from its top (called at a
+        region's deopt exit, ``frame`` coherent for every slot the block
+        and its successors may read) on the per-block
         table and return the block it leaves to; the dispatch loop runs on
         from there, block by block until a region entry.  The block trips
         (:meth:`trip`) when its charge passes the region budget below the

@@ -2140,12 +2140,10 @@ class TestDeoptExits:
         entries = interp.run(w.entry, profile=True).entries
         inst = first_value(cm, function)
         exits = []  # the top of each deopt exit's test point
-        real_deopt = Interpreter.deopt
+        real_step = Interpreter.step
         monkeypatch.setattr(
-            Interpreter, "deopt",
-            lambda self, f, names, cycles, cost: (
-                exits.append(cycles - cost) or real_deopt(self, f, names, cycles, cost)
-            ),
+            Interpreter, "step",
+            lambda self, f, cfi, bi: exits.append(self.cycles) or real_step(self, f, cfi, bi),
         )
 
         def both(**kwargs):
@@ -2540,6 +2538,142 @@ class TestDeferredCharges:
         loop = leaf_loops(sources["<region main.while.cond13>"])[0]
         assert loop.count("_c += ") == 1
         assert loop.index("_c += ") < loop.index("check_failed")
+
+
+#: a tuple assignment in generated code, and its targets
+TUPLE_MOVE = re.compile(r"^ *(\w+(?:, \w+)+) = ", re.M)
+
+
+class TestCoalescedMoves:
+    """Numbered region code leaves SSA without moves it does not need: a
+    phi shares a local with the values that feed it where their live
+    ranges do not interfere, a copy is read at its source, a pure value
+    read once later in its member is folded into its reader, and the
+    moves left are single assignments.  Frames, exits and deopt exits
+    write back what each value's current holder holds."""
+
+    #: a value defined mid-iteration (``y``) feeds the header phi ``x`` on
+    #: the back edge and the exit phi ``last`` on the ``break`` edge
+    SOURCE = """
+    output double result[2];
+    int n = 9;
+    void main() {
+        double x = 1.0;
+        double last = 0.0;
+        int i = 0;
+        while (i < n) {
+            double y = x * 1.5 + 0.25;
+            if (y > 40.0) { last = y; break; }
+            x = y;
+            i = i + 1;
+        }
+        result[0] = x + last;
+        result[1] = (double)i;
+    }
+    """
+
+    def test_the_butterfly_iteration_moves_nothing_twice(self, monkeypatch):
+        """The fft butterfly's inner iteration holds no tuple assignment and
+        no bare copy of a register or hoist: its back edge is one move
+        cycle through one temporary, and the phis read only after the loop
+        (a dead chain through the outer loops) move nothing."""
+        sources = compiled_sources(monkeypatch)
+        get_workload("fft").make_interpreter(1)
+        butterfly = sources["<region fft_row.for.cond7>"]
+        inner = loop_iteration(butterfly, int(dispatch_tests(butterfly)[0]))
+        assert not TUPLE_MOVE.search(inner)
+        assert not re.search(r"^ *r\d+ = (r\d+|_h\d+)$", inner, re.M)
+        assert len(re.findall(r"^ *_t\d+ = ", inner, re.M)) == 1
+
+    def test_no_wide_tuple_moves(self, monkeypatch):
+        """No lean region of the six workloads, plain or fully duplicated,
+        assigns a tuple of more than 3 targets (a leaf's moves are single
+        assignments too), and none loads a slot into a local it never
+        reads."""
+        sources = all_sources(monkeypatch)
+        lean = 0
+        for name, protect, module in workload_modules():
+            sources.clear()
+            Interpreter(module)
+            for filename, source in sources:
+                if not filename.startswith("<region "):
+                    continue
+                lean += 1
+                for targets in TUPLE_MOVE.findall(source):
+                    assert targets.count(",") < 3, (name, protect, filename, targets)
+                for local in re.findall(r"^ *(r\d+) = f\[\d+\]$", source, re.M):
+                    assert re.search(rf"\b{local}\b(?! = f\[)", source), (filename, local)
+        assert lean > 40
+
+    def test_a_value_feeding_a_header_and_an_exit_phi(self, monkeypatch):
+        """``y`` shares the header phi ``x``'s local, and the ``break`` edge
+        writes it to ``last``'s slot.  A hang at every cycle of the run and
+        a trip at every occurrence of every value of the loop, each at the
+        top of its member or at the loop exit, end as on the per-block
+        table."""
+        sources = compiled_sources(monkeypatch)
+        interp = Interpreter(compile_source(self.SOURCE))
+        (source,) = [s for f, s in sources.items() if f.startswith("<region main.")]
+        assert not TUPLE_MOVE.search(source)
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+        cm = interp.cm
+        cf = cm.cfuncs[cm.get_function_index("main")]
+        for budget in range(1, fast["cycles"] + 2):
+            fast, reference = both_ways(interp, cycle_budget=budget)
+            assert fast == reference, budget
+        entries = interp.run("main", profile=True).entries
+        trips = 0
+        for block in cf.fn.blocks:  # the loop's members and what follows it
+            for inst in block.instructions:
+                if id(inst) not in cm.records or isinstance(inst, PhiNode):
+                    continue
+                occurrences = len(entries[cm.record_for(inst).block_gid])
+                for occurrence in range(1, occurrences + 1):
+                    kwargs = golden_trip(interp, "main", inst, occurrence)
+                    fast, reference = both_ways(
+                        interp, injection=flip(inst, occurrence, min(52, result_bits(inst) - 1)),
+                        **kwargs,
+                    )
+                    assert fast["injection_hit"]
+                    assert fast == reference, (block.name, occurrence)
+                    trips += 1
+        assert trips > 30
+
+    def test_back_to_back_counted_calls(self, monkeypatch):
+        """Two calls to functions that are no leaf, one right after the
+        other, keep ``_c`` None between them; a trap in the second call
+        and a hang at every cycle still leave the per-block count."""
+        source = """
+        output int result[2];
+        int a[4];
+        int n = 6;
+        void touch(int i) { a[i % 4] = a[i % 4] + i; }
+        void first(int i) { touch(i); }
+        void second(int i) { touch(i + 1); if (i == t) { result[1] = a[i - 1000]; } }
+        int t = 99;
+        void main() {
+            for (int i = 0; i < n; i = i + 1) { first(i); second(i); }
+            result[0] = a[0] + a[1] + a[2] + a[3];
+        }
+        """
+        sources = compiled_sources(monkeypatch)
+        module = compile_source(source)
+        interp = Interpreter(module)
+        (region,) = [s for f, s in sources.items() if f.startswith("<region main.")]
+        call = r"state\.call\(\d+, \(r\d+,\)\)\n *"
+        assert re.search(call + call + r"_c = state\.cycles", region)
+        fast, reference = both_ways(interp, profile=True)
+        assert fast["status"] == "ok"
+        assert fast == reference
+        for budget in range(1, fast["cycles"] + 2):
+            fast, reference = both_ways(interp, cycle_budget=budget)
+            assert fast == reference, budget
+        trapped = compile_source(source.replace("int t = 99;", "int t = 3;"))
+        fast, reference = both_ways(Interpreter(trapped))
+        assert fast["status"] == "trap"
+        assert fast == reference
 
 
 class TestProfiledTable:
