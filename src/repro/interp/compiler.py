@@ -16,8 +16,10 @@ enters it, or, for an if/else merge, right after that ``if``/``else``,
 which its arms fall into.
 Only loop headers cost a dispatch test on the local block index (see
 :meth:`_Compiler._gen_dispatch`).  It loads the values it needs from the
-frame list at entry and writes back the ones that code outside the region
-reads just before each exiting ``return``.  A function therefore has four
+frame list at entry and, before each exiting ``return``, writes back the
+ones block-by-block execution may read from there (one rule, by slot
+liveness, for every form but the tracked one; see
+:class:`~repro.interp.regalloc.Frame`).  A function therefore has four
 dispatch tables:
 
 * ``block_fns`` — one function per block, the frame list coherent at every
@@ -57,8 +59,7 @@ charge, which the code adds to the count only right before something
 that can see it (see :meth:`_Compiler._gen_member`).  And they leave SSA
 without the moves they do not need: copies read their source, pure
 values read once are folded into their reader, coalesced phis move
-nothing and the moves left are single assignments, so their exits and
-deopt exits write back only the slots the code after them may read (see
+nothing and the moves left are single assignments (see
 :class:`~repro.interp.regalloc.Locals`).
 
 Semantics implemented exactly:
@@ -134,7 +135,7 @@ from ..ir.types import Type
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .costmodel import CostModel
 from .errors import InterpreterBug
-from .regalloc import Live, Locals, liveness
+from .regalloc import Frame, Live, Locals, liveness
 from .runtime import EXEC_GLOBALS
 
 
@@ -164,22 +165,6 @@ def flip_bool(value, bit: int):
     return not value
 
 
-def sync_frame(frame: List, region_locals: Dict[str, object]) -> None:
-    """Write the registers an injectable region variant has bound (``r12``
-    holds slot 12) back to its frame list, at a deopt exit (see
-    :meth:`_Compiler._gen_region`; numbered region code, whose locals are
-    coalesced, writes the slots its target may read itself).
-
-    A bound register always holds what block-by-block execution would
-    have left in its slot, and a slot whose register is unbound is one
-    the region's activation has not assigned yet; block-by-block
-    execution from the exit assigns it before any read, so the frame
-    list then serves the per-block table exactly."""
-    for name, value in region_locals.items():
-        if name[0] == "r" and name[1:].isdigit():
-            frame[int(name[1:])] = value
-
-
 def _crossed(cycles: int, offsets: Tuple[int, ...], budget: int) -> int:
     """The count at the first of a stretch's deferred hang tests that
     passes ``budget``: ``cycles`` plus the first of ``offsets`` (each
@@ -202,7 +187,7 @@ def _unbump(prof: List, cycles: int, gids: Tuple[int, ...]) -> None:
             entries.pop()
 
 
-EXEC_GLOBALS = dict(EXEC_GLOBALS, _locals=locals, _crossed=_crossed, _unbump=_unbump)
+EXEC_GLOBALS = dict(EXEC_GLOBALS, _crossed=_crossed, _unbump=_unbump)
 
 
 class CompiledBlock:
@@ -253,32 +238,23 @@ class Region:
     """One loop region: its member blocks in dispatch order (innermost
     first), where its code places them (the blocks it is entered at, i.e.
     the dispatch targets, header included, and the joins; see
-    :meth:`_Compiler._dispatch_targets`), the slots loaded into locals at
-    entry (all entries' and each entry's own), per exit target the slots
-    written back to the frame list before returning, its test points with
-    their bounds (see :meth:`_Compiler._plan_region`), and its natural
-    loops."""
+    :meth:`_Compiler._dispatch_targets`), the slots its code assigns, its
+    test points with their bounds (see :meth:`_Compiler._plan_region`),
+    and its natural loops."""
 
-    __slots__ = (
-        "header", "order", "entries", "joins", "loads", "entry_loads",
-        "exit_stores", "bounds", "loops",
-    )
+    __slots__ = ("header", "order", "entries", "joins", "written", "bounds", "loops")
 
     def __init__(
         self, header: int, order: List[int], entries: List[int],
-        joins: Dict[int, int], entry_loads: Dict[int, List[int]],
-        exit_stores: Dict[int, List[int]], bounds: Dict[int, int],
+        joins: Dict[int, int], written: FrozenSet[int], bounds: Dict[int, int],
         loops: List[Tuple[int, List[int]]],
     ):
         self.header = header
         self.order = order
         self.entries = entries
         self.joins = joins
-        #: entry -> the slots a read from that entry may see unassigned
-        self.entry_loads = entry_loads
-        #: every entry's slots, which a one-prologue form loads
-        self.loads = sorted(set().union(*entry_loads.values()))
-        self.exit_stores = exit_stores
+        #: the slots of the members' values, phis included
+        self.written = written
         #: test point -> the largest charge region code can add after the
         #: point's own charge before the next test point, back edge or exit
         self.bounds = bounds
@@ -1030,6 +1006,7 @@ class _Compiler:
         fall: bool = False,
         variant: Optional[Variant] = None,
         vn: Optional[_Numbering] = None,
+        frame: Optional[Frame] = None,
     ) -> None:
         """A block's instructions and terminator (phis are materialised as
         edge copies in the predecessors), with ``inject`` the injection
@@ -1046,7 +1023,7 @@ class _Compiler:
             if vn is not None and _settles(inst) and not self._dropped(inst, regs, vn):
                 vn.settle(emit)
             if inst.is_terminator():
-                self._gen_terminator(inst, regs, emit, leave, ret, fall, vn)
+                self._gen_terminator(inst, regs, emit, leave, ret, fall, vn, frame)
             else:
                 self._gen_instruction(inst, regs, emit, local, variant, vn)
                 self._gen_guarded_injection(inst, regs, emit, inject)
@@ -1081,29 +1058,16 @@ class _Compiler:
         self, cf: CompiledFunction, header: BasicBlock, order: List[BasicBlock],
         loops: List[Tuple[int, List[int]]],
     ) -> Region:
-        """Where a region is entered, which slots it loads at entry, which
-        it stores at each exit, and where its lean code tests the budget.
+        """Where a region is entered, which slots it assigns, and where its
+        lean code tests the budget.
 
         A region is entered at every block it dispatches on (see
         :meth:`_dispatch_targets`): at its header from the code before the
         loop, at an inner loop header when the dispatch loop steps onto it
-        block by block (after a trip, or once a tracked run detaches).  A
-        slot is loaded when, from some entry, a read in the region may
-        execute before the region assigns it (a must-assigned analysis
-        over the region's CFG from each entry; the entry block's phis were
-        written by the edge into it, so they always load).  The injectable
-        forms' one prologue loads the union (numbered code plans its own
-        loads and stores from liveness, see :class:`~repro.interp.regalloc.Locals`).  A slot the
-        region assigns is stored at an exit
-        when code outside the region reads it, or when the header entry
-        loads it and no entry edge rewrites it first (a later entry must
-        see the latest value).  A slot only an inner entry loads needs no
-        store: its definition dominates that entry, so every activation
-        that reaches the entry has assigned it on the way.  A slot stored
-        at an exit that some entry may reach without assigning it is
-        loaded too, so every store reads a bound local.  Together this
-        leaves the frame list exactly as block-by-block execution would,
-        for every slot anything may read later.
+        block by block (after a trip, or once a deopt exit or a tracked
+        run detaches).  Which slots its code loads and writes back follows
+        from slot liveness and the slots it assigns (see
+        :class:`~repro.interp.regalloc.Frame`).
 
         Lean region code (every variant but the tracked one) charges every
         member but tests the budget only at *test points*: the entries,
@@ -1122,90 +1086,11 @@ class _Compiler:
         index = self._block_index[cf.index]
         blocks = cf.fn.blocks
         inside: FrozenSet[BasicBlock] = frozenset(order)
-
-        def slot_set(values) -> Set[int]:
-            return {slots[id(v)] for v in values if id(v) in slots}
-
-        def phis(block: BasicBlock) -> Set[int]:
-            return slot_set(block.phis())
-
-        def edge_reads(pred: BasicBlock, succ: BasicBlock) -> Set[int]:
-            return slot_set(phi.incoming_for_block(pred) for phi in succ.phis())
-
-        outside_reads: Set[int] = set()
-        for block in cf.fn.blocks:
-            if block in inside:
-                continue
-            for inst in block.instructions:
-                if not isinstance(inst, PhiNode):
-                    outside_reads |= slot_set(inst.operands)
-            for succ in block.successors():
-                outside_reads |= edge_reads(block, succ)
-
-        defs = {
-            b: slot_set(i for i in b.instructions if not isinstance(i, PhiNode))
-            for b in order
-        }
-        preds: Dict[BasicBlock, List[BasicBlock]] = {b: [] for b in order}
-        for b in order:
-            for succ in b.successors():
-                if succ in inside:
-                    preds[succ].append(b)
-        every = set().union(*defs.values(), *(phis(b) for b in order))
-
-        def must_assigned(entry: BasicBlock) -> Dict[BasicBlock, Set[int]]:
-            """Locals assigned on every path from ``entry`` to each block's
-            entry, iterated down from "all"."""
-            assigned_in = {b: set() if b is entry else set(every) for b in order}
-            changed = True
-            while changed:
-                changed = False
-                for b in order:
-                    if b is entry:
-                        continue
-                    new = set(every)
-                    for p in preds[b]:
-                        new &= assigned_in[p] | defs[p]
-                    new |= phis(b)
-                    if new != assigned_in[b]:
-                        assigned_in[b] = new
-                        changed = True
-            return assigned_in
-
-        def read_first(assigned_in: Dict[BasicBlock, Set[int]]) -> Set[int]:
-            """Slots some read may see before the region assigns them."""
-            loads: Set[int] = set()
-            for b in order:
-                have = set(assigned_in[b])
-                for inst in b.instructions:
-                    if isinstance(inst, PhiNode):
-                        continue
-                    loads |= slot_set(inst.operands) - have
-                    if id(inst) in slots:
-                        have.add(slots[id(inst)])
-                for succ in b.successors():
-                    loads |= edge_reads(b, succ) - have
-            return loads
-
-        entries, joins = self._dispatch_targets(
-            cf, [index[id(b)] for b in order], index[id(header)]
-        )
-        assigned = {bi: must_assigned(blocks[bi]) for bi in entries}
-        entry_loads = {bi: read_first(a) for bi, a in assigned.items()}
-        header_loads = entry_loads[index[id(header)]]
-        exits = [
-            (b, succ) for b in order for succ in b.successors() if succ not in inside
-        ]
-        stores = every & (outside_reads | (header_loads - phis(header)))
-        for bi, assigned_in in assigned.items():
-            for b, _ in exits:
-                entry_loads[bi] |= stores - assigned_in[b] - defs[b]
-        loads = set().union(*entry_loads.values())
-        exit_stores = {
-            index[id(succ)]: sorted(stores | (phis(succ) & (outside_reads | loads)))
-            for _, succ in exits
-        }
         members = [index[id(b)] for b in order]
+        entries, joins = self._dispatch_targets(cf, members, index[id(header)])
+        written = frozenset(
+            slots[id(i)] for b in order for i in b.instructions if id(i) in slots
+        )
         points = set(entries)
         for bi in members:
             if any(map(_real_call, blocks[bi].instructions)):
@@ -1226,8 +1111,7 @@ class _Compiler:
             return after[bi]
 
         return Region(
-            index[id(header)], members, entries, joins,
-            {bi: sorted(s) for bi, s in entry_loads.items()}, exit_stores,
+            index[id(header)], members, entries, joins, written,
             {bi: bound(bi) for bi in sorted(points)}, loops,
         )
 
@@ -1244,29 +1128,26 @@ class _Compiler:
         of :meth:`_gen_inlined_call` (a counting run's injected function,
         a tripping run's golden cycle of the one real call, and the depth
         test) once at entry.  Every form starts at any block it dispatches
-        on, passed as ``bi`` (see :meth:`region_entries`).
+        on, passed as ``bi`` (see :meth:`region_entries`).  Every form but
+        the tracked one loads, writes back and moves values by slot
+        liveness (:class:`~repro.interp.regalloc.Frame`).
 
         A region's budget ``_bud`` is ``state.rbudget``: the hang budget,
         or just below a tripping trial's golden flip cycle until the trip.
         Lean code tests it only at the region's test points (see
         :meth:`_plan_region`) and never reads ``state.prof`` (the profiled
         and tracked forms add ``variant.bump``).  When a test point's
-        charge plus its bound
-        passes the budget, the slow path re-reads it (a trip in a callee
-        restores the hang budget, leaving this copy stale) and otherwise
-        leaves through a *deopt exit* at the test point's top: it puts
-        ``state.cycles`` back to the top and the frame list in the state
-        block-by-block execution reads from there (numbered code writes
-        the slots ``k`` may read from the locals holding them, see
-        :class:`~repro.interp.regalloc.Locals`; the injectable forms call ``state.deopt``, which
-        writes every bound register back, :func:`sync_frame`), and the
-        region returns ``state.step(f, cfi, k)``: the point ``k``
-        runs on the per-block table (hanging when its charge passes
-        ``state.budget``, tripping when it passes the region budget), and
-        the blocks after it run
-        on the dispatch loop's table, block by block, until a region entry
-        tests again.  So a trip, trap or hang lands on the block and cycle
-        at which the per-block table has it.  An inlined leaf block never
+        charge plus its bound passes the budget, the slow path re-reads it
+        (a trip in a callee restores the hang budget, leaving this copy
+        stale) and otherwise leaves through a *deopt exit* at the test
+        point's top: it writes the slots the point ``k`` may read to the
+        frame list, puts ``state.cycles`` back to its top, and returns
+        ``state.step(f, cfi, k)``: ``k`` runs on the per-block table
+        (hanging when its charge passes ``state.budget``, tripping when it
+        passes the region budget), and the blocks after it run on the
+        dispatch loop's table, block by block, until a region entry tests
+        again.  So a trip, trap or hang lands on the block and cycle at
+        which the per-block table has it.  An inlined leaf block never
         trips (the one call that holds the flip is a real call); it tests
         the hang budget (see :meth:`_gen_inlined_call`).
 
@@ -1299,30 +1180,32 @@ class _Compiler:
         loop's header from outside the loop and, in the prologue, for each
         entry the loop holds, outermost loop first, they seed the
         numbering at the loop's dispatch targets, so the loop copies them.
-        Their prologue loads only each entry's own slots (see
-        :meth:`_plan_region`) and computes the inline guard's invariant
-        part (see :meth:`_gen_inlined_call`).  Their values no longer sit
-        one per register (:class:`~repro.interp.regalloc.Locals`): a copy reads its source, a
-        pure value read once later in its member is folded into its
+        Their prologue loads only each entry's own slots and computes the
+        inline guard's invariant part (see :meth:`_gen_inlined_call`).
+        Their values no longer sit one per register
+        (:class:`~repro.interp.regalloc.Locals`): a copy reads its source,
+        a pure value read once later in its member is folded into its
         reader, a phi shares a local with the values that feed it where
-        their live ranges do not interfere, dead phis move nothing, and
-        the moves left are single assignments.  So a local holds a value
-        only where that value is live, and each exit and deopt exit writes
-        to the frame exactly the slots block-by-block execution may read
-        from its target, each from the local, hoist or expression holding
-        it; the prologue loads what each entry may read.  A fault enters these
-        forms only through the frame, memory or a call's result, written
-        by an injectable variant outside them, so every value it corrupts
-        gets a number of its own, and a register defined outside a loop
-        keeps its value while control stays in the loop; the tracked and
-        injectable forms, which themselves hold a trial's fault, are not
+        their live ranges do not interfere, and the moves left are single
+        assignments.  So a local holds a value only where that value is
+        live, and each exit and deopt exit writes each slot from the local,
+        hoist or expression holding it.  A fault enters these forms only
+        through the frame, memory or a call's result, written by an
+        injectable variant outside them, so every value it corrupts gets a
+        number of its own, and a register defined outside a loop keeps its
+        value while control stays in the loop; the tracked and injectable
+        forms, which themselves hold a trial's fault, are not
         numbered.  They also charge cycles per stretch rather than per
         block (see :meth:`_gen_member`), so a deopt exit, an exit, a
         counted call and the inline guard add the charge still pending to
         ``_c``, which is exact wherever anything can raise.
         """
-        plan = None
-        if variant.inject is None and not variant.tracked:
+        if variant.tracked:
+            source = "\n".join(self._region_lines(cf, region, variant, None)) + "\n"
+        elif variant.inject is not None:
+            frame = Frame(self, cf, region)
+            source = frame.finish(self._region_lines(cf, region, variant, frame))
+        else:
             # The lean form and its profiled twin differ only in profile
             # lines, so the twin, compiled later, copies the lean form's
             # plan (rank threads may compile twins at once).
@@ -1330,10 +1213,7 @@ class _Compiler:
             shared = self._plans.get(key)
             plan = Locals(self, cf, region) if shared is None else copy(shared)
             plan.begin()
-        lines = self._region_lines(cf, region, variant, plan)
-        if plan is None:
-            source = "\n".join(lines) + "\n"
-        else:
+            lines = self._region_lines(cf, region, variant, plan)
             if not plan.solved:
                 plan.solve(lines)
                 self._plans[key] = plan
@@ -1345,11 +1225,12 @@ class _Compiler:
 
     def _region_lines(
         self, cf: CompiledFunction, region: Region, variant: Variant,
-        plan: Optional[Locals],
+        frame: Optional[Frame],
     ) -> List[str]:
-        """The lines of :meth:`_gen_region`'s function, numbered and
-        marked for ``plan`` when given (see
-        :class:`~repro.interp.regalloc.Locals`)."""
+        """The lines of :meth:`_gen_region`'s function, crossing the frame
+        boundary as ``frame`` says (None in the tracked form), and
+        numbered and marked for it when it is a
+        :class:`~repro.interp.regalloc.Locals`."""
         blocks = cf.fn.blocks
         tracked = variant.tracked
         insts = [i for bi in region.order for i in blocks[bi].instructions]
@@ -1374,7 +1255,7 @@ class _Compiler:
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
-        numbered = plan is not None
+        numbered = isinstance(frame, Locals)
         if leaves:
             emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
             emit("    _ca = state.inj_call_at")
@@ -1386,37 +1267,29 @@ class _Compiler:
         if tracked:
             regs = self._frame_regs[cf.index]
             tests = dict.fromkeys(region.order, 0)
-        elif numbered:
-            regs = self._local_regs[cf.index]
-            tests = region.bounds
-            vn = _Numbering(profiled=variant.bump is not None, locals=plan)
-            if plan.hoists is None:
-                plan.hoists = self._plan_hoists(cf, region, vn), vn.numbers
-            hoists, vn.numbers = plan.hoists
-            emit("\x04")  # the prologue, once the plan knows what to load
         else:
             regs = self._local_regs[cf.index]
             tests = region.bounds
-            for s in region.loads:
-                emit(f"    r{s} = f[{s}]")
+            if numbered:
+                vn = _Numbering(profiled=variant.bump is not None, locals=frame)
+                if frame.hoists is None:
+                    frame.hoists = self._plan_hoists(cf, region, vn), vn.numbers
+                hoists, vn.numbers = frame.hoists
+            emit("\x04")  # the prologue, once the frame knows what to load
         emit("    try:")
 
         def leave_region(k: int, out) -> None:
             if tracked:
                 out(f"    state.cycles = _c; return {k}")
                 return
-            if plan is None:
-                stores = "".join(f"f[{s}] = r{s}; " for s in region.exit_stores[k])
-                count = "_c"
-            else:
-                stores = plan.frame_writes(plan.exit_writes(k))
-                count = _plus(vn.pending)
+            count = "_c" if vn is None else _plus(vn.pending)
+            stores = frame.frame_writes(frame.exit_writes(k))
             out(f"    state.cycles = {count}; {stores}return {k}")
 
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
             lambda line: emit("    " + line), "bi", leave_region, None, variant, tests,
-            vn, hoists,
+            vn, hoists, frame=frame,
         )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
@@ -1522,6 +1395,7 @@ class _Compiler:
         vn: Optional[_Numbering] = None,
         hoists: Optional[_Hoists] = None,
         straight: Optional[int] = None,
+        frame: Optional[Frame] = None,
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
@@ -1550,11 +1424,13 @@ class _Compiler:
         :data:`_RETURNS`, end in the leaf's ``ret`` and there is no loop.
         A loop left with one target tests and sets no ``bvar``.
 
-        Numbered code (``vn``) charges as :meth:`_gen_member` says: it
-        settles everything at an edge to a dispatch target, the arms that
-        fall into a join settle to its state in the plan of
-        :meth:`_plan_charges`, and an exit writes ``_c`` plus the pending
-        charge back.
+        Untracked region code crosses the frame boundary as ``frame``
+        says (see :class:`~repro.interp.regalloc.Frame`); an inlined
+        leaf's dispatch has none.  Numbered code (``vn``) charges as
+        :meth:`_gen_member` says: it settles everything at an edge to a
+        dispatch target, the arms that fall into a join settle to its
+        state in the plan of :meth:`_plan_charges`, and an exit writes
+        ``_c`` plus the pending charge back.
         """
         index = self._block_index[cf.index]
         targets, joins = placement
@@ -1578,6 +1454,7 @@ class _Compiler:
             self._gen_member(
                 cf, bi, regs, o, lambda target, oo: leave(target, oo, inner, bi),
                 ret, variant, tests.get(bi), fall=inner is not None, vn=vn,
+                frame=frame,
             )
             if join is not None:
                 gen_member(join, o, follow)
@@ -1759,6 +1636,7 @@ class _Compiler:
         test: Optional[int],
         fall: bool = False,
         vn: Optional[_Numbering] = None,
+        frame: Optional[Frame] = None,
     ) -> None:
         """One block in region code: charge ``_c``, make the budget test
         ``test``, bump the profile with the block's own gid when
@@ -1770,8 +1648,10 @@ class _Compiler:
         a region member's deopt test, whose bound it is (always 0 in a
         tracked region, which tests every member).  The deopt exit (see
         :meth:`_gen_region`) returns the block itself in a tracked region,
-        with block-function bodies on the frame list; lean code writes its
-        locals back and steps the block on the per-block table.
+        with block-function bodies on the frame list; every other form
+        writes the slots the block may read back (``frame``, see
+        :class:`~repro.interp.regalloc.Frame`) and steps the block on the
+        per-block table.
 
         Numbered code (``vn``, the lean and profiled forms) charges per
         stretch, not per block: it adds the block's cost to the pending
@@ -1811,20 +1691,17 @@ class _Compiler:
             at = _plus(pending + test)
             out(f"    if {at} > _bud:")
             out("        _bud = state.rbudget")
-            if vn is None:
-                deopt = (
-                    f"_c = state.deopt(f, _locals(), {_plus(pending)}, {cost}); "
-                )
-            else:
-                writes = vn.locals.frame_writes(vn.locals.deopt_writes(bi))
-                deopt = f"{writes}state.cycles = {_plus(pending - cost)}; _c = None; "
-            out(f"        if {at} > _bud: {deopt}return state.step(f, {cf.index}, {bi})")
+            writes = frame.frame_writes(frame.top_writes(bi))
+            out(
+                f"        if {at} > _bud: {writes}state.cycles = {_plus(pending - cost)}; "
+                f"_c = None; return state.step(f, {cf.index}, {bi})"
+            )
         if variant.bump is not None:
             out(variant.bump.format(self.cm.block_gids[id(block)], _plus(pending)))
         self._gen_body(
             block, regs, out, leave, variant.inject,
             local=not (variant.tracked and own), ret=ret, fall=fall, variant=variant,
-            vn=vn,
+            vn=vn, frame=frame,
         )
 
     def region_entries(
@@ -2481,6 +2358,7 @@ class _Compiler:
         ret: Optional[Callable[[Optional[str], Callable], None]] = None,
         fall: bool = False,
         vn: Optional[_Numbering] = None,
+        frame: Optional[Frame] = None,
     ) -> None:
         """``leave(target, emit)`` emits the transfer to a successor block
         through ``emit`` (which carries the arm's indentation): ``return k``
@@ -2512,7 +2390,7 @@ class _Compiler:
         if isinstance(inst, BranchInst):
             if not inst.is_conditional:
                 target = inst.targets[0]
-                self._gen_edge_copies(block, target, regs, emit, vn)
+                self._gen_edge_copies(block, target, regs, emit, vn, frame)
                 leave(target, emit)
                 return
             cond = inst.condition
@@ -2523,15 +2401,15 @@ class _Compiler:
             arm = lambda line: emit("    " + line)
             if not fall:
                 with _arm(vn, c, True):
-                    self._gen_edge_copies(block, then_b, regs, arm, vn)
+                    self._gen_edge_copies(block, then_b, regs, arm, vn, frame)
                     leave(then_b, arm)
                 with _arm(vn, c, False):
-                    self._gen_edge_copies(block, else_b, regs, emit, vn)
+                    self._gen_edge_copies(block, else_b, regs, emit, vn, frame)
                     leave(else_b, emit)
                 return
             then_lines: List[str] = []
             with _arm(vn, c, True):
-                self._gen_edge_copies(block, then_b, regs, then_lines.append, vn)
+                self._gen_edge_copies(block, then_b, regs, then_lines.append, vn, frame)
                 leave(then_b, then_lines.append)
             for line in then_lines or ["    pass"]:
                 arm(line)
@@ -2541,7 +2419,7 @@ class _Compiler:
             emitted = 0 if vn is None else vn.emitted
             else_lines: List[str] = []
             with _arm(vn, c, False):
-                self._gen_edge_copies(block, else_b, regs, else_lines.append, vn)
+                self._gen_edge_copies(block, else_b, regs, else_lines.append, vn, frame)
                 leave(else_b, else_lines.append)
             if vn is not None and vn.emitted > emitted and not else_lines:
                 else_lines.append("    pass")
@@ -2554,24 +2432,28 @@ class _Compiler:
 
     def _gen_edge_copies(
         self, pred: BasicBlock, succ: BasicBlock, regs: Dict[int, str], emit,
-        vn: Optional[_Numbering] = None,
+        vn: Optional[_Numbering] = None, frame: Optional[Frame] = None,
     ) -> None:
         """Parallel phi copies on the edge pred -> succ (one tuple
-        assignment: Python evaluates every source before the first store).
-        Numbered code (``vn``) gives each phi a value of its own and moves
-        as :meth:`~repro.interp.regalloc.Locals.edge` says."""
+        assignment: Python evaluates every source before the first store),
+        or the moves ``frame`` makes (numbered code's, ``vn.locals``, in
+        its inlined leaves too).  Numbered code gives each phi a value of
+        its own."""
         phis = succ.phis()
         if not phis:
             return
         srcs = [self._expr(phi.incoming_for_block(pred), regs) for phi in phis]
-        if vn is None:
+        if vn is not None:
+            frame = vn.locals
+        if frame is None:
             emit(f"    {', '.join(regs[id(phi)] for phi in phis)} = {', '.join(srcs)}")
             return
-        vn.locals.edge(
+        frame.edge(
             pred, succ, [(phi, regs[id(phi)], src) for phi, src in zip(phis, srcs)], emit
         )
-        for phi in phis:
-            vn.bind(regs[id(phi)])
+        if vn is not None:
+            for phi in phis:
+                vn.bind(regs[id(phi)])
 
 
 #: generated Python operators of the float ops and compares that have one

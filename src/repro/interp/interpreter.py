@@ -33,7 +33,7 @@ from ..recover.warm import (
     _TrackState,
     exact_state_eq,
 )
-from .compiler import CompiledModule, sync_frame
+from .compiler import CompiledModule
 from .costmodel import CostModel
 from .errors import (
     ArithmeticFault,
@@ -818,18 +818,6 @@ class Interpreter:
             fns[bi] = fn
             self.inj_block_fns = fns
         return fns
-
-    def deopt(self, frame: List, region_locals: Dict, cycles: int, cost: int) -> None:
-        """An injectable region variant's deopt exit at a test point,
-        called with its frame, its locals, the point's charged count
-        ``cycles`` and its ``cost``: put ``self.cycles`` back to the point's
-        top and write the region's bound registers back to ``frame``.
-        Returns None, the region's count while :meth:`step` runs.  A point
-        whose charge passes the hang budget hangs there, in the block
-        :meth:`step` runs.  (Lean and profiled region code write the slots
-        the point may read and the count themselves.)"""
-        self.cycles = cycles - cost
-        sync_frame(frame, region_locals)
 
     def step(self, frame: List, cfi: int, bi: int) -> int:
         """Run block ``bi`` of function ``cfi`` from its top (called at a

@@ -1,13 +1,16 @@
-"""Where numbered region code keeps its values (see
-:class:`~repro.interp.compiler.CompiledModule` and ``_Compiler._gen_region``).
+"""Where region code keeps its values and how it crosses the frame
+boundary (see :class:`~repro.interp.compiler.CompiledModule` and
+``_Compiler._gen_region``).
 
-Lean region code and its profiled twin name each SSA value after its frame
-slot (``r12``) as they are generated.  :class:`Locals` then reads copies at
-their source, folds pure values read once into their reader, lets a phi
-share one Python local with the values that feed it where their live
-ranges do not interfere, and turns the parallel moves left into single
-assignments.  :func:`liveness` says which frame slots block-by-block
-execution may still read, which is what exits and deopt exits write back.
+:func:`liveness` says which frame slots block-by-block execution may
+still read.  :class:`Frame` turns it into the one rule every untracked
+region form (lean, profiled and injectable) follows at its prologue,
+exits, deopt exits and phi moves.  Lean region code and its profiled
+twin also name each SSA value after its frame slot (``r12``) as they are
+generated; :class:`Locals` then reads copies at their source, folds pure
+values read once into their reader, lets a phi share one Python local
+with the values that feed it where their live ranges do not interfere,
+and turns the parallel moves left into single assignments.
 """
 
 from __future__ import annotations
@@ -191,7 +194,88 @@ def fill_empty_suites(lines: List[str]) -> List[str]:
     return out
 
 
-class Locals:
+class Frame:
+    """Where the untracked forms of one region cross the frame boundary:
+    region code keeps the region's values in locals, block-by-block
+    execution reads the frame list, and :attr:`Live.top` says what it may
+    read.  So
+
+    * the prologue loads the slots live at any of the region's entries
+      that its code reads or assigns;
+    * an edge inside the region moves only the phis something reads
+      (:attr:`Live.useful`): a dead phi may read a local no entry loads;
+    * an exit to block ``k`` writes the slots live at ``k`` that region
+      code assigns (:attr:`Region.written`) or that are ``k``'s phis, the
+      latter from the value the edge moves;
+    * a deopt exit at member ``k``'s top writes the slots live at ``k``
+      that region code assigns.
+
+    Every write reads a bound local: a slot live where the code writes
+    it that this activation has not assigned was live at the entry the
+    activation took, since no path from there assigned it, so the
+    prologue loaded it.  The injectable forms follow this rule as is,
+    ``r12`` holding slot 12; :class:`Locals` adds what numbered code
+    does."""
+
+    def __init__(self, compiler: "_Compiler", cf: CompiledFunction, region: Region):
+        self.fn = cf.fn
+        self.slots = compiler._slot_of[cf.index]
+        self.index = compiler._block_index[cf.index]
+        self.live = compiler._live(cf)
+        self.region = region
+        self.members = frozenset(region.order)
+
+    def frame_writes(self, slots) -> str:
+        return "".join(f"f[{s}] = r{s}; " for s in slots)
+
+    def exit_writes(self, k: int) -> List[int]:
+        """The slots an exit to block ``k`` writes back to the frame: those
+        ``k`` may read that region code assigns, its phis, which the exit
+        edge writes, aside."""
+        phis = {self.slots[id(p)] for p in self.fn.blocks[k].phis()}
+        return sorted((self.live.top[k] - phis) & self.region.written)
+
+    def top_writes(self, k: int) -> List[int]:
+        """The slots a deopt exit at member ``k``'s top writes back."""
+        return sorted(self.live.top[k] & self.region.written)
+
+    def edge(
+        self, pred: BasicBlock, succ: BasicBlock, moves: List[Tuple[PhiNode, str, str]], out
+    ) -> None:
+        """The phi moves ``(phi, its local, source)`` on the edge pred ->
+        succ: an inlined leaf's all of them, a region edge's for the phis
+        something reads, and an exit's into the frame for the phis its
+        target may read."""
+        inside = succ.parent is self.fn
+        if inside:
+            k = self.index[id(succ)]
+            if k not in self.members:
+                live = self.live.top[k]
+                for phi, _, src in moves:
+                    slot = self.slots[id(phi)]
+                    if slot in live:
+                        out(f"    f[{slot}] = {src}")
+                return
+            moves = [m for m in moves if id(m[0]) in self.live.useful]
+        self.move([(d, s) for _, d, s in moves], out, inside)
+
+    def move(self, moves: List[Tuple[str, str]], out, inside: bool) -> None:
+        """A parallel move, ``inside`` the region's own function or not,
+        as single assignments."""
+        for line in sequence(moves):
+            out(f"    {line}")
+
+    def finish(self, lines: List[str]) -> str:
+        """The generated ``lines`` as source, the prologue's mark line
+        loading every slot live at an entry that they name."""
+        text = "\n".join(lines) + "\n"
+        named = set(_REG.findall(text))
+        live = frozenset().union(*(self.live.top[k] for k in self.region.entries))
+        loads = "".join(f"    r{s} = f[{s}]\n" for s in sorted(live) if f"r{s}" in named)
+        return text.replace("\x04\n", loads, 1)
+
+
+class Locals(Frame):
     """Which Python local holds each value in the numbered form of one
     region (see :meth:`_Compiler._gen_region`), shared by the lean form
     and its profiled twin.
@@ -208,8 +292,8 @@ class Locals:
       float result is bitwise the same); one nothing reads disappears;
     * computes which locals region code may read at each member top, its
       phis assigned (reads of registers, copies' reads of their source,
-      folded values' reads of their operands, the frame writes below),
-      and what each definition's live set is;
+      folded values' reads of their operands, the frame writes of
+      :class:`Frame`), and what each definition's live set is;
     * coalesces each phi with the values that feed it on edges inside the
       region when no value of either class is live where the other class
       assigns one: they share one local, named after their lowest slot,
@@ -217,24 +301,12 @@ class Locals:
 
     :meth:`finish` renames the lines, emits the surviving moves of an
     edge one assignment each (:func:`sequence`) and the prologue, which
-    loads what may be read at each entry.  At each exit and deopt exit
-    the code writes the frame slots that block-by-block execution may
-    read from there (:attr:`Live.top`) and region code assigns (the
-    region's other slots already hold their values), from whichever
-    local, hoist or expression holds each value."""
+    loads what may be read at each entry, each entry its own.  Exits and
+    deopt exits write what :class:`Frame` says, from whichever local,
+    hoist or expression holds each value."""
 
     def __init__(self, compiler: "_Compiler", cf: CompiledFunction, region: Region):
-        self.fn = cf.fn
-        self.slots = compiler._slot_of[cf.index]
-        self.index = compiler._block_index[cf.index]
-        self.live = compiler._live(cf)
-        self.region = region
-        self.members = frozenset(region.order)
-        blocks = cf.fn.blocks
-        self.written = frozenset(
-            self.slots[id(i)] for bi in region.order for i in blocks[bi].instructions
-            if id(i) in self.slots
-        )
+        super().__init__(compiler, cf, region)
         self.solved = False
         #: copy register -> the register or hoist it reads
         self.aliases: Dict[str, str] = {}
@@ -291,43 +363,15 @@ class Locals:
             self.foldable[d] = expr
             out(f"    {d} = {expr}\x02{d}")
 
-    def frame_writes(self, slots) -> str:
-        return "".join(f"f[{s}] = r{s}; " for s in slots)
-
-    def exit_writes(self, k: int) -> List[int]:
-        """The slots an exit to block ``k`` writes back to the frame: those
-        ``k`` may read that region code assigns, its phis, which the exit
-        edge writes, aside."""
-        phis = {self.slots[id(p)] for p in self.fn.blocks[k].phis()}
-        return sorted((self.live.top[k] - phis) & self.written)
-
-    def deopt_writes(self, k: int) -> List[int]:
-        """The slots a deopt exit at member ``k``'s top writes back."""
-        return sorted(self.live.top[k] & self.written)
-
-    def edge(
-        self, pred: BasicBlock, succ: BasicBlock, moves: List[Tuple[PhiNode, str, str]], out
-    ) -> None:
-        """The phi moves ``(phi, its local, source)`` on the edge pred ->
-        succ: an inlined leaf's as single assignments, a region edge's for
-        the phis something reads, and an exit's into the frame for the
-        phis its target may read."""
-        if succ.parent is not self.fn:
-            for line in sequence([(d, s) for _, d, s in moves]):
-                out(f"    {line}")
+    def move(self, moves: List[Tuple[str, str]], out, inside: bool) -> None:
+        """An inlined leaf's parallel move as single assignments, a region
+        edge's marked, for :meth:`finish` to emit what coalescing leaves."""
+        if not inside:
+            super().move(moves, out, inside)
             return
-        k = self.index[id(succ)]
-        if k not in self.members:
-            live = self.live.top[k]
-            for phi, _, src in moves:
-                slot = self.slots[id(phi)]
-                if slot in live:
-                    out(f"    f[{slot}] = {src}")
-            return
-        useful = [(d, s) for phi, d, s in moves if id(phi) in self.live.useful]
-        for d, s in useful:
+        for d, s in moves:
             out(f"    {d} = {s}\x03{len(self.moves)}")
-        self.moves.append(useful)
+        self.moves.append(moves)
 
     # -- after generating -------------------------------------------------------------
 
@@ -508,7 +552,7 @@ class Locals:
                     moved |= regs(f"r{s_}" for s_ in self.exit_writes(k))
             out_uses[bi] = moved
             at_top[bi] = (
-                regs(f"r{s}" for s in self.deopt_writes(bi)) if bi in points else set()
+                regs(f"r{s}" for s in self.top_writes(bi)) if bi in points else set()
             )
 
         top: Dict[int, Set[int]] = {bi: set() for bi in self.region.order}

@@ -233,6 +233,15 @@ def dispatch_tests(source):
     return re.findall(r"\bbi == (\d+):", source[source.index("while True:"):])
 
 
+def exit_stores(source):
+    """exit target -> the frame slots a region source's exit to it writes
+    back with its count (its phis' writes, on the lines before, aside)."""
+    exits = re.findall(
+        r"state\.cycles = _c; ((?:f\[\d+\] = [^;]+; )*)return (\d+)$", source, re.M
+    )
+    return {int(k): set(map(int, re.findall(r"f\[(\d+)\]", w))) for w, k in exits}
+
+
 #: the tail of an int64 wrap check in generated code
 WRAP = "% 18446744073709551616"
 
@@ -566,13 +575,14 @@ class TestRegionPlan:
             hits += fast[1]["injection_hit"]
         assert hits
 
-    def test_an_inner_entry_binds_every_slot_stored_at_an_exit(self):
+    def test_an_inner_entry_binds_every_slot_stored_at_an_exit(self, monkeypatch):
         """``%s`` is computed at the top of the outer loop, before the
         inner one, and read only after the nest: every path from the
         header to the exit assigns it, no path from the inner header does.
-        The prologue loads it, so a tripping trial that re-enters the
-        region at the inner header and leaves through the exit stores it,
-        and ends as the per-block table does."""
+        It is live at the inner header, so the injectable form's prologue
+        loads it, and a tripping trial that re-enters the region at the
+        inner header and leaves through the exit stores it, and ends as
+        the per-block table does."""
         text = """
         @result = global [2 x f64] output
 
@@ -604,6 +614,7 @@ class TestRegionPlan:
           ret void
         }
         """
+        sources = compiled_sources(monkeypatch)
         interp = Interpreter(parse_module(text))
         cm = interp.cm
         (cf,) = cm.cfuncs
@@ -613,8 +624,11 @@ class TestRegionPlan:
         assert region.entries == [names["inner"], names["outer"]]
         s = first_value_in(cm, cf, names["outer"])
         slot = cm.record_for(s).slot
-        assert slot in region.loads
-        assert all(slot in stores for stores in region.exit_stores.values())
+        cm.injected_region_entries(s)
+        source = sources["<region main.outer>"]
+        assert f"    r{slot} = f[{slot}]\n" in source[: source.index("    try:")]
+        stores = exit_stores(source)
+        assert stores and all(slot in written for written in stores.values())
         entered = []
         fns = list(cf.region_fns)
         fns[names["inner"]] = lambda f, st, _fn=fns[names["inner"]]: (
@@ -639,7 +653,7 @@ class TestRegionPlan:
                 trials += 1
         assert trials >= 9 and entered
 
-    def test_exits_write_back_only_values_read_outside(self):
+    def test_exits_write_back_only_values_read_outside(self, monkeypatch):
         source = """
         output double result[2];
         int n = 5;
@@ -653,14 +667,15 @@ class TestRegionPlan:
             result[0] = s;
         }
         """
-        interp = Interpreter(compile_source(source))
-        regions = interp.cm._compiler._regions
-        assert len(regions) == 1
-        (region,) = regions.values()
-        (stores,) = set(map(tuple, region.exit_stores.values()))
+        sources = compiled_sources(monkeypatch)
+        cm = Interpreter(compile_source(source)).cm
+        (cf,) = cm.cfuncs
+        ((header, members),) = regions_of(cf)
+        cm.injected_region_entries(first_value_in(cm, cf, min(members)))
+        stores = exit_stores(sources[f"<region main.{cf.fn.blocks[header].name}>"])
         # Only the sum leaves the loop: the counter and the square stay in
         # locals, and the header phis are rewritten by every entry edge.
-        assert len(stores) == 1
+        assert list(map(len, stores.values())) == [1]
 
 
 def workload_modules():
@@ -733,9 +748,9 @@ class TestRegionSources:
     #: sha256 of the sorted (filename, source) pairs of the injectable
     #: region variants (both epilogues) at the first value of every region
     #: member below: lean and profiled code number values, these forms
-    #: do not
+    #: do not; they load, exit and deopt by slot liveness, as those do
     INJECTED_REGION_SOURCES = (
-        506, "1472ad538aff845f780b5253fa04f555ddb985733b1ef68688fc52161fc00f3c"
+        506, "77ffe487f95bd3a9656b05308a72d153a8f96777414942cb18f0797113f4a773"
     )
 
     def test_injectable_region_sources_are_pinned(self, monkeypatch):
@@ -2542,6 +2557,73 @@ class TestDeferredCharges:
 
 #: a tuple assignment in generated code, and its targets
 TUPLE_MOVE = re.compile(r"^ *(\w+(?:, \w+)+) = ", re.M)
+
+
+class TestCountingDeopts:
+    """A counting run (an injection without ``fire``) runs the injected
+    function's injectable region variant, which loads, exits and deopts
+    by slot liveness as lean code does (``regalloc.Frame``).  One
+    ``spmv_slab`` all-arms iteration and one fft butterfly, against the
+    per-block table."""
+
+    @pytest.mark.parametrize("name, function", [("hpccg", "spmv_slab"), ("fft", "fft_row")])
+    def test_a_hang_at_every_cycle(self, name, function, monkeypatch):
+        """A counting run whose site is in the iteration's innermost
+        member, at a hang budget at every cycle of the iteration: each
+        test point's deopt exit leaves every slot its block may read as
+        the per-block table has it there, and the run hangs at the
+        per-block table's block and cycle, with its site count.  No
+        generated source calls back into the interpreter to deopt or
+        reads its own locals."""
+        sources = all_sources(monkeypatch)
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        cm = interp.cm
+        cf, region, iteration = inner_iteration(interp, w.entry, function)
+        injection = flip(first_value_in(cm, cf, region.order[0]), 10**9, 0)
+        live = cm._compiler._live(cf).top
+        steps = []
+        real_step = Interpreter.step
+
+        def step(self, frame, cfi, bi):
+            at = (cfi, bi, self.cycles)
+            steps.append((at, [repr(frame[s]) for s in sorted(live[bi])]))
+            return real_step(self, frame, cfi, bi)
+
+        monkeypatch.setattr(Interpreter, "step", step)
+
+        def counted():
+            result = interp.run(w.entry, injection=injection, cycle_budget=budget)
+            return observe(interp, result), interp.inj_seen
+
+        first, last = iteration[0][2], iteration[-1][2]
+        seen = 0
+        for budget in range(first, last + 1):
+            fast = counted()
+            with per_block_dispatch(cm):
+                assert counted() == fast, budget
+            assert fast[0]["status"] == "hang"
+            seen = max(seen, fast[1])
+        assert seen
+        deopts = dict(steps)
+        assert {bi for (_, bi, _) in deopts} >= set(region.bounds) & {
+            bi for _, bi, _ in iteration
+        }
+        frames = {}
+        with per_block_dispatch(cm):
+            cf.region_fns = [
+                lambda f, st, _fn=fn, _bi=bi: (
+                    frames.setdefault((cf.index, _bi, st.cycles), [
+                        repr(f[s]) for s in sorted(live[_bi])
+                    ]) and _fn(f, st)
+                )
+                for bi, fn in enumerate(cf.region_fns)
+            ]
+            interp.run(w.entry, cycle_budget=last + 1)
+        for at, values in deopts.items():
+            assert values == frames[at], at
+        for _, source in sources:
+            assert "state.deopt" not in source and "_locals" not in source
 
 
 class TestCoalescedMoves:
