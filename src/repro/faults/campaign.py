@@ -65,7 +65,9 @@ class TrialRecord:
     trial executed under the rollback runtime, else ``None``.
 
     ``warm`` is transient execution metadata from warm-start campaigns —
-    a ``(rung_index, resynced, prefix_cycles_saved)`` triple, or ``None``
+    a ``(rung_index, resync, prefix_cycles_saved)`` triple, ``resync``
+    being ``None``, ``"exact"`` (the rung due at the trial's cycle count
+    matched) or ``"offset"`` (an offset-probe rung matched), or ``None``
     for cold trials.  It describes *how* the trial ran, not what happened,
     so it is deliberately excluded from ``trial_entry`` (the one serialised
     form of a trial, see :mod:`repro.faults.parallel`): warm and cold
@@ -84,7 +86,7 @@ class TrialRecord:
         cycles: int,
         failure=None,
         recovery: Optional[RecoveryTelemetry] = None,
-        warm: Optional[Tuple[int, bool, int]] = None,
+        warm: Optional[Tuple[int, Optional[str], int]] = None,
     ):
         self.site = site
         self.outcome = outcome
@@ -392,8 +394,9 @@ class Campaign:
         # Only tripping trials resync.  Recovery trials must replay their
         # rollback telemetry in full to stay bit-identical, multi-shot
         # faults keep corrupting after the first firing (so their tails
-        # never rendezvous with the golden run), and the tracked dispatch
-        # of a resync-armed trial has no counting tables.
+        # never rendezvous with the golden run), and the resync dispatch
+        # loop steps its events on the plain per-block table, which does
+        # not count.
         return WarmStart(ladder, snap, inj_seen=inj_seen, resync=fire is not None)
 
     def run_site(self, site: FaultSite) -> TrialRecord:
@@ -415,7 +418,7 @@ class Campaign:
         if warm is not None:
             warm_info = (
                 result.warm_index,
-                result.resynced,
+                ("offset" if result.probed else "exact") if result.resynced else None,
                 warm.snapshot.cycles if warm.snapshot is not None else 0,
             )
         return TrialRecord(

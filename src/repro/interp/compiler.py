@@ -18,23 +18,18 @@ Only loop headers cost a dispatch test on the local block index (see
 :meth:`_Compiler._gen_dispatch`).  It loads the values it needs from the
 frame list at entry and, before each exiting ``return``, writes back the
 ones block-by-block execution may read from there (one rule, by slot
-liveness, for every form but the tracked one; see
-:class:`~repro.interp.regalloc.Frame`).  A function therefore has four
-dispatch tables:
+liveness, for every form; see :class:`~repro.interp.regalloc.Frame`).  A
+function therefore has three dispatch tables:
 
 * ``block_fns`` — one function per block, the frame list coherent at every
-  block boundary.  Used by the tracked dispatch loop (recovery snapshots,
-  ladder capture, warm resume, and golden resync at its events) and the
-  block profiler.
+  block boundary.  Used by the tracked dispatch loop while it recovers or
+  captures a ladder, by warm resume, at a resync-armed trial's events
+  (the trip and the rungs) and by the block profiler.
 * ``region_fns`` — ``block_fns`` with the entry of each block a region
   dispatches on (its loop headers, see :meth:`_Compiler._dispatch_targets`)
   replaced by the region function started there.  Used by the lean
-  dispatch loop of every other run.
-* ``tracked_fns`` — the same with the *tracked* region functions, built on
-  first use
-  (:meth:`CompiledModule.tracked_region_fns`).  Used by the dispatch loop
-  of resync-armed warm trials between resync events; a tracked region
-  keeps the frame list coherent and leaves through a *deopt exit* before
+  dispatch loop, and by a resync-armed warm trial between its events:
+  lean code leaves through a *deopt exit* at its last test point before
   the next event (see :meth:`_Compiler._gen_region`).
 * ``profiled_fns`` — the same with the *profiled* region functions, the
   lean code plus a profile bump per block, built on first use
@@ -43,9 +38,9 @@ dispatch tables:
 
 A run's observable results (status, cycle count, profile, memory, output,
 the cycle at which it trips, traps or hangs) are identical whichever table
-executes it.  Block functions, and the tracked and injectable region
-forms, charge each block's cycles at its top, in block order, and block
-functions test the budget and bump the profile at every block.  Region
+executes it.  Block functions and the injectable region forms charge
+each block's cycles at its top, in block order, and block functions test
+the budget and bump the profile at every block.  Region
 code tests the budget only where a static bound says a budget could run
 out (see :meth:`_Compiler._plan_region`) and, near one, steps that
 stretch on the per-block table; lean region code bumps no profile, and
@@ -135,7 +130,7 @@ from ..ir.types import Type
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .costmodel import CostModel
 from .errors import InterpreterBug
-from .regalloc import Frame, Live, Locals, liveness
+from .regalloc import Frame, Live, Locals, live_after, liveness
 from .runtime import EXEC_GLOBALS
 
 
@@ -209,7 +204,7 @@ class CompiledFunction:
 
     __slots__ = (
         "index", "name", "fn", "nslots", "nargs", "blocks", "block_fns",
-        "region_fns", "region_of", "tracked_fns", "profiled_fns", "costs",
+        "region_fns", "region_of", "profiled_fns", "costs",
     )
 
     def __init__(self, index: int, fn: Function):
@@ -226,8 +221,6 @@ class CompiledFunction:
         self.region_fns: List[Callable] = []
         #: member block index -> header block index of its region
         self.region_of: Dict[int, int] = {}
-        #: the tracked dispatch table, None until a tracked run needs it
-        self.tracked_fns: Optional[List[Callable]] = None
         #: the profiled dispatch table, None until a profiled run needs it
         self.profiled_fns: Optional[List[Callable]] = None
         #: per-block cycle cost, indexed like ``block_fns``
@@ -295,6 +288,8 @@ class CompiledModule:
         self.global_addr: Dict[str, int] = {}
         self.global_template: List = []  # initial cells incl. guards (None = guard)
         self.stack_base = 0
+        #: (cfi, block, call index or None) -> what :meth:`live_slots` says
+        self._live_slots: Dict[Tuple[int, int, Optional[int]], Tuple[int, ...]] = {}
         self._compiler = _Compiler(self)
         self._layout_globals()
         self._compile_all()
@@ -343,6 +338,30 @@ class CompiledModule:
             return self.records[id(inst)]
         except KeyError:
             raise KeyError(f"{inst!r} is not a compiled value-producing instruction") from None
+
+    def live_slots(
+        self, cfi: int, bi: int, call_k: Optional[int] = None
+    ) -> Tuple[int, ...]:
+        """The slots of a frame of function ``cfi`` that block-by-block
+        execution may still read before assigning them: at block ``bi``'s
+        top (``call_k`` None), or, suspended in the ``call_k``-th call of
+        the block to a defined function (0-based), after that call (see
+        :func:`~repro.interp.regalloc.live_after`).  A golden resync
+        compares frames on these slots only: the others are assigned
+        before they are read on every path, so they cannot change the
+        rest of the run."""
+        key = (cfi, bi, call_k)
+        got = self._live_slots.get(key)
+        if got is None:
+            cf = self.cfuncs[cfi]
+            live = self._compiler._live(cf)
+            if call_k is None:
+                slots = live.top[bi]
+            else:
+                call = _defined_calls(cf.fn.blocks[bi].instructions)[call_k]
+                slots = live_after(live, call, self._compiler._slot_of[cfi], bi)
+            got = self._live_slots[key] = tuple(sorted(slots))
+        return got
 
     def injected_block_fn(
         self, inst: Instruction, mode: str = "once"
@@ -394,14 +413,6 @@ class CompiledModule:
                 fns[bi] = fn
         return fns
 
-    def tracked_region_fns(self, cfi: int) -> List[Callable]:
-        """Function ``cfi``'s ``tracked_fns`` table, compiled on first use:
-        only resync-armed warm trials dispatch through it."""
-        cf = self.cfuncs[cfi]
-        if cf.tracked_fns is None:
-            cf.tracked_fns = self._variant_table(cf, TRACKED)
-        return cf.tracked_fns
-
     def profiled_tables(self) -> List[List[Callable]]:
         """Every function's ``profiled_fns`` table, the region table of a
         profiled run, each compiled on first use (golden runs profile,
@@ -445,15 +456,12 @@ Inject = Tuple[str, Optional[int]]
 class Variant(NamedTuple):
     """One compiled form of a region: what it adds to the lean code.
 
-    ``name`` starts its functions' filenames; a ``tracked`` region keeps
-    SSA values in the frame list and tests the budget at every member
-    (see :meth:`_Compiler._gen_region`); ``bump`` is the line, formatted
+    ``name`` starts its functions' filenames; ``bump`` is the line, formatted
     with a block's gid and the count after its charge, that bumps the
     profile (None: no profile); ``inject`` makes it injectable (see
     :func:`_inject`)."""
 
     name: str
-    tracked: bool = False
     bump: Optional[str] = None
     inject: Optional[Inject] = None
 
@@ -462,10 +470,6 @@ class Variant(NamedTuple):
 LEAN = Variant("region")
 #: the lean code plus a profile bump per block, for ``run(profile=True)``
 PROFILED = Variant("profiled region", bump="    _p[{}].append({})")
-#: resync-armed warm trials' region code, profiled when the run is
-TRACKED = Variant(
-    "tracked region", tracked=True, bump="    if _p is not None: _p[{}].append({})"
-)
 
 
 #: the budget test of an inlined leaf block that tests the hang budget
@@ -506,6 +510,12 @@ def _real_call(inst: Instruction) -> bool:
     return isinstance(inst, CallInst) and (
         not inst.callee.is_declaration or inst.callee.name.startswith("mpi_")
     )
+
+
+def _defined_calls(insts) -> List[CallInst]:
+    """The calls to defined functions among ``insts``: in one block, the
+    pending call a suspended frame's call index counts."""
+    return [i for i in insts if isinstance(i, CallInst) and not i.callee.is_declaration]
 
 
 def _is_leaf(fn: Function) -> bool:
@@ -1064,14 +1074,13 @@ class _Compiler:
         A region is entered at every block it dispatches on (see
         :meth:`_dispatch_targets`): at its header from the code before the
         loop, at an inner loop header when the dispatch loop steps onto it
-        block by block (after a trip, or once a deopt exit or a tracked
-        run detaches).  Which slots its code loads and writes back follows
-        from slot liveness and the slots it assigns (see
-        :class:`~repro.interp.regalloc.Frame`).
+        block by block (after a trip or a deopt exit).  Which slots its
+        code loads and writes back follows from slot liveness and the
+        slots it assigns (see :class:`~repro.interp.regalloc.Frame`).
 
-        Lean region code (every variant but the tracked one) charges every
-        member but tests the budget only at *test points*: the entries,
-        and every member that follows one holding a call that can be real
+        Region code charges every member but tests the budget only at
+        *test points*: the entries, and every member that follows one
+        holding a call that can be real
         (:func:`_real_call`; after it ``_c`` has grown by an unknown
         amount).  A test point tests ``_c + R`` against the budget, where
         ``R``, its *bound*, is the largest charge any path can add after
@@ -1128,15 +1137,16 @@ class _Compiler:
         of :meth:`_gen_inlined_call` (a counting run's injected function,
         a tripping run's golden cycle of the one real call, and the depth
         test) once at entry.  Every form starts at any block it dispatches
-        on, passed as ``bi`` (see :meth:`region_entries`).  Every form but
-        the tracked one loads, writes back and moves values by slot
-        liveness (:class:`~repro.interp.regalloc.Frame`).
+        on, passed as ``bi`` (see :meth:`region_entries`).  Every form
+        loads, writes back and moves values by slot liveness
+        (:class:`~repro.interp.regalloc.Frame`).
 
         A region's budget ``_bud`` is ``state.rbudget``: the hang budget,
-        or just below a tripping trial's golden flip cycle until the trip.
-        Lean code tests it only at the region's test points (see
+        just below a tripping trial's golden flip cycle until the trip, or
+        just below a resync-armed warm trial's next rung once its flip has
+        fired.  Lean code tests it only at the region's test points (see
         :meth:`_plan_region`) and never reads ``state.prof`` (the profiled
-        and tracked forms add ``variant.bump``).  When a test point's
+        form adds ``variant.bump``).  When a test point's
         charge plus its bound passes the budget, the slow path re-reads it
         (a trip in a callee restores the hang budget, leaving this copy
         stale) and otherwise leaves through a *deopt exit* at the test
@@ -1144,31 +1154,26 @@ class _Compiler:
         frame list, puts ``state.cycles`` back to its top, and returns
         ``state.step(f, cfi, k)``: ``k`` runs on the per-block table
         (hanging when its charge passes ``state.budget``, tripping when it
-        passes the region budget), and the blocks after it run on the
-        dispatch loop's table, block by block, until a region entry tests
-        again.  So a trip, trap or hang lands on the block and cycle at
-        which the per-block table has it.  An inlined leaf block never
+        passes the region budget before the flip), and the blocks after it
+        run on the dispatch loop's table, block by block, until a region
+        entry tests again.  So a trip, trap, hang or rung lands on the block
+        and cycle at which the per-block table has it.  An inlined leaf block never
         trips (the one call that holds the flip is a real call); it tests
         the hang budget (see :meth:`_gen_inlined_call`).
 
-        The *tracked* variant runs a resync-armed warm trial between
-        events.  It keeps SSA values in the frame list, as block functions
-        do, so the frame is coherent at every call and exit.  Its budget is
-        ``state.rbudget``, at most the hang budget, tested at every member:
-        when a member's charge passes it below the hang budget, the region
-        leaves through a *deopt exit*, ``return k`` for that member ``k``
-        with ``state.cycles`` as the per-block loop holds it at the top of
-        ``k`` (the block not yet charged); only past ``state.budget`` does
-        it hang.  An inlined leaf block never exits: it hangs past the hang
-        budget or runs on, and the caller's next member test (which trips
-        again, the count only grows) exits.  A call to a defined function
-        first sets this frame's tracking record (``_rec``) to the block and
-        call index the per-block loop would hold, and re-reads
-        ``state.rbudget`` and the probe window after, since the callee may
-        have moved them.  Once the flip has fired, each member's top also
-        returns, with the count unchanged, when an offset-probe rung
-        stands at that block with this frame's registers (``_pq``, this
-        function's part of ``trk.probe_at``).
+        A resync-armed warm trial runs the lean form (or its profiled
+        twin) between its events, the trip and the rungs (see
+        ``Interpreter._call_tracked``); its golden resync compares each
+        frame on the slots block-by-block execution may still read.  So
+        before a real call to a defined function (a counted call, or an
+        inlined leaf's real call), when the run tracks its frames
+        (``_rec``, this frame's tracking record, loaded at entry when
+        ``state.trk`` is set), lean code sets the record to the block and
+        the calls made before this one in it, as the per-block loop has it
+        when the callee counts one more, and writes back the slots live
+        after the call that region code assigns
+        (:meth:`~repro.interp.regalloc.Frame.call_writes`): a compare inside
+        the callee then reads this frame as the per-block loop leaves it.
 
         The lean and profiled forms number values (:class:`_Numbering`):
         within the dominators of a member, a pure value or a load already
@@ -1193,16 +1198,14 @@ class _Compiler:
         through the frame, memory or a call's result, written by an
         injectable variant outside them, so every value it corrupts gets a
         number of its own, and a register defined outside a loop keeps its
-        value while control stays in the loop; the tracked and injectable
-        forms, which themselves hold a trial's fault, are not
-        numbered.  They also charge cycles per stretch rather than per
-        block (see :meth:`_gen_member`), so a deopt exit, an exit, a
-        counted call and the inline guard add the charge still pending to
-        ``_c``, which is exact wherever anything can raise.
+        value while control stays in the loop; the injectable forms, which
+        themselves hold a trial's fault, are not numbered.  They also
+        charge cycles per stretch rather than per block (see
+        :meth:`_gen_member`), so a deopt exit, an exit, a counted call and
+        the inline guard add the charge still pending to ``_c``, which is
+        exact wherever anything can raise.
         """
-        if variant.tracked:
-            source = "\n".join(self._region_lines(cf, region, variant, None)) + "\n"
-        elif variant.inject is not None:
+        if variant.inject is not None:
             frame = Frame(self, cf, region)
             source = frame.finish(self._region_lines(cf, region, variant, frame))
         else:
@@ -1225,14 +1228,12 @@ class _Compiler:
 
     def _region_lines(
         self, cf: CompiledFunction, region: Region, variant: Variant,
-        frame: Optional[Frame],
+        frame: Frame,
     ) -> List[str]:
         """The lines of :meth:`_gen_region`'s function, crossing the frame
-        boundary as ``frame`` says (None in the tracked form), and
-        numbered and marked for it when it is a
-        :class:`~repro.interp.regalloc.Locals`."""
+        boundary as ``frame`` says, and numbered and marked for it when it
+        is a :class:`~repro.interp.regalloc.Locals`."""
         blocks = cf.fn.blocks
-        tracked = variant.tracked
         insts = [i for bi in region.order for i in blocks[bi].instructions]
         leaves = {cfi for cfi in map(self._leaf_callee, insts) if cfi is not None}
         leaf_insts = [
@@ -1243,19 +1244,16 @@ class _Compiler:
         emit = lines.append
         # Nothing a region's callees do replaces the profile list or the
         # cell arena, so they load once per entry; a callee may move the
-        # region budget, which a tracked region re-reads after each call
-        # and a lean one in its slow path.
+        # region budget, which region code re-reads in its slow path.
         emit("    _bud = state.rbudget")
-        if tracked:
-            emit("    _trk = state.trk")
-            emit("    _rec = _trk.frames[-1]")
-            emit(f"    _pq = _trk.probe_at.get({cf.index}) if state.inj_hit else None")
         if variant.bump is not None:
             emit("    _p = state.prof")
         if _needs_cells(insts + leaf_insts):
             emit("    cells = state.cells")
         emit("    _c = state.cycles")
         numbered = isinstance(frame, Locals)
+        if numbered and _defined_calls(insts):
+            emit("    _rec = state.trk and state.trk.frames[-1]")
         if leaves:
             emit("    _ij = -1 if state.inj_trip else state.inj_cfi")
             emit("    _ca = state.inj_call_at")
@@ -1264,32 +1262,24 @@ class _Compiler:
                 emit(f"    _in{cfi} = _dok and _ij != {cfi}")
         self._gen_slot_load(variant.inject, emit)
         vn = hoists = None
-        if tracked:
-            regs = self._frame_regs[cf.index]
-            tests = dict.fromkeys(region.order, 0)
-        else:
-            regs = self._local_regs[cf.index]
-            tests = region.bounds
-            if numbered:
-                vn = _Numbering(profiled=variant.bump is not None, locals=frame)
-                if frame.hoists is None:
-                    frame.hoists = self._plan_hoists(cf, region, vn), vn.numbers
-                hoists, vn.numbers = frame.hoists
-            emit("\x04")  # the prologue, once the frame knows what to load
+        regs = self._local_regs[cf.index]
+        if numbered:
+            vn = _Numbering(profiled=variant.bump is not None, locals=frame)
+            if frame.hoists is None:
+                frame.hoists = self._plan_hoists(cf, region, vn), vn.numbers
+            hoists, vn.numbers = frame.hoists
+        emit("\x04")  # the prologue, once the frame knows what to load
         emit("    try:")
 
         def leave_region(k: int, out) -> None:
-            if tracked:
-                out(f"    state.cycles = _c; return {k}")
-                return
             count = "_c" if vn is None else _plus(vn.pending)
             stores = frame.frame_writes(frame.exit_writes(k))
             out(f"    state.cycles = {count}; {stores}return {k}")
 
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
-            lambda line: emit("    " + line), "bi", leave_region, None, variant, tests,
-            vn, hoists, frame=frame,
+            lambda line: emit("    " + line), "bi", leave_region, None, variant,
+            region.bounds, vn, hoists, frame=frame,
         )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
@@ -1424,7 +1414,7 @@ class _Compiler:
         :data:`_RETURNS`, end in the leaf's ``ret`` and there is no loop.
         A loop left with one target tests and sets no ``bvar``.
 
-        Untracked region code crosses the frame boundary as ``frame``
+        Region code crosses the frame boundary as ``frame``
         says (see :class:`~repro.interp.regalloc.Frame`); an inlined
         leaf's dispatch has none.  Numbered code (``vn``) charges as
         :meth:`_gen_member` says: it settles everything at an edge to a
@@ -1645,13 +1635,10 @@ class _Compiler:
 
         ``test`` is None for no test, :data:`_HANG` for a hang test (an
         inlined leaf block: see :meth:`_gen_inlined_call`), and otherwise
-        a region member's deopt test, whose bound it is (always 0 in a
-        tracked region, which tests every member).  The deopt exit (see
-        :meth:`_gen_region`) returns the block itself in a tracked region,
-        with block-function bodies on the frame list; every other form
-        writes the slots the block may read back (``frame``, see
-        :class:`~repro.interp.regalloc.Frame`) and steps the block on the
-        per-block table.
+        a region member's deopt test, whose bound it is.  The deopt exit
+        (see :meth:`_gen_region`) writes the slots the block may read back
+        (``frame``, see :class:`~repro.interp.regalloc.Frame`) and steps
+        the block on the per-block table.
 
         Numbered code (``vn``, the lean and profiled forms) charges per
         stretch, not per block: it adds the block's cost to the pending
@@ -1670,9 +1657,6 @@ class _Compiler:
         if vn is not None:
             vn.emitted += 1
             out = vn.locals.tagged(out, cf.index, bi)
-        if variant.tracked and own:
-            out(f"    if _pq and {bi} in _pq and f in _pq[{bi}]:")
-            out(f"        state.cycles = _c; return {bi}")
         if vn is None:
             pending = 0
             out(f"    _c += {cost}")
@@ -1683,11 +1667,7 @@ class _Compiler:
             pending = vn.pending
             if test == _HANG:
                 vn.hangs += ((pending, self.cm.block_gids[id(block)]),)
-        if variant.tracked and own:
-            out("    if _c > _bud:")
-            out("        if _c > state.budget: state.hang()")
-            out(f"        state.cycles = _c - {cost}; return {bi}")
-        elif own:
+        if own:
             at = _plus(pending + test)
             out(f"    if {at} > _bud:")
             out("        _bud = state.rbudget")
@@ -1700,7 +1680,7 @@ class _Compiler:
             out(variant.bump.format(self.cm.block_gids[id(block)], _plus(pending)))
         self._gen_body(
             block, regs, out, leave, variant.inject,
-            local=not (variant.tracked and own), ret=ret, fall=fall, variant=variant,
+            local=True, ret=ret, fall=fall, variant=variant,
             vn=vn, frame=frame,
         )
 
@@ -1765,9 +1745,9 @@ class _Compiler:
         region's handler with the exact count.  The leaf's values live in
         fresh locals (``q{cfi}_{slot}``), its arguments read the caller's
         operand expressions, and its ``ret`` assigns the call's own local.
-        The tracked and injectable forms emit a one-block leaf as
-        straight-line code and dispatch a larger one from its entry in a
-        nested ``while`` on ``q{cfi}_bi``, which its ``ret`` breaks out of.
+        The injectable forms emit a one-block leaf as straight-line code
+        and dispatch a larger one from its entry in a nested ``while`` on
+        ``q{cfi}_bi``, which its ``ret`` breaks out of.
         Numbered code (``vn``) numbers each arm in a scope of its own, so
         the leaf's locals, which the next inlined call reuses, leave no
         fact behind, and forgets every memory fact after the call.  It
@@ -1786,9 +1766,11 @@ class _Compiler:
         ``_call_tracked`` read ``state.ret`` only right after the callee's
         own ``ret`` wrote it, a rollback resets it, and region code never
         runs while a run recovers or captures a ladder (both dispatch
-        through ``block_fns``, whose calls are never inlined).  A tracked
-        region inlines too; the resync compare does not read
-        ``state.ret``.
+        through ``block_fns``, whose calls are never inlined).  A
+        resync-armed warm trial's lean code inlines too; the resync compare
+        does not read ``state.ret``, and a rung inside an inlined call is
+        overshot.  Lean code writes its frame back before the real call
+        (see :meth:`_gen_defined_call`).
         """
         if vn is not None:
             emit = vn.locals.inlined(inst, emit)
@@ -1805,8 +1787,7 @@ class _Compiler:
         emit(f"    if {guard} and {_plus(pending)} != _ca:")
         order = list(range(len(blocks)))
         placement = self._dispatch_targets(leaf, order, 0)
-        # the tracked and injectable forms emit only a one-block leaf
-        # straight-line
+        # the injectable forms emit only a one-block leaf straight-line
         straight = (
             self._leaf_prefix(leaf, placement) if vn is not None or len(blocks) == 1
             else None
@@ -1831,7 +1812,10 @@ class _Compiler:
                 dict.fromkeys(order, _HANG), vn, straight=straight,
             )
         emit("    else:")
-        self._gen_defined_call(inst, cfi, d, args, arm, variant, pending)
+        self._gen_defined_call(
+            inst, cfi, d, args, arm, variant, pending,
+            spill=None if vn is None else vn.locals,
+        )
         if vn is not None:
             vn.called()
 
@@ -1931,7 +1915,7 @@ class _Compiler:
         nonneg: bool = False,
     ) -> None:
         """One instruction.  ``local`` marks operands that are Python
-        locals (region code but a tracked region's own blocks): memory
+        locals (region code): memory
         accesses index ``cells`` by the address register and a load and
         an integer wrap work on the destination itself.  ``nonneg`` says
         a memory access's address is a constant at or above 0, which needs
@@ -2225,8 +2209,7 @@ class _Compiler:
         d = regs.get(id(inst))
         callee = inst.callee
         args = [e(a) for a in inst.operands]
-        # Region code, a tracked region's frame-list bodies included,
-        # counts cycles in ``_c`` and inlines leaves.
+        # Region code counts cycles in ``_c`` and inlines leaves.
         region = variant is not None
         pending = 0 if vn is None else vn.pending
         if not callee.is_declaration:
@@ -2234,7 +2217,10 @@ class _Compiler:
             if region and cfi in self._leaf_regs:
                 self._gen_inlined_call(inst, cfi, regs, emit, variant, vn)
                 return
-            self._gen_defined_call(inst, cfi, d, args, emit, variant, pending, vn)
+            self._gen_defined_call(
+                inst, cfi, d, args, emit, variant, pending, vn,
+                spill=None if vn is None else vn.locals,
+            )
             if vn is not None:
                 vn.called()
             return
@@ -2295,34 +2281,28 @@ class _Compiler:
     def _gen_defined_call(
         self, inst: CallInst, cfi: int, d: Optional[str], args: List[str],
         emit, variant: Optional[Variant], pending: int = 0,
-        vn: Optional[_Numbering] = None,
+        vn: Optional[_Numbering] = None, spill: Optional[Frame] = None,
     ) -> None:
         """The counted ``state.call`` of the defined function ``cfi``, in
         region code of ``variant``'s form or (None) a block function,
         ``pending`` numbered code's pending charge and ``vn`` its
         numbering where the call may chain (see :meth:`_gen_counted_call`).
-        In
-        a tracked region it first sets the frame's tracking record to
-        ``(block, calls made before this one)``, as the per-block loop has
-        it when the callee bumps the count, and re-reads the region budget
-        and the probe window after."""
+        Lean code (``spill``, its frame) first spills for a run that
+        tracks its frames (``_rec``, see :meth:`_gen_region`): it sets
+        the frame's tracking record to ``(block, calls made before this
+        one)``, as the per-block loop has it when the callee counts one
+        more, and writes back the slots live after the call that region
+        code assigns."""
         arg_tuple = "(" + ", ".join(args) + ("," if len(args) == 1 else "") + ")"
-        tracked = variant is not None and variant.tracked
-        if tracked:
+        if spill is not None:
             block = inst.parent
-            caller = self.cm.func_index[block.parent.name]
-            k = [
-                id(i) for i in block.instructions
-                if isinstance(i, CallInst) and not i.callee.is_declaration
-            ].index(id(inst))
-            bi = self._block_index[caller][id(block)]
-            emit(f"    _rec[1] = {bi}; _rec[2] = {k}")
+            k = _defined_calls(block.instructions).index(inst)
+            writes = spill.frame_writes(spill.call_writes(inst))
+            bi = spill.index[id(block)]
+            emit(f"    if _rec: {writes}_rec[1] = {bi}; _rec[2] = {k}")
         self._gen_counted_call(
             f"state.call({cfi}, {arg_tuple})", d, emit, variant is not None, pending, vn
         )
-        if tracked:
-            emit("    _bud = state.rbudget")
-            emit(f"    _pq = _trk.probe_at.get({caller}) if state.inj_hit else None")
 
     @staticmethod
     def _gen_counted_call(

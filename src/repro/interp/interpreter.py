@@ -87,7 +87,7 @@ class RunResult:
 
     __slots__ = (
         "status", "cycles", "value", "error", "injection_hit", "profile",
-        "recovery", "resynced", "warm_index", "entries",
+        "recovery", "resynced", "probed", "warm_index", "entries",
     )
 
     def __init__(
@@ -102,6 +102,7 @@ class RunResult:
         resynced: bool = False,
         warm_index: int = -1,
         entries: Optional[List[array]] = None,
+        probed: bool = False,
     ):
         #: 'ok' | 'trap' | 'hang' | 'detected' | 'abort'
         self.status = status
@@ -114,6 +115,9 @@ class RunResult:
         self.recovery = recovery
         #: the run finished early by proving bit-identity to the golden run
         self.resynced = resynced
+        #: the resync matched an offset-probe rung, not the rung due at
+        #: the trial's cycle count
+        self.probed = probed
         #: ladder rung the run warm-started from (-1 = cold start)
         self.warm_index = warm_index
         #: per block gid, the cycle count just after each entry's charge
@@ -410,6 +414,7 @@ class Interpreter:
                 trk = _TrackState()
                 trk.resync_pts = warm.ladder.snapshots
                 trk.golden_cycles = warm.ladder.golden_cycles
+                trk.project = self._golden_live
                 if warm.snapshot is not None:
                     # Rungs at or before the restore point are already
                     # behind the trial in state-space; start the cursor
@@ -422,7 +427,7 @@ class Interpreter:
 
         entry_index = self.cm.get_function_index(entry)
         status, error, value = "ok", "", None
-        resynced = False
+        resynced = probed = False
         try:
             if warm is not None and warm.snapshot is not None:
                 value = self._resume_from(warm)
@@ -435,6 +440,7 @@ class Interpreter:
             # suffix's cycle charges are a function of the matched state,
             # so the trial finishes exactly ``delta`` off the golden run).
             resynced = True
+            probed = exc.probe
             assert warm is not None
             value = warm.ladder.golden_value
             self.cycles = warm.ladder.golden_cycles + exc.delta
@@ -470,6 +476,7 @@ class Interpreter:
             resynced=resynced,
             warm_index=warm_index,
             entries=prof,
+            probed=probed,
         )
 
     def call(self, cfi: int, args: Tuple) -> object:
@@ -549,12 +556,18 @@ class Interpreter:
 
         * **golden resync** (``self.trk.resync_pts``, warm trials): mirror
           the call stack and, once the injected flip has fired, compare
-          against upcoming golden rungs — a bit-exact match raises
+          against upcoming golden rungs — a bit-exact match, on the slots
+          block-by-block execution may still read, raises
           :class:`GoldenResync` (the run's remaining execution provably
-          equals the golden suffix).  Between those events it runs tracked
-          region functions (``tracked_fns``), which keep the frame list
-          and this frame's tracking record coherent and return at a deopt
-          exit before the next event, the trip included.
+          equals the golden suffix).  Between those events it runs the
+          run's region table (``region_tables``), as a tripping cold trial
+          does: lean code takes a deopt exit at its last test point before
+          ``self.rbudget`` (the trip, or the cycle before the next rung),
+          and the loop steps block by block onto the event.  Lean code
+          sets this frame's tracking record and writes back the slots live
+          after a call before making it, so a compare inside the callee
+          sees this frame as the per-block loop leaves it.  Offset probes
+          run at the block tops this loop sees.
 
         ``_resume`` (a :class:`~repro.recover.warm.WarmFrame`) re-enters a
         suspended frame mid-block: a compiled *resume block* skips the
@@ -635,17 +648,18 @@ class Interpreter:
             # RollbackSignal can reach this frame, so the loop needs no
             # try/except and no snapshot logic — it runs the entire trial
             # suffix, so every avoided per-block instruction matters.
-            # Between events it dispatches tracked regions (see
-            # _gen_region), which leave through a deopt exit before the
-            # block whose charge passes self.rbudget: the loop then steps
-            # block by block onto the event.  Before the flip the event is
-            # the trip (a resync-armed trial trips, see run), and the
-            # first resync check comes at the next block top.  After it,
-            # every table is plain: a single-shot flip never fires again
-            # (resync is off for multi-shot models).
-            tfns = cf.tracked_fns
-            if tfns is None:
-                tfns = self.cm.tracked_region_fns(cfi)
+            # Between events it dispatches the lean region table, whose
+            # code leaves through a deopt exit at its last test point
+            # before the block whose charge passes self.rbudget and steps
+            # that block (see step): the loop then steps block by block
+            # onto the event.  Before the flip the event is the trip (a
+            # resync-armed trial trips, see run), and the first resync
+            # check comes at the next block top.  After it, every table is
+            # plain: a single-shot flip never fires again (resync is off
+            # for multi-shot models).  Entering region_fns at any block is
+            # legal: a region entry at one of its loop headers loads what
+            # it reads from the frame list, coherent on the live slots.
+            lean = self.region_tables[cfi]
             costs = cf.costs
             try:
                 if resume_fn is not None:
@@ -654,10 +668,6 @@ class Interpreter:
                     if self.trk is None:
                         # Resync gave up (or ran out of rungs) somewhere
                         # below this frame: finish at full lean-loop speed.
-                        # Entering region_fns at any block is legal: a
-                        # region entry at one of its loop headers loads
-                        # what it reads from the coherent frame list.
-                        lean = self.region_tables[cfi]
                         while bi >= 0:
                             bi = lean[bi](frame, self)
                         break
@@ -669,12 +679,14 @@ class Interpreter:
                             if self.trk is None:
                                 continue
                         else:
-                            for snap, cregs in trk.cand:
-                                if frame == cregs:
-                                    self._try_probe(trk, snap)
-                                    break
+                            probes = trk.probe_at.get(cfi)
+                            if probes is not None and bi in probes:
+                                for snap, slots, regs in probes[bi]:
+                                    if [frame[k] for k in slots] == regs:
+                                        self._try_probe(trk, snap)
+                                        break
                     if self.cycles + costs[bi] <= self.rbudget:
-                        bi = tfns[bi](frame, self)
+                        bi = lean[bi](frame, self)
                     elif self.inj_hit or self.rbudget == self.budget:
                         bi = fns[bi](frame, self)  # a resync event, or a hang
                     else:
@@ -824,14 +836,24 @@ class Interpreter:
         region's deopt exit, ``frame`` coherent for every slot the block
         and its successors may read) on the per-block
         table and return the block it leaves to; the dispatch loop runs on
-        from there, block by block until a region entry.  The block trips
-        (:meth:`trip`) when its charge passes the region budget below the
-        hang budget: it is the flip block.  In a counting run's injected
-        function it runs on the injected ``block_fns`` table, where the
-        site counts."""
+        from there, block by block until a region entry.  Before the flip,
+        the block trips (:meth:`trip`) when its charge passes the region
+        budget below the hang budget: it is the flip block.  After it, the
+        region budget is a resync-armed warm trial's, the cycle before its
+        next rung: a charge past it runs the block, and the dispatch loop of
+        :meth:`_call_tracked` stops at the rung.  When the count has already
+        reached the rung (a call or an inlined leaf call before the block
+        ran past it), the block is returned unrun, so the loop sees its top
+        first, where a rung the per-block loop compares may stand.  In a
+        counting run's injected function it runs on the injected
+        ``block_fns`` table, where the site counts."""
         cf = self.cfuncs[cfi]
-        if self.rbudget < self.budget and self.cycles + cf.costs[bi] > self.rbudget:
-            return self.trip(frame)
+        rbudget = self.rbudget
+        if rbudget < self.budget and self.cycles + cf.costs[bi] > rbudget:
+            if not self.inj_hit:
+                return self.trip(frame)
+            if self.cycles > rbudget:
+                return bi
         if cfi == self.inj_cfi and not self.inj_trip:
             return self._injected_block_fns()[bi](frame, self)
         return cf.block_fns[bi](frame, self)
@@ -969,8 +991,9 @@ class Interpreter:
             self.rbudget = self.budget
             return
         trk.next_resync = pts[i].cycles
-        # A tracked region exits before the block whose charge reaches the
-        # rung, so the dispatch loop steps onto the rung's cycle count.
+        # Lean code exits at its last test point before the block whose
+        # charge reaches the rung, so the dispatch loop steps onto the
+        # rung's cycle count.
         self.rbudget = min(self.budget, trk.next_resync - 1)
         if fail:
             trk.fails += 1
@@ -982,8 +1005,9 @@ class Interpreter:
     def _try_probe(self, trk: _TrackState, snap) -> None:
         """Full-state compare against one offset-probe candidate rung.
 
-        Triggered by the register prefilter (the innermost frame's register
-        file equals the rung's), with no cycle-equality requirement: a
+        Triggered by the register prefilter (the innermost frame stands at
+        the rung's innermost block with its live slots equal to the
+        rung's), with no cycle-equality requirement: a
         match at ``snap.cycles + delta`` finishes with the golden value and
         ``golden_cycles + delta`` — the suffix's cycle charges depend only
         on the matched state.  The hang budget is the one cycle-coupled
@@ -994,7 +1018,7 @@ class Interpreter:
         if self._resync_match(snap, trk):
             delta = self.cycles - snap.cycles
             if trk.golden_cycles + delta <= self.budget:
-                raise GoldenResync(delta)
+                raise GoldenResync(delta, probe=True)
         trk.probe_dead.add(snap.index)
         trk.probe_fails += 1
         trk.rebuild_cand()
@@ -1006,7 +1030,11 @@ class Interpreter:
         then the logical cells arena, each through :func:`exact_state_eq`
         (a C-speed ``==`` reject, then a ``marshal`` image compare that
         tells ``1``/``1.0``/``True`` and ``0.0``/``-0.0`` apart, which
-        ``==`` would equate and which diverge downstream).  The physical
+        ``==`` would equate and which diverge downstream).  A register
+        file is compared on the slots block-by-block execution may still
+        read (:meth:`_golden_live`): the others are assigned before they
+        are read on every path, which is also why lean code may leave
+        them stale.  The physical
         lists may differ in length: past the shorter one's end the logical
         arena is int ``0``, so the longer one's tail must be exactly that.
         """
@@ -1018,7 +1046,9 @@ class Interpreter:
             k = 0 if wf.call_k is None else wf.call_k + 1
             if r[0] != wf.cfi or r[1] != wf.bi or r[2] != k or r[4] != wf.sp0:
                 return False
-            if not exact_state_eq(r[3], wf.regs):
+        for r, (slots, golden) in zip(frames, self._golden_live(snap)):
+            regs = r[3]
+            if not exact_state_eq([regs[k] for k in slots], golden):
                 return False
         if not exact_state_eq(self.output_log, snap.out_log):
             return False
@@ -1030,6 +1060,22 @@ class Interpreter:
         return exact_state_eq(tail, [0] * len(tail)) and exact_state_eq(
             long[:n], short
         )
+
+    def _golden_live(self, snap) -> Tuple[Tuple[Tuple[int, ...], List], ...]:
+        """Per frame of the rung ``snap``, outermost first, the slots
+        block-by-block execution may still read there
+        (``CompiledModule.live_slots``: at the innermost frame's block top,
+        after a suspended frame's pending call) and the rung's values in
+        them, projected once per rung."""
+        live = snap.live
+        if live is None:
+            live_slots = self.cm.live_slots
+            live = snap.live = tuple(
+                (slots, [wf.regs[k] for k in slots])
+                for wf in snap.frames
+                for slots in (live_slots(wf.cfi, wf.bi, wf.call_k),)
+            )
+        return live
 
     # -- memory helpers (runtime-internal accesses use the same trap rules) -------
 

@@ -39,6 +39,9 @@ class Live(NamedTuple):
     #: block index -> the slots read on some path from its top (its phis
     #: assigned) before they are assigned again
     top: Dict[int, FrozenSet[int]]
+    #: block index -> the same from its end, its successors' phi moves
+    #: included
+    out: Dict[int, FrozenSet[int]]
 
 
 def liveness(fn: Function, slots: Dict[int, int], index: Dict[int, int]) -> Live:
@@ -85,6 +88,7 @@ def liveness(fn: Function, slots: Dict[int, int], index: Dict[int, int]) -> Live
         for b in blocks
     ]
     top: List[Set[int]] = [set() for _ in blocks]
+    outs: List[Set[int]] = [set() for _ in blocks]
     changed = True
     while changed:
         changed = False
@@ -92,11 +96,33 @@ def liveness(fn: Function, slots: Dict[int, int], index: Dict[int, int]) -> Live
             out: Set[int] = set()
             for si, moved in edges[bi]:
                 out |= (top[si] - phis[si]) | moved
+            outs[bi] = out
             new = gen[bi] | (out - kill[bi])
             if new != top[bi]:
                 top[bi] = new
                 changed = True
-    return Live(frozenset(useful), {bi: frozenset(s) for bi, s in enumerate(top)})
+    return Live(
+        frozenset(useful),
+        {bi: frozenset(s) for bi, s in enumerate(top)},
+        {bi: frozenset(s) for bi, s in enumerate(outs)},
+    )
+
+
+def live_after(
+    live: Live, call: Instruction, slots: Dict[int, int], bi: int
+) -> FrozenSet[int]:
+    """The slots block-by-block execution may read after ``call``, an
+    instruction of block ``bi``, before assigning them again: what a
+    frame suspended in ``call`` still holds that matters.  The call's own
+    slot is not among them (its return assigns it)."""
+    insts = call.parent.instructions
+    read = set(live.out[bi])
+    for inst in reversed(insts[insts.index(call) + 1 :]):
+        if id(inst) in slots:
+            read.discard(slots[id(inst)])
+        read.update(slots[id(o)] for o in inst.operands if id(o) in slots)
+    read.discard(slots.get(id(call)))
+    return frozenset(read)
 
 
 #: a register of a region's own function in generated code (``r12``)
@@ -195,7 +221,7 @@ def fill_empty_suites(lines: List[str]) -> List[str]:
 
 
 class Frame:
-    """Where the untracked forms of one region cross the frame boundary:
+    """Where the forms of one region cross the frame boundary:
     region code keeps the region's values in locals, block-by-block
     execution reads the frame list, and :attr:`Live.top` says what it may
     read.  So
@@ -208,12 +234,19 @@ class Frame:
       code assigns (:attr:`Region.written`) or that are ``k``'s phis, the
       latter from the value the edge moves;
     * a deopt exit at member ``k``'s top writes the slots live at ``k``
-      that region code assigns.
+      that region code assigns;
+    * lean code writes the slots live after a real call that region code
+      assigns before making it (:meth:`call_writes`), when a warm trial
+      tracks its frames: a golden resync compare inside the callee reads
+      them.
 
     Every write reads a bound local: a slot live where the code writes
     it that this activation has not assigned was live at the entry the
     activation took, since no path from there assigned it, so the
-    prologue loaded it.  The injectable forms follow this rule as is,
+    prologue loaded it.  A slot live after a call is read on some path from there,
+    by region code, an exit's write-back or a deopt exit's, so
+    :class:`Locals` keeps its value in its local across the call without
+    counting the spill.  The injectable forms follow this rule as is,
     ``r12`` holding slot 12; :class:`Locals` adds what numbered code
     does."""
 
@@ -238,6 +271,12 @@ class Frame:
     def top_writes(self, k: int) -> List[int]:
         """The slots a deopt exit at member ``k``'s top writes back."""
         return sorted(self.live.top[k] & self.region.written)
+
+    def call_writes(self, call: Instruction) -> List[int]:
+        """The slots lean code writes back before the real call ``call``
+        (see :func:`live_after`)."""
+        bi = self.index[id(call.parent)]
+        return sorted(live_after(self.live, call, self.slots, bi) & self.region.written)
 
     def edge(
         self, pred: BasicBlock, succ: BasicBlock, moves: List[Tuple[PhiNode, str, str]], out

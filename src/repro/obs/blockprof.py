@@ -7,10 +7,10 @@ missing half — Python-level block closures have wildly different real
 costs per simulated cycle.
 
 Like fault injection, profiling works by *swapping compiled block
-functions*: :class:`BlockProfiler` replaces all four of every
+functions*: :class:`BlockProfiler` replaces all three of every
 ``CompiledFunction``'s dispatch tables, ``block_fns``, the loop-region
-table ``region_fns``, the tracked table ``tracked_fns`` and the profiled
-table ``profiled_fns`` (built or not), with per-block timing wrappers
+table ``region_fns`` (which resync-armed warm trials run too) and the
+profiled table ``profiled_fns`` (built or not), with per-block timing wrappers
 while active and restores the originals on exit.  The dispatch hot loop
 is untouched — with the profiler disarmed the interpreter executes the exact same closures as
 before, so disabled-mode overhead is zero by construction (the same
@@ -70,23 +70,21 @@ class BlockProfiler:
             raise RuntimeError("another BlockProfiler is armed on this module")
         self._saved = []
         for cf in self.cm.cfuncs:
-            self._saved.append(
-                (cf.block_fns, cf.region_fns, cf.tracked_fns, cf.profiled_fns)
-            )
+            self._saved.append((cf.block_fns, cf.region_fns, cf.profiled_fns))
             # Every table gets the wrapped per-block functions: a region
             # function would run a whole loop nest past the wrappers.
             wrapped = [
                 self._wrap(fn, block.gid)
                 for fn, block in zip(cf.block_fns, cf.blocks)
             ]
-            cf.block_fns = cf.region_fns = cf.tracked_fns = cf.profiled_fns = wrapped
+            cf.block_fns = cf.region_fns = cf.profiled_fns = wrapped
         self.cm._block_profiler_armed = True
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         assert self._saved is not None
         for cf, saved in zip(self.cm.cfuncs, self._saved):
-            cf.block_fns, cf.region_fns, cf.tracked_fns, cf.profiled_fns = saved
+            cf.block_fns, cf.region_fns, cf.profiled_fns = saved
         self._saved = None
         self.cm._block_profiler_armed = False
 

@@ -62,11 +62,14 @@ class GoldenResync(Exception):
     ``delta`` is nonzero for trials whose divergent episode shortened or
     lengthened a loop before the state reconverged (the resulting constant
     cycle offset would make the exact-cycle rendezvous miss forever).
+    ``probe`` says the match came from an offset probe, not from the rung
+    due at the trial's cycle count.
     """
 
-    def __init__(self, delta: int = 0):
+    def __init__(self, delta: int = 0, probe: bool = False):
         super().__init__(delta)
         self.delta = delta
+        self.probe = probe
 
 
 def exact_state_eq(a, b) -> bool:
@@ -147,7 +150,7 @@ class WarmSnapshot:
 
     __slots__ = (
         "index", "cycles", "cells", "sp", "frames", "out_log", "profile",
-        "rec_snapshots", "rec_last_cycles",
+        "rec_snapshots", "rec_last_cycles", "live",
     )
 
     def __init__(
@@ -176,6 +179,9 @@ class WarmSnapshot:
         #: policy snapshot too, and the counts must replay exactly)
         self.rec_snapshots = rec_snapshots
         self.rec_last_cycles = rec_last_cycles
+        #: per frame, the slots a resync compares and the rung's values in
+        #: them, projected on first use (see ``Interpreter._golden_live``)
+        self.live: Optional[Tuple[Tuple[Tuple[int, ...], List], ...]] = None
 
     def __repr__(self) -> str:
         return (
@@ -372,8 +378,8 @@ class _TrackState:
     __slots__ = (
         "frames", "capturing", "plan", "stride", "region_spacing",
         "next_capture", "last_capture", "ladder", "resync_pts", "ri",
-        "next_resync", "primed", "fails", "max_fails", "cand", "probe_at",
-        "probe_dead", "probe_fails", "golden_cycles",
+        "next_resync", "primed", "fails", "max_fails", "probe_at",
+        "probe_dead", "probe_fails", "golden_cycles", "project",
     )
 
     _NEVER = 1 << 62
@@ -386,8 +392,13 @@ class _TrackState:
     #: correctness (the suffix still executes to its cold-identical end).
     #: Four misses is the measured sweet spot on the fig8 workloads: the
     #: resync catch count saturates there while every extra tolerated miss
-    #: keeps the tracking loop (and its compares) alive longer; with the
-    #: tracking loop in region code, 8 and 16 misses were no faster.
+    #: keeps the resync loop (and its compares) alive longer.  With that
+    #: loop running lean region code between rungs, 8 misses caught more
+    #: resyncs (fft 580 trials: 96 -> 106 at seed 0, 118 -> 123 at seed 1;
+    #: hpccg 200 trials: 17 both) but were no faster: best of 5-6 separate
+    #: campaigns, 0.876 vs 0.910 s (fft, seed 0), 0.832 vs 0.803 s (fft,
+    #: seed 1), 1.109 vs 1.303 s (hpccg), on a 2-vCPU VM whose runs spread
+    #: by up to 50%.
     MAX_RESYNC_FAILS = 4
 
     #: Rungs around the cycle cursor probed for *offset* rendezvous (state
@@ -418,32 +429,33 @@ class _TrackState:
         self.primed = False  # True once the first post-flip check targeted a rung
         self.fails = 0
         self.max_fails = self.MAX_RESYNC_FAILS
-        #: offset-rendezvous probe window: ((rung, innermost regs), ...)
-        self.cand: tuple = ()
-        #: the probe window by innermost frame: cfi -> bi -> [regs, ...],
-        #: read by tracked region code (see repro.interp.compiler)
+        #: the offset-probe window by the rung's innermost frame: cfi ->
+        #: bi -> [(rung, slots, the rung's values in them), ...], read at
+        #: each block top of the resync dispatch loop
+        #: (``Interpreter._call_tracked``), which prefilters on a frame's
+        #: live slots before a full compare
         self.probe_at: Dict[int, Dict[int, List]] = {}
         self.probe_dead: set = set()
         self.probe_fails = 0
         self.golden_cycles = 0
+        #: rung -> per frame, (slots, the rung's values in them): the
+        #: projection resync compares (``Interpreter._golden_live``)
+        self.project = None
 
     def rebuild_cand(self) -> None:
         """Refresh the offset-probe window around the cycle cursor ``ri``."""
         self.probe_at = {}
         if self.probe_fails >= self.MAX_PROBE_FAILS:
-            self.cand = ()
             return
-        pts = self.resync_pts
         lo = max(self.ri - self.PROBE_BEHIND, 0)
-        hi = min(self.ri + self.PROBE_AHEAD, len(pts))
-        self.cand = tuple(
-            (snap, snap.frames[-1].regs)
-            for snap in pts[lo:hi]
-            if snap.index not in self.probe_dead and snap.frames
-        )
-        for snap, regs in self.cand:
+        for snap in self.resync_pts[lo : self.ri + self.PROBE_AHEAD]:
+            if snap.index in self.probe_dead or not snap.frames:
+                continue
             wf = snap.frames[-1]
-            self.probe_at.setdefault(wf.cfi, {}).setdefault(wf.bi, []).append(regs)
+            slots, regs = self.project(snap)[-1]
+            self.probe_at.setdefault(wf.cfi, {}).setdefault(wf.bi, []).append(
+                (snap, slots, regs)
+            )
 
     def capture(self, interp) -> None:
         """Record one rung from the live interpreter state."""

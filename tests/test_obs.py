@@ -292,16 +292,15 @@ class TestBlockProfiler:
     def test_block_fns_restored_and_rearm_guard(self):
         """Armed, all three dispatch tables hold the timed per-block
         wrappers, so no region runs past them, not even one entered at an
-        inner loop header; disarmed, each table is back, ``tracked_fns``
+        inner loop header; disarmed, each table is back, ``profiled_fns``
         included, whether it was built or still ``None``."""
-        for build_tracked in (False, True):
+        for build_profiled in (False, True):
             interp = Interpreter(compile_source(NESTED_KERNEL, name="nested"))
             cm = interp.cm
-            if build_tracked:
-                for cf in cm.cfuncs:
-                    cm.tracked_region_fns(cf.index)
+            if build_profiled:
+                cm.profiled_tables()
             originals = [
-                (list(cf.block_fns), list(cf.region_fns), cf.tracked_fns)
+                (list(cf.block_fns), list(cf.region_fns), cf.profiled_fns)
                 for cf in cm.cfuncs
             ]
             inner = {}
@@ -320,18 +319,18 @@ class TestBlockProfiler:
             with profiler:
                 for cf, (block_fns, region_fns, _) in zip(cm.cfuncs, originals):
                     assert cf.region_fns == cf.block_fns
-                    assert cf.tracked_fns == cf.block_fns
+                    assert cf.profiled_fns == cf.block_fns
                     assert not set(cf.block_fns) & set(block_fns + region_fns)
                     for bi in inner[cf.index]:
                         assert cf.region_fns[bi] not in region_fns
                 with pytest.raises(RuntimeError):
                     with BlockProfiler(cm):
                         pass
-            for cf, (block_fns, region_fns, tracked_fns) in zip(cm.cfuncs, originals):
+            for cf, (block_fns, region_fns, profiled_fns) in zip(cm.cfuncs, originals):
                 assert cf.block_fns == block_fns
                 assert cf.region_fns == region_fns
-                assert cf.tracked_fns is tracked_fns
-                assert (tracked_fns is None) != build_tracked
+                assert cf.profiled_fns is profiled_fns
+                assert (profiled_fns is None) != build_profiled
 
     def test_report_from_run_profile(self):
         interp = Interpreter(compile_source(KERNEL, name="kernel"))

@@ -50,7 +50,7 @@ from repro.ir import (
     print_module,
 )
 from repro.protect import FullDuplicationSelector, duplicate_instructions
-from repro.recover import SnapshotLadder, WarmStart
+from repro.recover import SnapshotLadder, WarmSnapshot, WarmStart
 from repro.recover.warm import _TrackState
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
@@ -144,22 +144,18 @@ def flip(inst, occurrence, bit):
 
 @contextmanager
 def per_block_dispatch(cm):
-    """Make the lean, the tracked and the profiled loop dispatch block by
-    block, injected trials too."""
-    saved = [
-        (cf.region_fns, cf.region_of, cf.tracked_fns, cf.profiled_fns)
-        for cf in cm.cfuncs
-    ]
+    """Make the lean and the profiled loop dispatch block by block,
+    injected and resync-armed trials too."""
+    saved = [(cf.region_fns, cf.region_of, cf.profiled_fns) for cf in cm.cfuncs]
     for cf in cm.cfuncs:
         cf.region_fns = list(cf.block_fns)
         cf.region_of = {}
-        cf.tracked_fns = list(cf.block_fns)
         cf.profiled_fns = list(cf.block_fns)
     try:
         yield
     finally:
         for cf, tables in zip(cm.cfuncs, saved):
-            cf.region_fns, cf.region_of, cf.tracked_fns, cf.profiled_fns = tables
+            cf.region_fns, cf.region_of, cf.profiled_fns = tables
 
 
 def digest(values):
@@ -773,27 +769,43 @@ class TestRegionSources:
         got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
         assert got == self.INJECTED_REGION_SOURCES
 
-    #: sha256 of the sorted (filename, source) pairs of every tracked
-    #: region of the six workloads, plain and fully duplicated: tracked
-    #: code keeps its values in the frame list and hoists nothing
-    TRACKED_REGION_SOURCES = (
-        92, "1b7ccdbc52cfdf260f13b88b7755861ce2dbcd6f61faa527369b2ef0e3f9f1f2"
-    )
-
-    def test_tracked_region_sources_are_pinned(self, monkeypatch):
-        """Every function's tracked table compiles the tracked form of each
-        of its regions: loop-invariant hoisting leaves them byte-identical."""
+    def test_real_calls_spill_for_a_resync(self, monkeypatch):
+        """Every counted call in a lean region of the six workloads, plain
+        and fully duplicated, an inlined leaf's real call included, first
+        sets the tracking record of a run that tracks its frames and
+        writes back the slots live after the call that region code
+        assigns; a warm campaign compiles no other region form."""
         sources = all_sources(monkeypatch)
-        kept = []
-        for _, _, module in workload_modules():
-            cm = Interpreter(module).cm
+        spills = 0
+        for name, protect, module in workload_modules():
             sources.clear()
-            for cf in cm.cfuncs:
-                cm.tracked_region_fns(cf.index)
-            kept += [s for s in sources if s[0].startswith("<tracked region ")]
-        kept.sort()
-        got = (len(kept), hashlib.sha256(repr(kept).encode()).hexdigest())
-        assert got == self.TRACKED_REGION_SOURCES
+            cm = Interpreter(module).cm
+            for filename, source in sources:
+                if not filename.startswith("<region "):
+                    continue
+                lines = source.splitlines()
+                for i, line in enumerate(lines):
+                    if "state.call(" in line:
+                        before = lines[i - 1].strip()
+                        if before.startswith("state.cycles = "):
+                            before = lines[i - 2].strip()
+                        assert re.fullmatch(
+                            r"if _rec: (f\[\d+\] = [^;]+; )*_rec\[1\] = \d+; _rec\[2\] = \d+",
+                            before,
+                        ), (name, protect, filename, line)
+                        spills += 1
+                if "if _rec:" in source:
+                    assert "    _rec = state.trk and state.trk.frames[-1]\n" in source
+        assert spills > 10
+        sources.clear()
+        w = get_workload("fft")
+        campaign = Campaign(
+            w.make_interpreter(1), verifier=w.verifier(), entry=w.entry,
+            budget_factor=w.budget_factor, warm_start=True,
+        )
+        assert campaign.run(40, seed=0).stats.golden_resyncs
+        kinds = {f.split()[0] for f, _ in sources}
+        assert kinds <= {"<block", "<region", "<profiled", "<resume"}, kinds
 
     def test_values_are_computed_once(self, monkeypatch):
         """What value numbering and hoisting save, by count: the fft
@@ -1760,7 +1772,7 @@ class TestLoopInvariants:
         assert fast == reference
 
 
-# -- deopt exits: tracked region code between resync events -------------------
+# -- deopt exits: lean region code before the trip and between resync events ---
 
 
 class _Stop(Exception):
@@ -1800,15 +1812,6 @@ def restore(interp, start):
     return list(frame)
 
 
-def arm_tracking(interp, cf, bi, frame):
-    """Track the call stack as a resync-armed run does, with ``frame``
-    the outermost frame standing at block ``bi``."""
-    trk = _TrackState()
-    trk.resync_pts = []
-    trk.frames = [[cf.index, bi, 0, frame, interp.sp, None]]
-    interp.trk = trk
-
-
 def top_state(interp, frame):
     return (interp.cycles, digest(frame), digest(interp.cells), interp.sp)
 
@@ -1838,22 +1841,12 @@ def block_tops(interp, cf, start, header, members, wanted=()):
 def finish(interp, cf, frame, bi):
     """Run a frame from block ``bi`` to its return on the lean table,
     with the hang budget as the region budget (lean regions read
-    ``rbudget`` too, and a tracked test leaves it armed)."""
+    ``rbudget``)."""
     interp.trk = None
     interp.rbudget = interp.budget
     while bi >= 0:
         bi = cf.region_fns[bi](frame, interp)
     return interp.ret, interp.cycles, digest(interp.cells)
-
-
-def deopt(interp, cf, start, header, rbudget):
-    """Run the tracked region from a ``region_entry`` state under the
-    region budget ``rbudget``: (returned block, state, function result)."""
-    frame = restore(interp, start)
-    interp.rbudget = rbudget
-    arm_tracking(interp, cf, header, frame)
-    bi = interp.cm.tracked_region_fns(cf.index)[header](frame, interp)
-    return bi, top_state(interp, frame), finish(interp, cf, frame, bi)
 
 
 class _Rung:
@@ -1937,15 +1930,26 @@ def tripped(interp, entry, inst, fire, entries, log):
     return state
 
 
+def live_frames(interp, frames):
+    """The tracked frames ``frames`` as a golden resync compares them:
+    each frame's position and a digest of the slots block-by-block
+    execution may still read (``CompiledModule.live_slots``)."""
+    last = len(frames) - 1
+    out = []
+    for i, (cfi, bi, calls, regs, _, _) in enumerate(frames):
+        slots = interp.cm.live_slots(cfi, bi, None if i == last else calls - 1)
+        out.append((cfi, bi, calls, digest([regs[k] for k in slots])))
+    return tuple(out)
+
+
 @contextmanager
 def rendezvous_log(monkeypatch):
     """Make every resync compare fail and never give up; yields the list
-    of (rung, cycles, tracked frames) compares made."""
+    of (rung, cycles, live tracked frames, sp) compares made."""
     log = []
 
     def match(self, snap, trk):
-        frames = tuple((r[0], r[1], r[2], digest(r[3])) for r in trk.frames)
-        log.append((snap.index, self.cycles, frames))
+        log.append((snap.index, self.cycles, live_frames(self, trk.frames), self.sp))
         return False
 
     monkeypatch.setattr(Interpreter, "_resync_match", match)
@@ -2017,7 +2021,7 @@ def assert_same_compares(cm, fast_log, log):
     for entry in log:
         if entry not in made:
             (caller, bi, _, _), (callee, _, _, _) = entry[2][-2:]
-            assert callee in leaves and bi in cm.cfuncs[caller].region_of, entry
+            assert callee in leaves and bi in cm.cfuncs[caller].region_of, entry[:2]
 
 
 def regions_of(cf):
@@ -2029,39 +2033,46 @@ def members_of(cf, header):
     return {bi for bi, h in cf.region_of.items() if h == header}
 
 
+def dispatched(cm, cfi, bi):
+    """Whether the lean dispatch loop can see block ``bi`` of function
+    ``cfi`` other than by stepping it: it is no region member, or it is
+    one the region is entered at."""
+    header = cm.cfuncs[cfi].region_of.get(bi)
+    return header is None or bi in cm._compiler._regions[(cfi, header)].entries
+
+
 class TestDeoptExits:
-    """Tracked region functions (``tracked_fns``) against the per-block
-    table: a deopt exit leaves the frame, ``cycles``, ``sp`` and cells as
-    the per-block loop holds them at the top of the exit block."""
+    """Lean region code against the per-block table where a run must stop
+    inside a region: at a tripping trial's flip block, and at a
+    resync-armed warm trial's rungs.  A deopt exit leaves every slot the
+    block may read, ``cycles``, ``sp`` and cells as the per-block loop
+    holds them at the top of its test point, and the dispatch loop steps
+    onto the event from there."""
 
     @pytest.mark.parametrize("name", WORKLOADS + (JoinShapes.name,))
-    def test_exit_at_every_member(self, name):
-        """For every region reached by the golden run, a region budget
-        equal to a member's entry cycle exits at that member's first top
-        with the per-block state, and the function then returns what the
-        per-block run returns."""
+    def test_exit_at_every_member(self, name, monkeypatch):
+        """A resync-armed run whose flip changes nothing, with a rung at
+        the first top of every region member the golden run reaches: lean
+        code compares at every rung the per-block run compares at (rungs
+        inside inlined leaves aside), with its cycles, ``sp`` and live
+        frames, many of them at members no dispatch loop tests, and the
+        run ends identically."""
         w = subject(name)
         interp = w.make_interpreter(1)
-        exits = 0
-        for cf in interp.cm.cfuncs:
-            for header, members in regions_of(cf):
-                start = region_entry(interp, w.entry, cf, header)
-                if start is None:
-                    continue
-                stay, _, _ = block_tops(interp, cf, start, header, members)
-                first = {}
-                for k, (bi, _) in enumerate(stay):
-                    if bi in members:
-                        first.setdefault(bi, k)
-                _, states, result = block_tops(
-                    interp, cf, start, header, members, set(first.values())
-                )
-                for bi, k in first.items():
-                    cycles = stay[k][1]
-                    got = deopt(interp, cf, start, header, cycles)
-                    assert got == (bi, states[k], result), (cf.name, header, bi)
-                    exits += 1
-        assert exits >= 10
+        cm = interp.cm
+        first = {}
+        for cfi, bi, cycles in golden_tops(interp, w.entry):
+            if bi in cm.cfuncs[cfi].region_of:
+                first.setdefault((cfi, bi), cycles)
+        rungs = sorted(first.values())
+        fast, fast_log = storm(interp, w.entry, None, rungs, monkeypatch)
+        with per_block_dispatch(cm):
+            reference, log = storm(interp, w.entry, None, rungs, monkeypatch)
+        assert fast == reference
+        assert fast["status"] == "ok"
+        assert_same_compares(cm, fast_log, log)
+        stepped = [e for e in fast_log if not dispatched(cm, *e[2][-1][:2])]
+        assert len(stepped) >= 3, len(stepped)
 
     @pytest.mark.parametrize("name", WORKLOADS + (JoinShapes.name,))
     def test_lean_exit_at_every_member(self, name, monkeypatch):
@@ -2213,78 +2224,119 @@ class TestDeoptExits:
         assert (trapped["status"], trapped["cycles"]) == ("trap", p)
 
     @pytest.mark.parametrize("name", ["fft", "hpccg", JoinShapes.name])
-    def test_probe_exit_at_every_member(self, name):
-        """Once the flip has fired, an offset-probe rung whose innermost
-        frame stands at a member with this frame's registers makes the
-        tracked region exit at that member's top, as the per-block loop
-        would stop there to probe it."""
+    def test_probe_exit_at_every_member(self, name, monkeypatch):
+        """Offset probes run at the block tops the dispatch loop sees.  A
+        real ladder whose rungs claim to stand 5 cycles later than they
+        do: no exact compare can match, and a resync-armed run whose flip
+        changes nothing probes each rung in its window as it meets the
+        rung's state.  With every probe failed, each probe the lean run
+        makes is one the per-block run makes, with its cycles, cells,
+        ``sp`` and live frames; left to match, both finish by an offset
+        probe, 5 cycles before the golden count."""
         w = subject(name)
         interp = w.make_interpreter(1)
-        exits = 0
-        for cf in interp.cm.cfuncs:
-            for header, members in regions_of(cf):
-                start = region_entry(interp, w.entry, cf, header)
-                if start is None:
-                    continue
-                frame = restore(interp, start)
-                first = {}
-                bi = header
-                with per_block_dispatch(interp.cm):
-                    while bi in members:
-                        first.setdefault(bi, (interp.cycles, list(frame)))
-                        bi = cf.block_fns[bi](frame, interp)
-                tracked = interp.cm.tracked_region_fns(cf.index)[header]
-                for bi, (cycles, regs) in first.items():
-                    frame = restore(interp, start)
-                    arm_tracking(interp, cf, header, frame)
-                    interp.inj_hit = True
-                    interp.trk.probe_at = {cf.index: {bi: [regs]}}
-                    assert tracked(frame, interp) == bi
-                    assert (interp.cycles, frame) == (cycles, regs)
-                    exits += 1
-        assert exits >= 10
+        cm = interp.cm
+        golden = interp.capture_ladder(w.entry, stride=interp.run(w.entry).cycles // 64)
+        shifted = SnapshotLadder(
+            [
+                WarmSnapshot(r.index, r.cycles + 5, r.cells, r.sp, r.frames, r.out_log, r.profile)
+                for r in golden.snapshots
+            ],
+            golden.stride, golden.golden_cycles, golden.golden_value, w.entry,
+        )
+        inst = first_value(cm, w.entry)
+        trip = golden_trip(interp, w.entry, inst)
+        spec = InjectionSpec(inst, 1, "once", corrupt=lambda v: v)
+        monkeypatch.setattr(_TrackState, "MAX_RESYNC_FAILS", 1 << 30)
 
-    @pytest.mark.parametrize("name, leaf", [("hpccg", "idx3"), ("fft", "bit_reverse")])
-    def test_trip_inside_an_inlined_leaf(self, name, leaf):
-        """A region budget that runs out inside an inlined leaf call exits
-        at the caller's next block top, not inside the leaf."""
+        def run():
+            result = interp.run(
+                w.entry, injection=spec, warm=WarmStart(shifted, None, resync=True),
+                **trip,
+            )
+            return (result.status, result.cycles, repr(result.value),
+                    result.resynced, result.probed)
+
+        finished = ("ok", golden.golden_cycles - 5, repr(golden.golden_value), True, True)
+        assert run() == finished
+        with per_block_dispatch(cm):
+            assert run() == finished
+
+        probes = []
+        real = Interpreter._resync_match
+
+        def match(self, snap, trk):
+            if self.cycles == snap.cycles:
+                return False  # an exact compare
+            probes.append((
+                snap.index, self.cycles, live_frames(self, trk.frames),
+                digest(self.cells), self.sp, real(self, snap, trk),
+            ))
+            return False
+
+        monkeypatch.setattr(Interpreter, "_resync_match", match)
+        monkeypatch.setattr(_TrackState, "MAX_PROBE_FAILS", 1 << 30)
+        run()
+        fast = list(probes)
+        probes.clear()
+        with per_block_dispatch(cm):
+            run()
+        assert set(fast) <= set(probes)
+        matched = [p for p in fast if p[-1]]
+        assert len(matched) >= 2, len(matched)
+        assert len(probes) > len(fast)
+
+    @pytest.mark.parametrize("name, leaf", [("hpccg", "waxpby"), ("fft", "bit_reverse")])
+    def test_trip_inside_an_inlined_leaf(self, name, leaf, monkeypatch):
+        """Rungs at every block top of a leaf call that region code
+        inlines, and at the first top after the call outside any leaf: a
+        resync-armed run overshoots the rungs inside the inlined call (the
+        next test point after it finds the count past them and hands its
+        top to the dispatch loop, which compares there), unless the
+        dispatch loop steps the calling block, making the call real; the
+        per-block run compares at every one.  Both end identically."""
         w = get_workload(name)
         interp = w.make_interpreter(1)
         cm = interp.cm
-        leaf_cfi = cm.get_function_index(leaf)
-        trips = 0
-        for cf in cm.cfuncs:
-            calling = {
-                bi for bi, block in enumerate(cf.fn.blocks)
-                for inst in block.instructions
-                if isinstance(inst, CallInst) and inst.callee.name == leaf
-            }
-            for header, members in regions_of(cf):
-                if not calling & members:
-                    continue
-                start = region_entry(interp, w.entry, cf, header)
-                if start is None:
-                    continue
-                stay, _, _ = block_tops(interp, cf, start, header, members)
-                k = next(k for k, (bi, _) in enumerate(stay[:-1]) if bi in calling)
-                _, states, result = block_tops(
-                    interp, cf, start, header, members, {k + 1}
-                )
-                bi, cycles = stay[k]
-                # the calling block's own charge fits; the leaf's first
-                # block's charge, inside the inlined call, does not
-                inside = cycles + cf.costs[bi]
-                assert inside + cm.cfuncs[leaf_cfi].costs[0] <= stay[k + 1][1]
-                got = deopt(interp, cf, start, header, inside)
-                assert got == (stay[k + 1][0], states[k + 1], result)
-                trips += 1
-        assert trips
+        cfi = cm.get_function_index(leaf)
+        real = set()  # the counts at which the lean golden run calls the leaf
+        original = Interpreter.call
+
+        def call(self, callee, args):
+            if callee == cfi:
+                real.add(self.cycles)
+            return original(self, callee, args)
+
+        monkeypatch.setattr(Interpreter, "call", call)
+        interp.run(w.entry)
+        monkeypatch.undo()
+        tops = golden_tops(interp, w.entry)
+        start = next(
+            k for k, t in enumerate(tops)
+            if t[:2] == (cfi, 0) and t[2] not in real and k > len(tops) // 2
+        )
+        end = next(
+            k for k in range(start, len(tops))
+            if not compiler._is_leaf(cm.cfuncs[tops[k][0]].fn)
+        )
+        rungs = [c for _, _, c in tops[start : end + 1]]
+        assert len(rungs) >= 4
+        fast, fast_log = storm(interp, w.entry, None, rungs, monkeypatch)
+        with per_block_dispatch(cm):
+            reference, log = storm(interp, w.entry, None, rungs, monkeypatch)
+        assert fast == reference
+        assert [e[0] for e in log] == list(range(len(rungs)))
+        if fast_log[0] == log[0]:  # the calling block stepped: a real call
+            assert fast_log == log
+        else:
+            assert fast_log == [log[-1]]
+        assert (fast_log == log) == (name == "fft")
 
     @pytest.mark.parametrize("name", WORKLOADS)
     def test_rendezvous_at_every_rung(self, name, monkeypatch):
         """A resync-armed golden run with a rung at every seventh block
         top: the region run compares at exactly the per-block run's rungs,
-        states and tracked frames, except rungs inside inlined leaves,
+        cycles, ``sp`` and live frames, except rungs inside inlined leaves,
         and ends identically."""
         w = get_workload(name)
         interp = w.make_interpreter(1)
@@ -2334,12 +2386,37 @@ class TestDeoptExits:
         assert len(log) == len({c for c in rungs if c >= log[0][1]})
         assert_same_compares(interp.cm, fast_log, log)
 
+    @pytest.mark.parametrize("name, function", [("hpccg", "spmv_slab"), ("fft", "fft_row")])
+    def test_a_hang_at_every_cycle_between_rungs(self, name, function, monkeypatch):
+        """A resync-armed run, its flip in ``main`` changing nothing, with
+        a rung at every 97th block top and at every other top of one
+        iteration of ``function``'s costliest innermost loop (an fft
+        butterfly, a ``spmv_slab`` iteration), and a hang budget at every
+        cycle of that iteration, after the flip: lean code hangs at the
+        per-block table's cycle and makes its compares on the way."""
+        w = get_workload(name)
+        interp = w.make_interpreter(1)
+        _, _, iteration = inner_iteration(interp, w.entry, function)
+        rungs = every_block_top(interp, w.entry, None)[::97]
+        rungs += [cycles for _, _, cycles in iteration[1::2]]
+        trip = golden_trip(interp, w.entry, first_value(interp.cm, w.entry))
+        assert trip["fire"] < iteration[0][2]
+        for budget in range(iteration[0][2], iteration[-1][2] + 1):
+            with rendezvous_log(monkeypatch) as fast_log:
+                fast = armed_run(interp, w.entry, budget, rungs, trip=trip)
+            with per_block_dispatch(interp.cm), rendezvous_log(monkeypatch) as log:
+                reference = armed_run(interp, w.entry, budget, rungs, trip=trip)
+            assert fast["status"] == "hang"
+            assert fast == reference, budget
+            assert_same_compares(interp.cm, fast_log, log)
+
     def test_resync_inside_a_call_from_region_code(self, monkeypatch):
         """fft's main calls fft_row from region code.  A warm trial restored
         at the last rung of one fft_row call, whose flip right there
         changes nothing, resyncs at the first rung of the next call, made
-        from main's tracked region: main's tracking record must read the
-        calling block and its call count, as the per-block loop's does."""
+        from main's lean region: main's tracking record must read the
+        calling block and its call count, and its frame the slots read
+        after the call, as the per-block loop's do."""
         w = get_workload("fft")
         campaign = Campaign(
             w.make_interpreter(1), verifier=w.verifier(), entry=w.entry,
@@ -2725,8 +2802,9 @@ class TestCoalescedMoves:
 
     def test_back_to_back_counted_calls(self, monkeypatch):
         """Two calls to functions that are no leaf, one right after the
-        other, keep ``_c`` None between them; a trap in the second call
-        and a hang at every cycle still leave the per-block count."""
+        other, keep ``_c`` None between them (the second's spill for a
+        resync reads no count); a trap in the second call and a hang at
+        every cycle still leave the per-block count."""
         source = """
         output int result[2];
         int a[4];
@@ -2745,7 +2823,8 @@ class TestCoalescedMoves:
         interp = Interpreter(module)
         (region,) = [s for f, s in sources.items() if f.startswith("<region main.")]
         call = r"state\.call\(\d+, \(r\d+,\)\)\n *"
-        assert re.search(call + call + r"_c = state\.cycles", region)
+        spill = r"if _rec: (?:f\[\d+\] = \w+; )*_rec\[1\] = \d+; _rec\[2\] = 1\n *"
+        assert re.search(call + spill + call + r"_c = state\.cycles", region)
         fast, reference = both_ways(interp, profile=True)
         assert fast["status"] == "ok"
         assert fast == reference
@@ -2777,7 +2856,7 @@ class TestProfiledTable:
 
 class TestTrackedFastPaths:
     def test_detached_frames_finish_on_region_fns(self, monkeypatch):
-        """Once resync gives up, the tracked loops still on the stack (here
+        """Once resync gives up, the resync loops still on the stack (here
         fft's main) finish through the run's region table: here, a
         profiled run, the profiled twins of ``region_fns``' entries."""
         w = get_workload("fft")
@@ -2813,7 +2892,7 @@ class TestTrackedFastPaths:
     def test_tracked_runs_call_few_block_functions(self, monkeypatch):
         """A resync-armed fft run that stays armed to its last rung calls
         block functions at least five times less often than per-block
-        tracked dispatch, the loop such a run used before tracked regions."""
+        dispatch: between its rungs it runs lean region code."""
         w = get_workload("fft")
         interp = w.make_interpreter(1)
         cm = interp.cm

@@ -20,6 +20,7 @@ from repro.faults import (
     CheckpointWarning,
     Outcome,
     SupervisorPolicy,
+    TrialPlan,
     TrialRecord,
     campaign_fingerprint,
     fork_available,
@@ -80,21 +81,17 @@ def make_workload_campaign(name, **kwargs):
     )
 
 
-def record_key(record):
-    """Everything observable about a trial, including recovery telemetry."""
-    return (
-        record.site.instruction.opcode,
-        record.site.occurrence,
-        record.site.bit,
-        record.outcome,
-        record.status,
-        record.cycles,
-        record.recovery.as_dict() if record.recovery is not None else None,
-    )
+def run_entries(campaign, n_trials=N_TRIALS, seed=SEED, **run_kwargs):
+    """(every record of a campaign run as its whole ``trial_entry``, the
+    result): the site index, failure and recovery telemetry included."""
+    result = campaign.run(n_trials, seed=seed, **run_kwargs)
+    plan = TrialPlan(campaign, n_trials, seed)
+    return [plan.entry(i, r) for i, r in enumerate(result.records)], result
 
 
-def keys(result):
-    return [record_key(r) for r in result.records]
+def entries(campaign, n_trials=N_TRIALS, seed=SEED, **run_kwargs):
+    """The records of a campaign run as whole ``trial_entry`` dicts."""
+    return run_entries(campaign, n_trials, seed, **run_kwargs)[0]
 
 
 class TestLadderStructure:
@@ -136,31 +133,27 @@ class TestLadderStructure:
 class TestBitIdentity:
     @pytest.fixture(scope="class")
     def cold_baseline(self):
-        return keys(make_campaign().run(N_TRIALS, seed=SEED))
+        return entries(make_campaign())
 
     def test_warm_equals_cold(self, cold_baseline):
-        result = make_campaign(warm_start=True).run(N_TRIALS, seed=SEED)
-        assert keys(result) == cold_baseline
+        got, result = run_entries(make_campaign(warm_start=True))
+        assert got == cold_baseline
         assert result.stats.warm_restores > 0
 
     def test_warm_equals_cold_at_tiny_stride(self, cold_baseline):
-        result = make_campaign(warm_start=True, snapshot_stride=1).run(
-            N_TRIALS, seed=SEED
-        )
-        assert keys(result) == cold_baseline
+        got = entries(make_campaign(warm_start=True, snapshot_stride=1))
+        assert got == cold_baseline
 
     def test_warm_equals_cold_at_huge_stride(self, cold_baseline):
         # A stride past golden_cycles leaves at most the earliest rungs;
         # trials mostly run cold and must still match exactly.
-        result = make_campaign(warm_start=True, snapshot_stride=10**9).run(
-            N_TRIALS, seed=SEED
-        )
-        assert keys(result) == cold_baseline
+        got = entries(make_campaign(warm_start=True, snapshot_stride=10**9))
+        assert got == cold_baseline
 
     @needs_fork
     def test_warm_parallel_equals_cold_serial(self, cold_baseline):
-        result = make_campaign(warm_start=True).run(N_TRIALS, seed=SEED, n_jobs=2)
-        assert keys(result) == cold_baseline
+        got, result = run_entries(make_campaign(warm_start=True), n_jobs=2)
+        assert got == cold_baseline
         assert result.stats.warm_restores > 0
 
     def test_warm_stats_are_reported(self):
@@ -171,6 +164,8 @@ class TestBitIdentity:
         warm = stats.as_dict()["warm_start"]
         assert warm["restores"] == stats.warm_restores
         assert warm["golden_resyncs"] == stats.golden_resyncs
+        assert warm["exact_resyncs"] + warm["offset_resyncs"] == stats.golden_resyncs
+        assert warm["offset_resyncs"] == stats.offset_resyncs
         assert warm["prefix_cycles_saved"] == stats.warm_cycles_saved
         assert "[warm" in stats.progress_line()
 
@@ -181,24 +176,28 @@ class TestAllWorkloads:
 
     def test_warm_equals_cold(self, name):
         trials, seed = 20, 0
-        cold = make_workload_campaign(name).run(trials, seed=seed)
-        warm = make_workload_campaign(name, warm_start=True).run(trials, seed=seed)
-        assert keys(warm) == keys(cold)
-        assert warm.counts.as_dict() == cold.counts.as_dict()
-        assert warm.stats.warm_restores > 0
+        cold, cold_result = run_entries(make_workload_campaign(name), trials, seed)
+        warm, warm_result = run_entries(
+            make_workload_campaign(name, warm_start=True), trials, seed
+        )
+        assert warm == cold
+        assert warm_result.counts.as_dict() == cold_result.counts.as_dict()
+        assert warm_result.stats.warm_restores > 0
 
 
 @pytest.mark.parametrize("name", ["fft", "hpccg"])
 def test_warm_equals_cold_with_resyncs(name):
-    """Warm trials run tracked region code between resync events and
-    finish on the lean table: records stay those of the cold campaign,
-    and trials still finish by golden resync."""
+    """Warm trials run lean region code between resync events, leaving
+    it through deopt exits: records stay those of the cold campaign, and
+    trials still finish by golden resync."""
     trials, resyncs = 40, 0
     for seed in (0, 1, 2):
-        cold = make_workload_campaign(name).run(trials, seed=seed)
-        warm = make_workload_campaign(name, warm_start=True).run(trials, seed=seed)
-        assert keys(warm) == keys(cold)
-        resyncs += warm.stats.golden_resyncs
+        cold = entries(make_workload_campaign(name), trials, seed)
+        warm, result = run_entries(
+            make_workload_campaign(name, warm_start=True), trials, seed
+        )
+        assert warm == cold, seed
+        resyncs += result.stats.golden_resyncs
     assert resyncs > 0
 
 
@@ -224,9 +223,9 @@ class TestRecoveryPath:
 
     def test_warm_equals_cold_with_recovery(self):
         trials, seed = 40, 7
-        cold = self._campaign().run(trials, seed=seed)
-        warm = self._campaign(warm_start=True).run(trials, seed=seed)
-        assert keys(warm) == keys(cold)
+        cold_entries, cold = run_entries(self._campaign(), trials, seed)
+        warm_entries, warm = run_entries(self._campaign(warm_start=True), trials, seed)
+        assert warm_entries == cold_entries
         assert cold.counts.counts[Outcome.CORRECTED] >= 1, (
             "seed must exercise the rollback path for this test to mean anything"
         )
@@ -238,22 +237,20 @@ class TestRecoveryPath:
 class TestHarnessPaths:
     def test_poisoned_trial_quarantined_warm(self, tmp_path):
         chaos = ChaosMonkey(kill_at=[9], once=False, state_dir=str(tmp_path / "c"))
-        result = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, n_jobs=2,
+        got, result = run_entries(
+            make_campaign(warm_start=True), n_jobs=2,
             supervision=SupervisorPolicy(max_retries=1), chaos=chaos,
         )
         assert result.records[9].outcome is Outcome.TRIAL_FAILURE
         assert result.counts.counts[Outcome.TRIAL_FAILURE] == 1
-        cold = make_campaign().run(N_TRIALS, seed=SEED)
-        surviving = [k for i, k in enumerate(keys(result)) if i != 9]
-        assert surviving == [k for i, k in enumerate(keys(cold)) if i != 9]
+        assert "failure" in got[9]
+        cold = entries(make_campaign())
+        assert got[:9] + got[10:] == cold[:9] + cold[10:]
 
     def test_killed_worker_bit_identical_warm(self, tmp_path):
         chaos = parse_chaos_spec("kill@5", state_dir=str(tmp_path / "c"))
-        result = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, n_jobs=2, chaos=chaos
-        )
-        assert keys(result) == keys(make_campaign().run(N_TRIALS, seed=SEED))
+        got, result = run_entries(make_campaign(warm_start=True), n_jobs=2, chaos=chaos)
+        assert got == entries(make_campaign())
         assert result.stats.worker_deaths >= 1
 
 
@@ -271,24 +268,20 @@ class TestCheckpointIsolation:
 
     def test_warm_resumes_its_own_checkpoint(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
-        first = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, checkpoint_path=path
-        )
-        resumed = make_campaign(warm_start=True).run(
-            N_TRIALS, seed=SEED, checkpoint_path=path
-        )
+        first = entries(make_campaign(warm_start=True), checkpoint_path=path)
+        got, resumed = run_entries(make_campaign(warm_start=True), checkpoint_path=path)
         assert resumed.stats.resumed == N_TRIALS
-        assert keys(resumed) == keys(first)
+        assert got == first
 
     def test_cold_checkpoint_discarded_by_warm_campaign(self, tmp_path):
         path = str(tmp_path / "ck.jsonl")
         make_campaign().run(N_TRIALS, seed=SEED, checkpoint_path=path)
         with pytest.warns(CheckpointWarning, match="fingerprint"):
-            resumed = make_campaign(warm_start=True).run(
-                N_TRIALS, seed=SEED, checkpoint_path=path
+            got, resumed = run_entries(
+                make_campaign(warm_start=True), checkpoint_path=path
             )
         assert resumed.stats.resumed == 0
-        assert keys(resumed) == keys(make_campaign().run(N_TRIALS, seed=SEED))
+        assert got == entries(make_campaign())
 
 
 class TestResetImage:
@@ -355,7 +348,8 @@ class TestExactStateEq:
 
 
 class TestResyncMatch:
-    """``_resync_match`` against a real fft rung covers the whole arena."""
+    """``_resync_match`` against a real fft rung covers the whole arena,
+    and each frame on the slots block-by-block execution may still read."""
 
     @pytest.fixture(scope="class")
     def rung(self):
@@ -363,16 +357,41 @@ class TestResyncMatch:
         ladder = campaign.ensure_ladder()
         return campaign.interp, ladder.snapshots[len(ladder) // 2]
 
+    @pytest.fixture(scope="class")
+    def nested(self):
+        """A real fft rung with a frame suspended in a call, each of its
+        two innermost frames holding slots the resync compares and slots
+        it does not: (interp, rung, {frame position: (live, dead)})."""
+        campaign = make_workload_campaign("fft", warm_start=True)
+        interp = campaign.interp
+        for snap in campaign.ensure_ladder().snapshots:
+            if len(snap.frames) < 2:
+                continue
+            split = {}
+            for at in (-2, -1):
+                wf = snap.frames[at]
+                live = interp.cm.live_slots(wf.cfi, wf.bi, wf.call_k)
+                dead = [k for k in range(len(wf.regs)) if k not in live]
+                if live and dead:
+                    split[at] = (live, dead)
+            if len(split) == 2:
+                return interp, snap, split
+        pytest.fail("no fft rung suspends a frame with live and dead slots")
+
     @staticmethod
-    def matches(interp, snap, cells):
-        """Whether a trial standing exactly at ``snap`` with ``cells``
-        would resync there."""
+    def matches(interp, snap, cells, changed=None):
+        """Whether a trial standing exactly at ``snap`` with ``cells``,
+        and with the frame slots ``changed`` maps (frame position ->
+        {slot: value}) holding other values, would resync there."""
         trk = _TrackState()
         trk.frames = [
             [wf.cfi, wf.bi, 0 if wf.call_k is None else wf.call_k + 1,
              list(wf.regs), wf.sp0, None]
             for wf in snap.frames
         ]
+        for at, slots in (changed or {}).items():
+            for k, value in slots.items():
+                trk.frames[at][3][k] = value
         interp.cells = cells
         interp.sp = snap.sp
         interp.output_log = list(snap.out_log)
@@ -388,6 +407,40 @@ class TestResyncMatch:
     def test_identical_state_matches(self, rung):
         interp, snap = rung
         assert self.matches(interp, snap, list(snap.cells))
+
+    @staticmethod
+    def other(value):
+        """A value equal to nothing a frame holds."""
+        return ("not", value)
+
+    def test_a_dead_slot_of_the_innermost_frame_matches(self, nested):
+        """A slot the innermost block assigns before any read differs:
+        the rest of the run cannot tell, so the rung matches."""
+        interp, snap, split = nested
+        _, dead = split[-1]
+        regs = snap.frames[-1].regs
+        changed = {-1: {k: self.other(regs[k]) for k in dead}}
+        assert self.matches(interp, snap, list(snap.cells), changed)
+
+    def test_a_live_slot_of_the_innermost_frame_rejects(self, nested):
+        interp, snap, split = nested
+        live, _ = split[-1]
+        regs = snap.frames[-1].regs
+        for k in live:
+            changed = {-1: {k: self.other(regs[k])}}
+            assert not self.matches(interp, snap, list(snap.cells), changed), k
+
+    def test_a_suspended_frame_compares_what_it_reads_after_its_call(self, nested):
+        """In a frame suspended in a call, a slot read after the call
+        rejects, and a slot assigned again before any read matches."""
+        interp, snap, split = nested
+        live, dead = split[-2]
+        regs = snap.frames[-2].regs
+        for k in live:
+            changed = {-2: {k: self.other(regs[k])}}
+            assert not self.matches(interp, snap, list(snap.cells), changed), k
+        changed = {-2: {k: self.other(regs[k]) for k in dead}}
+        assert self.matches(interp, snap, list(snap.cells), changed)
 
     def test_one_cell_of_another_type_rejects(self, rung):
         interp, snap = rung
