@@ -65,9 +65,7 @@ class TrialRecord:
     trial executed under the rollback runtime, else ``None``.
 
     ``warm`` is transient execution metadata from warm-start campaigns —
-    a ``(rung_index, resync, prefix_cycles_saved)`` triple, ``resync``
-    being ``None``, ``"exact"`` (the rung due at the trial's cycle count
-    matched) or ``"offset"`` (an offset-probe rung matched), or ``None``
+    a ``(rung_index, resynced, prefix_cycles_saved)`` triple, or ``None``
     for cold trials.  It describes *how* the trial ran, not what happened,
     so it is deliberately excluded from ``trial_entry`` (the one serialised
     form of a trial, see :mod:`repro.faults.parallel`): warm and cold
@@ -86,7 +84,7 @@ class TrialRecord:
         cycles: int,
         failure=None,
         recovery: Optional[RecoveryTelemetry] = None,
-        warm: Optional[Tuple[int, Optional[str], int]] = None,
+        warm: Optional[Tuple[int, bool, int]] = None,
     ):
         self.site = site
         self.outcome = outcome
@@ -418,7 +416,7 @@ class Campaign:
         if warm is not None:
             warm_info = (
                 result.warm_index,
-                ("offset" if result.probed else "exact") if result.resynced else None,
+                result.resynced,
                 warm.snapshot.cycles if warm.snapshot is not None else 0,
             )
         return TrialRecord(

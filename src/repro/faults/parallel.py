@@ -188,10 +188,6 @@ class CampaignStats:
         "ipas_warm_restores_total", "trials started from a ladder rung")
     golden_resyncs = _counter_prop(
         "ipas_warm_resyncs_total", "trials finished by golden resync")
-    offset_resyncs = _counter_prop(
-        "ipas_warm_offset_resyncs_total",
-        "golden resyncs matched by an offset probe (the rest matched the "
-        "rung due at the trial's cycle count)")
     warm_cycles_saved = _counter_prop(
         "ipas_warm_cycles_saved_total", "prefix cycles skipped via restores")
 
@@ -257,14 +253,12 @@ class CampaignStats:
                 "ipas_recovery_escalations_total"
             ).value += recovery.escalations
         if warm is not None:
-            warm_index, resync, saved = warm
+            warm_index, resynced, saved = warm
             if warm_index >= 0:
                 reg.counter("ipas_warm_restores_total").value += 1
                 reg.counter("ipas_warm_cycles_saved_total").value += saved
-            if resync:
+            if resynced:
                 reg.counter("ipas_warm_resyncs_total").value += 1
-                if resync == "offset":
-                    reg.counter("ipas_warm_offset_resyncs_total").value += 1
         reg.counter("ipas_trials_total", outcome=key).value += 1
         reg.histogram("ipas_trial_latency_ms", outcome=key).observe(seconds * 1000.0)
         reg.gauge("ipas_trial_latency_seconds_max", outcome=key).observe_max(seconds)
@@ -389,8 +383,6 @@ class CampaignStats:
             data["warm_start"] = {
                 "restores": self.warm_restores,
                 "golden_resyncs": self.golden_resyncs,
-                "exact_resyncs": self.golden_resyncs - self.offset_resyncs,
-                "offset_resyncs": self.offset_resyncs,
                 "prefix_cycles_saved": self.warm_cycles_saved,
             }
         return data
@@ -412,9 +404,7 @@ class CampaignStats:
             )
         if self.warm_events:
             line += (
-                f"  [warm {self.warm_restores} resync {self.golden_resyncs}"
-                f" ({self.golden_resyncs - self.offset_resyncs} exact,"
-                f" {self.offset_resyncs} offset)]"
+                f"  [warm {self.warm_restores} resync {self.golden_resyncs}]"
             )
         if self.harness_events:
             line += (

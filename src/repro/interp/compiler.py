@@ -83,7 +83,7 @@ site's epilogue).  A single-shot campaign trial *trips*: until its flip
 the trial is the golden run, so the plain tables run up to the flip's
 golden cycle (``state.rbudget``), lean region code leaves through a
 deopt exit at the last test point before the flip and steps block by
-block to the flip block, and ``Interpreter.trip`` runs that one block
+block to the flip block, and ``Interpreter.step`` runs that one block
 instance in its injectable variant before the plain tables take over
 again.  Every other injected run *counts*: the injected function dispatches through a
 table holding the variant of the block or region with the site, which
@@ -1025,11 +1025,13 @@ class _Compiler:
         the form is not numbered) see :meth:`_gen_instruction`; ``ret``
         and ``fall`` see :meth:`_gen_terminator`.  Numbered code settles
         its pending charge before each instruction that :func:`_settles`
-        (see :meth:`_gen_member`) but a check it leaves out."""
+        (see :meth:`_gen_member`) but a check it leaves out, and chains a
+        counted call into the next instruction it emits something for
+        when that is a counted call too."""
         insts = [i for i in block.instructions if not isinstance(i, PhiNode)]
         for k, inst in enumerate(insts):
             if vn is not None:
-                vn.chained = self._counted(inst) and self._counted(insts[k + 1])
+                vn.chained = self._counted(inst) and self._chains(insts[k + 1 :], regs, vn)
             if vn is not None and _settles(inst) and not self._dropped(inst, regs, vn):
                 vn.settle(emit)
             if inst.is_terminator():
@@ -2265,6 +2267,39 @@ class _Compiler:
                 vn.called()
             return
         raise InterpreterBug(f"no runtime binding for intrinsic {name}")
+
+    def _chains(self, insts: List[Instruction], regs: Dict[int, str], vn: _Numbering) -> bool:
+        """Whether a counted call followed by ``insts`` may leave ``_c``
+        None: the first of ``insts`` that numbered code (``vn``) emits
+        something for is a counted call too.  Numbered code emits nothing
+        for a pure value a register already holds, every operand numbered,
+        nor for a check whose two operands have one number
+        (:meth:`_dropped`).  The call changes no fact these read but its
+        result's, which none holds yet, and leaves no load held.  The
+        values skipped are bound in a scope dropped on return."""
+        saved = vn.facts
+        vn.facts = saved.new_child()
+        try:
+            for inst in insts:
+                shape = _pure_shape(inst)
+                check = isinstance(inst, CallInst) and inst.callee.name.startswith("ipas.check")
+                if shape is None and not check:
+                    return self._counted(inst)
+                operands = inst.operands if shape is not None else inst.operands[:2]
+                numbers = [vn.facts.get(self._expr(o, regs)) for o in operands]
+                if None in numbers:
+                    return False
+                if check:
+                    if numbers[0] != numbers[1]:
+                        return False
+                    continue
+                held = vn.held((*shape, *numbers))
+                if held is None:
+                    return False
+                vn.bind(regs[id(inst)], vn.facts[held])
+            return False
+        finally:
+            vn.facts = saved
 
     def _dropped(
         self, inst: Instruction, regs: Dict[int, str], vn: Optional[_Numbering]

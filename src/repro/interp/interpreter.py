@@ -87,7 +87,7 @@ class RunResult:
 
     __slots__ = (
         "status", "cycles", "value", "error", "injection_hit", "profile",
-        "recovery", "resynced", "probed", "warm_index", "entries",
+        "recovery", "resynced", "warm_index", "entries",
     )
 
     def __init__(
@@ -102,7 +102,6 @@ class RunResult:
         resynced: bool = False,
         warm_index: int = -1,
         entries: Optional[List[array]] = None,
-        probed: bool = False,
     ):
         #: 'ok' | 'trap' | 'hang' | 'detected' | 'abort'
         self.status = status
@@ -115,9 +114,6 @@ class RunResult:
         self.recovery = recovery
         #: the run finished early by proving bit-identity to the golden run
         self.resynced = resynced
-        #: the resync matched an offset-probe rung, not the rung due at
-        #: the trial's cycle count
-        self.probed = probed
         #: ladder rung the run warm-started from (-1 = cold start)
         self.warm_index = warm_index
         #: per block gid, the cycle count just after each entry's charge
@@ -191,7 +187,7 @@ class Interpreter:
         self.cycles = 0
         self.budget = self.NO_BUDGET
         #: the budget of region functions: the hang budget, just below the
-        #: golden flip cycle until a tripping trial trips (see trip), or
+        #: golden flip cycle until a tripping trial trips (see step), or
         #: just below the next resync rung once a resync-armed trial's
         #: flip has fired (see _try_resync)
         self.rbudget = self.NO_BUDGET
@@ -330,11 +326,11 @@ class Interpreter:
         single-shot injection's entry from a golden run's recording, the
         golden cycle of the flip block instance: the run is the golden run
         up to there, so it runs the plain tables until that block's top
-        and :meth:`trip` runs that one instance in its injectable variant,
-        instead of counting the instruction's executions.  It is only sound when the block's
-        entries and the instruction's executions come in the same order
-        (no call before the site in its block can re-enter the site's
-        function) and the block charges at least one cycle;
+        and :meth:`step` runs that one instance in its injectable variant,
+        instead of counting the instruction's executions.  It is only sound
+        when the block's entries and the instruction's executions come in
+        the same order (no call before the site in its block can re-enter
+        the site's function) and the block charges at least one cycle;
         ``Campaign.run_site`` decides that.  A resync-armed warm trial
         with an injection needs it.  ``call_at`` comes with ``fire``: the
         golden cycle at which the call instance holding the flip is made
@@ -413,37 +409,31 @@ class Interpreter:
                     raise ValueError("a resync-armed injected run needs its fire cycle")
                 trk = _TrackState()
                 trk.resync_pts = warm.ladder.snapshots
-                trk.golden_cycles = warm.ladder.golden_cycles
-                trk.project = self._golden_live
                 if warm.snapshot is not None:
                     # Rungs at or before the restore point are already
                     # behind the trial in state-space; start the cursor
-                    # (and the offset-probe window) just past them.
+                    # just past them.
                     trk.ri = warm.snapshot.index + 1
-                trk.rebuild_cand()
                 self.trk = trk
             elif fire is not None and warm.snapshot is not None:
                 raise ValueError("a tripping warm trial must be resync-armed")
 
         entry_index = self.cm.get_function_index(entry)
         status, error, value = "ok", "", None
-        resynced = probed = False
+        resynced = False
         try:
             if warm is not None and warm.snapshot is not None:
                 value = self._resume_from(warm)
             else:
                 value = self.call(entry_index, tuple(args))
-        except GoldenResync as exc:
-            # The trial's state matched a golden rung bit-for-bit after the
-            # flip fired: the remaining execution equals the golden suffix.
-            # ``delta`` shifts the cycle count for offset rendezvous (the
-            # suffix's cycle charges are a function of the matched state,
-            # so the trial finishes exactly ``delta`` off the golden run).
+        except GoldenResync:
+            # The trial's state matched a golden rung bit-for-bit, at the
+            # rung's cycle count, after the flip fired: the remaining
+            # execution equals the golden suffix.
             resynced = True
-            probed = exc.probe
             assert warm is not None
             value = warm.ladder.golden_value
-            self.cycles = warm.ladder.golden_cycles + exc.delta
+            self.cycles = warm.ladder.golden_cycles
         except DetectedByDuplication as exc:
             status, error = "detected", str(exc)
         except RollbackSignal as exc:
@@ -476,7 +466,6 @@ class Interpreter:
             resynced=resynced,
             warm_index=warm_index,
             entries=prof,
-            probed=probed,
         )
 
     def call(self, cfi: int, args: Tuple) -> object:
@@ -497,8 +486,8 @@ class Interpreter:
         call when it is a leaf.  In a tripping run it keeps ``region_fns``
         and, while the trip is ahead (``rbudget`` below the hang budget),
         tests each block's charge against it: the flip block trips at its
-        top, here or, inside a region, in :meth:`step` after the deopt exit
-        at the region's last test point before it.  Region
+        top in :meth:`step`, called from here or, inside a region, at the
+        deopt exit of the region's last test point before it.  Region
         code inlines every call to a leaf but the one that holds the flip
         (see ``run``'s ``call_at``).
         """
@@ -522,7 +511,7 @@ class Interpreter:
             bi = 0
             while bi >= 0 and self.rbudget < self.budget:
                 if self.cycles + costs[bi] > self.rbudget:
-                    bi = self.trip(frame)
+                    bi = self.step(frame, cfi, bi)
                 else:
                     bi = fns[bi](frame, self)
         else:
@@ -563,11 +552,11 @@ class Interpreter:
           run's region table (``region_tables``), as a tripping cold trial
           does: lean code takes a deopt exit at its last test point before
           ``self.rbudget`` (the trip, or the cycle before the next rung),
-          and the loop steps block by block onto the event.  Lean code
-          sets this frame's tracking record and writes back the slots live
-          after a call before making it, so a compare inside the callee
-          sees this frame as the per-block loop leaves it.  Offset probes
-          run at the block tops this loop sees.
+          and the loop steps block by block (:meth:`step`) onto the event.
+          Lean code sets this frame's tracking record and writes back the
+          slots live after a call before making it, so a compare inside
+          the callee sees this frame as the per-block loop leaves it.  A
+          rung is compared only at its own cycle count.
 
         ``_resume`` (a :class:`~repro.recover.warm.WarmFrame`) re-enters a
         suspended frame mid-block: a compiled *resume block* skips the
@@ -631,12 +620,6 @@ class Interpreter:
                     cfi, bi, wf.call_k, self.inj_inst if armed else None,
                     self.inj_mode,
                 )
-        # Per-block table: every hook below needs a coherent frame list at
-        # each block boundary.
-        if cfi != self.inj_cfi or self.inj_trip:
-            fns = cf.block_fns
-        else:
-            fns = self._injected_block_fns()
         record = None
         if trk is not None:
             if trk.frames and _resume is None:
@@ -673,29 +656,25 @@ class Interpreter:
                         break
                     record[1] = bi
                     record[2] = 0
-                    if self.inj_hit:
-                        if self.cycles >= trk.next_resync:
-                            self._try_resync(trk)  # may raise GoldenResync
-                            if self.trk is None:
-                                continue
-                        else:
-                            probes = trk.probe_at.get(cfi)
-                            if probes is not None and bi in probes:
-                                for snap, slots, regs in probes[bi]:
-                                    if [frame[k] for k in slots] == regs:
-                                        self._try_probe(trk, snap)
-                                        break
+                    if self.inj_hit and self.cycles >= trk.next_resync:
+                        self._try_resync(trk)  # may raise GoldenResync
+                        if self.trk is None:
+                            continue
                     if self.cycles + costs[bi] <= self.rbudget:
                         bi = lean[bi](frame, self)
-                    elif self.inj_hit or self.rbudget == self.budget:
-                        bi = fns[bi](frame, self)  # a resync event, or a hang
                     else:
-                        bi = self.trip(frame)
+                        bi = self.step(frame, cfi, bi)  # the trip, a rung or a hang
             finally:
                 trk.frames.pop()
             self.depth = depth - 1
             self.sp = sp0
             return self.ret
+        # Per-block table: every hook below needs a coherent frame list at
+        # each block boundary.
+        if cfi != self.inj_cfi or self.inj_trip:
+            fns = cf.block_fns
+        else:
+            fns = self._injected_block_fns()
         boundaries = rec.plan.get(cfi) if rec is not None else None
         stack = rec.stack if rec is not None else None
         capturing = trk is not None and trk.capturing
@@ -832,49 +811,48 @@ class Interpreter:
         return fns
 
     def step(self, frame: List, cfi: int, bi: int) -> int:
-        """Run block ``bi`` of function ``cfi`` from its top (called at a
-        region's deopt exit, ``frame`` coherent for every slot the block
-        and its successors may read) on the per-block
-        table and return the block it leaves to; the dispatch loop runs on
-        from there, block by block until a region entry.  Before the flip,
-        the block trips (:meth:`trip`) when its charge passes the region
-        budget below the hang budget: it is the flip block.  After it, the
-        region budget is a resync-armed warm trial's, the cycle before its
-        next rung: a charge past it runs the block, and the dispatch loop of
-        :meth:`_call_tracked` stops at the rung.  When the count has already
-        reached the rung (a call or an inlined leaf call before the block
-        ran past it), the block is returned unrun, so the loop sees its top
-        first, where a rung the per-block loop compares may stand.  In a
-        counting run's injected function it runs on the injected
-        ``block_fns`` table, where the site counts."""
+        """Run block ``bi`` of function ``cfi`` from its top (``frame``
+        coherent for every slot the block and its successors may read) on
+        the per-block table and return the block it leaves to; the
+        dispatch loop runs on from there, block by block until a region
+        entry.  The dispatch loops of :meth:`call` and
+        :meth:`_call_tracked` call it for a block whose charge passes the
+        region budget ``rbudget``, and region code at a deopt exit, so it
+        is the one place where a charge meets that budget.
+
+        Before the flip, a charge past a region budget below the hang
+        budget *trips*: the block is the flip block instance, run in its
+        injectable variant.  A tripping run (``run(fire=...)``) trips
+        exactly once: its pre-flip execution is the golden run's, so the
+        first block whose charge passes ``rbudget`` (the golden flip cycle
+        less one) is the flip block's ``occurrence``-th entry, and no
+        count of earlier executions is needed: ``inj_seen`` starts one
+        short of the occurrence.  ``rbudget`` goes back to the hang budget
+        first, so a callee of the flip block (a call before the site) runs
+        on.
+
+        After the flip, the region budget is a resync-armed warm trial's,
+        the cycle before its next rung: a charge past it runs the block,
+        and the dispatch loop of :meth:`_call_tracked` stops at the rung.
+        When the count has already reached the rung (a call or an inlined
+        leaf call before the block ran past it), the block is returned
+        unrun, so the loop sees its top first, where a rung the per-block
+        loop compares may stand.  In a counting run's injected function
+        the block runs on the injected ``block_fns`` table, where the site
+        counts."""
         cf = self.cfuncs[cfi]
         rbudget = self.rbudget
         if rbudget < self.budget and self.cycles + cf.costs[bi] > rbudget:
             if not self.inj_hit:
-                return self.trip(frame)
+                self.rbudget = self.budget
+                self.inj_seen = self.inj_occ - 1
+                _, _, fn = self.cm.injected_block_fn(self.inj_inst, self.inj_mode)
+                return fn(frame, self)
             if self.cycles > rbudget:
                 return bi
         if cfi == self.inj_cfi and not self.inj_trip:
             return self._injected_block_fns()[bi](frame, self)
         return cf.block_fns[bi](frame, self)
-
-    def trip(self, frame: List) -> int:
-        """Run the flip block instance (called at its top, uncharged, with
-        ``frame`` coherent) in its injectable variant, and return the
-        block it leaves to.
-
-        A tripping run (``run(fire=...)``) reaches here exactly once: its
-        pre-flip execution is the golden run's, so the first block whose
-        charge passes ``rbudget`` (the golden flip cycle less one) is the
-        flip block's ``occurrence``-th entry, and no count of earlier
-        executions is needed: ``inj_seen`` starts one short of the
-        occurrence.  ``rbudget`` goes back to the hang budget first, so
-        a callee of the flip block (a call before the site) runs on.
-        """
-        self.rbudget = self.budget
-        self.inj_seen = self.inj_occ - 1
-        _, _, fn = self.cm.injected_block_fn(self.inj_inst, self.inj_mode)
-        return fn(frame, self)
 
     # -- warm-start execution (snapshot-ladder trials) -----------------------------
 
@@ -959,7 +937,7 @@ class Interpreter:
         moves on).
 
         Every missed rendezvous after the first targeted rung counts as a
-        failure; after ``trk.max_fails`` of them the trial gives up on
+        failure; after ``MAX_RESYNC_FAILS`` of them the trial gives up on
         resync entirely — ``self.trk`` detaches so every subsequent call
         dispatches through the lean loop.  Rungs passed before the flip
         fired (the catch-up on the first check) are not evidence of
@@ -980,9 +958,7 @@ class Interpreter:
         elif trk.primed:
             fail = True  # the targeted rung was overshot post-flip
         trk.primed = True
-        if i != trk.ri:
-            trk.ri = i
-            trk.rebuild_cand()
+        trk.ri = i
         if i >= n:
             # No rungs left: resync can never fire again, so detach and
             # let every dispatch loop finish at lean speed.
@@ -997,31 +973,10 @@ class Interpreter:
         self.rbudget = min(self.budget, trk.next_resync - 1)
         if fail:
             trk.fails += 1
-            if trk.fails >= trk.max_fails:
+            if trk.fails >= trk.MAX_RESYNC_FAILS:
                 trk.next_resync = self.NO_BUDGET
                 self.trk = None
                 self.rbudget = self.budget
-
-    def _try_probe(self, trk: _TrackState, snap) -> None:
-        """Full-state compare against one offset-probe candidate rung.
-
-        Triggered by the register prefilter (the innermost frame stands at
-        the rung's innermost block with its live slots equal to the
-        rung's), with no cycle-equality requirement: a
-        match at ``snap.cycles + delta`` finishes with the golden value and
-        ``golden_cycles + delta`` — the suffix's cycle charges depend only
-        on the matched state.  The hang budget is the one cycle-coupled
-        observable, so a shifted finish that would cross it disqualifies
-        the shortcut (the trial simply keeps executing, like its cold twin,
-        toward the hang).
-        """
-        if self._resync_match(snap, trk):
-            delta = self.cycles - snap.cycles
-            if trk.golden_cycles + delta <= self.budget:
-                raise GoldenResync(delta, probe=True)
-        trk.probe_dead.add(snap.index)
-        trk.probe_fails += 1
-        trk.rebuild_cand()
 
     def _resync_match(self, snap, trk: _TrackState) -> bool:
         """Bit-exact state comparison against one golden rung.

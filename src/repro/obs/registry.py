@@ -481,11 +481,6 @@ declare(
     "Trials finished early by golden resync.",
 )
 declare(
-    "ipas_warm_offset_resyncs_total", "counter",
-    "Golden resyncs matched by an offset probe rather than by the rung "
-    "due at the trial's cycle count.",
-)
-declare(
     "ipas_warm_cycles_saved_total", "counter",
     "Golden-prefix cycles skipped via ladder restores.", unit="cycles",
 )

@@ -53,23 +53,12 @@ class GoldenResync(Exception):
     """A warm trial's state became bit-identical to a golden rung.
 
     Raised out of the dispatch loop; the interpreter finishes the run with
-    the golden result (status ``ok``, golden return value, and golden
-    cycles shifted by ``delta``).  Deterministic execution makes this
-    sound: identical state implies identical remaining execution, and the
-    cycle charges of that execution are a function of the state alone, so
-    a trial matching a rung at ``rung.cycles + delta`` finishes with
-    exactly ``golden_cycles + delta`` — what its cold twin reports.
-    ``delta`` is nonzero for trials whose divergent episode shortened or
-    lengthened a loop before the state reconverged (the resulting constant
-    cycle offset would make the exact-cycle rendezvous miss forever).
-    ``probe`` says the match came from an offset probe, not from the rung
-    due at the trial's cycle count.
+    the golden result (status ``ok``, golden return value and golden
+    cycles).  Deterministic execution makes this sound: identical state
+    implies identical remaining execution, and a rung is compared only at
+    its own cycle count, so the trial finishes with exactly the golden
+    cycle count — what its cold twin reports.
     """
-
-    def __init__(self, delta: int = 0, probe: bool = False):
-        super().__init__(delta)
-        self.delta = delta
-        self.probe = probe
 
 
 def exact_state_eq(a, b) -> bool:
@@ -378,8 +367,7 @@ class _TrackState:
     __slots__ = (
         "frames", "capturing", "plan", "stride", "region_spacing",
         "next_capture", "last_capture", "ladder", "resync_pts", "ri",
-        "next_resync", "primed", "fails", "max_fails", "probe_at",
-        "probe_dead", "probe_fails", "golden_cycles", "project",
+        "next_resync", "primed", "fails",
     )
 
     _NEVER = 1 << 62
@@ -393,24 +381,14 @@ class _TrackState:
     #: Four misses is the measured sweet spot on the fig8 workloads: the
     #: resync catch count saturates there while every extra tolerated miss
     #: keeps the resync loop (and its compares) alive longer.  With that
-    #: loop running lean region code between rungs, 8 misses caught more
-    #: resyncs (fft 580 trials: 96 -> 106 at seed 0, 118 -> 123 at seed 1;
-    #: hpccg 200 trials: 17 both) but were no faster: best of 5-6 separate
-    #: campaigns, 0.876 vs 0.910 s (fft, seed 0), 0.832 vs 0.803 s (fft,
-    #: seed 1), 1.109 vs 1.303 s (hpccg), on a 2-vCPU VM whose runs spread
-    #: by up to 50%.
+    #: loop running lean region code between rungs and rungs compared only
+    #: at their own cycle counts, 8 misses caught more resyncs (fft 580
+    #: trials: 91 -> 100 at seed 0, 116 -> 121 at seed 1; hpccg 200
+    #: trials: 14 both) but were no faster: best of 6 separate campaigns,
+    #: 0.800 vs 0.897 s (fft, seed 0), 0.708 vs 0.776 s (fft, seed 1),
+    #: 1.099 vs 0.998 s (hpccg), on a 2-vCPU VM whose runs spread by up to
+    #: 75%.
     MAX_RESYNC_FAILS = 4
-
-    #: Rungs around the cycle cursor probed for *offset* rendezvous (state
-    #: matches a rung at a shifted cycle count): one behind for trials
-    #: running late, two ahead for trials whose divergence shortened loops.
-    PROBE_BEHIND = 1
-    PROBE_AHEAD = 3
-
-    #: Failed full-state compares triggered by the register prefilter after
-    #: which probing shuts off for the trial (the prefilter is clearly
-    #: firing on noise, and each miss costs a full compare).
-    MAX_PROBE_FAILS = 8
 
     def __init__(self):
         self.frames: List[list] = []
@@ -428,34 +406,6 @@ class _TrackState:
         self.next_resync = 0
         self.primed = False  # True once the first post-flip check targeted a rung
         self.fails = 0
-        self.max_fails = self.MAX_RESYNC_FAILS
-        #: the offset-probe window by the rung's innermost frame: cfi ->
-        #: bi -> [(rung, slots, the rung's values in them), ...], read at
-        #: each block top of the resync dispatch loop
-        #: (``Interpreter._call_tracked``), which prefilters on a frame's
-        #: live slots before a full compare
-        self.probe_at: Dict[int, Dict[int, List]] = {}
-        self.probe_dead: set = set()
-        self.probe_fails = 0
-        self.golden_cycles = 0
-        #: rung -> per frame, (slots, the rung's values in them): the
-        #: projection resync compares (``Interpreter._golden_live``)
-        self.project = None
-
-    def rebuild_cand(self) -> None:
-        """Refresh the offset-probe window around the cycle cursor ``ri``."""
-        self.probe_at = {}
-        if self.probe_fails >= self.MAX_PROBE_FAILS:
-            return
-        lo = max(self.ri - self.PROBE_BEHIND, 0)
-        for snap in self.resync_pts[lo : self.ri + self.PROBE_AHEAD]:
-            if snap.index in self.probe_dead or not snap.frames:
-                continue
-            wf = snap.frames[-1]
-            slots, regs = self.project(snap)[-1]
-            self.probe_at.setdefault(wf.cfi, {}).setdefault(wf.bi, []).append(
-                (snap, slots, regs)
-            )
 
     def capture(self, interp) -> None:
         """Record one rung from the live interpreter state."""

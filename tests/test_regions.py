@@ -450,11 +450,7 @@ class TestRegionPlan:
         calls = Counter(bi for bi in log if type(bi) is int)
         assert calls == Counter(dict.fromkeys(outside, spmv["spmv_slab"]))
 
-        real_trip = Interpreter.trip
-        monkeypatch.setattr(
-            Interpreter, "trip",
-            lambda self, frame: log.append("trip") or real_trip(self, frame),
-        )
+        on_trip(monkeypatch, lambda interp, frame: log.append("trip"))
         members = members_of(cf, nest)
         stepping = members | {"trip"}
         ends = {("enter", h) for h in heads} | outside
@@ -1356,11 +1352,7 @@ class TestInlinedLeaves:
         campaign.prepare()
         cm = campaign.interp.cm
         trips = []
-        real_trip = Interpreter.trip
-        monkeypatch.setattr(
-            Interpreter, "trip",
-            lambda self, frame: trips.append(1) or real_trip(self, frame),
-        )
+        on_trip(monkeypatch, lambda interp, frame: trips.append(1))
         checked = 0
         for inst, count in campaign._sites:
             if cm.cfuncs[cm.record_for(inst).cfi].name != leaf:
@@ -1851,7 +1843,7 @@ def finish(interp, cf, frame, bi):
 
 class _Rung:
     """A stand-in ladder rung: a cycle count and no frames, so it never
-    matches and never joins the offset-probe window."""
+    matches."""
 
     __slots__ = ("index", "cycles", "frames")
 
@@ -1907,14 +1899,31 @@ def inner_iteration(interp, entry, name, recovery=None):
     return cf, region, max(iterations, key=lambda it: it[-1][2] - it[0][2])
 
 
+def on_trip(monkeypatch, hook):
+    """Call ``hook(interp, frame)`` at the top of every trip: the step
+    (``Interpreter.step``) before the flip whose block charge passes a
+    region budget below the hang budget."""
+    step = Interpreter.step
+
+    def stepped(self, frame, cfi, bi):
+        if (
+            not self.inj_hit and self.rbudget < self.budget
+            and self.cycles + self.cfuncs[cfi].costs[bi] > self.rbudget
+        ):
+            hook(self, frame)
+        return step(self, frame, cfi, bi)
+
+    monkeypatch.setattr(Interpreter, "step", stepped)
+
+
 def stop_at_trip(monkeypatch, log):
     """Make every trip log the state at its top and end the run."""
 
-    def trip(self, frame):
-        log.append((self.cycles, digest(self.cells), self.sp))
+    def trip(interp, frame):
+        log.append((interp.cycles, digest(interp.cells), interp.sp))
         raise _Stop
 
-    monkeypatch.setattr(Interpreter, "trip", trip)
+    on_trip(monkeypatch, trip)
 
 
 def tripped(interp, entry, inst, fire, entries, log):
@@ -2091,11 +2100,11 @@ class TestDeoptExits:
         entries = interp.run(w.entry, profile=True).entries
         at_trip = []
 
-        def trip(self, frame):
-            at_trip.append((self.cycles, digest(self.cells), self.sp, frame))
+        def trip(interp, frame):
+            at_trip.append((interp.cycles, digest(interp.cells), interp.sp, frame))
             raise _Stop
 
-        monkeypatch.setattr(Interpreter, "trip", trip)
+        on_trip(monkeypatch, trip)
         exits = stale_slots = 0
         for cf in interp.cm.cfuncs:
             starts = [
@@ -2224,15 +2233,13 @@ class TestDeoptExits:
         assert (trapped["status"], trapped["cycles"]) == ("trap", p)
 
     @pytest.mark.parametrize("name", ["fft", "hpccg", JoinShapes.name])
-    def test_probe_exit_at_every_member(self, name, monkeypatch):
-        """Offset probes run at the block tops the dispatch loop sees.  A
-        real ladder whose rungs claim to stand 5 cycles later than they
-        do: no exact compare can match, and a resync-armed run whose flip
-        changes nothing probes each rung in its window as it meets the
-        rung's state.  With every probe failed, each probe the lean run
-        makes is one the per-block run makes, with its cycles, cells,
-        ``sp`` and live frames; left to match, both finish by an offset
-        probe, 5 cycles before the golden count."""
+    def test_shifted_rungs_never_resync(self, name, monkeypatch):
+        """A rung is compared only at its own cycle count.  A real ladder
+        whose rungs claim to stand 5 cycles later than they do: a
+        resync-armed run whose flip changes nothing meets each rung's
+        state 5 cycles before the rung's count, where nothing compares
+        it, so it never resyncs and finishes ``ok`` with the golden cycle
+        count and value, as the per-block table does."""
         w = subject(name)
         interp = w.make_interpreter(1)
         cm = interp.cm
@@ -2255,36 +2262,13 @@ class TestDeoptExits:
                 **trip,
             )
             return (result.status, result.cycles, repr(result.value),
-                    result.resynced, result.probed)
+                    result.resynced, digest(interp.cells))
 
-        finished = ("ok", golden.golden_cycles - 5, repr(golden.golden_value), True, True)
-        assert run() == finished
+        finished = ("ok", golden.golden_cycles, repr(golden.golden_value), False)
+        fast = run()
+        assert fast[:4] == finished
         with per_block_dispatch(cm):
-            assert run() == finished
-
-        probes = []
-        real = Interpreter._resync_match
-
-        def match(self, snap, trk):
-            if self.cycles == snap.cycles:
-                return False  # an exact compare
-            probes.append((
-                snap.index, self.cycles, live_frames(self, trk.frames),
-                digest(self.cells), self.sp, real(self, snap, trk),
-            ))
-            return False
-
-        monkeypatch.setattr(Interpreter, "_resync_match", match)
-        monkeypatch.setattr(_TrackState, "MAX_PROBE_FAILS", 1 << 30)
-        run()
-        fast = list(probes)
-        probes.clear()
-        with per_block_dispatch(cm):
-            run()
-        assert set(fast) <= set(probes)
-        matched = [p for p in fast if p[-1]]
-        assert len(matched) >= 2, len(matched)
-        assert len(probes) > len(fast)
+            assert run() == fast
 
     @pytest.mark.parametrize("name, leaf", [("hpccg", "waxpby"), ("fft", "bit_reverse")])
     def test_trip_inside_an_inlined_leaf(self, name, leaf, monkeypatch):
@@ -2804,7 +2788,10 @@ class TestCoalescedMoves:
         """Two calls to functions that are no leaf, one right after the
         other, keep ``_c`` None between them (the second's spill for a
         resync reads no count); a trap in the second call and a hang at
-        every cycle still leave the per-block count."""
+        every cycle still leave the per-block count.  So do fft ``main``'s
+        two ``fft_row`` calls, with a product between them that numbering
+        turns into a copy: a hang at each cycle around the pair's seam
+        leaves the per-block count too."""
         source = """
         output int result[2];
         int a[4];
@@ -2835,6 +2822,20 @@ class TestCoalescedMoves:
         fast, reference = both_ways(Interpreter(trapped))
         assert fast["status"] == "trap"
         assert fast == reference
+
+        w = get_workload("fft")
+        interp = w.make_interpreter(1)
+        region = sources["<region main.for.cond16>"]
+        first, second = [m.end() for m in re.finditer(r"state\.call\(1, .*\n", region)]
+        between = region[first:second].splitlines()[:-1]
+        assert [line.split(":")[0].strip() for line in between] == ["if _rec"], between
+        cm = interp.cm
+        row = cm.cfuncs[cm.get_function_index("fft_row")]
+        entries = interp.run(w.entry, profile=True).entries[cm.block_gids[id(row.fn.blocks[0])]]
+        seam = entries[1] - row.costs[0]  # the first call returns, the second starts
+        for budget in range(seam - 3, seam + 4):
+            fast, reference = both_ways(interp, entry=w.entry, cycle_budget=budget)
+            assert fast == reference, budget
 
 
 class TestProfiledTable:

@@ -2,7 +2,7 @@
 
 A transient-1bit (or other single-shot) campaign trial without recovery
 is the golden run up to its flip, so it runs the plain dispatch tables to
-the flip block's golden entry cycle and *trips* there (``Interpreter.trip``
+the flip block's golden entry cycle and *trips* there (``Interpreter.step``
 runs that one block instance in its injectable variant).  Every other
 injected run *counts* the site's executions through the shared injectable
 variants.  Trial records cannot tell which dynamic instance was flipped
@@ -26,7 +26,7 @@ from repro.ir.instructions import CallInst
 from repro.recover import RecoveryPolicy, WarmStart
 from repro.workloads import get_workload
 from tests.test_interp_edge_cases import STACK_KERNEL
-from tests.test_regions import WORKLOADS
+from tests.test_regions import WORKLOADS, on_trip
 
 
 def digest(values):
@@ -84,7 +84,7 @@ class EndState:
         self.golden = golden
         self.states = []
         self.trips = 0
-        run, trip = Interpreter.run, Interpreter.trip
+        run = Interpreter.run
 
         def recorded_run(this, *args, **kwargs):
             result = run(this, *args, **kwargs)
@@ -101,10 +101,9 @@ class EndState:
 
         def counted_trip(this, frame):
             self.trips += 1
-            return trip(this, frame)
 
         monkeypatch.setattr(Interpreter, "run", recorded_run)
-        monkeypatch.setattr(Interpreter, "trip", counted_trip)
+        on_trip(monkeypatch, counted_trip)
 
     def of(self, campaign, site):
         self.states.clear()
@@ -171,10 +170,10 @@ class TestFlippedInstanceOracle:
 
 
 def refuse_trips(monkeypatch):
-    def trip(self, frame):
+    def trip(interp, frame):
         raise AssertionError("this trial must count, not trip")
 
-    monkeypatch.setattr(Interpreter, "trip", trip)
+    on_trip(monkeypatch, trip)
 
 
 def stack_campaign(**knobs):
@@ -257,16 +256,13 @@ class TestRouting:
         )
         sites = campaign.sample_trials(120, seed=5)
         compiles, trips = [], []
-        real_exec, real_trip = compiler._exec, Interpreter.trip
+        real_exec = compiler._exec
         monkeypatch.setattr(
             compiler, "_exec",
             lambda source, filename, name: compiles.append(filename)
             or real_exec(source, filename, name),
         )
-        monkeypatch.setattr(
-            Interpreter, "trip",
-            lambda self, frame: trips.append(1) or real_trip(self, frame),
-        )
+        on_trip(monkeypatch, lambda interp, frame: trips.append(1))
         run_campaign(campaign, 120, seed=5, n_jobs=1)
         cm = campaign.interp.cm
         blocks = {
