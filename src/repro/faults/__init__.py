@@ -46,7 +46,6 @@ from .parallel import (
     CheckpointWarning,
     TrialPlan,
     campaign_fingerprint,
-    entry_matches_site,
     fork_available,
     record_from_entry,
     resolve_jobs,
@@ -87,7 +86,7 @@ __all__ = [
     "sanitizer_enabled",
     "CampaignCheckpoint", "CampaignStats", "TrialPlan", "campaign_fingerprint",
     "CheckpointError", "CheckpointMismatchError", "CheckpointWarning",
-    "entry_matches_site", "record_from_entry", "trial_entry",
+    "record_from_entry", "trial_entry",
     "fork_available", "resolve_jobs", "run_campaign", "verify_checkpoint",
     "PoolCollapse", "SupervisorPolicy", "TrialFailure",
     "WorkerFailureError", "backoff_delay", "run_supervised",

@@ -72,9 +72,9 @@ from .supervisor import (
     run_supervised,
 )
 
-#: trials handed to a worker per dispatch; large enough to amortise IPC,
-#: small enough to keep the shards balanced and the checkpoint fresh.
-DEFAULT_CHUNK = 16
+#: the fewest trials a checkpoint appends between flushes: enough to
+#: amortise the rewrite, few enough to keep the checkpoint fresh.
+FLUSH_INTERVAL = 16
 
 CHECKPOINT_VERSION = 2
 
@@ -307,8 +307,13 @@ class CampaignStats:
         return min(self.busy_seconds / (self.elapsed * max(self.n_jobs, 1)), 1.0)
 
     @property
+    def done(self) -> int:
+        """Trials the run holds: restored plus executed."""
+        return self.resumed + self.completed
+
+    @property
     def remaining(self) -> int:
-        return max(self.n_trials - self.resumed - self.completed, 0)
+        return max(self.n_trials - self.done, 0)
 
     @property
     def eta_seconds(self) -> float:
@@ -388,11 +393,10 @@ class CampaignStats:
         return data
 
     def progress_line(self) -> str:
-        done = self.resumed + self.completed
         eta = self.eta_seconds
         eta_text = f"{eta:5.1f}s" if eta != float("inf") else "   ?  "
         line = (
-            f"[{done}/{self.n_trials}] "
+            f"[{self.done}/{self.n_trials}] "
             f"{self.trials_per_second:7.1f} trials/s  "
             f"util {self.utilization:4.0%}  eta {eta_text}"
         )
@@ -533,20 +537,6 @@ def trial_entry(index: int, site: FaultSite, site_index: int, record) -> Dict:
     return entry
 
 
-def entry_matches_site(entry: Dict, site: FaultSite, site_index: int) -> bool:
-    """Whether a persisted/wire entry matches the deterministic plan slot.
-
-    Guards resume and service commit alike: an entry whose identity
-    fields disagree with the locally sampled plan is discarded and the
-    trial re-runs.
-    """
-    return (
-        entry.get("site_index") == site_index
-        and entry.get("occurrence") == site.occurrence
-        and entry.get("bit") == site.bit
-    )
-
-
 def record_from_entry(entry: Dict, site: FaultSite, context: str):
     """Reconstruct a ``TrialRecord`` from a checkpoint/wire entry.
 
@@ -594,7 +584,6 @@ class CampaignCheckpoint:
         fingerprint: str,
         n_trials: int,
         seed: int,
-        flush_interval: int = DEFAULT_CHUNK,
         model: str = "transient-1bit",
     ):
         self.path = path
@@ -604,7 +593,6 @@ class CampaignCheckpoint:
         #: fault-model spec of the campaign writing/resuming this file.
         #: Headers without the key are legacy files: always transient-1bit.
         self.model = model
-        self.flush_interval = flush_interval
         self._record_lines: List[str] = []
         self._pending = 0
         self._open = False
@@ -689,8 +677,8 @@ class CampaignCheckpoint:
         self._record_lines = [raw for raw, _entry in scan.records]
         return {entry["i"]: entry for _raw, entry in scan.records}
 
-    def open_for_append(self, fresh: bool) -> None:
-        """Start writing; ``fresh`` drops any previously loaded records.
+    def open_for_append(self) -> None:
+        """Start writing after the records the last :meth:`load` returned.
 
         The first flush happens immediately, which also *cleans* a
         resumed file: torn or corrupted lines the load skipped are gone
@@ -699,8 +687,6 @@ class CampaignCheckpoint:
         directory = os.path.dirname(self.path)
         if directory:
             os.makedirs(directory, exist_ok=True)
-        if fresh:
-            self._record_lines = []
         self._open = True
         self.flush()
 
@@ -728,7 +714,7 @@ class CampaignCheckpoint:
         self._pending += 1
         # An atomic flush rewrites the whole file, so amortise: the
         # interval grows with the file, keeping total flush work O(n log n).
-        if self._pending >= max(self.flush_interval, len(self._record_lines) // 8):
+        if self._pending >= max(FLUSH_INTERVAL, len(self._record_lines) // 8):
             self.flush()
 
     def flush(self) -> None:
@@ -930,15 +916,19 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
 
 
 class TrialPlan:
-    """One campaign's pre-sampled trials and everything keyed by them.
+    """One campaign's pre-sampled trials and the one path that delivers them.
 
     Built once per ``(campaign, n_trials, seed)``: the sampled sites, each
     site's index into the campaign's dynamic fault population, the
-    fingerprint, the ``trial_entry`` round trip, checkpoint resume, and the
-    sanitize sweep.  :func:`run_campaign`, the service coordinator and the
-    service worker each hold one, so an entry means the same trial on
-    every path.  Population indexes (not instruction identity) name a
-    site, because an MPI population lists each instruction once per rank.
+    fingerprint and the ``trial_entry`` round trip.  A driver that collects
+    a run (:func:`run_campaign`, the service coordinator) opens the plan
+    (:meth:`open`), hands it every trial through :meth:`deliver` (a record
+    run in-process) or :meth:`accept` (entries from a fork-pool or socket
+    worker) and ends with :meth:`finish`; a service worker's plan only
+    runs entries.  So an entry means the same trial on every path, and a
+    trial is counted, checkpointed and sanitized alike whichever engine
+    ran it.  Population indexes (not instruction identity) name a site,
+    because an MPI population lists each instruction once per rank.
     """
 
     def __init__(self, campaign, n_trials: int, seed: int):
@@ -947,6 +937,11 @@ class TrialPlan:
         self.seed = seed
         self.sites = campaign.sample_trials(n_trials, seed)
         self.site_index = campaign.population_indexes(self.sites)
+        #: the run's records by trial index, its stats and its checkpoint,
+        #: set up by :meth:`open`
+        self.records: List = []
+        self.stats: Optional[CampaignStats] = None
+        self.checkpoint: Optional[CampaignCheckpoint] = None
 
     @cached_property
     def fingerprint(self) -> str:
@@ -960,59 +955,108 @@ class TrialPlan:
         """Execute trial ``index`` in-process and return its entry."""
         return self.entry(index, self.campaign.run_site(self.sites[index]))
 
-    def adopt(self, records: List, entries: Iterable[Dict], context: str) -> List[int]:
-        """Fill empty ``records`` slots from persisted or wire entries.
-
-        An entry is adopted only when its index is in range, its slot is
-        still empty, and its identity fields match the planned site;
-        anything else is skipped (a duplicate is already held, a mismatch
-        re-runs).  Returns the filled indexes.
-        """
-        filled = []
-        for entry in entries:
-            i = entry.get("i")
-            if not isinstance(i, int) or not 0 <= i < self.n_trials:
-                continue
-            site = self.sites[i]
-            if records[i] is None and entry_matches_site(entry, site, self.site_index[i]):
-                records[i] = record_from_entry(entry, site, context)
-                filled.append(i)
-        return filled
-
-    def resume(
-        self, path: str, records: List, stats: Optional[CampaignStats] = None,
-        strict: bool = False,
-    ) -> CampaignCheckpoint:
-        """Open this plan's checkpoint at ``path`` for append, first
-        restoring every entry that matches its plan slot into ``records``.
-
-        With ``stats``, the previous run's persisted metrics are absorbed
-        (cumulative telemetry), restored trials count as ``resumed``, and
-        every flush persists the stats into the header.
-        """
+    def open(
+        self, checkpoint_path: Optional[str] = None, n_jobs: int = 1,
+        registry: Optional[MetricsRegistry] = None, strict: bool = False,
+    ) -> None:
+        """Start a run: empty records, a :class:`CampaignStats` on
+        ``registry`` (its own by default) and, with ``checkpoint_path``,
+        the checkpoint opened for append.  A resumed checkpoint restores
+        the entries that match their plan slots (counted as ``resumed``)
+        and its persisted metrics (cumulative telemetry); every flush
+        persists the stats into its header.  ``strict`` raises
+        :class:`CheckpointMismatchError` for another campaign's checkpoint
+        instead of discarding it."""
+        self.records = [None] * self.n_trials
+        self.stats = stats = CampaignStats(self.n_trials, n_jobs, registry=registry)
+        if not checkpoint_path:
+            return
         checkpoint = CampaignCheckpoint(
-            path, self.fingerprint, self.n_trials, self.seed,
+            checkpoint_path, self.fingerprint, self.n_trials, self.seed,
             model=self.campaign.fault_model.spec(),
         )
         completed = checkpoint.load(strict=strict)
-        if stats is not None and checkpoint.prior_stats is not None:
+        if checkpoint.prior_stats is not None:
             stats.absorb(checkpoint.prior_stats)
-        restored = self.adopt(records, completed.values(), f"checkpoint {path}")
-        if stats is not None:
-            stats.resumed += len(restored)
-            checkpoint.stats = stats
-        checkpoint.open_for_append(fresh=not completed)
-        return checkpoint
+        for entry in completed.values():
+            record = self._record(entry, f"checkpoint {checkpoint_path}")
+            if record is not None:
+                self.records[entry["i"]] = record
+                stats.resumed += 1
+        checkpoint.stats = stats
+        checkpoint.open_for_append()
+        self.checkpoint = checkpoint
 
-    def sanitize(self, records: List) -> None:
-        """The static-vs-dynamic consistency sweep over assembled records.
+    def pending(self) -> List[int]:
+        """The trials the run does not hold yet, in index order."""
+        return [i for i, record in enumerate(self.records) if record is None]
 
-        Parent-side by design: a worker exception would be quarantined as
-        TRIAL_FAILURE, so the impossible-SOC check must run after assembly,
-        where it can actually abort the run.
-        """
+    def deliver(self, index: int, record, seconds: float) -> None:
+        """Record, count and checkpoint trial ``index``, run in ``seconds``."""
+        self.records[index] = record
+        self.stats.record(
+            record.outcome, seconds, record.recovery, record.warm,
+            cycles=record.cycles,
+        )
+        if self.checkpoint is not None:
+            self.checkpoint.append(index, self.sites[index], self.site_index[index], record)
+
+    def accept(
+        self, entries: Iterable[Dict], seconds: float, context: str, warm=None,
+    ) -> List[int]:
+        """Deliver the entries that fill an empty slot and match its planned
+        site, each taking ``seconds``, with ``warm`` the warm-start triple
+        of a fork-pool result (the wire carries none).  Anything else is
+        skipped: a duplicate is already held, a mismatch re-runs.  Returns
+        the delivered indexes."""
+        accepted = []
+        for entry in entries:
+            record = self._record(entry, context)
+            if record is not None:
+                record.warm = warm
+                self.deliver(entry["i"], record, seconds)
+                accepted.append(entry["i"])
+        return accepted
+
+    def _record(self, entry: Dict, context: str):
+        """The record of a persisted or wire entry whose index is in range,
+        whose slot is still empty and whose identity fields match the
+        planned site; else ``None``."""
+        i = entry.get("i")
+        if not isinstance(i, int) or not 0 <= i < self.n_trials or self.records[i] is not None:
+            return None
+        site = self.sites[i]
+        if (entry.get("site_index"), entry.get("occurrence"), entry.get("bit")) != (
+            self.site_index[i], site.occurrence, site.bit
+        ):
+            return None
+        return record_from_entry(entry, site, context)
+
+    def close(self) -> None:
+        """Stop the stats clock and seal the checkpoint, flushing what is
+        buffered.  Safe to repeat; a run that aborts closes too, so it
+        stays resumable."""
+        self.stats.finish()
+        if self.checkpoint is not None:
+            self.checkpoint.close()
+
+    def finish(self):
+        """Close the run, sweep its records and return its
+        ``CampaignResult``, with the stats as ``result.stats``.  The
+        static-vs-dynamic sweep runs here, over the assembled records, by
+        design: a worker exception would be quarantined as TRIAL_FAILURE,
+        so the impossible-SOC check must run where it can abort the run."""
+        from .campaign import CampaignResult
+
+        self.close()
         campaign = self.campaign
-        sanitize_records(records, campaign.interp.module, model=campaign.fault_model)
+        sanitize_records(self.records, campaign.interp.module, model=campaign.fault_model)
+        counts = OutcomeCounts()
+        for record in self.records:
+            counts.record(record.outcome)
+        result = CampaignResult(self.records, counts, campaign.golden_cycles, self.seed)
+        result.stats = self.stats
+        return result
 
 
 # -- the engine ---------------------------------------------------------------
@@ -1026,7 +1070,6 @@ def run_campaign(
     checkpoint_path: Optional[str] = None,
     progress: bool = False,
     on_trial: Optional[Callable[[int, object], None]] = None,
-    chunk_size: Optional[int] = None,
     supervision: Optional[SupervisorPolicy] = None,
     strict_resume: bool = False,
     chaos=None,
@@ -1046,6 +1089,8 @@ def run_campaign(
     resumable.  ``strict_resume`` turns a checkpoint/campaign mismatch into
     a :class:`CheckpointMismatchError` instead of a warn-and-discard.
     ``chaos`` (tests only) installs a failure injector in the workers.
+    A pool worker's result that does not match its planned trial raises
+    :class:`WorkerFailureError` naming the trial.
 
     ``obs`` (a :class:`repro.obs.Observation`) arms the observability
     layer: trace spans stream to ``obs.trace_path`` and the stats registry
@@ -1055,7 +1100,7 @@ def run_campaign(
     """
     from contextlib import nullcontext
 
-    from .campaign import CampaignResult, TrialRecord
+    from .campaign import TrialRecord
 
     n_jobs = resolve_jobs(n_jobs)
     policy = SupervisorPolicy.resolve(supervision)
@@ -1075,19 +1120,15 @@ def run_campaign(
             ladder = campaign.ensure_ladder()
     with phase("sample-trials", n_trials=n_trials, seed=seed):
         plan = TrialPlan(campaign, n_trials, seed)
-    sites, site_index = plan.sites, plan.site_index
-    stats = CampaignStats(
-        n_trials, n_jobs,
-        registry=obs.registry if obs is not None else None,
-    )
-    records: List[Optional[TrialRecord]] = [None] * n_trials
+    sites = plan.sites
+    with phase("checkpoint-resume") if checkpoint_path else nullcontext():
+        plan.open(
+            checkpoint_path, n_jobs, obs.registry if obs is not None else None,
+            strict_resume,
+        )
+    stats = plan.stats
 
-    checkpoint = None
-    if checkpoint_path:
-        with phase("checkpoint-resume"):
-            checkpoint = plan.resume(checkpoint_path, records, stats, strict_resume)
-
-    pending = [i for i in range(n_trials) if records[i] is None]
+    pending = plan.pending()
     if ladder is not None and len(pending) > 1:
         # Bucket trials by their restore rung so consecutive chunks hit the
         # same rung (warm caches stay hot in each worker).  Results are
@@ -1124,24 +1165,17 @@ def run_campaign(
                 "rollback", wid, trial=index, rollbacks=recovery.rollbacks,
                 reexec_cycles=recovery.reexec_cycles,
             )
-        warm = getattr(record, "warm", None)
-        if warm is not None and warm[1]:
+        if record.warm is not None and record.warm[1]:
             tracer.event("golden-resync", wid, trial=index)
         if record.outcome is Outcome.TRIAL_FAILURE:
             tracer.event("quarantine", wid, trial=index)
 
-    def deliver(
-        index: int, record: TrialRecord, seconds: float, wid: int = 0
-    ) -> None:
-        records[index] = record
-        stats.record(
-            record.outcome, seconds, record.recovery,
-            getattr(record, "warm", None), cycles=record.cycles,
-        )
+    def delivered(index: int, seconds: float, wid: int = 0) -> None:
+        # What the plan does not do for a delivered trial: trace it, call
+        # on_trial and print progress.
+        record = plan.records[index]
         if tracer is not None:
             trace_trial(index, record, seconds, wid)
-        if checkpoint is not None:
-            checkpoint.append(index, sites[index], site_index[index], record)
         if on_trial is not None:
             on_trial(index, record)
         if progress:
@@ -1150,47 +1184,50 @@ def run_campaign(
                 last_progress[0] = now
                 print(stats.progress_line(), file=sys.stderr)
 
+    def run_here(indexes: Iterable[int]) -> None:
+        perf = time.perf_counter
+        for i in indexes:
+            t0 = perf()
+            record = campaign.run_site(sites[i])
+            seconds = perf() - t0
+            plan.deliver(i, record, seconds)
+            delivered(i, seconds)
+
     def run_trial(index: int) -> Tuple[Dict, Optional[Tuple]]:
-        # Runs in forked workers (which inherit the prepared campaign) and
-        # in the parent for the serial-fallback path: the trial's entry,
-        # as a socket worker sends it, and its warm triple for the stats.
+        # Runs in forked workers, which inherit the prepared campaign: the
+        # trial's entry, as a socket worker sends it, and its warm triple
+        # for the stats.
         record = campaign.run_site(sites[index])
         return plan.entry(index, record), record.warm
 
-    def deliver_entry(index: int, result, seconds: float, wid: int = 0) -> None:
+    def deliver_result(index: int, result, seconds: float, wid: int = 0) -> None:
         if isinstance(result, TrialFailure):
-            record = TrialRecord(
+            plan.deliver(index, TrialRecord(
                 sites[index], Outcome.TRIAL_FAILURE, "harness", 0, failure=result
-            )
+            ), seconds)
         else:
             entry, warm = result
-            record = record_from_entry(entry, sites[index], "worker result")
-            record.warm = warm
-        deliver(index, record, seconds, wid)
+            if plan.accept([entry], seconds, "worker result", warm) != [index]:
+                raise WorkerFailureError(
+                    f"trial {index}: worker result {entry} does not match the planned trial"
+                )
+        delivered(index, seconds, wid)
 
     try:
         try:
             with phase("execute", pending=len(pending), n_jobs=n_jobs):
-                if len(pending) == 0:
-                    pass
-                elif n_jobs == 1 or len(pending) == 1 or not fork_available():
-                    perf = time.perf_counter
-                    for i in pending:
-                        t0 = perf()
-                        record = campaign.run_site(sites[i])
-                        deliver(i, record, perf() - t0)
+                if n_jobs == 1 or len(pending) <= 1 or not fork_available():
+                    run_here(pending)
                 else:
-                    items = [(i, i) for i in pending]
                     try:
                         run_supervised(
                             run_trial,
-                            items,
+                            [(i, i) for i in pending],
                             n_jobs,
-                            deliver_entry,
+                            deliver_result,
+                            stats,
                             policy=policy,
-                            stats=stats,
                             chaos=chaos,
-                            chunk_size=chunk_size,
                         )
                     except PoolCollapse as collapse:
                         # The pool cannot be sustained — finish what is left
@@ -1198,30 +1235,16 @@ def run_campaign(
                         stats.serial_fallback = True
                         if tracer is not None:
                             tracer.event("serial-fallback", 0, reason=collapse.reason)
-                        perf = time.perf_counter
-                        for index, payload in collapse.remaining:
-                            t0 = perf()
-                            deliver_entry(index, run_trial(payload), perf() - t0)
+                        run_here(index for index, _payload in collapse.remaining)
         finally:
             # Runs on success, errors, and KeyboardInterrupt alike: buffered
             # records are flushed and the checkpoint sealed before anything
             # propagates, so an interrupted campaign is always resumable.
-            stats.finish()
-            if checkpoint is not None:
-                checkpoint.close()
-
+            plan.close()
         with phase("sanitize"):
-            plan.sanitize(records)
+            return plan.finish()
     finally:
         if obs is not None:
             # Seal the trace and dump the metrics registry even when the
             # campaign aborts — a partial trace is still loadable.
             obs.close()
-
-    counts = OutcomeCounts()
-    for record in records:
-        assert record is not None
-        counts.record(record.outcome)
-    result = CampaignResult(records, counts, campaign.golden_cycles, seed)
-    result.stats = stats
-    return result

@@ -53,20 +53,19 @@ DEFAULT_BACKOFF_BASE = 0.05
 DEFAULT_BACKOFF_CAP = 2.0
 
 
-def backoff_delay(
-    consecutive_failures: int,
-    base: float = DEFAULT_BACKOFF_BASE,
-    cap: float = DEFAULT_BACKOFF_CAP,
-) -> float:
-    """Capped exponential backoff: ``base * 2^(n-1)``, clamped to ``cap``.
+def backoff_delay(consecutive_failures: int) -> float:
+    """Capped exponential backoff: ``DEFAULT_BACKOFF_BASE * 2^(n-1)``,
+    clamped to ``DEFAULT_BACKOFF_CAP``.
 
     Shared by worker respawn (here) and service lease requeue
     (:mod:`repro.service.coordinator`), so both retry ladders have one
-    shape and one pair of knobs.
+    shape.
     """
     if consecutive_failures <= 0:
         return 0.0
-    return min(base * (2 ** (consecutive_failures - 1)), cap)
+    return min(
+        DEFAULT_BACKOFF_BASE * (2 ** (consecutive_failures - 1)), DEFAULT_BACKOFF_CAP
+    )
 
 
 def validate_seconds(value: Optional[float], name: str = "value") -> None:
@@ -156,8 +155,7 @@ class SupervisorPolicy:
     died before it is quarantined.  ``on_worker_failure`` — ``"respawn"``
     (default), ``"serial"`` (collapse to in-process execution on first
     failure), or ``"abort"`` (raise).  ``max_respawns`` bounds replacement
-    workers per campaign; ``backoff_base``/``backoff_cap`` shape the
-    exponential respawn delay.
+    workers per campaign; respawns wait out :func:`backoff_delay`.
     """
 
     __slots__ = (
@@ -165,8 +163,6 @@ class SupervisorPolicy:
         "max_retries",
         "on_worker_failure",
         "max_respawns",
-        "backoff_base",
-        "backoff_cap",
     )
 
     def __init__(
@@ -175,8 +171,6 @@ class SupervisorPolicy:
         max_retries: int = DEFAULT_MAX_RETRIES,
         on_worker_failure: str = "respawn",
         max_respawns: int = DEFAULT_MAX_RESPAWNS,
-        backoff_base: float = DEFAULT_BACKOFF_BASE,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
     ):
         validate_on_worker_failure(on_worker_failure)
         validate_seconds(trial_timeout, "trial_timeout")
@@ -187,8 +181,6 @@ class SupervisorPolicy:
         self.max_retries = max_retries
         self.on_worker_failure = on_worker_failure
         self.max_respawns = max_respawns
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
 
     @classmethod
     def from_env(cls) -> "SupervisorPolicy":
@@ -279,20 +271,14 @@ class _Worker:
         self.wid = wid
 
 
-def _bump(stats, attr: str, amount=1) -> None:
-    if stats is not None:
-        setattr(stats, attr, getattr(stats, attr) + amount)
-
-
 def run_supervised(
     fn: Callable[[Any], Any],
     items: Sequence[Tuple[int, Any]],
     n_jobs: int,
     deliver: Callable[[int, Any, float], None],
+    stats,
     policy: Optional[SupervisorPolicy] = None,
-    stats=None,
     chaos=None,
-    chunk_size: Optional[int] = None,
 ) -> None:
     """Map ``fn`` over ``items`` with a supervised pool of forked workers.
 
@@ -300,14 +286,15 @@ def run_supervised(
     with ``wid`` the lane id of the worker that produced the result
     (respawned workers get fresh ids); a
     quarantined item delivers a :class:`TrialFailure` as its result.
+    ``stats`` (a :class:`~repro.faults.parallel.CampaignStats`) counts
+    the harness events.
     Payloads and results cross the pipe and must pickle; ``fn`` itself is
     inherited by fork and may close over arbitrary state.  Raises
     :class:`PoolCollapse` (with the undelivered items) when the pool cannot
     continue, or :class:`WorkerFailureError` under the ``"abort"`` policy.
     """
     policy = SupervisorPolicy.resolve(policy)
-    if chunk_size is None:
-        chunk_size = max(1, min(16, len(items) // (n_jobs * 2) or 1))
+    chunk_size = max(1, min(16, len(items) // (n_jobs * 2) or 1))
     ctx = multiprocessing.get_context("fork")
 
     pending: deque = deque(items)
@@ -390,16 +377,16 @@ def run_supervised(
         unacked = list(worker.inflight)
         worker.inflight = []
         reap(worker, kill=True)
-        _bump(stats, "worker_deaths")
+        stats.worker_deaths += 1
         if reason == "hang":
-            _bump(stats, "hangs")
+            stats.hangs += 1
         if unacked:
             culprit_index, culprit_payload = unacked[0]
             survivors = unacked[1:]
             attempts = retry_counts.get(culprit_index, 0) + 1
             retry_counts[culprit_index] = attempts
             if attempts > policy.max_retries:
-                _bump(stats, "quarantined")
+                stats.quarantined += 1
                 deliver(
                     culprit_index,
                     TrialFailure(
@@ -416,9 +403,9 @@ def run_supervised(
                 )
                 delivered[0] += 1
             else:
-                _bump(stats, "retries")
+                stats.retries += 1
                 pending.appendleft((culprit_index, culprit_payload))
-            _bump(stats, "requeued", len(survivors))
+            stats.requeued += len(survivors)
             pending.extend(survivors)
         if policy.on_worker_failure == "abort":
             drain_and_collect()
@@ -428,10 +415,8 @@ def run_supervised(
         consecutive_failures += 1
         still_needed = delivered[0] < total
         if still_needed and respawns_done < policy.max_respawns:
-            delay = backoff_delay(
-                consecutive_failures, policy.backoff_base, policy.backoff_cap
-            )
-            _bump(stats, "backoff_seconds", delay)
+            delay = backoff_delay(consecutive_failures)
+            stats.backoff_seconds += delay
             respawn_at.append(time.monotonic() + delay)
             respawns_done += 1
 
@@ -449,7 +434,7 @@ def run_supervised(
             for t in due:
                 respawn_at.remove(t)
                 spawn()
-                _bump(stats, "respawns")
+                stats.respawns += 1
             # Hand work to any idle worker (post-death requeues).
             for worker in list(workers.values()):
                 if not worker.inflight and pending:

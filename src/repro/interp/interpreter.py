@@ -386,11 +386,7 @@ class Interpreter:
         elif call_at is not None:
             raise ValueError("a call cycle needs a fire cycle")
         if recovery is not None:
-            plan = self._rec_plans.get(entry)
-            if plan is None:
-                plan = build_plan(self.cm, entry)
-                self._rec_plans[entry] = plan
-            self.rec = RecoveryState(recovery, plan)
+            self.rec = RecoveryState(recovery, self._recovery_plan(entry))
         warm_index = -1
         if warm is not None:
             if warm.snapshot is not None:
@@ -541,7 +537,7 @@ class Interpreter:
         * **ladder capture** (``self.trk.capturing``, golden run only):
           mirror the live call stack in ``trk.frames`` and capture a
           full-state :class:`WarmSnapshot` rung at the configured cycle
-          stride and at region boundaries.
+          stride.
 
         * **golden resync** (``self.trk.resync_pts``, warm trials): mirror
           the call stack and, once the injected flip has fired, compare
@@ -678,7 +674,6 @@ class Interpreter:
         boundaries = rec.plan.get(cfi) if rec is not None else None
         stack = rec.stack if rec is not None else None
         capturing = trk is not None and trk.capturing
-        cap_boundaries = trk.plan.get(cfi) if capturing else None
         while True:
             try:
                 if resume_fn is not None:
@@ -689,14 +684,8 @@ class Interpreter:
                     if record is not None:
                         record[1] = bi
                         record[2] = 0
-                    if capturing:
-                        c = self.cycles
-                        if c >= trk.next_capture or (
-                            cap_boundaries is not None
-                            and bi in cap_boundaries
-                            and c - trk.last_capture >= trk.region_spacing
-                        ):
-                            trk.capture(self)
+                    if capturing and self.cycles >= trk.next_capture:
+                        trk.capture(self)
                     if boundaries is not None and bi in boundaries and (
                         rec.should_snapshot(self.cycles)
                     ):
@@ -884,6 +873,13 @@ class Interpreter:
         self._resume_next = 1
         return self._call_tracked(0, (), _resume=snap.frames[0])
 
+    def _recovery_plan(self, entry: str) -> Dict[int, frozenset]:
+        """The recovery regions of a run from ``entry``, built once."""
+        plan = self._rec_plans.get(entry)
+        if plan is None:
+            plan = self._rec_plans[entry] = build_plan(self.cm, entry)
+        return plan
+
     def capture_ladder(
         self,
         entry: str = "main",
@@ -893,32 +889,24 @@ class Interpreter:
     ) -> SnapshotLadder:
         """Run a golden execution, capturing a full-state snapshot ladder.
 
-        Rungs are captured whenever the cycle counter crosses the next
-        ``stride`` multiple, plus at region boundaries (function entries
-        and loop headers from :mod:`repro.recover.regions`) at least
-        ``stride // 4`` cycles apart — region boundaries are where frames
-        are shallow and restores are cheap.  Pass the campaign's
-        ``recovery`` policy so rung-embedded recovery state matches what
-        cold trials would have at the same instant.
+        A rung is captured at the first block top at least ``stride``
+        cycles past the previous rung (past cycle 0 for the first), so
+        rungs are at least ``stride`` apart and number at most
+        ``golden_cycles // stride``.  Pass the campaign's ``recovery``
+        policy so rung-embedded recovery state matches what cold trials
+        would have at the same instant.
         """
         if stride < 1:
             raise ValueError("stride must be >= 1")
         self.reset()
         self.budget = self.rbudget = self.NO_BUDGET
         self.prof = [array("q") for _ in range(self.cm.total_blocks)]
-        plan = self._rec_plans.get(entry)
-        if plan is None:
-            plan = build_plan(self.cm, entry)
-            self._rec_plans[entry] = plan
         if recovery is not None:
-            self.rec = RecoveryState(recovery, plan)
+            self.rec = RecoveryState(recovery, self._recovery_plan(entry))
         trk = _TrackState()
         trk.capturing = True
-        trk.plan = plan
         trk.stride = stride
-        trk.region_spacing = max(stride // 4, 1)
         trk.next_capture = stride
-        trk.last_capture = 0
         trk.ladder = []
         self.trk = trk
         try:

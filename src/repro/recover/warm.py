@@ -12,8 +12,7 @@ containers for the warm-start engine in
   image, stack pointer, the entire frame stack (generalizing the
   single-frame recovery :class:`~repro.recover.runtime.Snapshot`), the
   output log, the block-execution profile, and recovery telemetry counters
-  — at a configurable cycle stride plus at region boundaries from
-  :mod:`repro.recover.regions`.
+  — at a configurable cycle stride.
 
 * Each trial restores the latest rung whose state precedes its injection
   point (:meth:`SnapshotLadder.plan_site`) and executes only the suffix.
@@ -365,9 +364,8 @@ class _TrackState:
     """
 
     __slots__ = (
-        "frames", "capturing", "plan", "stride", "region_spacing",
-        "next_capture", "last_capture", "ladder", "resync_pts", "ri",
-        "next_resync", "primed", "fails",
+        "frames", "capturing", "stride", "next_capture", "ladder",
+        "resync_pts", "ri", "next_resync", "primed", "fails",
     )
 
     _NEVER = 1 << 62
@@ -394,11 +392,8 @@ class _TrackState:
         self.frames: List[list] = []
         # capture mode (golden run)
         self.capturing = False
-        self.plan: Optional[Dict[int, frozenset]] = None
         self.stride = 0
-        self.region_spacing = 1
         self.next_capture = self._NEVER
-        self.last_capture = 0
         self.ladder: Optional[List[WarmSnapshot]] = None
         # resync mode (warm trials without recovery)
         self.resync_pts: Optional[List[WarmSnapshot]] = None
@@ -442,4 +437,3 @@ class _TrackState:
         )
         self.ladder.append(snap)
         self.next_capture = interp.cycles + self.stride
-        self.last_capture = interp.cycles

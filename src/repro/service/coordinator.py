@@ -20,9 +20,12 @@ every job.  The control flow per job:
    (:func:`repro.faults.parallel.trial_entry`).  Commit is at-most-once:
    per-connection in-order sequence numbers, lease ownership, and the
    already-committed record table all gate the write; stale or duplicate
-   acks from a resurrected worker are discarded.  Accepted entries are
-   appended to the job's checkpoint and flushed *before* the ack-ok, so
-   an acknowledged trial is durable by definition.
+   acks from a resurrected worker are discarded.  The job's
+   :class:`~repro.faults.parallel.TrialPlan` accepts the entries (the
+   path ``run_campaign`` takes fork-pool results through): recorded,
+   counted and appended to the job's checkpoint, which is flushed
+   *before* the ack-ok, so an acknowledged trial is durable by
+   definition.
 4. **Degrade.**  With no workers connected past a grace period the
    coordinator runs chunks itself through the same commit path — the
    in-process serial engine as a fallback backend, mirroring the
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import Counter
 from typing import Dict, List, Optional, Tuple
 
 from ..faults.parallel import CampaignCheckpoint, TrialPlan
@@ -70,7 +74,7 @@ class _Chunk:
 class _Lease:
     """A chunk out with one worker, until acked or the deadline passes."""
 
-    __slots__ = ("id", "job_id", "wid", "indexes", "deadline", "attempt")
+    __slots__ = ("id", "job_id", "wid", "indexes", "deadline", "attempt", "granted")
 
     def __init__(
         self,
@@ -87,39 +91,22 @@ class _Lease:
         self.indexes = indexes
         self.deadline = deadline
         self.attempt = attempt
+        self.granted = time.monotonic()
 
 
 class Job:
-    """One campaign under service management."""
+    """One campaign under service management: its lifecycle, its pending
+    lease chunks and, once done, its entries.  Its trials are its plan's."""
 
-    __slots__ = (
-        "id",
-        "spec",
-        "n_trials",
-        "seed",
-        "plan",
-        "checkpoint",
-        "records",
-        "done_count",
-        "resumed",
-        "pending",
-        "watchers",
-        "state",
-        "error",
-        "result_entries",
-    )
+    __slots__ = ("id", "spec", "plan", "pending", "watchers", "state", "error",
+                 "result_entries")
 
-    def __init__(self, job_id: str, spec, n_trials: int, seed: int):
+    def __init__(self, job_id: str, spec, plan: Optional[TrialPlan] = None):
         self.id = job_id
         self.spec = spec
-        self.n_trials = n_trials
-        self.seed = seed
-        #: the job's TrialPlan; None for a job served from its cached results
-        self.plan: Optional[TrialPlan] = None
-        self.checkpoint: Optional[CampaignCheckpoint] = None
-        self.records: Optional[List] = None
-        self.done_count = 0
-        self.resumed = 0
+        #: the job's opened TrialPlan; None for a job served from its
+        #: cached results or refused at replay
+        self.plan = plan
         self.pending: List[_Chunk] = []
         self.watchers: List[asyncio.Queue] = []
         self.state = "running"  # running | finalizing | done | failed
@@ -128,25 +115,25 @@ class Job:
         self.result_entries: Optional[List[Dict]] = None
 
     def outcome_counts(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {}
         if self.result_entries is not None:
-            for entry in self.result_entries:
-                counts[entry["outcome"]] = counts.get(entry["outcome"], 0) + 1
-        elif self.records is not None:
-            for record in self.records:
-                if record is not None:
-                    value = record.outcome.value
-                    counts[value] = counts.get(value, 0) + 1
-        return counts
+            return dict(Counter(entry["outcome"] for entry in self.result_entries))
+        if self.plan is None:
+            return {}
+        return dict(Counter(r.outcome.value for r in self.plan.records if r is not None))
 
     def summary(self) -> Dict:
+        spec, plan = self.spec, self.plan
+        if plan is not None:
+            done, resumed = plan.stats.done, plan.stats.resumed
+        else:  # served whole from its checkpoint, or refused
+            done = resumed = len(self.result_entries or ())
         data = {
             "job": self.id,
             "state": self.state,
-            "n_trials": self.n_trials,
-            "seed": self.seed,
-            "done": self.done_count,
-            "resumed": self.resumed,
+            "n_trials": spec.trials if spec is not None else 0,
+            "seed": spec.seed if spec is not None else 0,
+            "done": done,
+            "resumed": resumed,
             "counts": self.outcome_counts(),
         }
         if self.error:
@@ -218,7 +205,7 @@ class CoordinatorServer:
             except ValueError as exc:
                 # Journaled by an older coordinator that admitted a spec
                 # this one refuses: report it failed, never run it.
-                job = self.jobs[job_id] = Job(job_id, None, 0, 0)
+                job = self.jobs[job_id] = Job(job_id, None)
                 job.state, job.error = "failed", f"journaled spec refused: {exc}"
                 continue
             if info["done"] and self._load_cached_job(job_id, spec):
@@ -229,7 +216,7 @@ class CoordinatorServer:
             if created:
                 self._counter("ipas_service_jobs_recovered_total").inc()
                 self._service_event(
-                    "job-recovered", job=job.id, resumed=job.resumed
+                    "job-recovered", job=job.id, resumed=job.plan.stats.resumed
                 )
         self._tasks = [
             asyncio.get_running_loop().create_task(self._reaper_loop()),
@@ -254,8 +241,8 @@ class CoordinatorServer:
             except Exception:
                 pass
         for job in self.jobs.values():
-            if job.checkpoint is not None and job.state == "running":
-                job.checkpoint.close()
+            if job.plan is not None and job.state == "running":
+                job.plan.close()
             for queue in job.watchers:
                 queue.put_nowait({"op": "failed", "job": job.id,
                                   "error": "coordinator shut down"})
@@ -280,14 +267,10 @@ class CoordinatorServer:
 
     def _build_job(self, spec: CampaignSpec) -> Job:
         """Executor-thread body: golden run, plan, checkpoint resume."""
-        n_trials = spec.trials
-        plan = TrialPlan(spec.build(), n_trials, spec.seed)
-        job = Job(plan.fingerprint, spec, n_trials, spec.seed)
-        job.plan = plan
-        job.records = [None] * n_trials
-        job.checkpoint = plan.resume(self.journal.job_path(job.id), job.records)
-        job.resumed = job.done_count = n_trials - job.records.count(None)
-        remaining = [i for i in range(n_trials) if job.records[i] is None]
+        plan = TrialPlan(spec.build(), spec.trials, spec.seed)
+        plan.open(self.journal.job_path(plan.fingerprint))
+        job = Job(plan.fingerprint, spec, plan)
+        remaining = plan.pending()
         job.pending = [
             _Chunk(remaining[k : k + self.chunk_size])
             for k in range(0, len(remaining), self.chunk_size)
@@ -313,7 +296,7 @@ class CoordinatorServer:
             if existing is not None:
                 # A different spec string reached the same fingerprint;
                 # drop the duplicate build and attach.
-                built.checkpoint.close()
+                built.plan.close()
                 job, created = existing, False
             else:
                 job, created = built, True
@@ -323,11 +306,11 @@ class CoordinatorServer:
                     # resumes the job; a crash before it never admitted one.
                     self.journal.record_job(job.id, job.spec.to_json())
                     self._journaled.add(job.id)
-                if job.resumed:
+                if job.plan.stats.resumed:
                     self._counter("ipas_service_trials_resumed_total").inc(
-                        job.resumed
+                        job.plan.stats.resumed
                     )
-                if job.done_count == job.n_trials:
+                if not job.pending:
                     # Everything was already in the checkpoint (e.g. the
                     # crash happened after the last commit but before the
                     # done marker): finish without executing anything.
@@ -357,10 +340,8 @@ class CoordinatorServer:
         ).load()
         if len(by_index) != n_trials:
             return False
-        job = Job(job_id, spec, n_trials, seed)
+        job = Job(job_id, spec)
         job.state = "done"
-        job.done_count = n_trials
-        job.resumed = n_trials
         job.result_entries = [
             {k: v for k, v in by_index[i].items() if k != "crc"}
             for i in range(n_trials)
@@ -386,7 +367,7 @@ class CoordinatorServer:
         job = self.jobs.get(lease.job_id)
         if job is None or job.state != "running":
             return
-        indexes = [i for i in lease.indexes if job.records[i] is None]
+        indexes = [i for i in lease.indexes if job.plan.records[i] is None]
         if not indexes:
             return
         attempt = lease.attempt + 1
@@ -421,10 +402,6 @@ class CoordinatorServer:
 
     # -- serial degradation ------------------------------------------------
 
-    def _run_chunk(self, job: Job, indexes: List[int]) -> List[Dict]:
-        """Executor-thread body of the solo path: the in-process engine."""
-        return [job.plan.run_entry(i) for i in indexes]
-
     async def _solo_loop(self) -> None:
         announced = False
         while True:
@@ -441,73 +418,69 @@ class CoordinatorServer:
             if not announced:
                 announced = True
                 self._service_event("serial-fallback", job=job.id)
+            started = time.monotonic()
             try:
                 entries = await asyncio.get_running_loop().run_in_executor(
-                    None, self._run_chunk, job, list(chunk.indexes)
+                    None, lambda: [job.plan.run_entry(i) for i in chunk.indexes]
                 )
             except Exception as exc:
                 self._fail_job(job, f"solo execution: {type(exc).__name__}: {exc}")
                 continue
             self._counter("ipas_service_solo_trials_total").inc(len(entries))
-            self._commit(job, entries)
+            self._commit(job, entries, (time.monotonic() - started) / len(entries))
 
     # -- commit path -------------------------------------------------------
 
-    def _commit(self, job: Job, entries: List[Dict]) -> int:
-        """Validate entries against the plan and make them durable.
+    def _commit(self, job: Job, entries: List[Dict], seconds: float) -> int:
+        """Accept entries through the job's plan, each taking ``seconds``,
+        and make them durable.
 
         Returns the number of *fresh* trials committed; duplicates and
         plan mismatches are skipped silently (the duplicate is already
         durable, the mismatch will re-run).
         """
         plan = job.plan
-        committed = plan.adopt(job.records, entries, f"service job {job.id}")
-        for i in committed:
-            job.checkpoint.append(i, plan.sites[i], plan.site_index[i], job.records[i])
-        fresh = len(committed)
-        job.done_count += fresh
+        fresh = len(plan.accept(entries, seconds, f"service job {job.id}"))
         if not fresh:
             return 0
         self._counter("ipas_service_trials_committed_total").inc(fresh)
         # Durable before anything observes the commit: the flush precedes
         # the ack-ok, the watcher notification, and — deliberately — the
         # chaos kill, which therefore models a crash-after-durable.
-        job.checkpoint.flush()
+        plan.checkpoint.flush()
         self._notify(
             job,
             {
                 "op": "progress",
                 "job": job.id,
-                "done": job.done_count,
-                "n_trials": job.n_trials,
+                "done": plan.stats.done,
+                "n_trials": plan.n_trials,
             },
         )
         if self.chaos is not None:
             for _ in range(fresh):
                 self.chaos.on_commit()
-        if job.done_count == job.n_trials and job.state == "running":
+        if plan.stats.remaining == 0 and job.state == "running":
             job.state = "finalizing"
             asyncio.get_running_loop().create_task(self._finalize(job))
         return fresh
 
     async def _finalize(self, job: Job) -> None:
+        plan = job.plan
         try:
-            # Same static-vs-dynamic consistency sweep the in-process
-            # engine runs after assembly.
-            await asyncio.get_running_loop().run_in_executor(
-                None, job.plan.sanitize, job.records
+            result = await asyncio.get_running_loop().run_in_executor(
+                None, plan.finish
             )
         except Exception as exc:
-            self._fail_job(job, f"sanitize: {type(exc).__name__}: {exc}")
+            self._fail_job(job, f"finish: {type(exc).__name__}: {exc}")
             return
-        job.checkpoint.close()
         job.result_entries = [
-            job.plan.entry(i, record) for i, record in enumerate(job.records)
+            plan.entry(i, record) for i, record in enumerate(result.records)
         ]
         job.state = "done"
         self.journal.record_done(job.id)
         self._counter("ipas_service_jobs_completed_total").inc()
-        self._service_event("job-done", job=job.id, trials=job.n_trials)
+        self._service_event("job-done", job=job.id, trials=plan.n_trials)
         self._notify(
             job,
             {"op": "done", "job": job.id, "counts": job.outcome_counts()},
@@ -516,8 +489,8 @@ class CoordinatorServer:
     def _fail_job(self, job: Job, error: str) -> None:
         job.state = "failed"
         job.error = error
-        if job.checkpoint is not None:
-            job.checkpoint.close()
+        if job.plan is not None:
+            job.plan.close()
         self._notify(job, {"op": "failed", "job": job.id, "error": error})
 
     def _notify(self, job: Job, event: Dict) -> None:
@@ -690,7 +663,10 @@ class CoordinatorServer:
             if message.get("error"):
                 self._fail_job(job, f"worker {wid}: {message['error']}")
                 return {"ok": True, "op": "ack-ok", "committed": 0}
-            committed = self._commit(job, message.get("records") or [])
+            committed = self._commit(
+                job, message.get("records") or [],
+                (time.monotonic() - lease.granted) / len(lease.indexes),
+            )
             self._counter("ipas_service_acks_committed_total").inc()
             return {"ok": True, "op": "ack-ok", "committed": committed}
 
@@ -710,7 +686,7 @@ class CoordinatorServer:
                 disposition = "submitted"
                 self._counter("ipas_service_jobs_submitted_total").inc()
                 self._service_event(
-                    "job-submitted", job=job.id, trials=job.n_trials
+                    "job-submitted", job=job.id, trials=job.spec.trials
                 )
             elif job.state == "done":
                 disposition = "cached"

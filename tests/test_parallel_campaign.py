@@ -17,7 +17,9 @@ from repro.faults import (
     CampaignStats,
     Outcome,
     TrialPlan,
+    WorkerFailureError,
     campaign_fingerprint,
+    fork_available,
     resolve_jobs,
 )
 from repro.faults.parallel import record_from_entry
@@ -102,6 +104,22 @@ class TestDeterminism:
         ]
         assert parallel.stats.n_jobs == 4
         assert parallel.stats.completed == 24
+
+    @pytest.mark.skipif(not fork_available(), reason="needs the fork pool")
+    def test_mismatched_pool_result_is_refused(self, monkeypatch):
+        """A pool worker's result that disagrees with its planned trial
+        aborts the campaign with an error naming the trial."""
+        entry = TrialPlan.entry
+
+        def skewed(self, index, record):
+            data = entry(self, index, record)
+            if index == 5:
+                data["bit"] ^= 1
+            return data
+
+        monkeypatch.setattr(TrialPlan, "entry", skewed)  # the workers inherit it
+        with pytest.raises(WorkerFailureError, match="trial 5"):
+            make_campaign().run(12, seed=7, n_jobs=2)
 
     def test_seed_changes_plan(self):
         campaign = make_campaign()
@@ -200,12 +218,14 @@ class TestTrialRecordSerialization:
         plan = TrialPlan(campaign, 4, 1)
         entries = [plan.entry(i, r) for i, r in enumerate(result.records)]
         foreign = dict(entries[0], site_index=entries[0]["site_index"] + 1)
-        records = [None] * 4
-        assert plan.adopt(records, [foreign] + entries[1:], "test") == [1, 2, 3]
-        assert records[0] is None
-        assert [record_key(r) for r in records[1:]] == [
+        plan.open()
+        assert plan.accept([foreign] + entries[1:], 0.0, "test") == [1, 2, 3]
+        assert plan.records[0] is None
+        assert [record_key(r) for r in plan.records[1:]] == [
             record_key(r) for r in result.records[1:]
         ]
+        assert plan.stats.completed == 3
+        assert plan.accept(entries[1:2], 0.0, "test") == []  # already held
 
 
 class TestStats:

@@ -441,6 +441,20 @@ class TestKillRestart:
             assert status["state"] == "done"
             assert status["resumed"] >= 4, "durable trials must not re-run"
             assert robust_results(port, job) == baseline_entries
+            # The job's stats survived the kill in its checkpoint header:
+            # the restart absorbed them, so they count every trial once.
+            with open(os.path.join(journal, f"{job}.jsonl")) as fh:
+                header = json.loads(fh.readline())
+            outcomes = {}
+            for sample in header["stats"]["ipas_trials_total"]["samples"]:
+                outcomes[sample["labels"]["outcome"]] = sample["value"]
+            expected = {}
+            for entry in baseline_entries:
+                expected[entry["outcome"]] = expected.get(entry["outcome"], 0) + 1
+            assert outcomes == expected
+            assert header["stats"]["ipas_trials_resumed_total"]["samples"][0][
+                "value"
+            ] == status["resumed"]
             # A duplicate submit after recovery is answered from the
             # finished job, never re-executed.
             with ServiceClient(port=port) as client:
@@ -477,7 +491,7 @@ class TestFinishedJobRestart:
             again = client.submit(spec)
             assert (again["disposition"], again["job"]) == ("cached", job)
             assert wire_bytes(client.results(job)) == wire_bytes(entries)
-        assert st.server.jobs[job].resumed == 6
+        assert st.server.jobs[job].summary()["resumed"] == 6
 
 
 class TestJobJournal:

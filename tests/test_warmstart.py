@@ -203,10 +203,10 @@ def test_warm_equals_cold_with_resyncs(name):
 
 @pytest.mark.parametrize("name, trials", [("fft", 200), ("hpccg", 100)])
 def test_warm_equals_cold_with_resyncs_when_fully_duplicated(name, trials):
-    """A fully duplicated module's ladder also has rungs at the loop
-    headers of functions that hold checks (region boundaries), far more
-    than the stride places: resync-armed warm trials without recovery
-    keep the cold campaign's records there too, and still resync."""
+    """Resync-armed warm trials without recovery keep the cold
+    campaign's records on a fully duplicated module too, and still
+    resync.  Its ladder has rungs at the stride only, as a plain
+    module's: each at least ``stride`` cycles past the one before."""
     for seed in (0, 1, 2):
         spec = CampaignSpec(workload=name, protect="full", trials=trials, seed=seed)
         cold = entries(spec.build(), trials, seed)
@@ -214,7 +214,10 @@ def test_warm_equals_cold_with_resyncs_when_fully_duplicated(name, trials):
         warm, result = run_entries(campaign, trials, seed)
         assert warm == cold, seed
         assert result.stats.golden_resyncs > 0, seed
-    assert len(campaign.ensure_ladder().snapshots) > Campaign.DEFAULT_LADDER_RUNGS
+    ladder = campaign.ensure_ladder()
+    cycles = [0] + [snap.cycles for snap in ladder.snapshots]
+    assert all(b - a >= ladder.stride for a, b in zip(cycles, cycles[1:]))
+    assert len(ladder.snapshots) <= ladder.golden_cycles // ladder.stride
 
 
 class TestRecoveryPath:
