@@ -14,7 +14,6 @@ from .models import (
     Intermittent,
     PatternFault,
     Persistent,
-    PlannedFault,
     Transient1Bit,
     TransientMultiBit,
     get_fault_model,
@@ -31,7 +30,7 @@ from .outcomes import (
 )
 from .campaign import Campaign, CampaignResult, OutputVerifier, TrialRecord
 from .spec import CampaignSpec
-from .mpi_campaign import MpiCampaign, RankSite
+from .mpi_campaign import MpiCampaign
 from .sanitizer import (
     CoverageViolation,
     module_is_protected,
@@ -75,13 +74,13 @@ from .chaos import (
 __all__ = [
     "FaultSite", "injectable_instructions", "is_injectable", "result_bits",
     "DEFAULT_FAULT_MODEL", "FAULT_MODELS", "FaultModel", "InjectionSpec",
-    "Intermittent", "PatternFault", "Persistent", "PlannedFault",
+    "Intermittent", "PatternFault", "Persistent",
     "Transient1Bit", "TransientMultiBit", "get_fault_model",
     "make_corrupter", "parse_fault_model_spec", "validate_fault_model_spec",
     "Outcome", "OutcomeCounts", "margin_of_error", "parse_outcome",
     "soc_reduction_percent",
     "Campaign", "CampaignResult", "CampaignSpec", "OutputVerifier", "TrialRecord",
-    "MpiCampaign", "RankSite",
+    "MpiCampaign",
     "CoverageViolation", "module_is_protected", "sanitize_records",
     "sanitizer_enabled",
     "CampaignCheckpoint", "CampaignStats", "TrialPlan", "campaign_fingerprint",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..analysis.callgraph import CallGraph
 from ..interp.interpreter import Interpreter, RunResult
@@ -192,6 +192,7 @@ class Campaign:
         self._golden_capture = None
         self._ladder = None
         self._sites: List = []  # (instruction, dynamic_count)
+        self._ranks: List[Optional[int]] = []  # each entry's MPI rank
         self._cumulative: List[int] = []
         self._total_weight = 0
         #: per block gid, the golden run's post-charge cycle count of each
@@ -216,25 +217,29 @@ class Campaign:
         self._golden_capture = self.verifier.capture(self.interp)
         if self.recovery is None and not self.fault_model.multi_shot:
             self._entries = result.entries
-        assert result.profile is not None
+        self._index([(None, result.profile)])
+
+    def _index(self, profiles: Iterable[Tuple[Optional[int], Sequence[int]]]) -> None:
+        """Index the dynamic fault population from golden block profiles,
+        one ``(rank, profile)`` per rank (rank None outside MPI): one entry
+        per rank and executed injectable instruction."""
         cm = self.interp.cm
-        cumulative: List[int] = []
+        eligible = injectable_instructions(self.interp.module)
         total = 0
-        sites = []
-        for inst in injectable_instructions(self.interp.module):
-            gid = cm.block_gids.get(id(inst.parent))
-            if gid is None:
-                continue
-            count = result.profile[gid]
-            if count <= 0:
-                continue
-            sites.append((inst, count))
-            total += count
-            cumulative.append(total)
-        if not sites:
+        for rank, profile in profiles:
+            for inst in eligible:
+                gid = cm.block_gids.get(id(inst.parent))
+                if gid is None:
+                    continue
+                count = profile[gid]
+                if count <= 0:
+                    continue
+                self._sites.append((inst, count))
+                self._ranks.append(rank)
+                total += count
+                self._cumulative.append(total)
+        if not self._sites:
             raise RuntimeError("program executed no injectable instructions")
-        self._sites = sites
-        self._cumulative = cumulative
         self._total_weight = total
 
     @property
@@ -298,17 +303,17 @@ class Campaign:
         inst, count = self._sites[index]
         occurrence = rng.randint(1, count)
         bit = rng.randrange(result_bits(inst))
-        return self._site_at(index, inst, occurrence, bit)
-
-    def _site_at(self, index: int, inst, occurrence: int, bit: int) -> FaultSite:
-        """The site object for a draw from population entry ``index``."""
-        return FaultSite(inst, occurrence, bit)
+        return FaultSite(inst, occurrence, bit, self._ranks[index])
 
     def population_indexes(self, sites: Sequence[FaultSite]) -> List[int]:
         """Each site's index into the dynamic fault population ``_sites``
-        (the ``site_index`` of its checkpoint entry)."""
-        index_of = {id(inst): k for k, (inst, _count) in enumerate(self._sites)}
-        return [index_of[id(site.instruction)] for site in sites]
+        (the ``site_index`` of its checkpoint entry), keyed on its rank
+        and instruction."""
+        index_of = {
+            (rank, id(inst)): k
+            for k, (rank, (inst, _count)) in enumerate(zip(self._ranks, self._sites))
+        }
+        return [index_of[site.rank, id(site.instruction)] for site in sites]
 
     def fingerprint(self, n_trials: int, seed: int = 0) -> str:
         """Stable identity of this campaign's trial plan — the checkpoint
@@ -429,6 +434,9 @@ class Campaign:
         )
 
     def classify(self, result: RunResult) -> Outcome:
+        """The outcome of a trial's run: a ``RunResult``, or an MPI
+        ``JobResult``, which answers the same ``status``, ``resynced`` and
+        ``recovery``."""
         if result.status in ("trap", "abort"):
             return Outcome.CRASH
         if result.status == "hang":

@@ -13,7 +13,7 @@ Transient single-bit flips in the *result value* of hardware instructions:
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional
 
 from ..ir.function import Function
 from ..ir.instructions import (
@@ -70,11 +70,25 @@ def result_bits(inst: Instruction) -> int:
 
 
 class FaultSite:
-    """One concrete fault: (static instruction, dynamic occurrence, bit)."""
+    """One concrete fault: (static instruction, dynamic occurrence, bit).
 
-    __slots__ = ("instruction", "occurrence", "bit")
+    ``rank`` names the MPI rank the fault lands in (None outside a
+    multi-rank job).  ``detail`` holds whatever extra randomness a fault
+    model drew at plan time (extra bits, a firing salt); trial plans are
+    re-sampled from the seed on every resume, so it never crosses the
+    worker wire or reaches disk.
+    """
 
-    def __init__(self, instruction: Instruction, occurrence: int, bit: int):
+    __slots__ = ("instruction", "occurrence", "bit", "rank", "detail")
+
+    def __init__(
+        self,
+        instruction: Instruction,
+        occurrence: int,
+        bit: int,
+        rank: Optional[int] = None,
+        detail: Optional[dict] = None,
+    ):
         if occurrence < 1:
             raise ValueError("occurrence is 1-based")
         if not 0 <= bit < result_bits(instruction):
@@ -85,10 +99,13 @@ class FaultSite:
         self.instruction = instruction
         self.occurrence = occurrence
         self.bit = bit
+        self.rank = rank
+        self.detail = detail
 
     def __repr__(self) -> str:
         fn = self.instruction.function
+        rank = "" if self.rank is None else f" rank={self.rank}"
         return (
             f"<FaultSite {self.instruction.opcode} in "
-            f"{fn.name if fn else '?'} occ={self.occurrence} bit={self.bit}>"
+            f"{fn.name if fn else '?'} occ={self.occurrence} bit={self.bit}{rank}>"
         )

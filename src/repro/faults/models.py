@@ -58,28 +58,6 @@ MODE_ONCE = "once"
 MODE_MULTI = "multi"
 
 
-class PlannedFault(FaultSite):
-    """A :class:`FaultSite` plus model-private pre-sampled detail.
-
-    ``detail`` holds whatever extra randomness the model drew at plan
-    time (extra bits, a firing salt).  It is regenerated identically on
-    checkpoint resume — trial plans are always re-sampled from the seed —
-    so it never needs to cross the worker wire or reach disk.
-    """
-
-    __slots__ = ("detail",)
-
-    def __init__(
-        self,
-        instruction: Instruction,
-        occurrence: int,
-        bit: int,
-        detail: Optional[dict] = None,
-    ):
-        super().__init__(instruction, occurrence, bit)
-        self.detail = detail or {}
-
-
 class InjectionSpec:
     """A fault model's armed injection, the one form ``Interpreter.run``
     takes: the site's instruction and occurrence, the epilogue mode, and
@@ -231,7 +209,9 @@ class FaultModel:
 
     def sample_site(self, campaign, rng) -> FaultSite:
         """Pre-sample one trial.  All randomness must come from ``rng``
-        here, serially — workers never sample."""
+        here, serially — workers never sample.  Models adjust the site
+        ``campaign.sample_site`` draws, which keeps its MPI rank, and put
+        extra pre-sampled values in its ``detail``."""
         raise NotImplementedError
 
     def injection_for(self, site: FaultSite):
@@ -284,21 +264,19 @@ class TransientMultiBit(FaultModel):
         if self.k < 1:
             raise ValueError(f"fault model {self.name!r}: k must be >= 1, got {self.k}")
 
-    def sample_site(self, campaign, rng) -> PlannedFault:
-        base = campaign.sample_site(rng)
-        width = result_bits(base.instruction)
+    def sample_site(self, campaign, rng) -> FaultSite:
+        site = campaign.sample_site(rng)
+        width = result_bits(site.instruction)
         n = min(self.k, width)
         if self.adjacent:
-            bits = tuple((base.bit + j) % width for j in range(n))
-            primary = base.bit
+            bits = tuple((site.bit + j) % width for j in range(n))
         else:
             bits = tuple(sorted(rng.sample(range(width), n)))
-            primary = bits[0]
-        return PlannedFault(
-            base.instruction, base.occurrence, primary, {"bits": bits}
-        )
+            site.bit = bits[0]
+        site.detail = {"bits": bits}
+        return site
 
-    def injection_for(self, site: PlannedFault):
+    def injection_for(self, site: FaultSite):
         mask = 0
         for bit in site.detail["bits"]:
             mask |= 1 << bit
@@ -365,12 +343,12 @@ class Intermittent(FaultModel):
                 f"got {self.window}"
             )
 
-    def sample_site(self, campaign, rng) -> PlannedFault:
-        base = campaign.sample_site(rng)
-        salt = rng.getrandbits(32)
-        return PlannedFault(base.instruction, base.occurrence, base.bit, {"salt": salt})
+    def sample_site(self, campaign, rng) -> FaultSite:
+        site = campaign.sample_site(rng)
+        site.detail = {"salt": rng.getrandbits(32)}
+        return site
 
-    def injection_for(self, site: PlannedFault):
+    def injection_for(self, site: FaultSite):
         start, end = site.occurrence, site.occurrence + self.window
         salt = site.detail["salt"]
         threshold = int(self.p * 2**32)
@@ -394,14 +372,15 @@ class Persistent(FaultModel):
     description = "fires on every execution of the instruction"
     multi_shot = True
 
-    def sample_site(self, campaign, rng) -> PlannedFault:
-        base = campaign.sample_site(rng)
+    def sample_site(self, campaign, rng) -> FaultSite:
+        site = campaign.sample_site(rng)
         # A defect corrupts the instruction from its first execution on;
         # the sampled occurrence is irrelevant, so pin it to 1 (which also
         # pins warm-start planning to a cold fallback).
-        return PlannedFault(base.instruction, 1, base.bit)
+        site.occurrence = 1
+        return site
 
-    def injection_for(self, site: PlannedFault):
+    def injection_for(self, site: FaultSite):
         bit = site.bit
         corrupt = make_corrupter(site.instruction, lambda u, w: u ^ (1 << bit))
         return InjectionSpec(

@@ -59,7 +59,7 @@ import zlib
 from functools import cached_property
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
-from ..obs.registry import LATENCY_BUCKETS_MS, MetricsRegistry
+from ..obs.registry import MetricsRegistry
 from ..recover.runtime import RecoveryTelemetry
 from .model import FaultSite
 from .outcomes import Outcome, OutcomeCounts, parse_outcome
@@ -212,27 +212,6 @@ class CampaignStats:
     def outcome_counts(self) -> Dict[str, int]:
         return {k: c.value for k, c in self._by_outcome("ipas_trials_total").items()}
 
-    @property
-    def latency_sum(self) -> Dict[str, float]:
-        return {
-            k: h.total / 1000.0
-            for k, h in self._by_outcome("ipas_trial_latency_ms").items()
-        }
-
-    @property
-    def latency_max(self) -> Dict[str, float]:
-        return {
-            k: g.value
-            for k, g in self._by_outcome("ipas_trial_latency_seconds_max").items()
-        }
-
-    @property
-    def histograms(self) -> Dict[str, List[int]]:
-        return {
-            k: list(h.counts)
-            for k, h in self._by_outcome("ipas_trial_latency_ms").items()
-        }
-
     # -- recording ---------------------------------------------------------
 
     def record(
@@ -326,11 +305,6 @@ class CampaignStats:
         return self.worker_deaths + self.respawns + self.retries + self.quarantined
 
     @property
-    def recovery_events(self) -> int:
-        """Total rollback-runtime activity — 0 when recovery is off."""
-        return self.snapshots + self.rollbacks + self.escalations
-
-    @property
     def warm_events(self) -> int:
         """Total warm-start activity — 0 for cold campaigns."""
         return self.warm_restores + self.golden_resyncs
@@ -339,58 +313,6 @@ class CampaignStats:
     def mean_rollback_cycles(self) -> float:
         """Mean re-executed cycles per rollback (detection distance)."""
         return self.reexec_cycles / self.rollbacks if self.rollbacks else 0.0
-
-    def mean_latency(self, outcome: str) -> float:
-        n = self.outcome_counts.get(outcome, 0)
-        return self.latency_sum.get(outcome, 0.0) / n if n else 0.0
-
-    def as_dict(self) -> Dict:
-        """JSON-compatible snapshot (benchmarks persist this)."""
-        data: Dict = {
-            "n_trials": self.n_trials,
-            "n_jobs": self.n_jobs,
-            "completed": self.completed,
-            "resumed": self.resumed,
-            "elapsed_seconds": self.elapsed,
-            "trials_per_second": self.trials_per_second,
-            "worker_utilization": self.utilization,
-            "busy_seconds": self.busy_seconds,
-            "outcomes": dict(self.outcome_counts),
-            "latency_mean_ms": {
-                k: 1000.0 * self.mean_latency(k) for k in self.outcome_counts
-            },
-            "latency_max_ms": {
-                k: 1000.0 * v for k, v in self.latency_max.items()
-            },
-            "latency_histogram_bounds_ms": list(LATENCY_BUCKETS_MS),
-            "latency_histograms": {k: list(v) for k, v in self.histograms.items()},
-            "harness": {
-                "worker_deaths": self.worker_deaths,
-                "hangs": self.hangs,
-                "respawns": self.respawns,
-                "retries": self.retries,
-                "requeued": self.requeued,
-                "quarantined": self.quarantined,
-                "backoff_seconds": self.backoff_seconds,
-                "serial_fallback": self.serial_fallback,
-            },
-        }
-        if self.recovery_events:
-            data["recovery"] = {
-                "snapshots": self.snapshots,
-                "rollbacks": self.rollbacks,
-                "reexec_cycles": self.reexec_cycles,
-                "mean_rollback_cycles": self.mean_rollback_cycles,
-                "escalations": self.escalations,
-                "corrected": self.outcome_counts.get(Outcome.CORRECTED.value, 0),
-            }
-        if self.warm_events:
-            data["warm_start"] = {
-                "restores": self.warm_restores,
-                "golden_resyncs": self.golden_resyncs,
-                "prefix_cycles_saved": self.warm_cycles_saved,
-            }
-        return data
 
     def progress_line(self) -> str:
         eta = self.eta_seconds
@@ -893,18 +815,18 @@ def campaign_fingerprint(campaign, n_trials: int, seed: int) -> str:
             f"|{campaign.golden_cycles}|{campaign.total_dynamic_injectable}|"
         ).encode()
     )
-    recovery = getattr(campaign, "recovery", None)
+    recovery = campaign.recovery
     if recovery is not None:
         # Only armed recovery changes outcomes; plain campaigns keep their
         # historical fingerprints, so old checkpoints stay resumable.
         h.update(f"{recovery.signature()}|".encode())
-    if getattr(campaign, "warm_start", False):
+    if campaign.warm_start:
         # Warm-start records are bit-identical to cold ones, but the
         # execution engines differ — keep the checkpoints apart so a warm
         # resume never silently validates cold results (and vice versa).
         h.update(f"warm1|{campaign.effective_stride}|".encode())
-    model = getattr(campaign, "fault_model", None)
-    if model is not None and model.signature():
+    model = campaign.fault_model
+    if model.signature():
         # The default transient single-bit model signs as "" so historical
         # fingerprints survive byte-identical; every other model stamps its
         # full parameterised spec into the plan identity.
@@ -1155,9 +1077,8 @@ def run_campaign(
             "status": record.status,
             "cycles": record.cycles,
         }
-        rank = getattr(site, "rank", None)  # MPI sites name their rank
-        if rank is not None:
-            args["rank"] = rank
+        if site.rank is not None:
+            args["rank"] = site.rank
         tracer.trial(index, wid, seconds, record.outcome.value, args=args)
         recovery = record.recovery
         if recovery is not None and recovery.rollbacks:

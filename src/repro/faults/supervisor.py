@@ -29,8 +29,9 @@ pipe each — and supervises them:
   completed and raises :class:`PoolCollapse` carrying the undelivered
   items; the caller finishes them in-process.
 
-Everything here is generic over ``fn(payload) -> result``: the statistical
-campaign and the MPI campaign both run on it.
+Everything here is generic over ``fn(payload) -> result``.  Its caller is
+:func:`repro.faults.parallel.run_campaign`, the one engine that
+single-process and MPI campaigns alike run through.
 """
 
 from __future__ import annotations

@@ -25,6 +25,7 @@ from ..interp.compiler import CompiledModule
 from ..interp.errors import MpiAbort
 from ..interp.interpreter import Interpreter, RunResult
 from ..ir.module import Module
+from ..recover.runtime import RecoveryTelemetry
 
 
 class _Rendezvous:
@@ -168,11 +169,20 @@ class RankMpi:
 
 
 class JobResult:
-    """Aggregated outcome of one SPMD run."""
+    """Aggregated outcome of one SPMD run.
+
+    It answers what a campaign classifies a single-process ``RunResult``
+    by: ``status``, ``resynced`` (a job never resyncs) and ``recovery``
+    (the ranks' telemetry summed, None when no rank ran under recovery)."""
+
+    resynced = False
 
     def __init__(self, rank_results: List[Optional[RunResult]]):
         self.rank_results = rank_results
         self.statuses = [r.status if r else "abort" for r in rank_results]
+        self.recovery = RecoveryTelemetry.total(
+            r.recovery for r in rank_results if r is not None
+        )
 
     @property
     def status(self) -> str:

@@ -30,6 +30,7 @@ fault-free baseline.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, List, Optional, Tuple
 
 
@@ -139,6 +140,29 @@ class RecoveryTelemetry:
         self.escalations = escalations
         #: ladder rung of the *last* escalation ("" when none)
         self.escalation_reason = escalation_reason
+
+    @classmethod
+    def total(
+        cls, telemetries: Iterable[Optional["RecoveryTelemetry"]]
+    ) -> Optional["RecoveryTelemetry"]:
+        """The sum of ``telemetries``, skipping ``None``: counters add,
+        ``max_rollback_cycles`` is the largest and ``escalation_reason``
+        the last one set.  ``None`` when every entry is ``None``."""
+        total = None
+        for telemetry in telemetries:
+            if telemetry is None:
+                continue
+            if total is None:
+                total = cls()
+            total.snapshots += telemetry.snapshots
+            total.rollbacks += telemetry.rollbacks
+            total.reexec_cycles += telemetry.reexec_cycles
+            total.escalations += telemetry.escalations
+            if telemetry.max_rollback_cycles > total.max_rollback_cycles:
+                total.max_rollback_cycles = telemetry.max_rollback_cycles
+            if telemetry.escalation_reason:
+                total.escalation_reason = telemetry.escalation_reason
+        return total
 
     @property
     def mean_rollback_cycles(self) -> float:
@@ -309,26 +333,13 @@ class RecoveryState:
 
 def summarize_telemetry(telemetries: Iterable[Optional[RecoveryTelemetry]]) -> Dict:
     """Aggregate per-trial telemetry into one campaign-level summary."""
-    total = RecoveryTelemetry()
-    trials = 0
-    reasons: Dict[str, int] = {}
-    for telemetry in telemetries:
-        if telemetry is None:
-            continue
-        trials += 1
-        total.snapshots += telemetry.snapshots
-        total.rollbacks += telemetry.rollbacks
-        total.reexec_cycles += telemetry.reexec_cycles
-        total.escalations += telemetry.escalations
-        if telemetry.max_rollback_cycles > total.max_rollback_cycles:
-            total.max_rollback_cycles = telemetry.max_rollback_cycles
-        if telemetry.escalation_reason:
-            reasons[telemetry.escalation_reason] = (
-                reasons.get(telemetry.escalation_reason, 0) + 1
-            )
+    telemetries = [t for t in telemetries if t is not None]
+    total = RecoveryTelemetry.total(telemetries) or RecoveryTelemetry()
+    reasons = Counter(t.escalation_reason for t in telemetries if t.escalation_reason)
+    total.escalation_reason = ""  # the summary counts every reason instead
     summary = total.as_dict()
-    summary["trials"] = trials
+    summary["trials"] = len(telemetries)
     summary["mean_rollback_cycles"] = total.mean_rollback_cycles
     if reasons:
-        summary["escalation_reasons"] = reasons
+        summary["escalation_reasons"] = dict(reasons)
     return summary

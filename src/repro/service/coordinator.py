@@ -265,9 +265,17 @@ class CoordinatorServer:
 
     # -- job construction --------------------------------------------------
 
-    def _build_job(self, spec: CampaignSpec) -> Job:
-        """Executor-thread body: golden run, plan, checkpoint resume."""
+    @staticmethod
+    def _build_plan(spec: CampaignSpec) -> TrialPlan:
+        """Executor-thread body: golden run, trial plan and fingerprint.
+        Opens nothing, so a build that turns out to be a duplicate leaves
+        every file alone."""
         plan = TrialPlan(spec.build(), spec.trials, spec.seed)
+        plan.fingerprint  # computed here, off the event loop
+        return plan
+
+    def _open_job(self, spec: CampaignSpec, plan: TrialPlan) -> Job:
+        """Open a new job's plan (checkpoint resume) and chunk what is left."""
         plan.open(self.journal.job_path(plan.fingerprint))
         job = Job(plan.fingerprint, spec, plan)
         remaining = plan.pending()
@@ -291,16 +299,16 @@ class CoordinatorServer:
         future: asyncio.Future = loop.create_future()
         self._builds[key] = future
         try:
-            built = await loop.run_in_executor(None, self._build_job, spec)
-            existing = self.jobs.get(built.id)
-            if existing is not None:
-                # A different spec string reached the same fingerprint;
-                # drop the duplicate build and attach.
-                built.plan.close()
-                job, created = existing, False
-            else:
-                job, created = built, True
-                self.jobs[job.id] = job
+            plan = await loop.run_in_executor(None, self._build_plan, spec)
+            # A different spec string can reach an existing job's
+            # fingerprint (a source spec under another name): it attaches
+            # without touching that job's files.  Nothing awaits between
+            # this lookup and the registration, so two racing builds of
+            # one fingerprint cannot both open it.
+            job = self.jobs.get(plan.fingerprint)
+            created = job is None
+            if created:
+                job = self.jobs[plan.fingerprint] = self._open_job(spec, plan)
                 if job.id not in self._journaled:
                     # WAL before acknowledging: a crash after this line
                     # resumes the job; a crash before it never admitted one.

@@ -93,7 +93,7 @@ class TestWorkerDeath:
         assert stats.retries >= 1
         assert stats.harness_events > 0
         assert "deaths" in stats.progress_line()
-        assert stats.as_dict()["harness"]["worker_deaths"] >= 1
+        assert stats.registry.value("ipas_worker_deaths_total") >= 1
 
     def test_two_kills_bit_identical(self, serial_baseline, tmp_path):
         # One kill in each worker's opening chunk: both die, the pool

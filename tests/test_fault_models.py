@@ -28,7 +28,6 @@ from repro.faults.models import (
     FaultModel,
     Intermittent,
     Persistent,
-    PlannedFault,
     Transient1Bit,
     get_fault_model,
     make_corrupter,
@@ -616,13 +615,6 @@ class TestFaultModelEvaluation:
 
 
 class TestMpiCampaignGuard:
-    def test_non_default_model_refused(self):
-        from repro.faults import MpiCampaign
-
-        w = get_workload("is")
-        with pytest.raises(NotImplementedError, match="transient-1bit"):
-            MpiCampaign(w.make_job(2, 1), fault_model="persistent")
-
     def test_default_model_accepted(self):
         from repro.faults import MpiCampaign
 

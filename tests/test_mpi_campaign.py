@@ -4,7 +4,13 @@ import random
 
 import pytest
 
-from repro.faults import CampaignCheckpoint, MpiCampaign, Outcome, TrialPlan
+from repro.faults import (
+    FAULT_MODELS,
+    CampaignCheckpoint,
+    MpiCampaign,
+    Outcome,
+    TrialPlan,
+)
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.workloads import get_workload
 
@@ -27,10 +33,11 @@ def workload():
     return get_workload("is")
 
 
-def make_campaign(workload, ranks=RANKS):
+def make_campaign(workload, ranks=RANKS, fault_model=None):
     job = workload.make_job(ranks, 1)
     return MpiCampaign(
-        job, verifier=workload.verifier(), budget_factor=workload.budget_factor
+        job, verifier=workload.verifier(), budget_factor=workload.budget_factor,
+        fault_model=fault_model,
     )
 
 
@@ -49,7 +56,8 @@ def plan_entries(campaign, result):
 
 def checkpoint_entries(campaign, path, n_trials, seed):
     saved = CampaignCheckpoint(
-        path, campaign.fingerprint(n_trials, seed), n_trials, seed
+        path, campaign.fingerprint(n_trials, seed), n_trials, seed,
+        model=campaign.fault_model.spec(),
     ).load(strict=True)
     return [
         {k: v for k, v in saved[i].items() if k != "crc"} for i in range(n_trials)
@@ -169,6 +177,68 @@ class TestMpiRefusals:
         with pytest.raises(NotImplementedError, match="warm-start"):
             MpiCampaign(workload.make_job(2, 1), warm_start=True)
 
-    def test_non_default_fault_model_refused(self, workload):
-        with pytest.raises(NotImplementedError, match="transient-1bit"):
-            MpiCampaign(workload.make_job(2, 1), fault_model="persistent")
+
+
+MODEL_TRIALS = 24
+
+
+@pytest.fixture(scope="module", params=list(FAULT_MODELS))
+def model_run(request, workload):
+    """One serial run per registered fault model: the model, the ranks its
+    sites were drawn in (recorded at draw time, before the model adjusts
+    the site) and the run's whole entries."""
+    campaign = make_campaign(workload, fault_model=request.param)
+    campaign.prepare()
+    drawn = []
+    sample_site = campaign.sample_site
+
+    def recording(rng):
+        site = sample_site(rng)
+        drawn.append(site.rank)
+        return site
+
+    campaign.sample_site = recording
+    result = campaign.run(MODEL_TRIALS, seed=5)
+    del campaign.sample_site
+    return request.param, drawn, result, plan_entries(campaign, result)
+
+
+class TestMpiFaultModels:
+    """Every registered fault model runs on a multi-rank job through the
+    one campaign path, with the determinism contract of the default one."""
+
+    def test_sites_cover_every_rank_and_keep_it(self, model_run):
+        _name, drawn, result, _entries = model_run
+        assert [r.site.rank for r in result.records] == drawn
+        assert set(drawn) == set(range(RANKS))
+
+    def test_entries_independent_of_job_count(self, workload, model_run):
+        name, _drawn, _result, serial = model_run
+        campaign = make_campaign(workload, fault_model=name)
+        sharded = campaign.run(MODEL_TRIALS, seed=5, n_jobs=2)
+        assert plan_entries(campaign, sharded) == serial
+
+    def test_interrupted_resume_matches_uninterrupted(
+        self, workload, model_run, tmp_path
+    ):
+        name, _drawn, _result, reference = model_run
+        path = str(tmp_path / "mpi.ckpt")
+        k = 7
+
+        class Abort(Exception):
+            pass
+
+        def bomb(index, record, seen=[]):
+            seen.append(index)
+            if len(seen) == k:
+                raise Abort
+
+        with pytest.raises(Abort):
+            make_campaign(workload, fault_model=name).run(
+                MODEL_TRIALS, seed=5, checkpoint_path=path, on_trial=bomb
+            )
+        fresh = make_campaign(workload, fault_model=name)
+        resumed = fresh.run(MODEL_TRIALS, seed=5, checkpoint_path=path, n_jobs=2)
+        assert resumed.stats.resumed == k
+        assert plan_entries(fresh, resumed) == reference
+        assert checkpoint_entries(fresh, path, MODEL_TRIALS, 5) == reference

@@ -426,7 +426,9 @@ class TestBitIdentity:
         assert stats.worker_deaths == 2
         assert stats.harness_events
         assert stats.registry.counter("ipas_worker_deaths_total").value == 2
-        assert isinstance(stats.as_dict(), dict)
+        assert stats.registry.as_dict()["ipas_worker_deaths_total"]["samples"] == [
+            {"labels": {}, "value": 2}
+        ]
 
 
 class TestObservationArtifacts:

@@ -237,13 +237,16 @@ class TestStats:
         stats.finish()
         assert stats.completed == 5
         assert stats.outcome_counts == {"masked": 4, "soc": 1}
-        assert stats.mean_latency("masked") == pytest.approx(0.010)
+        masked = stats.registry.histogram("ipas_trial_latency_ms", outcome="masked")
+        assert masked.mean == pytest.approx(10.0)
+        assert sum(masked.counts) == 4
         assert 0.0 <= stats.utilization <= 1.0
         assert stats.remaining == 5
-        snapshot = stats.as_dict()
-        json.dumps(snapshot)
-        assert snapshot["outcomes"] == {"masked": 4, "soc": 1}
-        assert sum(snapshot["latency_histograms"]["masked"]) == 4
+        snapshot = json.loads(json.dumps(stats.registry.as_dict()))
+        assert [
+            (s["labels"]["outcome"], s["value"])
+            for s in snapshot["ipas_trials_total"]["samples"]
+        ] == [("masked", 4), ("soc", 1)]
         assert "trials/s" in stats.progress_line()
 
 

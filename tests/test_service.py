@@ -234,6 +234,26 @@ class TestSoloExecution:
         assert committed[0]["value"] == N_TRIALS
         assert metrics["ipas_service_jobs_cached_total"]["samples"][0]["value"] == 1
 
+    def test_renamed_source_spec_leaves_the_checkpoint_alone(self, serve):
+        """A source spec that differs only in ``name`` reaches a finished
+        job's fingerprint: it is answered from that job, and the job's
+        checkpoint is neither reopened nor rewritten."""
+        st = serve()
+        with ServiceClient(port=st.server.port) as client:
+            job = client.submit(make_spec(name="a"))["job"]
+            assert client.wait(job)["state"] == "done"
+            path = st.server.journal.job_path(job)
+            with open(path, "rb") as fh:
+                before = fh.read(), os.stat(path).st_mtime_ns
+            again = client.submit(make_spec(name="b"))
+            assert (again["disposition"], again["job"]) == ("cached", job)
+        with open(path, "rb") as fh:
+            after = fh.read(), os.stat(path).st_mtime_ns
+        assert after == before
+        header = json.loads(after[0].splitlines()[0])
+        resumed = header["stats"]["ipas_trials_resumed_total"]["samples"]
+        assert resumed == [{"labels": {}, "value": 0}]
+
     def test_concurrent_duplicate_submit_attaches(self, serve):
         st = serve(solo_grace=0.3)  # build finishes well before trials start
         with ServiceClient(port=st.server.port) as a, ServiceClient(

@@ -163,10 +163,10 @@ class TestBitIdentity:
         stats = result.stats
         assert stats.warm_restores > 0
         assert stats.warm_cycles_saved > 0
-        warm = stats.as_dict()["warm_start"]
-        assert warm["restores"] == stats.warm_restores
-        assert warm["golden_resyncs"] == stats.golden_resyncs
-        assert warm["prefix_cycles_saved"] == stats.warm_cycles_saved
+        registry = stats.registry
+        assert registry.value("ipas_warm_restores_total") == stats.warm_restores
+        assert registry.value("ipas_warm_resyncs_total") == stats.golden_resyncs
+        assert registry.value("ipas_warm_cycles_saved_total") == stats.warm_cycles_saved
         assert "[warm" in stats.progress_line()
 
 
