@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark / experiment-regeneration suite.
 
 Each benchmark regenerates one paper table or figure.  Results print to
-stdout (run with ``-s`` to watch live) and are also written to
-``benchmarks/results/<name>.txt`` so ``bench_output.txt`` plus that
-directory together capture the whole reproduction.
+stdout (run with ``-s`` to watch live) and, at the ``default`` scale, are
+also written to ``benchmarks/results/<name>.txt`` so ``bench_output.txt``
+plus that directory together capture the whole reproduction; a run at any
+other scale leaves the committed tables as they are.
 
 Campaign sizes come from :class:`repro.core.ExperimentScale` — set
 ``IPAS_SCALE=paper`` for the paper's full 2500/500/1024 campaign sizes,
@@ -30,12 +31,15 @@ def scale() -> ExperimentScale:
 
 
 @pytest.fixture(scope="session")
-def report():
-    """Print a report block and persist it under benchmarks/results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+def report(scale):
+    """Print a report block and, at the ``default`` scale (the scale of
+    the committed tables), persist it under benchmarks/results/."""
+    persist = scale.name == "default"
 
     def emit(name: str, text: str) -> None:
-        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+        if persist:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
         sys.stdout.write(text + "\n")  # visible with -s; captured otherwise
 
     return emit

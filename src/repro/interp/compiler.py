@@ -51,11 +51,13 @@ raise, once per entry into the loop instead of every iteration (see
 :meth:`_Compiler._gen_region`).  They also charge per stretch: a block
 whose instructions cannot raise adds its cycles to a static pending
 charge, which the code adds to the count only right before something
-that can see it (see :meth:`_Compiler._gen_member`).  And they leave SSA
+that can see it (see :meth:`_Compiler._gen_member`).  They leave SSA
 without the moves they do not need: copies read their source, pure
 values read once are folded into their reader, coalesced phis move
 nothing and the moves left are single assignments (see
-:class:`~repro.interp.regalloc.Locals`).
+:class:`~repro.interp.regalloc.Locals`).  And they run each innermost
+counted loop as ``for i in range(i, b)`` under one budget test per
+entry into it, before its checked loop (see :mod:`~repro.interp.counted`).
 
 Semantics implemented exactly:
 
@@ -94,9 +96,7 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import ChainMap
 from contextlib import contextmanager, nullcontext
-from copy import copy
 from functools import partial
 from itertools import count
 from typing import (
@@ -129,8 +129,9 @@ from ..ir.module import Module
 from ..ir.types import Type
 from ..ir.values import Argument, Constant, GlobalVariable, UndefValue, Value
 from .costmodel import CostModel
+from .counted import Counted, counted_loop, guard, innermost_loops, longest
 from .errors import InterpreterBug
-from .regalloc import Frame, Live, Locals, live_after, liveness
+from .regalloc import Frame, Live, Locals, live_after, liveness, without_profile
 from .runtime import EXEC_GLOBALS
 
 
@@ -235,12 +236,14 @@ class Region:
     test points with their bounds (see :meth:`_Compiler._plan_region`),
     and its natural loops."""
 
-    __slots__ = ("header", "order", "entries", "joins", "written", "bounds", "loops")
+    __slots__ = (
+        "header", "order", "entries", "joins", "written", "bounds", "loops", "counted",
+    )
 
     def __init__(
         self, header: int, order: List[int], entries: List[int],
         joins: Dict[int, int], written: FrozenSet[int], bounds: Dict[int, int],
-        loops: List[Tuple[int, List[int]]],
+        loops: List[Tuple[int, List[int]]], counted: Dict[int, Counted],
     ):
         self.header = header
         self.order = order
@@ -254,6 +257,9 @@ class Region:
         #: (header, members in reverse postorder) of every natural loop in
         #: the region, each after the loops that hold it
         self.loops = loops
+        #: header -> its counted loop, for the innermost loops that are
+        #: (see :mod:`~repro.interp.counted`)
+        self.counted = counted
 
 
 class InstructionRecord:
@@ -600,6 +606,20 @@ def _merge(arms: List[Charge]) -> Charge:
     return min(pending for pending, _ in arms), ()
 
 
+class _Leaf(NamedTuple):
+    """What every call site inlining one leaf shares (see
+    :meth:`_Compiler._gen_inlined_call`)."""
+
+    #: its blocks' :meth:`_Compiler._dispatch_targets` from its entry
+    placement: Tuple[List[int], Dict[int, int]]
+    #: the ``straight`` of :meth:`_Compiler._leaf_prefix`
+    prefix: Optional[int]
+    #: its costliest path, None when it loops
+    cost: Optional[int]
+    #: its counted loops, by header
+    counted: Dict[int, Counted]
+
+
 def _plus(n: int) -> str:
     """``_c`` plus the static amount ``n``, as generated code reads it."""
     return "_c" if n == 0 else f"_c + {n}" if n > 0 else f"_c - {-n}"
@@ -613,12 +633,48 @@ class _Hoists(NamedTuple):
     #: invariants), each loop after the loops that hold it
     loops: Dict[int, Tuple[FrozenSet[int], List[str]]]
     #: dispatch target -> the facts its numbering starts from
-    seeds: Dict[int, ChainMap]
+    seeds: Dict[int, "_Facts"]
 
 
 #: (icmp predicate, branch direction) -> the operand a branch arm knows
 #: to be below the other one
 _BELOW = {("slt", True): 0, ("sgt", True): 1, ("sge", False): 0, ("sle", False): 1}
+
+_MISSING = object()
+
+
+class _Facts(dict):
+    """What numbered code knows (see :class:`_Numbering`): one dict whose
+    writes are logged, so a scope takes back what it learned
+    (:meth:`undo`) and a read costs one lookup however deep the scopes."""
+
+    __slots__ = ("log",)
+
+    def __init__(self, base=()) -> None:
+        super().__init__(base)
+        self.log: List[Tuple[object, object]] = []
+
+    def __setitem__(self, key, value) -> None:
+        self.log.append((key, self.get(key, _MISSING)))
+        dict.__setitem__(self, key, value)
+
+    def undo(self, mark: int) -> None:
+        """Take back every write after the first ``mark`` of the log."""
+        log = self.log
+        while len(log) > mark:
+            key, old = log.pop()
+            if old is _MISSING:
+                dict.__delitem__(self, key)
+            else:
+                dict.__setitem__(self, key, old)
+
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        mark = len(self.log)
+        try:
+            yield
+        finally:
+            self.undo(mark)
 
 
 class _Numbering:
@@ -626,11 +682,11 @@ class _Numbering:
     :meth:`_Compiler._gen_region`): which rendered operands hold the same
     value, and what region code already knows about them and memory.
 
-    ``facts`` is a chain of scopes that follows emission nesting, which
-    is the dominator tree: :meth:`arm` opens a scope per branch arm and
+    ``facts`` (:class:`_Facts`) is scoped by emission nesting, which is
+    the dominator tree: :meth:`arm` opens a scope per branch arm and
     inlined call, so what an arm learns ends with it, and :meth:`barrier`
-    starts a chain at every dispatch target, where the loop carries new
-    values in, holding only the facts of the loop invariants hoisted for
+    starts afresh at every dispatch target, where the loop carries new
+    values in, from only the facts of the loop invariants hoisted for
     it.  It maps
 
     * a rendered operand (``r12``, ``q0_3``, ``1``) to its number, a
@@ -669,8 +725,11 @@ class _Numbering:
         self.chained = False
         #: ``_c`` is None, ``state.cycles`` holds the count
         self.uncounted = False
-        self.facts: ChainMap = ChainMap()
-        self.seed: ChainMap = ChainMap()
+        #: the counted loop whose fast copy is being emitted (see
+        #: :mod:`~repro.interp.counted`)
+        self.fast: Optional[Counted] = None
+        self.facts = _Facts()
+        self.seed = _Facts()
         self.numbers = 0
         self.stores = 0
         self.calls = 0
@@ -747,18 +806,18 @@ class _Numbering:
         ``cond`` is given."""
         cmp = self.facts.get(("cmp", self.of(cond))) if cond is not None else None
         charge = self.charge
-        self.facts = self.facts.new_child()
+        mark = len(self.facts.log)
         if cmp is not None and (cmp[0], truth) in _BELOW:
             below = cmp[1 + _BELOW[(cmp[0], truth)]]
             self.facts[("below", below, cmp[3])] = True
         try:
             yield
         finally:
-            self.facts = self.facts.parents
+            self.facts.undo(mark)
             self.pending, self.hangs = charge
 
     @contextmanager
-    def barrier(self, seed: Optional[ChainMap] = None) -> Iterator[None]:
+    def barrier(self, seed: Optional[_Facts] = None) -> Iterator[None]:
         """Forget every fact but ``seed``'s, with nothing pending: a region
         passes the hoisted facts of the loops that hold the dispatch
         target (see :meth:`_Compiler._plan_hoists`), an inlined leaf's
@@ -766,7 +825,7 @@ class _Numbering:
         saved = self.facts, self.seed, self.charge
         if seed is not None:
             self.seed = seed
-        self.facts = self.seed.new_child()
+        self.facts = _Facts(self.seed)
         self.pending, self.hangs = 0, ()
         try:
             yield
@@ -776,6 +835,10 @@ class _Numbering:
 
 def _arm(vn: Optional[_Numbering], cond: Optional[str] = None, truth: bool = True):
     return nullcontext() if vn is None else vn.arm(cond, truth)
+
+
+def _discard(line: str) -> None:
+    """An ``emit`` for a value numbered but not emitted."""
 
 
 class _Compiler:
@@ -802,8 +865,11 @@ class _Compiler:
         self._leaf_regs: Dict[int, Dict[int, str]] = {}
         self._doms: Dict[int, DominatorTree] = {}  # cfi -> its dominator tree
         self._lives: Dict[int, Live] = {}  # cfi -> its slot liveness
-        #: (cfi, header) -> the plan of the region's numbered forms
-        self._plans: Dict[Tuple[int, int], Locals] = {}
+        #: (cfi, header) -> the source of a region's profiled form, made
+        #: with its lean form and not yet compiled
+        self._twins: Dict[Tuple[int, int], str] = {}
+        #: leaf cfi -> what every call site inlining it shares
+        self._leaves: Dict[int, _Leaf] = {}
 
     def _live(self, cf: CompiledFunction) -> Live:
         live = self._lives.get(cf.index)
@@ -1029,6 +1095,7 @@ class _Compiler:
         counted call into the next instruction it emits something for
         when that is a counted call too."""
         insts = [i for i in block.instructions if not isinstance(i, PhiNode)]
+        silent = vn.fast.silent if vn is not None and vn.fast is not None else ()
         for k, inst in enumerate(insts):
             if vn is not None:
                 vn.chained = self._counted(inst) and self._chains(insts[k + 1 :], regs, vn)
@@ -1037,7 +1104,10 @@ class _Compiler:
             if inst.is_terminator():
                 self._gen_terminator(inst, regs, emit, leave, ret, fall, vn, frame)
             else:
-                self._gen_instruction(inst, regs, emit, local, variant, vn)
+                # a fast copy numbers what it does not emit, as its checked
+                # loop does
+                out = _discard if id(inst) in silent else emit
+                self._gen_instruction(inst, regs, out, local, variant, vn)
                 self._gen_guarded_injection(inst, regs, emit, inject)
 
     # -- region codegen -------------------------------------------------------------------
@@ -1124,7 +1194,57 @@ class _Compiler:
         return Region(
             index[id(header)], members, entries, joins, written,
             {bi: bound(bi) for bi in sorted(points)}, loops,
+            self._counted_loops(cf, loops),
         )
+
+    def _counted_loops(
+        self, cf: CompiledFunction, loops: List[Tuple[int, List[int]]]
+    ) -> Dict[int, Counted]:
+        """The counted loops among ``cf``'s ``loops`` (header, members in
+        reverse postorder), by header (see :mod:`~repro.interp.counted`):
+        a block charges its cost and the costliest path of each leaf it
+        inlines, and a call that may be real keeps its loop checked."""
+        blocks = cf.fn.blocks
+        index = self._block_index[cf.index]
+
+        def charge(block: BasicBlock) -> Optional[int]:
+            total = cf.costs[index[id(block)]]
+            for inst in block.instructions:
+                if _real_call(inst):
+                    cfi = self._leaf_callee(inst)
+                    extra = None if cfi is None else self._leaf(cfi).cost
+                    if extra is None:
+                        return None
+                    total += extra
+            return total
+
+        found = {}
+        for header, members in innermost_loops(loops):
+            loop = counted_loop([blocks[bi] for bi in members], charge, self._leaf_callee)
+            if loop is not None:
+                found[header] = loop
+        return found
+
+    def _leaf(self, cfi: int) -> "_Leaf":
+        """What every call site inlining the leaf ``cfi`` shares."""
+        got = self._leaves.get(cfi)
+        if got is None:
+            leaf = self.cm.cfuncs[cfi]
+            blocks = leaf.fn.blocks
+            dom = self._dom(leaf)
+            index = self._block_index[cfi]
+            rpo = [index[id(b)] for b in dom.reachable_blocks]
+            loops = [
+                (index[id(lp.header)], [bi for bi in rpo if blocks[bi] in lp.blocks])
+                for lp in LoopInfo(leaf.fn, dom).loops
+            ]
+            placement = self._dispatch_targets(leaf, list(range(len(blocks))), 0)
+            got = self._leaves[cfi] = _Leaf(
+                placement, self._leaf_prefix(leaf, placement),
+                longest(blocks[0], lambda b: b.successors(), lambda b: leaf.costs[index[id(b)]]),
+                self._counted_loops(leaf, loops),
+            )
+        return got
 
     def _gen_region(
         self, cf: CompiledFunction, region: Region, variant: Variant
@@ -1211,20 +1331,20 @@ class _Compiler:
             frame = Frame(self, cf, region)
             source = frame.finish(self._region_lines(cf, region, variant, frame))
         else:
-            # The lean form and its profiled twin differ only in profile
-            # lines, so the twin, compiled later, copies the lean form's
-            # plan (rank threads may compile twins at once).
+            # The lean form is its profiled twin less the profile lines, so
+            # one generation makes both, and the twin's source waits for a
+            # profiled run (rank threads may ask for it at once: one that
+            # finds it taken generates it again).
             key = (cf.index, region.header)
-            shared = self._plans.get(key)
-            plan = Locals(self, cf, region) if shared is None else copy(shared)
-            plan.begin()
-            lines = self._region_lines(cf, region, variant, plan)
-            if not plan.solved:
+            source = self._twins.pop(key, None) if variant.bump is not None else None
+            if source is None:
+                plan = Locals(self, cf, region)
+                lines = self._region_lines(cf, region, PROFILED, plan)
                 plan.solve(lines)
-                self._plans[key] = plan
-            source = plan.finish(lines)
-            if variant.bump is not None:  # both forms are compiled
-                self._plans.pop(key, None)
+                source = plan.finish(lines)
+                if variant.bump is None:
+                    self._twins[key] = source
+                    source = without_profile(source)
         header = cf.fn.blocks[region.header]
         return _exec(source, f"<{variant.name} {cf.name}.{header.name}>", "_region")
 
@@ -1267,9 +1387,7 @@ class _Compiler:
         regs = self._local_regs[cf.index]
         if numbered:
             vn = _Numbering(profiled=variant.bump is not None, locals=frame)
-            if frame.hoists is None:
-                frame.hoists = self._plan_hoists(cf, region, vn), vn.numbers
-            hoists, vn.numbers = frame.hoists
+            hoists = frame.hoists = self._plan_hoists(cf, region, vn)
         emit("\x04")  # the prologue, once the frame knows what to load
         emit("    try:")
 
@@ -1281,7 +1399,7 @@ class _Compiler:
         self._gen_dispatch(
             cf, region.order, (region.entries, region.joins), regs,
             lambda line: emit("    " + line), "bi", leave_region, None, variant,
-            region.bounds, vn, hoists, frame=frame,
+            region.bounds, vn, hoists, frame=frame, counted=region.counted,
         )
         # ``_c`` is None while a callee runs: the callee's count stands.
         emit("    except:")
@@ -1311,7 +1429,7 @@ class _Compiler:
         index = self._block_index[cf.index]
         regs = self._local_regs[cf.index]
         loops: Dict[int, Tuple[FrozenSet[int], List[str]]] = {}
-        chains: Dict[int, ChainMap] = {}
+        chains: Dict[int, _Facts] = {}
         fresh = (f"_h{n}" for n in count())
 
         def innermost(bi: int) -> Optional[int]:
@@ -1337,7 +1455,7 @@ class _Compiler:
         for header, members in region.loops:
             inside = frozenset(members)
             holder = innermost(header)
-            vn.facts = ChainMap() if holder is None else chains[holder].new_child()
+            vn.facts = _Facts(() if holder is None else chains[holder])
             lines: List[str] = []
             hoisted: Dict[int, str] = {}
 
@@ -1369,7 +1487,7 @@ class _Compiler:
                             hoist(leaf_inst, inner, known, lines)
             loops[header] = (inside, lines)
             chains[header] = vn.facts
-        vn.facts = ChainMap()
+        vn.facts = _Facts()
         return _Hoists(loops, {k: chains[innermost(k)] for k in region.entries})
 
     def _gen_dispatch(
@@ -1388,6 +1506,7 @@ class _Compiler:
         hoists: Optional[_Hoists] = None,
         straight: Optional[int] = None,
         frame: Optional[Frame] = None,
+        counted: Optional[Dict[int, Counted]] = None,
     ) -> None:
         """A ``while True`` loop (at ``out``'s indentation) dispatching on
         the local ``bvar`` among the blocks ``order`` of ``cf``, placed as
@@ -1423,6 +1542,15 @@ class _Compiler:
         dispatch target, the arms that fall into a join settle to its
         state in the plan of :meth:`_plan_charges`, and an exit writes
         ``_c`` plus the pending charge back.
+
+        Numbered code also runs each loop of ``counted`` whose header is a
+        dispatch target, no other block of it one, as a ``for`` loop first
+        (see :mod:`~repro.interp.counted`): at the header's top, a fast
+        copy that emits the header's taken arm and the body with
+        :attr:`_Numbering.fast` set, so that no member tests the budget,
+        an inlined call makes no real call and the latch's edge moves
+        every phi but ``i`` and continues the ``for``.  Its lines are
+        marked for :meth:`~repro.interp.regalloc.Locals.fast`.
         """
         index = self._block_index[cf.index]
         targets, joins = placement
@@ -1432,9 +1560,16 @@ class _Compiler:
         loop_targets = targets if straight is None else [t for t in targets if t != head]
         tested = straight is None or len(loop_targets) > 1
         plan: Dict[int, Charge] = {}
+        fast: Dict[int, Counted] = {}
         if vn is not None:
             start = vn.charge if straight is not None else None
             plan = self._plan_charges(cf, order, placement, tests, start)
+            fast = {
+                bi: loop for bi, loop in (counted or {}).items()
+                if bi in dispatched and bi not in joins and not any(
+                    index[id(b)] in dispatched for b in loop.blocks if b is not loop.header
+                )
+            }
 
         def gen_member(bi: int, o, follow: Optional[int]) -> None:
             # ``follow`` is the join control falls into off the end of
@@ -1453,6 +1588,10 @@ class _Compiler:
 
         def leave(target: BasicBlock, o, follow: Optional[int], src: int) -> None:
             k = index[id(target)]
+            if vn is not None and vn.fast is not None and target is vn.fast.header:
+                vn.settle(o)
+                o("    continue")
+                return
             if k == follow:
                 if vn is not None:
                     vn.settle(o, plan.get(k, (0, ())))
@@ -1472,12 +1611,28 @@ class _Compiler:
             else:
                 exit_(k, o)
 
+        def gen_fast(bi: int, o, seed: Optional[_Facts]) -> None:
+            loop = fast[bi]
+            mark = vn.locals.fast(o)
+            i, b = self._expr(loop.phi, regs), self._expr(loop.bound, regs)
+            with vn.barrier(seed):
+                mark("    " + guard(loop, i, b, _plus(vn.pending)))
+                mark(f"        for {i} in range({i}, {b}):")
+                vn.fast = loop
+                try:
+                    gen_member(bi, lambda line: mark("        " + line), None)
+                finally:
+                    vn.fast = None
+                mark(f"        {i} = {b}")
+
         if straight is not None:
             gen_member(head, out, None if straight == _RETURNS else straight)
             if not loop_targets:
                 return
             if tested:
                 out(f"    {bvar} = {straight}")
+            if straight in fast:
+                gen_fast(straight, out, None)
         out("    while True:")
         for bi in loop_targets:
             if bi != loop_targets[-1]:
@@ -1486,8 +1641,11 @@ class _Compiler:
             else:
                 pad = "    "
             seed = hoists.seeds[bi] if hoists is not None else None
+            o = lambda line, _pad=pad: out(_pad + line)
+            if bi in fast and straight is None:
+                gen_fast(bi, o, seed)
             with nullcontext() if vn is None else vn.barrier(seed):
-                gen_member(bi, lambda line, _pad=pad: out(_pad + line), None)
+                gen_member(bi, o, None)
 
     def _plan_charges(
         self, cf: CompiledFunction, order: List[int],
@@ -1655,6 +1813,8 @@ class _Compiler:
         guard and a counted call (see :meth:`_gen_inlined_call`)."""
         block = cf.fn.blocks[bi]
         cost = self.cm.cost_model.block_cost(block)
+        if vn is not None and vn.fast is not None:
+            test = None  # a fast copy's budget test is its guard
         own = test is not None and test != _HANG
         if vn is not None:
             vn.emitted += 1
@@ -1782,22 +1942,28 @@ class _Compiler:
         lregs = dict(self._leaf_regs[cfi])
         lregs.update((id(p), a) for p, a in zip(leaf.fn.args, args))
         blocks = leaf.fn.blocks
-        arm = lambda line: emit("    " + line)
+        # a fast copy's guard holds every inline guard of its loop
+        fast = vn is not None and vn.fast is not None
+        arm = emit if fast else lambda line: emit("    " + line)
         inline = variant._replace(inject=None)
-        guard = f"_dok and _ij != {cfi}" if vn is None else f"_in{cfi}"
         pending = 0 if vn is None else vn.pending
-        emit(f"    if {guard} and {_plus(pending)} != _ca:")
+        if not fast:
+            test = f"_dok and _ij != {cfi}" if vn is None else f"_in{cfi}"
+            emit(f"    if {test} and {_plus(pending)} != _ca:")
         order = list(range(len(blocks)))
-        placement = self._dispatch_targets(leaf, order, 0)
+        shared = self._leaf(cfi)
+        placement = shared.placement
         # the injectable forms emit only a one-block leaf straight-line
-        straight = (
-            self._leaf_prefix(leaf, placement) if vn is not None or len(blocks) == 1
-            else None
-        )
+        straight = shared.prefix if vn is not None or len(blocks) == 1 else None
 
         def ret(value: Optional[str], out) -> None:
             if vn is not None:
                 vn.settle(out)
+                if d is not None:  # a move the call site's names may drop
+                    vn.locals.move([(d, value)], out)
+                if straight != _RETURNS:
+                    out("    break")
+                return
             line = f"    {d} = {value}" if d is not None else ""
             if straight != _RETURNS:
                 line = f"{line}; break" if line else "    break"
@@ -1811,8 +1977,12 @@ class _Compiler:
                 arm(f"    q{cfi}_bi = 0")
             self._gen_dispatch(
                 leaf, order, placement, lregs, arm, f"q{cfi}_bi", None, ret, inline,
-                dict.fromkeys(order, _HANG), vn, straight=straight,
+                {} if fast else dict.fromkeys(order, _HANG), vn, straight=straight,
+                counted=shared.counted if vn is not None else None,
             )
+        if fast:
+            vn.called()
+            return
         emit("    else:")
         self._gen_defined_call(
             inst, cfi, d, args, arm, variant, pending,
@@ -2277,9 +2447,7 @@ class _Compiler:
         (:meth:`_dropped`).  The call changes no fact these read but its
         result's, which none holds yet, and leaves no load held.  The
         values skipped are bound in a scope dropped on return."""
-        saved = vn.facts
-        vn.facts = saved.new_child()
-        try:
+        with vn.facts.scope():
             for inst in insts:
                 shape = _pure_shape(inst)
                 check = isinstance(inst, CallInst) and inst.callee.name.startswith("ipas.check")
@@ -2298,8 +2466,6 @@ class _Compiler:
                     return False
                 vn.bind(regs[id(inst)], vn.facts[held])
             return False
-        finally:
-            vn.facts = saved
 
     def _dropped(
         self, inst: Instruction, regs: Dict[int, str], vn: Optional[_Numbering]
@@ -2412,6 +2578,11 @@ class _Compiler:
             assert cond is not None
             then_b, else_b = inst.targets
             c = e(cond)
+            if vn is not None and vn.fast is not None and block is vn.fast.header:
+                with vn.arm(c, True):  # the fast copy's ``range`` tests it
+                    self._gen_edge_copies(block, then_b, regs, emit, vn, frame)
+                    leave(then_b, emit)
+                return
             emit(f"    if {c}:")
             arm = lambda line: emit("    " + line)
             if not fall:
@@ -2455,6 +2626,8 @@ class _Compiler:
         its inlined leaves too).  Numbered code gives each phi a value of
         its own."""
         phis = succ.phis()
+        if vn is not None and vn.fast is not None and succ is vn.fast.header:
+            phis = [phi for phi in phis if phi is not vn.fast.phi]  # ``range`` moves it
         if not phis:
             return
         srcs = [self._expr(phi.incoming_for_block(pred), regs) for phi in phis]

@@ -18,11 +18,13 @@ from __future__ import annotations
 import re
 from collections import Counter
 from itertools import count
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Set, Tuple,
+)
 
 from ..ir.block import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Instruction, LoadInst, PhiNode
+from ..ir.instructions import Instruction, LoadInst, PhiNode, RetInst
 from ..ir.values import Value
 
 if TYPE_CHECKING:
@@ -144,11 +146,23 @@ _FOLD_LINE = re.compile(r"^([^\n\x00-\x04]*)\x02([^\x00-\x04\n]*)[^\n]*$", re.M)
 _CALL_LINE = re.compile(r"^[^\n\x01]*\x01(\d+)[^\n]*$", re.M)
 #: a member's mark
 _TAG = re.compile(r"\x00[^\x00-\x04\n]*")
+#: what numbered code ends each line of a counted loop's fast copy with
+_FAST = "\x05"
 
 
 def is_bump(line: str) -> bool:
     """Whether ``line`` is a profiled form's profile line."""
     return line.lstrip().startswith(("_p[", "_unbump("))
+
+
+def without_profile(source: str) -> str:
+    """A profiled form's ``source`` as its lean twin: no profile lines and
+    no load of the profile (:func:`fill_empty_suites` left each suite that
+    held only profile lines a ``pass``)."""
+    return "".join(
+        line for line in source.splitlines(True)
+        if not is_bump(line) and line != "    _p = state.prof\n"
+    )
 
 
 def sequence(moves: List[Tuple[str, str]]) -> List[str]:
@@ -174,6 +188,45 @@ def sequence(moves: List[Tuple[str, str]]) -> List[str]:
             lines.append(f"{temp} = {pending[i][1]}")
             pending[i] = (pending[i][0], temp)
     return lines
+
+
+def coalesce(
+    pairs: Iterable[Tuple[int, int]], conflicts: Dict[int, Set[int]]
+) -> List[Set[int]]:
+    """The classes of slots that share a local: each pair's two classes
+    join, in order, unless a member of one conflicts with a member of the
+    other."""
+    parent: Dict[int, int] = {}
+    members: Dict[int, Set[int]] = {}
+    clash: Dict[int, Set[int]] = {}
+
+    def find(v: int) -> int:
+        if v not in parent:
+            parent[v] = v
+            members[v] = {v}
+            clash[v] = set(conflicts.get(v, ()))
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for x, y in pairs:
+        a, b = find(x), find(y)
+        if a == b or clash[a] & members[b] or clash[b] & members[a]:
+            continue
+        parent[b] = a
+        members[a] |= members.pop(b)
+        clash[a] |= clash.pop(b)
+    return list(members.values())
+
+
+def returned(call: Instruction) -> Optional[Instruction]:
+    """The value an inlined leaf call's one ``ret`` returns, when the leaf
+    has one ``ret`` and it returns one of the leaf's own values: its
+    class may take the call's register (see :meth:`Locals._leaf_names`)."""
+    rets = [b.terminator for b in call.callee.blocks if isinstance(b.terminator, RetInst)]
+    if len(rets) == 1 and isinstance(rets[0].return_value, Instruction):
+        return rets[0].return_value
+    return None
 
 
 def _find(text: str, name: str):
@@ -296,11 +349,10 @@ class Frame:
                         out(f"    f[{slot}] = {src}")
                 return
             moves = [m for m in moves if id(m[0]) in self.live.useful]
-        self.move([(d, s) for _, d, s in moves], out, inside)
+        self.move([(d, s) for _, d, s in moves], out)
 
-    def move(self, moves: List[Tuple[str, str]], out, inside: bool) -> None:
-        """A parallel move, ``inside`` the region's own function or not,
-        as single assignments."""
+    def move(self, moves: List[Tuple[str, str]], out) -> None:
+        """A parallel move as single assignments."""
         for line in sequence(moves):
             out(f"    {line}")
 
@@ -315,9 +367,10 @@ class Frame:
 
 
 class Locals(Frame):
-    """Which Python local holds each value in the numbered form of one
-    region (see :meth:`_Compiler._gen_region`), shared by the lean form
-    and its profiled twin.
+    """Which Python local holds each value in the numbered forms of one
+    region (see :meth:`_Compiler._gen_region`): the profiled form, and
+    the lean form, which is the profiled one less its profile lines
+    (:func:`without_profile`).
 
     The form is generated once, naming each SSA value after its slot
     (``r12``) and marking what :meth:`solve` and :meth:`finish` need: the
@@ -336,7 +389,11 @@ class Locals(Frame):
     * coalesces each phi with the values that feed it on edges inside the
       region when no value of either class is live where the other class
       assigns one: they share one local, named after their lowest slot,
-      and their move disappears.
+      and their move disappears;
+    * does the same for the leaf each inlined call site runs, on the
+      leaf's own slot liveness, site by site (:meth:`_leaf_names`): a
+      leaf's copy of another of its locals reads it at its source, and
+      the class of the value the leaf returns takes the call's register.
 
     :meth:`finish` renames the lines, emits the surviving moves of an
     edge one assignment each (:func:`sequence`) and the prologue, which
@@ -346,7 +403,6 @@ class Locals(Frame):
 
     def __init__(self, compiler: "_Compiler", cf: CompiledFunction, region: Region):
         super().__init__(compiler, cf, region)
-        self.solved = False
         #: copy register -> the register or hoist it reads
         self.aliases: Dict[str, str] = {}
         #: register -> its expression, for every value the form may fold
@@ -354,15 +410,18 @@ class Locals(Frame):
         self.folded: Set[str] = set()
         #: inlined call site -> its leaf's copies of a hoist, local -> hoist
         self.leaf_hoists: Dict[int, Dict[str, str]] = {}
+        #: inlined call site -> its leaf's copies of another of its locals
+        self.leaf_aliases: Dict[int, Dict[str, str]] = {}
+        #: inlined call site -> what the finished code writes for each of
+        #: its leaf's locals (see :meth:`_leaf_names`)
+        self.leaf_names: Dict[int, Dict[str, str]] = {}
+        self._slot_of = compiler._slot_of
+        self._func_index = compiler.cm.func_index
         self.loads: Dict[int, List[int]] = {}
-        #: the region's hoists and the value numbers they took, planned once
-        self.hoists: Optional[Tuple[_Hoists, int]] = None
+        #: the region's hoists (see ``_Compiler._plan_hoists``)
+        self.hoists: Optional[_Hoists] = None
         self._names: Dict[str, str] = {}
         self._rep: Dict[int, int] = {}
-        self.begin()
-
-    def begin(self) -> None:
-        """Start generating a form."""
         #: the inlined calls and the edges' moves so far, by marker
         self.calls: List[Instruction] = []
         self.moves: List[List[Tuple[str, str]]] = []
@@ -382,15 +441,27 @@ class Locals(Frame):
         self.calls.append(inst)
         return lambda line, _n=self.site: out(f"{line}\x01{_n}")
 
+    def fast(self, out):
+        """``out`` marking each line as part of a counted loop's fast copy
+        (see :mod:`~repro.interp.counted`), which :meth:`solve` does not
+        read: the copy runs what its checked loop runs, less its budget
+        tests, real calls and the moves of ``i``, so the checked loop's
+        folds and classes hold in it too, and ``i``'s assignments by the
+        ``for`` and after it stand for the latch's move into ``i``."""
+        return lambda line: out(line + _FAST)
+
     def copy(self, d: str, held: str, out) -> None:
         """``d`` is a copy of ``held``: a register of the region's function
         reads it at its source, and so does a leaf's local that copies a
-        hoist, at this call site (its other sites share the local); a
-        leaf's other copies are assigned."""
+        hoist or another local of the leaf, at this call site (each site
+        names its leaf's locals itself, see :meth:`_leaf_names`); a leaf's
+        copy of a register is assigned."""
         if d[0] == "r":
             self.aliases[d] = held
         elif held.startswith("_h"):
             self.leaf_hoists.setdefault(self.site, {})[d] = held
+        elif _LEAF.fullmatch(held):
+            self.leaf_aliases.setdefault(self.site, {})[d] = held
         else:
             out(f"    {d} = {held}")
 
@@ -402,12 +473,9 @@ class Locals(Frame):
             self.foldable[d] = expr
             out(f"    {d} = {expr}\x02{d}")
 
-    def move(self, moves: List[Tuple[str, str]], out, inside: bool) -> None:
-        """An inlined leaf's parallel move as single assignments, a region
-        edge's marked, for :meth:`finish` to emit what coalescing leaves."""
-        if not inside:
-            super().move(moves, out, inside)
-            return
+    def move(self, moves: List[Tuple[str, str]], out) -> None:
+        """A parallel move (a region edge's, an inlined leaf's edge or
+        ``ret``) marked, for :meth:`finish` to emit what coalescing leaves."""
         for d, s in moves:
             out(f"    {d} = {s}\x03{len(self.moves)}")
         self.moves.append(moves)
@@ -438,7 +506,7 @@ class Locals(Frame):
         """The header entry's loads and the outermost loop's invariants,
         then each other entry's extra loads and the invariants of the
         inner loops that hold it, outermost first."""
-        region, loops = self.region, self.hoists[0].loops
+        region, loops = self.region, self.hoists.loops
         own = self.loads[region.header]
         lines = [f"    r{s} = f[{s}]" for s in own] + loops[region.header][1]
         test = "if"
@@ -458,39 +526,42 @@ class Locals(Frame):
     def finish(self, lines: List[str]) -> str:
         """The generated ``lines`` as source: renamed, the folded values'
         own lines left out, the moves and the prologue emitted, no marks."""
-        text = _SPECIAL_LINE.sub(self._special, "\n".join(lines))
+        text = _SPECIAL_LINE.sub(self._special, "\n".join(lines).replace(_FAST, ""))
         text = _TAG.sub("", text)
         code = fill_empty_suites([line for line in text.split("\n") if line])
         return self.rename("\n".join(code) + "\n")
 
     def _special(self, m) -> str:
-        """A line marked other than with its member, as code."""
+        """A line marked other than with its member, as code: an inlined
+        call's with its site's names for its leaf's locals."""
         line = m.group(0)
         at = _MARKED.search(line).start()
         text = line[:at]
-        for kind, what in _MARK.findall(line, at):
+        marks = _MARK.findall(line, at)
+        names = next((self.leaf_names[int(w)] for k, w in marks if k == "\x01"), None)
+        site = (lambda t: t) if not names else (
+            lambda t: _LEAF.sub(lambda q: names.get(q.group(0), q.group(0)), t)
+        )
+        for kind, what in marks:
             if kind == "\x04":
                 return "\n".join(self.prologue())
             if kind == "\x02" and what in self.folded:
                 return ""
-            if kind == "\x01" and int(what) in self.leaf_hoists:
-                hoisted = self.leaf_hoists[int(what)]
-                text = _LEAF.sub(lambda m: hoisted.get(m.group(0), m.group(0)), text)
-            elif kind == "\x03":
+            if kind == "\x03":
                 moves = self.moves[int(what)]
                 if moves is None:  # the group's first line emitted them all
                     return ""
                 self.moves[int(what)] = None
                 pad = text[: len(text) - len(text.lstrip())]
                 return "\n".join(pad + move for move in sequence(
-                    [(self.name(d), self.rename(s)) for d, s in moves]
+                    [(self.name(site(d)), self.rename(site(s))) for d, s in moves]
                 ))
-        return text
+        return site(text)
 
     def solve(self, lines: List[str]) -> None:
         """Plan :meth:`finish` from the generated ``lines``."""
-        invariants = [line for _, body in self.hoists[0].loops.values() for line in body]
-        text = "\n".join(invariants + lines)
+        invariants = [line for _, body in self.hoists.loops.values() for line in body]
+        text = "\n".join(invariants + [line for line in lines if _FAST not in line])
         # A foldable value's own line names it twice (the assignment and
         # its mark); every other name of it or of a copy of it is a read.
         names = Counter(_REG.findall(text))
@@ -512,7 +583,7 @@ class Locals(Frame):
             calls.setdefault(int(m.group(1)), []).append(m.group(0))
         reads = {n: set(_REG.findall("\n".join(body))) for n, body in calls.items()}
         self._coalesce(reads)
-        self.solved = True
+        self.leaf_names = {n: self._leaf_names(n) for n in range(len(self.calls))}
 
     def _resolve(self, reg: str, memo: Dict[str, FrozenSet[int]]) -> FrozenSet[int]:
         """The slots whose locals a read of ``reg`` reads."""
@@ -548,7 +619,11 @@ class Locals(Frame):
                 got |= self._resolve(reg, memo)
             return got
 
-        call_of = {id(inst): n for n, inst in enumerate(self.calls)}
+        # a fast copy's inlined calls, which solve does not read, aside
+        call_of: Dict[int, int] = {}
+        for n, inst in enumerate(self.calls):
+            if n in reads:
+                call_of.setdefault(id(inst), n)
         events: Dict[int, List[Tuple[Optional[int], Set[int], Set[int]]]] = {}
         out_uses: Dict[int, Set[int]] = {}
         succ_in: Dict[int, List[int]] = {}
@@ -572,8 +647,12 @@ class Locals(Frame):
                 if reg is not None:
                     if reg not in self.aliases and reg not in self.folded:
                         d = slots[id(inst)]
-                # a load reads its address again after assigning its value
+                # a load reads its address again after assigning its value,
+                # and a leaf's value its inlined call returns is assigned
+                # while the call reads what it reads
                 extra = uses([inst.pointer]) if isinstance(inst, LoadInst) else set()
+                if n is not None and returned(inst) is not None:
+                    extra = used
                 evs.append((d, used, extra))
             events[bi] = evs
             moved: Set[int] = set()
@@ -626,20 +705,7 @@ class Locals(Frame):
             for v in top[k]:
                 conflicts.setdefault(v, set()).update(top[k])
 
-        # union-find over slots: each class's members and conflicts
-        parent: Dict[int, int] = {}
-        members: Dict[int, Set[int]] = {}
-        clash: Dict[int, Set[int]] = {}
-
-        def find(v: int) -> int:
-            if v not in parent:
-                parent[v] = v
-                members[v] = {v}
-                clash[v] = set(conflicts.get(v, ()))
-            while parent[v] != v:
-                v = parent[v]
-            return v
-
+        pairs = []
         for bi in self.region.order:
             block = blocks[bi]
             for s in block.successors():
@@ -652,13 +718,113 @@ class Locals(Frame):
                     held = self.aliases.get(f"r{slots[id(x)]}", f"r{slots[id(x)]}")
                     if held[0] != "r" or held in self.folded:
                         continue
-                    a, b = find(slots[id(p)]), find(int(held[1:]))
-                    if a == b or clash[a] & members[b] or clash[b] & members[a]:
-                        continue
-                    parent[b] = a
-                    members[a] |= members.pop(b)
-                    clash[a] |= clash.pop(b)
-        for root, group in members.items():
+                    pairs.append((slots[id(p)], int(held[1:])))
+        for group in coalesce(pairs, conflicts):
             rep = min(group)
             for v in group:
                 self._rep[v] = rep
+
+    def _leaf_names(self, n: int) -> Dict[str, str]:
+        """What the finished code writes for each local of the leaf that
+        inlined call site ``n`` runs (every site names them itself, and
+        its lines are the only ones that read them): a copy of a hoist
+        the hoist, a copy of another local that one's name, and a value
+        its class's, the local a phi shares with the values that feed it
+        where no value of either is live where the other assigns one, on
+        the leaf's own slot liveness.  The class of the value the leaf
+        returns takes the call's register, which the region's classes
+        keep apart from what the call reads (see :meth:`_coalesce`), so
+        its ``ret`` moves nothing."""
+        call = self.calls[n]
+        cfi = self._func_index[call.callee.name]
+        slots = self._slot_of[cfi]
+        hoisted = self.leaf_hoists.get(n, {})
+        aliases = self.leaf_aliases.get(n, {})
+        blocks = call.callee.blocks
+        name = lambda slot: f"q{cfi}_{slot}"
+
+        def held(reg: str) -> str:
+            while reg in aliases:
+                reg = aliases[reg]
+            return reg
+
+        def local(value) -> Optional[int]:
+            """The slot whose local holds ``value`` at this site, if any."""
+            if not isinstance(value, Instruction) or id(value) not in slots:
+                return None
+            reg = held(name(slots[id(value)]))
+            return None if reg in hoisted else int(reg[reg.index("_") + 1 :])
+
+        def locals_of(values) -> Set[int]:
+            return {s for s in map(local, values) if s is not None}
+
+        events: Dict[int, List[Tuple[Optional[int], Set[int], Set[int]]]] = {}
+        edges: Dict[int, List[Tuple[int, Set[int]]]] = {}
+        phidefs: Dict[int, Set[int]] = {}
+        for block in blocks:
+            evs = []
+            for inst in block.instructions:
+                if isinstance(inst, PhiNode):
+                    continue
+                own = slots.get(id(inst))
+                d = own if own is not None and local(inst) == own else None
+                extra = locals_of([inst.pointer]) if isinstance(inst, LoadInst) else set()
+                evs.append((d, locals_of(inst.operands), extra))
+            events[id(block)] = evs
+            edges[id(block)] = [
+                (id(s), locals_of(p.incoming_for_block(block) for p in s.phis()))
+                for s in block.successors()
+            ]
+            phidefs[id(block)] = locals_of(block.phis())
+        top: Dict[int, Set[int]] = {id(b): set() for b in blocks}
+
+        def walk(block: BasicBlock, conflicts=None) -> Set[int]:
+            live: Set[int] = set()
+            for k, moved in edges[id(block)]:
+                live |= (top[k] - phidefs[k]) | moved
+            for d, used, extra in reversed(events[id(block)]):
+                if d is not None:
+                    if conflicts is not None:
+                        conflicts.setdefault(d, set()).update(live, extra)
+                    live.discard(d)
+                live |= used
+            return live
+
+        changed = True
+        while changed:
+            changed = False
+            for block in reversed(blocks):
+                new = walk(block)
+                if new != top[id(block)]:
+                    top[id(block)] = new
+                    changed = True
+        conflicts: Dict[int, Set[int]] = {}
+        for block in blocks:
+            walk(block, conflicts)
+            for p in phidefs[id(block)]:
+                conflicts.setdefault(p, set()).update(top[id(block)])
+        pairs = [
+            (local(p), local(p.incoming_for_block(block)))
+            for block in blocks for s in block.successors() for p in s.phis()
+            if local(p) is not None and local(p.incoming_for_block(block)) is not None
+        ]
+        rep: Dict[int, str] = {}
+        for group in coalesce(pairs, conflicts):
+            for v in group:
+                rep[v] = name(min(group))
+        value = returned(call)
+        if value is not None and local(value) is not None and id(call) in self.slots:
+            ret = local(value)
+            for v, r in list(rep.items()):
+                if r == rep.get(ret, name(ret)):
+                    rep[v] = f"r{self.slots[id(call)]}"
+            rep[ret] = f"r{self.slots[id(call)]}"
+        names = {}
+        for slot in set(slots.values()):
+            reg = held(name(slot))
+            got = hoisted[reg] if reg in hoisted else rep.get(
+                int(reg[reg.index("_") + 1 :]), reg
+            )
+            if got != name(slot):
+                names[name(slot)] = got
+        return names

@@ -114,6 +114,8 @@ EXEC_GLOBALS: Dict[str, object] = {
         "bool": bool,
         "float": float,
         "int": int,
+        "range": range,
+        "type": type,
         "IndexError": IndexError,
     },
     "_INF": math.inf,

@@ -7,7 +7,7 @@ original, so the verifier is the safety net for the whole pipeline.
 
 from __future__ import annotations
 
-from typing import List, Set
+from typing import Dict, List, Set
 
 from .block import BasicBlock
 from .function import Function
@@ -63,9 +63,17 @@ def verify_function(fn: Function, errors: List[str]) -> None:
 
     # Phi / predecessor consistency: the incoming-block set must exactly
     # match the CFG predecessors — a missing edge would read an undefined
-    # value in the interpreter, an extra one would mask a CFG bug.
+    # value in the interpreter, an extra one would mask a CFG bug.  One
+    # predecessor map for the function, each block once per successor in
+    # block order, as ``BasicBlock.predecessors`` lists them.
+    predecessors: Dict[int, List[BasicBlock]] = {id(b): [] for b in fn.blocks}
     for block in fn.blocks:
-        preds = block.predecessors()
+        for k in {id(s) for s in block.successors()}:
+            if k in predecessors:
+                predecessors[k].append(block)
+    for block in fn.blocks:
+        # a block another function claims lists that function's blocks
+        preds = predecessors[id(block)] if block.parent is fn else block.predecessors()
         for phi in block.phis():
             if len(phi.operands) != len(phi.incoming_blocks):
                 errors.append(

@@ -269,6 +269,26 @@ def every_arm(source):
 #: a charge in generated code
 CHARGE = re.compile(r"^ *_c \+= \d+$", re.M)
 
+#: a counted loop's fast copy in generated code: its guard, its ``for``
+#: and the body, and the assignment of ``i`` after it
+FAST_COPY = re.compile(
+    r"^( *)if [^\n]* <= _bud[^\n]*:\n\1    for (\w+) in range\(\2, ([^\n]*)\):\n"
+    r"(?:\1        [^\n]*\n)+\1    \2 = \3\n",
+    re.M,
+)
+
+
+def checked(source):
+    """``source`` without its counted loops' fast copies: the checked
+    loops, which run what the fast copies run and test the budget too."""
+    return FAST_COPY.sub("", source)
+
+
+def fast_copies(source):
+    """The ``for`` loops of ``source``'s fast copies, each from its guard
+    to the assignment of ``i`` after it."""
+    return [m.group(0) for m in FAST_COPY.finditer(source)]
+
 
 def leaf_loops(source):
     """One iteration of each inlined leaf loop in a region source: from
@@ -812,15 +832,16 @@ class TestRegionSources:
         entries, which leaves that iteration 8 of its 14 wrap checks; and
         every check of a fully duplicated ``waxpby``, whose shadow values
         its lean code computes from the same operands as their
-        originals."""
+        originals.  The counts are the checked loops'; each counted loop's
+        fast copy runs the same code less its budget tests."""
         sources = compiled_sources(monkeypatch)
         get_workload("fft").make_interpreter(1)
-        butterfly = sources["<region fft_row.for.cond7>"]
+        butterfly = checked(sources["<region fft_row.for.cond7>"])
         assert butterfly.count("state.load_past") == 4
         assert butterfly.count("_old = cells[") == 0
         assert butterfly.count("state.store_past") == 4
         get_workload("hpccg").make_interpreter(1)
-        nest = sources["<region spmv_slab.for.cond5>"]
+        nest = checked(sources["<region spmv_slab.for.cond5>"])
         inner = loop_iteration(nest, int(dispatch_tests(nest)[0]))
         assert not re.search(r"\* r2\b", inner)
         assert not re.search(r"\br2 - 1\b", inner)
@@ -836,18 +857,35 @@ class TestRegionSources:
         loop of hpccg ``main`` (two ``dot_range``, three ``waxpby``) and of
         ``fft_row`` (``bit_reverse``) tests no ``q{cfi}_bi`` and makes one
         charge and one hang test per iteration; and no lean region tests a
-        constant address against 0."""
+        constant address against 0.  The counts are the checked loops'.
+        Each of those loops also has one fast copy (hpccg ``main``'s five
+        leaf loops, ``spmv_slab``'s inner loop), which makes the same
+        charges but no hang test, no test point and no real call."""
         sources = all_sources(monkeypatch)
         for name in WORKLOADS:
             get_workload(name).make_interpreter(1)
         lean = {f: src for f, src in sources if f.startswith("<region ")}
         nest = lean["<region spmv_slab.for.cond5>"]
-        inner = loop_iteration(nest, int(dispatch_tests(nest)[0]))
+        inner = loop_iteration(checked(nest), int(dispatch_tests(nest)[0]))
         assert len(CHARGE.findall(every_arm(inner))) <= 8
+        (fast,) = [
+            copy for copy in fast_copies(nest) if "range(r24" in copy
+        ]  # the inner ``ix`` loop
+        assert len(CHARGE.findall(every_arm(fast))) == len(
+            CHARGE.findall(every_arm(inner))
+        )
         main = [src for f, src in lean.items() if f.startswith("<region main.")]
         row = [src for f, src in lean.items() if f.startswith("<region fft_row.")]
+        cg = lean["<region main.while.cond13>"]
+        copies = fast_copies(cg) + [fast]
+        assert len(copies) == 6
+        for copy in copies:
+            assert "> state.budget" not in copy  # no hang test
+            assert "> _bud:" not in copy  # no test point
+            assert "state.call(" not in copy
+            assert "_ca" not in copy.split("\n", 1)[1]  # no inline guard
         for sources_, count in ((main, 5), (row, 1)):
-            loops = [loop for src in sources_ for loop in leaf_loops(src)]
+            loops = [loop for src in sources_ for loop in leaf_loops(checked(src))]
             assert len(loops) == count
             for src in sources_:
                 assert not re.search(r"\bq\d+_bi\b", src)
@@ -1595,13 +1633,15 @@ class TestInlinedLeaves:
     def test_call_depth_limit_at_an_inlined_call(self):
         """At the deepest frame the leaf call would exceed
         ``DEFAULT_MAX_DEPTH``: the guard falls back to the real call, which
-        raises ``StackOverflow`` where the per-block table does."""
+        raises ``StackOverflow`` where the per-block table does.  The loop
+        is long enough for a fast copy, whose guard holds the inline guard
+        and so leaves the deepest frame to the checked loop."""
         source = """
         output double result[2];
         int sq(int x) { return x * x; }
         int deep(int d) {
             int s = 0;
-            for (int i = 0; i < 3; i = i + 1) { s = s + sq(i + d); }
+            for (int i = 0; i < 6; i = i + 1) { s = s + sq(i + d); }
             return s + deep(d + 1);
         }
         void main() { result[0] = (double)deep(0); }
@@ -1698,7 +1738,8 @@ class TestLoopInvariants:
         interp = Interpreter(parse_module(text))
         source = sources["<region main.head>"]
         assert [rhs for _, rhs in hoists(source)] == ["r1 * 3", "_h0 > 100"]
-        assert source.count("<<") == source.count("state.trap_div()") == 1
+        assert len(fast_copies(source)) == 1  # the shift and division are in it
+        assert checked(source).count("<<") == checked(source).count("state.trap_div()") == 1
         fast, reference = both_ways(interp, profile=True)
         assert fast["status"] == "ok"
         assert fast == reference
@@ -1723,7 +1764,7 @@ class TestLoopInvariants:
         sources = compiled_sources(monkeypatch)
         interp = Interpreter(compile_source(self.LEAF))
         (source,) = [s for f, s in sources.items() if f.startswith("<region main.")]
-        inner = loop_iteration(source, int(dispatch_tests(source)[0]))
+        inner = loop_iteration(checked(source), int(dispatch_tests(source)[0]))
         assert re.search(r"_in\d+ and _c( \+ \d+)? != _ca", inner) and " * " not in inner
         cm = interp.cm
         fn = cm.cfuncs[cm.get_function_index("cell")].fn
@@ -2611,9 +2652,206 @@ class TestDeferredCharges:
         assert "at dot_range:for.body2" in fast["error"]
         assert fast == reference
         # the inlined loop charges once, before its first check
-        loop = leaf_loops(sources["<region main.while.cond13>"])[0]
+        loop = leaf_loops(checked(sources["<region main.while.cond13>"]))[0]
         assert loop.count("_c += ") == 1
         assert loop.index("_c += ") < loop.index("check_failed")
+
+
+#: the kernel of ``TestCountedLoops``: ``run``'s loop over ``[lo, hi)``
+#: inlines the loop-free leaf ``offset`` and prints and reads per
+#: iteration, reading far below ``data`` at iteration ``bad``; ``main``
+#: inlines the leaf ``total``, whose counted loop runs over the same range
+COUNTED = """
+output double result[2];
+int lo = 0;
+int hi = 8;
+int bad = -1;
+double data[32];
+
+int offset(int i, int base) { return i - base; }
+
+double total(int a, int b) {
+    double s = 0.0;
+    for (int i = a; i < b; i = i + 1) { s = s + data[(i - a) % 32]; }
+    return s;
+}
+
+void run(int a, int b, int k0) {
+    double acc = 0.0;
+    for (int i = a; i < b; i = i + 1) {
+        int k = offset(i, a);
+        if (k == k0) { acc = acc + data[k - 100000000]; }
+        acc = acc + data[k % 32];
+        print(k);
+    }
+    result[0] = acc;
+}
+
+void main() {
+    for (int j = 0; j < 32; j = j + 1) { data[j] = (double)(j * 3 + 1); }
+    int a = lo;
+    int b = hi;
+    run(a, b, bad);
+    for (int r = 1; r < 2; r = r + 1) { result[r] = total(a, b); }
+}
+"""
+
+#: the largest int64, the last bound ``i < b`` lets ``i + 1`` reach
+INT64_MAX = (1 << 63) - 1
+
+
+@pytest.fixture(scope="module")
+def counted_kernel():
+    """An interpreter of :data:`COUNTED` and the blocks of its loops (the
+    loop of ``run`` and of ``total``, ``offset``'s one block)."""
+    interp = Interpreter(compile_source(COUNTED))
+    cm = interp.cm
+    blocks = []
+    for name in ("run", "offset", "total"):
+        cf = cm.cfuncs[cm.get_function_index(name)]
+        loops = LoopInfo(cf.fn).loops
+        inner = [b for lp in loops for b in lp.blocks if b.name != "entry"]
+        blocks += [b for b in cf.fn.blocks if b in inner or name == "offset"]
+    return interp, blocks
+
+
+class TestCountedLoops:
+    def test_counted_loops_run_fast_copies(self, monkeypatch):
+        """``run``'s loop over ``[a, b)`` (it inlines ``offset``) and
+        ``total``'s, inlined into ``main`` and in its own region, each have
+        one fast copy whose guard tests for at least five iterations,
+        ``i`` and ``b`` for ints and the iterations' costliest charge
+        against the region budget; ``run``'s
+        also holds the inline guard.  Its iteration makes no test point, no
+        hang test, no real call, no inline guard and no move of ``i``.
+        ``main``'s loop that inlines ``total`` is no counted loop: the
+        inlined loop's charge has no bound."""
+        sources = compiled_sources(monkeypatch)
+        Interpreter(compile_source(COUNTED))
+        copies = {f: fast_copies(src) for f, src in sources.items() if f.startswith("<")}
+        assert len(copies["<region total.for.cond1>"]) == 1
+        main = [c for f, cs in copies.items() if f.startswith("<region main.") for c in cs]
+        assert len(main) == 2  # the fill loop, inlined ``total``'s loop
+        (loop,) = copies["<region run.for.cond1>"]
+        guard = loop.splitlines()[0]
+        assert re.search(
+            r"if r\d+ - r\d+ >= 5 and type\(r\d+\) is int and type\(r\d+\) is int and _in\d+",
+            guard,
+        )
+        assert re.search(r"and _c \+ \d+ \* \(r\d+ - r\d+\) <= _bud:$", guard)
+        body = loop.split("\n", 1)[1]
+        assert "> _bud" not in body and "> state.budget" not in body
+        assert "state.call(" not in body and "_ca" not in body
+        i = re.search(r"for (\w+) in range", loop).group(1)
+        assert not re.search(rf"^ *{i} = ", body.rsplit("\n", 2)[0], re.M)
+
+    def test_wild_values_run_the_checked_loop(self, counted_kernel):
+        """``lo`` a bool and ``hi`` a float, as a wild store would leave
+        them: ``range`` would start at 1 rather than ``True`` and raise on
+        the float, so the fast copies stand aside and the checked loops run
+        as the per-block table does."""
+        interp, _ = counted_kernel
+        for lo, hi in ((True, 6), (0, 6.5), (-2, 2.0), (False, True)):
+            interp.set_global_override("lo", lo)
+            interp.set_global_override("hi", hi)
+            try:
+                fast, reference = both_ways(interp, entry="main", cycle_budget=100_000)
+            finally:
+                interp.set_global_override("lo", 0)
+                interp.set_global_override("hi", 8)
+            assert fast == reference, (lo, hi)
+
+    BREAK = """
+    output double result[1];
+    int lo = 0;
+    int hi = 12;
+    int stop = 7;
+    double data[32];
+
+    void main() {
+        for (int j = 0; j < 32; j = j + 1) { data[j] = (double)(j * 3 + 1); }
+        double s = 0.0;
+        int a = lo;
+        int b = hi;
+        int at = stop;
+        for (int r = 0; r < 3; r = r + 1) {
+            for (int i = a; i < b; i = i + 1) {
+                if (i == at) { break; }
+                s = s + data[i];
+            }
+            s = s * 2.0;
+        }
+        result[0] = s;
+    }
+    """
+
+    def test_a_loop_with_a_break_stays_checked(self, monkeypatch):
+        """The inner loop of ``main``'s nest also leaves by a ``break``,
+        into the outer loop's body: it is no counted loop (a ``continue``
+        to the dispatch loop would resume a ``for``), so only the fill loop
+        has a fast copy, and the nest runs as the per-block table does with
+        the break taken at once, later or never."""
+        sources = compiled_sources(monkeypatch)
+        interp = Interpreter(compile_source(self.BREAK))
+        copies = [
+            c for f, s in sources.items() if f.startswith("<region ") for c in fast_copies(s)
+        ]
+        assert len(copies) == 1 and "range(r0, 32)" in copies[0]
+        for stop in (-1, 0, 3, 11, 20):
+            interp.set_global_override("stop", stop)
+            fast, reference = both_ways(interp, entry="main", profile=True)
+            assert fast["status"] == "ok"
+            assert fast == reference, stop
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_counted_loop_agrees_with_the_per_block_table(self, counted_kernel, data):
+        """A range drawn empty (``lo >= hi``), from a negative ``lo``, next
+        to the largest int64 or up to it from a small ``lo`` (a run the
+        budget ends), an out-of-bounds read at an iteration drawn or none,
+        and a hang budget drawn inside the run or none.  The run, and a
+        single-shot trip of the first value of a loop block at each of its
+        golden entries (the call holding a flip in ``offset`` or ``total``
+        made real), leave the same status, cycles, cells, output and
+        profile on the region and the per-block tables."""
+        interp, blocks = counted_kernel
+        kind = data.draw(st.sampled_from(["small", "negative", "top", "unbounded"]))
+        n = data.draw(st.integers(-3, 12))
+        lo = {
+            "small": data.draw(st.integers(0, 40)),
+            "negative": data.draw(st.integers(-(1 << 40), -1)),
+            "top": INT64_MAX - data.draw(st.integers(0, 12)),
+            "unbounded": data.draw(st.integers(-5, 5)),
+        }[kind]
+        hi = INT64_MAX if kind == "unbounded" else min(lo + n, INT64_MAX)
+        bad = data.draw(st.integers(-6, 11))
+        for name, value in (("lo", lo), ("hi", hi), ("bad", bad)):
+            interp.set_global_override(name, value)
+        cap = 6_000 if kind == "unbounded" else 100_000
+        golden = interp.run("main", profile=True, cycle_budget=cap)
+        budget = data.draw(st.one_of(st.just(cap), st.integers(1, golden.cycles + 1)))
+        fast, reference = both_ways(interp, entry="main", cycle_budget=budget, profile=True)
+        assert fast == reference
+        if kind == "unbounded" and bad < 0:
+            assert fast["status"] == "hang"
+        if golden.status != "ok":
+            return
+        budget = 4 * golden.cycles
+        cm = interp.cm
+        bit = data.draw(st.integers(0, 62))
+        for block in blocks:
+            values = [i for i in block.instructions if id(i) in cm.records]
+            if not values:
+                continue
+            inst = values[-1]
+            entries = golden.entries
+            for occurrence, fire in enumerate(entries[cm.record_for(inst).block_gid], 1):
+                trip = dict(fire=fire, call_at=call_cycle(interp, entries, inst, fire))
+                fast, reference = both_ways(
+                    interp, entry="main", cycle_budget=budget,
+                    injection=flip(inst, occurrence, bit % result_bits(inst)), **trip,
+                )
+                assert fast == reference, (block.name, occurrence)
 
 
 #: a tuple assignment in generated code, and its targets
@@ -2722,7 +2960,7 @@ class TestCoalescedMoves:
         (a dead chain through the outer loops) move nothing."""
         sources = compiled_sources(monkeypatch)
         get_workload("fft").make_interpreter(1)
-        butterfly = sources["<region fft_row.for.cond7>"]
+        butterfly = checked(sources["<region fft_row.for.cond7>"])
         inner = loop_iteration(butterfly, int(dispatch_tests(butterfly)[0]))
         assert not TUPLE_MOVE.search(inner)
         assert not re.search(r"^ *r\d+ = (r\d+|_h\d+)$", inner, re.M)
