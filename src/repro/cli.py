@@ -86,7 +86,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         default=8,
         metavar="N",
         help="total rollbacks allowed per run before a detection escalates "
-        "to fail-stop (default: 8)",
+        "to fail-stop (default: 8; needs --recover)",
     )
     parser.add_argument(
         "--snapshot-period",
@@ -94,7 +94,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="CYCLES",
         help="minimum cycles between region snapshots; 0 snapshots at every "
-        "region boundary (default: 0)",
+        "region boundary (default: 0; needs --recover)",
     )
     parser.add_argument(
         "--warm-start",
@@ -109,7 +109,7 @@ def _add_campaign_args(parser: argparse.ArgumentParser) -> None:
         default=0,
         metavar="CYCLES",
         help="cycles between warm-start ladder rungs; 0 picks an automatic "
-        "stride of about golden_cycles/128 (default: 0)",
+        "stride of about golden_cycles/128 (default: 0; needs --warm-start)",
     )
     parser.add_argument(
         "--fault-model",
@@ -391,9 +391,6 @@ def _verify_checkpoint_report(args, campaign) -> int:
     campaign and its header is sound."""
     from .faults import campaign_fingerprint, verify_checkpoint
 
-    if not args.checkpoint:
-        print("error: --verify-checkpoint requires --checkpoint PATH", file=sys.stderr)
-        return 2
     fingerprint = campaign_fingerprint(campaign, args.trials, args.seed)
     report = verify_checkpoint(
         args.checkpoint,
@@ -1023,7 +1020,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--verify-checkpoint",
         action="store_true",
         help="validate the --checkpoint file (CRCs + fingerprint), report "
-        "recoverable vs. lost trials, and exit without injecting",
+        "recoverable vs. lost trials, and exit without injecting (needs "
+        "--checkpoint)",
     )
     p_inject.add_argument(
         "--chaos",
@@ -1033,7 +1031,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="failure-injection drill for the harness itself: "
         "kill@IDX[!] and hang@IDX:SECONDS events, comma-separated "
         "(e.g. 'kill@7,hang@12:3'); results must stay identical; "
-        "a malformed spec is rejected before the campaign starts",
+        "a malformed spec, or one with a single job, is rejected before "
+        "the campaign starts",
     )
     p_inject.add_argument(
         "--trace",
@@ -1269,6 +1268,20 @@ COMMANDS = {
 }
 
 
+def _refuse_inject_flags(args) -> None:
+    """Refuse ``inject`` flags that would silently do nothing, naming the
+    flag; the spec-level refusals are ``repro.faults.spec.REFUSALS``."""
+    from .faults import resolve_jobs
+
+    if args.chaos and resolve_jobs(args.jobs) == 1:
+        raise ValueError(
+            "--chaos drills the worker pool, which one job never starts: "
+            "add --jobs 2 or more"
+        )
+    if args.verify_checkpoint and not args.checkpoint:
+        raise ValueError("--verify-checkpoint requires --checkpoint PATH")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command in ("inject", "submit"):
@@ -1276,7 +1289,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         try:
             args.spec = CampaignSpec.from_args(args)
-        except ValueError as exc:  # names the bad key
+            if args.command == "inject":
+                _refuse_inject_flags(args)
+        except ValueError as exc:  # names the bad key or flag
             print(f"error: {exc}", file=sys.stderr)
             return 2
     try:

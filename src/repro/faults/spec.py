@@ -3,7 +3,8 @@
 Records are a pure function of (module, input, seed, fault model), and
 :class:`CampaignSpec` is the one path from those knobs to a ``Campaign``:
 parsed from argv (``from_args``), service JSON (``from_json``) or
-keywords; validated in ``__post_init__``, naming the bad key;
+keywords; validated in ``__post_init__``, naming the bad key (a knob
+that would do nothing is refused by a :data:`REFUSALS` row);
 canonicalized (defaults filled in, the fault model spelled canonically);
 built by ``build``.  Registry form names a ``workload`` and its
 ``input`` (a library caller may pass its own ``Workload`` object
@@ -63,6 +64,51 @@ _CHECKS = {
 }
 
 
+@dataclass(frozen=True)
+class Refusal:
+    """A knob that does nothing unless another is set: a spec that moves
+    ``key`` off its default while ``needs`` is not ``value`` is refused,
+    naming the key and the flag that sets it, instead of running without
+    a word.  A ``standalone`` row applies to argv and JSON specs only,
+    because a library caller may bring its own protected module."""
+
+    key: str
+    needs: str
+    value: object
+    why: str
+    standalone: bool = False
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.key.replace("_", "-")
+
+    def applies(self, spec) -> bool:
+        default = getattr(CampaignSpec, self.key)
+        return getattr(spec, self.key) != default and getattr(spec, self.needs) != self.value
+
+
+#: every spec-level refusal, in the order validation meets them (the
+#: ``standalone`` rows last); ``repro.cli`` and the service reach them
+#: through :class:`CampaignSpec`
+REFUSALS = (
+    Refusal("snapshot_stride", "warm_start", True,
+            "spaces warm-start ladder rungs: combine it with warm_start (--warm-start)"),
+    Refusal("max_rollbacks", "recover", True,
+            "caps rollbacks: combine it with recover (--recover)"),
+    Refusal("snapshot_period", "recover", True,
+            "spaces recovery snapshots: combine it with recover (--recover)"),
+    Refusal("recover", "protect", "full",
+            "needs duplication checks to fire: combine it with protect 'full'",
+            standalone=True),
+)
+
+
+def _refuse(spec, standalone: bool) -> None:
+    for row in REFUSALS:
+        if row.standalone == standalone and row.applies(spec):
+            raise ValueError(f"spec {row.key!r} ({row.flag}) {row.why}")
+
+
 def _is_workload(value) -> bool:
     from ..workloads.base import Workload
 
@@ -106,6 +152,7 @@ class CampaignSpec:
             value = getattr(self, key)
             if not ok(value):
                 raise ValueError(f"spec {key!r} must be {what}, got {value!r}")
+        _refuse(self, standalone=False)
         if (self.workload is None) == (self.source is None):
             raise ValueError("spec needs exactly one of 'workload' or 'source'")
         try:
@@ -152,11 +199,7 @@ class CampaignSpec:
     def standalone(self) -> "CampaignSpec":
         """Refuse what only a caller-supplied module can honour; every
         argv and JSON spec compiles its own module."""
-        if self.recover and self.protect != "full":
-            raise ValueError(
-                "spec 'recover' needs duplication checks to fire: combine "
-                "it with protect 'full'"
-            )
+        _refuse(self, standalone=True)
         return self
 
     def to_json(self) -> Dict:

@@ -34,8 +34,10 @@ every job.  The control flow per job:
 Because trial plans are pre-sampled deterministically and every commit
 is validated against the local plan, the records a job accumulates are
 bit-identical to a cold in-process ``Campaign.run`` no matter how many
-leases expired, acks were lost, or coordinators died along the way —
-the chaos suite (``tests/test_service.py``) asserts exactly that.
+leases expired, acks were lost, or coordinators died along the way.
+``tests/test_service.py`` asserts that under the service's chaos modes,
+and ``tests/test_determinism.py`` holds the solo and worker executors to
+it under the other engine knobs.
 """
 
 from __future__ import annotations

@@ -13,33 +13,16 @@ import math
 
 import pytest
 
-from repro.cli import _say_outcome_mix, build_parser
+from repro.cli import _say_outcome_mix, build_parser, main
 from repro.core import collect_data, evaluate_unprotected, evaluate_variant
 from repro.faults import CampaignSpec, OutputVerifier, campaign_fingerprint
 from repro.faults.models import validate_fault_model_spec
+from repro.faults.spec import REFUSALS
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.recover import RecoveryPolicy
 from repro.workloads import Workload, get_workload
+from tests.test_service import KERNEL
 
-KERNEL = """
-int n = 12;
-output double result[4];
-
-double work(double a[], int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        s = s + a[i] * a[i];
-    }
-    return sqrt(s);
-}
-
-void main() {
-    double x[16];
-    for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
-    result[0] = work(x, n);
-    result[1] = (double)n;
-}
-"""
 
 PROTECT_ARGV = {
     "none": ["--protect", "none"],
@@ -290,6 +273,51 @@ class TestValidation:
         spec = CampaignSpec.from_json(source_spec())
         with pytest.raises(AttributeError):
             spec.trials = 3
+
+
+#: each spec-level refusal row's key, set in vain: (argv, JSON value)
+REFUSED_KNOBS = {
+    "snapshot_stride": (["--snapshot-stride", "500"], 500),
+    "max_rollbacks": (["--max-rollbacks", "3"], 3),
+    "snapshot_period": (["--snapshot-period", "500"], 500),
+    "recover": (["--recover"], True),
+}
+
+
+class TestRefusals:
+    """A knob that would do nothing is refused alike on every path: exit 2
+    naming the flag for ``inject`` and ``submit`` argv, a ``ValueError``
+    naming the key for service JSON, and nothing built first."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_built(self, monkeypatch):
+        monkeypatch.delenv("IPAS_JOBS", raising=False)
+        monkeypatch.setattr(CampaignSpec, "build", lambda *a, **k: pytest.fail("built"))
+
+    def test_every_row_has_a_knob(self):
+        assert set(REFUSED_KNOBS) == {row.key for row in REFUSALS}
+
+    @pytest.mark.parametrize("command", ["inject", "submit"])
+    @pytest.mark.parametrize("row", REFUSALS, ids=lambda row: row.key)
+    def test_spec_rows(self, capsys, command, row):
+        argv, value = REFUSED_KNOBS[row.key]
+        assert main([command, "fft", *argv]) == 2
+        err = capsys.readouterr().err
+        assert row.flag in err and f"'{row.key}'" in err
+        with pytest.raises(ValueError, match=f"'{row.key}'"):
+            CampaignSpec.from_json({"workload": "fft", "trials": 5, row.key: value})
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["--chaos", "kill@3"], "--chaos"),
+            (["--chaos", "kill@3", "--jobs", "1"], "--chaos"),
+            (["--verify-checkpoint"], "--verify-checkpoint"),
+        ],
+    )
+    def test_inject_rows(self, capsys, argv, flag):
+        assert main(["inject", "fft", *argv]) == 2
+        assert flag in capsys.readouterr().err
 
 
 class TestCanonical:

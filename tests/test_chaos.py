@@ -28,26 +28,7 @@ from repro.faults import (
 from repro.faults.chaos import ChaosMonkey, corrupt_checkpoint, parse_chaos_spec
 from repro.faults.parallel import _seal
 from repro.interp import Interpreter
-
-KERNEL = """
-int n = 12;
-output double result[4];
-
-double work(double a[], int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        s = s + a[i] * a[i];
-    }
-    return sqrt(s);
-}
-
-void main() {
-    double x[16];
-    for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
-    result[0] = work(x, n);
-    result[1] = (double)n;
-}
-"""
+from tests.test_service import KERNEL
 
 N_TRIALS = 24
 SEED = 11

@@ -1,10 +1,11 @@
 """Tests for the pluggable fault-model registry.
 
 The contracts under test, per model: spec grammar (eager, bad token
-named), deterministic trial plans (jobs=1 == jobs=N == serial resume),
-the default model's byte-identity with the historical engine, checkpoint
-model tagging (refusal on mismatch, legacy files resume as
-transient-1bit), multi-shot recovery fail-stop, warm-start planning
+named), deterministic trial plans (jobs=1 == jobs=N == serial resume ==
+warm, through ``tests/test_determinism.py``, which also holds
+multi-shot recovery to fail-stop), the default model's byte-identity
+with the historical engine, checkpoint model tagging (refusal on
+mismatch, legacy files resume as transient-1bit), warm-start planning
 against the first possible firing, sanitizer scoping, heatmap tagging,
 and the cross-model experiments driver.
 """
@@ -45,8 +46,8 @@ from repro.ir import (
     const_int,
     verify_module,
 )
-from repro.recover import RecoveryPolicy
 from repro.workloads import get_workload
+from tests.test_determinism import Combo, check
 
 MODEL_SPECS = (
     "transient-1bit",
@@ -269,36 +270,14 @@ class TestCorrupters:
 
 class TestDeterminism:
     @pytest.mark.parametrize("spec", MODEL_SPECS)
-    def test_jobs1_equals_jobs2(self, spec):
-        serial, _, _ = run_keys(spec, n_jobs=1)
-        sharded, _, _ = run_keys(spec, n_jobs=2)
-        assert serial == sharded
+    def test_jobs1_equals_jobs2(self, spec, tmp_path):
+        check(Combo("fft", 20, 3, model=spec, executor="pool"), tmp_path)
 
     @pytest.mark.parametrize(
         "spec", ["transient-multibit:k=3", "intermittent:p=0.7,window=6", "persistent"]
     )
     def test_serial_resume_identity(self, spec, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        full, _, _ = run_keys(spec, trials=16)
-
-        calls = []
-        campaign = make_campaign(spec)
-
-        def interrupt(i, record):
-            calls.append(i)
-            if len(calls) == 6:
-                raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            run_campaign(
-                campaign, 16, seed=3, n_jobs=1,
-                checkpoint_path=path, on_trial=interrupt,
-            )
-        resumed = run_campaign(
-            make_campaign(spec), 16, seed=3, n_jobs=1, checkpoint_path=path
-        )
-        assert [record_key(r) for r in resumed.records] == full
-        assert resumed.stats.resumed >= 1
+        check(Combo("fft", 16, 3, model=spec, resume_at=6), tmp_path)
 
     def test_default_model_matches_explicit(self):
         default, c_default, _ = run_keys(None)
@@ -405,14 +384,6 @@ class TestCheckpointModelTag:
 
 
 class TestMultiShot:
-    def _protected_module(self, workload="fft"):
-        from repro.protect import FullDuplicationSelector, duplicate_instructions
-
-        w = get_workload(workload)
-        module = w.compile()
-        duplicate_instructions(module, FullDuplicationSelector().select(module))
-        return module
-
     def test_multi_shot_flags(self):
         assert not Transient1Bit.multi_shot
         assert not FAULT_MODELS["transient-multibit"].multi_shot
@@ -420,36 +391,11 @@ class TestMultiShot:
         assert Intermittent.multi_shot
         assert Persistent.multi_shot
 
-    @pytest.mark.parametrize("spec", ["persistent", "intermittent:p=0.9,window=4"])
-    def test_recovery_never_corrects_multi_shot(self, spec):
-        module = self._protected_module()
-        campaign = make_campaign(
-            spec, module=module, recovery=RecoveryPolicy(max_rollbacks=4)
-        )
-        result = run_campaign(campaign, 30, seed=5, n_jobs=1)
-        counts = result.counts.counts
-        assert counts[Outcome.CORRECTED] == 0, counts
-        # faults still land and checks still fire as plain detections
-        assert counts[Outcome.DETECTED] >= 1, counts
-
-    def test_single_shot_models_still_correct(self):
-        module = self._protected_module()
-        campaign = make_campaign(
-            "transient-multibit:k=2",
-            module=module,
-            recovery=RecoveryPolicy(max_rollbacks=4),
-        )
-        result = run_campaign(campaign, 40, seed=5, n_jobs=1)
-        assert result.counts.counts[Outcome.CORRECTED] >= 1, result.counts
-
     @pytest.mark.parametrize(
         "spec", ["persistent", "intermittent:p=0.8,window=6", "transient-multibit:k=3"]
     )
-    def test_warm_start_matches_cold(self, spec):
-        cold, _, _ = run_keys(spec, trials=16)
-        warm, _, warm_result = run_keys(spec, trials=16, warm_start=True)
-        assert warm == cold
-        assert warm_result.stats.warm_restores >= 0  # engine ran the warm path
+    def test_warm_start_matches_cold(self, spec, tmp_path):
+        check(Combo("fft", 16, 3, model=spec, warm=True), tmp_path)
 
     def test_persistent_first_occurrence_pins_to_one(self):
         campaign = make_campaign("persistent")

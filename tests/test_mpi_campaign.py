@@ -4,15 +4,10 @@ import random
 
 import pytest
 
-from repro.faults import (
-    FAULT_MODELS,
-    CampaignCheckpoint,
-    MpiCampaign,
-    Outcome,
-    TrialPlan,
-)
+from repro.faults import FAULT_MODELS, MpiCampaign, Outcome
 from repro.protect import FullDuplicationSelector, duplicate_instructions
 from repro.workloads import get_workload
+from tests.test_determinism import Combo, check
 
 RANKS = 3
 TRIALS = 30
@@ -46,22 +41,6 @@ def campaign(workload):
     c = make_campaign(workload)
     c.prepare()
     return c
-
-
-def plan_entries(campaign, result):
-    """The result's canonical checkpoint entries, in trial order."""
-    plan = TrialPlan(campaign, len(result.records), result.seed)
-    return [plan.entry(i, record) for i, record in enumerate(result.records)]
-
-
-def checkpoint_entries(campaign, path, n_trials, seed):
-    saved = CampaignCheckpoint(
-        path, campaign.fingerprint(n_trials, seed), n_trials, seed,
-        model=campaign.fault_model.spec(),
-    ).load(strict=True)
-    return [
-        {k: v for k, v in saved[i].items() if k != "crc"} for i in range(n_trials)
-    ]
 
 
 class TestMpiCampaign:
@@ -135,33 +114,12 @@ class TestMpiEngine:
         )
         assert got == PINNED[seed]
 
-    def test_entries_independent_of_job_count(self, campaign):
-        serial = plan_entries(campaign, campaign.run(16, seed=3, n_jobs=1))
-        assert plan_entries(campaign, campaign.run(16, seed=3, n_jobs=2)) == serial
+    def test_entries_independent_of_job_count(self, tmp_path):
+        check(Combo("is", 16, 3, ranks=RANKS, executor="pool"), tmp_path)
 
     @pytest.mark.parametrize("k", [1, 9])
-    def test_interrupted_resume_matches_uninterrupted(self, workload, campaign, tmp_path, k):
-        path = str(tmp_path / "mpi.ckpt")
-        reference = plan_entries(campaign, campaign.run(TRIALS, seed=5))
-
-        class Abort(Exception):
-            pass
-
-        def bomb(index, record, seen=[]):
-            seen.append(index)
-            if len(seen) == k:
-                raise Abort
-
-        with pytest.raises(Abort):
-            make_campaign(workload).run(
-                TRIALS, seed=5, checkpoint_path=path, on_trial=bomb
-            )
-        fresh = make_campaign(workload)
-        resumed = fresh.run(TRIALS, seed=5, checkpoint_path=path, n_jobs=2)
-        assert resumed.stats.resumed == k
-        assert resumed.stats.completed == TRIALS - k
-        assert plan_entries(fresh, resumed) == reference
-        assert checkpoint_entries(fresh, path, TRIALS, 5) == reference
+    def test_interrupted_resume_matches_uninterrupted(self, tmp_path, k):
+        check(Combo("is", TRIALS, 5, ranks=RANKS, resume_at=k, executor="pool"), tmp_path)
 
     def test_fingerprint_depends_on_rank_count(self, workload, campaign):
         three = campaign.fingerprint(TRIALS, 5)
@@ -186,7 +144,7 @@ MODEL_TRIALS = 24
 def model_run(request, workload):
     """One serial run per registered fault model: the model, the ranks its
     sites were drawn in (recorded at draw time, before the model adjusts
-    the site) and the run's whole entries."""
+    the site) and the run."""
     campaign = make_campaign(workload, fault_model=request.param)
     campaign.prepare()
     drawn = []
@@ -200,7 +158,7 @@ def model_run(request, workload):
     campaign.sample_site = recording
     result = campaign.run(MODEL_TRIALS, seed=5)
     del campaign.sample_site
-    return request.param, drawn, result, plan_entries(campaign, result)
+    return request.param, drawn, result
 
 
 class TestMpiFaultModels:
@@ -208,37 +166,14 @@ class TestMpiFaultModels:
     one campaign path, with the determinism contract of the default one."""
 
     def test_sites_cover_every_rank_and_keep_it(self, model_run):
-        _name, drawn, result, _entries = model_run
+        _name, drawn, result = model_run
         assert [r.site.rank for r in result.records] == drawn
         assert set(drawn) == set(range(RANKS))
 
-    def test_entries_independent_of_job_count(self, workload, model_run):
-        name, _drawn, _result, serial = model_run
-        campaign = make_campaign(workload, fault_model=name)
-        sharded = campaign.run(MODEL_TRIALS, seed=5, n_jobs=2)
-        assert plan_entries(campaign, sharded) == serial
+    def test_entries_independent_of_job_count(self, model_run, tmp_path):
+        combo = Combo("is", MODEL_TRIALS, 5, ranks=RANKS, model=model_run[0], executor="pool")
+        check(combo, tmp_path)
 
-    def test_interrupted_resume_matches_uninterrupted(
-        self, workload, model_run, tmp_path
-    ):
-        name, _drawn, _result, reference = model_run
-        path = str(tmp_path / "mpi.ckpt")
-        k = 7
-
-        class Abort(Exception):
-            pass
-
-        def bomb(index, record, seen=[]):
-            seen.append(index)
-            if len(seen) == k:
-                raise Abort
-
-        with pytest.raises(Abort):
-            make_campaign(workload, fault_model=name).run(
-                MODEL_TRIALS, seed=5, checkpoint_path=path, on_trial=bomb
-            )
-        fresh = make_campaign(workload, fault_model=name)
-        resumed = fresh.run(MODEL_TRIALS, seed=5, checkpoint_path=path, n_jobs=2)
-        assert resumed.stats.resumed == k
-        assert plan_entries(fresh, resumed) == reference
-        assert checkpoint_entries(fresh, path, MODEL_TRIALS, 5) == reference
+    def test_interrupted_resume_matches_uninterrupted(self, model_run, tmp_path):
+        check(Combo("is", MODEL_TRIALS, 5, ranks=RANKS, model=model_run[0],
+                    resume_at=7, executor="pool"), tmp_path)

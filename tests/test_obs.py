@@ -4,7 +4,8 @@ The contract under test: metrics merge deterministically (jobs 1 vs N vs
 MPI ranks, warm-start on/off), traces parse and nest, heatmaps join the
 coverage prover's verdicts, the block profiler never perturbs simulated
 state, and — above all — a campaign run with observability attached is
-bit-identical to one without.
+bit-identical to one without (``tests/test_determinism.py`` holds every
+obs-on combination of knobs to the serial-cold records and metrics).
 """
 
 import json
@@ -13,7 +14,7 @@ import pytest
 
 from repro import compile_source
 from repro.analysis.loops import LoopInfo
-from repro.faults import Campaign, MpiCampaign, campaign_fingerprint
+from repro.faults import Campaign, campaign_fingerprint
 from repro.interp import Interpreter
 from repro.obs import (
     BlockProfiler,
@@ -26,26 +27,8 @@ from repro.obs import (
     render_metrics_text,
     validate_trace,
 )
-
-KERNEL = """
-int n = 12;
-output double result[4];
-
-double work(double a[], int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        s = s + a[i] * a[i];
-    }
-    return sqrt(s);
-}
-
-void main() {
-    double x[16];
-    for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
-    result[0] = work(x, n);
-    result[1] = (double)n;
-}
-"""
+from tests.test_determinism import Combo, check
+from tests.test_service import KERNEL
 
 
 NESTED_KERNEL = """
@@ -64,18 +47,6 @@ void main() {
 
 def make_campaign(**kwargs):
     return Campaign(Interpreter(compile_source(KERNEL, name="kernel")), **kwargs)
-
-
-def record_key(record):
-    site = record.site
-    return (
-        site.instruction.opcode,
-        site.occurrence,
-        site.bit,
-        record.outcome,
-        record.status,
-        record.cycles,
-    )
 
 
 class TestRegistry:
@@ -160,47 +131,19 @@ class TestRegistry:
 
 
 class TestCampaignMergeDeterminism:
-    """Satellite: aggregation identical at jobs 1 vs 2 vs MPI ranks, warm on/off."""
+    """Aggregation identical at jobs 1 vs 2 vs MPI ranks, warm on/off."""
 
-    def snapshot(self, **kwargs):
-        result = make_campaign(
-            warm_start=kwargs.pop("warm_start", False)
-        ).run(24, seed=7, **kwargs)
-        return result, result.stats.registry.deterministic_snapshot()
+    def test_jobs_1_vs_2(self, tmp_path):
+        check(Combo(trials=24, seed=7, executor="pool", obs=True), tmp_path)
 
-    def test_jobs_1_vs_2(self):
-        r1, d1 = self.snapshot(n_jobs=1)
-        r2, d2 = self.snapshot(n_jobs=2)
-        assert d1 == d2
-        assert [record_key(r) for r in r1.records] == [
-            record_key(r) for r in r2.records
-        ]
-
-    def test_warm_start_on_off(self):
-        _, cold = self.snapshot(n_jobs=2)
-        _, warm = self.snapshot(n_jobs=2, warm_start=True)
+    def test_warm_start_on_off(self, tmp_path):
         # The warm engine adds its own ledger counters; the trial-level
         # metrics (outcomes, cycles) must be bit-identical to a cold run.
-        warm_trials = {k: v for k, v in warm.items() if not k.startswith("ipas_warm")}
-        assert warm_trials == cold
-        assert warm["ipas_warm_restores_total"]["samples"][0]["value"] == 24
+        run = check(Combo(trials=24, seed=7, executor="pool", warm=True, obs=True), tmp_path)
+        assert run.metrics.value("ipas_warm_restores_total") == 24
 
-    def test_mpi_ranks_jobs_1_vs_2(self):
-        from repro.workloads import get_workload
-
-        workload = get_workload("is")
-        snapshots = []
-        for n_jobs in (1, 2):
-            job = workload.make_job(2, 1)
-            campaign = MpiCampaign(
-                job, verifier=workload.verifier(),
-                budget_factor=workload.budget_factor,
-            )
-            obs = Observation()
-            result = campaign.run(10, seed=3, n_jobs=n_jobs, obs=obs)
-            assert result.stats.registry is obs.registry
-            snapshots.append(obs.registry.deterministic_snapshot())
-        assert snapshots[0] == snapshots[1]
+    def test_mpi_ranks_jobs_1_vs_2(self, tmp_path):
+        check(Combo("is", 10, 3, ranks=2, executor="pool", obs=True), tmp_path)
 
 
 class TestTrace:
@@ -399,16 +342,7 @@ class TestBitIdentity:
     """Observability must never perturb outcomes or fingerprints."""
 
     def test_outcomes_identical_with_obs_on_and_off(self, tmp_path):
-        plain = make_campaign().run(24, seed=7, n_jobs=2)
-        obs = Observation(
-            trace_path=str(tmp_path / "t.json"),
-            metrics_path=str(tmp_path / "m.json"),
-        )
-        traced = make_campaign().run(24, seed=7, n_jobs=2, obs=obs)
-        assert [record_key(r) for r in plain.records] == [
-            record_key(r) for r in traced.records
-        ]
-        assert plain.counts.as_dict() == traced.counts.as_dict()
+        check(Combo(trials=24, seed=7, executor="pool", obs=True), tmp_path)
 
     def test_fingerprint_independent_of_obs(self):
         a = make_campaign()

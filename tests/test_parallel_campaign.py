@@ -2,7 +2,8 @@
 
 The engine's contract is that a campaign is a pure function of (module,
 input, seed): pre-sampling the trial plan serially makes outcomes
-bit-identical for every worker count, checkpoint resume included.
+bit-identical for every worker count, checkpoint resume included
+(``tests/test_determinism.py`` holds every knob to it).
 """
 
 import json
@@ -24,26 +25,8 @@ from repro.faults import (
 )
 from repro.faults.parallel import record_from_entry
 from repro.interp import Interpreter
-
-KERNEL = """
-int n = 12;
-output double result[4];
-
-double work(double a[], int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        s = s + a[i] * a[i];
-    }
-    return sqrt(s);
-}
-
-void main() {
-    double x[16];
-    for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
-    result[0] = work(x, n);
-    result[1] = (double)n;
-}
-"""
+from tests.test_determinism import Combo, check
+from tests.test_service import KERNEL
 
 
 def make_campaign():
@@ -95,15 +78,8 @@ class TestDeterminism:
             site_key(s) for s in planned
         ]
 
-    def test_parallel_matches_serial(self):
-        serial = make_campaign().run(24, seed=7)
-        parallel = make_campaign().run(24, seed=7, n_jobs=4)
-        assert serial.counts.as_dict() == parallel.counts.as_dict()
-        assert [record_key(r) for r in serial.records] == [
-            record_key(r) for r in parallel.records
-        ]
-        assert parallel.stats.n_jobs == 4
-        assert parallel.stats.completed == 24
+    def test_parallel_matches_serial(self, tmp_path):
+        check(Combo(trials=24, seed=7, executor="pool"), tmp_path)
 
     @pytest.mark.skipif(not fork_available(), reason="needs the fork pool")
     def test_mismatched_pool_result_is_refused(self, monkeypatch):
@@ -131,26 +107,7 @@ class TestDeterminism:
 
 class TestCheckpoint:
     def test_resume_matches_uninterrupted(self, tmp_path):
-        path = str(tmp_path / "ckpt.jsonl")
-        reference = make_campaign().run(20, seed=3)
-
-        class Abort(Exception):
-            pass
-
-        def bomb(index, record, remaining=[8]):
-            remaining[0] -= 1
-            if remaining[0] == 0:
-                raise Abort
-
-        with pytest.raises(Abort):
-            make_campaign().run(20, seed=3, checkpoint_path=path, on_trial=bomb)
-
-        resumed = make_campaign().run(20, seed=3, checkpoint_path=path, n_jobs=2)
-        assert resumed.stats.resumed == 8
-        assert resumed.stats.completed == 12
-        assert [record_key(r) for r in resumed.records] == [
-            record_key(r) for r in reference.records
-        ]
+        check(Combo(trials=20, seed=3, resume_at=8, executor="pool"), tmp_path)
 
     def test_mismatched_fingerprint_discarded(self, tmp_path):
         path = tmp_path / "ckpt.jsonl"

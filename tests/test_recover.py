@@ -31,26 +31,8 @@ from repro.recover import (
     build_plan,
     compute_regions,
 )
-
-KERNEL = """
-int n = 12;
-output double result[4];
-
-double work(double a[], int n) {
-    double s = 0.0;
-    for (int i = 0; i < n; i = i + 1) {
-        s = s + a[i] * a[i];
-    }
-    return sqrt(s);
-}
-
-void main() {
-    double x[16];
-    for (int i = 0; i < n; i = i + 1) { x[i] = (double)(i + 1); }
-    result[0] = work(x, n);
-    result[1] = (double)n;
-}
-"""
+from tests.test_determinism import Combo, check
+from tests.test_service import KERNEL
 
 
 def protected_interpreter():
@@ -152,12 +134,9 @@ class TestCorrectedRuns:
 
 
 class TestDeterminism:
-    def test_parallel_matches_serial_with_recovery(self):
-        a = make_campaign(recovery=RecoveryPolicy()).run(24, seed=5, n_jobs=1)
-        b = make_campaign(recovery=RecoveryPolicy()).run(24, seed=5, n_jobs=2)
-        assert [record_key(r) for r in a.records] == [
-            record_key(r) for r in b.records
-        ]
+    def test_parallel_matches_serial_with_recovery(self, tmp_path):
+        check(Combo(trials=24, seed=5, protect="full", recover=True, executor="pool"),
+              tmp_path)
 
     def test_recovery_off_matches_historical_engine(self):
         a = make_campaign().run(24, seed=5)
@@ -298,29 +277,6 @@ class TestDetectionContext:
         error = DetectedByDuplication("boom")
         assert error.function == ""
         assert error.check_name == ""
-
-
-class TestMpiRecovery:
-    def test_job_level_corrections(self):
-        from repro.faults import MpiCampaign
-        from repro.workloads import get_workload
-
-        workload = get_workload("is")
-        module = workload.compile()
-        duplicate_instructions(module, FullDuplicationSelector().select(module))
-        campaign = MpiCampaign(
-            workload.make_job(3, 1, module=module),
-            verifier=workload.verifier(),
-            budget_factor=workload.budget_factor,
-            recovery=RecoveryPolicy(),
-        )
-        result = campaign.run(10, seed=5)
-        corrected = result.counts.counts[Outcome.CORRECTED]
-        assert corrected > 0
-        for record in result.records:
-            if record.outcome is Outcome.CORRECTED:
-                assert record.recovery is not None
-                assert record.recovery.rollbacks > 0
 
 
 class TestSerialization:

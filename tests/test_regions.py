@@ -30,7 +30,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import compile_source
 from repro.analysis.loops import LoopInfo
-from repro.faults import Campaign, CampaignSpec, MpiCampaign, TrialPlan
+from repro.faults import Campaign, CampaignSpec, TrialPlan
 from repro.faults.campaign import TrialRecord, call_cycle
 from repro.faults.model import FaultSite, result_bits
 from repro.faults.parallel import run_campaign, trial_entry
@@ -54,6 +54,7 @@ from repro.recover import SnapshotLadder, WarmSnapshot, WarmStart
 from repro.recover.warm import _TrackState
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
+from tests.test_determinism import Combo, build, check, per_block_dispatch
 
 WORKLOADS = ("comd", "hpccg", "amg", "fft", "is", "particles")
 
@@ -142,22 +143,6 @@ def flip(inst, occurrence, bit):
     return Transient1Bit().injection_for(FaultSite(inst, occurrence, bit))
 
 
-@contextmanager
-def per_block_dispatch(cm):
-    """Make the lean and the profiled loop dispatch block by block,
-    injected and resync-armed trials too."""
-    saved = [(cf.region_fns, cf.region_of, cf.profiled_fns) for cf in cm.cfuncs]
-    for cf in cm.cfuncs:
-        cf.region_fns = list(cf.block_fns)
-        cf.region_of = {}
-        cf.profiled_fns = list(cf.block_fns)
-    try:
-        yield
-    finally:
-        for cf, tables in zip(cm.cfuncs, saved):
-            cf.region_fns, cf.region_of, cf.profiled_fns = tables
-
-
 def digest(values):
     """NaN-safe fingerprint of a long list (compared as text)."""
     return hashlib.sha256(repr(values).encode()).hexdigest()
@@ -202,12 +187,6 @@ def static_check_count(module):
         for inst in block.instructions
         if getattr(getattr(inst, "callee", None), "name", "").startswith("ipas.check")
     )
-
-
-def campaign_entries(campaign, n_trials, seed):
-    result = run_campaign(campaign, n_trials, seed=seed, n_jobs=1)
-    plan = TrialPlan(campaign, n_trials, seed)
-    return [plan.entry(i, record) for i, record in enumerate(result.records)]
 
 
 def compiled_sources(monkeypatch):
@@ -1215,60 +1194,33 @@ class TestRandomTrials:
 
 
 class TestCampaignEquivalence:
+    """Campaign records under the per-block table equal region code's
+    serial-cold ones (the determinism harness's ``per_block`` axis)."""
+
     @pytest.mark.parametrize("model", list(FAULT_MODELS))
-    def test_cold_fft_trials(self, model):
-        w = get_workload("fft")
-        campaign = Campaign(
-            w.make_interpreter(1),
-            verifier=w.verifier(),
-            entry=w.entry,
-            budget_factor=w.budget_factor,
-            fault_model=model,
-        )
-        fast = campaign_entries(campaign, 20, seed=11)
+    def test_cold_fft_trials(self, model, tmp_path):
+        combo = Combo("fft", 20, 11, model=model, per_block=True)
+        campaign = build(combo)
         cm = campaign.interp.cm
-        sites = TrialPlan(campaign, 20, 11).sites
-        in_region = [
-            site
-            for site in sites
-            if cm.record_for(site.instruction).block_index
-            in cm.cfuncs[cm.record_for(site.instruction).cfi].region_of
-        ]
-        assert in_region  # the injected region variants are exercised
-        with per_block_dispatch(cm):
-            reference = campaign_entries(campaign, 20, seed=11)
-        assert fast == reference
+        records = [cm.record_for(site.instruction)
+                   for site in TrialPlan(campaign, 20, 11).sites]
+        # the injected region variants are exercised
+        assert any(r.block_index in cm.cfuncs[r.cfi].region_of for r in records)
+        check(combo, tmp_path)
 
     @pytest.mark.parametrize("model", list(FAULT_MODELS))
     @pytest.mark.parametrize("name", ["fft", "hpccg"])
-    def test_cold_fully_duplicated_trials(self, name, model):
+    def test_cold_fully_duplicated_trials(self, name, model, tmp_path):
         """Lean code numbers a shadow value like its original and drops
         their check; a fault still reaches it through the frame or
         memory, so outcomes (``DETECTED`` ones included) and cycles stay
         those of the per-block table."""
-        w = get_workload(name)
-        campaign = Campaign(
-            fully_duplicated(name),
-            verifier=w.verifier(),
-            entry=w.entry,
-            budget_factor=w.budget_factor,
-            fault_model=model,
-        )
-        fast = campaign_entries(campaign, 20, seed=11)
-        assert any(entry["outcome"] == "detected" for entry in fast)
-        with per_block_dispatch(campaign.interp.cm):
-            reference = campaign_entries(campaign, 20, seed=11)
-        assert fast == reference
+        run = check(Combo(name, 20, 11, model=model, protect="full", per_block=True),
+                    tmp_path)
+        assert any(entry["outcome"] == "detected" for entry in run.entries)
 
-    def test_mpi_is_two_ranks(self):
-        w = get_workload("is")
-        campaign = MpiCampaign(
-            w.make_job(2, 1), verifier=w.verifier(), budget_factor=w.budget_factor
-        )
-        fast = campaign_entries(campaign, 16, seed=4)
-        with per_block_dispatch(campaign.job.cm):
-            reference = campaign_entries(campaign, 16, seed=4)
-        assert fast == reference
+    def test_mpi_is_two_ranks(self, tmp_path):
+        check(Combo("is", 16, 4, ranks=2, per_block=True), tmp_path)
 
 
 class TestCheckSites:

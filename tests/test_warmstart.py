@@ -1,23 +1,22 @@
 """Property suite for warm-start (snapshot-ladder) campaign execution.
 
-The tentpole contract: a warm-start campaign — every trial restored from
-the golden-run ladder rung just before its injection point and executed
-only for its suffix — produces outcome records *bit-identical* to the
-historical cold-start campaign, for every registered workload, any
-snapshot stride, and any worker count.  That includes the recovery
-runtime's rollback telemetry and the harness paths (chaos kills,
-quarantine, checkpoint resume).
+The contract: a warm-start campaign — every trial restored from the
+golden-run ladder rung just before its injection point and executed only
+for its suffix — produces outcome records *bit-identical* to the
+cold-start campaign, for every registered workload, any snapshot stride,
+and any worker count.  ``tests/test_determinism.py`` holds warm start to
+that contract in combination with every other knob; the named
+combinations below are its calls, beside the ladder, resync and
+checkpoint-isolation mechanics.
 """
 
 import marshal
-from dataclasses import replace
 
 import pytest
 
 from repro import compile_source
 from repro.faults import (
     Campaign,
-    CampaignSpec,
     CampaignStats,
     CheckpointWarning,
     Outcome,
@@ -27,11 +26,10 @@ from repro.faults import (
     campaign_fingerprint,
     fork_available,
 )
-from repro.faults.chaos import ChaosMonkey, parse_chaos_spec
+from repro.faults.chaos import ChaosMonkey
 from repro.faults.outcomes import OutcomeCounts
 from repro.interp import Interpreter
 from repro.recover import (
-    RecoveryPolicy,
     SnapshotLadder,
     WarmSnapshot,
     WarmStart,
@@ -39,6 +37,7 @@ from repro.recover import (
 )
 from repro.recover.warm import _TrackState
 from repro.workloads import WORKLOAD_NAMES, get_workload
+from tests.test_determinism import Combo, build, check, reference, run_in_process
 
 KERNEL = """
 int n = 14;
@@ -133,30 +132,23 @@ class TestLadderStructure:
 
 
 class TestBitIdentity:
-    @pytest.fixture(scope="class")
-    def cold_baseline(self):
-        return entries(make_campaign())
+    def test_warm_equals_cold(self, tmp_path):
+        check(Combo(warm=True), tmp_path)
 
-    def test_warm_equals_cold(self, cold_baseline):
-        got, result = run_entries(make_campaign(warm_start=True))
-        assert got == cold_baseline
-        assert result.stats.warm_restores > 0
+    def test_warm_equals_cold_at_tiny_stride(self, tmp_path):
+        check(Combo(warm=True, knob=("snapshot_stride", 1)), tmp_path)
 
-    def test_warm_equals_cold_at_tiny_stride(self, cold_baseline):
-        got = entries(make_campaign(warm_start=True, snapshot_stride=1))
-        assert got == cold_baseline
-
-    def test_warm_equals_cold_at_huge_stride(self, cold_baseline):
-        # A stride past golden_cycles leaves at most the earliest rungs;
-        # trials mostly run cold and must still match exactly.
-        got = entries(make_campaign(warm_start=True, snapshot_stride=10**9))
-        assert got == cold_baseline
+    def test_warm_equals_cold_at_huge_stride(self, tmp_path):
+        # A stride past golden_cycles leaves no rung; every trial runs
+        # cold, so the run restores none and must still match exactly.
+        combo = Combo(warm=True, knob=("snapshot_stride", 10**9))
+        got = run_in_process(combo, tmp_path)
+        assert got.entries == reference(combo)[0]
+        assert got.metrics.value("ipas_warm_restores_total") == 0
 
     @needs_fork
-    def test_warm_parallel_equals_cold_serial(self, cold_baseline):
-        got, result = run_entries(make_campaign(warm_start=True), n_jobs=2)
-        assert got == cold_baseline
-        assert result.stats.warm_restores > 0
+    def test_warm_parallel_equals_cold_serial(self, tmp_path):
+        check(Combo(warm=True, executor="pool"), tmp_path)
 
     def test_warm_stats_are_reported(self):
         result = make_campaign(warm_start=True).run(N_TRIALS, seed=SEED)
@@ -174,82 +166,35 @@ class TestBitIdentity:
 class TestAllWorkloads:
     """Warm==cold on every registered workload, injected faults included."""
 
-    def test_warm_equals_cold(self, name):
-        trials, seed = 20, 0
-        cold, cold_result = run_entries(make_workload_campaign(name), trials, seed)
-        warm, warm_result = run_entries(
-            make_workload_campaign(name, warm_start=True), trials, seed
-        )
-        assert warm == cold
-        assert warm_result.counts.as_dict() == cold_result.counts.as_dict()
-        assert warm_result.stats.warm_restores > 0
+    def test_warm_equals_cold(self, name, tmp_path):
+        check(Combo(name, 20, 0, warm=True), tmp_path)
 
 
 @pytest.mark.parametrize("name", ["fft", "hpccg"])
-def test_warm_equals_cold_with_resyncs(name):
+def test_warm_equals_cold_with_resyncs(name, tmp_path):
     """Warm trials run lean region code between resync events, leaving
     it through deopt exits: records stay those of the cold campaign, and
-    trials still finish by golden resync."""
-    trials, resyncs = 40, 0
-    for seed in (0, 1, 2):
-        cold = entries(make_workload_campaign(name), trials, seed)
-        warm, result = run_entries(
-            make_workload_campaign(name, warm_start=True), trials, seed
-        )
-        assert warm == cold, seed
-        resyncs += result.stats.golden_resyncs
-    assert resyncs > 0
+    trials still finish by golden resync, in-process and on the pool."""
+    for executor in ("serial", "pool") if fork_available() else ("serial",):
+        runs = [check(Combo(name, 40, seed, warm=True, executor=executor),
+                      tmp_path / f"{executor}{seed}") for seed in (0, 1, 2)]
+        resyncs = sum(run.metrics.value("ipas_warm_resyncs_total") for run in runs)
+        assert resyncs > 0, executor
 
 
 @pytest.mark.parametrize("name, trials", [("fft", 200), ("hpccg", 100)])
-def test_warm_equals_cold_with_resyncs_when_fully_duplicated(name, trials):
+def test_warm_equals_cold_with_resyncs_when_fully_duplicated(name, trials, tmp_path):
     """Resync-armed warm trials without recovery keep the cold
     campaign's records on a fully duplicated module too, and still
     resync.  Its ladder has rungs at the stride only, as a plain
     module's: each at least ``stride`` cycles past the one before."""
     for seed in (0, 1, 2):
-        spec = CampaignSpec(workload=name, protect="full", trials=trials, seed=seed)
-        cold = entries(spec.build(), trials, seed)
-        campaign = replace(spec, warm_start=True).build()
-        warm, result = run_entries(campaign, trials, seed)
-        assert warm == cold, seed
-        assert result.stats.golden_resyncs > 0, seed
-    ladder = campaign.ensure_ladder()
+        run = check(Combo(name, trials, seed, protect="full", warm=True), tmp_path / str(seed))
+        assert run.metrics.value("ipas_warm_resyncs_total") > 0, seed
+    ladder = build(Combo(name, protect="full", warm=True)).ensure_ladder()
     cycles = [0] + [snap.cycles for snap in ladder.snapshots]
     assert all(b - a >= ladder.stride for a, b in zip(cycles, cycles[1:]))
     assert len(ladder.snapshots) <= ladder.golden_cycles // ladder.stride
-
-
-class TestRecoveryPath:
-    """Warm-start under the rollback runtime: CORRECTED trials and their
-    telemetry must replay bit-identically (resync is disabled there)."""
-
-    @staticmethod
-    def _campaign(warm_start=False):
-        from repro.protect import FullDuplicationSelector, duplicate_instructions
-
-        workload = get_workload("fft")
-        module = workload.compile()
-        duplicate_instructions(module, FullDuplicationSelector().select(module))
-        return Campaign(
-            workload.make_interpreter(1, module=module),
-            verifier=workload.verifier(),
-            entry=workload.entry,
-            budget_factor=workload.budget_factor,
-            recovery=RecoveryPolicy(),
-            warm_start=warm_start,
-        )
-
-    def test_warm_equals_cold_with_recovery(self):
-        trials, seed = 40, 7
-        cold_entries, cold = run_entries(self._campaign(), trials, seed)
-        warm_entries, warm = run_entries(self._campaign(warm_start=True), trials, seed)
-        assert warm_entries == cold_entries
-        assert cold.counts.counts[Outcome.CORRECTED] >= 1, (
-            "seed must exercise the rollback path for this test to mean anything"
-        )
-        assert warm.stats.golden_resyncs == 0  # resync is off under recovery
-        assert warm.stats.warm_restores > 0
 
 
 @needs_fork
@@ -267,10 +212,7 @@ class TestHarnessPaths:
         assert got[:9] + got[10:] == cold[:9] + cold[10:]
 
     def test_killed_worker_bit_identical_warm(self, tmp_path):
-        chaos = parse_chaos_spec("kill@5", state_dir=str(tmp_path / "c"))
-        got, result = run_entries(make_campaign(warm_start=True), n_jobs=2, chaos=chaos)
-        assert got == entries(make_campaign())
-        assert result.stats.worker_deaths >= 1
+        check(Combo(warm=True, executor="pool", chaos=True), tmp_path)
 
 
 class TestCheckpointIsolation:
