@@ -9,8 +9,9 @@ trial lines (when it writes one) and, with observability on, its
 the same spec at ``n_jobs=1``, cold and in-process, byte for byte.
 
 A combination some knob cannot honour must raise the exception naming the
-key of its :data:`REFUSED` row; one that cannot be expressed is never drawn
-(:func:`combos` says why).  Guards make sure each example took its path:
+key of its :data:`REFUSED` row; :data:`EXAMPLES` holds one of each, and
+:func:`combos` draws neither those nor the ones that cannot be expressed
+(it says why).  Guards make sure each example took its path:
 recovery corrects single-shot faults and never multi-shot ones, a warm run
 restores, a chaos run loses a worker, a resumed run resumes, and no trial
 resyncs where resync is off.  Suites that pinned one axis at a time keep
@@ -66,6 +67,7 @@ class Combo:
     knob: Optional[tuple] = None  # (spec key, value), as in KNOBS
     warm: bool = False
     executor: str = "serial"  # or "pool", "solo", "worker"
+    jobs: int = 2  # the fork pool's workers
     obs: bool = False
     resume_at: Optional[int] = None  # interrupted after this many trials
     chaos: bool = False  # one pool worker killed
@@ -172,9 +174,9 @@ def run_in_process(combo, tmp_path) -> Run:
         return campaign
 
     path = str(tmp_path / "ck.jsonl") if combo.resume_at else None
+    seen = []  # the trials run before the interrupt: a warm campaign runs out of order
     with ExitStack() as stack:
         if combo.resume_at:
-            seen = []
 
             def interrupt(index, record):
                 seen.append(index)
@@ -185,14 +187,19 @@ def run_in_process(combo, tmp_path) -> Run:
                 armed(stack).run(combo.trials, seed=combo.seed,
                                  checkpoint_path=path, on_trial=interrupt)
         campaign = armed(stack)
-        obs = Observation(trace_path=str(tmp_path / "trace.json")) if combo.obs else None
+        obs = Observation(trace_path=str(tmp_path / "trace.json"),
+                          metrics_path=str(tmp_path / "metrics.json")) if combo.obs else None
+        jobs = combo.jobs if combo.executor == "pool" else 1
         result = campaign.run(
-            combo.trials, seed=combo.seed, n_jobs=2 if combo.executor == "pool" else 1,
+            combo.trials, seed=combo.seed, n_jobs=jobs,
             checkpoint_path=path, obs=obs,
-            chaos=ChaosMonkey(kill_at=[combo.trials - 2], state_dir=str(tmp_path / "c"))
+            chaos=ChaosMonkey(kill_at=[max(set(range(combo.trials)) - set(seen))],
+                              state_dir=str(tmp_path / "c"))
             if combo.chaos else None,
         )
     assert obs is None or result.stats.registry is obs.registry
+    stats = result.stats
+    assert (stats.n_jobs, stats.completed) == (jobs, combo.trials - (combo.resume_at or 0))
     plan = TrialPlan(campaign, combo.trials, combo.seed)
     return Run([plan.entry(i, r) for i, r in enumerate(result.records)],
                checkpoint_lines(path) if path else None, result.stats.registry)
@@ -271,7 +278,8 @@ def check(combo, tmp_path) -> Optional[Run]:
 
 @st.composite
 def combos(draw):
-    """Combinations of every knob, less those that cannot be expressed."""
+    """Combinations of every knob, less those that cannot be expressed and
+    those that are refused (:data:`EXAMPLES` holds one of each of those)."""
     executor = draw(st.sampled_from(EXECUTORS))
     service = executor in ("solo", "worker")
     # The service's CampaignSpec has no ranks field.
@@ -280,16 +288,21 @@ def combos(draw):
     # thread's job cheap; tests/test_mpi_campaign.py names `is` jobs.
     name = "kernel" if ranks > 1 else draw(st.sampled_from(list(INPUTS)))
     trials, seed = INPUTS[name]
+    protect = draw(st.sampled_from(["none", "full"]))
+    # Recovery costs about 0.6 s a trial on fully duplicated fft: the
+    # workloads run it in an example of a few trials.
+    recover = protect == "full" and name == "kernel" and draw(st.booleans())
+    warm = ranks == 1 and draw(st.booleans())
+    knobs = [k for k in KNOBS if (warm if k[0] == "snapshot_stride" else recover)]
     return Combo(
         name, trials, seed, ranks,
         model=draw(st.sampled_from(list(FAULT_MODELS))),
-        protect=draw(st.sampled_from(["none", "full"])),
-        # Recovery costs about 0.6 s a trial on fully duplicated fft: the
-        # workloads run it in an example of a few trials.
-        recover=name == "kernel" and draw(st.booleans()),
-        knob=draw(st.none() | st.sampled_from(KNOBS)),
-        warm=draw(st.booleans()),
+        protect=protect,
+        recover=recover,
+        knob=draw(st.none() | st.sampled_from(knobs)) if knobs else None,
+        warm=warm,
         executor=executor,
+        jobs=draw(st.integers(2, 3)) if executor == "pool" else 2,
         # The service keeps its own metrics and takes no Observation.
         obs=not service and draw(st.booleans()),
         # A service job resumes only across a coordinator restart, which
@@ -300,7 +313,8 @@ def combos(draw):
         # A service campaign runs in the coordinator's or a socket
         # worker's own interpreter, out of the test's reach.
         per_block=not service and draw(st.booleans()),
-        count_route=not service and draw(st.booleans()),
+        # A multi-rank trial runs the whole job and never trips.
+        count_route=not service and ranks == 1 and draw(st.booleans()),
     )
 
 
@@ -339,6 +353,11 @@ class TestDeterminism:
     @with_examples
     def test_matches_serial_cold(self, combo, tmp_path_factory):
         check(combo, tmp_path_factory.mktemp("combo"))
+
+    @settings(derandomize=True, database=None, max_examples=200)
+    @given(combo=combos())
+    def test_drawn_combinations_are_never_refused(self, combo):
+        assert refusal(combo) is None, combo
 
     def test_every_refusal_has_an_example(self):
         rows = {(exc, key) for _applies, exc, key in REFUSED}

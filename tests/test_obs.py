@@ -342,7 +342,7 @@ class TestBitIdentity:
     """Observability must never perturb outcomes or fingerprints."""
 
     def test_outcomes_identical_with_obs_on_and_off(self, tmp_path):
-        check(Combo(trials=24, seed=7, executor="pool", obs=True), tmp_path)
+        check(Combo(trials=24, seed=7, obs=True), tmp_path)
 
     def test_fingerprint_independent_of_obs(self):
         a = make_campaign()

@@ -79,7 +79,7 @@ class TestDeterminism:
         ]
 
     def test_parallel_matches_serial(self, tmp_path):
-        check(Combo(trials=24, seed=7, executor="pool"), tmp_path)
+        check(Combo(trials=24, seed=7, executor="pool", jobs=4), tmp_path)
 
     @pytest.mark.skipif(not fork_available(), reason="needs the fork pool")
     def test_mismatched_pool_result_is_refused(self, monkeypatch):

@@ -186,11 +186,15 @@ def test_warm_equals_cold_with_resyncs(name, tmp_path):
 def test_warm_equals_cold_with_resyncs_when_fully_duplicated(name, trials, tmp_path):
     """Resync-armed warm trials without recovery keep the cold
     campaign's records on a fully duplicated module too, and still
-    resync.  Its ladder has rungs at the stride only, as a plain
-    module's: each at least ``stride`` cycles past the one before."""
-    for seed in (0, 1, 2):
-        run = check(Combo(name, trials, seed, protect="full", warm=True), tmp_path / str(seed))
-        assert run.metrics.value("ipas_warm_resyncs_total") > 0, seed
+    resync, in-process and on the pool.  Its ladder has rungs at the
+    stride only, as a plain module's: each at least ``stride`` cycles
+    past the one before."""
+    runs = [("serial", seed) for seed in (0, 1, 2)]
+    runs += [("pool", 0)] if fork_available() else []
+    for executor, seed in runs:
+        run = check(Combo(name, trials, seed, protect="full", warm=True, executor=executor),
+                    tmp_path / f"{executor}{seed}")
+        assert run.metrics.value("ipas_warm_resyncs_total") > 0, (executor, seed)
     ladder = build(Combo(name, protect="full", warm=True)).ensure_ladder()
     cycles = [0] + [snap.cycles for snap in ladder.snapshots]
     assert all(b - a >= ladder.stride for a, b in zip(cycles, cycles[1:]))
